@@ -6,22 +6,19 @@ frontier sweep extracting every scheduled peer's closure, a flat phase-1
 cost pass and a segmented local-index MST) must run the ACE step loop on a
 10,000-peer overlay **>= 5x** faster than the untouched object-model
 reference protocol — with identical step reports, which this bench asserts
-field-for-field across all three arms (byte-identity of the figures is
-pinned exhaustively by ``tests/experiments/test_reproducibility.py`` and
+field-for-field across both arms (byte-identity of the figures is pinned
+exhaustively by ``tests/experiments/test_reproducibility.py`` and
 ``tests/core/test_batch_ace.py``).
 
-Three arms, same underlay, same landmark oracle, same RNG stream:
+Two arms, same underlay, same landmark oracle, same RNG stream:
 
-* ``object``  — the scalar reference step loop on the object-model overlay
-  (dicts of dicts; the path the ISSUE names as *the untouched reference*).
-* ``scalar``  — the scalar step loop on the array (SoA) overlay: what the
-  flat store alone buys, without the kernel.
-* ``batched`` — the array overlay driven by the batched kernel.
+* ``object``  — the reference step loop on the object-model overlay (dicts
+  of dicts; the path the ISSUE names as *the untouched reference*).
+* ``batched`` — the array (SoA) overlay driven by the batched kernel.
 
-The headline ratio is object/batched; scalar/batched is reported alongside
-because the three arms share the sequential replacement/shedding machinery
-(RNG-ordered probes and mutations), which bounds how far batching alone
-can go once the per-peer closure/phase-1/MST work is vectorized.
+Both arms run the same sequential Phase-3 turn (:mod:`repro.core.turn`:
+RNG-ordered probes and mutations), which bounds how far batching alone can
+go once the per-peer closure/phase-1/MST work is vectorized.
 
 Quick/CI mode (``REPRO_BENCH_QUICK=1``) trims the overlay to 2,000 peers
 and softens the bar to 3x so the gate stays a smoke test; the headline
@@ -44,7 +41,6 @@ import pytest
 from conftest import ACE_TRAJECTORY_PATH, record_trajectory, report
 
 from repro.core.ace import AceConfig, AceProtocol
-from repro.core.batch_ace import scalar_ace
 from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_experiment
 from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.perf import counters
@@ -63,7 +59,7 @@ SCALE_PEERS = 100_000
 SCALE_NODES = 120_000
 
 
-def _step_loop(engine, batched, peers=PEERS, nodes=NODES):
+def _step_loop(engine, peers=PEERS, nodes=NODES):
     """Run STEPS optimization steps on a fresh scenario; time the loop only.
 
     Scenario build, cost warming and query measurement are excluded — the
@@ -86,13 +82,7 @@ def _step_loop(engine, batched, peers=PEERS, nodes=NODES):
         overlay, AceConfig(), rng=np.random.default_rng(SEED + 0xACE)
     )
     start = time.perf_counter()
-    if batched:
-        reports = [dataclasses.asdict(protocol.step()) for _ in range(STEPS)]
-    else:
-        with scalar_ace():
-            reports = [
-                dataclasses.asdict(protocol.step()) for _ in range(STEPS)
-            ]
+    reports = [dataclasses.asdict(protocol.step()) for _ in range(STEPS)]
     seconds = time.perf_counter() - start
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return reports, seconds, rss_mb, counters.snapshot()
@@ -101,34 +91,25 @@ def _step_loop(engine, batched, peers=PEERS, nodes=NODES):
 @pytest.mark.perf_smoke
 def test_ace_kernel_speedup(capsys):
     """Batched kernel >= 5x (3x quick) over the object reference loop."""
-    obj_reports, obj_s, _, obj_perf = _step_loop("object", batched=False)
-    ref_reports, ref_s, _, ref_perf = _step_loop("array", batched=False)
-    kern_reports, kern_s, rss_mb, kern_perf = _step_loop(
-        "array", batched=True
-    )
+    obj_reports, obj_s, _, obj_perf = _step_loop("object")
+    kern_reports, kern_s, rss_mb, kern_perf = _step_loop("array")
 
-    # Identity is part of the gate: the three arms must disagree on
-    # nothing but wall-clock.
+    # Identity is part of the gate: the two arms must disagree on nothing
+    # but wall-clock.
     assert kern_reports == obj_reports
-    assert kern_reports == ref_reports
     assert kern_perf["ace_batched_steps"] == STEPS
-    assert ref_perf["ace_batched_steps"] == 0
     assert obj_perf["ace_batched_steps"] == 0
 
     speedup = obj_s / kern_s if kern_s > 0 else float("inf")
-    vs_scalar = ref_s / kern_s if kern_s > 0 else float("inf")
     report(capsys, "\n".join([
         f"Batched ACE kernel ({PEERS:,} peers, {NODES:,} underlay nodes, "
         f"{ORACLE}, {STEPS} ACE steps{', quick' if QUICK else ''}):",
         f"  object reference loop: {obj_s:.1f}s "
         f"({STEPS * PEERS / obj_s:,.0f} peer-rounds/s)",
-        f"  array scalar loop:     {ref_s:.1f}s "
-        f"({STEPS * PEERS / ref_s:,.0f} peer-rounds/s)",
         f"  array batched kernel:  {kern_s:.1f}s "
         f"({STEPS * PEERS / kern_s:,.0f} peer-rounds/s), "
         f"peak RSS {rss_mb:.0f} MB",
-        f"  speedup vs object: {speedup:.1f}x (bar: {SPEEDUP_BAR:g}x); "
-        f"vs array scalar: {vs_scalar:.1f}x",
+        f"  speedup vs object: {speedup:.1f}x (bar: {SPEEDUP_BAR:g}x)",
         "  ace kernel: {ace_batched_steps} batched steps, "
         "{closure_batch_peers} closures batch-extracted, "
         "{closure_reuses} closure reuses".format(**kern_perf),
@@ -143,10 +124,8 @@ def test_ace_kernel_speedup(capsys):
         oracle=ORACLE,
         steps=STEPS,
         object_seconds=round(obj_s, 2),
-        array_scalar_seconds=round(ref_s, 2),
         batched_seconds=round(kern_s, 2),
         speedup_vs_object=round(speedup, 2),
-        speedup_vs_array_scalar=round(vs_scalar, 2),
         speedup_bar=SPEEDUP_BAR,
         batched_peer_rounds_per_second=round(STEPS * PEERS / kern_s, 1),
         peak_rss_mb=round(rss_mb, 1),

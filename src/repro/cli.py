@@ -76,11 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the batched propagation kernel and run "
                             "every query through the scalar reference engine "
                             "(slower; results are identical)")
-        p.add_argument("--scalar-ace", action="store_true",
-                       help="disable the batched ACE optimization kernel and "
-                            "run every peer's round through the scalar "
-                            "reference protocol (slower; results are "
-                            "identical; only the array engine batches)")
         p.add_argument("--sanitize", action="store_true",
                        help="enable the runtime invariant sanitizer (epoch "
                             "monotonicity, cache coherence, shm leak and RNG "
@@ -389,6 +384,8 @@ def _cmd_net(args, out) -> int:
           f"{live.lost_frames} lost frames", file=out)
     if live.dead:
         print(f"dead peers: {live.dead}", file=out)
+    for step, peer, error in live.turn_errors:
+        print(f"TURN FAILED peer {peer} step {step}: {error}", file=out)
     code = 0
     if args.check:
         ref = run_sim_reference(
@@ -405,6 +402,8 @@ def _cmd_net(args, out) -> int:
             code = 4
         else:
             print("check: live run matches the simulation exactly", file=out)
+        if live.turn_errors:
+            code = 4
     if args.expect_hits and live.total_hits == 0:
         print("FAIL: no QueryHits received", file=out)
         code = code or 5
@@ -446,15 +445,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         # Worker processes re-read the knob from the environment, so the
         # flag reaches spawned trial workers too.
         os.environ["REPRO_SCALAR_QUERIES"] = "1"
-    if getattr(args, "scalar_ace", False):
-        import os
-
-        from .core.batch_ace import set_batched_ace
-
-        set_batched_ace(False)
-        # Worker processes re-read the knob from the environment, so the
-        # flag reaches spawned trial workers too.
-        os.environ["REPRO_SCALAR_ACE"] = "1"
     code = _COMMANDS[args.command](args, out)
     if getattr(args, "perf", False):
         print(counters.format(), file=out)

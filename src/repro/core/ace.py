@@ -30,13 +30,23 @@ from ..perf import counters
 from ..rng import ensure_rng
 from ..topology.overlay import Overlay
 from ..topology.soa import ArrayOverlay
-from .batch_ace import batched_ace_enabled, batched_step
+from .batch_ace import batched_step
 from .closure import ClosureView, neighbor_closure
-from .cost_table import Phase1Report, run_phase1
+from .cost_table import Phase1Report
 from .flat_state import FlatAceStore
 from .policies import CandidatePolicy, make_policy
-from .replacement import ReplacementAction, attempt_replacement
-from .spanning_tree import SpanningTree, prim_mst_heap
+from .replacement import ReplacementAction
+from .spanning_tree import SpanningTree
+from .turn import (
+    Turn,
+    fold,
+    forwarding_set,
+    phase1,
+    phase2,
+    phase3,
+    shed_floor_of,
+    shed_redundant,
+)
 
 __all__ = ["AceConfig", "PeerAceState", "StepReport", "AceProtocol"]
 
@@ -193,11 +203,7 @@ class AceProtocol:
         # and recompute_tree on an unmutated overlay share one extraction.
         self._closure_cache: Dict[int, ClosureView] = {}
         self._closure_epoch = -1
-        if self.config.shed_degree_floor is not None:
-            self._shed_floor = max(self.config.min_degree, self.config.shed_degree_floor)
-        else:
-            avg = overlay.average_degree() if overlay.num_peers else 0.0
-            self._shed_floor = max(self.config.min_degree, int(round(avg)))
+        self._shed_floor = shed_floor_of(self.config, overlay)
 
     # ------------------------------------------------------------------
     # State access
@@ -255,32 +261,20 @@ class AceProtocol:
     def flooding_neighbors(self, peer: int) -> Set[int]:
         """The neighbors a peer forwards queries to *right now*.
 
-        A peer that has not yet run Phase 2 (e.g. it just joined) floods to
-        all its neighbors — the Gnutella default.  Routing degrades safely
-        against stale state:
-
-        * a *flooding* neighbor that disappeared breaks the tree, so the
-          peer falls back to flooding all live neighbors until its next
-          Phase 2 (in the real protocol the peer notices the dropped TCP
-          connection immediately);
-        * neighbors gained since the tree was built are not covered by it
-          and are flooded to in addition to the tree neighbors.
+        The stored Phase-2 sets pushed through the shared routing rule,
+        :func:`~repro.core.turn.forwarding_set` (which see for the rule).
         """
         live = set(self.overlay.neighbors(peer))
+        flooding = known = None
         if self._flat is not None:
-            if peer not in self._flat:
-                return live
-            flooding = self._flat.flooding_of(peer)
-            if not flooding <= live:
-                return live
-            return set(flooding) | (live - self._flat.known_of(peer))
-        state = self._states.get(peer)
-        if state is None:
-            return live
-        if not state.flooding <= live:
-            return live
-        new_links = live - state.known_neighbors
-        return set(state.flooding) | new_links
+            if peer in self._flat:
+                flooding = self._flat.flooding_of(peer)
+                known = self._flat.known_of(peer)
+        else:
+            state = self._states.get(peer)
+            if state is not None:
+                flooding, known = state.flooding, state.known_neighbors
+        return forwarding_set(live, flooding, known)
 
     def non_flooding_neighbors(self, peer: int) -> Set[int]:
         """Live direct neighbors currently classified as non-flooding."""
@@ -316,25 +310,16 @@ class AceProtocol:
     def refresh_peer(self, peer: int) -> Tuple[PeerAceState, Phase1Report]:
         """Run Phases 1-2 for one peer and store its new state."""
         closure = self._closure_of(peer)
-        phase1 = run_phase1(
-            self.overlay,
-            closure,
-            round_trip_factor=self.config.round_trip_factor,
-            entry_cost_factor=self.config.entry_cost_factor,
-        )
-        state = self._store_state(peer, closure)
-        return state, phase1
+        report = phase1(self.overlay, closure, self.config)
+        return self._store_state(peer, closure), report
 
     def _store_state(self, peer: int, closure: ClosureView) -> PeerAceState:
-        tree = prim_mst_heap(closure.edges, peer)
-        flooding = frozenset(tree.tree_neighbors(peer))
-        known = frozenset(self.overlay.neighbors(peer))
-        non_flooding = known - flooding
+        tree, flooding, known = phase2(self.overlay, peer, closure)
         state = PeerAceState(
             peer=peer,
             tree=tree,
             flooding=flooding,
-            non_flooding=non_flooding,
+            non_flooding=known - flooding,
             known_neighbors=known,
             closure_size=closure.size,
             closure_edges=closure.num_edges(),
@@ -386,110 +371,31 @@ class AceProtocol:
         """
         self._state_version += 1
 
-    def _bump_steps(self) -> None:
-        """Mark one optimization step as completed (kernel epilogue)."""
-        self._steps_run += 1
-
     def shed_redundant_links(self, peer: int, non_flooding: Sequence[int]) -> int:
         """Cut non-flooding links that a logical triangle makes redundant.
 
-        A link (peer, H) is shed when some mutual neighbor W makes it
-        strictly the longest side of the triangle peer-W-H: both endpoints
-        keep the W route, so connectivity and search scope are preserved
-        while the most expensive redundant connection disappears (the Figure
-        1 L-M situation, and the eventual fate of C-H in Figure 4(c)).
-        Degree floors are respected on both endpoints.
+        :func:`~repro.core.turn.shed_redundant` over this protocol's overlay,
+        cap and degree floor; returns how many links were cut.
         """
-        return len(self._shed_redundant(peer, non_flooding))
-
-    def _shed_redundant(self, peer: int, non_flooding: Sequence[int]) -> List[int]:
-        """:meth:`shed_redundant_links`, returning the cut targets.
-
-        The batched kernel needs the endpoints of every mid-step mutation
-        for its closure staleness test, so the single implementation lives
-        here and the public method reports the count.
-        """
-        sheds: List[int] = []
-        my_neighbors = self.overlay.neighbors(peer)
-        # One batched sweep covers every peer-rooted cost this phase needs
-        # (targets and mutual witnesses alike); shedding only removes edges,
-        # so the precomputed costs stay valid for the whole loop.
-        d_peer = self.overlay.costs_from(
-            peer, sorted(set(non_flooding) | set(my_neighbors))
+        return len(
+            shed_redundant(
+                self.overlay, peer, non_flooding, self.config, self._shed_floor
+            )
         )
-        # Most expensive candidates first: with a per-step cap, the worst
-        # redundant connection goes first.
-        ordered = sorted(non_flooding, key=lambda t: (-d_peer[t], t))
-        for target in ordered:
-            if len(sheds) >= self.config.max_sheds_per_step:
-                break
-            if not self.overlay.has_edge(peer, target):
-                continue
-            if (
-                self.overlay.degree(peer) <= self._shed_floor
-                or self.overlay.degree(target) <= self._shed_floor
-            ):
-                continue
-            d_pt = d_peer[target]
-            # Re-fetch the peer's neighbor set: earlier sheds in this loop
-            # mutate the overlay, and engines are free to return snapshots
-            # (ArrayOverlay) rather than a live set (object Overlay).
-            mutual = self.overlay.neighbors(peer) & self.overlay.neighbors(target)
-            if not mutual:
-                continue
-            d_target = self.overlay.costs_from(target, sorted(mutual))
-            for w in mutual:
-                if d_peer[w] < d_pt and d_target[w] < d_pt:
-                    self.overlay.disconnect(peer, target)
-                    sheds.append(target)
-                    break
-        return sheds
 
     def optimize_peer(self, peer: int, report: StepReport) -> List[ReplacementAction]:
         """Run Phases 1-3 for one peer, accumulating into *report*."""
-        state, phase1 = self.refresh_peer(peer)
-        report.peers_optimized += 1
-        report.probe_overhead += phase1.probe_cost
-        report.exchange_overhead += phase1.exchange_cost
-
-        non_flooding = sorted(state.non_flooding)
-        if self.config.shed_redundant:
-            shed = self.shed_redundant_links(peer, non_flooding)
-            report.redundant_sheds += shed
-            if shed:
-                non_flooding = [
-                    t for t in non_flooding if self.overlay.has_edge(peer, t)
-                ]
-
-        targets = self._policy.targets(
-            self.overlay, peer, non_flooding, self.rng
+        state, charged = self.refresh_peer(peer)
+        sheds, actions = phase3(
+            self.overlay,
+            peer,
+            sorted(state.non_flooding),
+            self.config,
+            self._shed_floor,
+            self._policy,
+            self.rng,
         )
-        if self.config.max_targets_per_step is not None:
-            targets = targets[: self.config.max_targets_per_step]
-
-        actions: List[ReplacementAction] = []
-        for target in targets:
-            if not self.overlay.has_edge(peer, target):
-                continue  # cut by another peer since Phase 2
-            action = attempt_replacement(
-                self.overlay,
-                peer,
-                target,
-                self._policy,
-                self.rng,
-                max_probes=self.config.max_probes_per_target,
-                round_trip_factor=self.config.round_trip_factor,
-                max_degree=self.config.max_degree,
-                min_degree=self.config.min_degree,
-                allow_keep_both=self.config.allow_keep_both,
-            )
-            actions.append(action)
-            report.probes += action.probes
-            report.replacement_probe_overhead += action.probe_cost
-            if action.kind == "replace":
-                report.replacements += 1
-            elif action.kind == "keep_both":
-                report.keep_both_adds += 1
+        fold(report, Turn(charged.probe_cost, charged.exchange_cost, sheds, actions))
         return actions
 
     def step(self, peers: Optional[Sequence[int]] = None) -> StepReport:
@@ -499,12 +405,11 @@ class AceProtocol:
         independent execution of the distributed protocol.  Returns the
         aggregated :class:`StepReport`.
 
-        On the array engine the step runs through the vectorized kernel
-        (:mod:`repro.core.batch_ace`) unless batching is disabled — the
-        scalar loop below is the byte-identical reference either way.
+        The shuffle, the cost warm and the report are the same on both
+        engines; on the array engine the per-peer loops run through the
+        vectorized kernel (:mod:`repro.core.batch_ace`), for which the
+        object loops below are the byte-identical reference.
         """
-        if self._flat is not None and batched_ace_enabled():
-            return batched_step(self, peers)
         if peers is None:
             peers = self.overlay.peers()
         order = list(peers)
@@ -518,33 +423,18 @@ class AceProtocol:
         self.overlay.warm_edge_costs()
         report = StepReport(step_index=self._steps_run)
         if self._flat is not None:
-            # Array engine: prefetch each upcoming block's source delay
-            # vectors in one batched underlay solve, so the per-peer
-            # candidate probes below hit the distance LRU instead of each
-            # paying a scalar Dijkstra.  Warming only populates caches —
-            # every delivered value is unchanged — so figures stay
-            # byte-identical to the object engine.
-            block_size = 256
-            for start in range(0, len(order), block_size):
-                block = order[start : start + block_size]
-                self.overlay.warm_sources(
-                    [p for p in block if self.overlay.has_peer(p)]
-                )
-                for peer in block:
-                    if not self.overlay.has_peer(peer):
-                        continue
-                    self.last_actions.extend(self.optimize_peer(peer, report))
+            batched_step(self, order, report)
         else:
             for peer in order:
-                if not self.overlay.has_peer(peer):
-                    continue
-                self.last_actions.extend(self.optimize_peer(peer, report))
-        # Re-run Phase 2 everywhere so flooding sets reflect the final
-        # post-step topology (peers whose links were changed later in the
-        # round would otherwise route on stale trees until their next turn).
-        for peer in order:
-            if self.overlay.has_peer(peer):
-                self.recompute_tree(peer)
+                if self.overlay.has_peer(peer):
+                    self.last_actions.extend(self.optimize_peer(peer, report))
+            # Re-run Phase 2 everywhere so flooding sets reflect the final
+            # post-step topology (peers whose links were changed later in
+            # the round would otherwise route on stale trees until their
+            # next turn).
+            for peer in order:
+                if self.overlay.has_peer(peer):
+                    self.recompute_tree(peer)
         self._steps_run += 1
         return report
 
@@ -558,12 +448,7 @@ class AceProtocol:
 
     def handle_peer_joined(self, peer: int) -> None:
         """Invalidate state for a (re)joining peer: it floods until Phase 2."""
-        if self._flat is not None:
-            if self._flat.drop(peer):
-                self._state_version += 1
-            return
-        if self._states.pop(peer, None) is not None:
-            self._state_version += 1
+        self.handle_peer_left(peer)
 
     def handle_peer_left(self, peer: int) -> None:
         """Drop protocol state of a departed peer."""

@@ -40,81 +40,35 @@ reference path for that turn.  RNG draws happen peer-by-peer in the same
 order as the reference loop, so the random streams — and therefore every
 figure — are byte-identical.
 
-The kernel is selected automatically when the protocol runs on an
-``ArrayOverlay`` (``engine="array"``); the object-model path stays the
-untouched reference.  Like PR 5's query batching it can be forced off
-globally (:func:`set_batched_ace` / :func:`scalar_ace` / the
-``REPRO_SCALAR_ACE`` environment knob, CLI ``--scalar-ace``), which the
-equivalence suite uses to pin batched == scalar byte-for-byte.
+The kernel is what :meth:`AceProtocol.step` runs whenever the protocol sits
+on an ``ArrayOverlay`` (``engine="array"``); the object-model loop is its
+reference, and the equivalence suites pin the two byte-for-byte.  Phase 3
+and the report fold are not restated here — they are
+:func:`repro.core.turn.phase3` / :func:`repro.core.turn.fold`, the same
+code the object loop and the live runtime run.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from ..perf import counters
 from ..topology.soa import ArrayOverlay
 from .closure import neighbor_closure
-from .replacement import attempt_replacement
+from .turn import Turn, fold, phase3
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from .ace import AceProtocol, StepReport
 
 __all__ = [
-    "batched_ace_enabled",
-    "set_batched_ace",
-    "scalar_ace",
-    "kernel_active",
     "ClosureBatch",
     "extract_closures",
     "batched_step",
     "churn_refresh",
 ]
-
-# ---------------------------------------------------------------------------
-# Kernel toggle
-# ---------------------------------------------------------------------------
-
-_BATCHED = os.environ.get("REPRO_SCALAR_ACE", "") not in ("1", "true")
-
-
-def batched_ace_enabled() -> bool:
-    """Whether array-engine protocols route steps through the kernel."""
-    return _BATCHED
-
-
-def set_batched_ace(enabled: bool) -> bool:
-    """Enable/disable the batched ACE kernel globally; returns the old value.
-
-    Disabling forces :meth:`AceProtocol.step` and the dynamic churn driver
-    onto the scalar reference loop — results are identical either way; only
-    speed changes.
-    """
-    global _BATCHED
-    previous = _BATCHED
-    _BATCHED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def scalar_ace() -> Iterator[None]:
-    """Context manager running its body on the scalar reference ACE loop."""
-    previous = set_batched_ace(False)
-    try:
-        yield
-    finally:
-        set_batched_ace(previous)
-
-
-def kernel_active(protocol: "AceProtocol") -> bool:
-    """Whether *protocol*'s steps currently run on the batched kernel."""
-    return _BATCHED and protocol.flat_store is not None
-
 
 # ---------------------------------------------------------------------------
 # Batched closure extraction
@@ -165,6 +119,15 @@ class ClosureBatch:
         self.closure_edges: List[int] = []
         #: MST tree-neighbors of each source (ascending peer ids).
         self.flooding: List[List[int]] = []
+
+    def row(self, pos: int) -> tuple:
+        """Entry *pos* as a flat-store row: flooding, known, size, edges."""
+        return (
+            self.flooding[pos],
+            self.direct[pos],
+            len(self.members[pos]),
+            self.closure_edges[pos],
+        )
 
 
 def _prim_flooding(
@@ -427,12 +390,10 @@ def _optimize_one(
 ) -> None:
     """Phases 1-3 for one peer, from the batch when still exact.
 
-    Mirrors :meth:`AceProtocol.optimize_peer` statement for statement —
-    same report accumulation order, same shed/target/replacement sequence,
-    same RNG draws — with Phase 1-2 served from the pre-extracted arrays
-    when no mid-step mutation touched the peer's closure.
+    Phases 1-2 are served from the pre-extracted arrays when no mid-step
+    mutation touched the peer's closure; Phase 3 and the fold are the
+    shared turn, whose sheds and actions then extend the dirty log.
     """
-    overlay = protocol.overlay
     config = protocol.config
     pos = batch.index[peer]
     if _is_stale(
@@ -442,91 +403,49 @@ def _optimize_one(
         # through the scalar path (identical by construction).
         probe, exchange, non_flooding = _refresh_stale(protocol, peer)
     else:
-        flooding = batch.flooding[pos]
-        known = batch.direct[pos]
-        protocol._put_flat(
-            peer,
-            flooding,
-            known,
-            len(batch.members[pos]),
-            batch.closure_edges[pos],
-        )
+        protocol._put_flat(peer, *batch.row(pos))
         s = batch.probe_sum[pos]
         probe = config.round_trip_factor * s
         exchange = (1.0 + config.entry_cost_factor * batch.closure_edges[pos]) * s
-        in_tree = set(flooding)
-        non_flooding = [t for t in known if t not in in_tree]
-    report.peers_optimized += 1
-    report.probe_overhead += probe
-    report.exchange_overhead += exchange
+        in_tree = set(batch.flooding[pos])
+        non_flooding = [t for t in batch.direct[pos] if t not in in_tree]
 
-    if config.shed_redundant:
-        shed = protocol._shed_redundant(peer, non_flooding)
-        report.redundant_sheds += len(shed)
-        if shed:
-            non_flooding = [
-                t for t in non_flooding if overlay.has_edge(peer, t)
-            ]
-            _mark_dirty(dirty, stamps, peer)
-            for t in shed:
-                _mark_dirty(dirty, stamps, t)
-
-    targets = protocol.policy.targets(overlay, peer, non_flooding, protocol.rng)
-    if config.max_targets_per_step is not None:
-        targets = targets[: config.max_targets_per_step]
-
-    for target in targets:
-        if not overlay.has_edge(peer, target):
-            continue  # cut by another peer since Phase 2
-        action = attempt_replacement(
-            overlay,
-            peer,
-            target,
-            protocol.policy,
-            protocol.rng,
-            max_probes=config.max_probes_per_target,
-            round_trip_factor=config.round_trip_factor,
-            max_degree=config.max_degree,
-            min_degree=config.min_degree,
-            allow_keep_both=config.allow_keep_both,
-        )
-        protocol.last_actions.append(action)
-        report.probes += action.probes
-        report.replacement_probe_overhead += action.probe_cost
+    sheds, actions = phase3(
+        protocol.overlay,
+        peer,
+        non_flooding,
+        config,
+        protocol._shed_floor,
+        protocol.policy,
+        protocol.rng,
+    )
+    fold(report, Turn(probe, exchange, sheds, actions))
+    protocol.last_actions.extend(actions)
+    touched = list(sheds)
+    for action in actions:
         if action.kind == "replace":
-            report.replacements += 1
-            _mark_dirty(dirty, stamps, peer)
-            _mark_dirty(dirty, stamps, target)
-            _mark_dirty(dirty, stamps, action.candidate)
+            touched += (action.target, action.candidate)
         elif action.kind == "keep_both":
-            report.keep_both_adds += 1
-            _mark_dirty(dirty, stamps, peer)
-            _mark_dirty(dirty, stamps, action.candidate)
+            touched.append(action.candidate)
+    if touched:
+        for endpoint in (peer, *touched):
+            _mark_dirty(dirty, stamps, endpoint)
 
 
 def batched_step(
-    protocol: "AceProtocol", peers: Optional[Sequence[int]] = None
-) -> "StepReport":
-    """One optimization step through the vectorized kernel.
+    protocol: "AceProtocol", order: Sequence[int], report: "StepReport"
+) -> None:
+    """The per-peer loops of one optimization step, through the kernel.
 
-    Byte-identical to the scalar :meth:`AceProtocol.step` on the array
-    engine: same shuffle, same per-block source warm, peers processed in
-    the same order with the same RNG stream, and the same end-of-step tree
-    rebuild — only Phase 1-2 extraction is batched (and the rebuild reuses
-    the optimize-phase state wherever no later mutation touched a closure).
+    Called by :meth:`AceProtocol.step` with the step's shuffled *order*
+    and its fresh *report*.  Byte-identical to the object loops there:
+    peers processed in the same order with the same RNG stream, and the
+    same end-of-step tree rebuild — only Phase 1-2 extraction is batched
+    (and the rebuild reuses the optimize-phase state wherever no later
+    mutation touched a closure).
     """
-    from .ace import StepReport
-
     overlay = protocol.overlay
     assert isinstance(overlay, ArrayOverlay)
-    config = protocol.config
-    if peers is None:
-        peers = overlay.peers()
-    order = list(peers)
-    protocol.rng.shuffle(order)
-    overlay.warm_edge_costs()
-    report = StepReport(step_index=protocol.steps_run)
-    protocol.last_actions = []
     counters.ace_batched_steps += 1
     # Peer-id endpoints of every mid-step edge mutation, in order (plus a
     # last-stamp index per endpoint); slices of this log decide whether a
@@ -539,7 +458,7 @@ def batched_step(
         block = order[start : start + block_size]
         live = [p for p in block if overlay.has_peer(p)]
         overlay.warm_sources(live)
-        batch = extract_closures(overlay, live, config.depth)
+        batch = extract_closures(overlay, live, protocol.config.depth)
         counters.closure_batch_peers += len(live)
         dirty_start = len(dirty)
         batches.append((batch, dirty_start))
@@ -548,8 +467,6 @@ def batched_step(
                 protocol, peer, batch, dirty, dirty_start, stamps, report
             )
     _rebuild_trees(protocol, batches, dirty)
-    protocol._bump_steps()
-    return report
 
 
 def _rebuild_trees(
@@ -581,14 +498,7 @@ def _rebuild_trees(
     rebuilt = extract_closures(overlay, stale, config.depth)
     counters.closure_batch_peers += len(stale)
     for peer in stale:
-        pos = rebuilt.index[peer]
-        protocol._put_flat(
-            peer,
-            rebuilt.flooding[pos],
-            rebuilt.direct[pos],
-            len(rebuilt.members[pos]),
-            rebuilt.closure_edges[pos],
-        )
+        protocol._put_flat(peer, *rebuilt.row(rebuilt.index[peer]))
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +533,7 @@ def churn_refresh(
     batch = extract_closures(overlay, targets, config.depth)
     counters.closure_batch_peers += len(targets)
     for peer in targets:
-        pos = batch.index[peer]
-        protocol._put_flat(
-            peer,
-            batch.flooding[pos],
-            batch.direct[pos],
-            len(batch.members[pos]),
-            batch.closure_edges[pos],
-        )
+        protocol._put_flat(peer, *batch.row(batch.index[peer]))
     pos = batch.index[replacement]
     s = batch.probe_sum[pos]
     probe = config.round_trip_factor * s

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.ace import AceConfig, AceProtocol
-from ..core.batch_ace import churn_refresh, kernel_active
+from ..core.batch_ace import churn_refresh
 from ..metrics.accounting import TrafficAccount
 from ..perf import counters
 from ..metrics.collector import SeriesCollector
@@ -182,36 +182,33 @@ def run_dynamic_experiment(
             if protocol is not None:
                 protocol.handle_peer_joined(replacement)
             churn.repair_isolated()
-            if protocol is not None and kernel_active(protocol):
-                # Vectorized churn driver: the whole mutation batch above
-                # already sits in the array engine's edit buffer; re-warm
-                # the touched cost rows once and re-extract the joiner plus
-                # every affected peer in one batched closure sweep.  The
-                # joiner's Phase-1 overhead is charged exactly as below.
-                counters.churn_batch_mutations += overlay.epoch - epoch_before
-                affected |= set(overlay.neighbors(replacement))
-                affected.discard(replacement)
-                overhead = churn_refresh(protocol, replacement, affected)
-                pending_overhead[0] += overhead
-                series.total_overhead += overhead
-            elif protocol is not None:
+            if protocol is not None:
                 # A servent reacts to connection changes immediately.  The
                 # joiner runs a full Phase 1 (its new links must be probed —
                 # overhead charged); the ex-neighbors and new neighbors
                 # merely rebuild their trees from cost information they
                 # already hold, which costs CPU, not traffic.
-                _state, phase1 = protocol.refresh_peer(replacement)
-                pending_overhead[0] += phase1.total_overhead
-                series.total_overhead += phase1.total_overhead
                 affected |= set(overlay.neighbors(replacement))
                 affected.discard(replacement)
-                for p in affected:
-                    if overlay.has_peer(p):
-                        protocol.recompute_tree(p)
+                if protocol.flat_store is not None:
+                    # Vectorized churn driver: the whole mutation batch
+                    # above already sits in the array engine's edit buffer;
+                    # re-warm the touched cost rows once and re-extract the
+                    # joiner plus every affected peer in one batched sweep.
+                    counters.churn_batch_mutations += overlay.epoch - epoch_before
+                    overhead = churn_refresh(protocol, replacement, affected)
+                else:
+                    _state, phase1 = protocol.refresh_peer(replacement)
+                    overhead = phase1.total_overhead
+                    for p in affected:
+                        if overlay.has_peer(p):
+                            protocol.recompute_tree(p)
+                pending_overhead[0] += overhead
+                series.total_overhead += overhead
             # Re-warm the edges the churn event created, in the canonical
             # direction.  A lazily filled cost can differ in the last ulp
             # depending on which endpoint's delay vector happens to be
-            # cached, and the scalar and batched engines fault edges in
+            # cached, and the object and batched engines fault edges in
             # different orders — warming here keeps the cost cache (and so
             # the figures) engine-independent.
             overlay.warm_edge_costs()

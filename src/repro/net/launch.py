@@ -18,12 +18,13 @@ the experiment layer; replint REP015 holds the runtime below it.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.ace import AceConfig, AceProtocol, StepReport
+from ..core.turn import shed_floor_of
 from ..perf import counters
 from ..search.tree_routing import ace_strategy
 from ..sim.node import run_message_level_query
@@ -78,6 +79,8 @@ class LiveRunResult:
     queries: List[Dict[str, Any]]
     clean_shutdown: bool = True
     dead: List[int] = field(default_factory=list)
+    #: ``(step_index, peer, error repr)`` per failed turn at a live peer.
+    turn_errors: List[Tuple[int, int, str]] = field(default_factory=list)
     lost_frames: int = 0
     connections: int = 0
     messages_sent: int = 0
@@ -106,14 +109,6 @@ def plan_queries(scenario, count: int) -> List[QueryPlan]:
         holders = tuple(sorted(scenario.catalog.holders_of(obj)))
         plan.append(QueryPlan(source=source, obj=obj, holders=holders))
     return plan
-
-
-def _shed_floor_of(overlay, config: AceConfig) -> int:
-    """The simulator's shed floor, computed the way ``AceProtocol`` does."""
-    if config.shed_degree_floor is not None:
-        return max(config.min_degree, config.shed_degree_floor)
-    avg = overlay.average_degree() if overlay.num_peers else 0.0
-    return max(config.min_degree, int(round(avg)))
 
 
 def run_sim_reference(
@@ -200,9 +195,8 @@ async def _run_live_async(
     members = overlay.peers()
     coord = DeliveryCoordinator(net.discipline, net.latency_scale)
     ledger = TrafficLedger()
-    shed_floor = _shed_floor_of(overlay, ace_config)
     seed = SeedNode(
-        net, coord, ledger, ace_config, shed_floor,
+        net, coord, ledger, ace_config, shed_floor_of(ace_config, overlay),
         rng=np.random.default_rng(scenario.config.seed + PROTOCOL_SEED_SALT),
     )
     peers: Dict[int, LivePeer] = {
@@ -247,7 +241,7 @@ async def _run_live_async(
         for item in plan:
             for h in item.holders:
                 if h in peers:
-                    peers[h].holds.add(item.obj)
+                    peers[h].servent.holds.add(item.obj)
 
         # -- ACE optimization rounds -------------------------------------
         step_reports = [await seed.run_step(i) for i in range(steps)]
@@ -267,7 +261,7 @@ async def _run_live_async(
             clean = clean and drained
             window = ledger.window(mark)
             guid = query.guid
-            responses = origin.responses.get(guid, [])
+            responses = origin.servent.responses.get(guid, [])
             cost = TrafficLedger.cost_by_kind(window)
             count = TrafficLedger.count_by_kind(window)
             queries.append(
@@ -278,7 +272,7 @@ async def _run_live_async(
                     "hit_messages": count.get("query_hit", 0),
                     "hit_traffic": cost.get("query_hit", 0.0),
                     "duplicates": sum(
-                        n.duplicates_by_guid.get(guid, 0)
+                        n.servent.duplicates_by_guid.get(guid, 0)
                         for n in peers.values()
                     ),
                     "first_response_time": min(
@@ -286,7 +280,9 @@ async def _run_live_async(
                     ),
                     "responders": sorted({r for _t, r in responses}),
                     "scope": sum(
-                        1 for n in peers.values() if guid in n.first_arrival
+                        1
+                        for n in peers.values()
+                        if guid in n.servent.first_arrival
                     ),
                     "wall_first_response": origin.first_hit_walltime.get(guid),
                     "drained": drained,
@@ -315,6 +311,7 @@ async def _run_live_async(
             queries=queries,
             clean_shutdown=clean,
             dead=sorted(seed.dead),
+            turn_errors=list(seed.turn_errors),
             lost_frames=coord.lost_frames,
             connections=counters.net_connections - start_connections,
             messages_sent=counters.net_messages_sent - start_messages,
@@ -340,7 +337,10 @@ def compare_runs(
     discipline the live run replays the simulator's event order with its
     decision stream, so every compared number must be bit-identical.
     """
-    problems: List[str] = []
+    problems: List[str] = [
+        f"step[{step}] peer {peer}: turn failed: {error}"
+        for step, peer, error in live.turn_errors
+    ]
     if live.adjacency != ref.adjacency:
         for p in sorted(set(live.adjacency) | set(ref.adjacency)):
             lv = live.adjacency.get(p)
@@ -353,17 +353,8 @@ def compare_runs(
             f"sim={len(ref.step_reports)}"
         )
     for ls, rs in zip(live.step_reports, ref.step_reports):
-        for name in (
-            "peers_optimized",
-            "probe_overhead",
-            "exchange_overhead",
-            "replacement_probe_overhead",
-            "replacements",
-            "keep_both_adds",
-            "redundant_sheds",
-            "probes",
-        ):
-            lv, rv = getattr(ls, name), getattr(rs, name)
+        for name, rv in asdict(rs).items():
+            lv = getattr(ls, name)
             if lv != rv:
                 problems.append(
                     f"step[{ls.step_index}].{name}: live={lv!r} sim={rv!r}"
@@ -375,17 +366,10 @@ def compare_runs(
             f"query count: live={len(live.queries)} sim={len(ref.queries)}"
         )
     for i, (lq, rq) in enumerate(zip(live.queries, ref.queries)):
-        for name in (
-            "query_messages",
-            "query_traffic",
-            "hit_messages",
-            "hit_traffic",
-            "duplicates",
-            "first_response_time",
-            "responders",
-            "scope",
-        ):
-            lv, rv = lq.get(name), rq.get(name)
+        # Every field the simulator reports; live rows carry wall-clock
+        # extras on top, which have no simulated counterpart.
+        for name, rv in rq.items():
+            lv = lq.get(name)
             if lv != rv:
                 problems.append(f"query[{i}].{name}: live={lv!r} sim={rv!r}")
     return problems

@@ -6,14 +6,15 @@ Each :class:`LivePeer` owns
   accepted connection,
 * an outbound connection pool (dial on demand, retry with backoff, mark
   peers dead on failure),
-* the servent logic of :class:`repro.sim.node.QueryNode` — GUID dedup,
-  reverse-path QueryHits, flooding-set forwarding — executed on *logical*
-  timestamps carried in the frame envelopes, and
-* the ACE turn machinery: on an :class:`~repro.net.wire.OptimizeTurn`
-  token it runs Phases 1-3 in a worker thread against a
-  :class:`TurnView`, whose every read is a live protocol exchange
-  (``CostProbe`` for costs, ``GetTable``/``CostTableMessage`` for remote
-  tables, ``ConnectRequest``/``DisconnectNotice`` for mutations).
+* a :class:`repro.sim.node.Servent` — the simulator's own GUID dedup,
+  reverse-path QueryHits and flooding-set forwarding — fed *logical*
+  timestamps carried in the frame envelopes, its sends written to sockets,
+  and
+* the ACE turn: on an :class:`~repro.net.wire.OptimizeTurn` token it runs
+  the shared per-peer procedure of :mod:`repro.core.turn` in a worker
+  thread against a :class:`TurnView`, whose every read is a live protocol
+  exchange (``CostProbe`` for costs, ``GetTable``/``CostTableMessage`` for
+  remote tables, ``ConnectRequest``/``DisconnectNotice`` for mutations).
 
 The peer knows only what the protocol lets it know: its own neighbor set,
 its cost row (what its probes measure), and whatever tables its RPCs
@@ -24,13 +25,16 @@ convergence with the simulator is earned over the wire.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
-from typing import Awaitable, Dict, List, Optional, Set, Tuple
+from typing import Awaitable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..core.ace import AceConfig
+from ..core.closure import neighbor_closure
 from ..core.policies import make_policy
+from ..core.turn import Turn, forwarding_set, phase1, phase2, phase3
 from ..perf import counters
 from ..sim.messages import (
     ConnectRequest,
@@ -42,8 +46,8 @@ from ..sim.messages import (
     Query,
     QueryHit,
 )
+from ..sim.node import Sends, Servent
 from .runtime import DeliveryCoordinator, NetConfig, PeerUnreachable, TrafficLedger
-from .turn import TurnOutcome, compute_phase2, execute_optimize_turn
 from .wire import (
     ConnectAck,
     Envelope,
@@ -57,7 +61,7 @@ from .wire import (
     encode_frame,
 )
 
-__all__ = ["LivePeer", "TurnView"]
+__all__ = ["LivePeer", "TurnView", "serialize_rng", "restore_rng"]
 
 #: Data-plane descriptor types (scheduled by the delivery coordinator and
 #: charged to the traffic ledger); everything else is control plane.
@@ -121,16 +125,11 @@ class LivePeer:
         self.ace_config = AceConfig()
         self.shed_floor = self.ace_config.min_degree
         self._policy = make_policy(self.ace_config.policy)
-        self._flooding: Optional[frozenset] = None
-        self._known: frozenset = frozenset()
+        self._flooding: Optional[FrozenSet[int]] = None
+        self._known: Optional[FrozenSet[int]] = None
 
-        # -- servent telemetry (QueryNode's exact fields) ---------------
-        self.holds: Set[object] = set()
-        self.reverse_route: Dict[int, int] = {}
-        self.seen_queries: Set[int] = set()
-        self.first_arrival: Dict[int, float] = {}
-        self.duplicates_by_guid: Dict[int, int] = {}
-        self.responses: Dict[int, List[Tuple[float, int]]] = {}
+        # -- servent (the simulator's, driven over sockets) -------------
+        self.servent = Servent(peer_id)
         #: guid -> wall-clock time of the first QueryHit at the origin.
         self.first_hit_walltime: Dict[int, float] = {}
         self._query_start_wall: Dict[int, float] = {}
@@ -152,19 +151,11 @@ class LivePeer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Orderly shutdown: close the server and every connection."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for conn in list(self._conns.values()):
-            conn.close()
-            if conn.task is not None:
-                conn.task.cancel()
-        self._conns.clear()
-        for task in list(self._anon_tasks):
-            task.cancel()
-        self.stopped.set()
+        """Orderly shutdown: :meth:`kill`, then wait for the listener to close."""
+        server = self._server
+        self.kill()
+        if server is not None:
+            await server.wait_closed()
 
     def kill(self) -> None:
         """Simulated crash: drop everything immediately, no goodbyes."""
@@ -222,8 +213,17 @@ class LivePeer:
                 Envelope(src=self.peer_id, dst=remote),
             )
             return conn
-        self.dead.add(remote)
+        self._mark_dead(remote)
         raise PeerUnreachable(f"cannot reach peer {remote}: {last_error}")
+
+    def _mark_dead(self, remote: int) -> None:
+        """Give up on *remote*: no more dials, and the overlay link is gone.
+
+        A servent notices a dropped TCP connection, so a dead neighbor
+        leaves the forwarding set and the cost tables this peer hands out.
+        """
+        self.dead.add(remote)
+        self.neighbors.discard(remote)
 
     def _drop_conn(self, conn: _Connection) -> None:
         conn.close()
@@ -260,7 +260,7 @@ class LivePeer:
             await conn.send(data)
         except (ConnectionError, OSError, PeerUnreachable):
             self.coord.abort_send()
-            self.dead.add(dst)
+            self._mark_dead(dst)
             return False
         counters.net_messages_sent += 1
         counters.net_bytes_sent += len(data)
@@ -308,7 +308,7 @@ class LivePeer:
                 break
             finally:
                 self._rpc_waiters.pop(rpc_id, None)
-        self.dead.add(dst)
+        self._mark_dead(dst)
         raise PeerUnreachable(f"rpc to peer {dst} failed: {last_error}")
 
     # ------------------------------------------------------------------
@@ -406,7 +406,7 @@ class LivePeer:
         return None
 
     async def bootstrap_connect(self, other: int) -> bool:
-        """Establish the overlay edge to *other* (bootstrap handshake)."""
+        """Establish the overlay edge to *other* (the connect handshake)."""
         reply, _env = await self.rpc(
             other, ConnectRequest(sender=self.peer_id, target=other)
         )
@@ -416,92 +416,41 @@ class LivePeer:
         return True
 
     # ------------------------------------------------------------------
-    # Servent logic (QueryNode over the wire)
+    # Servent transport (repro.sim.node.Servent over the wire)
     # ------------------------------------------------------------------
 
-    def flooding_neighbors(self) -> Set[int]:
-        """Live mirror of ``AceProtocol.flooding_neighbors`` for this peer."""
-        live = set(self.neighbors)
-        if self._flooding is None:
-            return live
-        if not self._flooding <= live:
-            return live
-        return set(self._flooding) | (live - self._known)
+    def _routes(self) -> Iterable[int]:
+        """This peer's current forwarding set (the shared routing rule)."""
+        yield from sorted(
+            forwarding_set(set(self.neighbors), self._flooding, self._known)
+        )
+
+    async def _send_all(self, sends: Sends, now: float) -> None:
+        for dst, message in sends:
+            await self.send_data(dst, message, ltime=now + self.cost_row[dst])
 
     def _data_handler(self, message: Message, env: Envelope):
         async def handle() -> None:
+            servent, now = self.servent, env.ltime
             if isinstance(message, Query):
-                await self._on_query(message, env)
-            elif isinstance(message, QueryHit):
-                await self._on_query_hit(message, env)
+                sends = servent.on_query(message, env.src, now, self._routes())
+            else:
+                guid = message.guid
+                if guid in servent.responses and not servent.responses[guid]:
+                    self.first_hit_walltime[guid] = (
+                        asyncio.get_running_loop().time()
+                        - self._query_start_wall.get(guid, 0.0)
+                    )
+                sends = servent.on_query_hit(message, now)
+            await self._send_all(sends, now)
         return handle
 
     async def start_query(self, obj: object, ttl: Optional[int]) -> Query:
-        """Originate a query (``QueryNode.start_query`` over sockets)."""
-        effective_ttl = ttl if ttl is not None else 2**30
-        query = Query(sender=self.peer_id, ttl=effective_ttl, object_id=obj)
-        self.seen_queries.add(query.guid)
-        self.first_arrival[query.guid] = 0.0
-        self.responses[query.guid] = []
-        self._query_start_wall[query.guid] = (
-            asyncio.get_running_loop().time()
-        )
-        await self._forward(query, came_from=None, now=0.0)
+        """Originate a query at logical time 0 and put its copies on the wire."""
+        query, sends = self.servent.originate(obj, ttl, 0.0, self._routes())
+        self._query_start_wall[query.guid] = asyncio.get_running_loop().time()
+        await self._send_all(sends, 0.0)
         return query
-
-    async def _forward(
-        self, query: Query, came_from: Optional[int], now: float
-    ) -> None:
-        if query.ttl <= 0:
-            return
-        live = self.neighbors
-        for nbr in sorted(self.flooding_neighbors()):
-            if nbr == came_from or nbr == self.peer_id or nbr not in live:
-                continue
-            await self.send_data(
-                nbr, query.forwarded_by(self.peer_id),
-                ltime=now + self.cost_row[nbr],
-            )
-
-    async def _on_query(self, query: Query, env: Envelope) -> None:
-        now, sender = env.ltime, env.src
-        if query.guid in self.seen_queries:
-            self.duplicates_by_guid[query.guid] = (
-                self.duplicates_by_guid.get(query.guid, 0) + 1
-            )
-            return
-        self.seen_queries.add(query.guid)
-        self.first_arrival[query.guid] = now
-        self.reverse_route[query.guid] = sender
-        if query.object_id in self.holds:
-            hit = QueryHit(
-                sender=self.peer_id,
-                guid=query.guid,
-                ttl=query.hops + 1,
-                object_id=query.object_id,
-                responder=self.peer_id,
-            )
-            await self.send_data(
-                sender, hit, ltime=now + self.cost_row[sender]
-            )
-        await self._forward(query, came_from=sender, now=now)
-
-    async def _on_query_hit(self, hit: QueryHit, env: Envelope) -> None:
-        now = env.ltime
-        if hit.guid in self.responses:
-            if not self.responses[hit.guid]:
-                self.first_hit_walltime[hit.guid] = (
-                    asyncio.get_running_loop().time()
-                    - self._query_start_wall.get(hit.guid, 0.0)
-                )
-            self.responses[hit.guid].append((now, hit.responder))
-            return
-        back = self.reverse_route.get(hit.guid)
-        if back is not None:
-            await self.send_data(
-                back, hit.forwarded_by(self.peer_id),
-                ltime=now + self.cost_row[back],
-            )
 
     # ------------------------------------------------------------------
     # ACE turn execution
@@ -547,41 +496,46 @@ class LivePeer:
     async def run_turn(self, turn: OptimizeTurn) -> TurnDone:
         """Execute one ACE phase; decisions run in a worker thread."""
         loop = asyncio.get_running_loop()
-        view = TurnView(self, loop)
-        if turn.phase == "recompute":
-            outcome = await loop.run_in_executor(
-                None, compute_phase2, view, self.peer_id, self.ace_config.depth
-            )
-            self._flooding = outcome.flooding
-            self._known = outcome.known
-            return TurnDone(rng_state=turn.rng_state, report={}, ok=True)
-
-        rng = _restore_rng(turn.rng_state)
-        outcome = await loop.run_in_executor(
-            None,
-            execute_optimize_turn,
-            view,
-            self.peer_id,
-            self.ace_config,
-            self.shed_floor,
-            self._policy,
-            rng,
+        rng = None if turn.phase == "recompute" else restore_rng(turn.rng_state)
+        self._flooding, self._known, outcome = await loop.run_in_executor(
+            None, self._turn, TurnView(self, loop), rng
         )
-        # Local adjacency changed during the turn; routing state stays the
-        # pre-mutation tree until the seed's recompute pass, like the sim.
-        self._flooding = outcome.flooding
-        self._known = outcome.known
+        if outcome is None:
+            return TurnDone(rng_state=turn.rng_state)
         return TurnDone(
-            rng_state=_serialize_rng(rng), report=outcome.report, ok=True
+            rng_state=serialize_rng(rng), report=dataclasses.asdict(outcome)
         )
 
+    def _turn(
+        self, view: "TurnView", rng: Optional[np.random.Generator]
+    ) -> Tuple[FrozenSet[int], FrozenSet[int], Optional[Turn]]:
+        """Phases 1-2 over the live view, then the shared Phase 3.
 
-def _serialize_rng(rng: np.random.Generator) -> str:
+        With no *rng* this is the end-of-step recompute: Phase 2 only, no
+        charges.  The returned routing sets are the tree built *before*
+        the turn's own mutations, like the simulator's — the seed's
+        recompute pass refreshes every peer afterwards.
+        """
+        me, config = self.peer_id, self.ace_config
+        closure = neighbor_closure(view, me, config.depth)
+        _tree, flooding, known = phase2(view, me, closure)
+        if rng is None:
+            return flooding, known, None
+        charged = phase1(view, closure, config)
+        sheds, actions = phase3(
+            view, me, sorted(known - flooding), config,
+            self.shed_floor, self._policy, rng,
+        )
+        turn = Turn(charged.probe_cost, charged.exchange_cost, sheds, actions)
+        return flooding, known, turn
+
+
+def serialize_rng(rng: np.random.Generator) -> str:
     """JSON form of the generator's bit-generator state (the turn token)."""
     return json.dumps(rng.bit_generator.state)
 
 
-def _restore_rng(state: str) -> np.random.Generator:
+def restore_rng(state: str) -> np.random.Generator:
     """Rebuild the shared protocol Generator from a turn token."""
     payload = json.loads(state)
     bitgen_cls = getattr(np.random, payload["bit_generator"])
@@ -649,9 +603,6 @@ class TurnView:
 
     # -- Overlay surface ------------------------------------------------
 
-    def peers(self) -> List[int]:
-        return [p for p in self._peer.members if p not in self._peer.dead]
-
     def has_peer(self, peer: int) -> bool:
         return peer in self._peer.members and peer not in self._peer.dead
 
@@ -689,9 +640,6 @@ class TurnView:
     def warm_edge_costs(self, chunk_size: int = 256) -> int:
         return 0  # live peers have no underlay cache to pre-fill
 
-    def warm_sources(self, peers) -> int:
-        return 0
-
     # -- protocol writes ------------------------------------------------
 
     def connect(self, u: int, v: int) -> bool:
@@ -701,12 +649,8 @@ class TurnView:
         other = v if u == me else u
         if other in self._peer.neighbors:
             return False
-        reply, _env = self._call(
-            self._peer.rpc(other, ConnectRequest(sender=me, target=other))
-        )
-        if not getattr(reply, "accepted", False):
+        if not self._call(self._peer.bootstrap_connect(other)):
             return False
-        self._peer.neighbors.add(other)
         self._tables.pop(other, None)  # its table gained this edge
         return True
 

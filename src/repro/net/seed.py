@@ -17,25 +17,28 @@ round driver: one optimization *step* is a token-passing sweep —
    (the simulator's end-of-step Phase-2 refresh).
 
 Because exactly one peer holds the token at a time, the fleet consumes
-*one* RNG stream in the simulator's order, and turn-local float folds can
-be replayed globally — which is what makes the live run's step reports
-equal the simulator's float for float.
+*one* RNG stream in the simulator's order, and every returned turn is
+folded into the step report by the simulator's own
+:func:`repro.core.turn.fold`, in the same order — which is what makes the
+live run's step reports equal the simulator's float for float.
 
 A peer that cannot be reached (killed mid-run) is marked dead: its turn is
 skipped, later sweeps exclude it, and the step completes — degradation,
-not deadlock.
+not deadlock.  A turn that fails at a reachable peer is recorded in
+:attr:`SeedNode.turn_errors`, never dropped.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..core.ace import AceConfig, StepReport
-from .peer import LivePeer
+from ..core.replacement import ReplacementAction
+from ..core.turn import Turn, fold
+from .peer import LivePeer, restore_rng, serialize_rng
 from .runtime import DeliveryCoordinator, NetConfig, PeerUnreachable, TrafficLedger
 from .wire import Envelope, Hello, OptimizeTurn, Shutdown, Welcome
 
@@ -74,10 +77,14 @@ class SeedNode(LivePeer):
         #: The protocol RNG — the single stream the whole fleet consumes.
         self.rng = rng
         self.roster: Dict[int, PeerRecord] = {}
-        self.registered: Set[int] = set()
-        self.step_reports: List[StepReport] = []
+        #: ``(step_index, peer, error repr)`` of every turn a reachable
+        #: peer reported as failed.
+        self.turn_errors: List[Tuple[int, int, str]] = []
         #: Generous per-turn budget: one turn is many sequential RPCs.
         self.turn_timeout = net.rpc_timeout * 8
+        #: The ``Welcome`` config, built now so a configuration that cannot
+        #: run live is rejected before any socket opens.
+        self._welcome_config = self._config_payload()
 
     # ------------------------------------------------------------------
     # Bootstrap
@@ -95,6 +102,12 @@ class SeedNode(LivePeer):
                 "live runs need a named policy (a policy instance cannot "
                 "cross the wire)"
             )
+        if payload["policy"] == "naive":
+            raise ValueError(
+                "policy 'naive' cannot run live: it probes candidates from "
+                "the whole roster, and the wire protocol only carries "
+                "neighbor cost tables"
+            )
         payload["shed_floor"] = self.shed_floor
         return payload
 
@@ -103,14 +116,13 @@ class SeedNode(LivePeer):
         if record is None or env.rpc is None:
             return
         self.addresses[hello.peer] = (hello.host, hello.port)
-        self.registered.add(hello.peer)
         welcome = Welcome(
             peer=hello.peer,
             members=tuple(sorted(self.roster)),
             addresses=dict(self.addresses),
             neighbors=record.neighbors,
             cost_row=record.cost_row,
-            config=self._config_payload(),
+            config=self._welcome_config,
         )
         await self._send_control(
             conn, welcome,
@@ -125,6 +137,29 @@ class SeedNode(LivePeer):
         """Sorted live roster — the simulator's ``overlay.peers()``."""
         return [p for p in sorted(self.roster) if p not in self.dead]
 
+    async def _pass_token(self, peer: int, phase: str, step_index: int):
+        """One turn at *peer*: its ``TurnDone``, or ``None`` if it had none.
+
+        An unreachable peer is dead-marked by :meth:`rpc`; a reachable peer
+        whose turn raised is recorded in :attr:`turn_errors`.
+        """
+        token = serialize_rng(self.rng) if phase == "optimize" else ""
+        try:
+            done, _env = await self.rpc(
+                peer,
+                OptimizeTurn(phase=phase, step_index=step_index, rng_state=token),
+                timeout=self.turn_timeout,
+                retries=0,  # a re-sent turn would mutate twice
+            )
+        except PeerUnreachable:
+            return None
+        if not done.ok:
+            self.turn_errors.append(
+                (step_index, peer, f"{phase}: {done.report.get('error')}")
+            )
+            return None
+        return done
+
     async def run_step(self, step_index: int) -> StepReport:
         """One optimization step across the fleet (sim ``step()`` live)."""
         order = self.live_order()
@@ -133,58 +168,18 @@ class SeedNode(LivePeer):
         for peer in order:
             if peer in self.dead:
                 continue
-            token = json.dumps(self.rng.bit_generator.state)
-            try:
-                done, _env = await self.rpc(
-                    peer,
-                    OptimizeTurn(
-                        phase="optimize",
-                        step_index=step_index,
-                        rng_state=token,
-                    ),
-                    timeout=self.turn_timeout,
-                    retries=0,  # a re-sent turn would mutate twice
-                )
-            except PeerUnreachable:
+            done = await self._pass_token(peer, "optimize", step_index)
+            if done is None:
                 continue
-            if not done.ok:
-                continue
-            self.rng.bit_generator.state = json.loads(done.rng_state)
-            self._accumulate(report, done.report)
+            self.rng = restore_rng(done.rng_state)
+            actions = [ReplacementAction(**a) for a in done.report["actions"]]
+            fold(report, Turn(**{**done.report, "actions": actions}))
         # End-of-step Phase-2 refresh, same order (the simulator's
         # recompute_tree sweep): routing catches up with the final topology.
         for peer in order:
-            if peer in self.dead:
-                continue
-            try:
-                await self.rpc(
-                    peer,
-                    OptimizeTurn(phase="recompute", step_index=step_index),
-                    timeout=self.turn_timeout,
-                    retries=0,
-                )
-            except PeerUnreachable:
-                continue
-        self.step_reports.append(report)
+            if peer not in self.dead:
+                await self._pass_token(peer, "recompute", step_index)
         return report
-
-    @staticmethod
-    def _accumulate(report: StepReport, turn: Dict[str, object]) -> None:
-        """Fold one turn's outcome into the step report.
-
-        Integer fields are order-insensitive; the float probe costs are
-        folded term by term, left to right, replaying the simulator's
-        single step-wide accumulator exactly.
-        """
-        report.peers_optimized += int(turn.get("peers_optimized", 0))
-        report.probe_overhead += float(turn.get("probe_overhead", 0.0))
-        report.exchange_overhead += float(turn.get("exchange_overhead", 0.0))
-        for cost in turn.get("replacement_probe_costs", ()):
-            report.replacement_probe_overhead += cost
-        report.replacements += int(turn.get("replacements", 0))
-        report.keep_both_adds += int(turn.get("keep_both_adds", 0))
-        report.redundant_sheds += int(turn.get("redundant_sheds", 0))
-        report.probes += int(turn.get("probes", 0))
 
     # ------------------------------------------------------------------
     # Shutdown

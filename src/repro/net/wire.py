@@ -220,7 +220,8 @@ class OptimizeTurn:
 
 @dataclass(frozen=True)
 class TurnDone:
-    """Turn response: the advanced RNG state plus the report deltas."""
+    """Turn response: the advanced RNG state plus the turn's outcome (a
+    serialised :class:`repro.core.turn.Turn`, or ``{"error": ...}``)."""
 
     rng_state: str = ""
     report: Dict[str, Any] = dataclasses.field(default_factory=dict)

@@ -10,7 +10,7 @@ from .bootstrap import BootstrapService
 from .churn import ChurnConfig, ChurnModel, LifetimeDistribution
 from .engine import EventHandle, EventLoop
 from .network import MessageNetwork, NetworkStats
-from .node import MessageLevelResult, QueryNode, run_message_level_query
+from .node import MessageLevelResult, QueryNode, Servent, run_message_level_query
 from .messages import (
     GNUTELLA_HEADER_BYTES,
     ConnectRequest,
@@ -38,6 +38,7 @@ __all__ = [
     "EventHandle",
     "MessageNetwork",
     "NetworkStats",
+    "Servent",
     "QueryNode",
     "MessageLevelResult",
     "run_message_level_query",

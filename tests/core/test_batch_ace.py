@@ -3,10 +3,11 @@
 ``repro.core.batch_ace`` replaces the per-peer closure/Phase-1/MST inner
 loop of :meth:`AceProtocol.step` with one shared CSR frontier sweep, a flat
 cost pass and a segmented MST kernel.  These tests pin the contract from
-the inside: identical step reports, identical replacement actions,
-identical flat-store rows, identical overlay edges — across depths,
-oracles and seeds, static and under churn — plus the toggle plumbing and
-the perf counters the kernel is observable through.
+the inside against the object-engine reference loop: identical step
+reports, identical replacement actions, identical state versions,
+identical overlay edges and routing sets — across depths, oracles and
+seeds, static and under churn — plus the perf counters the kernel is
+observable through.
 
 Figure-level byte-identity (the experiment blobs) rides in
 ``tests/experiments/test_reproducibility.py``; the acceptance speedup gate
@@ -19,13 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.ace import AceConfig, AceProtocol
-from repro.core.batch_ace import (
-    batched_ace_enabled,
-    extract_closures,
-    kernel_active,
-    scalar_ace,
-    set_batched_ace,
-)
+from repro.core.batch_ace import extract_closures
 from repro.core.closure import neighbor_closure
 from repro.core.spanning_tree import prim_mst_heap
 from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_experiment
@@ -78,33 +73,35 @@ def full_state(protocol, steps=3):
 
 
 class TestKernelEquality:
-    """Scalar and batched step loops agree on every observable."""
+    """Object-engine loop and batched kernel agree on every observable."""
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("oracle", ["exact", "landmark:8"])
     def test_full_state_matches_across_depth_and_oracle(self, depth, oracle):
-        with scalar_ace():
-            ref = full_state(protocol_for(scenario(oracle=oracle), depth=depth))
+        ref = full_state(
+            protocol_for(scenario(engine="object", oracle=oracle), depth=depth)
+        )
         kern = full_state(protocol_for(scenario(oracle=oracle), depth=depth))
         assert kern == ref
 
     @pytest.mark.parametrize("seed", [3, 11, 42])
     def test_full_state_matches_across_seeds(self, seed):
-        with scalar_ace():
-            ref = full_state(protocol_for(scenario(seed=seed), seed=seed))
+        ref = full_state(
+            protocol_for(scenario(engine="object", seed=seed), seed=seed)
+        )
         kern = full_state(protocol_for(scenario(seed=seed), seed=seed))
         assert kern == ref
 
     def test_dynamic_churn_series_matches(self):
         dyn = DynamicConfig(total_queries=120, window=40)
-        with scalar_ace():
-            ref = run_dynamic_experiment(scenario(), dyn)
+        ref = run_dynamic_experiment(scenario(engine="object"), dyn)
         kern = run_dynamic_experiment(scenario(), dyn)
         assert dataclasses.asdict(kern) == dataclasses.asdict(ref)
 
     def test_object_engine_is_untouched_by_the_toggle(self):
-        # The kernel only engages on the array engine; the object-model
-        # reference runs the same scalar loop whatever the toggle says.
+        # The kernel engages on the array engine only — chosen by the
+        # overlay type, not by a switch; the object-model reference never
+        # enters it.
         counters.reset()
         ref = full_state(protocol_for(scenario(engine="object")))
         assert counters.ace_batched_steps == 0
@@ -153,34 +150,6 @@ class TestExtractClosures:
         assert batch.index == {}
 
 
-class TestToggle:
-    def test_set_batched_ace_returns_previous_value(self):
-        assert batched_ace_enabled()
-        assert set_batched_ace(False) is True
-        try:
-            assert not batched_ace_enabled()
-            assert set_batched_ace(True) is False
-        finally:
-            set_batched_ace(True)
-
-    def test_scalar_ace_restores_on_exit(self):
-        assert batched_ace_enabled()
-        with scalar_ace():
-            assert not batched_ace_enabled()
-            with scalar_ace():
-                assert not batched_ace_enabled()
-            assert not batched_ace_enabled()
-        assert batched_ace_enabled()
-
-    def test_kernel_active_tracks_engine_and_toggle(self):
-        arr = protocol_for(scenario())
-        obj = protocol_for(scenario(engine="object"))
-        assert kernel_active(arr)
-        assert not kernel_active(obj)
-        with scalar_ace():
-            assert not kernel_active(arr)
-
-
 class TestPerfCounters:
     def test_batched_step_counters(self):
         protocol = protocol_for(scenario())
@@ -195,14 +164,6 @@ class TestPerfCounters:
         protocol.step()
         assert counters.ace_batched_steps == 2
         assert counters.closure_batch_peers >= 2 * n
-
-    def test_scalar_loop_leaves_kernel_counters_alone(self):
-        protocol = protocol_for(scenario())
-        counters.reset()
-        with scalar_ace():
-            protocol.step()
-        assert counters.ace_batched_steps == 0
-        assert counters.closure_batch_peers == 0
 
     def test_tree_rebuilds_reuse_fresh_closures(self):
         # Depth-1 closures on a larger overlay: some peers see no mutation

@@ -16,7 +16,6 @@ from repro.experiments.dynamic_env import (
 )
 from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.experiments.static_env import run_static_experiment, run_static_trials
-from repro.core.batch_ace import scalar_ace
 from repro.rng import DEFAULT_SEED, ensure_rng
 from repro.search.batch import scalar_queries
 
@@ -125,10 +124,14 @@ class TestArrayEngineMatchesObject:
     """The struct-of-arrays overlay engine is an optimization, not a model.
 
     ``engine="array"`` lowers the generated overlay into flat CSR arrays
-    (:class:`repro.topology.soa.ArrayOverlay`) and pairs ACE with the flat
-    state store; every figure — static and dynamic, with and without ACE,
-    batched and scalar, serial and parallel — must come out byte-identical
-    to the object reference engine.
+    (:class:`repro.topology.soa.ArrayOverlay`), pairs ACE with the flat
+    state store and runs its steps through the batched kernel
+    (:mod:`repro.core.batch_ace`); every figure — static and dynamic, with
+    and without ACE, batched and scalar queries, serial and parallel,
+    exact and landmark oracle — must come out byte-identical to the object
+    reference engine.  The protocol-level observables (reports, actions,
+    state versions) are pinned peer-by-peer in
+    ``tests/core/test_batch_ace.py``.
     """
 
     ARRAY = dataclasses.replace(CONFIG, engine="array")
@@ -189,62 +192,6 @@ class TestArrayEngineMatchesObject:
             configs, steps=2, query_samples=6, max_workers=2
         )
         assert [as_bytes(s) for s in serial] == [as_bytes(p) for p in parallel]
-
-
-class TestBatchedAceKernelMatchesScalar:
-    """The batched ACE kernel is an optimization, not a treatment.
-
-    On the array engine the step loop routes through
-    :func:`repro.core.batch_ace.batched_step` (one CSR closure sweep, flat
-    Phase-1 pass, segmented MST) by default; forcing the scalar reference
-    loop with ``scalar_ace()`` (or ``REPRO_SCALAR_ACE=1`` /
-    ``--scalar-ace``) must not move a byte of any figure — static or
-    dynamic, exact or landmark oracle.  The protocol-level observables
-    (reports, actions, flat store rows) are pinned peer-by-peer in
-    ``tests/core/test_batch_ace.py``; these are the figure-level rows.
-    """
-
-    ARRAY = dataclasses.replace(CONFIG, engine="array")
-
-    def test_static_experiment_batched_is_byte_identical_to_scalar(self):
-        batched = run_static_experiment(
-            build_scenario(self.ARRAY), steps=3, query_samples=8
-        )
-        with scalar_ace():
-            scalar = run_static_experiment(
-                build_scenario(self.ARRAY), steps=3, query_samples=8
-            )
-        assert as_bytes(batched) == as_bytes(scalar)
-
-    def test_dynamic_churn_batched_is_byte_identical_to_scalar(self):
-        dyn = DynamicConfig(total_queries=120, window=40)
-        batched = run_dynamic_experiment(build_scenario(self.ARRAY), dyn)
-        with scalar_ace():
-            scalar = run_dynamic_experiment(build_scenario(self.ARRAY), dyn)
-        assert as_bytes(batched) == as_bytes(scalar)
-
-    def test_landmark_oracle_static_is_byte_identical(self):
-        landmark = dataclasses.replace(self.ARRAY, oracle="landmark:8")
-        batched = run_static_experiment(
-            build_scenario(landmark), steps=3, query_samples=8
-        )
-        with scalar_ace():
-            scalar = run_static_experiment(
-                build_scenario(landmark), steps=3, query_samples=8
-            )
-        assert as_bytes(batched) == as_bytes(scalar)
-
-    def test_scalar_kernel_still_matches_the_object_engine(self):
-        # Transitivity check pinning all three paths together: object
-        # reference == array scalar == array batched.
-        obj = run_static_experiment(
-            build_scenario(CONFIG), steps=3, query_samples=8
-        )
-        with scalar_ace():
-            arr = run_static_experiment(
-                build_scenario(self.ARRAY), steps=3, query_samples=8
-            )
-        assert as_bytes(obj) == as_bytes(arr)
 
 
 class TestOracleReproducibility:

@@ -40,14 +40,31 @@ def reference(plan):
     return run_sim_reference(build_scenario(CONFIG), ACE, STEPS, plan)
 
 
+#: The live turn under the default and non-default configs (each ``==`` the
+#: simulator; one knob moved per case).
+TURN_CONFIGS = [
+    pytest.param(ACE, id="default"),
+    pytest.param(AceConfig(depth=2), id="depth2"),
+    pytest.param(AceConfig(max_targets_per_step=1), id="one-target"),
+    pytest.param(AceConfig(allow_keep_both=False), id="swap-only"),
+    pytest.param(AceConfig(shed_redundant=False), id="no-shed"),
+    pytest.param(AceConfig(policy="closest"), id="closest"),
+    pytest.param(AceConfig(max_probes_per_target=3), id="probes3"),
+    pytest.param(AceConfig(max_degree=4), id="degree4"),
+]
+
+
 class TestLockstepConvergence:
-    def test_live_run_equals_simulation(self, plan, reference):
+    @pytest.mark.parametrize("ace", TURN_CONFIGS)
+    def test_live_run_equals_simulation(self, plan, ace):
+        reference = run_sim_reference(build_scenario(CONFIG), ace, STEPS, plan)
         live = run_live(
-            build_scenario(CONFIG), ACE, steps=STEPS, plan=plan,
+            build_scenario(CONFIG), ace, steps=STEPS, plan=plan,
             net=NetConfig(),
         )
         problems = compare_runs(live, reference)
         assert problems == []
+        assert live.turn_errors == []
         assert live.clean_shutdown
         assert live.dead == []
         assert live.total_hits > 0
@@ -75,6 +92,23 @@ class TestLockstepConvergence:
         assert delta["net_messages_sent"] >= live.messages_sent > 0
         assert delta["net_bytes_sent"] >= live.bytes_sent > 0
 
+    def test_naive_policy_is_rejected_before_any_socket_opens(
+        self, plan, monkeypatch
+    ):
+        # NaivePolicy probes candidates from the whole roster; the wire
+        # protocol only carries neighbor tables, so the run is refused at
+        # seed construction instead of failing turns mid-step.
+        def no_sockets(*_args, **_kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr("asyncio.start_server", no_sockets)
+        monkeypatch.setattr("asyncio.open_connection", no_sockets)
+        with pytest.raises(ValueError, match="naive"):
+            run_live(
+                build_scenario(CONFIG), AceConfig(policy="naive"),
+                steps=1, plan=plan, net=NetConfig(),
+            )
+
 
 class TestDegradation:
     def test_peer_kill_completes_with_retries(self, plan):
@@ -96,6 +130,17 @@ class TestDegradation:
         assert live.retries >= 1
         assert live.total_hits > 0
         assert victim not in live.adjacency
+        # Survivors noticed the dropped connection: none still lists the
+        # victim as a neighbor.
+        assert all(victim not in nbrs for nbrs in live.adjacency.values())
+        # No turn vanished: every survivor's post-kill optimize turn either
+        # folded into the report or is recorded as failed.
+        failed = [
+            e for e in live.turn_errors
+            if e[0] == 1 and e[2].startswith("optimize")
+        ]
+        survivors = len(live.adjacency)
+        assert live.step_reports[1].peers_optimized + len(failed) == survivors
 
 
 class TestRealtimeDiscipline:

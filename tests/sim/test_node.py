@@ -5,7 +5,7 @@ import pytest
 from repro.search.flooding import blind_flooding_strategy
 from repro.sim.messages import Query, QueryHit
 from repro.sim.network import MessageNetwork
-from repro.sim.node import QueryNode
+from repro.sim.node import QueryNode, Servent
 from tests.conftest import make_overlay_from_weighted_edges
 
 
@@ -84,6 +84,39 @@ class TestHitHandling:
         time, responder = responses[0]
         assert responder == 2
         assert time == pytest.approx(2 * (2.0 + 3.0))
+
+
+class TestBareServent:
+    def test_handlers_return_sends_with_no_network_attached(self):
+        # The servent is sans-IO: state in, (destination, message) pairs
+        # out.  Drive relay 1 of the chain 0-1-2 by hand, with 1 holding
+        # the object, through query, duplicate and hit.
+        relay = Servent(1, holds={"obj"})
+        query = Query(sender=0, ttl=5, object_id="obj")
+        sends = relay.on_query(query, 0, 2.0, [0, 1, 2])
+        # Hit back toward the sender first, then the relayed copy — never
+        # to the sender or to itself.
+        assert [dst for dst, _m in sends] == [0, 2]
+        hit, forwarded = sends[0][1], sends[1][1]
+        assert isinstance(hit, QueryHit)
+        assert (hit.guid, hit.responder, hit.ttl) == (query.guid, 1, 1)
+        assert (forwarded.sender, forwarded.ttl, forwarded.hops) == (1, 4, 1)
+        assert relay.first_arrival[query.guid] == 2.0
+        # A second copy is a duplicate: counted per GUID, nothing sent, and
+        # the forwarding set is not even consulted.
+        assert relay.on_query(query, 2, 3.0, None) == []
+        assert relay.duplicates_by_guid == {query.guid: 1}
+        assert relay.duplicates == 1
+        # A hit from downstream follows the reverse route...
+        remote = QueryHit(sender=2, guid=query.guid, ttl=5, object_id="obj", responder=2)
+        assert [dst for dst, _m in relay.on_query_hit(remote, 4.0)] == [0]
+        # ...and is recorded, not relayed, at the query's origin.
+        origin = Servent(0)
+        mine, out = origin.originate("obj", None, 0.0, [1])
+        assert [dst for dst, _m in out] == [1]
+        reply = QueryHit(sender=1, guid=mine.guid, ttl=1, object_id="obj", responder=1)
+        assert origin.on_query_hit(reply, 4.0) == []
+        assert origin.responses[mine.guid] == [(4.0, 1)]
 
 
 class TestNetworkAttachment:
