@@ -11,6 +11,13 @@ the batch and comparing them (dataclass equality = exact float equality).
 Scale: 2,000 peers on a 4,000-node underlay by default; set
 ``REPRO_BENCH_QUICK=1`` (the CI perf-smoke path) for a laptop-sized run
 with a correspondingly softer 3x bar.
+
+The compile gate (PR 15) runs at 2,000 peers in both modes: on the array
+engine the ACE forwarding graph is lowered from the overlay's CSR and one
+bulk read of the flat state store, which must be **>= 5x** faster than the
+row-by-row reference compile of the same state and equal to it byte for
+byte.  A churn run recompiles per epoch, so this is what keeps
+``search.compile_s`` out of the ``churn_2k`` profile.
 """
 
 import os
@@ -20,11 +27,14 @@ import numpy as np
 
 from conftest import report
 
+from repro.core.ace import AceProtocol
 from repro.perf import counters, reset_counters
-from repro.search.batch import propagate_many
+import repro.search.batch as search_batch
+from repro.search.batch import ace_graph_by_rows, propagate_many
 from repro.search.flooding import blind_flooding_strategy, propagate
 from repro.topology.generators import barabasi_albert
 from repro.topology.overlay import small_world_overlay
+from repro.topology.soa import ArrayOverlay
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") in ("1", "true")
 UNDERLAY_NODES = 1000 if QUICK else 4000
@@ -33,6 +43,10 @@ N_SOURCES = 32 if QUICK else 64
 SPEEDUP_BAR = 3.0 if QUICK else 5.0
 EQUIVALENCE_SAMPLES = 6
 SEED = 4242
+COMPILE_PEERS = 2000
+COMPILE_UNDERLAY_NODES = 4000
+COMPILE_SPEEDUP_BAR = 5.0
+COMPILE_REPEATS = 5
 
 
 def _warmed_world():
@@ -95,3 +109,47 @@ def test_batched_propagation_speedup(capsys):
         assert batch.result(i) == scalar_props[i]
     assert counters.batched_queries >= 2 * N_SOURCES
     assert speedup >= SPEEDUP_BAR
+
+
+def _best_of(fn, repeats=COMPILE_REPEATS):
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        start = perf_counter()
+        result = fn()
+        best = min(best, perf_counter() - start)
+    return best, result
+
+
+def test_array_lowered_ace_compile_speedup(capsys):
+    rng = np.random.default_rng(SEED)
+    physical = barabasi_albert(COMPILE_UNDERLAY_NODES, m=2, rng=rng)
+    overlay = ArrayOverlay.from_overlay(
+        small_world_overlay(physical, COMPILE_PEERS, avg_degree=8, rng=rng)
+    )
+    protocol = AceProtocol(overlay, rng=rng)
+    protocol.step()
+    # What a churn run compiles against: some peers gone (their neighbors
+    # fall back to flooding), state partly packed and partly pending.
+    for peer in rng.choice(overlay.peers(), 20, replace=False).tolist():
+        overlay.remove_peer(peer)
+        protocol.handle_peer_left(peer)
+    overlay.adjacency_csr()  # compact outside the timed region
+
+    rows_time, reference = _best_of(lambda: ace_graph_by_rows(overlay, protocol))
+    array_time, graph = _best_of(
+        lambda: search_batch._lower_arrays(overlay, "ace", protocol)
+    )
+    speedup = rows_time / array_time if array_time > 0 else float("inf")
+    report(capsys, "\n".join([
+        f"ACE strategy compile ({COMPILE_PEERS} peers, "
+        f"{graph.targets.size} forwarding edges, best of {COMPILE_REPEATS}):",
+        f"  row by row (reference): {rows_time * 1e3:.1f} ms",
+        f"  array-lowered:          {array_time * 1e3:.1f} ms",
+        f"  speedup:                {speedup:.1f}x "
+        f"(bar: {COMPILE_SPEEDUP_BAR:g}x)",
+    ]))
+
+    assert graph.index == reference.index
+    for name in ("peer_ids", "indptr", "targets", "costs"):
+        assert getattr(graph, name).tobytes() == getattr(reference, name).tobytes()
+    assert speedup >= COMPILE_SPEEDUP_BAR

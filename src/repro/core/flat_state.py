@@ -13,6 +13,11 @@ Python object headers per field, which dominates memory at 100k+ peers.
   rows) outgrows a threshold, the store re-packs into fresh contiguous
   arrays and counts an ``array_state_syncs`` perf event.
 
+Readers take one peer at a time (``flooding_of`` / ``known_of``) or, for
+bulk consumers such as the ACE strategy compiler, every row at once
+(:meth:`FlatAceStore.rows`: packed and pending rows merged into one CSR
+pair without repacking).
+
 The store only keeps raw memberships — the protocol derives
 ``non_flooding = known - flooding`` on materialization, exactly as the
 object path computes it at store time, so both representations yield
@@ -21,6 +26,7 @@ byte-identical protocol behaviour.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -141,6 +147,34 @@ class FlatAceStore:
         e = int(indptr[row + 1])
         return frozenset(data[s:e].tolist())
 
+    def rows(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored row in one read, without repacking.
+
+        Returns ``(peer, f_indptr, f_data, k_indptr, k_data)``: row ``i``
+        holds the state of ``peer[i]``, its flooding set at
+        ``f_data[f_indptr[i]:f_indptr[i + 1]]`` and its known set likewise
+        under ``k_*``, each ascending.  Packed rows come first, pending rows
+        after them; dropped rows are left out.
+        """
+        pending = self._pending
+        n = len(self._row)
+        peer = np.fromiter(self._row, count=n, dtype=np.int64)
+        row = np.fromiter(self._row.values(), count=n, dtype=np.int64)
+        pend_peer = np.fromiter(pending, count=len(pending), dtype=np.int64)
+        # A row that is not pending was written before the last pack.
+        packed = ~np.isin(peer, pend_peer)
+        row = row[packed]
+        peer = np.concatenate([peer[packed], pend_peer])
+        f_indptr, f_data = _merge_rows(
+            self._f_indptr, self._f_data, row, [f for f, _ in pending.values()]
+        )
+        k_indptr, k_data = _merge_rows(
+            self._k_indptr, self._k_data, row, [k for _, k in pending.values()]
+        )
+        return peer, f_indptr, f_data, k_indptr, k_data
+
     # ------------------------------------------------------------------
 
     def _maybe_repack(self) -> None:
@@ -191,3 +225,28 @@ class FlatAceStore:
         self._k_indptr = k_indptr
         self._k_data = np.array(k_data, dtype=np.int64)
         self._pending = {}
+
+
+def _merge_rows(
+    indptr: np.ndarray,
+    data: np.ndarray,
+    rows: np.ndarray,
+    pending: List[Tuple[int, ...]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR of the packed *rows* of ``(indptr, data)``, then the *pending* ones."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    flat = np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        int(lengths.sum()), dtype=np.int64
+    )
+    lengths = np.concatenate(
+        [
+            lengths,
+            np.fromiter(map(len, pending), count=len(pending), dtype=np.int64),
+        ]
+    )
+    merged = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=merged[1:])
+    tail = np.fromiter(chain.from_iterable(pending), dtype=np.int64)
+    return merged, np.concatenate([data[flat], tail])

@@ -19,6 +19,11 @@ What it checks
 * **Cache coherence on invalidation.**  ``_edge_costs`` holds live logical
   edges only, so ``disconnect``/``remove_peer`` must leave no stale entry
   behind and ``invalidate_edge_costs`` must leave the cache empty.
+* **Array-lowered ACE forwarding graphs.**  Every graph
+  :mod:`repro.search.batch` lowers from the array engine's CSR and the flat
+  state store is recompiled row by row from
+  :meth:`~repro.core.ace.AceProtocol.flooding_neighbors` — the reference —
+  and must equal it field for field.
 * **Shared-memory leak accounting** (REP010's contract).  Every
   :class:`~repro.topology.shm.SharedSegments` owner must be unlinked
   explicitly (context manager or ``finally``); segments that survive to the
@@ -306,6 +311,54 @@ def _install_ace_hooks() -> None:
 
 
 # ----------------------------------------------------------------------
+# Array-lowered ACE forwarding graph vs. the row-by-row reference
+# ----------------------------------------------------------------------
+
+def _first_difference(graph: Any, reference: Any) -> Optional[str]:
+    """Where two compiled graphs part ways (``None`` when byte-identical)."""
+    if graph.peer_ids.tobytes() != reference.peer_ids.tobytes():
+        return "the peer set"
+
+    def row(g: Any, i: int) -> Tuple[bytes, bytes]:
+        s, e = g.indptr[i], g.indptr[i + 1]
+        return g.targets[s:e].tobytes(), g.costs[s:e].tobytes()
+
+    for i, peer in enumerate(graph.peer_ids.tolist()):
+        if row(graph, i) != row(reference, i):
+            return f"peer {peer}"
+    return None
+
+
+def _install_search_hooks() -> None:
+    from .perf import counters
+    from .search import batch
+
+    lower = batch._lower_arrays
+
+    @functools.wraps(lower)
+    def checked(overlay, kind, protocol=None):
+        graph = lower(overlay, kind, protocol)
+        if protocol is None:
+            return graph
+        # The reference counts a compile and probes the cost cache per row;
+        # neither belongs to the run being watched.
+        before = counters.copy()
+        reference = batch.ace_graph_by_rows(overlay, protocol)
+        counters.reset()
+        counters.merge(before.snapshot())
+        where = _first_difference(graph, reference)
+        if where is not None:
+            record(
+                "compile_strategy(ace): array-lowered graph differs from the "
+                f"row-by-row reference at {where} (epoch {overlay.epoch}, "
+                f"state version {protocol.state_version})"
+            )
+        return graph
+
+    batch._lower_arrays = checked
+
+
+# ----------------------------------------------------------------------
 # Shared-memory leak accounting
 # ----------------------------------------------------------------------
 
@@ -473,6 +526,7 @@ def install() -> None:
     _install_overlay_hooks()
     _install_soa_hooks()
     _install_ace_hooks()
+    _install_search_hooks()
     _install_shm_hooks()
     _install_rng_hooks()
     atexit.register(_atexit_report)

@@ -10,11 +10,20 @@ that last scalar loop for the two strategies the figures actually measure:
    :class:`CompiledGraph`: a CSR adjacency over the live peers whose row
    order *is* the strategy's iteration order.  Blind flooding compiles the
    overlay edge set once per :attr:`Overlay.epoch
-   <repro.topology.overlay.Overlay.epoch>`; ACE tree routing compiles each
-   relay's ``flooding_neighbors`` set into a *directed* CSR keyed by
-   ``(overlay.epoch, protocol.state_version)``.  Compilation is memoized in
-   per-owner weak caches, so churn/ACE mutations invalidate for free and a
-   static overlay compiles exactly once.
+   <repro.topology.overlay.Overlay.epoch>`; ACE tree routing compiles the
+   edges every relay forwards on into a *directed* CSR keyed by
+   ``(overlay.epoch, protocol.state_version)``.  Which lowering runs
+   follows the engine.  On the array engine both kinds go through
+   :func:`_lower_arrays`: the overlay's compacted CSR is the flooding
+   graph, and the ACE graph is that CSR with the routing rule
+   (:func:`repro.core.turn.forwarding_set`) applied to all peers at once
+   against one bulk read of the flat state store.  On the object engine
+   :func:`_build_graph` walks the peers row by row — the neighbor sets for
+   flooding, ``protocol.flooding_neighbors(p)`` for ACE — and is the
+   reference the array lowering is tested (and, under ``REPRO_SANITIZE=1``,
+   rechecked at run time) against.  Compilation is memoized in per-owner
+   weak caches, so churn/ACE mutations invalidate for free and a static
+   overlay compiles exactly once.
 
 2. A **vectorized multi-source kernel** (:func:`propagate_many`) runs the
    whole source batch at once: a single batched
@@ -74,8 +83,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from ..core.flat_state import FlatAceStore
 from ..perf import counters
 from ..topology.overlay import Overlay
+from ..topology.soa import ArrayOverlay
 from .flooding import (
     GNUTELLA_TTL,
     ForwardingStrategy,
@@ -90,6 +101,7 @@ __all__ = [
     "QueryStats",
     "RingPropagator",
     "compile_strategy",
+    "ace_graph_by_rows",
     "propagate_many",
     "propagate_single",
     "run_queries",
@@ -249,30 +261,107 @@ def _build_graph(
     )
 
 
+def _lower_arrays(
+    overlay: ArrayOverlay, kind: str, protocol: Optional[object] = None
+) -> CompiledGraph:
+    """Array-engine lowering of both kinds, straight from the overlay's CSR.
+
+    :meth:`ArrayOverlay.flooding_csr` hands over views of the compacted live
+    adjacency — rows ascending by peer id, each row sorted, costs warmed —
+    which already *is* the flooding graph; the ACE graph is the same rows
+    with the edges the routing rule drops masked out (:func:`_ace_keep`).
+    The views alias the overlay's storage, so whatever the mask does not
+    rebuild is copied, once.  The result equals :func:`_build_graph` over
+    the same rows field for field.
+    """
+    peers, indptr, targets, costs = overlay.flooding_csr()
+    peer_ids = np.array(peers, dtype=np.int64)
+    if protocol is None:
+        indptr, targets, costs = indptr.copy(), targets.copy(), costs.copy()
+    else:
+        n = peer_ids.size
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        keep = _ace_keep(
+            peer_ids, src, targets,
+            protocol.flat_store,  # type: ignore[attr-defined]
+        )
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src[keep], minlength=n), out=indptr[1:])
+        targets, costs = targets[keep], costs[keep]
+    counters.compiled_strategies += 1
+    return CompiledGraph(
+        kind=kind,
+        peer_ids=peer_ids,
+        indptr=indptr,
+        targets=targets,
+        costs=costs,
+        index={p: i for i, p in enumerate(peers)},
+        directed=protocol is not None,
+    )
+
+
+def _ace_keep(
+    peer_ids: np.ndarray,
+    src: np.ndarray,
+    targets: np.ndarray,
+    store: FlatAceStore,
+) -> np.ndarray:
+    """Mask of the live directed edges ``src -> targets`` ACE forwards on.
+
+    :func:`repro.core.turn.forwarding_set` evaluated for every peer at once:
+    a peer with no stored state, or with a stored flooding neighbor that is
+    no longer a live neighbor, keeps all its edges; any other keeps those in
+    ``flooding`` or not in ``known``.  Edges and stored pairs are matched as
+    ``u * stride + v`` keys in peer-id space — the live keys ascend, rows
+    being sorted — so ids of departed peers, which have no row, need no
+    special case.
+    """
+    if not targets.size:
+        return np.zeros(0, dtype=bool)
+    peer, f_indptr, f_data, k_indptr, k_data = store.rows()
+    n = peer_ids.size
+    stride = 1 + max(int(a.max()) for a in (peer_ids, f_data, k_data) if a.size)
+    live_keys = peer_ids[src] * stride + peer_ids[targets]
+    f_pos, f_live = _find_sorted(
+        live_keys, np.repeat(peer, np.diff(f_indptr)) * stride + f_data
+    )
+    k_pos, k_live = _find_sorted(
+        live_keys, np.repeat(peer, np.diff(k_indptr)) * stride + k_data
+    )
+    # routed[i]: row i forwards by its stored tree.  State the store still
+    # holds for a peer that is not live lands on the spare row n.
+    row, live = _find_sorted(peer_ids, peer)
+    row[~live] = n
+    routed = np.zeros(n + 1, dtype=bool)
+    routed[row] = True
+    routed[np.repeat(row, np.diff(f_indptr))[~f_live]] = False
+    in_flooding = np.zeros(targets.size, dtype=bool)
+    in_flooding[f_pos[f_live]] = True
+    in_known = np.zeros(targets.size, dtype=bool)
+    in_known[k_pos[k_live]] = True
+    return ~routed[src] | in_flooding | ~in_known
+
+
+def _find_sorted(
+    haystack: np.ndarray, keys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each key sits in the ascending, non-empty *haystack*, and whether."""
+    pos = np.searchsorted(haystack, keys)
+    pos[pos == haystack.size] = 0
+    return pos, haystack[pos] == keys
+
+
 def _flooding_graph(overlay: Overlay) -> CompiledGraph:
     cached = _FLOODING_CACHE.get(overlay)
     if cached is not None and cached[0] == overlay.epoch:
         return cached[1]
     epoch = overlay.epoch
-    # CSR row order must equal the (sorted) order the scalar engine's
-    # strategy yields at forward time — blind_flooding_strategy sorts, so
-    # the compiled rows sort too.  Array-backed overlays lower their CSR
-    # storage directly instead of materializing per-peer neighbor sets.
-    lower = getattr(overlay, "flooding_csr", None)
-    if lower is not None:
-        peers, indptr, targets, costs = lower()
-        index = {p: i for i, p in enumerate(peers)}
-        counters.compiled_strategies += 1
-        graph = CompiledGraph(
-            kind="flooding",
-            peer_ids=np.asarray(peers, dtype=np.int64),
-            indptr=np.asarray(indptr, dtype=np.int64),
-            targets=np.asarray(targets, dtype=np.int64),
-            costs=np.asarray(costs, dtype=np.float64),
-            index=index,
-            directed=False,
-        )
+    if isinstance(overlay, ArrayOverlay):
+        graph = _lower_arrays(overlay, "flooding")
     else:
+        # CSR row order must equal the (sorted) order the scalar engine's
+        # strategy yields at forward time — blind_flooding_strategy sorts,
+        # so the compiled rows sort too.
         graph = _build_graph(
             overlay,
             ((p, sorted(overlay.neighbors(p))) for p in overlay.peers()),
@@ -283,20 +372,35 @@ def _flooding_graph(overlay: Overlay) -> CompiledGraph:
     return graph
 
 
-def _ace_graph(overlay: Overlay, protocol: object) -> CompiledGraph:
-    key = (overlay.epoch, protocol.state_version)  # type: ignore[attr-defined]
-    cached = _ACE_CACHE.get(protocol)
-    if cached is not None and cached[0] == key:
-        return cached[1]
+def ace_graph_by_rows(overlay: Overlay, protocol: object) -> CompiledGraph:
+    """Compile *protocol*'s ACE forwarding graph row by row, uncached.
+
+    The object engine's lowering, and the reference for the array engine's:
+    each live peer's row is ``sorted(protocol.flooding_neighbors(peer))``.
+    Works on either engine; counts one compile and probes the cost cache
+    once per edge.
+    """
     # Sorted rows: ace_strategy sorts flooding_neighbors() at forward time,
     # so the compiled CSR rows must sort the same way.
     flooding_neighbors = protocol.flooding_neighbors  # type: ignore[attr-defined]
-    graph = _build_graph(
+    return _build_graph(
         overlay,
         ((p, sorted(flooding_neighbors(p))) for p in overlay.peers()),
         kind="ace",
         directed=True,
     )
+
+
+def _ace_graph(overlay: Overlay, protocol: object) -> CompiledGraph:
+    key = (overlay.epoch, protocol.state_version)  # type: ignore[attr-defined]
+    cached = _ACE_CACHE.get(protocol)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    if protocol.flat_store is not None:  # type: ignore[attr-defined]
+        assert isinstance(overlay, ArrayOverlay)  # the flat store's engine
+        graph = _lower_arrays(overlay, "ace", protocol)
+    else:
+        graph = ace_graph_by_rows(overlay, protocol)
     _ACE_CACHE[protocol] = (key, graph)
     return graph
 

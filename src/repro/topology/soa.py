@@ -828,14 +828,14 @@ class ArrayOverlay(Overlay):
     ) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]:
         """Lower the live adjacency to compiled-CSR inputs.
 
-        Returns ``(peer_ids, indptr, targets, costs)`` where ``targets`` are
-        row indices into ``peer_ids`` (sorted within each row) — exactly the
-        layout :class:`repro.search.batch.CompiledGraph` wants.  Warms the
-        edge costs first and compacts if the edit buffer is non-empty, so
-        the arrays can be handed over without per-edge Python iteration.
+        :meth:`adjacency_csr` with the peer ids as a list of Python ints
+        (what :class:`repro.search.batch.CompiledGraph` indexes by):
+        ``targets`` are row indices into ``peer_ids``, sorted within each
+        row, costs warmed.  The arrays are *views* of the overlay's storage;
+        the strategy compiler copies what it keeps.
         """
         _, indptr, nbr, ncost = self.adjacency_csr()
-        return (self.peers(), indptr.copy(), nbr.copy(), ncost.copy())
+        return (self.peers(), indptr, nbr, ncost)
 
     # ------------------------------------------------------------------
     # Connectivity

@@ -52,6 +52,16 @@ class TestByteIdentity:
         assert sanitized.stdout == plain.stdout
         assert "sanitize:" not in sanitized.stderr
 
+    def test_dynamic_run_with_ace_on_the_array_engine_is_byte_identical(self):
+        # every array-lowered ACE graph is rechecked against the reference
+        args = ["dynamic", "--peers", "28", "--queries", "40",
+                "--windows", "2", "--engine", "array"]
+        plain = run_cli(args)
+        sanitized = run_cli(args, sanitize=True)
+        assert sanitized.returncode == 0
+        assert sanitized.stdout == plain.stdout
+        assert "sanitize:" not in sanitized.stderr
+
     def test_dynamic_run_without_ace_is_byte_identical(self):
         args = ["dynamic", "--peers", "28", "--queries", "40",
                 "--windows", "2", "--no-ace"]
@@ -242,6 +252,64 @@ a = ensure_rng()
 b = ensure_rng()  # the sanctioned deterministic fallback: not a violation
 assert sanitize.violation_count() == 0, sanitize.violations()
 assert sanitize.rng_ledger()[("ensure", 0)]["derivations"] == 2
+print("CLEAN")
+""")
+        assert "CLEAN" in proc.stdout, proc.stdout + proc.stderr
+
+
+class TestAceLoweringCheck:
+    WORLD = """
+import numpy as np
+from repro.core.ace import AceProtocol
+from repro.perf import counters
+from repro.search.batch import compile_strategy
+from repro.search.tree_routing import ace_strategy
+from repro.topology.generators import barabasi_albert
+from repro.topology.overlay import small_world_overlay
+from repro.topology.soa import ArrayOverlay
+
+rng = np.random.default_rng(3)
+physical = barabasi_albert(80, m=2, rng=rng)
+overlay = ArrayOverlay.from_overlay(
+    small_world_overlay(physical, 20, avg_degree=6, rng=rng)
+)
+protocol = AceProtocol(overlay, rng=rng)
+protocol.step()
+"""
+
+    def test_wrong_lowering_is_reported_with_peer_epoch_and_version(self):
+        proc = run_snippet("""
+import repro.search.batch as batch
+
+def keep_everything(peer_ids, src, targets, store):  # forgets the rule
+    return targets == targets
+
+batch._ace_keep = keep_everything
+
+import repro.sanitize as sanitize
+sanitize.install()
+""" + self.WORLD + """
+compile_strategy(overlay, ace_strategy(protocol))
+assert sanitize.violation_count() == 1, sanitize.violations()
+message = sanitize.violations()[0]
+assert "at peer " in message, message
+assert f"epoch {overlay.epoch}" in message, message
+assert f"state version {protocol.state_version}" in message, message
+print("DETECTED")
+""")
+        assert "DETECTED" in proc.stdout, proc.stdout + proc.stderr
+
+    def test_healthy_lowering_is_clean_and_counts_one_compile(self):
+        proc = run_snippet("""
+import repro.sanitize as sanitize
+sanitize.install()
+""" + self.WORLD + """
+before = counters.copy()
+compile_strategy(overlay, ace_strategy(protocol))
+delta = counters.delta(before)
+assert sanitize.violation_count() == 0, sanitize.violations()
+assert delta["compiled_strategies"] == 1, delta
+assert delta["edge_cost_hits"] == 0, delta  # the recheck leaves no trace
 print("CLEAN")
 """)
         assert "CLEAN" in proc.stdout, proc.stdout + proc.stderr
