@@ -443,6 +443,12 @@ def batched_step(
     same end-of-step tree rebuild — only Phase 1-2 extraction is batched
     (and the rebuild reuses the optimize-phase state wherever no later
     mutation touched a closure).
+
+    Nothing is prefetched from the underlay: a Phase-3 probe reads the
+    host-pair cache, then the probe memo left by the ``warm_edge_costs``
+    pass that streamed its source, and otherwise faults that source's
+    vector through ``costs_from`` — one solve per peer that probes
+    outside its pool, instead of one per scheduled peer.
     """
     overlay = protocol.overlay
     assert isinstance(overlay, ArrayOverlay)
@@ -457,7 +463,6 @@ def batched_step(
     for start in range(0, len(order), block_size):
         block = order[start : start + block_size]
         live = [p for p in block if overlay.has_peer(p)]
-        overlay.warm_sources(live)
         batch = extract_closures(overlay, live, protocol.config.depth)
         counters.closure_batch_peers += len(live)
         dirty_start = len(dirty)

@@ -103,8 +103,9 @@ class DelayOracle(ABC):
     #: prefer it over vector prefetching.  ``False`` when answering one
     #: pair costs a full single-source solve (the exact engine); ``True``
     #: when a pair is O(landmarks) arithmetic (embedding backends).  The
-    #: struct-of-arrays overlay consults this to decide between block
-    #: pre-warming and direct pairwise fills.
+    #: struct-of-arrays overlay consults this to decide between streaming
+    #: whole vectors (and keeping a probe memo of them) and direct pairwise
+    #: fills.
     pairwise_cheap: bool = False
 
     def delay_pairs(

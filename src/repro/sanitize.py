@@ -24,6 +24,10 @@ What it checks
   state store is recompiled row by row from
   :meth:`~repro.core.ace.AceProtocol.flooding_neighbors` — the reference —
   and must equal it field for field.
+* **Probe-memo costs.**  Every cost the array engine serves from the
+  directional probe memo (:meth:`ArrayOverlay.warm_edge_costs
+  <repro.topology.soa.ArrayOverlay.warm_edge_costs>` copies them out of the
+  vectors it streams) is compared with the oracle's vector for that source.
 * **Shared-memory leak accounting** (REP010's contract).  Every
   :class:`~repro.topology.shm.SharedSegments` owner must be unlinked
   explicitly (context manager or ``finally``); segments that survive to the
@@ -359,6 +363,44 @@ def _install_search_hooks() -> None:
 
 
 # ----------------------------------------------------------------------
+# Probe-memo costs vs. the vectors they were copied from
+# ----------------------------------------------------------------------
+
+def _install_probe_memo_hooks() -> None:
+    from .perf import counters
+    from .topology.soa import ArrayOverlay
+
+    served = ArrayOverlay._memo_values
+
+    @functools.wraps(served)
+    def checked(self, hu, hosts):
+        values = served(self, hu, hosts)
+        if values is None:
+            return None
+        # The reference is read off to the side — a resident vector in
+        # place, a missing one solved without being retained, its counter
+        # traffic rolled back — so neither the LRU nor --perf moves.
+        # replint: disable=REP002 — read-only shadow check of the contract
+        vector = self.physical._dist_cache.get(hu)
+        if vector is None:
+            before = counters.copy()
+            vector = self.oracle.delays_from_many([hu], cache=False)[hu]
+            counters.reset()
+            counters.merge(before.snapshot())
+        for ht, got, want in zip(hosts, values.tolist(), vector[hosts].tolist()):
+            if got != want:
+                peers = [p for p in self.peers() if self.host_of(p) == hu]
+                record(
+                    f"ArrayOverlay probe memo: peer(s) {peers} read "
+                    f"{got!r} for host pair ({hu}, {ht}), the oracle says "
+                    f"{want!r} (epoch {self.epoch})"
+                )
+        return values
+
+    ArrayOverlay._memo_values = checked
+
+
+# ----------------------------------------------------------------------
 # Shared-memory leak accounting
 # ----------------------------------------------------------------------
 
@@ -527,6 +569,7 @@ def install() -> None:
     _install_soa_hooks()
     _install_ace_hooks()
     _install_search_hooks()
+    _install_probe_memo_hooks()
     _install_shm_hooks()
     _install_rng_hooks()
     atexit.register(_atexit_report)

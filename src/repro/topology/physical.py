@@ -346,22 +346,34 @@ class PhysicalTopology:
         """Shrink both LRU caches to capacity, oldest sources first.
 
         The predecessor cache holds a subset of the distance cache's keys
-        (batched solves skip predecessors), so eviction is driven by the
-        distance cache and mirrored into the predecessor cache — the single
-        place both are trimmed, so the two can never drift.
+        (only :meth:`path` asks for predecessors), so eviction is driven by
+        the distance cache and mirrored into the predecessor cache — the
+        single place both are trimmed, so the two can never drift.
         """
         while len(self._dist_cache) > self._cache_size:
             old, _ = self._dist_cache.popitem(last=False)
             self._pred_cache.pop(old, None)
 
-    def _run_dijkstra(self, source: int) -> None:
+    def _run_dijkstra(self, source: int, predecessors: bool = False) -> None:
+        """Solve one source into the LRU; predecessors only for :meth:`path`.
+
+        The CSR stores both directions of every link, so ``directed=True``
+        walks the same graph as the undirected mode without scanning each
+        edge twice — distances are bit-identical (pinned by
+        ``tests/topology/test_physical.py``).
+        """
         counters.dijkstra_runs += 1
         counters.dijkstra_sources += 1
-        dist, pred = dijkstra(
-            self._matrix, directed=False, indices=source, return_predecessors=True
+        solved = dijkstra(
+            self._matrix,
+            directed=True,
+            indices=source,
+            return_predecessors=predecessors,
         )
-        self._dist_cache[source] = dist
-        self._pred_cache[source] = pred
+        if predecessors:
+            self._dist_cache[source], self._pred_cache[source] = solved
+        else:
+            self._dist_cache[source] = solved
         self._evict()
 
     def delays_from(self, source: int) -> np.ndarray:
@@ -417,7 +429,7 @@ class PhysicalTopology:
             counters.dijkstra_runs += 1
             counters.dijkstra_sources += len(missing)
             counters.largest_batch = max(counters.largest_batch, len(missing))
-            dist = dijkstra(self._matrix, directed=False, indices=missing)
+            dist = dijkstra(self._matrix, directed=True, indices=missing)
             dist = np.atleast_2d(dist)
             for i, s in enumerate(missing):
                 # Copy each row out so the (k, n) solve block can be freed.
@@ -494,7 +506,7 @@ class PhysicalTopology:
         if u == v:
             return [u]
         if u not in self._pred_cache:
-            self._run_dijkstra(u)
+            self._run_dijkstra(u, predecessors=True)
         pred = self._pred_cache[u]
         if pred[v] < 0:
             raise ValueError(f"node {v} is unreachable from {u}")

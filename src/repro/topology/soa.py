@@ -22,6 +22,12 @@ Semantics — epoch bumps, cost-cache layering (shared host-pair cache over a
 per-edge memo), counter accounting, and error behaviour — mirror the object
 engine exactly, so the two engines produce byte-identical experiment figures
 from the same seed (pinned in ``tests/experiments/test_reproducibility.py``).
+One memo has no object-engine twin: under an exact oracle
+:meth:`warm_edge_costs` keeps, per streamed source host, the delays to the
+hosts Phase 3 can probe from there, so a step solves a source again only for
+a probe outside that pool.  It sits *behind* the host-pair cache and holds
+the floats a vector fault would return, so it changes how many sources are
+solved and never a cost (``tests/topology/test_probe_memo.py``).
 The payoff is bulk state:
 
 * :meth:`warm_edge_costs` is O(1) when the overlay is already warm (the
@@ -71,6 +77,11 @@ class ArrayOverlay(Overlay):
             raise ValueError("oracle answers for a different underlay")
         self._oracle = oracle if oracle is not None else ExactOracle(physical)
         self._cost_cache: Dict[Tuple[int, int], float] = {}
+        #: Directional probe memo: source host -> (sorted target hosts,
+        #: ``dist[source][target]`` values), filled by the streaming branch
+        #: of :meth:`warm_edge_costs`.  Shared by :meth:`copy` like
+        #: ``_cost_cache``; entries are oracle facts, never stale.
+        self._probe_memo: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._epoch = 0
         self._compact_threshold = compact_threshold
 
@@ -119,6 +130,7 @@ class ArrayOverlay(Overlay):
         if isinstance(source, ArrayOverlay):
             clone = source.copy()
             clone._cost_cache = dict(source._cost_cache)
+            clone._probe_memo = dict(source._probe_memo)
             clone._compact_threshold = compact_threshold
             return clone
         out = cls(
@@ -560,6 +572,7 @@ class ArrayOverlay(Overlay):
             raise ValueError("oracle answers for a different underlay")
         self._oracle = oracle
         self._cost_cache = {}
+        self._probe_memo = {}
         if len(self._ncost):
             self._ncost[:] = math.nan
         for ex in self._extra.values():
@@ -596,13 +609,42 @@ class ArrayOverlay(Overlay):
             hkey = (hu, hv) if hu < hv else (hv, hu)
             got = self._cost_cache.get(hkey)
             if got is None:
-                got = self._oracle.delay(hu, hv)
+                if self._oracle.pairwise_cheap:
+                    got = self._oracle.delay(hu, hv)
+                else:
+                    # Rooted at u like costs_from: the exact engine's
+                    # scalar delay() reads whichever endpoint's vector is
+                    # resident, and dist[u][v] / dist[v][u] may differ in
+                    # the last ulp, so its bits would depend on the LRU.
+                    got = float(self._source_delays(hu, [hv])[0])
                 self._cost_cache[hkey] = got
             d = got
         if live:
             counters.edge_cost_misses += 1
             self._fill_edge_cost(su, sv, d)
         return d
+
+    def _memo_values(self, hu: int, hosts: List[int]) -> Optional[np.ndarray]:
+        """Delays from host *hu* to *hosts* out of the probe memo.
+
+        ``None`` unless every host is in *hu*'s pool (the caller then
+        faults the whole vector once and reads all of them from it).
+        """
+        entry = self._probe_memo.get(hu)
+        if entry is None:
+            return None
+        pool, values = entry
+        at = np.minimum(np.searchsorted(pool, hosts), len(pool) - 1)
+        if not np.array_equal(pool[at], hosts):
+            return None
+        return values[at]
+
+    def _source_delays(self, hu: int, hosts: List[int]) -> np.ndarray:
+        """``dist[hu][h]`` per host: the probe memo, else one vector fault."""
+        vals = self._memo_values(hu, hosts)
+        if vals is None:
+            vals = self._oracle.delays_from(hu, hosts)
+        return vals
 
     def _live_neighbor_costs(self, slot: int) -> Dict[int, float]:
         """peer id -> cached cost (NaN = unknown) for the slot's live edges."""
@@ -657,32 +699,21 @@ class ArrayOverlay(Overlay):
                     self._fill_edge_cost(su, st, cached)
                     nbr_costs[t] = cached
         if missing:
-            vals: Optional[np.ndarray] = None
-            vec: Optional[np.ndarray] = None
+            hosts = [int(self._slot_host[self._index[t]]) for t in missing]
             if self._oracle.pairwise_cheap:
                 # Embedding backend: resolve only the pairs actually asked
                 # for; delay_pairs matches the vector entries bit for bit.
-                hosts = [
-                    int(self._slot_host[self._index[t]]) for t in missing
-                ]
                 vals = self._oracle.delay_pairs([hu] * len(missing), hosts)
             else:
-                vec = self._oracle.delays_from(hu)
-            for k, t in enumerate(missing):
-                st = self._index[t]
-                ht = int(self._slot_host[st])
-                if vals is not None:
-                    d = float(vals[k])
-                else:
-                    assert vec is not None
-                    d = float(vec[ht])
+                vals = self._source_delays(hu, hosts)
+            for t, ht, d in zip(missing, hosts, vals.tolist()):
                 hkey = (hu, ht) if hu < ht else (ht, hu)
                 self._cost_cache[hkey] = d
                 out[t] = d
                 c = nbr_costs.get(t)
                 if c is not None and math.isnan(c):
                     counters.edge_cost_misses += 1
-                    self._fill_edge_cost(su, st, d)
+                    self._fill_edge_cost(su, self._index[t], d)
                     nbr_costs[t] = d
         return out
 
@@ -704,6 +735,50 @@ class ArrayOverlay(Overlay):
                 if math.isnan(c) and pu < int(sp[sv]):
                     yield su, sv
 
+    def _live_rows(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Live edges out of *slots*: ``(position in slots, neighbor slot)``."""
+        based = np.flatnonzero(slots < self._nbase)
+        first = self._indptr[slots[based]]
+        deg = self._indptr[slots[based] + 1] - first
+        ends = np.cumsum(deg)
+        eidx = np.repeat(first - (ends - deg), deg) + np.arange(int(deg.sum()))
+        live = ~self._dead[eidx]
+        pos = np.repeat(based, deg)[live]
+        nbr = self._nbr[eidx[live]]
+        if self._extra:
+            buffered = [
+                (i, sv)
+                for i, s in enumerate(slots.tolist())
+                for sv in self._extra.get(s, ())
+            ]
+            if buffered:
+                extra = np.array(buffered, dtype=np.int64)
+                pos = np.concatenate([pos, extra[:, 0]])
+                nbr = np.concatenate([nbr, extra[:, 1]])
+        return pos, nbr
+
+    def _probe_pools(self, slots: np.ndarray) -> Dict[int, np.ndarray]:
+        """Per host of *slots*: sorted hosts within two logical hops.
+
+        Two hops are exactly where Phase 3 looks: a replacement candidate
+        is a neighbor of a neighbor
+        (:meth:`repro.core.policies.CandidatePolicy._eligible`).  Peers
+        sharing a host pool their neighborhoods.
+        """
+        at1, hop1 = self._live_rows(slots)
+        at2, hop2 = self._live_rows(hop1)
+        stride = self._physical.num_nodes
+        source_host = self._slot_host[slots][np.concatenate([at1, at1[at2]])]
+        target_host = self._slot_host[np.concatenate([hop1, hop2])]
+        pairs = np.unique(source_host * stride + target_host)
+        source_host, target_host = np.divmod(pairs, stride)
+        cuts = np.flatnonzero(np.diff(source_host)) + 1
+        heads = source_host[np.concatenate([[0], cuts])].tolist()
+        # Copies, so that a pool replaced later frees its share of this pass.
+        return {
+            h: pool.copy() for h, pool in zip(heads, np.split(target_host, cuts))
+        }
+
     def warm_edge_costs(self, chunk_size: int = 256) -> int:
         """Bulk-fill the per-edge costs — O(1) when already warm.
 
@@ -712,6 +787,15 @@ class ArrayOverlay(Overlay):
         finds the NaN entries with one vectorized scan.  The oracle call
         pattern (grouping, direction, chunking) matches the object engine
         exactly, so both engines compute bit-identical costs.
+
+        Under a vector-streaming (exact) oracle the pass reads more entries
+        of the same vectors than the object engine does: while it holds the
+        vector of a source host it also copies the delays to every host
+        within two logical hops of the pending peers there into the
+        directional probe memo (see :meth:`_probe_pools`), so the Phase-3
+        probes of those peers need no second solve of the same source.  The
+        memo is only ever read *after* the host-pair cache, which therefore
+        receives the same floats in the same order as without it.
         """
         if self._missing == 0:
             return 0
@@ -748,11 +832,16 @@ class ArrayOverlay(Overlay):
                 counters.edge_cost_misses += 1
                 filled += 1
             return filled
+        pools = self._probe_pools(
+            np.unique([su for edges in pending.values() for su, *_ in edges])
+        )
         for start in range(0, len(sources), chunk_size):
             chunk = sources[start : start + chunk_size]
             rows = self._oracle.delays_from_many(chunk, cache=False)
             for h in chunk:
                 row = rows[h]
+                pool = pools[h]
+                self._probe_memo[h] = (pool, row[pool])
                 for su, sv, hv, hkey in pending[h]:
                     d = float(row[hv])
                     self._cost_cache[hkey] = d
@@ -898,6 +987,7 @@ class ArrayOverlay(Overlay):
             list(self._peers_cache) if self._peers_cache is not None else None
         )
         clone._cost_cache = self._cost_cache  # shared, append-only cache
+        clone._probe_memo = self._probe_memo  # shared: oracle facts only
         clone._epoch = self._epoch  # compiled-graph caches key on identity
         return clone
 

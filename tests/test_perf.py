@@ -9,6 +9,8 @@ The ``perf_smoke`` marker selects the fast subset that keeps the batch APIs
 and counters exercised in every tier-1 run (``pytest -m perf_smoke``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.perf import PerfCounters, counters, get_counters, reset_counters
 from repro.search.flooding import blind_flooding_strategy, propagate
 from repro.topology.overlay import Overlay, small_world_overlay
 from repro.topology.physical import PhysicalTopology
+from repro.topology.soa import ArrayOverlay
 
 
 @pytest.fixture(autouse=True)
@@ -236,3 +239,73 @@ class TestPerfSmoke:
         assert delta["dijkstra_runs"] == 0
         snap = counters.snapshot()
         assert snap["queries"] >= 1
+
+
+@pytest.mark.perf_smoke
+class TestExactOracleSolvesEachSourceOnce:
+    """Count gates for the array engine's call pattern under the exact oracle.
+
+    ``warm_edge_costs`` copies each streamed source's two-hop probe pool out
+    of the vector it already holds, and the ACE step prefetches nothing: a
+    source is solved during the step only when a peer there probes a host
+    that is in neither the host-pair cache nor its pool.  The counts repeat
+    exactly per seed, so the gates need no timing and no tolerance.
+    """
+
+    def test_step_solves_only_the_probes_that_missed_both_caches(
+        self, monkeypatch
+    ):
+        config = ScenarioConfig(
+            physical_nodes=1000, peers=300, avg_degree=6, seed=5, engine="array"
+        )
+        overlay = build_scenario(config).fresh_overlay()
+        protocol = AceProtocol(overlay, rng=np.random.default_rng(3))
+        overlay.warm_edge_costs()
+        served = ArrayOverlay._memo_values
+        missed = []
+
+        def spy(self, hu, hosts):
+            # Reached only after the host-pair cache missed.
+            values = served(self, hu, hosts)
+            if values is None:
+                missed.append(hu)
+            return values
+
+        monkeypatch.setattr(ArrayOverlay, "_memo_values", spy)
+        before = counters.copy()
+        report = protocol.step()
+        solved = counters.delta(before)["dijkstra_sources"]
+        assert report.peers_optimized == 300
+        assert 0 < solved <= len(missed)
+        # The block prefetch this replaced solved one source per scheduled
+        # peer; measured here: 111 of 300.
+        assert solved < report.peers_optimized // 2
+
+    def test_static_run_streams_once_then_faults_outside_the_pools(
+        self, monkeypatch
+    ):
+        config = ScenarioConfig(physical_nodes=200, peers=40, avg_degree=6, seed=5)
+        per_step = []
+        step = AceProtocol.step
+
+        def counted(self, peers=None):
+            before = counters.copy()
+            report = step(self, peers)
+            per_step.append(counters.delta(before)["dijkstra_sources"])
+            return report
+
+        monkeypatch.setattr(AceProtocol, "step", counted)
+        series = {}
+        for engine in ("object", "array"):
+            scenario = build_scenario(dataclasses.replace(config, engine=engine))
+            reset_counters()
+            series[engine] = run_static_experiment(
+                scenario, steps=3, query_samples=8
+            )
+        assert series["array"] == series["object"]
+        # Both engines stream the same 26 sources to fill the edge costs
+        # before step 1; the array engine then solves again only the hosts
+        # whose peer probes outside its pool, the object engine every host
+        # whose peer probes at all.
+        assert per_step == [31, 2, 3, 14, 8, 4]
+        assert counters.dijkstra_sources == 26 + 14 + 8 + 4

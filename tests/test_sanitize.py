@@ -315,6 +315,47 @@ print("CLEAN")
         assert "CLEAN" in proc.stdout, proc.stdout + proc.stderr
 
 
+class TestProbeMemoCheck:
+    WORLD = """
+import repro.sanitize as sanitize
+sanitize.install()
+from repro.perf import counters
+from repro.topology.physical import PhysicalTopology
+from repro.topology.soa import ArrayOverlay
+
+physical = PhysicalTopology(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.2, 0.3])
+overlay = ArrayOverlay(physical, {7: 0, 8: 1, 9: 2})
+overlay.connect(7, 8)
+overlay.connect(8, 9)
+overlay.warm_edge_costs()
+"""
+
+    def test_wrong_memo_value_is_reported_with_peer_hosts_and_epoch(self):
+        proc = run_snippet(self.WORLD + """
+pool, values = overlay._probe_memo[0]
+overlay._probe_memo[0] = (pool, values + 1.0)
+overlay.costs_from(7, [9])
+assert sanitize.violation_count() == 1, sanitize.violations()
+message = sanitize.violations()[0]
+assert "peer(s) [7]" in message, message
+assert "host pair (0, 2)" in message, message
+assert f"epoch {overlay.epoch}" in message, message
+print("DETECTED")
+""")
+        assert "DETECTED" in proc.stdout, proc.stdout + proc.stderr
+
+    def test_healthy_memo_is_clean_and_the_recheck_leaves_no_trace(self):
+        proc = run_snippet(self.WORLD + """
+before = counters.copy()
+assert overlay.costs_from(7, [9]) == {9: 0.1 + 0.2}
+assert sanitize.violation_count() == 0, sanitize.violations()
+assert counters.delta(before)["dijkstra_sources"] == 0  # rolled back
+assert physical.cached_sources() == []  # solved off to the side
+print("CLEAN")
+""")
+        assert "CLEAN" in proc.stdout, proc.stdout + proc.stderr
+
+
 class TestCliIntegration:
     def test_sanitize_flag_enables_and_reports_clean(self):
         proc = run_cli(["static", "--peers", "24", "--steps", "1",

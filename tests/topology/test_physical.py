@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
+from repro.perf import counters
+from repro.topology import generators
 from repro.topology.physical import PhysicalTopology
 
 
@@ -305,3 +309,75 @@ class TestLruCoherence:
         assert set(topo._pred_cache) <= set(topo._dist_cache)
         # replint: disable=REP002 — same white-box coherence check
         assert len(topo._dist_cache) <= topo.dijkstra_cache_size
+
+
+def undirected_reference(topo):
+    """All-pairs delays by scipy's undirected mode over the same links."""
+    u, v, d = (np.array(col) for col in zip(*topo.edges()))
+    n = topo.num_nodes
+    matrix = csr_matrix(
+        (np.r_[d, d], (np.r_[u, v], np.r_[v, u])), shape=(n, n)
+    )
+    return dijkstra(matrix, directed=False)
+
+
+UNDERLAYS = {
+    "waxman": lambda rng: generators.waxman(90, rng=rng),
+    "ba": lambda rng: generators.barabasi_albert(90, m=2, rng=rng),
+    "glp": lambda rng: generators.glp(90, rng=rng),
+    "ws": lambda rng: generators.watts_strogatz(90, rng=rng),
+    "grid": lambda rng: generators.grid(9, 10, delay=3.7),
+    "paper": lambda rng: generators.paper_underlay(90, rng=rng),
+    "two components": lambda rng: PhysicalTopology(
+        5, [(0, 1), (1, 2), (3, 4)], [0.1, 0.2, 0.7]
+    ),
+}
+
+
+class TestDirectedSolveOverSymmetricCsr:
+    """The CSR holds both directions of every link, so the solver runs in
+    directed mode (each edge scanned once); the floats must be those of the
+    undirected mode, on every generator and on a shared-memory attach."""
+
+    @pytest.mark.parametrize("kind", sorted(UNDERLAYS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_undirected_mode_bit_for_bit(self, kind, seed):
+        topo = UNDERLAYS[kind](np.random.default_rng(seed))
+        want = undirected_reference(topo)
+        nodes = list(topo.nodes())
+        batched = topo.delays_from_many(nodes, cache=False)
+        with topo.export_shared() as shared:
+            attached = PhysicalTopology.attach_shared(shared.handle)
+            for s in nodes:
+                assert batched[s].tobytes() == want[s].tobytes()
+                assert topo.delays_from(s).tobytes() == want[s].tobytes()
+                assert attached.delays_from(s).tobytes() == want[s].tobytes()
+
+    def test_distance_fault_skips_predecessors_and_path_solves_them(self):
+        topo = PhysicalTopology(
+            4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1.0, 1.0, 1.0, 5.0]
+        )
+        vec = topo.delays_from(0)
+        assert topo.delay(1, 3) == 2.0
+        # replint: disable=REP002 — white-box: distance-only faults must not
+        # pay for predecessor arrays nobody reads
+        assert not topo._pred_cache
+        before = counters.copy()
+        assert topo.path(0, 3) == [0, 1, 2, 3]
+        assert counters.delta(before)["dijkstra_sources"] == 1
+        assert topo.delays_from(0).tobytes() == vec.tobytes()
+        before = counters.copy()
+        assert topo.path(0, 2) == [0, 1, 2]  # predecessors now resident
+        assert counters.delta(before)["dijkstra_sources"] == 0
+
+    def test_path_after_eviction_solves_again_and_caches_stay_coherent(self):
+        topo = PhysicalTopology(
+            6, [(i, i + 1) for i in range(5)], [1.0] * 5, cache_size=2
+        )
+        assert topo.path(0, 5) == [0, 1, 2, 3, 4, 5]
+        topo.delays_from(1)
+        topo.delays_from(2)  # evicts source 0, distances and predecessors
+        # replint: disable=REP002 — white-box coherence check
+        assert set(topo._pred_cache) <= set(topo._dist_cache) == {1, 2}
+        assert topo.path(0, 5) == [0, 1, 2, 3, 4, 5]
+        assert topo.path_delay(topo.path(2, 5)) == topo.delay(2, 5)
