@@ -1,28 +1,12 @@
-"""Struct-of-arrays overlay engine vs. the object reference engine.
+"""The struct-of-arrays overlay engine at 100,000 peers (opt-in).
 
-PR 6's acceptance gate (see the Layer-6 section of ``docs/PERFORMANCE.md``):
-one full ACE convergence step plus query measurement on a 10,000-peer
-overlay must run **>= 5x** faster through :class:`ArrayOverlay` + the flat
-ACE store than through the dict/set object engine — with byte-identical
-figures, which this bench asserts directly (same traffic-per-query floats
-from both runs).
-
-Both engines run on the same landmark delay oracle.  With the exact
-backend the wall-clock of either engine is dominated by the *shared*
-underlay Dijkstra floor (~70 of 83 seconds at this scale — see
-``bench_hotpath_delay.py`` for that layer's own gate), which says nothing
-about overlay-engine cost; the O(k)-lookup landmark backend isolates the
-thing this bench gates: per-peer Python iteration vs. flat arrays.
-
-Scale: 10,000 peers on a 20,000-node underlay — also the quick/CI
-configuration (``REPRO_BENCH_QUICK=1`` trims query samples and softens the
-bar to 3x; the headline claim is the 10k-peer engine ratio, so quick mode
-keeps the peer count).  Set ``REPRO_SOA_SCALE=1`` to also run the
-100,000-peer array-engine demonstration (object baseline skipped — that is
-the point) and append its numbers to ``BENCH_soa.json``.
-
-Every run appends a machine-readable entry to ``BENCH_soa.json`` at the
-repo root (see ``EXPERIMENTS.md`` for the narrative trajectory).
+Set ``REPRO_SOA_SCALE=1`` to run a static experiment — one ACE step plus
+query measurement — on 100,000 peers over a 120,000-node underlay and
+append its numbers to ``BENCH_soa.json`` at the repo root (see
+``EXPERIMENTS.md`` for the narrative trajectory).  The run uses the
+landmark delay oracle: with the exact backend the wall-clock is dominated
+by the underlay Dijkstra floor (see ``bench_hotpath_delay.py`` for that
+layer's own gate), which says nothing about the overlay engine.
 """
 
 import os
@@ -37,21 +21,16 @@ from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.experiments.static_env import run_static_experiment
 from repro.perf import counters
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") in ("1", "true")
-PEERS = 10_000
-NODES = 20_000
 ORACLE = "landmark:16"
 AVG_DEGREE = 6.0
 SEED = 11
 STEPS = 1
-SAMPLES = 2 if QUICK else 4
-SPEEDUP_BAR = 3.0 if QUICK else 5.0
 
 SCALE_PEERS = 100_000
 SCALE_NODES = 120_000
 
 
-def _run(engine, peers=PEERS, nodes=NODES, samples=SAMPLES):
+def _run(peers, nodes, samples):
     """One seeded static experiment; returns (series, timings, rss, perf)."""
     counters.reset()
     config = ScenarioConfig(
@@ -60,7 +39,6 @@ def _run(engine, peers=PEERS, nodes=NODES, samples=SAMPLES):
         avg_degree=AVG_DEGREE,
         seed=SEED,
         oracle=ORACLE,
-        engine=engine,
     )
     start = time.perf_counter()
     scenario = build_scenario(config)
@@ -72,55 +50,6 @@ def _run(engine, peers=PEERS, nodes=NODES, samples=SAMPLES):
     return series, build_seconds, run_seconds, rss_mb, counters.snapshot()
 
 
-@pytest.mark.perf_smoke
-def test_soa_engine_speedup(capsys):
-    """Array engine >= 5x (3x quick) over the object engine, same figures."""
-    arr, arr_build, arr_run, arr_rss, arr_perf = _run("array")
-    obj, obj_build, obj_run, obj_rss, _ = _run("object")
-
-    # Byte-identity is part of the gate: the engines must disagree on
-    # nothing but wall-clock (pinned exhaustively by
-    # tests/experiments/test_reproducibility.py at test scale).
-    assert arr.traffic_per_query == obj.traffic_per_query
-
-    speedup = obj_run / arr_run if arr_run > 0 else float("inf")
-    report(capsys, "\n".join([
-        f"Struct-of-arrays engine ({PEERS:,} peers, {NODES:,} underlay "
-        f"nodes, {ORACLE}, {STEPS} ACE step"
-        f"{', quick' if QUICK else ''}):",
-        f"  object engine: build {obj_build:.1f}s, run {obj_run:.1f}s, "
-        f"peak RSS {obj_rss:.0f} MB",
-        f"  array engine:  build {arr_build:.1f}s, run {arr_run:.1f}s, "
-        f"peak RSS {arr_rss:.0f} MB "
-        f"({PEERS / arr_run:,.0f} peers optimized/s)",
-        f"  speedup: {speedup:.1f}x (bar: {SPEEDUP_BAR:g}x)",
-        "  array engine: {soa_compactions} compactions "
-        "({soa_edit_buffer_flushes} with buffered edits), "
-        "{array_state_syncs} state syncs".format(**arr_perf),
-    ]))
-
-    record_trajectory(
-        "bench_soa_engine",
-        mode="quick" if QUICK else "full",
-        peers=PEERS,
-        underlay_nodes=NODES,
-        oracle=ORACLE,
-        steps=STEPS,
-        query_samples=SAMPLES,
-        object_run_seconds=round(obj_run, 2),
-        array_run_seconds=round(arr_run, 2),
-        speedup=round(speedup, 2),
-        speedup_bar=SPEEDUP_BAR,
-        array_peers_per_second=round(PEERS / arr_run, 1),
-        array_peak_rss_mb=round(arr_rss, 1),
-        object_peak_rss_mb=round(obj_rss, 1),
-        soa_compactions=arr_perf["soa_compactions"],
-        soa_edit_buffer_flushes=arr_perf["soa_edit_buffer_flushes"],
-        array_state_syncs=arr_perf["array_state_syncs"],
-    )
-    assert speedup >= SPEEDUP_BAR
-
-
 @pytest.mark.skipif(
     not os.environ.get("REPRO_SOA_SCALE"),
     reason="100k-peer demonstration is opt-in: set REPRO_SOA_SCALE",
@@ -128,7 +57,7 @@ def test_soa_engine_speedup(capsys):
 def test_soa_engine_100k_peers(capsys):
     """The headline: a 100,000-peer static experiment completes (array only)."""
     series, build_s, run_s, rss_mb, perf = _run(
-        "array", peers=SCALE_PEERS, nodes=SCALE_NODES, samples=2
+        peers=SCALE_PEERS, nodes=SCALE_NODES, samples=2
     )
     assert series.traffic_per_query[-1] > 0
 

@@ -61,21 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="delay backend: 'exact' (default) or "
                             "'landmark:<k>[:strategy[:estimator]]' for the "
                             "approximate k-landmark embedding")
-        p.add_argument("--engine", default="object",
-                       choices=["object", "array"],
-                       help="overlay engine: the dict-of-sets reference "
-                            "implementation ('object', default) or the "
-                            "struct-of-arrays engine for large peer counts "
-                            "('array'); figures are byte-identical")
         p.add_argument("--json", dest="json_path", default=None,
                        help="also write the result object to this JSON file")
         p.add_argument("--perf", action="store_true",
                        help="print engine perf counters (Dijkstra runs, "
                             "cache hit rates, queries/sec) after the run")
-        p.add_argument("--scalar-queries", action="store_true",
-                       help="disable the batched propagation kernel and run "
-                            "every query through the scalar reference engine "
-                            "(slower; results are identical)")
         p.add_argument("--sanitize", action="store_true",
                        help="enable the runtime invariant sanitizer (epoch "
                             "monotonicity, cache coherence, shm leak and RNG "
@@ -169,7 +159,6 @@ def _scenario_config(args, overrides=None):
         avg_degree=args.degree,
         seed=args.seed,
         oracle=getattr(args, "oracle", "exact"),
-        engine=getattr(args, "engine", "object"),
     )
     kwargs.update(overrides or {})
     return ScenarioConfig(**kwargs)
@@ -353,10 +342,14 @@ def _cmd_net(args, out) -> int:
     net = NetConfig(
         discipline=args.discipline, latency_scale=args.latency_scale
     )
+    # One scenario for plan, live run and reference: compare_runs is exact
+    # only over one host-pair cost cache (dist[u][v] and dist[v][u] can
+    # differ in the last ulp, and the two runs fault costs in from
+    # different ends).
     scenario = build_scenario(_scenario_config(args))
     plan = plan_queries(scenario, args.queries)
     live = run_live(
-        build_scenario(_scenario_config(args)), ace,
+        scenario, ace,
         steps=args.steps, plan=plan, net=net,
         kill_peer=args.kill, kill_after_query=0,
         post_kill_steps=args.post_kill_steps if args.kill is not None else 0,
@@ -388,9 +381,7 @@ def _cmd_net(args, out) -> int:
         print(f"TURN FAILED peer {peer} step {step}: {error}", file=out)
     code = 0
     if args.check:
-        ref = run_sim_reference(
-            build_scenario(_scenario_config(args)), ace, args.steps, plan
-        )
+        ref = run_sim_reference(scenario, ace, args.steps, plan)
         problems = compare_runs(
             live, ref, check_queries=(args.discipline == "lockstep")
         )
@@ -436,15 +427,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     from .sanitize import maybe_install, report, violation_count
 
     maybe_install()
-    if getattr(args, "scalar_queries", False):
-        import os
-
-        from .search.batch import set_batched_queries
-
-        set_batched_queries(False)
-        # Worker processes re-read the knob from the environment, so the
-        # flag reaches spawned trial workers too.
-        os.environ["REPRO_SCALAR_QUERIES"] = "1"
     code = _COMMANDS[args.command](args, out)
     if getattr(args, "perf", False):
         print(counters.format(), file=out)

@@ -17,6 +17,13 @@ The protocol is fully distributed in the paper; here one ``step()`` executes
 one optimization round at every live peer, in random order, with all
 overhead (probes and table exchanges) accounted in cost units so that the
 optimization-rate experiments (Figures 11-16) can weigh gain against penalty.
+
+Which step loop runs follows the overlay handed in: on an
+:class:`~repro.topology.soa.ArrayOverlay` — every built scenario — state
+lives in a :class:`~repro.core.flat_state.FlatAceStore` and the per-peer
+loops run through :mod:`repro.core.batch_ace`; on a plain
+:class:`~repro.topology.overlay.Overlay` the per-peer loop below runs with
+its dict store, and is the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -233,7 +240,7 @@ class AceProtocol:
 
     @property
     def flat_store(self) -> Optional[FlatAceStore]:
-        """The struct-of-arrays state store (``None`` on the object engine)."""
+        """The struct-of-arrays state store (``None`` on a reference ``Overlay``)."""
         return self._flat
 
     def state_of(self, peer: int) -> Optional[PeerAceState]:
@@ -405,10 +412,10 @@ class AceProtocol:
         independent execution of the distributed protocol.  Returns the
         aggregated :class:`StepReport`.
 
-        The shuffle, the cost warm and the report are the same on both
-        engines; on the array engine the per-peer loops run through the
-        vectorized kernel (:mod:`repro.core.batch_ace`), for which the
-        object loops below are the byte-identical reference.
+        The shuffle, the cost warm and the report are the same either way;
+        on an ``ArrayOverlay`` (every built scenario) the per-peer loops run
+        through the vectorized kernel (:mod:`repro.core.batch_ace`), for
+        which the object loops below are the byte-identical reference.
         """
         if peers is None:
             peers = self.overlay.peers()

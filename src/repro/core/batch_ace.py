@@ -1,10 +1,10 @@
-"""Vectorized ACE step kernel for the struct-of-arrays overlay engine.
+"""Vectorized ACE step kernel: what an ACE step runs on every scenario.
 
 PR 6 made the ACE *state* flat (:class:`~repro.topology.soa.ArrayOverlay` +
 :class:`~repro.core.flat_state.FlatAceStore`) but left the optimization
 inner loop — closure build, Phase-1 accounting, Prim MST, end-of-step tree
 rebuild — as per-peer Python over dict-of-dict closures.  This module
-replaces that loop for the array engine:
+replaces that loop on an ``ArrayOverlay``:
 
 1. **Batched closure extraction** (:func:`extract_closures`): all scheduled
    peers' depth-``h`` closures are computed in one shared CSR frontier sweep
@@ -41,8 +41,8 @@ order as the reference loop, so the random streams — and therefore every
 figure — are byte-identical.
 
 The kernel is what :meth:`AceProtocol.step` runs whenever the protocol sits
-on an ``ArrayOverlay`` (``engine="array"``); the object-model loop is its
-reference, and the equivalence suites pin the two byte-for-byte.  Phase 3
+on an ``ArrayOverlay`` — always, for a built scenario; the object-model loop
+is the reference, and the equivalence suites pin the two byte-for-byte.  Phase 3
 and the report fold are not restated here — they are
 :func:`repro.core.turn.phase3` / :func:`repro.core.turn.fold`, the same
 code the object loop and the live runtime run.

@@ -5,10 +5,11 @@ tables (Phase 1), build a minimum spanning tree over the h-closure
 (Phase 2), then replace or shed non-flooding links per Figure 4 (Phase 3)
 — run independently at every peer.  Three runners execute it here:
 
-* :meth:`repro.core.ace.AceProtocol.optimize_peer` — the object engine,
+* :meth:`repro.core.ace.AceProtocol.optimize_peer` — the reference loop,
   Phases 1-2 through the protocol's closure cache and state store;
-* :mod:`repro.core.batch_ace` — the array engine, Phases 1-2 read off a
-  pre-extracted closure batch (or recomputed when a mutation staled it);
+* :mod:`repro.core.batch_ace` — the kernel scenarios run, Phases 1-2 read
+  off a pre-extracted closure batch (or recomputed when a mutation staled
+  it);
 * :meth:`repro.net.peer.LivePeer.run_turn` — live sockets, Phases 1-2 over
   a :class:`~repro.net.peer.TurnView` whose reads are protocol exchanges.
 

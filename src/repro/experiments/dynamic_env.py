@@ -256,9 +256,8 @@ def run_dynamic_experiment(
                 # overlay epoch / ACE state version, so the stretches of
                 # queries between churn events and optimization rounds
                 # share one compilation.  Under churn that is still a
-                # recompile every few queries: the array engine lowers it
-                # from its CSR and the flat state store in one pass, the
-                # object engine row by row.
+                # recompile every few queries, lowered from the overlay's
+                # CSR and the flat state store in one pass.
                 (result,) = run_queries(
                     overlay, strategy, [(event.source, holders)],
                     ttl=config.ttl,

@@ -32,7 +32,6 @@ from ..perf import counters
 from ..sim.workload import ObjectCatalog, QueryWorkload, WorkloadConfig
 from ..topology import generators
 from ..topology.overlay import (
-    Overlay,
     power_law_overlay,
     random_overlay,
     small_world_overlay,
@@ -135,10 +134,6 @@ class ScenarioConfig:
     #: pre-oracle engine) or ``"landmark[:k[:strategy[:estimator]]]"`` (see
     #: :func:`repro.oracle.parse_oracle_spec`).
     oracle: str = "exact"
-    #: Overlay engine: ``"object"`` (dict-of-sets reference implementation)
-    #: or ``"array"`` (struct-of-arrays :class:`~repro.topology.soa.ArrayOverlay`
-    #: for large peer counts).  Both produce byte-identical figures.
-    engine: str = "object"
 
     def scaled(self, factor: Optional[float] = None) -> "ScenarioConfig":
         """Scale node counts by *factor* (default: the REPRO_SCALE env)."""
@@ -156,11 +151,11 @@ class Scenario:
 
     config: ScenarioConfig
     physical: PhysicalTopology
-    overlay: Overlay
+    overlay: ArrayOverlay
     catalog: ObjectCatalog
     rng: np.random.Generator
 
-    def fresh_overlay(self) -> Overlay:
+    def fresh_overlay(self) -> ArrayOverlay:
         """Deep copy of the initial overlay for an independent treatment arm."""
         return self.overlay.copy()
 
@@ -370,10 +365,6 @@ def build_scenario(
             f"unknown overlay kind {config.overlay_kind!r}; "
             f"choose from {sorted(_OVERLAYS)}"
         )
-    if config.engine not in ("object", "array"):
-        raise ValueError(
-            f"unknown engine {config.engine!r}; choose 'object' or 'array'"
-        )
     oracle_spec = parse_oracle_spec(config.oracle)  # fail fast on typos
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     underlay_rng, overlay_rng, workload_rng, run_rng = (
@@ -398,11 +389,9 @@ def build_scenario(
         if oracle is None:
             oracle = build_oracle(config, physical)
         overlay.use_oracle(oracle)
-    if config.engine == "array":
-        # Generation always runs on the object engine (identical RNG draws),
-        # then the finished overlay is lowered into flat arrays.  The oracle
-        # and epoch carry over, so downstream code sees the same world.
-        overlay = ArrayOverlay.from_overlay(overlay)
+    # The generators build on the object model; the finished overlay is
+    # lowered into flat arrays.  The oracle and epoch carry over.
+    overlay = ArrayOverlay.from_overlay(overlay)
     catalog = ObjectCatalog(overlay.peers(), config.workload, workload_rng)
     return Scenario(
         config=config,

@@ -336,6 +336,12 @@ def compare_runs(
     Comparisons are exact (``==`` on floats): under the lockstep
     discipline the live run replays the simulator's event order with its
     decision stream, so every compared number must be bit-identical.
+
+    Exactness is defined on one scenario: both runs must have been given
+    the same :class:`~repro.experiments.setup.Scenario` object, so they
+    read link costs through one unordered host-pair cache.  Two equal
+    scenarios built separately fault ``dist[u][v]`` in from different ends
+    and can disagree in the last ulp.
     """
     problems: List[str] = [
         f"step[{step}] peer {peer}: turn failed: {error}"

@@ -13,13 +13,10 @@ from .batch import (
     CompiledGraph,
     QueryStats,
     RingPropagator,
-    batched_queries_enabled,
     compile_strategy,
     propagate_many,
     propagate_single,
     run_queries,
-    scalar_queries,
-    set_batched_queries,
 )
 from .caching import IndexCache, IndexCacheStore, cached_query
 from .expanding_ring import (
@@ -62,11 +59,8 @@ __all__ = [
     "CompiledGraph",
     "QueryStats",
     "RingPropagator",
-    "batched_queries_enabled",
     "compile_strategy",
     "propagate_many",
     "propagate_single",
     "run_queries",
-    "scalar_queries",
-    "set_batched_queries",
 ]

@@ -13,14 +13,16 @@ that last scalar loop for the two strategies the figures actually measure:
    <repro.topology.overlay.Overlay.epoch>`; ACE tree routing compiles the
    edges every relay forwards on into a *directed* CSR keyed by
    ``(overlay.epoch, protocol.state_version)``.  Which lowering runs
-   follows the engine.  On the array engine both kinds go through
-   :func:`_lower_arrays`: the overlay's compacted CSR is the flooding
-   graph, and the ACE graph is that CSR with the routing rule
-   (:func:`repro.core.turn.forwarding_set`) applied to all peers at once
-   against one bulk read of the flat state store.  On the object engine
+   follows the overlay handed in.  On an
+   :class:`~repro.topology.soa.ArrayOverlay` — what every scenario builds —
+   both kinds go through :func:`_lower_arrays`: the overlay's compacted CSR
+   is the flooding graph, and the ACE graph is that CSR with the routing
+   rule (:func:`repro.core.turn.forwarding_set`) applied to all peers at
+   once against one bulk read of the flat state store.  On the reference
+   :class:`~repro.topology.overlay.Overlay`, which tests build by hand,
    :func:`_build_graph` walks the peers row by row — the neighbor sets for
-   flooding, ``protocol.flooding_neighbors(p)`` for ACE — and is the
-   reference the array lowering is tested (and, under ``REPRO_SANITIZE=1``,
+   flooding, ``protocol.flooding_neighbors(p)`` for ACE — and is what
+   the array lowering is tested (and, under ``REPRO_SANITIZE=1``,
    rechecked at run time) against.  Compilation is memoized in per-owner
    weak caches, so churn/ACE mutations invalidate for free and a static
    overlay compiles exactly once.
@@ -37,10 +39,10 @@ Exactness contract: identical results require strictly positive edge costs
 (true for every generated overlay — peers are placed on distinct hosts).  A
 graph containing a zero-cost edge, a non-compilable strategy, or a
 ``stop_at`` predicate (index caching) falls back to the scalar engine, which
-remains the reference implementation.  Batching can be disabled globally
-(:func:`set_batched_queries` / :func:`scalar_queries` / the
-``REPRO_SCALAR_QUERIES`` environment knob, CLI ``--scalar-queries``), which
-the reproducibility suite uses to pin batched == scalar byte-for-byte.
+remains the reference implementation.  That fallback is the only way the
+high-level helpers reach the scalar engine: there is no switch, and a test
+that wants the reference calls :func:`~repro.search.flooding.propagate` /
+:func:`~repro.search.flooding.run_query` directly.
 
 How equivalence is preserved, briefly:
 
@@ -64,14 +66,11 @@ How equivalence is preserved, briefly:
 from __future__ import annotations
 
 import heapq
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
 from typing import (
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -105,45 +104,7 @@ __all__ = [
     "propagate_many",
     "propagate_single",
     "run_queries",
-    "batched_queries_enabled",
-    "set_batched_queries",
-    "scalar_queries",
 ]
-
-# ---------------------------------------------------------------------------
-# Batching toggle
-# ---------------------------------------------------------------------------
-
-_BATCHING = os.environ.get("REPRO_SCALAR_QUERIES", "") not in ("1", "true")
-
-
-def batched_queries_enabled() -> bool:
-    """Whether the high-level helpers route through the batched kernel."""
-    return _BATCHING
-
-
-def set_batched_queries(enabled: bool) -> bool:
-    """Enable/disable batched propagation globally; returns the old value.
-
-    Disabling forces every helper (:func:`run_queries`,
-    :func:`propagate_single`, the experiment drivers) onto the scalar
-    reference engine — results are identical either way; only speed changes.
-    """
-    global _BATCHING
-    previous = _BATCHING
-    _BATCHING = bool(enabled)
-    return previous
-
-
-@contextmanager
-def scalar_queries() -> Iterator[None]:
-    """Context manager running its body on the scalar reference engine."""
-    previous = set_batched_queries(False)
-    try:
-        yield
-    finally:
-        set_batched_queries(previous)
-
 
 # ---------------------------------------------------------------------------
 # Strategy compilation
@@ -375,10 +336,10 @@ def _flooding_graph(overlay: Overlay) -> CompiledGraph:
 def ace_graph_by_rows(overlay: Overlay, protocol: object) -> CompiledGraph:
     """Compile *protocol*'s ACE forwarding graph row by row, uncached.
 
-    The object engine's lowering, and the reference for the array engine's:
-    each live peer's row is ``sorted(protocol.flooding_neighbors(peer))``.
-    Works on either engine; counts one compile and probes the cost cache
-    once per edge.
+    The lowering a reference ``Overlay`` gets, and the reference for the
+    array lowering: each live peer's row is
+    ``sorted(protocol.flooding_neighbors(peer))``.  Works on either overlay
+    class; counts one compile and probes the cost cache once per edge.
     """
     # Sorted rows: ace_strategy sorts flooding_neighbors() at forward time,
     # so the compiled CSR rows must sort the same way.
@@ -886,8 +847,6 @@ def _exact_graph(
     overlay: Overlay, strategy: ForwardingStrategy
 ) -> Optional[CompiledGraph]:
     """The compiled graph when batching may replace the scalar engine."""
-    if not _BATCHING:
-        return None
     graph = compile_strategy(overlay, strategy)
     if graph is None or not graph.supports_exact:
         return None

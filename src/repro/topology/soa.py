@@ -1,14 +1,16 @@
-"""Struct-of-arrays overlay engine for 100k+-peer experiments.
+"""Struct-of-arrays overlay: the engine every scenario runs on.
 
-:class:`ArrayOverlay` is a drop-in :class:`~repro.topology.overlay.Overlay`
-replacement that keeps the peer/edge state in flat numpy arrays instead of
-Python dict-of-set objects:
+:class:`ArrayOverlay` is the overlay
+:func:`~repro.experiments.setup.build_scenario` returns.  It is a drop-in
+replacement for the dict-of-sets :class:`~repro.topology.overlay.Overlay` —
+the generators still build on that class and tests keep it as the
+reference — holding the peer/edge state in flat numpy arrays instead:
 
 * per-slot arrays — peer id, physical host, live logical degree — indexed by
   a dense *slot* number (``_index`` maps peer id -> slot);
 * a CSR adjacency over slots (``_indptr`` / ``_nbr``) with a parallel
   ``float64`` per-edge cost array (``NaN`` = cost not yet known, the array
-  form of the object engine's per-edge cost cache);
+  form of the reference's per-edge cost cache);
 * an **incremental edit buffer**: mutations never rewrite the CSR in place.
   :meth:`disconnect` tombstones base entries (``_dead``), :meth:`connect`
   buffers new edges in a small dict-of-dicts overlay (``_extra``), and once
@@ -19,10 +21,10 @@ Python dict-of-set objects:
   ``soa_edit_buffer_flushes``).
 
 Semantics — epoch bumps, cost-cache layering (shared host-pair cache over a
-per-edge memo), counter accounting, and error behaviour — mirror the object
-engine exactly, so the two engines produce byte-identical experiment figures
-from the same seed (pinned in ``tests/experiments/test_reproducibility.py``).
-One memo has no object-engine twin: under an exact oracle
+per-edge memo), counter accounting, and error behaviour — mirror the
+reference exactly, so both produce byte-identical experiment figures from
+the same seed (pinned in ``tests/experiments/test_reproducibility.py``).
+One memo has no twin in the reference: under an exact oracle
 :meth:`warm_edge_costs` keeps, per streamed source host, the delays to the
 hosts Phase 3 can probe from there, so a step solves a source again only for
 a probe outside that pool.  It sits *behind* the host-pair cache and holds
@@ -31,13 +33,13 @@ solved and never a cost (``tests/topology/test_probe_memo.py``).
 The payoff is bulk state:
 
 * :meth:`warm_edge_costs` is O(1) when the overlay is already warm (the
-  object engine re-scans every edge per call — the dominant cost of large
+  reference re-scans every edge per call — the dominant cost of large
   ACE steps), and a vectorized NaN scan otherwise;
 * :meth:`flooding_csr` lowers the adjacency straight into the compiled
   query kernel's CSR form (:mod:`repro.search.batch`) without materializing
   per-peer neighbor sets.
 
-:meth:`neighbors` returns a fresh *snapshot* set per call (the object engine
+:meth:`neighbors` returns a fresh *snapshot* set per call (the reference
 returns its live internal set); all in-repo consumers either copy or re-fetch
 around mutations, so the two behaviours are indistinguishable.
 """

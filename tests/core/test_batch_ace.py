@@ -3,15 +3,14 @@
 ``repro.core.batch_ace`` replaces the per-peer closure/Phase-1/MST inner
 loop of :meth:`AceProtocol.step` with one shared CSR frontier sweep, a flat
 cost pass and a segmented MST kernel.  These tests pin the contract from
-the inside against the object-engine reference loop: identical step
+the inside against the object-model reference loop: identical step
 reports, identical replacement actions, identical state versions,
 identical overlay edges and routing sets — across depths, oracles and
 seeds, static and under churn — plus the perf counters the kernel is
 observable through.
 
 Figure-level byte-identity (the experiment blobs) rides in
-``tests/experiments/test_reproducibility.py``; the acceptance speedup gate
-is ``benchmarks/bench_ace_kernel.py``.
+``tests/experiments/test_reproducibility.py``.
 """
 
 import dataclasses
@@ -26,19 +25,23 @@ from repro.core.spanning_tree import prim_mst_heap
 from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_experiment
 from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.perf import counters
+from repro.topology.overlay import Overlay
+from repro.topology.soa import ArrayOverlay
+from tests.reference import production_and_reference
 
 
-def scenario(engine="array", seed=5, oracle="exact", peers=60, nodes=240):
-    return build_scenario(
-        ScenarioConfig(
-            physical_nodes=nodes,
-            peers=peers,
-            avg_degree=6.0,
-            seed=seed,
-            oracle=oracle,
-            engine=engine,
-        )
+def config(seed=5, oracle="exact", peers=60, nodes=240):
+    return ScenarioConfig(
+        physical_nodes=nodes,
+        peers=peers,
+        avg_degree=6.0,
+        seed=seed,
+        oracle=oracle,
     )
+
+
+def scenario(**world):
+    return build_scenario(config(**world))
 
 
 def protocol_for(sc, depth=2, seed=5):
@@ -72,42 +75,48 @@ def full_state(protocol, steps=3):
     }
 
 
+def kernel_and_reference(depth=2, seed=5, **world):
+    """The batched kernel's protocol and the per-peer loop's, equal worlds."""
+    production, reference = production_and_reference(config(seed=seed, **world))
+    kern = protocol_for(production, depth=depth, seed=seed)
+    ref = protocol_for(reference, depth=depth, seed=seed)
+    assert isinstance(kern.overlay, ArrayOverlay) and kern.flat_store is not None
+    assert type(ref.overlay) is Overlay and ref.flat_store is None
+    return kern, ref
+
+
 class TestKernelEquality:
-    """Object-engine loop and batched kernel agree on every observable."""
+    """Object-model loop and batched kernel agree on every observable."""
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("oracle", ["exact", "landmark:8"])
     def test_full_state_matches_across_depth_and_oracle(self, depth, oracle):
-        ref = full_state(
-            protocol_for(scenario(engine="object", oracle=oracle), depth=depth)
-        )
-        kern = full_state(protocol_for(scenario(oracle=oracle), depth=depth))
-        assert kern == ref
+        kern, ref = kernel_and_reference(depth=depth, oracle=oracle)
+        assert full_state(kern) == full_state(ref)
 
     @pytest.mark.parametrize("seed", [3, 11, 42])
     def test_full_state_matches_across_seeds(self, seed):
-        ref = full_state(
-            protocol_for(scenario(engine="object", seed=seed), seed=seed)
-        )
-        kern = full_state(protocol_for(scenario(seed=seed), seed=seed))
-        assert kern == ref
+        kern, ref = kernel_and_reference(seed=seed)
+        assert full_state(kern) == full_state(ref)
 
     def test_dynamic_churn_series_matches(self):
         dyn = DynamicConfig(total_queries=120, window=40)
-        ref = run_dynamic_experiment(scenario(engine="object"), dyn)
-        kern = run_dynamic_experiment(scenario(), dyn)
+        production, reference = production_and_reference(config())
+        ref = run_dynamic_experiment(reference, dyn)
+        kern = run_dynamic_experiment(production, dyn)
         assert dataclasses.asdict(kern) == dataclasses.asdict(ref)
 
     def test_object_engine_is_untouched_by_the_toggle(self):
-        # The kernel engages on the array engine only — chosen by the
+        # The kernel engages on the array overlay only — chosen by the
         # overlay type, not by a switch; the object-model reference never
         # enters it.
+        kern, ref = kernel_and_reference()
         counters.reset()
-        ref = full_state(protocol_for(scenario(engine="object")))
+        ref_state = full_state(ref)
         assert counters.ace_batched_steps == 0
-        kern = full_state(protocol_for(scenario()))
+        kern_state = full_state(kern)
         assert counters.ace_batched_steps == 3
-        assert kern == ref
+        assert kern_state == ref_state
 
 
 class TestExtractClosures:

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.core.closure import neighbor_closure
-from tests.conftest import make_overlay_from_weighted_edges
 
 
 @pytest.fixture
-def chain_overlay():
+def chain_overlay(make_overlay_from_weighted_edges):
     """0-1-2-3-4 logical chain (each link delay 10)."""
     return make_overlay_from_weighted_edges(
         [(0, 1, 10.0), (1, 2, 10.0), (2, 3, 10.0), (3, 4, 10.0)]
@@ -15,7 +14,7 @@ def chain_overlay():
 
 
 @pytest.fixture
-def clustered_overlay():
+def clustered_overlay(make_overlay_from_weighted_edges):
     """Triangle 0-1-2 plus pendant 3 on 2, pendant 4 on 3."""
     return make_overlay_from_weighted_edges(
         [(0, 1, 5.0), (1, 2, 6.0), (0, 2, 4.0), (2, 3, 7.0), (3, 4, 8.0)]
@@ -70,7 +69,7 @@ class TestInducedEdges:
         assert neighbor_closure(clustered_overlay, 0, 1).num_edges() == 3
         assert neighbor_closure(clustered_overlay, 0, 2).num_edges() == 4
 
-    def test_costs_are_underlay_shortest_paths(self):
+    def test_costs_are_underlay_shortest_paths(self, make_overlay_from_weighted_edges):
         # Long drawn link 0-2 (20) undercut by 0-1-2 (5 + 5).
         ov = make_overlay_from_weighted_edges(
             [(0, 1, 5.0), (1, 2, 5.0), (0, 2, 20.0)]

@@ -10,11 +10,10 @@ from repro.core.cost_table import (
     probe_overhead,
     run_phase1,
 )
-from tests.conftest import make_overlay_from_weighted_edges
 
 
 @pytest.fixture
-def overlay():
+def overlay(make_overlay_from_weighted_edges):
     """Triangle 0-1-2 with a tail 2-3-4."""
     return make_overlay_from_weighted_edges(
         [(0, 1, 5.0), (1, 2, 6.0), (0, 2, 4.0), (2, 3, 7.0), (3, 4, 8.0)]

@@ -9,11 +9,10 @@ from repro.core.policies import (
     RandomPolicy,
     make_policy,
 )
-from tests.conftest import make_overlay_from_weighted_edges
 
 
 @pytest.fixture
-def overlay():
+def overlay(make_overlay_from_weighted_edges):
     """Source 0 with neighbors 1 (far) and 2 (near); 1 has neighbors 3, 4, 5."""
     return make_overlay_from_weighted_edges(
         [

@@ -16,8 +16,10 @@ from repro.experiments.dynamic_env import (
 )
 from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.experiments.static_env import run_static_experiment, run_static_trials
+from repro.perf import counters
 from repro.rng import DEFAULT_SEED, ensure_rng
-from repro.search.batch import scalar_queries
+from repro.search import batch
+from tests.reference import production_and_reference
 
 CONFIG = ScenarioConfig(physical_nodes=200, peers=40, avg_degree=6, seed=5)
 
@@ -88,67 +90,83 @@ class TestParallelMatchesSerial:
 class TestBatchedMatchesScalarEngine:
     """The batched kernel is an optimization, not a treatment.
 
-    Running the experiments with the compiled-graph engine (the default)
-    must produce byte-identical figures to forcing every query through the
-    scalar reference engine — same floats, same counts.  This is the
-    experiment-level end of the contract pinned peer-by-peer in
+    Running the experiments with the compiled-graph engine must produce
+    byte-identical figures to answering every query on the scalar
+    reference engine — same floats, same counts.  The scalar arm is
+    reached through the helpers' own fallback: ``_exact_graph`` is patched
+    to find nothing compilable.  This is the experiment-level end of the
+    contract pinned peer-by-peer in
     ``tests/search/test_batched_equivalence.py``.
     """
 
-    def test_static_experiment_batched_is_byte_identical_to_scalar(self):
-        batched = run_static_experiment(
-            build_scenario(CONFIG), steps=3, query_samples=8
-        )
-        with scalar_queries():
-            scalar = run_static_experiment(
+    @staticmethod
+    def both_ways(monkeypatch, run):
+        batched = run()
+        assert counters.batched_queries > 0
+        monkeypatch.setattr(batch, "_exact_graph", lambda overlay, strategy: None)
+        before = counters.batched_queries
+        scalar = run()
+        assert counters.batched_queries == before
+        return batched, scalar
+
+    def test_static_experiment_batched_is_byte_identical_to_scalar(
+        self, monkeypatch
+    ):
+        batched, scalar = self.both_ways(
+            monkeypatch,
+            lambda: run_static_experiment(
                 build_scenario(CONFIG), steps=3, query_samples=8
-            )
+            ),
+        )
         assert as_bytes(batched) == as_bytes(scalar)
 
-    def test_dynamic_experiment_batched_is_byte_identical_to_scalar(self):
+    def test_dynamic_experiment_batched_is_byte_identical_to_scalar(
+        self, monkeypatch
+    ):
         dyn = DynamicConfig(total_queries=120, window=40)
-        batched = run_dynamic_experiment(build_scenario(CONFIG), dyn)
-        with scalar_queries():
-            scalar = run_dynamic_experiment(build_scenario(CONFIG), dyn)
+        batched, scalar = self.both_ways(
+            monkeypatch,
+            lambda: run_dynamic_experiment(build_scenario(CONFIG), dyn),
+        )
         assert as_bytes(batched) == as_bytes(scalar)
 
-    def test_dynamic_no_ace_batched_is_byte_identical_to_scalar(self):
+    def test_dynamic_no_ace_batched_is_byte_identical_to_scalar(
+        self, monkeypatch
+    ):
         dyn = DynamicConfig(total_queries=120, window=40, enable_ace=False)
-        batched = run_dynamic_experiment(build_scenario(CONFIG), dyn)
-        with scalar_queries():
-            scalar = run_dynamic_experiment(build_scenario(CONFIG), dyn)
+        batched, scalar = self.both_ways(
+            monkeypatch,
+            lambda: run_dynamic_experiment(build_scenario(CONFIG), dyn),
+        )
         assert as_bytes(batched) == as_bytes(scalar)
 
 
 class TestArrayEngineMatchesObject:
     """The struct-of-arrays overlay engine is an optimization, not a model.
 
-    ``engine="array"`` lowers the generated overlay into flat CSR arrays
-    (:class:`repro.topology.soa.ArrayOverlay`), pairs ACE with the flat
-    state store and runs its steps through the batched kernel
-    (:mod:`repro.core.batch_ace`); every figure — static and dynamic, with
-    and without ACE, batched and scalar queries, serial and parallel,
-    exact and landmark oracle — must come out byte-identical to the object
-    reference engine.  The protocol-level observables (reports, actions,
-    state versions) are pinned peer-by-peer in
+    ``build_scenario`` lowers the generated overlay into flat CSR arrays
+    (:class:`repro.topology.soa.ArrayOverlay`), which pairs ACE with the
+    flat state store, runs its steps through the batched kernel
+    (:mod:`repro.core.batch_ace`) and its queries through the compiled
+    kernel; every figure — static and dynamic, with and without ACE, exact
+    and landmark oracle — must come out byte-identical to the object
+    reference (dict-of-sets overlay, per-peer ACE loop, row-by-row strategy
+    lowering) built by ``tests.reference``.  The protocol-level observables
+    (reports, actions, state versions) are pinned peer-by-peer in
     ``tests/core/test_batch_ace.py``.
     """
 
-    ARRAY = dataclasses.replace(CONFIG, engine="array")
-
     def test_static_experiment_is_byte_identical(self):
-        obj = run_static_experiment(
-            build_scenario(CONFIG), steps=3, query_samples=8
-        )
-        arr = run_static_experiment(
-            build_scenario(self.ARRAY), steps=3, query_samples=8
-        )
+        prod, ref = production_and_reference(CONFIG)
+        arr = run_static_experiment(prod, steps=3, query_samples=8)
+        obj = run_static_experiment(ref, steps=3, query_samples=8)
         assert as_bytes(obj) == as_bytes(arr)
 
     def test_dynamic_experiment_is_byte_identical(self):
         dyn = DynamicConfig(total_queries=120, window=40)
-        obj = run_dynamic_experiment(build_scenario(CONFIG), dyn)
-        arr = run_dynamic_experiment(build_scenario(self.ARRAY), dyn)
+        prod, ref = production_and_reference(CONFIG)
+        arr = run_dynamic_experiment(prod, dyn)
+        obj = run_dynamic_experiment(ref, dyn)
         assert as_bytes(obj) == as_bytes(arr)
 
     def test_landmark_oracle_static_is_byte_identical(self):
@@ -156,35 +174,35 @@ class TestArrayEngineMatchesObject:
         # interface while the object engine slices estimate vectors; the
         # two forms are pinned bit-identical in tests/oracle, and this
         # checks the figure-level consequence.
-        landmark = dataclasses.replace(CONFIG, oracle="landmark:8")
-        obj = run_static_experiment(
-            build_scenario(landmark), steps=3, query_samples=8
+        prod, ref = production_and_reference(
+            dataclasses.replace(CONFIG, oracle="landmark:8")
         )
-        arr = run_static_experiment(
-            build_scenario(dataclasses.replace(landmark, engine="array")),
-            steps=3,
-            query_samples=8,
-        )
+        arr = run_static_experiment(prod, steps=3, query_samples=8)
+        obj = run_static_experiment(ref, steps=3, query_samples=8)
         assert as_bytes(obj) == as_bytes(arr)
 
     def test_dynamic_no_ace_is_byte_identical(self):
         dyn = DynamicConfig(total_queries=120, window=40, enable_ace=False)
-        obj = run_dynamic_experiment(build_scenario(CONFIG), dyn)
-        arr = run_dynamic_experiment(build_scenario(self.ARRAY), dyn)
+        prod, ref = production_and_reference(CONFIG)
+        arr = run_dynamic_experiment(prod, dyn)
+        obj = run_dynamic_experiment(ref, dyn)
         assert as_bytes(obj) == as_bytes(arr)
 
-    def test_array_engine_batched_is_byte_identical_to_scalar(self):
-        batched = run_static_experiment(
-            build_scenario(self.ARRAY), steps=3, query_samples=8
-        )
-        with scalar_queries():
-            scalar = run_static_experiment(
-                build_scenario(self.ARRAY), steps=3, query_samples=8
+    def test_paper_default_gate_is_byte_identical(self):
+        # The benchmark suite's engine-equality gate (its child process
+        # skips it now that ScenarioConfig has no engine field).
+        prod, ref = production_and_reference(
+            ScenarioConfig(
+                physical_nodes=1200, peers=160, avg_degree=6.0, underlay="ba",
+                overlay_kind="small_world", seed=1,
             )
-        assert as_bytes(batched) == as_bytes(scalar)
+        )
+        arr = run_static_experiment(prod, steps=10)
+        obj = run_static_experiment(ref, steps=10)
+        assert as_bytes(obj) == as_bytes(arr)
 
     def test_array_engine_parallel_is_byte_identical_to_serial(self):
-        configs = [self.ARRAY, dataclasses.replace(self.ARRAY, seed=6)]
+        configs = [CONFIG, dataclasses.replace(CONFIG, seed=6)]
         serial = run_static_trials(
             configs, steps=2, query_samples=6, max_workers=1
         )

@@ -6,11 +6,10 @@ import pytest
 from repro.extensions.hpf import HPF_WEIGHTINGS, hpf_strategy
 from repro.search.flooding import blind_flooding_strategy, propagate
 from repro.topology.overlay import small_world_overlay
-from tests.conftest import make_overlay_from_weighted_edges
 
 
 @pytest.fixture
-def star():
+def star(make_overlay_from_weighted_edges):
     return make_overlay_from_weighted_edges(
         [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (0, 4, 4.0), (0, 5, 5.0)]
     )

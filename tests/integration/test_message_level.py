@@ -14,7 +14,6 @@ from repro.search.flooding import blind_flooding_strategy, run_query
 from repro.search.tree_routing import ace_strategy
 from repro.sim.node import run_message_level_query
 from repro.topology.overlay import small_world_overlay
-from tests.conftest import make_overlay_from_weighted_edges
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +87,7 @@ class TestEquivalenceAceRouting:
 
 
 class TestHitRouting:
-    def test_hit_travels_reverse_path(self):
+    def test_hit_travels_reverse_path(self, make_overlay_from_weighted_edges):
         # Chain 0-1-2: hit from 2 must pass 1 and reach 0 at 2x arrival.
         overlay = make_overlay_from_weighted_edges(
             [(0, 1, 3.0), (1, 2, 4.0)]
@@ -102,7 +101,7 @@ class TestHitRouting:
         assert result.hit_messages == 2  # 2->1 and 1->0
         assert result.hit_traffic == pytest.approx(7.0)
 
-    def test_multiple_responders_first_wins(self):
+    def test_multiple_responders_first_wins(self, make_overlay_from_weighted_edges):
         overlay = make_overlay_from_weighted_edges(
             [(0, 1, 1.0), (0, 2, 10.0)]
         )
@@ -113,7 +112,7 @@ class TestHitRouting:
         assert result.first_response_time == pytest.approx(2.0)
         assert result.responders == {1, 2}
 
-    def test_source_holding_object_does_not_respond(self):
+    def test_source_holding_object_does_not_respond(self, make_overlay_from_weighted_edges):
         overlay = make_overlay_from_weighted_edges([(0, 1, 1.0)])
         strategy = blind_flooding_strategy(overlay)
         result = run_message_level_query(
@@ -136,7 +135,7 @@ class TestNetworkMechanics:
         assert network.stats.dropped_dead_links == 1
         assert network.stats.messages == 0
 
-    def test_stats_by_kind(self):
+    def test_stats_by_kind(self, make_overlay_from_weighted_edges):
         overlay = make_overlay_from_weighted_edges([(0, 1, 2.0)])
         strategy = blind_flooding_strategy(overlay)
         result = run_message_level_query(
@@ -145,7 +144,7 @@ class TestNetworkMechanics:
         assert result.query_messages == 1
         assert result.hit_messages == 1
 
-    def test_detached_peer_ignores_messages(self):
+    def test_detached_peer_ignores_messages(self, make_overlay_from_weighted_edges):
         from repro.sim.messages import Ping
         from repro.sim.network import MessageNetwork
 

@@ -6,7 +6,20 @@ state store; the reference walks ``sorted(protocol.flooding_neighbors(p))``
 peer by peer.  The two must agree field for field after any interleaving of
 overlay mutations and state writes: every branch of the routing rule by
 name below, random interleavings under hypothesis after that.
+
+The interleaving test is two-sided: the same operations drive a production
+world (``ArrayOverlay``, flat store, batched step, compiled strategies,
+``run_queries``) and its object twin (``Overlay``, dict store, per-peer
+loop, row lowering, scalar ``run_query``), and every observable is compared
+after each one — the randomized counterpart of the pinned-seed driver
+comparisons in ``tests/experiments/test_reproducibility.py``.
 """
+
+import copy
+import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -16,12 +29,13 @@ from repro.core.ace import AceConfig, AceProtocol
 from repro.core.batch_ace import churn_refresh
 from repro.core.flat_state import FlatAceStore
 from repro.perf import counters
-from repro.search.batch import ace_graph_by_rows, compile_strategy
-from repro.search.flooding import blind_flooding_strategy
+from repro.search.batch import ace_graph_by_rows, compile_strategy, run_queries
+from repro.search.flooding import blind_flooding_strategy, run_query
 from repro.search.tree_routing import ace_strategy
 from repro.topology.generators import barabasi_albert
-from repro.topology.overlay import small_world_overlay
+from repro.topology.overlay import Overlay, small_world_overlay
 from repro.topology.soa import ArrayOverlay
+from tests.reference import object_twin
 
 ARRAYS = ("peer_ids", "indptr", "targets", "costs")
 
@@ -45,15 +59,19 @@ def row(graph, peer):
     return graph.peer_ids[graph.targets[graph.indptr[i] : graph.indptr[i + 1]]].tolist()
 
 
-def assert_equals_reference(overlay, protocol):
-    graph = compile_strategy(overlay, ace_strategy(protocol))
-    reference = ace_graph_by_rows(overlay, protocol)
-    assert (graph.kind, graph.directed) == ("ace", True)
+def assert_graphs_equal(graph, reference):
+    assert (graph.kind, graph.directed) == (reference.kind, reference.directed)
     assert graph.index == reference.index
     for name in ARRAYS:
         got, want = getattr(graph, name), getattr(reference, name)
         assert got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), name
+
+
+def assert_equals_reference(overlay, protocol):
+    graph = compile_strategy(overlay, ace_strategy(protocol))
+    assert (graph.kind, graph.directed) == ("ace", True)
+    assert_graphs_equal(graph, ace_graph_by_rows(overlay, protocol))
     return graph
 
 
@@ -191,7 +209,7 @@ class TestCounters:
 
         def run():
             scenario = build_scenario(
-                ScenarioConfig(physical_nodes=300, peers=60, seed=5, engine="array")
+                ScenarioConfig(physical_nodes=300, peers=60, seed=5)
             )
             before = counters.copy()
             series = run_dynamic_experiment(
@@ -222,12 +240,164 @@ class TestCounters:
 
 OPS = (
     "join", "leave", "vanish", "connect", "disconnect", "step", "recompute",
-    "drop_state", "churn_refresh",
+    "refresh", "drop_state", "churn", "copy", "queries",
 )
 
 
+class World:
+    """An overlay and its protocol, plus the overlays ``copy`` retired."""
+
+    def __init__(self, overlay, protocol):
+        self.overlay, self.protocol = overlay, protocol
+        self.retired = []
+
+    def flooding(self):
+        return blind_flooding_strategy(self.overlay)
+
+    def ace(self):
+        return ace_strategy(self.protocol)
+
+
+def structure(overlay):
+    """Peers, hosts, sorted adjacency and every edge cost (floats as is)."""
+    return [
+        (
+            p,
+            overlay.host_of(p),
+            sorted(overlay.costs_from(p, sorted(overlay.neighbors(p))).items()),
+        )
+        for p in overlay.peers()
+    ]
+
+
+def depart_and_replace(world, departing, joiner, host, bootstrap):
+    """The departure handler of ``run_dynamic_experiment``, both branches."""
+    overlay, protocol = world.overlay, world.protocol
+    affected = set(overlay.neighbors(departing))
+    protocol.handle_peer_left(departing)
+    overlay.remove_peer(departing)
+    overlay.add_peer(joiner, host)
+    for target in bootstrap:
+        overlay.connect(joiner, target)
+    protocol.handle_peer_joined(joiner)
+    affected |= set(overlay.neighbors(joiner))
+    affected.discard(joiner)
+    if protocol.flat_store is not None:
+        overhead = churn_refresh(protocol, joiner, affected)
+    else:
+        _state, phase1 = protocol.refresh_peer(joiner)
+        overhead = phase1.total_overhead
+        for peer in affected:
+            if overlay.has_peer(peer):
+                protocol.recompute_tree(peer)
+    return overhead
+
+
+def apply(world, op, a, b, next_id):
+    """Apply one drawn operation; returns what it reported, for comparison."""
+    overlay, protocol = world.overlay, world.protocol
+    peers = overlay.peers()
+    p, q = peers[a % len(peers)], peers[b % len(peers)]
+    host = b % overlay.physical.num_nodes
+    if op == "join":
+        overlay.add_peer(next_id, host)
+        protocol.handle_peer_joined(next_id)
+        overlay.connect(next_id, p)
+    elif op in ("leave", "vanish") and len(peers) > 4:
+        overlay.remove_peer(p)
+        if op == "leave":
+            protocol.handle_peer_left(p)
+    elif op == "connect" and p != q:
+        return overlay.connect(p, q)
+    elif op == "disconnect" and p != q:
+        return overlay.disconnect(p, q)
+    elif op == "step":
+        return dataclasses.asdict(protocol.step())
+    elif op == "recompute":
+        protocol.recompute_tree(p)
+    elif op == "refresh":
+        _state, phase1 = protocol.refresh_peer(p)
+        return phase1.probe_cost, phase1.exchange_cost
+    elif op == "drop_state":
+        protocol.handle_peer_left(p)
+    elif op == "churn" and len(peers) > 4:
+        bootstrap = [t for t in (q, peers[(b + 1) % len(peers)]) if t != p]
+        return depart_and_replace(world, p, next_id, host, bootstrap)
+    elif op == "copy":
+        world.retired.append((overlay, structure(overlay)))
+        world.overlay = protocol.overlay = overlay.copy()
+    return None
+
+
+def assert_worlds_agree(production, reference, ids, sources, holders):
+    """Every observable of the production world equals its object twin's."""
+    for world in (production, reference):
+        # The drivers' discipline: costs of edges made outside a step are
+        # filled in the canonical direction before anything reads them.
+        world.overlay.warm_edge_costs()
+    assert structure(production.overlay) == structure(reference.overlay)
+    got, want = production.protocol, reference.protocol
+    for peer in ids:
+        row, ref_row = got.state_of(peer), want.state_of(peer)
+        if ref_row is not None:
+            ref_row = dataclasses.replace(ref_row, tree=None)
+        assert row == ref_row, peer
+    assert got.state_version == want.state_version
+    assert got.steps_run == want.steps_run
+    assert got.last_actions == want.last_actions
+    lowered = assert_equals_reference(production.overlay, got)
+    assert_graphs_equal(lowered, ace_graph_by_rows(reference.overlay, want))
+    assert_graphs_equal(
+        compile_strategy(production.overlay, production.flooding()),
+        compile_strategy(reference.overlay, reference.flooding()),
+    )
+    queries = [(s, holders) for s in sources]
+    for ttl in (None, 3):
+        for strategy in (World.flooding, World.ace):
+            stats = run_queries(
+                production.overlay, strategy(production), queries, ttl=ttl
+            )
+            scalar = [
+                run_query(reference.overlay, s, strategy(reference), holders, ttl=ttl)
+                for s in sources
+            ]
+            assert [dataclasses.astuple(x) for x in stats] == [
+                (s, r.traffic_cost, r.search_scope, r.holders_reached, r.first_response_time)
+                for s, r in zip(sources, scalar)
+            ]
+
+
+def run_interleaving(seed, thresholds, ops):
+    """Drive production and its object twin through *ops*, side by side."""
+    repack, compact = thresholds
+    overlay, protocol = make_world(
+        seed, peers=14, repack_threshold=repack, compact_threshold=compact
+    )
+    production = World(overlay, protocol)
+    twin = object_twin(overlay)
+    reference = World(
+        twin, AceProtocol(twin, protocol.config, rng=copy.deepcopy(protocol.rng))
+    )
+    assert isinstance(production.overlay, ArrayOverlay)
+    assert protocol.flat_store is not None
+    assert type(reference.overlay) is Overlay
+    assert reference.protocol.flat_store is None
+    next_id = overlay.peers()[-1] + 1
+    assert_worlds_agree(production, reference, range(next_id), overlay.peers()[:2], [0])
+    for op, a, b in ops:
+        assert apply(production, op, a, b, next_id) == apply(reference, op, a, b, next_id)
+        next_id += 1
+        peers = production.overlay.peers()
+        sources = peers if op == "queries" else [peers[a % len(peers)]]
+        holders = [peers[b % len(peers)], peers[(a + b) % len(peers)]]
+        assert_worlds_agree(production, reference, range(next_id), sources, holders)
+    for world in (production, reference):
+        for retired, snapshot in world.retired:
+            assert structure(retired) == snapshot
+
+
 @settings(
-    max_examples=25,
+    max_examples=100,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -241,35 +411,24 @@ OPS = (
     ),
 )
 def test_random_interleavings_equal_reference(seed, thresholds, ops):
-    repack, compact = thresholds
-    overlay, protocol = make_world(
-        seed, peers=14, repack_threshold=repack, compact_threshold=compact
+    run_interleaving(seed, thresholds, ops)
+
+
+def test_interleaving_under_the_sanitizer_records_no_violation():
+    """Every operation, twice over, in a process with ``REPRO_SANITIZE=1``."""
+    root = Path(__file__).resolve().parents[2]
+    code = """
+import repro.sanitize as sanitize
+assert sanitize.maybe_install()
+from tests.search.test_ace_array_lowering import OPS, run_interleaving
+run_interleaving(7, (2, 2), [(op, 3 * i + 1, 5 * i + 2) for i, op in enumerate(OPS * 2)])
+assert sanitize.violation_count() == 0, sanitize.violations()
+print("CLEAN")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=root,
+        env={"PYTHONPATH": f"{root / 'src'}:{root}", "PATH": "/usr/bin:/bin",
+             "REPRO_SANITIZE": "1"},
     )
-    hosts = overlay.physical.num_nodes
-    next_id = overlay.peers()[-1] + 1
-    assert_equals_reference(overlay, protocol)
-    for op, a, b in ops:
-        peers = overlay.peers()
-        p, q = peers[a % len(peers)], peers[b % len(peers)]
-        if op == "join":
-            overlay.add_peer(next_id, b % hosts)
-            protocol.handle_peer_joined(next_id)
-            overlay.connect(next_id, p)
-            next_id += 1
-        elif op in ("leave", "vanish") and len(peers) > 4:
-            overlay.remove_peer(p)
-            if op == "leave":
-                protocol.handle_peer_left(p)
-        elif op == "connect" and p != q:
-            overlay.connect(p, q)
-        elif op == "disconnect" and p != q:
-            overlay.disconnect(p, q)
-        elif op == "step":
-            protocol.step()
-        elif op == "recompute":
-            protocol.recompute_tree(p)
-        elif op == "drop_state":
-            protocol.handle_peer_left(p)
-        elif op == "churn_refresh":
-            churn_refresh(protocol, p, overlay.neighbors(p))
-        assert_equals_reference(overlay, protocol)
+    assert "CLEAN" in proc.stdout, proc.stdout + proc.stderr

@@ -15,13 +15,10 @@ from repro.core.ace import AceConfig, AceProtocol
 from repro.perf import counters
 from repro.search.batch import (
     RingPropagator,
-    batched_queries_enabled,
     compile_strategy,
     propagate_many,
     propagate_single,
     run_queries,
-    scalar_queries,
-    set_batched_queries,
 )
 from repro.search.expanding_ring import expanding_ring_query
 from repro.search.flooding import blind_flooding_strategy, propagate, run_query
@@ -198,29 +195,22 @@ class TestScalarFallback:
         assert stopped.traffic_cost <= full.traffic_cost
 
 
+def uncompiled(strategy):
+    """The same forwarding rule without a ``compiled_spec``.
+
+    The compiler declines a plain closure, so every high-level helper
+    answers it on the scalar engine — the only way left to get there.
+    """
+    return lambda peer, came_from: strategy(peer, came_from)
+
+
 class TestBatchingToggle:
-    def test_set_batched_queries_returns_previous(self):
-        prev = set_batched_queries(False)
-        try:
-            assert prev is True
-            assert not batched_queries_enabled()
-        finally:
-            set_batched_queries(prev)
-        assert batched_queries_enabled()
-
-    def test_scalar_queries_context_restores(self):
-        assert batched_queries_enabled()
-        with scalar_queries():
-            assert not batched_queries_enabled()
-        assert batched_queries_enabled()
-
     def test_scalar_mode_skips_kernel(self):
         overlay = make_world(10)
         strategy = blind_flooding_strategy(overlay)
         src = overlay.peers()[0]
         before = counters.batched_queries
-        with scalar_queries():
-            prop = propagate_single(overlay, src, strategy, ttl=7)
+        prop = propagate_single(overlay, src, uncompiled(strategy), ttl=7)
         assert counters.batched_queries == before
         assert prop == propagate(overlay, src, strategy, ttl=7)
 
@@ -231,9 +221,14 @@ class TestExpandingRing:
         strategy = blind_flooding_strategy(overlay)
         peers = overlay.peers()
         holders = peers[-3:]
+        before = counters.batched_queries
         batched = expanding_ring_query(overlay, peers[0], strategy, holders)
-        with scalar_queries():
-            scalar = expanding_ring_query(overlay, peers[0], strategy, holders)
+        rings = counters.batched_queries - before
+        assert rings > 0
+        scalar = expanding_ring_query(
+            overlay, peers[0], uncompiled(strategy), holders
+        )
+        assert counters.batched_queries - before == rings
         assert batched == scalar
 
     def test_failed_search_matches_scalar_mode(self):
@@ -241,8 +236,9 @@ class TestExpandingRing:
         strategy = blind_flooding_strategy(overlay)
         src = overlay.peers()[0]
         batched = expanding_ring_query(overlay, src, strategy, holders=())
-        with scalar_queries():
-            scalar = expanding_ring_query(overlay, src, strategy, holders=())
+        scalar = expanding_ring_query(
+            overlay, src, uncompiled(strategy), holders=()
+        )
         assert batched == scalar
         assert not batched.success
 

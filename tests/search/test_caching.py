@@ -4,11 +4,10 @@ import pytest
 
 from repro.search.caching import IndexCache, IndexCacheStore, cached_query
 from repro.search.flooding import blind_flooding_strategy
-from tests.conftest import make_overlay_from_weighted_edges
 
 
 @pytest.fixture
-def chain():
+def chain(make_overlay_from_weighted_edges):
     return make_overlay_from_weighted_edges(
         [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
     )

@@ -10,11 +10,10 @@ from repro.search.flooding import (
 )
 from repro.topology.overlay import Overlay
 from repro.topology.physical import PhysicalTopology
-from tests.conftest import make_overlay_from_weighted_edges
 
 
 @pytest.fixture
-def chain():
+def chain(make_overlay_from_weighted_edges):
     """0-1-2-3 logical chain with unit link delays."""
     return make_overlay_from_weighted_edges(
         [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
@@ -22,7 +21,7 @@ def chain():
 
 
 @pytest.fixture
-def diamond():
+def diamond(make_overlay_from_weighted_edges):
     """0 connects to 1 and 2; both connect to 3.  Asymmetric delays."""
     return make_overlay_from_weighted_edges(
         [(0, 1, 1.0), (0, 2, 5.0), (1, 3, 1.0), (2, 3, 1.0)]
@@ -102,7 +101,7 @@ class TestTrafficAccounting:
         assert prop.messages == 3
         assert prop.duplicate_messages == 0
 
-    def test_triangle_duplicates(self):
+    def test_triangle_duplicates(self, make_overlay_from_weighted_edges):
         ov = make_overlay_from_weighted_edges(
             [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
         )
@@ -124,7 +123,7 @@ class TestTrafficAccounting:
         assert prop.duplicate_messages > 0
         assert prop.traffic_cost > one_crossing_each
 
-    def test_figure1_style_m_receives_many_copies(self):
+    def test_figure1_style_m_receives_many_copies(self, make_overlay_from_weighted_edges):
         """The paper's Figure 1: a clique corner receives the query from
         every clique member even though it needs only one copy."""
         clique = [(u, v, 1.0) for u in range(4) for v in range(u + 1, 4)]

@@ -6,11 +6,10 @@ import pytest
 from repro.search.flooding import blind_flooding_strategy, propagate
 from repro.search.random_walk import random_walk_query
 from repro.topology.overlay import small_world_overlay
-from tests.conftest import make_overlay_from_weighted_edges
 
 
 @pytest.fixture
-def chain():
+def chain(make_overlay_from_weighted_edges):
     return make_overlay_from_weighted_edges(
         [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
     )

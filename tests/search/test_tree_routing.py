@@ -7,7 +7,6 @@ from repro.core.ace import AceConfig, AceProtocol
 from repro.search.flooding import blind_flooding_strategy, propagate
 from repro.search.tree_routing import ace_propagate, ace_query, ace_strategy
 from repro.topology.overlay import small_world_overlay
-from tests.conftest import make_overlay_from_weighted_edges
 
 
 @pytest.fixture
@@ -26,7 +25,7 @@ class TestStrategy:
         peer = optimized.overlay.peers()[0]
         assert set(strategy(peer, None)) == optimized.flooding_neighbors(peer)
 
-    def test_fresh_peer_floods_all(self):
+    def test_fresh_peer_floods_all(self, make_overlay_from_weighted_edges):
         ov = make_overlay_from_weighted_edges(
             [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)]
         )
@@ -54,7 +53,7 @@ class TestPropagation:
         assert limited.reached <= set(optimized.overlay.peers())
         assert max(limited.hops.values()) <= 1
 
-    def test_triangle_pruned(self):
+    def test_triangle_pruned(self, make_overlay_from_weighted_edges):
         """On a single mismatched triangle the long edge carries no query."""
         ov = make_overlay_from_weighted_edges(
             [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)]

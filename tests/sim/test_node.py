@@ -6,11 +6,10 @@ from repro.search.flooding import blind_flooding_strategy
 from repro.sim.messages import Query, QueryHit
 from repro.sim.network import MessageNetwork
 from repro.sim.node import QueryNode, Servent
-from tests.conftest import make_overlay_from_weighted_edges
 
 
 @pytest.fixture
-def chain():
+def chain(make_overlay_from_weighted_edges):
     return make_overlay_from_weighted_edges(
         [(0, 1, 2.0), (1, 2, 3.0)]
     )

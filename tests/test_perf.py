@@ -9,8 +9,6 @@ The ``perf_smoke`` marker selects the fast subset that keeps the batch APIs
 and counters exercised in every tier-1 run (``pytest -m perf_smoke``).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,7 @@ from repro.search.flooding import blind_flooding_strategy, propagate
 from repro.topology.overlay import Overlay, small_world_overlay
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
+from tests.reference import production_and_reference
 
 
 @pytest.fixture(autouse=True)
@@ -256,7 +255,7 @@ class TestExactOracleSolvesEachSourceOnce:
         self, monkeypatch
     ):
         config = ScenarioConfig(
-            physical_nodes=1000, peers=300, avg_degree=6, seed=5, engine="array"
+            physical_nodes=1000, peers=300, avg_degree=6, seed=5
         )
         overlay = build_scenario(config).fresh_overlay()
         protocol = AceProtocol(overlay, rng=np.random.default_rng(3))
@@ -296,8 +295,8 @@ class TestExactOracleSolvesEachSourceOnce:
 
         monkeypatch.setattr(AceProtocol, "step", counted)
         series = {}
-        for engine in ("object", "array"):
-            scenario = build_scenario(dataclasses.replace(config, engine=engine))
+        production, reference = production_and_reference(config)
+        for engine, scenario in (("object", reference), ("array", production)):
             reset_counters()
             series[engine] = run_static_experiment(
                 scenario, steps=3, query_samples=8

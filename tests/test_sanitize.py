@@ -33,29 +33,57 @@ def run_cli(args, sanitize=False):
     )
 
 
+REFERENCE_RUN = """
+import dataclasses, json
+import repro.sanitize as sanitize
+sanitize.maybe_install()
+from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_experiment
+from repro.experiments.setup import ScenarioConfig
+from repro.experiments.static_env import run_static_experiment
+from repro.topology.overlay import Overlay
+from tests.reference import object_scenario
+
+scenario = object_scenario(ScenarioConfig(physical_nodes=256, peers=32, seed=1))
+assert type(scenario.overlay) is Overlay
+print(json.dumps(dataclasses.asdict(RUN), sort_keys=True))
+"""
+
+
+def run_reference(run, sanitize=False):
+    """*run* over the object twin of a small scenario, series on stdout."""
+    return run_snippet(
+        REFERENCE_RUN.replace("RUN", run),
+        {"REPRO_SANITIZE": "1"} if sanitize else None,
+    )
+
+
 class TestByteIdentity:
+    """CLI runs cover the array engine; ``run_reference`` the object model,
+    whose hooks (``_edge_costs`` coherence, the per-peer state writes) no
+    CLI run reaches any more."""
+
     def test_static_run_is_byte_identical_and_violation_free(self):
-        args = ["static", "--peers", "32", "--steps", "2", "--samples", "6"]
-        plain = run_cli(args)
-        sanitized = run_cli(args, sanitize=True)
-        assert plain.returncode == 0
-        assert sanitized.returncode == 0
+        run = "run_static_experiment(scenario, steps=2, query_samples=6)"
+        plain = run_reference(run)
+        sanitized = run_reference(run, sanitize=True)
+        assert plain.returncode == 0, plain.stderr
+        assert sanitized.returncode == 0, sanitized.stderr
         assert sanitized.stdout == plain.stdout
         assert "sanitize:" not in sanitized.stderr
 
     def test_dynamic_run_with_ace_is_byte_identical(self):
-        args = ["dynamic", "--peers", "28", "--queries", "40",
-                "--windows", "2"]
-        plain = run_cli(args)
-        sanitized = run_cli(args, sanitize=True)
-        assert sanitized.returncode == 0
+        run = ("run_dynamic_experiment("
+               "scenario, DynamicConfig(total_queries=40, window=20))")
+        plain = run_reference(run)
+        sanitized = run_reference(run, sanitize=True)
+        assert sanitized.returncode == 0, sanitized.stderr
         assert sanitized.stdout == plain.stdout
         assert "sanitize:" not in sanitized.stderr
 
     def test_dynamic_run_with_ace_on_the_array_engine_is_byte_identical(self):
         # every array-lowered ACE graph is rechecked against the reference
         args = ["dynamic", "--peers", "28", "--queries", "40",
-                "--windows", "2", "--engine", "array"]
+                "--windows", "2"]
         plain = run_cli(args)
         sanitized = run_cli(args, sanitize=True)
         assert sanitized.returncode == 0
@@ -72,10 +100,10 @@ class TestByteIdentity:
         assert "sanitize:" not in sanitized.stderr
 
     def test_array_engine_is_byte_identical(self):
-        args = ["static", "--peers", "32", "--steps", "2", "--samples", "6",
-                "--engine", "array"]
+        args = ["static", "--peers", "32", "--steps", "2", "--samples", "6"]
         plain = run_cli(args)
         sanitized = run_cli(args, sanitize=True)
+        assert plain.returncode == 0
         assert sanitized.returncode == 0
         assert sanitized.stdout == plain.stdout
         assert "sanitize:" not in sanitized.stderr
