@@ -9,8 +9,15 @@ replaces that loop on an ``ArrayOverlay``:
 1. **Batched closure extraction** (:func:`extract_closures`): all scheduled
    peers' depth-``h`` closures are computed in one shared CSR frontier sweep
    over :meth:`ArrayOverlay.adjacency_csr` — one ``visited`` matrix, one
-   vectorized neighbor gather per BFS level, per-peer segment views of the
-   resulting member/edge arrays — instead of one dict-building BFS per peer.
+   vectorized neighbor gather per BFS level — instead of one dict-building
+   BFS per peer.  Everything the per-source tail needs (member ids, local
+   edge indices, row pointers, roots) is lowered for the whole sweep with
+   numpy; the per-source loop slices those arrays, crosses into Python one
+   closure at a time (``.tolist()``, so at most one closure's edges are
+   boxed at once) and runs Prim on lists.  Nothing here is buffer-backed:
+   the lists are copies of one CSR snapshot, and it is the dirty log below,
+   not the arrays, that decides how long a :class:`ClosureBatch` entry
+   stays valid.
 2. **Flat Phase-1 accounting**: a peer's probe and exchange overheads reduce
    to the sequential IEEE sum of its direct-edge costs in ascending-neighbor
    order (exactly the order :func:`~repro.core.cost_table.run_phase1`'s
@@ -184,6 +191,8 @@ def extract_closures(
     (``adjacency_csr`` bulk-fills any stragglers first), so the floats are
     the exact cached values the scalar reference reads through its dicts.
     """
+    if depth < 1:
+        raise ValueError(f"closure depth must be >= 1, got {depth}")
     batch = ClosureBatch()
     if not sources:
         return batch
@@ -216,14 +225,15 @@ def _extract_sweep(
     depth: int,
 ) -> None:
     nsrc = len(src_slots)
+    stride = np.int64(n)
     visited = np.zeros((nsrc, n), dtype=bool)
     rows = np.arange(nsrc)
     visited[rows, src_slots] = True
     f_src = rows
     f_node = src_slots
+    # Members as ``source * n + slot`` keys, one array per BFS level.
+    levels = [rows * stride + src_slots]
     for _ in range(depth):
-        if not len(f_node):
-            break
         deg = indptr[f_node + 1] - indptr[f_node]
         total = int(deg.sum())
         if not total:
@@ -234,81 +244,70 @@ def _extract_sweep(
         cand_src = np.repeat(f_src, deg)
         cand_node = nbr[eidx]
         fresh = ~visited[cand_src, cand_node]
-        cand_src = cand_src[fresh]
-        cand_node = cand_node[fresh]
-        if len(cand_src):
-            # Dedup (source, node) pairs discovered via several frontier
-            # nodes in the same level, or the expansion grows multiplicatively.
-            key = cand_src * np.int64(n) + cand_node
-            _, first = np.unique(key, return_index=True)
-            cand_src = cand_src[first]
-            cand_node = cand_node[first]
-            visited[cand_src, cand_node] = True
-        f_src, f_node = cand_src, cand_node
+        # Dedup (source, node) pairs discovered via several frontier nodes
+        # in the same level, or the expansion grows multiplicatively.
+        key = np.unique(cand_src[fresh] * stride + cand_node[fresh])
+        if not len(key):
+            break
+        f_src, f_node = np.divmod(key, stride)
+        visited[f_src, f_node] = True
+        levels.append(key)
 
-    # Members: nonzero of the row-major visited matrix is grouped by source
-    # and ascending in slot (== ascending peer id) within each group.
-    m_src, m_slot = np.nonzero(visited)
+    # Sorted keys group the members by source, ascending in slot (==
+    # ascending peer id) within each group.
+    m_key = np.sort(np.concatenate(levels))
+    m_src, m_slot = np.divmod(m_key, stride)
     m_off = np.zeros(nsrc + 1, dtype=np.int64)
     np.cumsum(np.bincount(m_src, minlength=nsrc), out=m_off[1:])
 
     # Induced edges: every member's full CSR row, filtered to members of the
-    # same source.  Rows are gathered in (source, member) order, so each
-    # segment is grouped by ascending local u with ascending v inside a row.
-    deg = indptr[m_slot + 1] - indptr[m_slot]
-    total = int(deg.sum())
-    if total:
-        ends = np.cumsum(deg)
-        eidx = np.repeat(indptr[m_slot] - (ends - deg), deg) + np.arange(total)
-        e_src = np.repeat(m_src, deg)
-        e_u = np.repeat(m_slot, deg)
-        e_v = nbr[eidx]
-        e_c = cost[eidx]
-        keep = visited[e_src, e_v]
-        e_src = e_src[keep]
-        e_u = e_u[keep]
-        e_v = e_v[keep]
-        e_c = e_c[keep]
-    else:  # isolated sources only
-        e_src = np.empty(0, dtype=np.int64)
-        e_u = e_v = e_src
-        e_c = np.empty(0, dtype=np.float64)
-    e_off = np.zeros(nsrc + 1, dtype=np.int64)
-    np.cumsum(np.bincount(e_src, minlength=nsrc), out=e_off[1:])
+    # same source.  Rows are gathered in member order, so the kept entries
+    # form one CSR over the sweep's member rows (``e_ptr``), ascending v
+    # inside a row.
+    first = indptr[m_slot]
+    deg = indptr[m_slot + 1] - first
+    ends = np.cumsum(deg)
+    eidx = np.repeat(first - (ends - deg), deg) + np.arange(int(deg.sum()))
+    e_row = np.repeat(np.arange(len(m_key)), deg)
+    e_src = m_src[e_row]
+    e_v = nbr[eidx]
+    keep = visited[e_src, e_v]
+    e_row, e_src, e_v, eidx = e_row[keep], e_src[keep], e_v[keep], eidx[keep]
+    e_ptr = np.zeros(len(m_key) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(e_row, minlength=len(m_key)), out=e_ptr[1:])
+    # One lookup ranks every edge head and every source among the sweep's
+    # members; minus the segment start, that is the Prim kernel's local index.
+    at = np.searchsorted(m_key, np.concatenate([e_src * stride + e_v, levels[0]]))
+    local_v = at[:-nsrc] - m_off[e_src]
+    roots = (at[-nsrc:] - m_off[:-1]).tolist()
+    e_cost = cost[eidx]
+    e_off = e_ptr[m_off].tolist()
+    m_off = m_off.tolist()
+    m_peer = peer_arr[m_slot]
 
-    for b in range(nsrc):
-        s = int(src_slots[b])
-        source = int(peer_arr[s])
-        m_seg = m_slot[m_off[b] : m_off[b + 1]]
-        members = peer_arr[m_seg].tolist()
-        # Direct neighbors are the source's own CSR row (always closure
-        # members at depth >= 1), already ascending.
-        r0, r1 = int(indptr[s]), int(indptr[s + 1])
-        direct = peer_arr[nbr[r0:r1]].tolist()
-        direct_costs = cost[r0:r1].tolist()
+    # The arrays cross into Python one closure at a time: sweep-wide lists
+    # would box every edge of 256 closures at once (hundreds of MB at h = 3).
+    for b, root in enumerate(roots):
+        members = m_peer[m_off[b] : m_off[b + 1]].tolist()
+        lptr = (e_ptr[m_off[b] : m_off[b + 1] + 1] - e_off[b]).tolist()
+        nbrs = local_v[e_off[b] : e_off[b + 1]].tolist()
+        costs = e_cost[e_off[b] : e_off[b + 1]].tolist()
+        # Direct neighbors are the source's own row (always closure members
+        # at depth >= 1), already ascending.
+        r0, r1 = lptr[root], lptr[root + 1]
+        direct_costs = costs[r0:r1]
         probe_sum = 0.0
         for c in direct_costs:
             probe_sum += c
-        # Local-index CSR of the induced subgraph for the Prim kernel.
-        es, ee = int(e_off[b]), int(e_off[b + 1])
-        lu = np.searchsorted(m_seg, e_u[es:ee])
-        lv = np.searchsorted(m_seg, e_v[es:ee])
-        nloc = len(m_seg)
-        lptr = np.zeros(nloc + 1, dtype=np.int64)
-        np.cumsum(np.bincount(lu, minlength=nloc), out=lptr[1:])
-        root = int(np.searchsorted(m_seg, s))
-        flooding_local = _prim_flooding(
-            lptr.tolist(), lv.tolist(), e_c[es:ee].tolist(), root
-        )
-        pos = len(batch.sources)
-        batch.sources.append(source)
-        batch.index[source] = pos
+        flooding_local = _prim_flooding(lptr, nbrs, costs, root)
+        batch.index[members[root]] = len(batch.sources)
+        batch.sources.append(members[root])
         batch.members.append(members)
         batch.member_sets.append(frozenset(members))
-        batch.direct.append(direct)
+        batch.direct.append([members[i] for i in nbrs[r0:r1]])
         batch.direct_costs.append(direct_costs)
         batch.probe_sum.append(probe_sum)
-        batch.closure_edges.append((ee - es) // 2)
+        batch.closure_edges.append(len(nbrs) // 2)
         batch.flooding.append([members[i] for i in flooding_local])
 
 

@@ -188,42 +188,18 @@ class FlatAceStore:
     def _repack(self) -> None:
         """Fold the pending overlay into fresh packed snapshot arrays."""
         counters.array_state_syncs += 1
-        order = sorted(self._row)
-        n = len(order)
-        closure_size = np.zeros(max(n, 1), dtype=np.int64)
-        closure_edges = np.zeros(max(n, 1), dtype=np.int64)
-        f_indptr = np.zeros(n + 1, dtype=np.int64)
-        k_indptr = np.zeros(n + 1, dtype=np.int64)
-        f_data: List[int] = []
-        k_data: List[int] = []
-        for i, peer in enumerate(order):
-            pend = self._pending.get(peer)
-            if pend is not None:
-                flooding: Tuple[int, ...] = pend[0]
-                known: Tuple[int, ...] = pend[1]
-            else:
-                row = self._row[peer]
-                fs = int(self._f_indptr[row])
-                fe = int(self._f_indptr[row + 1])
-                ks = int(self._k_indptr[row])
-                ke = int(self._k_indptr[row + 1])
-                flooding = tuple(self._f_data[fs:fe].tolist())
-                known = tuple(self._k_data[ks:ke].tolist())
-            old_row = self._row[peer]
-            closure_size[i] = self._closure_size[old_row]
-            closure_edges[i] = self._closure_edges[old_row]
-            f_data.extend(flooding)
-            k_data.extend(known)
-            f_indptr[i + 1] = f_indptr[i] + len(flooding)
-            k_indptr[i + 1] = k_indptr[i] + len(known)
-        self._row = {peer: i for i, peer in enumerate(order)}
-        self._nrows = n
-        self._closure_size = closure_size
-        self._closure_edges = closure_edges
-        self._f_indptr = f_indptr
-        self._f_data = np.array(f_data, dtype=np.int64)
-        self._k_indptr = k_indptr
-        self._k_data = np.array(k_data, dtype=np.int64)
+        peer, f_indptr, f_data, k_indptr, k_data = self.rows()
+        by_peer = np.argsort(peer)
+        order = peer[by_peer].tolist()
+        old_row = np.fromiter(
+            map(self._row.__getitem__, order), count=len(order), dtype=np.int64
+        )
+        self._closure_size = self._closure_size[old_row]
+        self._closure_edges = self._closure_edges[old_row]
+        self._f_indptr, self._f_data = _merge_rows(f_indptr, f_data, by_peer, [])
+        self._k_indptr, self._k_data = _merge_rows(k_indptr, k_data, by_peer, [])
+        self._row = {p: i for i, p in enumerate(order)}
+        self._nrows = len(order)
         self._pending = {}
 
 

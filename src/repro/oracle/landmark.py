@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import add, sub
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -255,6 +256,9 @@ class LandmarkOracle(DelayOracle):
             else:
                 self.landmarks = self._select(n_landmarks, strategy, rng)
                 self._embedding = self._embed(self.landmarks)
+        #: Every host reachable from every landmark: the one-pair branch of
+        #: :meth:`delay_pairs` then never meets the NaN -> inf rule.
+        self._finite = bool(np.isfinite(self._embedding).all())
 
         if accuracy is not None:
             if not 0.0 < accuracy <= 1.0:
@@ -506,7 +510,12 @@ class LandmarkOracle(DelayOracle):
         ``delays_from(us[i])[vs[i]]`` exactly (max/min are order-exact;
         the euclidean sum reduces 2-D arrays over axis 0 in both paths).
         Like the vector interface, this never spends exact-fallback budget.
+
+        Exactly one pair over a finite embedding — a Phase-3 probe — runs
+        the same operations on Python floats instead (:meth:`_estimate_pair`).
         """
+        if len(sources) == 1 and len(targets) == 1 and self._finite:
+            return np.array([self._estimate_pair(sources[0], targets[0])])
         us = np.asarray(sources, dtype=np.int64)
         vs = np.asarray(targets, dtype=np.int64)
         if us.shape != vs.shape:
@@ -547,6 +556,33 @@ class LandmarkOracle(DelayOracle):
         est[us == vs] = 0.0
         counters.oracle_estimates += len(us)
         return est
+
+    def _estimate_pair(self, u: int, v: int) -> float:
+        """One :meth:`delay_pairs` entry on Python floats, finite embedding.
+
+        ``abs``, ``+``, ``*``, ``sqrt`` and ``0.5 *`` are each one correctly
+        rounded IEEE operation here as in numpy, ``max`` / ``min`` are exact
+        and the euclidean sum runs in the same landmark order, so the bits
+        equal the array path's (``tests/oracle/test_landmark.py``).
+        """
+        n = self._physical.num_nodes
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("host id out of range")
+        counters.oracle_estimates += 1
+        if u == v:
+            return 0.0
+        xu = self._embedding[:, u].tolist()
+        xv = self._embedding[:, v].tolist()
+        if self._estimator == "euclidean":
+            acc = 0.0
+            for d in map(abs, map(sub, xu, xv)):
+                acc += d * d
+            return math.sqrt(acc) / math.sqrt(len(xu))
+        lower = max(map(abs, map(sub, xu, xv)))
+        if self._estimator == "lower":
+            return lower
+        upper = min(map(add, xu, xv))
+        return upper if self._estimator == "upper" else 0.5 * (lower + upper)
 
     def delays_from_many(
         self, sources: Iterable[int], cache: bool = True

@@ -769,12 +769,18 @@ def propagate_many(
     strategy: ForwardingStrategy,
     ttl: Optional[int] = GNUTELLA_TTL,
     graph: Optional[CompiledGraph] = None,
-    chunk_size: int = 256,
+    chunk_size: int = 64,
 ) -> BatchPropagation:
     """Propagate one query per source through the compiled strategy graph.
 
     The batch shares one compiled CSR graph and runs source rows *chunk_size*
-    at a time to bound the working set.  ``ttl=None`` takes the batched
+    at a time to bound the working set: the kernels hold several ``(rows,
+    edges)`` temporaries at once, and at 64 rows over the paper-scale graph
+    (8 000 peers, 48 k directed edges) each is 25 MB, which the allocator
+    recycles; a few times that and every one is a block mapped and faulted
+    in afresh, at a price that is the host's to set (docs/PERFORMANCE.md,
+    "Steady runs").  Rows are solved independently, so the labels do not
+    depend on the chunking.  ``ttl=None`` takes the batched
     scipy-Dijkstra path; an integer TTL runs the frontier kernel.  Raises
     ``ValueError`` for strategies :func:`compile_strategy` cannot lower (use
     the scalar engine for those) and ``KeyError`` for unknown sources.

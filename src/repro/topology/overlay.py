@@ -303,9 +303,11 @@ class Overlay:
                 key = (hu, ht) if hu < ht else (ht, hu)
                 self._cost_cache[key] = d
                 out[t] = d
-                if t in nbrs:
+                pkey = (u, t) if u < t else (t, u)
+                # A target listed twice fills (and counts) its edge once.
+                if t in nbrs and pkey not in self._edge_costs:
                     counters.edge_cost_misses += 1
-                    self._edge_costs[(u, t) if u < t else (t, u)] = d
+                    self._edge_costs[pkey] = d
         return out
 
     def warm_edge_costs(self, chunk_size: int = 256) -> int:

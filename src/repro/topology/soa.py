@@ -42,11 +42,28 @@ The payoff is bulk state:
 :meth:`neighbors` returns a fresh *snapshot* set per call (the reference
 returns its live internal set); all in-repo consumers either copy or re-fetch
 around mutations, so the two behaviours are indistinguishable.
+
+One rule splits the code: **numpy for bulk, buffers for scalars.**  The bulk
+kernels (compaction, the NaN scan, :meth:`_live_rows`, the CSR views) work
+on the arrays; every method that touches one element at a time — the
+per-peer half of an ACE turn: :meth:`neighbors`, :meth:`has_edge`,
+:meth:`cost`, :meth:`costs_from`, :meth:`connect`, :meth:`disconnect`,
+:meth:`remove_peer`, :meth:`degree`, :meth:`host_of` and the helpers under
+them — reads and writes the *same memory* through ``memoryview``s
+(``_vpeer`` … ``_vdead``), which hand back plain ``int`` / ``float`` /
+``bool`` at a fifth of the price of a numpy element read plus unwrapping.
+There is no second copy of any state to keep in step: a view aliases its
+array, so a write on either side is the other side's next read.  A view can
+only go stale when an array *object* is replaced, and that happens in four
+places — construction, :meth:`_install_base` (compaction, conversion),
+slot growth and :meth:`copy` — each of which ends in :meth:`_bind_views`
+(``tests/topology/test_array_overlay.py::TestBufferViews``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -109,6 +126,7 @@ class ArrayOverlay(Overlay):
         #: (no peer added/removed since): re-packs can skip re-deriving the
         #: slot order and index.
         self._slots_canonical = False
+        self._bind_views()
 
         if hosts:
             for peer, host in hosts.items():
@@ -200,6 +218,21 @@ class ArrayOverlay(Overlay):
         )
         self._peers_cache = order
         self._slots_canonical = True
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """Point the scalar path's buffer views at the current arrays.
+
+        Needed only where an array *object* is replaced; in-place writes
+        from either side land in the shared memory (module docstring).
+        """
+        self._vpeer = memoryview(self._slot_peer)
+        self._vhost = memoryview(self._slot_host)
+        self._vdeg = memoryview(self._slot_degree)
+        self._vptr = memoryview(self._indptr)
+        self._vnbr = memoryview(self._nbr)
+        self._vcost = memoryview(self._ncost)
+        self._vdead = memoryview(self._dead)
 
     def _compact(self) -> None:
         """Re-pack the CSR: merge the edit buffer, drop tombstones.
@@ -326,11 +359,12 @@ class ArrayOverlay(Overlay):
                 self._slot_degree = np.concatenate(
                     [self._slot_degree, np.zeros(grow, dtype=np.int64)]
                 )
+                self._bind_views()
             slot = self._nslots
             self._nslots += 1
-        self._slot_peer[slot] = peer
-        self._slot_host[slot] = host
-        self._slot_degree[slot] = 0
+        self._vpeer[slot] = peer
+        self._vhost[slot] = host
+        self._vdeg[slot] = 0
         self._index[peer] = slot
         return slot
 
@@ -338,19 +372,21 @@ class ArrayOverlay(Overlay):
         """Index of the base CSR entry su -> sv, or -1 (rows sorted by slot)."""
         if su >= self._nbase:
             return -1
-        s = int(self._indptr[su])
-        e = int(self._indptr[su + 1])
-        i = s + int(np.searchsorted(self._nbr[s:e], sv))
-        if i < e and int(self._nbr[i]) == sv:
+        e = self._vptr[su + 1]
+        i = bisect_left(self._vnbr, sv, self._vptr[su], e)
+        if i < e and self._vnbr[i] == sv:
             return i
         return -1
 
-    def _edge_live(self, su: int, sv: int) -> bool:
+    def _edge_cost(self, su: int, sv: int) -> Optional[float]:
+        """Cached cost of the live edge su-sv (NaN = unknown), else ``None``."""
         ex = self._extra.get(su)
         if ex is not None and sv in ex:
-            return True
+            return ex[sv]
         i = self._base_find(su, sv)
-        return i >= 0 and not bool(self._dead[i])
+        if i >= 0 and not self._vdead[i]:
+            return self._vcost[i]
+        return None
 
     def _fill_edge_cost(self, su: int, sv: int, d: float) -> None:
         """Record the now-known cost of a live edge (both directions)."""
@@ -359,10 +395,8 @@ class ArrayOverlay(Overlay):
             ex[sv] = d
             self._extra[sv][su] = d
         else:
-            i = self._base_find(su, sv)
-            j = self._base_find(sv, su)
-            self._ncost[i] = d
-            self._ncost[j] = d
+            self._vcost[self._base_find(su, sv)] = d
+            self._vcost[self._base_find(sv, su)] = d
         self._missing -= 1
 
     # ------------------------------------------------------------------
@@ -391,7 +425,7 @@ class ArrayOverlay(Overlay):
 
     def host_of(self, peer: int) -> int:
         """Physical host a peer lives on."""
-        return int(self._slot_host[self._index[peer]])
+        return self._vhost[self._index[peer]]
 
     def add_peer(self, peer: int, host: int) -> None:
         """Add a (disconnected) peer residing on physical node *host*."""
@@ -407,6 +441,7 @@ class ArrayOverlay(Overlay):
     def remove_peer(self, peer: int) -> None:
         """Remove a peer and all its logical connections."""
         slot = self._index[peer]
+        deg = self._vdeg
         ex = self._extra.pop(slot, None)
         if ex:
             for sv, c in ex.items():
@@ -414,28 +449,27 @@ class ArrayOverlay(Overlay):
                 del other[slot]
                 if not other:
                     del self._extra[sv]
-                self._slot_degree[sv] -= 1
+                deg[sv] -= 1
                 self._nedges -= 1
                 if math.isnan(c):
                     self._missing -= 1
         if slot < self._nbase:
-            s = int(self._indptr[slot])
-            e = int(self._indptr[slot + 1])
-            for j in range(s, e):
-                if self._dead[j]:
+            dead = self._vdead
+            for j in range(self._vptr[slot], self._vptr[slot + 1]):
+                if dead[j]:
                     continue
-                sv = int(self._nbr[j])
-                self._dead[j] = True
-                self._dead[self._base_find(sv, slot)] = True
-                self._slot_degree[sv] -= 1
+                sv = self._vnbr[j]
+                dead[j] = True
+                dead[self._base_find(sv, slot)] = True
+                deg[sv] -= 1
                 self._nedges -= 1
-                if math.isnan(float(self._ncost[j])):
+                if math.isnan(self._vcost[j]):
                     self._missing -= 1
                 self._edits += 2
         del self._index[peer]
-        self._slot_peer[slot] = -1
-        self._slot_host[slot] = -1
-        self._slot_degree[slot] = 0
+        self._vpeer[slot] = -1
+        self._vhost[slot] = -1
+        deg[slot] = 0
         self._free.append(slot)
         self._peers_cache = None
         self._slots_canonical = False
@@ -449,26 +483,24 @@ class ArrayOverlay(Overlay):
     def neighbors(self, peer: int) -> Set[int]:
         """The peer's current logical neighbors (a fresh snapshot set)."""
         slot = self._index[peer]
+        sp = self._vpeer
         out: Set[int] = set()
         if slot < self._nbase:
-            s = int(self._indptr[slot])
-            e = int(self._indptr[slot + 1])
-            if e > s:
-                seg = self._nbr[s:e]
-                alive = ~self._dead[s:e]
-                if alive.all():
-                    out.update(self._slot_peer[seg].tolist())
-                else:
-                    out.update(self._slot_peer[seg[alive]].tolist())
+            s = self._vptr[slot]
+            e = self._vptr[slot + 1]
+            out = {
+                sp[sv]
+                for sv, dead in zip(self._vnbr[s:e], self._vdead[s:e])
+                if not dead
+            }
         ex = self._extra.get(slot)
         if ex:
-            sp = self._slot_peer
-            out.update(int(sp[sv]) for sv in ex)
+            out.update(sp[sv] for sv in ex)
         return out
 
     def degree(self, peer: int) -> int:
         """Number of logical connections of *peer*."""
-        return int(self._slot_degree[self._index[peer]])
+        return self._vdeg[self._index[peer]]
 
     def average_degree(self) -> float:
         """Mean logical degree over live peers."""
@@ -482,7 +514,7 @@ class ArrayOverlay(Overlay):
         sv = self._index.get(v)
         if su is None or sv is None:
             return False
-        return self._edge_live(su, sv)
+        return self._edge_cost(su, sv) is not None
 
     def connect(self, u: int, v: int) -> bool:
         """Establish the logical connection u-v (see object engine)."""
@@ -492,10 +524,10 @@ class ArrayOverlay(Overlay):
         sv = self._index.get(v)
         if su is None or sv is None:
             raise KeyError(f"unknown peer in connect({u}, {v})")
-        if self._edge_live(su, sv):
+        if self._edge_cost(su, sv) is not None:
             return False
-        hu = int(self._slot_host[su])
-        hv = int(self._slot_host[sv])
+        hu = self._vhost[su]
+        hv = self._vhost[sv]
         if hu == hv:
             c = 0.0
         else:
@@ -504,8 +536,8 @@ class ArrayOverlay(Overlay):
             c = cached if cached is not None else math.nan
         self._extra.setdefault(su, {})[sv] = c
         self._extra.setdefault(sv, {})[su] = c
-        self._slot_degree[su] += 1
-        self._slot_degree[sv] += 1
+        self._vdeg[su] += 1
+        self._vdeg[sv] += 1
         self._nedges += 1
         if math.isnan(c):
             self._missing += 1
@@ -531,14 +563,14 @@ class ArrayOverlay(Overlay):
                 del self._extra[sv]
         else:
             i = self._base_find(su, sv)
-            if i < 0 or self._dead[i]:
+            if i < 0 or self._vdead[i]:
                 return False
-            c = float(self._ncost[i])
-            self._dead[i] = True
-            self._dead[self._base_find(sv, su)] = True
+            c = self._vcost[i]
+            self._vdead[i] = True
+            self._vdead[self._base_find(sv, su)] = True
             self._edits += 2
-        self._slot_degree[su] -= 1
-        self._slot_degree[sv] -= 1
+        self._vdeg[su] -= 1
+        self._vdeg[sv] -= 1
         self._nedges -= 1
         if math.isnan(c):
             self._missing -= 1
@@ -548,19 +580,19 @@ class ArrayOverlay(Overlay):
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over logical edges as ``(u, v)`` with ``u < v``."""
-        sp = self._slot_peer
+        sp = self._vpeer
         if len(self._nbr):
             live = np.nonzero(~self._dead)[0]
             rows = np.searchsorted(self._indptr, live, side="right") - 1
             for i, su in zip(live.tolist(), rows.tolist()):
-                u = int(sp[su])
-                v = int(sp[int(self._nbr[i])])
+                u = sp[su]
+                v = sp[self._vnbr[i]]
                 if u < v:
                     yield (u, v)
         for su in sorted(self._extra):
-            u = int(sp[su])
+            u = sp[su]
             for sv in sorted(self._extra[su]):
-                v = int(sp[sv])
+                v = sp[sv]
                 if u < v:
                     yield (u, v)
 
@@ -587,24 +619,12 @@ class ArrayOverlay(Overlay):
         """Cost of a (potential) logical link — object-engine semantics."""
         su = self._index[u]
         sv = self._index[v]
-        live = False
-        ex = self._extra.get(su)
-        if ex is not None and sv in ex:
-            live = True
-            c = ex[sv]
-            if not math.isnan(c):
-                counters.edge_cost_hits += 1
-                return c
-        else:
-            i = self._base_find(su, sv)
-            if i >= 0 and not bool(self._dead[i]):
-                live = True
-                c = float(self._ncost[i])
-                if not math.isnan(c):
-                    counters.edge_cost_hits += 1
-                    return c
-        hu = int(self._slot_host[su])
-        hv = int(self._slot_host[sv])
+        c = self._edge_cost(su, sv)
+        if c is not None and not math.isnan(c):
+            counters.edge_cost_hits += 1
+            return c
+        hu = self._vhost[su]
+        hv = self._vhost[sv]
         if hu == hv:
             d = 0.0
         else:
@@ -618,10 +638,10 @@ class ArrayOverlay(Overlay):
                     # scalar delay() reads whichever endpoint's vector is
                     # resident, and dist[u][v] / dist[v][u] may differ in
                     # the last ulp, so its bits would depend on the LRU.
-                    got = float(self._source_delays(hu, [hv])[0])
+                    got = self._source_delays(hu, [hv]).item(0)
                 self._cost_cache[hkey] = got
             d = got
-        if live:
+        if c is not None:
             counters.edge_cost_misses += 1
             self._fill_edge_cost(su, sv, d)
         return d
@@ -648,93 +668,80 @@ class ArrayOverlay(Overlay):
             vals = self._oracle.delays_from(hu, hosts)
         return vals
 
-    def _live_neighbor_costs(self, slot: int) -> Dict[int, float]:
-        """peer id -> cached cost (NaN = unknown) for the slot's live edges."""
-        out: Dict[int, float] = {}
-        if slot < self._nbase:
-            s = int(self._indptr[slot])
-            e = int(self._indptr[slot + 1])
-            if e > s:
-                seg = self._nbr[s:e]
-                alive = ~self._dead[s:e]
-                if not alive.all():
-                    seg = seg[alive]
-                    costs = self._ncost[s:e][alive]
-                else:
-                    costs = self._ncost[s:e]
-                out.update(zip(self._slot_peer[seg].tolist(), costs.tolist()))
-        ex = self._extra.get(slot)
-        if ex:
-            sp = self._slot_peer
-            for sv, c in ex.items():
-                out[int(sp[sv])] = c
-        return out
-
     def costs_from(self, u: int, targets: Iterable[int]) -> Dict[int, float]:
         """Costs from *u* to several peers with at most one underlay query."""
-        su = self._index[u]
-        hu = int(self._slot_host[su])
-        nbr_costs = self._live_neighbor_costs(su)
+        index = self._index
+        su = index[u]
+        host = self._vhost
+        hu = host[su]
+        # The loop below is _edge_cost(su, st) spelled out over u's row: a
+        # closure build asks for every neighbor of every member, and two
+        # calls a target cost more than the lookup itself.
+        ex = self._extra.get(su)
+        nbr, dead, cost = self._vnbr, self._vdead, self._vcost
+        s = e = 0
+        if su < self._nbase:
+            s, e = self._vptr[su], self._vptr[su + 1]
         out: Dict[int, float] = {}
-        missing: List[int] = []
+        missing: List[Tuple[int, int, int]] = []
         for t in targets:
-            c = nbr_costs.get(t)
+            st = index[t]
+            c: Optional[float] = None
+            if ex is not None and st in ex:
+                c = ex[st]
+            else:
+                i = bisect_left(nbr, st, s, e)
+                if i < e and nbr[i] == st and not dead[i]:
+                    c = cost[i]
             if c is not None and not math.isnan(c):
                 counters.edge_cost_hits += 1
                 out[t] = c
                 continue
-            st = self._index[t]
-            ht = int(self._slot_host[st])
+            ht = host[st]
             if ht == hu:
-                out[t] = 0.0
-                if c is not None:
-                    self._fill_edge_cost(su, st, 0.0)
-                    nbr_costs[t] = 0.0
-                continue
-            hkey = (hu, ht) if hu < ht else (ht, hu)
-            cached = self._cost_cache.get(hkey)
+                cached: Optional[float] = 0.0
+            else:
+                cached = self._cost_cache.get((hu, ht) if hu < ht else (ht, hu))
             if cached is None:
-                missing.append(t)
+                missing.append((t, st, ht))
             else:
                 out[t] = cached
                 if c is not None:
                     self._fill_edge_cost(su, st, cached)
-                    nbr_costs[t] = cached
         if missing:
-            hosts = [int(self._slot_host[self._index[t]]) for t in missing]
+            hosts = [ht for _, _, ht in missing]
             if self._oracle.pairwise_cheap:
                 # Embedding backend: resolve only the pairs actually asked
                 # for; delay_pairs matches the vector entries bit for bit.
                 vals = self._oracle.delay_pairs([hu] * len(missing), hosts)
             else:
                 vals = self._source_delays(hu, hosts)
-            for t, ht, d in zip(missing, hosts, vals.tolist()):
-                hkey = (hu, ht) if hu < ht else (ht, hu)
-                self._cost_cache[hkey] = d
+            for (t, st, ht), d in zip(missing, vals.tolist()):
+                self._cost_cache[(hu, ht) if hu < ht else (ht, hu)] = d
                 out[t] = d
-                c = nbr_costs.get(t)
+                # Looked up again, not remembered from the first pass: a
+                # target listed twice must fill (and count) its edge once.
+                c = self._edge_cost(su, st)
                 if c is not None and math.isnan(c):
                     counters.edge_cost_misses += 1
-                    self._fill_edge_cost(su, self._index[t], d)
-                    nbr_costs[t] = d
+                    self._fill_edge_cost(su, st, d)
         return out
 
     def _iter_unknown_edges(self) -> Iterator[Tuple[int, int]]:
         """Live edges (as slot pairs, lower peer id first) lacking a cost."""
+        sp = self._vpeer
         if len(self._ncost):
             unknown = np.nonzero(np.isnan(self._ncost) & ~self._dead)[0]
             if len(unknown):
                 rows = np.searchsorted(self._indptr, unknown, side="right") - 1
-                sp = self._slot_peer
                 for i, su in zip(unknown.tolist(), rows.tolist()):
-                    sv = int(self._nbr[i])
-                    if int(sp[su]) < int(sp[sv]):
+                    sv = self._vnbr[i]
+                    if sp[su] < sp[sv]:
                         yield su, sv
-        sp = self._slot_peer
         for su in sorted(self._extra):
-            pu = int(sp[su])
+            pu = sp[su]
             for sv, c in self._extra[su].items():
-                if math.isnan(c) and pu < int(sp[sv]):
+                if math.isnan(c) and pu < sp[sv]:
                     yield su, sv
 
     def _live_rows(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -803,8 +810,8 @@ class ArrayOverlay(Overlay):
             return 0
         pending: Dict[int, List[Tuple[int, int, int, Tuple[int, int]]]] = {}
         for su, sv in list(self._iter_unknown_edges()):
-            hu = int(self._slot_host[su])
-            hv = int(self._slot_host[sv])
+            hu = self._vhost[su]
+            hv = self._vhost[sv]
             if hu == hv:
                 self._fill_edge_cost(su, sv, 0.0)
                 continue
@@ -862,11 +869,7 @@ class ArrayOverlay(Overlay):
         """
         if self._oracle.pairwise_cheap:
             return 0
-        hosts = {
-            int(self._slot_host[self._index[p]])
-            for p in peers
-            if p in self._index
-        }
+        hosts = {self._vhost[self._index[p]] for p in peers if p in self._index}
         return self._oracle.warm(hosts)
 
     @property
@@ -934,15 +937,13 @@ class ArrayOverlay(Overlay):
 
     def component_of(self, peer: int) -> Set[int]:
         """All peers reachable from *peer* over logical links."""
-        seen = {peer}
-        stack = [peer]
-        while stack:
-            cur = stack.pop()
-            for nxt in self.neighbors(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+        frontier = np.array([self._index[peer]], dtype=np.int64)
+        seen = np.zeros(self._nslots, dtype=bool)
+        while len(frontier):
+            seen[frontier] = True
+            _, reached = self._live_rows(frontier)
+            frontier = np.unique(reached[~seen[reached]])
+        return set(self._slot_peer[np.flatnonzero(seen)].tolist())
 
     def components(self) -> List[Set[int]]:
         """All connected components, largest first."""
@@ -991,6 +992,7 @@ class ArrayOverlay(Overlay):
         clone._cost_cache = self._cost_cache  # shared, append-only cache
         clone._probe_memo = self._probe_memo  # shared: oracle facts only
         clone._epoch = self._epoch  # compiled-graph caches key on identity
+        clone._bind_views()
         return clone
 
     def to_networkx(self):  # type: ignore[no-untyped-def]

@@ -119,6 +119,33 @@ class TestKernelEquality:
         assert kern_state == ref_state
 
 
+def assert_batch_matches_reference(overlay, batch, sources, depth):
+    """Every ``ClosureBatch`` field against ``neighbor_closure`` + heap Prim."""
+    assert batch.sources == list(sources)
+    assert batch.index == {peer: i for i, peer in enumerate(sources)}
+    for i, peer in enumerate(sources):
+        ref = neighbor_closure(overlay, peer, depth)
+        assert batch.members[i] == sorted(ref.members)
+        assert batch.member_sets[i] == frozenset(ref.members)
+        assert batch.closure_edges[i] == ref.num_edges()
+        assert batch.direct[i] == sorted(ref.edges[peer])
+        assert batch.direct_costs[i] == [
+            ref.edges[peer][t] for t in batch.direct[i]
+        ]
+        total = 0.0
+        for cost in batch.direct_costs[i]:
+            total += cost
+        assert batch.probe_sum[i] == total
+        tree = prim_mst_heap(ref.edges, peer)
+        assert batch.flooding[i] == sorted(tree.tree_neighbors(peer))
+        assert batch.row(i) == (
+            batch.flooding[i],
+            batch.direct[i],
+            len(ref.members),
+            ref.num_edges(),
+        )
+
+
 class TestExtractClosures:
     """The batched extractor equals the per-peer reference closure."""
 
@@ -128,15 +155,43 @@ class TestExtractClosures:
         overlay.warm_edge_costs()
         peers = overlay.peers()
         batch = extract_closures(overlay, peers, depth=2)
-        assert batch.sources == list(peers)
-        for peer in peers:
-            i = batch.index[peer]
-            ref = neighbor_closure(overlay, peer, 2)
-            assert batch.members[i] == sorted(ref.members)
-            assert batch.closure_edges[i] == ref.num_edges()
-            assert batch.direct[i] == sorted(ref.edges[peer])
-            tree = prim_mst_heap(ref.edges, peer)
-            assert batch.flooding[i] == sorted(tree.tree_neighbors(peer))
+        assert_batch_matches_reference(overlay, batch, peers, 2)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_two_sweeps_an_isolated_source_and_a_pending_edit_buffer(self, depth):
+        overlay = scenario(peers=300, nodes=600, oracle="landmark:8").fresh_overlay()
+        overlay.adjacency_csr()
+        # Edits left in the buffer: a cut, a new link, a peer with no links.
+        u = overlay.peers()[0]
+        cut = min(overlay.neighbors(u))
+        overlay.disconnect(u, cut)
+        overlay.connect(
+            u,
+            next(
+                p
+                for p in overlay.peers()[1:]
+                if p != cut and not overlay.has_edge(u, p)
+            ),
+        )
+        loner = max(overlay.peers()) + 1
+        overlay.add_peer(loner, 0)
+        sources = overlay.peers()
+        np.random.default_rng(depth).shuffle(sources)  # > 256: two sweeps
+        compactions = counters.soa_compactions
+        batch = extract_closures(overlay, sources, depth)
+        assert counters.soa_compactions == compactions + 1, "buffer was empty"
+        assert_batch_matches_reference(overlay, batch, sources, depth)
+        i = batch.index[loner]
+        assert batch.members[i] == [loner] and batch.probe_sum[i] == 0.0
+        assert batch.row(i) == ([], [], 1, 0)
+
+    def test_depth_below_one_is_rejected_like_neighbor_closure(self):
+        overlay = scenario().fresh_overlay()
+        peer = overlay.peers()[0]
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            neighbor_closure(overlay, peer, 0)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            extract_closures(overlay, [peer], 0)
 
     def test_probe_sum_is_the_sequential_direct_cost_sum(self):
         sc = scenario()

@@ -8,6 +8,7 @@ import pytest
 from repro.oracle import LandmarkOracle, OracleAccuracyError
 from repro.perf import counters, reset_counters
 from repro.topology.generators import waxman
+from repro.topology.physical import PhysicalTopology
 
 
 def sample_pairs(physical, rng, n):
@@ -323,6 +324,67 @@ class TestDelayPairs:
             got = oracle.delay_pairs(us, vs)
             want = np.array([oracle.delays_from(u)[v] for u, v in zip(us, vs)])
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "estimator", ["midpoint", "lower", "upper", "euclidean"]
+    )
+    def test_one_pair_runs_on_floats_with_the_same_bits(
+        self, rng, ba_physical, estimator
+    ):
+        # A Phase-3 probe: exactly one pair over a finite embedding takes
+        # the Python-float branch.  Same bits, one estimate counted, no
+        # fallback budget touched.
+        oracle = LandmarkOracle(
+            ba_physical,
+            n_landmarks=16,
+            rng=rng,
+            estimator=estimator,
+            exact_fallback_budget=5,
+        )
+        assert np.isfinite(oracle.embedding).all()
+        pairs = sample_pairs(ba_physical, rng, 200) + [(7, 7)]
+        vector = oracle.delay_pairs(*zip(*pairs)).tolist()
+        reset_counters()
+        singles = [oracle.delay_pairs([u], [v]) for u, v in pairs]
+        singles.append(oracle.delay_pairs(np.array([7]), np.array([7])))
+        assert counters.oracle_estimates == len(pairs) + 1
+        assert counters.oracle_exact_fallbacks == 0
+        assert oracle.exact_fallbacks_remaining == 5
+        for (u, v), got, want in zip(pairs + [(7, 7)], singles, vector + [0.0]):
+            assert got.dtype == np.float64 and got.shape == (1,)
+            assert got.tolist()[0].hex() == want.hex()
+            assert got[0] == oracle.delays_from(u)[v]
+
+    @pytest.mark.parametrize(
+        "estimator", ["midpoint", "lower", "upper", "euclidean"]
+    )
+    def test_one_pair_over_an_unreachable_host_is_inf(self, estimator):
+        # Hosts 4-5 are a component of their own: the embedding holds inf,
+        # the one-pair branch stands aside and the array path answers.
+        physical = PhysicalTopology(
+            6, [(0, 1), (1, 2), (2, 3), (4, 5)], [1.0, 2.0, 3.0, 1.0]
+        )
+        oracle = LandmarkOracle(physical, landmarks=[0, 3], estimator=estimator)
+        assert np.isinf(oracle.embedding).any()
+        for u, v in [(0, 4), (4, 5), (4, 4), (1, 2)]:
+            got = oracle.delay_pairs([u], [v])[0]
+            assert got == oracle.delays_from(u)[v]
+            assert got == oracle.delay_pairs([u, u], [v, v])[0]
+        assert oracle.delay_pairs([0], [4])[0] == math.inf
+        assert oracle.delay_pairs([4], [5])[0] == math.inf
+        assert oracle.delay_pairs([4], [4])[0] == 0.0
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (120, 0), (0, 10**9)])
+    def test_one_pair_rejects_ids_instead_of_wrapping(
+        self, rng, ba_physical, pair
+    ):
+        oracle = LandmarkOracle(ba_physical, n_landmarks=4, rng=rng)
+        reset_counters()
+        with pytest.raises(ValueError, match="out of range"):
+            oracle.delay_pairs([pair[0]], [pair[1]])
+        with pytest.raises(ValueError, match="out of range"):
+            oracle.delay_pairs([pair[0], 1], [pair[1], 2])
+        assert counters.oracle_estimates == 0
 
     def test_never_spends_fallback_budget(self, rng, ba_physical):
         oracle = LandmarkOracle(

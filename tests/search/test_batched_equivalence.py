@@ -73,6 +73,22 @@ class TestBatchedMatchesScalar:
         for i, src in enumerate(sources):
             assert batch.result(i) == propagate(overlay, src, strategy, ttl=ttl)
 
+    @pytest.mark.parametrize("ttl", [3, None])
+    def test_chunking_does_not_change_the_batch(self, ttl):
+        """Rows are solved independently: any chunk size, the same arrays."""
+        overlay = make_world(6)
+        strategy = blind_flooding_strategy(overlay)
+        sources = sample_sources(overlay, np.random.default_rng(13), k=11)
+        whole = propagate_many(overlay, sources, strategy, ttl=ttl)
+        for chunk_size in (1, 4, len(sources)):
+            chunked = propagate_many(
+                overlay, sources, strategy, ttl=ttl, chunk_size=chunk_size
+            )
+            for name in ("dist", "parent", "hops", "messages", "traffic", "duplicates"):
+                np.testing.assert_array_equal(
+                    getattr(chunked, name), getattr(whole, name), err_msg=name
+                )
+
     def test_propagate_single_matches_scalar(self):
         overlay = make_world(5)
         strategy = blind_flooding_strategy(overlay)

@@ -9,13 +9,19 @@ tiny ``compact_threshold``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.oracle.landmark import LandmarkOracle
 from repro.perf import counters
 from repro.topology.generators import barabasi_albert, grid
 from repro.topology.overlay import Overlay, random_overlay
 from repro.topology.soa import ArrayOverlay
+from tests.reference import object_twin
 
 
 def assert_equivalent(obj: Overlay, arr: ArrayOverlay) -> None:
@@ -37,9 +43,35 @@ def assert_equivalent(obj: Overlay, arr: ArrayOverlay) -> None:
     )
 
 
+#: Scalar-path buffer view -> the array it must alias.
+_VIEWS = {
+    "_vpeer": "_slot_peer",
+    "_vhost": "_slot_host",
+    "_vdeg": "_slot_degree",
+    "_vptr": "_indptr",
+    "_vnbr": "_nbr",
+    "_vcost": "_ncost",
+    "_vdead": "_dead",
+}
+
+
+def assert_views_alias(arr: ArrayOverlay) -> None:
+    """Every view exports the *current* array object, zero-copy."""
+    for view_name, array_name in _VIEWS.items():
+        view, array = getattr(arr, view_name), getattr(arr, array_name)
+        assert view.obj is array, view_name
+        assert len(view) == len(array)
+        assert not len(array) or np.shares_memory(np.asarray(view), array)
+
+
+@functools.lru_cache(maxsize=None)
+def _physical():
+    return barabasi_albert(150, m=2, rng=np.random.default_rng(42))
+
+
 @pytest.fixture
 def physical():
-    return barabasi_albert(150, m=2, rng=np.random.default_rng(42))
+    return _physical()
 
 
 @pytest.fixture
@@ -79,39 +111,107 @@ class TestConversion:
         assert arr.is_connected()
 
 
+#: Twelve peers on six hosts, so same-host pairs (cost 0, never an oracle
+#: query) are common; a ring plus chords keeps every peer at degree >= 2.
+_HOSTS = {p: (7 * p) % 6 for p in range(12)}
+_EDGES = [(p, (p + 1) % 12) for p in range(12)] + [(0, 5), (2, 9), (3, 7)]
+_UNKNOWN = 10**6
+
+_OP = st.tuples(
+    st.sampled_from(
+        ["remove", "add", "connect", "disconnect", "cost", "invalidate", "warm"]
+    ),
+    st.integers(0, 10**4),
+    st.integers(0, 10**4),
+)
+
+
+def _counted(call):
+    """``(result or exception type, edge-cost hits, edge-cost misses)``."""
+    hits, misses = counters.edge_cost_hits, counters.edge_cost_misses
+    try:
+        result = call()
+    except (KeyError, ValueError) as err:
+        result = type(err)
+    return (
+        result,
+        counters.edge_cost_hits - hits,
+        counters.edge_cost_misses - misses,
+    )
+
+
+def assert_reads_match(obj: Overlay, arr: ArrayOverlay, pick: int) -> None:
+    """Every scalar read, and what it does to the caches, on both engines."""
+    peers = obj.peers()
+    assert arr.peers() == peers and arr.num_edges == obj.num_edges
+    for p in peers:
+        assert arr.neighbors(p) == obj.neighbors(p)
+        assert arr.degree(p) == obj.degree(p)
+        assert arr.host_of(p) == obj.host_of(p)
+    u = peers[pick % len(peers)]
+    # Neighbors, non-neighbors, same-host peers and u itself, two of them
+    # twice; then the same list ending in a peer that does not exist.
+    targets = peers + peers[:2]
+    for v in targets + [_UNKNOWN]:
+        assert arr.has_edge(u, v) == obj.has_edge(u, v)
+    for v in peers[pick % 3 :: 3] + [_UNKNOWN]:
+        assert _counted(lambda: arr.cost(u, v)) == _counted(lambda: obj.cost(u, v))
+    w = peers[(pick + 1) % len(peers)]
+    assert _counted(lambda: arr.costs_from(w, targets)) == _counted(
+        lambda: obj.costs_from(w, targets)
+    )
+    assert _counted(lambda: arr.costs_from(u, targets + [_UNKNOWN])) == _counted(
+        lambda: obj.costs_from(u, targets + [_UNKNOWN])
+    )
+    assert arr.cached_edge_costs == obj.cached_edge_costs
+
+
 class TestMutationEquivalence:
-    def test_churn_sequence_across_compactions(self, physical, pair):
-        obj, arr = pair
-        rng = np.random.default_rng(77)
-        next_peer = max(obj.peers()) + 1
-        before = counters.soa_compactions
-        for _ in range(300):
-            op = int(rng.integers(5))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        threshold=st.sampled_from([0, 3, None]),
+        ops=st.lists(_OP, max_size=30),
+    )
+    def test_churn_sequence_across_compactions(self, threshold, ops):
+        arr = ArrayOverlay(_physical(), _HOSTS, compact_threshold=threshold)
+        for u, v in _EDGES:
+            arr.connect(u, v)
+        obj = object_twin(arr)
+        assert type(obj) is Overlay
+        epoch_gap = obj.epoch - arr.epoch
+        next_peer = len(_HOSTS)
+        for op, a, b in ops:
             peers = obj.peers()
-            if op == 0 and len(peers) > 6:
-                victim = peers[int(rng.integers(len(peers)))]
-                obj.remove_peer(victim)
-                arr.remove_peer(victim)
-            elif op == 1:
-                host = int(rng.integers(physical.num_nodes))
-                obj.add_peer(next_peer, host)
-                arr.add_peer(next_peer, host)
+            u, v = peers[a % len(peers)], peers[b % len(peers)]
+            if op == "remove" and len(peers) > 4:
+                obj.remove_peer(u)
+                arr.remove_peer(u)
+            elif op == "add":
+                obj.add_peer(next_peer, b % 6)
+                arr.add_peer(next_peer, b % 6)
                 next_peer += 1
-            elif op == 2 and len(peers) > 2:
-                i, j = rng.choice(len(peers), 2, replace=False)
-                u, v = peers[int(i)], peers[int(j)]
-                assert obj.connect(u, v) == arr.connect(u, v)
-            elif op == 3 and obj.num_edges:
-                edges = sorted(obj.edges())
-                u, v = edges[int(rng.integers(len(edges)))]
-                assert obj.disconnect(u, v) == arr.disconnect(u, v)
-            else:
-                if len(peers) >= 2:
-                    u, v = peers[0], peers[-1]
-                    assert obj.has_edge(u, v) == arr.has_edge(u, v)
-            assert obj.epoch == arr.epoch
-        assert counters.soa_compactions > before, "threshold never crossed"
-        assert_equivalent(obj, arr)
+            elif op == "connect":
+                assert _counted(lambda: arr.connect(u, v)) == _counted(
+                    lambda: obj.connect(u, v)
+                )
+            elif op == "disconnect":
+                if obj.degree(u):
+                    v = sorted(obj.neighbors(u))[b % obj.degree(u)]
+                assert arr.disconnect(u, v) == obj.disconnect(u, v)
+            elif op == "cost":
+                assert _counted(lambda: arr.cost(u, v)) == _counted(
+                    lambda: obj.cost(u, v)
+                )
+            elif op == "invalidate":
+                obj.invalidate_edge_costs()
+                arr.invalidate_edge_costs()
+            elif op == "warm":
+                assert _counted(arr.warm_edge_costs) == _counted(
+                    obj.warm_edge_costs
+                )
+            assert obj.epoch - arr.epoch == epoch_gap
+            assert_views_alias(arr)
+            assert_reads_match(obj, arr, a)
 
     def test_reconnect_after_tombstone(self, pair):
         obj, arr = pair
@@ -153,6 +253,117 @@ class TestMutationEquivalence:
         arr.connect(0, 99)
         assert arr.neighbors(0) == {99}
         assert arr.degree(99) == 1
+
+
+class TestBufferViews:
+    """The scalar path reads the arrays through ``memoryview``s; they must
+    follow every array replacement and share every write, both ways."""
+
+    def test_views_follow_slot_growth_and_reuse(self, physical):
+        arr = ArrayOverlay(physical)
+        assert_views_alias(arr)
+        for p in range(20):  # capacity 0 -> 8 -> 16 -> 32
+            arr.add_peer(p, p % 7)
+            assert_views_alias(arr)
+            assert arr.host_of(p) == p % 7 and arr.degree(p) == 0
+        arr.connect(0, 1)
+        arr.remove_peer(1)
+        arr.add_peer(99, 3)  # reuses the freed slot, no array replaced
+        assert_views_alias(arr)
+        assert arr.host_of(99) == 3 and arr.neighbors(0) == set()
+
+    def test_views_follow_compaction_copy_and_conversion(self, pair):
+        obj, arr = pair
+        assert_views_alias(arr)
+        u, v = sorted(obj.edges())[0]
+        arr.disconnect(u, v)
+        arr.adjacency_csr()  # compacts: every base array is replaced
+        assert_views_alias(arr)
+        assert not arr.has_edge(u, v)
+        for other in (arr.copy(), ArrayOverlay.from_overlay(arr)):
+            assert_views_alias(other)
+            assert other._vnbr.obj is not arr._nbr
+            assert_equivalent(arr, other)
+
+    def test_scalar_writes_reach_the_bulk_kernels(self, pair):
+        obj, arr = pair
+        u, v = sorted(obj.edges())[0]
+        d = arr.cost(u, v)  # _fill_edge_cost through the view
+        assert arr.disconnect(*sorted(obj.edges())[1])
+        misses = counters.edge_cost_misses
+        peers, indptr, nbr, cost = arr.adjacency_csr()
+        # The warm pass skipped the edge cost() filled and the one cut ...
+        assert counters.edge_cost_misses - misses == obj.num_edges - 2
+        # ... and the re-packed CSR has the first and not the second.
+        peers = peers.tolist()
+        row = slice(indptr[peers.index(u)], indptr[peers.index(u) + 1])
+        assert cost[row][nbr[row].tolist().index(peers.index(v))] == d
+        assert len(nbr) == 2 * (obj.num_edges - 1)
+
+    def test_bulk_writes_reach_the_scalar_path(self, pair):
+        obj, arr = pair
+        arr.warm_edge_costs()
+        u, v = sorted(obj.edges())[0]
+        exact = arr.cost(u, v)
+        arr.invalidate_edge_costs()  # in place: _ncost[:] = nan
+        assert _counted(lambda: arr.cost(u, v)) == (exact, 0, 1)
+        landmark = LandmarkOracle(
+            arr.physical, n_landmarks=4, rng=np.random.default_rng(1)
+        )
+        arr.use_oracle(landmark)  # in place again
+        want = landmark.delay(arr.host_of(u), arr.host_of(v))
+        assert _counted(lambda: arr.cost(u, v)) == (want, 0, 1)
+        assert _counted(lambda: arr.costs_from(u, [v])) == ({v: want}, 1, 0)
+
+    def test_mutating_a_copy_leaves_the_original_untouched(self, pair):
+        obj, arr = pair
+        clone = arr.copy()
+        u, v = sorted(obj.edges())[0]
+        clone.cost(u, v)
+        assert (arr.cached_edge_costs, clone.cached_edge_costs) == (0, 1)
+        clone.disconnect(u, v)
+        clone.add_peer(10**5, 0)
+        clone.connect(10**5, u)
+        assert not clone.has_edge(u, v) and clone.neighbors(10**5) == {u}
+        assert arr.has_edge(u, v) and not arr.has_peer(10**5)
+        assert_equivalent(obj, arr)
+
+
+class TestComponents:
+    """``component_of`` is a frontier sweep over the live rows: base CSR,
+    tombstones and edit buffer, without compacting any of it."""
+
+    @staticmethod
+    def assert_components_match(arr):
+        twin = object_twin(arr)
+        compactions = counters.soa_compactions
+        for p in arr.peers():
+            assert arr.component_of(p) == twin.component_of(p)
+        assert arr.is_connected() == twin.is_connected()
+        assert counters.soa_compactions == compactions
+        return len(twin.components())
+
+    def test_split_overlay_mid_edit_buffer_and_after_removal(self, physical):
+        arr = ArrayOverlay(physical, {p: p for p in range(14)})
+        for ring in (range(0, 7), range(7, 14)):  # two components
+            for p in ring:
+                arr.connect(p, ring[(p - ring[0] + 1) % 7])
+        arr.adjacency_csr()  # everything in the base CSR
+        assert self.assert_components_match(arr) == 2
+        # Tombstones split the first ring in two, a buffered edge bridges
+        # one half to the second ring, a buffered peer hangs off the other.
+        arr.disconnect(0, 1)
+        arr.disconnect(3, 4)
+        arr.connect(2, 9)
+        arr.add_peer(50, 3)
+        arr.connect(50, 5)
+        assert arr.component_of(50) == {0, 4, 5, 6, 50}
+        assert self.assert_components_match(arr) == 2
+        arr.remove_peer(9)  # the bridge's far end: three components again
+        assert arr.component_of(2) == {1, 2, 3}
+        assert self.assert_components_match(arr) == 3
+        with pytest.raises(KeyError):
+            arr.component_of(9)
 
 
 class TestCostEquivalence:
