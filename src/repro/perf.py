@@ -77,7 +77,7 @@ class PerfCounters:
     compiled_strategies: int = 0
     #: Queries answered by the vectorized multi-source kernel.
     batched_queries: int = 0
-    #: Settle rounds executed by the hop-bounded frontier kernel.
+    #: Fringe peers re-settled by the query kernel's TTL gate.
     frontier_rounds: int = 0
     #: CSR re-packs performed by the struct-of-arrays overlay engine.
     soa_compactions: int = 0

@@ -27,13 +27,17 @@ that last scalar loop for the two strategies the figures actually measure:
    weak caches, so churn/ACE mutations invalidate for free and a static
    overlay compiles exactly once.
 
-2. A **vectorized multi-source kernel** (:func:`propagate_many`) runs the
-   whole source batch at once: a single batched
-   :func:`scipy.sparse.csgraph.dijkstra` for unlimited-TTL queries, or a
-   hop-bounded numpy frontier-relaxation loop when a TTL applies.  Parents,
+2. A **vectorized multi-source kernel** (:func:`propagate_many`) solves the
+   source batch a block of rows at a time, the block sized so that one
+   ``(rows, edges)`` temporary is a few megabytes.  Each block takes its
+   arrival times from one batched :func:`scipy.sparse.csgraph.dijkstra`,
+   unbounded; a TTL then re-settles, row by row, only the peers whose
+   winning path is longer than it allows (:func:`_gate_row`).  Parents,
    hop counts, traffic cost and message/duplicate counts are reconstructed
    vectorially — **bit-identical** to the scalar engine (same floats, same
-   counts), which the equivalence suite pins.
+   counts), which the equivalence suite pins.  :func:`run_queries` keeps
+   only the per-query stats of each block, so the figure path never holds
+   a ``(queries, peers)`` array.
 
 Exactness contract: identical results require strictly positive edge costs
 (true for every generated overlay — peers are placed on distinct hosts).  A
@@ -57,8 +61,9 @@ How equivalence is preserved, briefly:
   (source first, then reached peers by ``(arrival, peer id)``), iterating
   each peer's strategy set in Python iteration order with the parent edge
   skipped in place.  The kernel gathers CSR cost slices in exactly that
-  order and reduces with a sequential ``cumsum``, matching the float sum
-  term for term.
+  order, the parent edge's cost replaced by ``0.0`` (adding it changes no
+  partial sum), and reduces with a sequential ``cumsum``, matching the
+  float sum term for term.
 * *Messages / duplicates* — every transmission is eventually popped exactly
   once, so ``duplicates = messages - (search_scope - 1)``.
 """
@@ -131,7 +136,7 @@ class CompiledGraph:
 
     def __post_init__(self) -> None:
         self.degrees = np.diff(self.indptr)
-        #: Source index of every CSR entry (for tight-edge parent recovery).
+        #: Source index of every CSR entry.
         self.edge_src = np.repeat(
             np.arange(self.num_peers, dtype=np.int64), self.degrees
         )
@@ -397,76 +402,62 @@ def compile_strategy(
 # ---------------------------------------------------------------------------
 
 
-def _csr_slices(
-    graph: CompiledGraph, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat CSR entry indices for *rows*, plus each entry's row repeat map.
-
-    Returns ``(flat, owner)`` where ``graph.targets[flat]`` walks the rows'
-    adjacency lists in order and ``owner[k]`` is the position in *rows* that
-    entry ``k`` belongs to.
-    """
-    lengths = graph.degrees[rows]
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    starts = graph.indptr[rows]
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths
-    )
-    flat = np.repeat(starts, lengths) + offsets
-    owner = np.repeat(np.arange(rows.size, dtype=np.int64), lengths)
-    return flat, owner
+#: Bytes of one ``(rows, edges)`` float temporary of the block solver.  The
+#: kernels hold three or four of them at a time; at this size the allocator
+#: hands the same pages back block after block, so the working set is faulted
+#: in once and stays near the cache (docs/PERFORMANCE.md, "Steady runs").
+_BLOCK_BYTES = 4 << 20
 
 
-def _first_per_key(
-    key: np.ndarray, *tiebreak: np.ndarray
-) -> np.ndarray:
-    """Indices selecting, per distinct *key*, the lex-min tiebreak entry."""
-    order = np.lexsort(tuple(reversed(tiebreak)) + (key,))
-    sorted_keys = key[order]
-    first = np.ones(sorted_keys.size, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return order[first]
+def _block_rows(graph: CompiledGraph) -> int:
+    """Source rows solved at a time: ten over the paper-scale graph."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, int(graph.targets.size))))
 
 
-def _dijkstra_labels(
+def _labels(
     graph: CompiledGraph, src_idx: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unlimited-TTL labels via one batched scipy Dijkstra.
+    """Unlimited-TTL labels of one block of sources via scipy's Dijkstra.
 
     Returns ``(dist, parent, hops)`` with shape ``(len(src_idx), n)``;
     ``parent``/``hops`` are ``-1`` off the reached set and at the source
     (``hops`` is 0 there).
     """
     n = graph.num_peers
-    dist = dijkstra(graph.matrix, directed=True, indices=src_idx)
-    dist = np.atleast_2d(dist)
+    dist = np.atleast_2d(dijkstra(graph.matrix, directed=True, indices=src_idx))
+    reached = np.isfinite(dist)
 
-    # Parent = minimum sender over tight edges (dist[u] + c == dist[v]),
-    # matching the scalar heap's (time, target, sender) pop order.
-    e_src, e_dst, e_cost = graph.edge_src, graph.targets, graph.costs
-    du = dist[:, e_src]
-    cand = np.isfinite(du)
-    np.logical_and(cand, du + e_cost[None, :] == dist[:, e_dst], out=cand)
-    rows, eidx = np.nonzero(cand)
+    # Parent = minimum sender over tight in-edges (dist[u] + c == dist[v]),
+    # matching the scalar heap's (time, target, sender) pop order.  The
+    # in-edge list is ordered by (receiver, sender), so in the flattened
+    # block the first tight edge of each (row, receiver) slot is the one.
+    # Unreached peers look tight (inf + c == inf) and are masked after.
+    rev_indptr, senders, costs = graph.reverse
+    receivers = np.repeat(np.arange(n, dtype=np.int64), np.diff(rev_indptr))
+    arrival = np.take(dist, senders, axis=1, mode="clip")
+    arrival += costs
+    tight = arrival == np.take(dist, receivers, axis=1, mode="clip")
+    row, edge = np.divmod(np.flatnonzero(tight), senders.size)
+    slot = row * n + receivers[edge]
+    first = np.ones(slot.size, dtype=bool)
+    np.not_equal(slot[1:], slot[:-1], out=first[1:])
     parent = np.full(dist.shape, -1, dtype=np.int64)
-    if rows.size:
-        vs = e_dst[eidx]
-        sel = _first_per_key(rows * n + vs, e_src[eidx])
-        parent[rows[sel], vs[sel]] = e_src[eidx][sel]
+    parent.reshape(-1)[slot[first]] = senders[edge[first]]
+    parent[~reached] = -1
 
-    # Hops by pointer doubling over the parent forest (roots self-loop).
-    identity = np.arange(n, dtype=np.int64)
-    jump = np.where(parent >= 0, parent, identity[None, :])
-    hops = (parent >= 0).astype(np.int64)
+    # Hops by pointer doubling over the parent forest (roots self-loop);
+    # jump holds positions in the flattened block.
+    has_parent = parent >= 0
+    jump = np.where(has_parent, parent, np.arange(n, dtype=np.int64))
+    jump += n * np.arange(dist.shape[0], dtype=np.int64)[:, None]
+    hops = has_parent.astype(np.int64)
     while True:
-        nxt = np.take_along_axis(jump, jump, axis=1)
+        nxt = jump.take(jump)
         if np.array_equal(nxt, jump):
             break
-        hops += np.take_along_axis(hops, jump, axis=1)
+        hops += hops.take(jump)
         jump = nxt
-    hops[~np.isfinite(dist)] = -1
+    hops[~reached] = -1
     return dist, parent, hops
 
 
@@ -546,114 +537,87 @@ def _gate_row(
             heapq.heappush(heap, (t + float(costs[k]), w, v, h + 1))
 
 
-def _gated_labels(
-    graph: CompiledGraph, src_idx: np.ndarray, ttl: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact hop-bounded labels: batched Dijkstra + per-row fringe repair."""
-    dist, parent, hops = _dijkstra_labels(graph, src_idx)
-    for r in range(dist.shape[0]):
-        _gate_row(graph, dist[r], parent[r], hops[r], ttl)
-    return dist, parent, hops
+def _settle_order(dist: np.ndarray) -> np.ndarray:
+    """Per row, peer indices by ``(arrival, index)``; the unreached come last.
 
-
-def _roundwise_labels(
-    graph: CompiledGraph, src_idx: np.ndarray, ttl: Optional[int]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hop-bounded labels via round-based frontier relaxation.
-
-    The fallback kernel for graphs containing zero-cost edges (which the
-    scipy path cannot represent): each round settles, per source row, every
-    unsettled peer whose tentative arrival equals the row minimum, then
-    relaxes the out-edges of newly settled peers that are still within TTL.
-    Tentative labels keep the lexicographically smallest ``(arrival,
-    sender)`` pair, which is the scalar tie-break.
+    An unstable sort leaves equal arrivals in any order, and they occur in
+    every row at paper scale (landmark costs repeat), so the tied runs alone
+    are sorted again, by run and then by index.
     """
-    n = graph.num_peers
-    S = src_idx.size
-    dist = np.full((S, n), np.inf)
-    parent = np.full((S, n), -1, dtype=np.int64)
-    hops = np.full((S, n), -1, dtype=np.int64)
-    settled = np.zeros((S, n), dtype=bool)
-    row_ids = np.arange(S)
-    dist[row_ids, src_idx] = 0.0
-    hops[row_ids, src_idx] = 0
-
-    while True:
-        tentative = np.where(settled, np.inf, dist)
-        frontier_time = tentative.min(axis=1)
-        if not np.isfinite(frontier_time).any():
-            break
-        counters.frontier_rounds += 1
-        newly = (
-            ~settled
-            & np.isfinite(dist)
-            & (dist == frontier_time[:, None])
-        )
-        settled |= newly
-        forwarders = newly if ttl is None else newly & (hops < ttl)
-        f_rows, f_nodes = np.nonzero(forwarders)
-        if f_rows.size == 0:
-            continue
-        flat, owner = _csr_slices(graph, f_nodes)
-        if flat.size == 0:
-            continue
-        rr = f_rows[owner]
-        uu = f_nodes[owner]
-        vv = graph.targets[flat]
-        arrival = dist[rr, uu] + graph.costs[flat]
-        new_hops = hops[rr, uu] + 1
-        # Senders' parents are already settled, so updating only unsettled
-        # targets reproduces the never-forward-back rule for labels.
-        open_target = ~settled[rr, vv]
-        rr, uu, vv = rr[open_target], uu[open_target], vv[open_target]
-        arrival, new_hops = arrival[open_target], new_hops[open_target]
-        if rr.size == 0:
-            continue
-        sel = _first_per_key(rr * n + vv, arrival, uu)
-        rr, uu, vv = rr[sel], uu[sel], vv[sel]
-        arrival, new_hops = arrival[sel], new_hops[sel]
-        current = dist[rr, vv]
-        current_parent = parent[rr, vv]
-        better = (arrival < current) | (
-            (arrival == current) & (uu < current_parent)
-        )
-        rr, uu, vv = rr[better], uu[better], vv[better]
-        dist[rr, vv] = arrival[better]
-        parent[rr, vv] = uu
-        hops[rr, vv] = new_hops[better]
-    return dist, parent, hops
+    order = np.argsort(dist, axis=1)
+    arrival = np.take_along_axis(dist, order, axis=1)
+    follows = np.zeros(dist.shape, dtype=bool)  # ties with its left neighbour
+    np.equal(arrival[:, 1:], arrival[:, :-1], out=follows[:, 1:])
+    follows &= np.isfinite(arrival)
+    in_run = follows.copy()
+    in_run[:, :-1] |= follows[:, 1:]
+    at = np.flatnonzero(in_run)
+    if at.size:
+        flat = order.reshape(-1)
+        run = np.cumsum(~follows.reshape(-1)[at])
+        peers = flat[at]
+        flat[at] = peers[np.argsort(run * dist.shape[1] + peers)]
+    return order
 
 
-def _account_row(
+def _account(
     graph: CompiledGraph,
-    dist_row: np.ndarray,
-    parent_row: np.ndarray,
-    hops_row: np.ndarray,
+    dist: np.ndarray,
+    parent: np.ndarray,
+    hops: np.ndarray,
     ttl: Optional[int],
-) -> Tuple[int, float, int]:
-    """(messages, traffic, duplicates) for one query, in scalar float order.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(messages, traffic, duplicates) per row of a block, in scalar float order.
 
     Forwarders are visited in settle order — the source first (arrival 0 is
     the unique minimum), then by ``(arrival, peer id)`` — each contributing
-    its CSR cost slice with the edge back to its parent masked out in place.
-    The sequential ``cumsum`` reduction reproduces the scalar engine's
-    left-to-right float accumulation exactly.
+    its CSR cost slice.  The edge back to a forwarder's parent is not sent
+    on; its cost is multiplied by zero in place, and since ``x + 0.0 == x``
+    the sequential ``cumsum`` reproduces the scalar engine's left-to-right
+    float accumulation exactly.  Costs are positive, so the nonzero terms
+    count the messages.
     """
-    reached = np.flatnonzero(np.isfinite(dist_row))
-    order = np.lexsort((reached, dist_row[reached]))
-    forwarders = reached[order]
-    if ttl is not None:
-        forwarders = forwarders[hops_row[forwarders] < ttl]
-    flat, owner = _csr_slices(graph, forwarders)
-    if flat.size == 0:
-        return 0, 0.0, 0
-    keep = graph.targets[flat] != parent_row[forwarders[owner]]
-    kept_costs = graph.costs[flat][keep]
-    messages = int(kept_costs.size)
-    traffic = float(np.cumsum(kept_costs)[-1]) if messages else 0.0
+    rows = dist.shape[0]
+    messages = np.zeros(rows, dtype=np.int64)
+    traffic = np.zeros(rows)
+    order = _settle_order(dist)
+    scope = np.isfinite(dist).sum(axis=1)
+    sent = np.take(parent, graph.edge_src, axis=1, mode="clip") != graph.targets
+    charged = graph.costs * sent
+    indptr, degrees = graph.indptr, graph.degrees
+    for r in range(rows):
+        forwarders = order[r, : scope[r]]
+        if ttl is not None:
+            forwarders = forwarders[hops[r, forwarders] < ttl]
+        lengths = degrees[forwarders]
+        if not lengths.any():
+            continue
+        ends = np.cumsum(lengths)
+        flat = np.repeat(indptr[forwarders] - (ends - lengths), lengths)
+        flat += np.arange(ends[-1])
+        terms = charged[r][flat]
+        messages[r] = np.count_nonzero(terms)
+        traffic[r] = np.cumsum(terms)[-1]
     # Every pushed message pops exactly once: either it settles a peer
     # (scope - 1 of those) or it is counted as a duplicate.
-    return messages, traffic, messages - (int(reached.size) - 1)
+    return messages, traffic, messages - (scope - 1)
+
+
+def _solve_block(
+    graph: CompiledGraph,
+    labels: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    ttl: Optional[int],
+) -> Tuple[np.ndarray, ...]:
+    """Finish one block from its unbounded *labels*, which it overwrites.
+
+    A TTL repairs them row by row (:func:`_gate_row`); then the accounts.
+    Returns ``(dist, parent, hops, messages, traffic, duplicates)``.
+    """
+    dist, parent, hops = labels
+    if ttl is not None:
+        for r in range(dist.shape[0]):
+            _gate_row(graph, dist[r], parent[r], hops[r], ttl)
+    return (dist, parent, hops) + _account(graph, dist, parent, hops, ttl)
 
 
 # ---------------------------------------------------------------------------
@@ -769,26 +733,21 @@ def propagate_many(
     strategy: ForwardingStrategy,
     ttl: Optional[int] = GNUTELLA_TTL,
     graph: Optional[CompiledGraph] = None,
-    chunk_size: int = 64,
 ) -> BatchPropagation:
     """Propagate one query per source through the compiled strategy graph.
 
-    The batch shares one compiled CSR graph and runs source rows *chunk_size*
-    at a time to bound the working set: the kernels hold several ``(rows,
-    edges)`` temporaries at once, and at 64 rows over the paper-scale graph
-    (8 000 peers, 48 k directed edges) each is 25 MB, which the allocator
-    recycles; a few times that and every one is a block mapped and faulted
-    in afresh, at a price that is the host's to set (docs/PERFORMANCE.md,
-    "Steady runs").  Rows are solved independently, so the labels do not
-    depend on the chunking.  ``ttl=None`` takes the batched
-    scipy-Dijkstra path; an integer TTL runs the frontier kernel.  Raises
-    ``ValueError`` for strategies :func:`compile_strategy` cannot lower (use
-    the scalar engine for those) and ``KeyError`` for unknown sources.
+    The batch shares one compiled CSR graph and is solved
+    :func:`_block_rows` source rows at a time, which keeps every ``(rows,
+    edges)`` temporary of the kernels at a few megabytes whatever the batch
+    size.  Rows are solved independently, so the labels do not depend on
+    the blocking.  Each block takes its distances from one batched scipy
+    Dijkstra; an integer TTL then repairs them row by row
+    (:func:`_gate_row`).  Raises ``ValueError`` for strategies
+    :func:`compile_strategy` cannot lower and for graphs with a zero-cost
+    edge (use the scalar engine for those, as :func:`run_queries` and
+    :func:`propagate_single` do) and ``KeyError`` for unknown sources.
 
-    Results are bit-identical to the scalar engine whenever
-    :attr:`CompiledGraph.supports_exact` holds (always, for generated
-    overlays); exactness-critical callers like :func:`run_queries` check the
-    flag and fall back themselves.
+    Results are bit-identical to the scalar engine.
     """
     if graph is None:
         graph = compile_strategy(overlay, strategy)
@@ -796,6 +755,10 @@ def propagate_many(
             raise ValueError(
                 "strategy is not compilable; use the scalar propagate()"
             )
+    if graph.has_zero_cost:
+        raise ValueError(
+            "graph has a zero-cost edge; use the scalar propagate()"
+        )
     for s in sources:
         if not overlay.has_peer(s):
             raise KeyError(f"peer {s} not in overlay")
@@ -808,25 +771,20 @@ def propagate_many(
     dist = np.empty((S, n))
     parent = np.empty((S, n), dtype=np.int64)
     hops = np.empty((S, n), dtype=np.int64)
-    for start in range(0, S, chunk_size):
-        chunk = src_idx[start : start + chunk_size]
-        if graph.has_zero_cost:
-            d, p, h = _roundwise_labels(graph, chunk, ttl)
-        elif ttl is None:
-            d, p, h = _dijkstra_labels(graph, chunk)
-        else:
-            d, p, h = _gated_labels(graph, chunk, ttl)
-        dist[start : start + chunk_size] = d
-        parent[start : start + chunk_size] = p
-        hops[start : start + chunk_size] = h
-
-    messages = np.zeros(S, dtype=np.int64)
-    traffic = np.zeros(S)
-    duplicates = np.zeros(S, dtype=np.int64)
-    for i in range(S):
-        messages[i], traffic[i], duplicates[i] = _account_row(
-            graph, dist[i], parent[i], hops[i], ttl
-        )
+    messages = np.empty(S, dtype=np.int64)
+    traffic = np.empty(S)
+    duplicates = np.empty(S, dtype=np.int64)
+    rows = _block_rows(graph)
+    for start in range(0, S, rows):
+        block = slice(start, start + rows)
+        (
+            dist[block],
+            parent[block],
+            hops[block],
+            messages[block],
+            traffic[block],
+            duplicates[block],
+        ) = _solve_block(graph, _labels(graph, src_idx[block]), ttl)
 
     counters.batched_queries += S
     counters.queries += S
@@ -909,27 +867,12 @@ class RingPropagator:
             raise KeyError(f"peer {self._source} not in overlay")
         started = perf_counter()
         if self._base is None:
-            self._base = _dijkstra_labels(graph, graph.index_of([self._source]))
-        dist, parent, hops = (a.copy() for a in self._base)
-        if ttl is not None:
-            _gate_row(graph, dist[0], parent[0], hops[0], ttl)
-        messages, traffic, duplicates = _account_row(
-            graph, dist[0], parent[0], hops[0], ttl
-        )
+            self._base = _labels(graph, graph.index_of([self._source]))
+        solved = _solve_block(graph, tuple(a.copy() for a in self._base), ttl)
         counters.batched_queries += 1
         counters.queries += 1
         counters.query_seconds += perf_counter() - started
-        return BatchPropagation(
-            graph=graph,
-            sources=[self._source],
-            ttl=ttl,
-            dist=dist,
-            parent=parent,
-            hops=hops,
-            messages=np.array([messages], dtype=np.int64),
-            traffic=np.array([traffic]),
-            duplicates=np.array([duplicates], dtype=np.int64),
-        ).result(0)
+        return BatchPropagation(graph, [self._source], ttl, *solved).result(0)
 
 
 def run_queries(
@@ -940,11 +883,11 @@ def run_queries(
 ) -> List[QueryStats]:
     """Evaluate a batch of ``(source, holders)`` queries in one shot.
 
-    The experiment drivers' entry point: one compiled graph, one vectorized
-    kernel invocation, light per-query stats (no per-peer dicts).  Strategies
-    the compiler cannot lower — custom closures, ``stop_at`` flows — are
-    answered by looping the scalar :func:`~repro.search.flooding.run_query`,
-    with identical numbers.
+    The experiment drivers' entry point: one compiled graph, the vectorized
+    kernel a block of sources at a time, light per-query stats (no per-peer
+    dicts, no ``(queries, peers)`` labels).  Strategies the compiler cannot
+    lower — custom closures, ``stop_at`` flows — are answered by looping the
+    scalar :func:`~repro.search.flooding.run_query`, with identical numbers.
     """
     query_list = list(queries)
     graph = _exact_graph(overlay, strategy)
@@ -962,14 +905,15 @@ def run_queries(
                 )
             )
         return out
-    batch = propagate_many(
-        overlay,
-        [source for source, _ in query_list],
-        strategy,
-        ttl=ttl,
-        graph=graph,
-    )
-    return [
-        batch.stats(i, holders)
-        for i, (_, holders) in enumerate(query_list)
-    ]
+    # A block at a time, keeping only the stats: no (queries, peers) array.
+    rows = _block_rows(graph)
+    stats: List[QueryStats] = []
+    for start in range(0, len(query_list), rows):
+        block = query_list[start : start + rows]
+        batch = propagate_many(
+            overlay, [source for source, _ in block], strategy, ttl=ttl, graph=graph
+        )
+        stats.extend(
+            batch.stats(i, holders) for i, (_, holders) in enumerate(block)
+        )
+    return stats

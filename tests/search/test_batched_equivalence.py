@@ -8,12 +8,18 @@ tests compare full :class:`~repro.search.flooding.QueryPropagation`
 records with dataclass equality, which is exact float equality.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.ace import AceConfig, AceProtocol
 from repro.perf import counters
+from repro.search import batch
 from repro.search.batch import (
+    CompiledGraph,
     RingPropagator,
     compile_strategy,
     propagate_many,
@@ -24,7 +30,8 @@ from repro.search.expanding_ring import expanding_ring_query
 from repro.search.flooding import blind_flooding_strategy, propagate, run_query
 from repro.search.tree_routing import ace_strategy
 from repro.topology.generators import barabasi_albert
-from repro.topology.overlay import small_world_overlay
+from repro.topology.overlay import Overlay, small_world_overlay
+from repro.topology.physical import PhysicalTopology
 
 
 def make_world(seed: int, peers: int = 36):
@@ -74,20 +81,30 @@ class TestBatchedMatchesScalar:
             assert batch.result(i) == propagate(overlay, src, strategy, ttl=ttl)
 
     @pytest.mark.parametrize("ttl", [3, None])
-    def test_chunking_does_not_change_the_batch(self, ttl):
-        """Rows are solved independently: any chunk size, the same arrays."""
+    def test_chunking_does_not_change_the_batch(self, ttl, monkeypatch):
+        """Rows are solved independently: any block height, the same arrays."""
         overlay = make_world(6)
         strategy = blind_flooding_strategy(overlay)
         sources = sample_sources(overlay, np.random.default_rng(13), k=11)
-        whole = propagate_many(overlay, sources, strategy, ttl=ttl)
-        for chunk_size in (1, 4, len(sources)):
-            chunked = propagate_many(
-                overlay, sources, strategy, ttl=ttl, chunk_size=chunk_size
+        fields = ("dist", "parent", "hops", "messages", "traffic", "duplicates")
+
+        def assert_equal(got, want):
+            for name in fields:
+                np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+        whole = vars(propagate_many(overlay, sources, strategy, ttl=ttl))
+        assert whole["dist"].shape == (11, overlay.num_peers)
+        for i, src in enumerate(sources):
+            alone = vars(propagate_many(overlay, [src], strategy, ttl=ttl))
+            assert_equal(
+                {name: alone[name][0] for name in fields},
+                {name: whole[name][i] for name in fields},
             )
-            for name in ("dist", "parent", "hops", "messages", "traffic", "duplicates"):
-                np.testing.assert_array_equal(
-                    getattr(chunked, name), getattr(whole, name), err_msg=name
-                )
+        edges = compile_strategy(overlay, strategy).targets.size
+        for rows in (1, len(sources)):
+            monkeypatch.setattr(batch, "_BLOCK_BYTES", 8 * edges * rows)
+            assert batch._block_rows(compile_strategy(overlay, strategy)) == rows
+            assert_equal(vars(propagate_many(overlay, sources, strategy, ttl=ttl)), whole)
 
     def test_propagate_single_matches_scalar(self):
         overlay = make_world(5)
@@ -122,6 +139,180 @@ class TestBatchedMatchesScalar:
             assert got.holders_reached == want.holders_reached
             assert got.first_response_time == want.first_response_time
             assert got.success == want.success
+
+
+def assert_batch_equals_scalar(overlay, strategy, sources, ttl, holders=(), graph=None):
+    """Every field of ``result(i)`` and ``stats(i, holders)`` against scalar."""
+    got = propagate_many(overlay, sources, strategy, ttl=ttl, graph=graph)
+    for i, src in enumerate(sources):
+        want = run_query(overlay, src, strategy, holders, ttl=ttl)
+        assert got.result(i) == want.propagation, (src, ttl)
+        assert dataclasses.astuple(got.stats(i, holders)) == (
+            src,
+            want.traffic_cost,
+            want.search_scope,
+            want.holders_reached,
+            want.first_response_time,
+        ), (src, ttl)
+    return got
+
+
+def grid_edges(rows, cols, cost=1.0):
+    for r in range(rows):
+        for c in range(cols):
+            u = r * cols + c
+            if c + 1 < cols:
+                yield u, u + 1, cost
+            if r + 1 < rows:
+                yield u, u + cols, cost
+
+
+def graph_of_rows(overlay, rows):
+    """The ``CompiledGraph`` of a forwarding table, rows in table order."""
+    peers = overlay.peers()
+    index = {p: i for i, p in enumerate(peers)}
+    lengths = [len(rows[p]) for p in peers]
+    return CompiledGraph(
+        kind="ace",
+        peer_ids=np.array(peers, dtype=np.int64),
+        indptr=np.concatenate(([0], np.cumsum(lengths))).astype(np.int64),
+        targets=np.array([index[t] for p in peers for t in rows[p]], dtype=np.int64),
+        costs=np.array([overlay.cost(p, t) for p in peers for t in rows[p]]),
+        index=index,
+        directed=True,
+    )
+
+
+class TestHandBuiltGraphs:
+    """Shapes the generated worlds rarely draw, each against the scalar engine."""
+
+    @pytest.mark.parametrize("ttl", [1, 3, None])
+    def test_unit_cost_grid(self, make_overlay_from_weighted_edges, ttl):
+        """Equal arrivals everywhere and several tight parents per peer."""
+        overlay = make_overlay_from_weighted_edges(grid_edges(5, 5))
+        strategy = blind_flooding_strategy(overlay)
+        sources = [0, 12, 24, 7]
+        got = assert_batch_equals_scalar(
+            overlay, strategy, sources, ttl, holders=(6, 18, 24)
+        )
+        if ttl is None:
+            # From the corner, peer 6 hears from 1 and from 5 at time 2.0.
+            assert got.dist[0, 6] == 2.0 and got.parent[0, 6] == 1
+            assert got.traffic[0] == float(got.messages[0])
+            assert got.duplicates[0] == got.messages[0] - 24
+
+    def test_tied_arrivals_settle_by_peer_id(self, make_overlay_from_weighted_edges):
+        """300 peers hear at time 1.0; their inexact leaf costs add in id order."""
+        hub = [(0, i, 1.0) for i in range(1, 301)]
+        leaves = [(i, 300 + i, 0.1 * i + 0.01) for i in range(1, 301)]
+        overlay = make_overlay_from_weighted_edges(hub + leaves)
+        strategy = blind_flooding_strategy(overlay)
+        got = assert_batch_equals_scalar(overlay, strategy, [0, 1], None)
+        order = batch._settle_order(got.dist)
+        for row, dist_row in zip(order, got.dist):
+            want = np.lexsort((np.arange(dist_row.size), dist_row))
+            np.testing.assert_array_equal(row, want)
+
+    #: Peer -> forwarding targets, in the strategy's own (unsorted) order.
+    #: From 0, peer 1's row lacks the edge back to its parent, 3 hears from
+    #: 1 and 2 at once, 5 forwards to nobody and nobody forwards to 6.
+    ROWS = {0: [2, 1], 1: [3, 4], 2: [3, 0, 5], 3: [4, 1], 4: [3], 5: [], 6: [0]}
+    EDGES = [
+        (0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (3, 4, 2.0),
+        (1, 4, 3.0), (4, 5, 1.0), (2, 5, 4.0), (0, 6, 5.0),
+    ]
+
+    @pytest.mark.parametrize("ttl", [1, 2, 3, None])
+    def test_directed_graph_with_missing_back_edges(
+        self, make_overlay_from_weighted_edges, ttl
+    ):
+        overlay = make_overlay_from_weighted_edges(self.EDGES)
+        rows = self.ROWS
+        graph = graph_of_rows(overlay, rows)
+        assert 0 in np.diff(graph.reverse[0])  # peer 6: no in-edge
+
+        def strategy(peer, came_from):
+            return rows[peer]
+
+        got = assert_batch_equals_scalar(
+            overlay, strategy, overlay.peers(), ttl, holders=(3, 5, 6), graph=graph
+        )
+        if ttl is None:
+            assert got.parent[0].tolist() == [-1, 0, 0, 1, 1, 2, -1]
+            assert got.hops[0, 6] == -1 and np.isinf(got.dist[0, 6])
+            assert got.search_scope(0) == 6 and got.search_scope(6) == 7
+            # 0 sends 2, 1 sends 2, 2 sends 2 (not back to 0), 3 sends 1, 4 sends 1.
+            assert (got.messages[0], got.duplicates[0]) == (8, 3)
+
+    @pytest.mark.parametrize("ttl", [2, None])
+    def test_split_overlay(self, make_overlay_from_weighted_edges, ttl):
+        """Two components: the far one keeps ``-1`` labels, scope < n."""
+        far = [(u + 9, v + 9, 2.0) for u, v, _ in grid_edges(2, 3)]
+        overlay = make_overlay_from_weighted_edges([*grid_edges(3, 3), *far])
+        strategy = blind_flooding_strategy(overlay)
+        got = assert_batch_equals_scalar(
+            overlay, strategy, [4, 10], ttl, holders=(0, 8, 14)
+        )
+        assert not np.isfinite(got.dist[0, 9:]).any()
+        assert (got.parent[0, 9:] == -1).all() and (got.hops[0, 9:] == -1).all()
+        assert got.search_scope(0) <= 9 and got.search_scope(1) <= 6
+        queries = [(4, (0, 8, 14)), (10, (0, 8, 14))]
+        assert run_queries(overlay, strategy, queries, ttl=ttl) == [
+            got.stats(0, (0, 8, 14)),
+            got.stats(1, (0, 8, 14)),
+        ]
+
+    @pytest.mark.parametrize("links", [[(0, 1)], []])
+    def test_isolated_source_sends_nothing(self, line_physical, overlay_class, links):
+        overlay = overlay_class(line_physical, {0: 0, 1: 1, 2: 4})
+        for u, v in links:
+            overlay.connect(u, v)
+        strategy = blind_flooding_strategy(overlay)
+        got = assert_batch_equals_scalar(overlay, strategy, [2, 0], None, holders=(1,))
+        assert (got.messages[0], got.traffic[0], got.duplicates[0]) == (0, 0.0, 0)
+        assert got.search_scope(0) == 1
+
+    def test_empty_and_single_batches(self, small_overlay):
+        small_overlay.warm_edge_costs()
+        strategy = blind_flooding_strategy(small_overlay)
+        n = small_overlay.num_peers
+        empty = propagate_many(small_overlay, [], strategy, ttl=4)
+        assert len(empty) == 0
+        assert empty.dist.shape == empty.parent.shape == empty.hops.shape == (0, n)
+        assert empty.messages.shape == empty.traffic.shape == (0,)
+        assert run_queries(small_overlay, strategy, [], ttl=4) == []
+        one = assert_batch_equals_scalar(
+            small_overlay, strategy, small_overlay.peers()[3:4], 4
+        )
+        assert one.dist.shape == (1, n)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 10_000),
+    peers=st.integers(6, 40),
+    kind=st.sampled_from(["flooding", "ace"]),
+    ttl=st.one_of(st.none(), st.integers(1, 8)),
+    steps=st.integers(0, 2),
+)
+def test_random_worlds_equal_scalar(seed, peers, kind, ttl, steps):
+    """Random small-world worlds: every field of every query, both strategies."""
+    overlay = make_world(seed, peers)
+    strategy = make_strategy(overlay, kind, seed)
+    for _ in range(steps if kind == "ace" else 0):
+        strategy.compiled_spec[1].step()
+        overlay.warm_edge_costs()
+    rng = np.random.default_rng(seed + 1)
+    sources = sample_sources(overlay, rng, k=5)
+    holders = tuple(sample_sources(overlay, rng, k=3))
+    assert_batch_equals_scalar(overlay, strategy, sources, ttl, holders)
+    stats = run_queries(overlay, strategy, [(s, holders) for s in sources], ttl=ttl)
+    batch_stats = propagate_many(overlay, sources, strategy, ttl=ttl)
+    assert stats == [batch_stats.stats(i, holders) for i in range(len(sources))]
 
 
 class TestCacheInvalidation:
@@ -193,6 +384,23 @@ class TestScalarFallback:
         overlay = make_world(9)
         with pytest.raises(ValueError):
             propagate_many(overlay, [overlay.peers()[0]], lambda p, c: (), ttl=7)
+
+    def test_zero_cost_edge_stays_scalar(self, line_physical):
+        """Two peers on one host: the kernel declines, the helpers fall back."""
+        overlay = Overlay(line_physical, {0: 0, 1: 0, 2: 3})
+        overlay.connect(0, 1)
+        overlay.connect(1, 2)
+        strategy = blind_flooding_strategy(overlay)
+        assert compile_strategy(overlay, strategy).has_zero_cost
+        with pytest.raises(ValueError, match="zero-cost"):
+            propagate_many(overlay, [0], strategy, ttl=None)
+        before = counters.batched_queries
+        assert propagate_single(overlay, 0, strategy, ttl=None) == propagate(
+            overlay, 0, strategy, ttl=None
+        )
+        (stats,) = run_queries(overlay, strategy, [(0, (2,))], ttl=None)
+        assert stats.traffic_cost == run_query(overlay, 0, strategy, (2,), ttl=None).traffic_cost
+        assert counters.batched_queries == before
 
     def test_stop_at_stays_scalar(self):
         # The cached-query flow passes stop_at to the scalar propagate();

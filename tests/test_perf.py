@@ -9,6 +9,8 @@ The ``perf_smoke`` marker selects the fast subset that keeps the batch APIs
 and counters exercised in every tier-1 run (``pytest -m perf_smoke``).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_experiment
 from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.experiments.static_env import run_static_experiment
 from repro.perf import PerfCounters, counters, get_counters, reset_counters
+from repro.search import batch
+from repro.search.batch import propagate_many, run_queries
 from repro.search.flooding import blind_flooding_strategy, propagate
 from repro.topology.overlay import Overlay, small_world_overlay
 from repro.topology.physical import PhysicalTopology
@@ -308,3 +312,73 @@ class TestExactOracleSolvesEachSourceOnce:
         # whose peer probes at all.
         assert per_step == [31, 2, 3, 14, 8, 4]
         assert counters.dijkstra_sources == 26 + 14 + 8 + 4
+
+
+class TestQueryKernelWorksInBlocks:
+    """``run_queries`` holds a block of labels, never the ``(queries, peers)`` lot."""
+
+    QUERIES = 192
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        scenario = build_scenario(
+            ScenarioConfig(
+                physical_nodes=4000, peers=2000, avg_degree=6, seed=3,
+                oracle="landmark:8",
+            )
+        )
+        overlay = scenario.overlay
+        strategy = blind_flooding_strategy(overlay)
+        peers = overlay.peers()
+        # The compiled graph and its two CSR views are built once per
+        # overlay epoch, not per batch: keep them out of the traced peaks.
+        run_queries(overlay, strategy, [(peers[0], ())], ttl=None)
+        draws = np.random.default_rng(5).integers(0, len(peers), size=self.QUERIES)
+        return overlay, strategy, [peers[int(i)] for i in draws]
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("ttl", [None, 3])
+    def test_run_queries_peaks_below_one_label_array(self, world, ttl):
+        overlay, strategy, sources = world
+        one_array = self.QUERIES * overlay.num_peers * 8
+        queries = [(s, ()) for s in sources]
+        stats, peak = self.traced_peak(
+            lambda: run_queries(overlay, strategy, queries, ttl=ttl)
+        )
+        assert len(stats) == self.QUERIES
+        # The allowance is the block's own working set: a few (rows, edges)
+        # temporaries, whatever the number of queries.
+        assert peak < one_array + 4 * batch._BLOCK_BYTES
+        whole, whole_peak = self.traced_peak(
+            lambda: propagate_many(overlay, sources, strategy, ttl=ttl)
+        )
+        for labels in (whole.dist, whole.parent, whole.hops):
+            assert labels.shape == (self.QUERIES, overlay.num_peers)
+        assert whole_peak > 3 * one_array
+        assert [s.traffic_cost for s in stats] == whole.traffic.tolist()
+
+    @pytest.mark.parametrize("ttl", [None, 3])
+    def test_both_entry_points_count_the_same(self, world, ttl):
+        overlay, strategy, sources = world
+        deltas = []
+        for call in (
+            lambda: run_queries(overlay, strategy, [(s, ()) for s in sources], ttl=ttl),
+            lambda: propagate_many(overlay, sources, strategy, ttl=ttl),
+        ):
+            before = counters.copy()
+            call()
+            deltas.append(counters.delta(before))
+        for delta in deltas:
+            assert delta["queries"] == delta["batched_queries"] == self.QUERIES
+            assert delta["query_seconds"] > 0
+            assert delta["compiled_strategies"] == 0
+        assert deltas[0]["frontier_rounds"] == deltas[1]["frontier_rounds"]
+        assert (deltas[0]["frontier_rounds"] > 0) == (ttl is not None)
