@@ -10,16 +10,15 @@ the *first* bench touching a cached artifact pays (and times) its cost.
 Scale: defaults are laptop-sized (~160 peers on a ~1200-node underlay; the
 paper uses 8000 peers on 20,000 nodes).  Set ``REPRO_SCALE`` (e.g. ``4``) to
 grow toward paper scale.
+
+Nothing here times the engine or writes to the tree: speed is measured by
+``python3 benchmarks/suite/run.py`` (``BENCHMARK.json``) and compared with
+the parent commit's.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
 from typing import Dict
-
-import pytest
 
 from repro.experiments.depth_sweep import DepthSweepConfig, run_depth_sweep
 from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_trials
@@ -44,38 +43,6 @@ def report(capsys, text: str) -> None:
     with capsys.disabled():
         print()
         print(text)
-
-
-#: Machine-readable performance trajectory appended to by the scale benches
-#: (``bench_soa_engine`` and ``bench_paper_scale``).  One JSON list, one
-#: entry per recorded run, committed alongside the narrative in
-#: ``EXPERIMENTS.md`` so regressions show up as data, not anecdotes.
-TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_soa.json"
-
-#: Trajectory for the batched ACE kernel benches (``bench_ace_kernel``):
-#: same shape as ``BENCH_soa.json`` but tracking the Layer-7 step-loop gate
-#: and the 100k-peer dynamic-churn demonstration.
-ACE_TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_ace.json"
-
-#: Trajectory for the live network runtime bench (``bench_live_net``):
-#: wire-level first-response latency, throughput and bytes-on-wire for the
-#: asyncio runtime under the realtime discipline.
-NET_TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_net.json"
-
-
-def record_trajectory(bench: str, path: Path = TRAJECTORY_PATH,
-                      **fields: object) -> None:
-    """Append one timestamped entry to a trajectory file (BENCH_soa by
-    default; pass ``path=ACE_TRAJECTORY_PATH`` for the kernel benches)."""
-    entries = []
-    if path.exists():
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    entries.append(
-        {"bench": bench, "date": time.strftime("%Y-%m-%d"), **fields}
-    )
-    path.write_text(
-        json.dumps(entries, indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def static_series():

@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 __all__ = ["build_parser", "main"]
 

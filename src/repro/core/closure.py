@@ -13,7 +13,7 @@ overlay mutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Set
 
 from ..topology.overlay import Overlay
 

@@ -13,8 +13,8 @@ one Phase-1 round over an h-neighbor closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping
 
 from ..topology.overlay import Overlay
 from .closure import ClosureView

@@ -22,7 +22,7 @@ overhead/optimization-quality trade-off studied in Figures 13-16.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Sequence, Set
 
 import numpy as np
 

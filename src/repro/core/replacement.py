@@ -17,8 +17,8 @@ Each probe is a ping/pong over the (potential) logical link and is charged
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 

@@ -14,8 +14,8 @@ agree.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 __all__ = ["SpanningTree", "prim_mst", "prim_mst_heap"]
 

@@ -8,7 +8,7 @@ render series with plain Unicode so figure shapes are visible directly in
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 __all__ = ["sparkline", "line_chart"]
 

@@ -24,13 +24,12 @@ byte-identical to running the arms serially.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.ace import AceConfig, AceProtocol
 from ..core.batch_ace import churn_refresh
-from ..metrics.accounting import TrafficAccount
 from ..perf import counters
 from ..metrics.collector import SeriesCollector
 from ..search.batch import run_queries

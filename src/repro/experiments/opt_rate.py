@@ -9,10 +9,9 @@ plot it versus R for several depths.  All four are functions of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..metrics.optimization import OptimizationTradeoff, minimal_depth_for_gain
+from ..metrics.optimization import minimal_depth_for_gain
 from .depth_sweep import DepthSweepResult
 
 __all__ = [

@@ -9,8 +9,8 @@ up for before launching an hours-long run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from .setup import ScenarioConfig
 
@@ -40,7 +40,7 @@ def paper_scenario(
     """A faithful paper-scale scenario configuration.
 
     Building the underlay alone takes tens of seconds; one ACE step over
-    8,000 peers takes minutes in pure Python.  Use
+    8,000 peers takes a few seconds (the benchmark's ``static_8k``).  Use
     :func:`estimate_static_run_cost` before launching.
     """
     return ScenarioConfig(

@@ -8,7 +8,7 @@ can be read directly off the run.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 __all__ = ["format_table", "format_series", "format_percent"]
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Dict, Union
+from typing import Any, Dict, Union
 
 from ..metrics.optimization import OptimizationTradeoff
 from ..topology.properties import TopologyReport

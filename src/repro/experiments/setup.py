@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..oracle import DelayOracle, make_oracle, parse_oracle_spec
 from ..oracle.landmark import LandmarkEmbeddingHandle, LandmarkOracle
 from ..perf import counters
-from ..sim.workload import ObjectCatalog, QueryWorkload, WorkloadConfig
+from ..sim.workload import ObjectCatalog, WorkloadConfig
 from ..topology import generators
 from ..topology.overlay import (
     power_law_overlay,

@@ -17,7 +17,7 @@ essentially untouched, while ACE does the reverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 

@@ -14,7 +14,7 @@ to show the mismatch repair also benefits partial-flooding schemes.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 

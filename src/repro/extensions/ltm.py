@@ -24,8 +24,8 @@ its traffic saving materializes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 

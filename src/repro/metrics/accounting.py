@@ -12,8 +12,7 @@ optimization-rate analysis (Figures 11-16) weighs one against the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
 
 __all__ = ["TrafficAccount", "reduction_rate"]
 

@@ -9,8 +9,8 @@ x-axis unit) and reports per-window means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 __all__ = ["Summary", "summarize", "SeriesCollector"]
 

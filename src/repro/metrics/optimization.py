@@ -17,7 +17,7 @@ minimal *h* with optimization rate > 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 __all__ = [
     "optimization_rate",

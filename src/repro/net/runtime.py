@@ -41,8 +41,8 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Awaitable, Callable, Dict, List, Tuple
 
 __all__ = [
     "NetConfig",

@@ -37,7 +37,7 @@ import dataclasses
 import json
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.messages import (
     ConnectRequest,
@@ -45,7 +45,6 @@ from ..sim.messages import (
     CostProbeReply,
     CostTableMessage,
     DisconnectNotice,
-    Message,
     Ping,
     Pong,
     Query,

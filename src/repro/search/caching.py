@@ -15,8 +15,7 @@ forwarded further, cutting both traffic and response time.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional
 
 from ..topology.overlay import Overlay
 from .flooding import ForwardingStrategy, QueryResult, propagate

@@ -11,7 +11,7 @@ which is why it composes with (rather than substitutes for) ACE.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
 from ..topology.overlay import Overlay
 from .batch import RingPropagator

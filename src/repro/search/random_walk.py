@@ -18,7 +18,7 @@ the mismatch repair also benefits walk-based search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np

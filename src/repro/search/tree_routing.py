@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..core.ace import AceProtocol
-from ..topology.overlay import Overlay
 from .flooding import (
     ForwardingStrategy,
     QueryPropagation,

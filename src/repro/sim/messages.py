@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Mapping, Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 __all__ = [
     "GNUTELLA_HEADER_BYTES",

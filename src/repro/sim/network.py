@@ -13,7 +13,7 @@ the fast path everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Protocol
+from typing import Dict, Optional, Protocol
 
 from ..rng import ensure_rng
 from ..topology.overlay import Overlay

@@ -14,7 +14,7 @@ success, traffic and response time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence
 
 import numpy as np
 

@@ -9,7 +9,7 @@ viewer.  No Graphviz dependency — the writer emits the text format.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 

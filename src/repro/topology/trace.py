@@ -20,9 +20,8 @@ simulation pipeline as generated topologies.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 

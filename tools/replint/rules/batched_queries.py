@@ -7,8 +7,7 @@ kernel (:func:`repro.search.batch.run_queries` /
 module that loops the scalar engine over query sources —
 ``run_query(...)`` or ``propagate(...)`` inside a ``for``/``while`` body —
 quietly reverts the measurement path to one heap simulation per query,
-which is the exact regression the batched kernel (and its >=5x benchmark
-gate) exists to prevent.
+which is the exact regression the batched kernel exists to prevent.
 
 The rule audits ``repro.experiments`` modules only: the scalar engine
 remains the reference implementation, and tests, benchmarks, and the
