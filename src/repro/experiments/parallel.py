@@ -127,7 +127,8 @@ def run_trials_detailed(
 
     *task* must be a module-level callable (pickled by reference) and each
     payload must be small and picklable — a seeded config, never a built
-    topology (replint REP005 enforces this structurally).
+    topology (``tests/experiments/test_parallel.py`` fails any fan-out
+    that pickles a ``PhysicalTopology``).
 
     *shared_underlays* lists the scenario configs whose worlds the trials
     will build; each distinct :func:`underlay_key` (and, for landmark-oracle

@@ -15,8 +15,9 @@ hard-coded: :class:`~repro.oracle.exact.ExactOracle` delegates to the
 to calling it directly), :class:`~repro.oracle.landmark.LandmarkOracle`
 answers from a landmark embedding with triangle-inequality error bounds and
 an accuracy gate.  :class:`~repro.topology.overlay.Overlay` routes every
-cost lookup through its oracle, and replint rule REP006 keeps
-``repro.core``/``repro.search`` from reaching around the seam.
+cost lookup through its oracle; ``tests/test_perf.py`` holds
+``repro.core``/``repro.search`` to the seam (a landmark-oracle run solves
+nothing beyond its embedding).
 
 The interface mirrors the underlay engine's access patterns on purpose —
 scalar :meth:`~DelayOracle.delay`, single-source

@@ -1,16 +1,16 @@
-"""Runtime invariant sanitizer: dynamic twin of the replint program rules.
+"""Runtime invariant sanitizer: the holder of the run-time contracts.
 
-``tools/replint`` proves the repository's reproducibility contracts
-*statically* (REP009–REP012); this module asserts the same contracts
-*dynamically*, on the objects a real run actually builds.  Enable it with
-``REPRO_SANITIZE=1`` in the environment or ``--sanitize`` on the CLI; when
-disabled (the default) nothing here is imported into the hot path and no
-wrapper exists anywhere.
+Version bumps, cache coherence and the shared-memory lifecycle are held
+here, on the objects a real run actually builds, and nowhere else;
+``tools/replint`` keeps only the contracts no run can observe (see
+``docs/STATIC_ANALYSIS.md``).  Enable it with ``REPRO_SANITIZE=1`` in the
+environment or ``--sanitize`` on the CLI; when disabled (the default)
+nothing here is imported into the hot path and no wrapper exists anywhere.
 
 What it checks
 ==============
 
-* **Epoch monotonicity / mutate-implies-bump** (REP011's contract).  Every
+* **Epoch monotonicity / mutate-implies-bump.**  Every
   structural mutator of :class:`~repro.topology.overlay.Overlay` and
   :class:`~repro.topology.soa.ArrayOverlay` must leave ``epoch`` no smaller
   than it found it, and a mutation that reports a change must have bumped
@@ -28,11 +28,12 @@ What it checks
   directional probe memo (:meth:`ArrayOverlay.warm_edge_costs
   <repro.topology.soa.ArrayOverlay.warm_edge_costs>` copies them out of the
   vectors it streams) is compared with the oracle's vector for that source.
-* **Shared-memory leak accounting** (REP010's contract).  Every
+* **Shared-memory leak accounting.**  Every
   :class:`~repro.topology.shm.SharedSegments` owner must be unlinked
   explicitly (context manager or ``finally``); segments that survive to the
   ``atexit`` backstop were leaked by their owner and are reported.
-* **RNG stream ledger** (REP009's contract).  Generators handed out by
+* **RNG stream ledger** (the run-time side of replint's REP009, which
+  checks spawn order statically).  Generators handed out by
   :func:`repro.rng.ensure_rng` / :func:`repro.rng.derive_rng` are wrapped
   to count draws per seed stream, and deriving the *same* ``(seed,
   stream)`` twice in one process — which would replay correlated draws —
@@ -229,7 +230,6 @@ def _install_overlay_hooks() -> None:
 
     def disconnect_shadow(self: Any, args: tuple) -> None:
         u, v = args[0], args[1]
-        # replint: disable=REP002 — read-only shadow check of the contract
         if ((u, v) if u < v else (v, u)) in self._edge_costs:
             record(
                 f"Overlay.disconnect({u}, {v}): stale _edge_costs entry "
@@ -238,7 +238,6 @@ def _install_overlay_hooks() -> None:
 
     def remove_peer_shadow(self: Any, args: tuple) -> None:
         peer = args[0]
-        # replint: disable=REP002 — read-only shadow check of the contract
         stale = [key for key in self._edge_costs if peer in key]
         if stale:
             record(
@@ -248,7 +247,6 @@ def _install_overlay_hooks() -> None:
             )
 
     def invalidate_shadow(self: Any, args: tuple) -> None:
-        # replint: disable=REP002 — read-only shadow check of the contract
         if self._edge_costs:
             record(
                 "Overlay.invalidate_edge_costs: cache non-empty after "
@@ -380,7 +378,6 @@ def _install_probe_memo_hooks() -> None:
         # The reference is read off to the side — a resident vector in
         # place, a missing one solved without being retained, its counter
         # traffic rolled back — so neither the LRU nor --perf moves.
-        # replint: disable=REP002 — read-only shadow check of the contract
         vector = self.physical._dist_cache.get(hu)
         if vector is None:
             before = counters.copy()

@@ -121,7 +121,7 @@ def propagate(
         for nbr in strategy(peer, came_from):
             if nbr == came_from or nbr == peer or nbr not in live:
                 continue
-            # replint: disable=REP004 — (peer, nbr) is a live logical edge:
+            # (peer, nbr) is a live logical edge:
             # on warmed overlays this is a per-edge-cache dict hit (tier-1
             # asserts zero Dijkstras here; see docs/PERFORMANCE.md).
             cost = overlay.cost(peer, nbr)

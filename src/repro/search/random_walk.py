@@ -91,7 +91,7 @@ def random_walk_query(
             if previous is not None and len(nbrs) > 1 and previous in nbrs:
                 nbrs.remove(previous)
             nxt = nbrs[int(rng.integers(len(nbrs)))]
-            # replint: disable=REP004 — one edge per hop, chosen by the walk
+            # One edge per hop, chosen by the walk
             # itself: inherently sequential, served from the edge cache.
             cost = overlay.cost(current, nxt)
             traffic += cost

@@ -167,7 +167,6 @@ def as_traffic_report(
     overlay.warm_edge_costs()
     if propagation is not None:
         for peer, parent in propagation.parent.items():
-            # replint: disable=REP004 — delivery hops are edges; warmed above
             cost = overlay.cost(parent, peer)
             if peer_as.get(parent) == peer_as.get(peer):
                 intra_traffic += cost
@@ -175,7 +174,6 @@ def as_traffic_report(
                 inter_traffic += cost
     else:
         for u, v in overlay.edges():
-            # replint: disable=REP004 — edge costs warmed above
             cost = overlay.cost(u, v)
             if peer_as[u] == peer_as[v]:
                 intra_traffic += cost

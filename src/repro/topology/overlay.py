@@ -431,7 +431,6 @@ class Overlay:
             g.add_node(p, host=h)
         self.warm_edge_costs()  # one batched solve; the loop below only probes
         for u, v in self.edges():
-            # replint: disable=REP004 — served from the just-warmed edge cache
             g.add_edge(u, v, cost=self.cost(u, v))
         return g
 

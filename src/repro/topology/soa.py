@@ -164,7 +164,7 @@ class ArrayOverlay(Overlay):
         indptr = np.zeros(n + 1, dtype=np.int64)
         nbr: List[int] = []
         cost: List[float] = []
-        # replint: disable=REP002 — engine conversion snapshots the sibling
+        # Engine conversion snapshots the sibling
         # engine's memo wholesale; coherence is preserved because the costs
         # transfer together with the epoch and host-pair cache below.
         edge_costs = source._edge_costs
@@ -1004,7 +1004,6 @@ class ArrayOverlay(Overlay):
             g.add_node(p, host=self.host_of(p))
         self.warm_edge_costs()  # one batched solve; the loop below only probes
         for u, v in self.edges():
-            # replint: disable=REP004 — served from the just-warmed edge cache
             g.add_edge(u, v, cost=self.cost(u, v))
         return g
 

@@ -139,7 +139,6 @@ def save_snapshot(overlay: Overlay, path: Union[str, Path]) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as f:
         f.write(f"# peers: {overlay.num_peers}\n")
-        # replint: disable=REP008 — one-time serialization on a cold path
         for p in overlay.peers():
             nbrs = " ".join(str(n) for n in sorted(overlay.neighbors(p)))
             f.write(f"{p}: {overlay.host_of(p)} {nbrs}\n".rstrip() + "\n")

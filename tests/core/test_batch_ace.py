@@ -22,8 +22,10 @@ from repro.core.ace import AceConfig, AceProtocol
 from repro.core.batch_ace import extract_closures
 from repro.core.closure import neighbor_closure
 from repro.core.spanning_tree import prim_mst_heap
+from repro.experiments.depth_sweep import DepthSweepConfig, run_depth_sweep
 from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_experiment
 from repro.experiments.setup import ScenarioConfig, build_scenario
+from repro.experiments.static_env import run_static_experiment
 from repro.perf import counters
 from repro.topology.overlay import Overlay
 from repro.topology.soa import ArrayOverlay
@@ -265,3 +267,22 @@ class TestPerfCounters:
         )
         assert counters.ace_batched_steps > 0
         assert counters.churn_batch_mutations > 0
+
+    def test_drivers_never_refresh_one_peer_at_a_time(self, monkeypatch):
+        # On a built scenario the step, churn and sweep drivers go through
+        # the batched kernel only; the per-peer entry points are the object
+        # reference's and a driver looping them would fail here.
+        def refuse(self, *args):
+            raise AssertionError("per-peer ACE path taken")
+
+        for name in ("refresh_peer", "recompute_tree", "optimize_peer"):
+            monkeypatch.setattr(AceProtocol, name, refuse)
+        world = config(peers=40, nodes=200)
+        run_static_experiment(build_scenario(world), steps=2, query_samples=8)
+        run_dynamic_experiment(
+            build_scenario(world), DynamicConfig(total_queries=120, window=40)
+        )
+        run_depth_sweep(DepthSweepConfig(
+            degrees=(4,), depths=(1, 2), convergence_steps=2,
+            query_samples=8, base=world,
+        ))

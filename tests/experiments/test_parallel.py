@@ -4,7 +4,8 @@ Pins the contract of :func:`repro.experiments.parallel.run_trials_detailed`:
 
 * results come back in payload order whatever the worker count;
 * with ``shared_underlays`` the parent builds each distinct underlay once
-  and workers attach it — zero generator calls inside worker trials;
+  and workers attach it — zero generator calls inside worker trials, and
+  no built topology is ever pickled;
 * parent counters after a parallel run equal the parent's own work plus the
   sum of the per-worker snapshots (inline trials are never double-counted);
 * no shared-memory segments survive a failed trial.
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_trials
 from repro.experiments.parallel import run_trials, run_trials_detailed
 from repro.experiments.setup import (
     ScenarioConfig,
@@ -26,6 +28,7 @@ from repro.experiments.setup import (
     underlay_key,
 )
 from repro.perf import counters
+from repro.topology.physical import PhysicalTopology
 
 CONFIG = ScenarioConfig(physical_nodes=150, peers=24, avg_degree=6, seed=7)
 
@@ -85,6 +88,21 @@ class TestFanOut:
             _scenario_fingerprint, configs, shared_underlays=configs, max_workers=2
         )
         assert inline == parallel
+
+    def test_parallel_run_never_pickles_a_topology(self, monkeypatch):
+        # Workers get seeded configs and attach the underlay from shared
+        # memory; a built PhysicalTopology in a submission, an initializer
+        # argument or a result would cross the process boundary by pickle.
+        def refuse(self, protocol):
+            raise AssertionError("PhysicalTopology crossed a process boundary")
+
+        monkeypatch.setattr(PhysicalTopology, "__reduce_ex__", refuse)
+        trials = [
+            (CONFIG, DynamicConfig(total_queries=40, window=20, enable_ace=ace))
+            for ace in (True, False)
+        ]
+        series = run_dynamic_trials(trials, max_workers=2)
+        assert series == run_dynamic_trials(trials, max_workers=1)
 
 
 class TestPerfMerging:

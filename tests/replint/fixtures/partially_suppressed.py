@@ -12,4 +12,4 @@ def still_fires():
 
 
 def wrong_code_does_not_help():
-    return random.random()  # replint: disable=REP004 — wrong code on purpose
+    return random.random()  # replint: disable=REP003 — wrong code on purpose

@@ -2,7 +2,9 @@
 
 from pathlib import Path
 
-from tools.replint import check_file, default_rules, iter_python_files
+import pytest
+
+from tools.replint import check_file, check_paths, default_rules, iter_python_files
 from tools.replint.__main__ import main
 from tools.replint.engine import (
     PARSE_ERROR_CODE,
@@ -106,6 +108,23 @@ class TestDiscovery:
         assert len(violations) == 1
         assert violations[0].code == PARSE_ERROR_CODE
 
+    def test_syntax_error_file_reports_finding_not_crash(self, tmp_path):
+        good = tmp_path / "good.py"
+        good.write_text("def ok():\n    return 1\n")
+        broken = tmp_path / "broken.py"
+        broken.write_text("def nope(:\n")
+        violations = check_paths([tmp_path])
+        parse_errors = [v for v in violations if v.code == PARSE_ERROR_CODE]
+        assert len(parse_errors) == 1
+        assert parse_errors[0].path.endswith("broken.py")
+
+    def test_fixture_tree_is_excluded_from_real_walks(self):
+        # The repository self-check walks tests/replint too; the fixtures
+        # directory (full of deliberate violations) must never make it
+        # into the findings.
+        violations = check_paths([FIXTURES.parent])
+        assert [v for v in violations if "fixtures" in v.path] == []
+
     def test_violation_format_and_ordering(self):
         a = Violation("a.py", 3, 1, "REP001", "first")
         b = Violation("a.py", 10, 1, "REP001", "second")
@@ -153,5 +172,14 @@ class TestCli:
     def test_list_rules_names_all_four(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("REP001", "REP002", "REP003", "REP004"):
+        for code in ("REP001", "REP003", "REP009", "REP012"):
             assert code in out
+
+    def test_help_names_every_registered_rule(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for rule in default_rules():
+            assert f"{rule.name} ({rule.code})" in out
+        for dropped in ("--format", "--output", "--baseline", "--write-baseline"):
+            assert dropped not in out

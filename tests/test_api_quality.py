@@ -3,7 +3,8 @@
 A library release lives or dies on its public surface; these meta-tests
 keep it honest — every public module, class and function documented, every
 ``__all__`` entry real, no accidental wildcard leakage, no import left behind
-by a refactor — and the docs may only name files and knobs that exist.
+by a refactor — and the docs may only name files, knobs and lint rules that
+exist.
 """
 
 import ast
@@ -16,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.sanitize
+from tools.replint import rules_by_code
 
 PACKAGES = [
     "repro",
@@ -211,3 +214,17 @@ class TestDocsNameOnlyWhatExists:
             for knob in _KNOB.findall(p.read_text(encoding="utf-8"))
         }
         assert listed == in_code
+
+    def test_rule_codes_named_are_registered(self):
+        # A deleted lint rule's code in a doc would read as a live check.
+        texts = {str(doc.relative_to(REPO_ROOT)): doc.read_text(encoding="utf-8")
+                 for doc in DOCS}
+        texts["repro.sanitize docstring"] = repro.sanitize.__doc__
+        registered = set(rules_by_code())
+        unknown = {
+            f"{where}: {code}"
+            for where, text in texts.items()
+            for code in re.findall(r"REP0\d\d", text)
+            if code not in registered
+        }
+        assert sorted(unknown) == []

@@ -9,6 +9,7 @@ The ``perf_smoke`` marker selects the fast subset that keeps the batch APIs
 and counters exercised in every tier-1 run (``pytest -m perf_smoke``).
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -185,6 +186,8 @@ class TestExperimentDijkstraBudgets:
     81 sources on this scenario).  The budgets below carry ~25-35% headroom
     so legitimate small reworks fit, while a regression to per-pair scalar
     lookups — tens of *thousands* of sources at this scale — fails loudly.
+    The same drivers must solve nothing beyond the landmark embedding under
+    a landmark oracle, and answer every query in the batch kernel.
     """
 
     SCENARIO = ScenarioConfig(physical_nodes=200, peers=40, avg_degree=6, seed=5)
@@ -216,6 +219,28 @@ class TestExperimentDijkstraBudgets:
         run_static_experiment(build_scenario(self.SCENARIO), steps=3,
                               query_samples=8)
         assert (counters.dijkstra_runs, counters.dijkstra_sources) == first
+
+    def test_landmark_run_solves_only_the_embedding(self):
+        # Every delay above the underlay goes through the oracle seam: a
+        # landmark-oracle run's only Dijkstra solves are the embedding's.
+        config = dataclasses.replace(self.SCENARIO, oracle="landmark:8")
+        reset_counters()
+        run_static_experiment(build_scenario(config), steps=3, query_samples=8)
+        assert counters.landmark_embed_sources == 8
+        assert counters.dijkstra_sources == counters.landmark_embed_sources
+
+    @pytest.mark.parametrize("arm", ["static", "dynamic", "dynamic-no-ace"])
+    def test_experiments_answer_every_query_in_the_batch_kernel(self, arm):
+        scenario = build_scenario(self.SCENARIO)
+        reset_counters()
+        if arm == "static":
+            run_static_experiment(scenario, steps=3, query_samples=8)
+        else:
+            run_dynamic_experiment(scenario, DynamicConfig(
+                total_queries=120, window=40, enable_ace=arm == "dynamic",
+            ))
+        assert counters.queries > 0
+        assert counters.queries - counters.batched_queries == 0
 
 
 @pytest.mark.perf_smoke

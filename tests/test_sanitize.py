@@ -206,7 +206,7 @@ from repro.topology.shm import SharedSegments, export_arrays
 
 segments, specs = export_arrays(
     {"a": np.arange(4, dtype=np.float64)}
-)  # replint: disable=REP010 — deliberate leak probe for the sanitizer
+)
 owner = SharedSegments(tuple(specs), list(segments))
 # never unlinked: the atexit backstop must record the leak
 """)

@@ -304,10 +304,9 @@ class TestLruCoherence:
             topo.path(s, 7)
         topo.delays_from_many([6, 7])
         topo.path(0, 7)
-        # replint: disable=REP002 — this test *is* the coherence contract:
+        # This test *is* the coherence contract:
         # it may inspect the private LRUs to prove they never drift.
         assert set(topo._pred_cache) <= set(topo._dist_cache)
-        # replint: disable=REP002 — same white-box coherence check
         assert len(topo._dist_cache) <= topo.dijkstra_cache_size
 
 
@@ -359,7 +358,7 @@ class TestDirectedSolveOverSymmetricCsr:
         )
         vec = topo.delays_from(0)
         assert topo.delay(1, 3) == 2.0
-        # replint: disable=REP002 — white-box: distance-only faults must not
+        # White-box: distance-only faults must not
         # pay for predecessor arrays nobody reads
         assert not topo._pred_cache
         before = counters.copy()
@@ -377,7 +376,6 @@ class TestDirectedSolveOverSymmetricCsr:
         assert topo.path(0, 5) == [0, 1, 2, 3, 4, 5]
         topo.delays_from(1)
         topo.delays_from(2)  # evicts source 0, distances and predecessors
-        # replint: disable=REP002 — white-box coherence check
         assert set(topo._pred_cache) <= set(topo._dist_cache) == {1, 2}
         assert topo.path(0, 5) == [0, 1, 2, 3, 4, 5]
         assert topo.path_delay(topo.path(2, 5)) == topo.delay(2, 5)

@@ -1,20 +1,18 @@
 """replint — the repro repository's AST-based invariant checker.
 
-Five rule families enforce what code review used to: **REP001** determinism
-(seeded, threaded randomness), **REP002** cache coherence (the overlay /
-underlay cache contracts from ``docs/PERFORMANCE.md``), **REP003** layering
-(substrate never imports drivers), **REP004** perf hygiene (batched delay
-lookups, not in-loop scalar faults), **REP005** no topology pickling (the
-underlay crosses process boundaries via shared memory, never pickled into
-pool submissions).  See ``docs/STATIC_ANALYSIS.md``.
+Six rules hold the contracts nothing else in the repository holds:
+**REP001** determinism (seeded, threaded randomness), **REP003** layering
+(substrate never imports drivers), **REP009** RNG stream order, **REP012**
+float order, **REP013** suppression hygiene and **REP015** the live-network
+boundary.  See ``docs/STATIC_ANALYSIS.md``.
 
 Usage::
 
     python -m tools.replint src tests          # CLI
     from tools.replint import check_paths      # pytest bridge / programmatic
 
-Suppress a finding with ``# replint: disable=REP00x`` on (or directly
-above) the offending line.
+Suppress a finding with ``# replint: disable=REP0xx — reason`` on (or
+directly above) the offending line.
 """
 
 from .engine import (

@@ -1,7 +1,6 @@
 """Command-line entry point: ``python -m tools.replint [paths...]``.
 
-Exit status: 0 when clean (or all findings baselined), 1 when new
-violations were found, 2 on bad usage.
+Exit status: 0 when clean, 1 when violations were found, 2 on bad usage.
 """
 
 from __future__ import annotations
@@ -9,31 +8,19 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .engine import DEFAULT_EXCLUDED_DIRS, check_paths, iter_contexts
-from .output import (
-    apply_baseline,
-    default_baseline_path,
-    load_baseline,
-    to_json,
-    to_sarif,
-    write_baseline,
-)
 from .rules import default_rules, rules_by_code
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    rules = ", ".join(f"{rule.name} ({rule.code})" for rule in default_rules())
     parser = argparse.ArgumentParser(
         prog="python -m tools.replint",
         description=(
-            "Whole-program invariant checker for the repro codebase: "
-            "determinism (REP001), cache coherence (REP002), layering "
-            "(REP003), perf hygiene (REP004), no topology pickling "
-            "(REP005), oracle seam (REP006), batched queries (REP007), "
-            "SoA hygiene (REP008), RNG stream discipline (REP009), "
-            "shared-memory lifecycle (REP010), version bumps (REP011), "
-            "float-order hazards (REP012), suppression hygiene (REP013)."
+            f"Invariant checker for the repro codebase: {rules}. "
+            "--list-rules describes each."
         ),
     )
     parser.add_argument(
@@ -59,37 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "because the replint test suite keeps deliberately bad files there)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="findings serialization (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        help="write findings to FILE instead of stdout "
-        "(the summary line still goes to stdout)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="accepted-findings file; findings recorded there do not fail "
-        "the run (default: tools/replint/baseline.json when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline, report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        nargs="?",
-        const="",
-        help="write the current findings as the new baseline and exit 0 "
-        "(default target: the active baseline path)",
-    )
-    parser.add_argument(
         "--show-suppressions",
         action="store_true",
         help="audit every '# replint: disable' pragma (with justification) "
@@ -102,13 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="suppress the summary line; print only violations",
     )
     return parser
-
-
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -145,7 +94,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"replint: {count} suppression(s)")
         return 0
 
-    rules: List[object] = list(default_rules())
+    rules = default_rules()
     if args.rules:
         table = rules_by_code()
         wanted = [c.strip() for c in args.rules.split(",") if c.strip()]
@@ -165,41 +114,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path: Optional[Path] = None
-    if not args.no_baseline:
-        if args.baseline:
-            baseline_path = Path(args.baseline)
-        else:
-            baseline_path = default_baseline_path()
-
-    if args.write_baseline is not None:
-        target = Path(args.write_baseline) if args.write_baseline else baseline_path
-        if target is None:
-            target = Path(__file__).resolve().parent / "baseline.json"
-        write_baseline(target, violations)
-        if not args.quiet:
-            print(f"replint: wrote baseline with {len(violations)} finding(s) to {target}")
-        return 0
-
-    absorbed = 0
-    if baseline_path is not None:
-        violations, absorbed = apply_baseline(violations, load_baseline(baseline_path))
-
-    if args.format == "json":
-        _emit(to_json(violations, rules), args.output)
-    elif args.format == "sarif":
-        _emit(to_sarif(violations, rules), args.output)
-    else:
-        text = "".join(v.format() + "\n" for v in violations)
-        _emit(text, args.output)
+    for violation in violations:
+        print(violation.format())
 
     if not args.quiet:
-        codes = ", ".join(getattr(r, "code", "?") for r in rules)
-        suffix = f", {absorbed} baselined" if absorbed else ""
+        codes = ", ".join(rule.code for rule in rules)
         if violations:
-            print(f"replint: {len(violations)} violation(s){suffix} [{codes}]")
+            print(f"replint: {len(violations)} violation(s) [{codes}]")
         else:
-            print(f"replint: clean{suffix} [{codes}]")
+            print(f"replint: clean [{codes}]")
     return 1 if violations else 0
 
 

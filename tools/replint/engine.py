@@ -1,28 +1,22 @@
 """Core machinery of replint: file discovery, suppressions, rule dispatch.
 
 replint is a *repository-specific* static analyzer: its rules encode
-invariants of **this** codebase (determinism of the ACE reproduction, the
-overlay/underlay cache-coherence contracts from ``docs/PERFORMANCE.md``, the
-layering of ``repro``'s subpackages) rather than generic style.  Everything
-here is stdlib-only (``ast`` + ``tokenize``) so the checker runs anywhere the
-test suite runs, with no third-party dependency.
+invariants of **this** codebase that no test, runtime check or benchmark
+holds (determinism of the ACE reproduction, seed-stream order, float
+order, the layering of ``repro``'s subpackages) rather than generic style.
+Everything here is stdlib-only (``ast`` + ``tokenize``) so the checker
+runs anywhere the test suite runs, with no third-party dependency.
 
 The pieces:
 
 * :class:`Violation` — one finding, formatted ``path:line:col: CODE message``.
 * :class:`FileContext` — a parsed file plus derived metadata (dotted module
   name when the file sits under a ``src/`` root, suppression table).
-  :func:`load_context` serves contexts from an mtime-keyed cache so each
-  file is read and parsed **once** per process, no matter how many rules
-  (or the program index) need it.
 * :class:`Rule` — per-file base class; concrete rules live in
   :mod:`tools.replint.rules`.
-* :class:`ProgramRule` — whole-program base class; receives a
-  :class:`~tools.replint.program.ProgramIndex` (symbol table + call graph)
-  built once over every file in the run.
-* :func:`check_paths` — walk files/directories, run every rule of both
-  kinds, return the sorted findings.  This is what both the CLI
-  (``python -m tools.replint``) and the pytest bridge call.
+* :func:`check_paths` — walk files/directories, parse each file once, run
+  every rule over it, return the sorted findings.  This is what both the
+  CLI (``python -m tools.replint``) and the pytest bridge call.
 
 Suppressions
 ------------
@@ -33,9 +27,10 @@ either on the reported line itself or alone on the line directly above it
 opt out of specific rules with ``# replint: disable-file=CODE[,CODE...]``
 anywhere in the file.  Suppressions are deliberately *narrow*: there is no
 ``enable`` pragma and no block scope, so every exception stays visible at the
-line that needs it.  Every pragma must carry a justification after the code
-list (``# replint: disable=REP004 — served from cache``); REP013 flags bare
-ones, and ``--show-suppressions`` audits the inventory.
+line that needs it.  Every pragma must name registered codes and carry a
+justification after the code list (``# replint: disable=REP001 — demo
+seam``); REP013 flags the rest, and ``--show-suppressions`` audits the
+inventory.
 """
 
 from __future__ import annotations
@@ -45,32 +40,16 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
-    from .program import ProgramIndex
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "Violation",
     "FileContext",
     "Rule",
-    "ProgramRule",
     "SuppressionRecord",
     "parse_suppressions",
     "module_name_for",
     "iter_python_files",
-    "load_context",
     "check_file",
     "check_paths",
 ]
@@ -152,9 +131,9 @@ def _parse_pragma(comment: str) -> Optional[Tuple[str, Set[str], str]]:
     Returns ``None`` for comments that are not replint pragmas.  *kind* is
     ``"line"`` or ``"file"``; *codes* is the set of rule codes (or
     ``{"*"}`` for a bare ``disable``); *why* is the justification text
-    after the code list (``# replint: disable=REP004 — served from
-    cache``).  An empty *why* is a REP013 finding — suppressions must say
-    what they are for.
+    after the code list (``# replint: disable=REP001 — demo seam``).  An
+    empty *why*, or a code no rule has, is a REP013 finding — suppressions
+    must say what they are for and name something that can fire.
     """
     text = comment.lstrip("#").strip()
     if not text.startswith("replint:"):
@@ -301,40 +280,13 @@ class FileContext:
         )
 
 
-#: Process-wide context cache keyed by resolved path; entries carry the
-#: ``(mtime_ns, size)`` stamp they were parsed under and are replaced when
-#: the file changes.  With eight-plus rules sharing every AST, this is what
-#: keeps the tier-1 self-check's wall clock flat as the rule count grows.
-_CONTEXT_CACHE: Dict[str, Tuple[Tuple[int, int], FileContext]] = {}
-
-
-def load_context(path: Path) -> FileContext:
-    """Cached :meth:`FileContext.load` (raises ``SyntaxError`` like it).
-
-    The cache key is the file's ``(st_mtime_ns, st_size)`` stamp, so edits
-    between runs in one process (tests do this constantly) invalidate
-    naturally while repeated checks of an unchanged tree parse nothing.
-    """
-    key = str(path)
-    try:
-        stat = path.stat()
-        stamp = (stat.st_mtime_ns, stat.st_size)
-    except OSError:
-        return FileContext.load(path)
-    cached = _CONTEXT_CACHE.get(key)
-    if cached is not None and cached[0] == stamp:
-        return cached[1]
-    ctx = FileContext.load(path)
-    _CONTEXT_CACHE[key] = (stamp, ctx)
-    return ctx
-
-
 class Rule:
-    """Base class for per-file replint rules.
+    """Base class for replint rules.
 
     Subclasses set :attr:`code` / :attr:`name` / :attr:`description` and
     implement :meth:`check`.  :meth:`applies_to` lets a rule scope itself to
-    part of the tree (e.g. REP004 only audits importable ``src/`` modules).
+    part of the tree (e.g. REP012 only audits ``repro.core`` and
+    ``repro.search``).
     """
 
     code: str = "REP999"
@@ -358,45 +310,6 @@ class Rule:
             for v in self.check(ctx)
             if not ctx.suppressions.is_suppressed(v.line, v.code)
         ]
-
-
-class ProgramRule:
-    """Base class for whole-program replint rules.
-
-    Unlike :class:`Rule`, a program rule runs **once** per check over a
-    :class:`~tools.replint.program.ProgramIndex` covering every parsed
-    file, so it can follow calls across functions and modules (REP009's
-    stream taint, REP010's ownership transfer, REP011's caller-bump
-    exemption all need that).  Line suppressions work exactly as for file
-    rules: findings are filtered against the suppression table of the file
-    they land in.
-    """
-
-    code: str = "REP999"
-    name: str = "unnamed"
-    description: str = ""
-
-    def check_program(self, program: "ProgramIndex") -> Iterable[Violation]:
-        """Yield violations found anywhere in the program."""
-        raise NotImplementedError
-
-    def run_program(self, program: "ProgramIndex") -> List[Violation]:
-        """Run the rule and drop suppressed findings."""
-        out: List[Violation] = []
-        for v in self.check_program(program):
-            ctx = program.files.get(v.path)
-            if ctx is not None and ctx.suppressions.is_suppressed(v.line, v.code):
-                continue
-            out.append(v)
-        return out
-
-
-def _split_rules(
-    rules: Sequence[object],
-) -> Tuple[List[Rule], List[ProgramRule]]:
-    file_rules = [r for r in rules if isinstance(r, Rule)]
-    program_rules = [r for r in rules if isinstance(r, ProgramRule)]
-    return file_rules, program_rules
 
 
 def iter_python_files(
@@ -432,67 +345,33 @@ def _parse_error_violation(path: Path, exc: SyntaxError) -> Violation:
     )
 
 
-def check_file(path: Path, rules: Sequence[object]) -> List[Violation]:
-    """Run *rules* over one file (a parse failure is itself a violation).
-
-    Program rules are supported by building a single-file program index —
-    handy for fixtures and focused tests; real runs get the shared index
-    from :func:`check_paths`.
-    """
+def check_file(path: Path, rules: Sequence[Rule]) -> List[Violation]:
+    """Run *rules* over one file (a parse failure is itself a violation)."""
     try:
-        ctx = load_context(path)
+        ctx = FileContext.load(path)
     except SyntaxError as exc:
         return [_parse_error_violation(path, exc)]
-    file_rules, program_rules = _split_rules(rules)
-    out: List[Violation] = []
-    for rule in file_rules:
-        out.extend(rule.run(ctx))
-    if program_rules:
-        from .program import ProgramIndex
-
-        program = ProgramIndex.build([ctx])
-        for prule in program_rules:
-            out.extend(prule.run_program(program))
-    out.sort()
-    return out
+    return sorted(v for rule in rules for v in rule.run(ctx))
 
 
 def check_paths(
     paths: Sequence[Path],
-    rules: Optional[Sequence[object]] = None,
+    rules: Optional[Sequence[Rule]] = None,
     excluded_dirs: FrozenSet[str] = DEFAULT_EXCLUDED_DIRS,
 ) -> List[Violation]:
     """Check every python file under *paths* with *rules* (default: all).
 
-    Every file is parsed once (through the context cache), per-file rules
-    run over each context, and the program rules run once over a
-    :class:`~tools.replint.program.ProgramIndex` built from all parsed
-    files.  Unparsable files become REP000 findings and simply stay out of
-    the index — a broken file must never take the whole analysis down.
-    Returns the findings sorted by location for stable, diffable output.
+    Unparsable files become REP000 findings — a broken file must never take
+    the whole analysis down.  Returns the findings sorted by location for
+    stable, diffable output.
     """
     if rules is None:
         from .rules import default_rules
 
         rules = default_rules()
-    file_rules, program_rules = _split_rules(rules)
     out: List[Violation] = []
-    contexts: List[FileContext] = []
     for path in iter_python_files(paths, excluded_dirs=excluded_dirs):
-        try:
-            ctx = load_context(path)
-        except SyntaxError as exc:
-            out.append(_parse_error_violation(path, exc))
-            continue
-        contexts.append(ctx)
-        for rule in file_rules:
-            out.extend(rule.run(ctx))
-    if program_rules:
-        from .program import ProgramIndex
-
-        program = ProgramIndex.build(contexts)
-        for prule in program_rules:
-            out.extend(prule.run_program(program))
+        out.extend(check_file(path, rules))
     out.sort()
     return out
 
@@ -507,6 +386,6 @@ def iter_contexts(
     """
     for path in iter_python_files(paths, excluded_dirs=excluded_dirs):
         try:
-            yield load_context(path)
+            yield FileContext.load(path)
         except SyntaxError:
             continue

@@ -1,106 +1,62 @@
-"""The replint rule families.
+"""The replint rules: the invariants no test, runtime check or benchmark holds.
 
 ========  ======================  =====================================================
 Code      Name                    Invariant
 ========  ======================  =====================================================
 REP001    determinism             randomness is seeded and threaded, never ambient
-REP002    cache-coherence         delay/cost caches are touched only by their owners
 REP003    layering                topology/sim never import experiment-layer modules
-REP004    perf-hygiene            no per-element delay/cost lookups inside loops
-REP005    no-topology-pickling    built topologies reach workers via shared memory,
-                                  never pickled into pool submissions
-REP006    oracle-seam             core/search query delays through a DelayOracle,
-                                  never PhysicalTopology.delay/delays_from* directly
-REP007    batched-queries         experiments batch query propagation through
-                                  repro.search.batch, never loop the scalar engine
-REP008    soa-hygiene             engine hot paths never scan peers one Python
-                                  object at a time; bulk/array APIs instead
 REP009    rng-streams             SeedSequence.spawn() children are consumed in
                                   order, once, in range, by their allocator
-REP010    shm-lifecycle           exported shared segments reach unlink() on all
-                                  paths; attachers never unlink
-REP011    version-bump            structural mutation bumps _epoch/_state_version
-                                  on every return path
 REP012    float-order             no order-dependent float reductions over sets in
                                   simulation decision logic
-REP013    suppression-hygiene     every disable pragma carries a justification
-REP014    ace-kernel              step/churn drivers never refresh ACE state one
-                                  peer at a time; the batched kernel instead
+REP013    suppression-hygiene     every disable pragma names a registered code and
+                                  carries a justification
 REP015    net-boundary            wall clocks, sockets and sleeps live only in
                                   repro.net; repro.net never imports experiments
 ========  ======================  =====================================================
 
 ``REP000`` is reserved for parse errors (emitted by the engine, not a rule).
-REP009–REP011 are :class:`~tools.replint.engine.ProgramRule` subclasses and
-run over the whole-program index; the rest are per-file.  Each invariant is
-documented in ``docs/STATIC_ANALYSIS.md``.
+Every rule is per-file.  Each invariant, and the test, sanitizer check or
+benchmark that holds each contract replint does not check, is documented
+in ``docs/STATIC_ANALYSIS.md``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List
 
-from ..engine import ProgramRule, Rule
-from .ace_kernel import AceKernelRule
-from .batched_queries import BatchedQueriesRule
-from .cache_coherence import CacheCoherenceRule
+from ..engine import Rule
 from .determinism import DeterminismRule
 from .float_order import FloatOrderRule
 from .layering import LayeringRule
 from .net_boundary import NetBoundaryRule
-from .no_topology_pickling import NoTopologyPicklingRule
-from .oracle_seam import OracleSeamRule
-from .perf_hygiene import PerfHygieneRule
 from .rng_streams import RngStreamsRule
-from .shm_lifecycle import ShmLifecycleRule
-from .soa_hygiene import SoaHygieneRule
 from .suppression_hygiene import SuppressionHygieneRule
-from .version_bump import VersionBumpRule
 
 __all__ = [
     "DeterminismRule",
-    "CacheCoherenceRule",
     "LayeringRule",
-    "PerfHygieneRule",
-    "NoTopologyPicklingRule",
-    "OracleSeamRule",
-    "BatchedQueriesRule",
-    "SoaHygieneRule",
     "RngStreamsRule",
-    "ShmLifecycleRule",
-    "VersionBumpRule",
     "FloatOrderRule",
     "SuppressionHygieneRule",
-    "AceKernelRule",
     "NetBoundaryRule",
     "default_rules",
     "rules_by_code",
 ]
 
-AnyRule = Union[Rule, ProgramRule]
 
-
-def default_rules() -> List[AnyRule]:
+def default_rules() -> List[Rule]:
     """One instance of every shipped rule, in code order."""
     return [
         DeterminismRule(),
-        CacheCoherenceRule(),
         LayeringRule(),
-        PerfHygieneRule(),
-        NoTopologyPicklingRule(),
-        OracleSeamRule(),
-        BatchedQueriesRule(),
-        SoaHygieneRule(),
         RngStreamsRule(),
-        ShmLifecycleRule(),
-        VersionBumpRule(),
         FloatOrderRule(),
         SuppressionHygieneRule(),
-        AceKernelRule(),
         NetBoundaryRule(),
     ]
 
 
-def rules_by_code() -> Dict[str, AnyRule]:
-    """Map ``REP00x`` codes to fresh rule instances."""
+def rules_by_code() -> Dict[str, Rule]:
+    """Map ``REP0xx`` codes to fresh rule instances."""
     return {rule.code: rule for rule in default_rules()}

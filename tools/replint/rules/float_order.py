@@ -35,7 +35,7 @@ import ast
 from typing import Dict, Iterator, List, Set
 
 from ..engine import FileContext, Rule, Violation
-from ..program.dataflow import Binding, collect_bindings, walk_no_nested
+from .rng_streams import Binding, collect_bindings, walk_no_nested
 
 _SCOPED_PREFIXES = ("repro.core", "repro.search")
 

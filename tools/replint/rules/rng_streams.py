@@ -28,18 +28,94 @@ pinned draw order:
   call sites where the order can no longer be checked (pass the spawned
   children, or a derived ``Generator``, instead).
 
-Scoped to ``repro`` source modules; runs on the program index so the
-taint can use the call graph's view of locally-constructed values.
+Scoped to ``repro`` source modules.  Every check is local to one function
+body, so the rule is per-file.  REP012 shares the scope helpers below
+(:func:`walk_no_nested`, :func:`collect_bindings`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..engine import ProgramRule, Violation
-from ..program import FunctionInfo, ProgramIndex
-from ..program.dataflow import collect_bindings, walk_no_nested
+from ..engine import FileContext, Rule, Violation
+
+#: Node types whose bodies belong to a different scope and must not leak
+#: bindings or calls into the enclosing function's analysis.
+_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def walk_no_nested(node: ast.AST) -> Iterator[ast.AST]:
+    """Yield *node* and its subtree, without descending into nested scopes.
+
+    The root itself is yielded even when it is a function or class
+    definition; only *child* scopes are fenced off.
+    """
+    stack: List[ast.AST] = [node]
+    first = True
+    while stack:
+        current = stack.pop()
+        if not first and isinstance(current, _NESTED_SCOPES):
+            continue
+        first = False
+        yield current
+        stack.extend(ast.iter_child_nodes(current))
+
+
+@dataclass(frozen=True)
+class Binding:
+    """One assignment reaching a local name (flow-insensitive)."""
+
+    #: The right-hand side (for ``for``/``with`` forms, the iterable or
+    #: context expression).
+    value: ast.expr
+    #: How the name was bound: ``assign`` | ``unpack`` | ``aug`` | ``ann``
+    #: | ``for`` | ``with``.
+    via: str
+
+
+def collect_bindings(body: Sequence[ast.stmt]) -> Dict[str, List[Binding]]:
+    """Map every locally-bound name to the expressions that bind it.
+
+    Deliberately flow-insensitive (any def may reach any use), which errs
+    toward *more* taint — the right direction for hazard rules.
+    """
+    table: Dict[str, List[Binding]] = {}
+
+    def bind(name: str, binding: Binding) -> None:
+        table.setdefault(name, []).append(binding)
+
+    def bind_target(target: ast.expr, value: ast.expr, via: str) -> None:
+        if isinstance(target, ast.Name):
+            bind(target.id, Binding(value, via))
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                if isinstance(elt, ast.Starred):
+                    elt = elt.value
+                if isinstance(elt, ast.Name):
+                    bind(elt.id, Binding(value, "unpack"))
+
+    for root in body:
+        for node in walk_no_nested(root):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    bind_target(target, node.value, "assign")
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                bind_target(node.target, node.value, "ann")
+            elif isinstance(node, ast.AugAssign):
+                bind_target(node.target, node.value, "aug")
+            elif isinstance(node, (ast.For, ast.AsyncFor)):
+                bind_target(node.target, node.iter, "for")
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    if item.optional_vars is not None:
+                        bind_target(item.optional_vars, item.context_expr, "with")
+            elif isinstance(node, ast.NamedExpr) and isinstance(
+                node.target, ast.Name
+            ):
+                bind(node.target.id, Binding(node.value, "assign"))
+    return table
 
 
 def _is_seedseq_ctor(node: ast.expr) -> bool:
@@ -72,7 +148,7 @@ def _spawn_call(node: ast.expr) -> Optional[ast.Call]:
     return None
 
 
-class RngStreamsRule(ProgramRule):
+class RngStreamsRule(Rule):
     """Flag seed-stream consumption that perturbs the pinned draw order."""
 
     code = "REP009"
@@ -83,24 +159,20 @@ class RngStreamsRule(ProgramRule):
         "re-spawning or cross-function spawning reorders pinned streams"
     )
 
-    def check_program(self, program: ProgramIndex) -> Iterable[Violation]:
-        for info in program.iter_functions("repro"):
-            ctx = program.context_for(info)
-            for violation in self._check_function(info):
-                yield Violation(
-                    path=str(ctx.path),
-                    line=violation[0].lineno,
-                    col=violation[0].col_offset + 1,
-                    code=self.code,
-                    message=violation[1],
-                )
+    def applies_to(self, ctx: FileContext) -> bool:
+        return ctx.in_repro_src
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for anchor, message in self._check_function(node):
+                    yield ctx.violation(anchor, self.code, message)
 
     # -- per-function analysis ----------------------------------------------
 
     def _check_function(
-        self, info: FunctionInfo
+        self, node: ast.AST
     ) -> Iterable[Tuple[ast.expr, str]]:
-        node = info.node
         body = getattr(node, "body", [])
         bindings = collect_bindings(body)
 
