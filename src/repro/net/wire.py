@@ -2,23 +2,43 @@
 
 One frame on the wire is::
 
-    +--------+---------+---------+------------------------+
-    | length | version | type id |          body          |
-    | !I     | !B      | !B      |  UTF-8 JSON, length B  |
-    +--------+---------+---------+------------------------+
+    +--------+---------+---------+------------------------------+
+    | length | version | type id |             body             |
+    | !I     | !B      | !B      |  envelope, then message      |
+    +--------+---------+---------+------------------------------+
 
 ``length`` counts the body bytes only; ``version`` is the wire-protocol
 version (:data:`WIRE_VERSION`); ``type id`` selects the message class from
-the registry below.  The body is a JSON object ``{"env": {...}, "msg":
-{...}}``: the :class:`Envelope` carries addressing and the *logical* clock
-(see below), ``msg`` carries the dataclass fields of the descriptor.
+the registry below.  All numbers are network byte order.
 
-Every ``repro.sim.messages`` descriptor round-trips **bit-exactly**: ints
-and strings are JSON-native, and Python's ``json`` emits floats via
-``repr``, which round-trips every finite IEEE-754 double — so the cost
-floats in a :class:`~repro.sim.messages.CostTableMessage` survive the wire
-unchanged, which is what lets the live runtime reproduce the simulator's
-float-for-float accounting.
+Every registered class has one body layout, built once at import from its
+``dataclasses.fields``.  One precompiled :class:`struct.Struct` packs the
+:class:`Envelope` head (``!qqdqB``: ``src``, ``dst``, ``ltime``, ``seq``
+and a presence byte) and the class's ``int`` / ``float`` / ``bool``
+fields (``q`` / ``d`` / ``?``, in field order).  The envelope's ``rpc``
+and ``reply`` follow as one ``!q`` each when their presence bit (0, 1) is
+set, then the class's variable-length fields in field order:
+
+* ``str`` — ``!I`` byte count, UTF-8 bytes;
+* ``Optional[int]`` (``object_id``, ``target``, ``responder``) — a tag byte,
+  0 None, 1 ``!q`` int, 2 a ``str`` (object ids may be names);
+* ``Tuple[int, ...]`` — ``!I`` count, ``!q`` each;
+* ``Tuple[Tuple[int, float], ...]`` and ``Dict[int, float]`` — ``!I``
+  count, ``!qd`` each;
+* ``Dict[int, Tuple[str, int]]`` — ``!I`` count, then key ``!q``, host
+  ``str``, port ``!q`` each;
+* ``Dict[str, Any]`` (the schemaless ``Welcome.config`` and
+  ``TurnDone.report``) — a tagged value: a tag byte then ``!q``, ``!d``, a
+  ``str``, or an ``!I`` count of nested values (list, tuple, dict).
+
+Every descriptor round-trips **bit-exactly**: floats travel as their eight
+IEEE-754 bytes (``-0.0``, infinities and NaN payloads included), so the
+cost floats in a :class:`~repro.sim.messages.CostTableMessage` survive the
+wire unchanged, which is what lets the live runtime reproduce the
+simulator's float-for-float accounting.  An int outside 64 bits, or a
+value no layout can carry, raises :class:`WireError` at encode; a body
+that does not parse to exactly its declared length raises
+:class:`WireError` at decode.
 
 The envelope's ``ltime`` is the logical timestamp of the frame: the sum of
 underlay link delays along the descriptor's path, exactly the simulator's
@@ -34,9 +54,10 @@ launcher.  They never appear in the simulator and carry no cost accounting.
 from __future__ import annotations
 
 import dataclasses
-import json
 import struct
+import typing
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.messages import (
@@ -78,7 +99,7 @@ __all__ = [
 ]
 
 #: Current wire-protocol version, stamped into every frame header.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Upper bound on a frame body; a header declaring more is rejected before
 #: any allocation (a corrupt or hostile length prefix must not OOM a peer).
@@ -86,6 +107,10 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Frame header: (body length, version, type id), network byte order.
 HEADER = struct.Struct("!IBB")
+
+#: Envelope head: (src, dst, ltime, seq, presence bits); bit 0 says an
+#: ``rpc`` id follows, bit 1 a ``reply`` id.
+_ENVELOPE_HEAD = "!qqdqB"
 
 
 class WireError(Exception):
@@ -262,35 +287,231 @@ _REGISTRY: Tuple[Tuple[int, type], ...] = (
 )
 
 _TYPES: Dict[int, type] = {tid: cls for tid, cls in _REGISTRY}
-_TYPE_IDS: Dict[type, int] = {cls: tid for tid, cls in _REGISTRY}
 
-#: Field decoders: JSON collapses tuples to lists and coerces dict keys to
-#: strings; these rebuild the exact Python shapes the frozen dataclasses
-#: were constructed with, so ``decode(encode(m)) == m`` holds bit for bit.
-_FIELD_DECODERS: Dict[type, Dict[str, Callable[[Any], Any]]] = {
-    CostTableMessage: {
-        "entries": lambda v: tuple((int(p), float(c)) for p, c in v),
-    },
-    Welcome: {
-        "members": lambda v: tuple(int(p) for p in v),
-        "addresses": lambda v: {
-            int(p): (str(h), int(pt)) for p, (h, pt) in v.items()
-        },
-        "neighbors": lambda v: tuple(int(p) for p in v),
-        "cost_row": lambda v: {int(p): float(c) for p, c in v.items()},
-    },
-    PeerSample: {
-        "addresses": lambda v: {
-            int(p): (str(h), int(pt)) for p, (h, pt) in v.items()
-        },
-    },
+
+# ----------------------------------------------------------------------
+# Field codecs: put(out, value) appends; get(body, off) -> (value, off)
+# ----------------------------------------------------------------------
+
+_I64 = struct.Struct("!q")
+_U32 = struct.Struct("!I")
+_F64 = struct.Struct("!d")
+_PAIR = struct.Struct("!qd")
+
+
+def _count(body, off: int, item_size: int) -> Tuple[int, int]:
+    """Read an ``!I`` count whose items of *item_size* bytes must fit."""
+    (n,) = _U32.unpack_from(body, off)
+    off += _U32.size
+    if off + n * item_size > len(body):
+        raise WireError(f"{n} items of {item_size} bytes overrun the body")
+    return n, off
+
+
+def _put_str(out: bytearray, value: str) -> None:
+    data = value.encode("utf-8")
+    out += _U32.pack(len(data))
+    out += data
+
+
+def _get_str(body, off: int) -> Tuple[str, int]:
+    n, off = _count(body, off, 1)
+    return str(body[off:off + n], "utf-8"), off + n
+
+
+def _put_id(out: bytearray, value: Any) -> None:
+    if value is None:
+        out.append(0)
+    elif isinstance(value, str):
+        out.append(2)
+        _put_str(out, value)
+    else:
+        out.append(1)
+        out += _I64.pack(value)
+
+
+def _get_id(body, off: int) -> Tuple[Any, int]:
+    tag = body[off]
+    if tag == 0:
+        return None, off + 1
+    if tag == 1:
+        return _I64.unpack_from(body, off + 1)[0], off + 1 + _I64.size
+    if tag == 2:
+        return _get_str(body, off + 1)
+    raise WireError(f"bad id tag {tag}")
+
+
+def _put_ints(out: bytearray, values: Tuple[int, ...]) -> None:
+    out += struct.pack(f"!I{len(values)}q", len(values), *values)
+
+
+def _get_ints(body, off: int) -> Tuple[Tuple[int, ...], int]:
+    n, off = _count(body, off, _I64.size)
+    return struct.unpack_from(f"!{n}q", body, off), off + n * _I64.size
+
+
+def _put_pairs(out: bytearray, pairs) -> None:
+    out += _U32.pack(len(pairs))
+    for key, value in pairs:
+        out += _PAIR.pack(key, value)
+
+
+def _get_pairs(body, off: int) -> Tuple[Tuple[Tuple[int, float], ...], int]:
+    n, off = _count(body, off, _PAIR.size)
+    end = off + n * _PAIR.size
+    return tuple(_PAIR.iter_unpack(body[off:end])), end
+
+
+def _get_pair_dict(body, off: int) -> Tuple[Dict[int, float], int]:
+    pairs, off = _get_pairs(body, off)
+    return dict(pairs), off
+
+
+def _put_addresses(out: bytearray, addresses: Dict[int, Tuple[str, int]]) -> None:
+    out += _U32.pack(len(addresses))
+    for peer, (host, port) in addresses.items():
+        out += _I64.pack(peer)
+        _put_str(out, host)
+        out += _I64.pack(port)
+
+
+def _get_addresses(body, off: int) -> Tuple[Dict[int, Tuple[str, int]], int]:
+    n, off = _count(body, off, 2 * _I64.size + _U32.size)
+    addresses = {}
+    for _ in range(n):
+        (peer,) = _I64.unpack_from(body, off)
+        host, off = _get_str(body, off + _I64.size)
+        (port,) = _I64.unpack_from(body, off)
+        off += _I64.size
+        addresses[peer] = (host, port)
+    return addresses, off
+
+
+# Tagged values for the schemaless fields.  Tags are ASCII letters so a
+# hex dump reads: None, False, True, int, float (double), str, list,
+# tuple, map.
+_NONE, _FALSE, _TRUE, _INT, _FLOAT, _STR, _LIST, _TUPLE, _MAP = b"NFTidsltm"
+
+
+def _put_value(out: bytearray, value: Any) -> None:
+    if value is None:
+        out.append(_NONE)
+    elif value is True or value is False:
+        out.append(_TRUE if value else _FALSE)
+    elif isinstance(value, int):
+        out.append(_INT)
+        out += _I64.pack(value)
+    elif isinstance(value, float):
+        out.append(_FLOAT)
+        out += _F64.pack(value)
+    elif isinstance(value, str):
+        out.append(_STR)
+        _put_str(out, value)
+    elif isinstance(value, (list, tuple)):
+        out.append(_TUPLE if isinstance(value, tuple) else _LIST)
+        out += _U32.pack(len(value))
+        for item in value:
+            _put_value(out, item)
+    elif isinstance(value, dict):
+        out.append(_MAP)
+        out += _U32.pack(len(value))
+        for key, item in value.items():
+            _put_value(out, key)
+            _put_value(out, item)
+    else:
+        raise WireError(f"{type(value).__name__} is not a wire value")
+
+
+def _get_value(body, off: int) -> Tuple[Any, int]:
+    tag = body[off]
+    off += 1
+    if tag == _NONE:
+        return None, off
+    if tag == _FALSE or tag == _TRUE:
+        return tag == _TRUE, off
+    if tag == _INT:
+        return _I64.unpack_from(body, off)[0], off + _I64.size
+    if tag == _FLOAT:
+        return _F64.unpack_from(body, off)[0], off + _F64.size
+    if tag == _STR:
+        return _get_str(body, off)
+    if tag == _LIST or tag == _TUPLE:
+        n, off = _count(body, off, 1)
+        items = []
+        for _ in range(n):
+            item, off = _get_value(body, off)
+            items.append(item)
+        return (tuple(items) if tag == _TUPLE else items), off
+    if tag == _MAP:
+        n, off = _count(body, off, 2)
+        mapping = {}
+        for _ in range(n):
+            key, off = _get_value(body, off)
+            mapping[key], off = _get_value(body, off)
+        return mapping, off
+    raise WireError(f"bad value tag {tag}")
+
+
+#: Fixed-width field formats, packed together by one Struct per class.
+_SCALARS: Dict[Any, str] = {int: "q", float: "d", bool: "?"}
+
+#: Variable-length field codecs, keyed by the field's resolved annotation.
+_VARIABLE: Dict[Any, Tuple[Callable, Callable]] = {
+    str: (_put_str, _get_str),
+    Optional[int]: (_put_id, _get_id),
+    Tuple[int, ...]: (_put_ints, _get_ints),
+    Tuple[Tuple[int, float], ...]: (_put_pairs, _get_pairs),
+    Dict[int, float]: (lambda out, v: _put_pairs(out, v.items()), _get_pair_dict),
+    Dict[int, Tuple[str, int]]: (_put_addresses, _get_addresses),
+    Dict[str, Any]: (_put_value, _get_value),
 }
+
+
+class _Layout:
+    """One registered class's body layout.
+
+    ``head`` packs the envelope head and the class's fixed scalars in one
+    call; ``variable`` lists ``(name, put, get)`` for the fields after it.
+    """
+
+    def __init__(self, tid: int, cls: type) -> None:
+        self.tid, self.cls = tid, cls
+        hints = typing.get_type_hints(cls)
+        fmt, fixed, self.variable = _ENVELOPE_HEAD, [], []
+        for f in dataclasses.fields(cls):
+            hint = hints[f.name]
+            if hint in _SCALARS:
+                fmt += _SCALARS[hint]
+                fixed.append(f.name)
+            elif hint in _VARIABLE:
+                self.variable.append((f.name, *_VARIABLE[hint]))
+            else:
+                raise TypeError(f"{cls.__name__}.{f.name}: no wire layout for {hint}")
+        self.head = struct.Struct(fmt)
+        self.fixed_names = tuple(fixed)
+        if len(fixed) > 1:
+            self.get_fixed = attrgetter(*fixed)
+        else:  # attrgetter returns a bare value for one name
+            self.get_fixed = lambda m: tuple(getattr(m, n) for n in fixed)
+
+
+_LAYOUTS: Dict[type, _Layout] = {cls: _Layout(tid, cls) for tid, cls in _REGISTRY}
+_BY_ID: Dict[int, _Layout] = {layout.tid: layout for layout in _LAYOUTS.values()}
+
+#: What a value outside the layout raises while packing, and what a
+#: malformed body raises while parsing; all become WireError.
+_ENCODE_ERRORS = (struct.error, ValueError, TypeError, AttributeError, RecursionError)
+_BODY_ERRORS = (struct.error, ValueError, IndexError, TypeError, RecursionError)
 
 
 def type_id_of(message: object) -> int:
     """The registry id of *message*'s class (:class:`UnknownMessageType`)."""
+    return _layout_of(message).tid
+
+
+def _layout_of(message: object) -> _Layout:
     try:
-        return _TYPE_IDS[type(message)]
+        return _LAYOUTS[type(message)]
     except KeyError:
         raise UnknownMessageType(
             f"{type(message).__name__} is not a registered wire type"
@@ -309,56 +530,91 @@ def message_types() -> Dict[int, type]:
 
 def encode_frame(message: object, env: Envelope) -> bytes:
     """Serialize one (message, envelope) pair into a complete frame."""
-    tid = type_id_of(message)
-    body_obj = {
-        "env": dataclasses.asdict(env),
-        "msg": dataclasses.asdict(message),  # type: ignore[call-overload]
-    }
-    body = json.dumps(body_obj, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_BODY_BYTES:
-        raise FrameTooLarge(f"{len(body)}-byte body exceeds {MAX_BODY_BYTES}")
-    return HEADER.pack(len(body), WIRE_VERSION, tid) + body
+    layout = _layout_of(message)
+    rpc, reply = env.rpc, env.reply
+    flags = (rpc is not None) | (reply is not None) << 1
+    out = bytearray(HEADER.size)
+    try:
+        out += layout.head.pack(
+            env.src, env.dst, env.ltime, env.seq, flags, *layout.get_fixed(message)
+        )
+        if rpc is not None:
+            out += _I64.pack(rpc)
+        if reply is not None:
+            out += _I64.pack(reply)
+        for name, put, _get in layout.variable:
+            put(out, getattr(message, name))
+    except _ENCODE_ERRORS as exc:
+        raise WireError(f"cannot encode {type(message).__name__}: {exc}") from exc
+    length = len(out) - HEADER.size
+    if length > MAX_BODY_BYTES:
+        raise FrameTooLarge(f"{length}-byte body exceeds {MAX_BODY_BYTES}")
+    HEADER.pack_into(out, 0, length, WIRE_VERSION, layout.tid)
+    return bytes(out)
 
 
-def decode_frame(buffer: bytes) -> Tuple[object, Envelope, int]:
-    """Decode one frame from the head of *buffer*.
+def decode_frame(buffer, offset: int = 0) -> Tuple[object, Envelope, int]:
+    """Decode the frame starting at *offset* of *buffer*.
 
     Returns ``(message, envelope, bytes_consumed)``.  Raises
     :class:`TruncatedFrame` when the buffer holds less than one complete
     frame, :class:`VersionMismatch` / :class:`UnknownMessageType` /
-    :class:`FrameTooLarge` on bad headers.
+    :class:`FrameTooLarge` on bad headers, and :class:`WireError` on a body
+    that does not parse to exactly its declared length.
     """
-    if len(buffer) < HEADER.size:
+    available = len(buffer) - offset
+    if available < HEADER.size:
         raise TruncatedFrame(
-            f"{len(buffer)} bytes is shorter than the {HEADER.size}-byte header"
+            f"{available} bytes is shorter than the {HEADER.size}-byte header"
         )
-    length, version, tid = HEADER.unpack_from(buffer)
+    length, version, tid = HEADER.unpack_from(buffer, offset)
     if version != WIRE_VERSION:
         raise VersionMismatch(
             f"frame version {version}, this peer speaks {WIRE_VERSION}"
         )
     if length > MAX_BODY_BYTES:
         raise FrameTooLarge(f"declared {length}-byte body exceeds {MAX_BODY_BYTES}")
-    cls = _TYPES.get(tid)
-    if cls is None:
+    layout = _BY_ID.get(tid)
+    if layout is None:
         raise UnknownMessageType(f"unknown wire type id {tid}")
-    end = HEADER.size + length
-    if len(buffer) < end:
+    if available < HEADER.size + length:
         raise TruncatedFrame(
-            f"body needs {length} bytes, only {len(buffer) - HEADER.size} present"
+            f"body needs {length} bytes, only {available - HEADER.size} present"
         )
+    start = offset + HEADER.size
+    # The slice copies this frame's body only; bounding every read by it
+    # keeps a malformed body from parsing into the next frame.
+    body = buffer[start:start + length]
+    # Both objects are built the way pickle restores a frozen dataclass,
+    # without the generated __init__ and its object.__setattr__ per field,
+    # which would cost more than the whole parse.
+    message = object.__new__(layout.cls)
+    fields = vars(message)
     try:
-        body_obj = json.loads(buffer[HEADER.size:end].decode("utf-8"))
-        env_kwargs = body_obj["env"]
-        msg_kwargs = body_obj["msg"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        raise WireError(f"undecodable frame body: {exc}") from exc
-    decoders = _FIELD_DECODERS.get(cls, {})
-    for name, fix in decoders.items():
-        if name in msg_kwargs:
-            msg_kwargs[name] = fix(msg_kwargs[name])
-    env = Envelope(**env_kwargs)
-    return cls(**msg_kwargs), env, end
+        head = layout.head.unpack_from(body)
+        flags = head[4]
+        if flags > 3:
+            raise WireError(f"bad envelope flags {flags:#x}")
+        off = layout.head.size
+        rpc = reply = None
+        if flags & 1:
+            (rpc,) = _I64.unpack_from(body, off)
+            off += _I64.size
+        if flags & 2:
+            (reply,) = _I64.unpack_from(body, off)
+            off += _I64.size
+        fields.update(zip(layout.fixed_names, head[5:]))
+        for name, _put, get in layout.variable:
+            fields[name], off = get(body, off)
+    except _BODY_ERRORS as exc:
+        raise WireError(f"undecodable {layout.cls.__name__} body: {exc}") from exc
+    if off != length:
+        raise WireError(f"{length - off} trailing bytes after {layout.cls.__name__}")
+    env = object.__new__(Envelope)
+    vars(env).update(
+        src=head[0], dst=head[1], ltime=head[2], seq=head[3], rpc=rpc, reply=reply
+    )
+    return message, env, HEADER.size + length
 
 
 class FrameAssembler:
@@ -367,7 +623,9 @@ class FrameAssembler:
     Feed it whatever the socket produced — single bytes, half frames,
     several frames at once — and it yields every complete ``(message,
     envelope)`` pair while buffering the remainder.  Header errors raise
-    immediately (the stream is unrecoverable after a framing fault).
+    immediately (the stream is unrecoverable after a framing fault); a
+    header declaring more than :data:`MAX_BODY_BYTES` raises before its
+    body is buffered, so the buffer stays bounded.
     """
 
     def __init__(self) -> None:
@@ -375,15 +633,20 @@ class FrameAssembler:
 
     def feed(self, data: bytes) -> List[Tuple[object, Envelope]]:
         """Absorb *data*; return all frames completed by it, in order."""
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer += data
         out: List[Tuple[object, Envelope]] = []
-        while True:
+        pos = 0
+        # Frames decode in place at their offset; the consumed prefix is
+        # trimmed once per feed, not once per frame.
+        while pos < len(buffer):
             try:
-                message, env, consumed = decode_frame(bytes(self._buffer))
+                message, env, consumed = decode_frame(buffer, pos)
             except TruncatedFrame:
                 break
-            del self._buffer[:consumed]
+            pos += consumed
             out.append((message, env))
+        del buffer[:pos]
         return out
 
     @property

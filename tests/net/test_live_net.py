@@ -110,6 +110,43 @@ class TestLockstepConvergence:
             )
 
 
+#: Lockstep convergence beyond the one seed above.  At 16 peers seeds 1, 4
+#: and 6 diverge by one ulp, whatever the wire format: an exact delay is
+#: the sum of link delays along the path in the direction it was solved,
+#: and the two directions can round apart.  The simulator's overlay keeps
+#: whichever direction its cache history solved first (an ACE-made edge
+#: takes the prober's), while the live cost rows take the lower peer id's,
+#: so an edge Phase 3 adds can carry different last bits on each side.
+#: The fix is a canonical direction per host pair in the delay oracle.
+_ASYMMETRIC = {(16, 1), (16, 4), (16, 6)}
+
+SEED_CASES = [
+    pytest.param(
+        peers, seed,
+        id=f"{peers}peers-seed{seed}",
+        marks=pytest.mark.xfail(
+            strict=True, reason="delay direction asymmetry (see _ASYMMETRIC)"
+        ) if (peers, seed) in _ASYMMETRIC else (),
+    )
+    for peers in (8, 16)
+    for seed in range(1, 7)
+]
+
+
+@pytest.mark.parametrize("peers, seed", SEED_CASES)
+def test_lockstep_convergence_across_seeds(peers, seed):
+    config = ScenarioConfig(
+        physical_nodes=8 * peers, peers=peers, avg_degree=4.0, seed=seed
+    )
+    plan = plan_queries(build_scenario(config), QUERIES)
+    reference = run_sim_reference(build_scenario(config), ACE, STEPS, plan)
+    live = run_live(
+        build_scenario(config), ACE, steps=STEPS, plan=plan, net=NetConfig()
+    )
+    assert live.turn_errors == []
+    assert compare_runs(live, reference) == []
+
+
 class TestDegradation:
     def test_peer_kill_completes_with_retries(self, plan):
         sources = {item.source for item in plan}
