@@ -22,7 +22,7 @@ from typing import Dict
 
 from repro.experiments.depth_sweep import DepthSweepConfig, run_depth_sweep
 from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_trials
-from repro.experiments.setup import ScenarioConfig, repro_workers
+from repro.experiments.setup import ScenarioConfig
 from repro.experiments.static_env import run_static_trials
 
 #: Average-neighbor counts swept in Figures 7, 8, 11 and 12.
@@ -49,9 +49,8 @@ def static_series():
     """Figure 7/8 series: one static convergence run per average degree.
 
     The per-degree trials are independent, so they fan out over a process
-    pool when ``REPRO_WORKERS`` > 1; the underlay is built once, exported to
-    shared memory, and attached zero-copy by every worker (no regeneration,
-    no topology pickling).
+    pool when ``REPRO_WORKERS`` > 1; each worker builds its world from the
+    seeded config (no topology is pickled).
     """
     if "static" not in _cache:
         configs = [
@@ -63,9 +62,7 @@ def static_series():
             )
             for degree in DEGREES
         ]
-        results = run_static_trials(
-            configs, steps=10, query_samples=16, max_workers=repro_workers()
-        )
+        results = run_static_trials(configs, steps=10, query_samples=16)
         _cache["static"] = dict(zip(DEGREES, results))
     return _cache["static"]
 
@@ -89,8 +86,8 @@ def dynamic_arms():
     """Figure 9/10 arms: Gnutella-like, ACE, and ACE + index cache.
 
     The three arms are independent simulations, so they ride the same
-    ``REPRO_WORKERS`` fan-out (and shared-memory underlay) as the static
-    trials; results are byte-identical to running them serially.
+    ``REPRO_WORKERS`` fan-out as the static trials; results are
+    byte-identical to running them serially.
     """
     if "dynamic" not in _cache:
         # Keep the query budget an exact multiple of the window so no
@@ -107,8 +104,7 @@ def dynamic_arms():
                 (DYNAMIC_BASE,
                  DynamicConfig(total_queries=total, window=window, **kwargs))
                 for _, kwargs in names_kwargs
-            ],
-            max_workers=repro_workers(),
+            ]
         )
         _cache["dynamic"] = {
             name: series for (name, _), series in zip(names_kwargs, results)

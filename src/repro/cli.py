@@ -66,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "cache hit rates, queries/sec) after the run")
         p.add_argument("--sanitize", action="store_true",
                        help="enable the runtime invariant sanitizer (epoch "
-                            "monotonicity, cache coherence, shm leak and RNG "
-                            "stream accounting); figures are byte-identical "
-                            "and any violation fails the run")
+                            "monotonicity, cache coherence and RNG stream "
+                            "accounting); figures are byte-identical and any "
+                            "violation fails the run")
 
     p_static = sub.add_parser("static", help="Figures 7-8 (static convergence)")
     add_world_args(p_static)
@@ -89,10 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the Gnutella-like arm only")
     p_dyn.add_argument("--cache", action="store_true",
                        help="also run the ACE + index cache arm")
-    p_dyn.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the treatment arms "
-                            "(default: the REPRO_WORKERS env knob); the "
-                            "underlay is shared zero-copy across workers")
 
     p_depth = sub.add_parser("depth", help="Figures 11-16 (depth sweep)")
     add_world_args(p_depth, peers=96)
@@ -208,17 +204,14 @@ def _cmd_dynamic(args, out) -> int:
         arms.append(("ace", dict(enable_ace=True)))
         if args.cache:
             arms.append(("ace+cache", dict(enable_ace=True, enable_cache=True)))
-    # Independent arms fan out over REPRO_WORKERS / --workers processes; the
-    # underlay is shared zero-copy and worker perf counters are merged, so
-    # --perf reports the whole fleet.  Results are identical to serial.
-    series_list = run_dynamic_trials(
-        [
-            (_scenario_config(args),
-             DynamicConfig(total_queries=total, window=window, **kwargs))
-            for _, kwargs in arms
-        ],
-        max_workers=args.workers,
-    )
+    # Independent arms fan out over REPRO_WORKERS processes; each worker
+    # builds its own world and its perf counters are merged, so --perf
+    # reports the whole fleet.  Results are identical to serial.
+    series_list = run_dynamic_trials([
+        (_scenario_config(args),
+         DynamicConfig(total_queries=total, window=window, **kwargs))
+        for _, kwargs in arms
+    ])
     results = {name: series for (name, _), series in zip(arms, series_list)}
     x = list(range(1, args.windows + 1))
     print(format_series(

@@ -15,10 +15,10 @@ optimization rounds.  Optionally a per-peer response index cache (Section
 The treatment arms of Figures 9-10 — gnutella-like, ACE, ACE + index cache —
 are fully independent simulations, so :func:`run_dynamic_trials` fans them
 out through the same :mod:`~repro.experiments.parallel` harness as the
-static trials: one shared-memory underlay export, per-arm deterministic
-seeding from the :class:`~repro.experiments.setup.ScenarioConfig`, and
-worker perf counters merged back into the parent.  Results are
-byte-identical to running the arms serially.
+static trials: each arm builds its world in its worker from the seeded
+:class:`~repro.experiments.setup.ScenarioConfig`, and worker perf
+counters are merged back into the parent.  Results are byte-identical to
+running the arms serially.
 """
 
 from __future__ import annotations
@@ -297,11 +297,10 @@ def _dynamic_trial(
 ) -> DynamicSeries:
     """Worker entry point: build the arm's world from seed and simulate it.
 
-    The scenario is rebuilt per arm — over the process's attached
-    shared-memory underlay when one matches, from the seeded generator
-    otherwise — because :func:`run_dynamic_experiment` mutates the overlay
-    in place.  Seeding comes entirely from the (picklable) configs, so an
-    arm's result does not depend on which process ran it.
+    The scenario is rebuilt per arm from the seeded config, because
+    :func:`run_dynamic_experiment` mutates the overlay in place.  Seeding
+    comes entirely from the (picklable) configs, so an arm's result does
+    not depend on which process ran it.
     """
     scenario_config, dynamic_config = payload
     scenario = build_scenario(scenario_config)
@@ -316,16 +315,10 @@ def run_dynamic_trials(
 
     The Figure 9/10 arms (gnutella / ace / ace+cache) are independent, so
     they fan out over worker processes exactly like the static trials:
-    *max_workers* defaults to the ``REPRO_WORKERS`` environment knob, the
-    underlay crosses the process boundary via shared memory (never by
-    regeneration or pickling), per-arm seeding is deterministic from the
-    configs, and results come back in submission order — byte-identical to
-    a serial run.  Worker perf counters are merged into the parent's.
+    *max_workers* defaults to the ``REPRO_WORKERS`` environment knob, each
+    worker builds its arm's world from the config (no topology is ever
+    pickled), per-arm seeding is deterministic from the configs, and results
+    come back in submission order — byte-identical to a serial run.  Worker
+    perf counters are merged into the parent's.
     """
-    payloads = list(trials)
-    return run_trials(
-        _dynamic_trial,
-        payloads,
-        shared_underlays=[scenario for scenario, _ in payloads],
-        max_workers=max_workers,
-    )
+    return run_trials(_dynamic_trial, list(trials), max_workers=max_workers)

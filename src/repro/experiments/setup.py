@@ -7,27 +7,20 @@ all of it reproducibly from one seed, and :class:`ScenarioConfig.scaled`
 honors the ``REPRO_SCALE`` environment knob so the benchmark harness can run
 laptop-sized by default and paper-sized on demand.
 
-Worker processes do not regenerate the underlay.  The parallel harness
-(:mod:`repro.experiments.parallel`) exports each distinct underlay to shared
-memory once and initializes every worker with
-:func:`attach_shared_underlays`; :func:`build_scenario` then finds the
-attached topology in the per-process registry (keyed by
-:func:`underlay_key`) and only builds the cheap per-trial layers — overlay,
-catalog, RNG streams — on top of it.  The RNG seed-spawning is identical on
-both paths, so a scenario built over an attached underlay is byte-identical
-to one built from scratch.
+There is one way to build a world: a worker process of the parallel harness
+(:mod:`repro.experiments.parallel`) receives the same seeded config and calls
+:func:`build_scenario` exactly as a serial run does.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..oracle import DelayOracle, make_oracle, parse_oracle_spec
-from ..oracle.landmark import LandmarkEmbeddingHandle, LandmarkOracle
 from ..perf import counters
 from ..sim.workload import ObjectCatalog, WorkloadConfig
 from ..topology import generators
@@ -37,25 +30,13 @@ from ..topology.overlay import (
     small_world_overlay,
 )
 from ..topology.physical import PhysicalTopology
-from ..topology.shm import SharedTopologyHandle
 from ..topology.soa import ArrayOverlay
 
 __all__ = [
     "ScenarioConfig",
     "Scenario",
     "build_scenario",
-    "build_underlay",
     "build_oracle",
-    "underlay_key",
-    "oracle_key",
-    "UnderlayKey",
-    "OracleKey",
-    "attach_shared_underlays",
-    "attach_shared_oracles",
-    "attach_shared_worlds",
-    "attached_underlay_count",
-    "attached_oracle_count",
-    "clear_attached_underlays",
     "repro_scale",
     "repro_workers",
 ]
@@ -166,66 +147,6 @@ class Scenario:
         return [peers[int(i)] for i in idx]
 
 
-#: Identity of an underlay independent of overlay/workload parameters: two
-#: configs with the same key deterministically generate the same graph.
-UnderlayKey = Tuple[str, int, int]
-
-#: Identity of a (non-exact) oracle: the underlay it embeds plus the
-#: canonical spec string.  Selection draws come from a stream spawned off
-#: the scenario seed (part of the underlay key), so configs sharing this
-#: key deterministically build the identical oracle.
-OracleKey = Tuple[UnderlayKey, str]
-
-#: Per-process registry of shared-memory handles offered to this process
-#: (pool initializer) and of the underlays actually attached from them.
-#: Attachment is lazy — a worker maps only the underlays its trials touch —
-#: and cached, so each segment set is mapped at most once per process.
-_SHARED_HANDLES: Dict[UnderlayKey, SharedTopologyHandle] = {}
-_ATTACHED_UNDERLAYS: Dict[UnderlayKey, PhysicalTopology] = {}
-
-#: Same lazy registry pattern for exported landmark embeddings.
-_SHARED_ORACLE_HANDLES: Dict[OracleKey, LandmarkEmbeddingHandle] = {}
-_ATTACHED_ORACLES: Dict[OracleKey, DelayOracle] = {}
-
-
-def underlay_key(config: ScenarioConfig) -> UnderlayKey:
-    """The underlay identity of *config* (generator kind, size, seed).
-
-    The underlay RNG stream is spawned from the scenario seed independently
-    of the overlay/workload streams, so every config sharing this key builds
-    the identical physical graph — which is what makes one shared-memory
-    export reusable across e.g. a sweep over average degrees.
-    """
-    return (config.underlay, config.physical_nodes, config.seed)
-
-
-def build_underlay(config: ScenarioConfig) -> PhysicalTopology:
-    """Generate just the physical underlay of *config*, deterministically.
-
-    Uses the same spawned seed stream as :func:`build_scenario`, so the
-    graph is identical to the one a full scenario build would produce.
-    """
-    if config.underlay not in _UNDERLAYS:
-        raise ValueError(
-            f"unknown underlay {config.underlay!r}; choose from {sorted(_UNDERLAYS)}"
-        )
-    underlay_seed = np.random.SeedSequence(config.seed).spawn(4)[0]
-    counters.underlay_builds += 1
-    return _UNDERLAYS[config.underlay](
-        config.physical_nodes, np.random.default_rng(underlay_seed)
-    )
-
-
-def oracle_key(config: ScenarioConfig) -> OracleKey:
-    """The oracle identity of *config* (underlay key + canonical spec).
-
-    The spec is canonicalized first, so ``"landmark"`` and
-    ``"landmark:16:maxmin:midpoint"`` share one key (they build the same
-    oracle) and one shared-memory export serves both.
-    """
-    return (underlay_key(config), parse_oracle_spec(config.oracle).canonical())
-
-
 def _oracle_rng(config: ScenarioConfig) -> np.random.Generator:
     """The seeded stream feeding oracle landmark selection.
 
@@ -242,119 +163,17 @@ def build_oracle(config: ScenarioConfig, physical: PhysicalTopology) -> DelayOra
 
     Deterministic: the landmark selection stream is spawned from the
     scenario seed, so every call with equal config and equal underlay
-    produces the identical oracle (same landmarks, same embedding bytes) —
-    which is what makes a parent-exported embedding interchangeable with a
-    worker-built one.
+    produces the identical oracle (same landmarks, same embedding bytes).
     """
     return make_oracle(config.oracle, physical, rng=_oracle_rng(config))
 
 
-def attach_shared_underlays(
-    handles: Mapping[UnderlayKey, SharedTopologyHandle],
-) -> None:
-    """Process-pool initializer: register exported underlays for this worker.
-
-    Registration is cheap (the handles are a few hundred bytes each); the
-    actual segment mapping happens lazily, the first time
-    :func:`build_scenario` needs a given key, and is cached for the rest of
-    the process's life.  A worker therefore maps only the underlays its
-    trials touch, never regenerates one, and — because the attach happens
-    inside a trial — the attach shows up in that trial's perf snapshot and
-    survives the merge back into the parent's fleet-wide counters.
-    """
-    _SHARED_HANDLES.update(handles)
-
-
-def attach_shared_oracles(
-    handles: Mapping[OracleKey, LandmarkEmbeddingHandle],
-) -> None:
-    """Register exported landmark embeddings for this worker (lazy attach).
-
-    The counterpart of :func:`attach_shared_underlays` for the oracle
-    layer: actual segment mapping happens the first time
-    :func:`build_scenario` needs a given key, so a worker maps only the
-    embeddings its trials touch and never re-runs the embedding solves.
-    """
-    _SHARED_ORACLE_HANDLES.update(handles)
-
-
-def attach_shared_worlds(
-    underlays: Mapping[UnderlayKey, SharedTopologyHandle],
-    oracles: Mapping[OracleKey, LandmarkEmbeddingHandle],
-) -> None:
-    """Process-pool initializer registering both shared layers at once."""
-    attach_shared_underlays(underlays)
-    attach_shared_oracles(oracles)
-
-
-def _attached_underlay(key: UnderlayKey) -> Optional[PhysicalTopology]:
-    """The attached underlay for *key*, mapping its segments on first use."""
-    physical = _ATTACHED_UNDERLAYS.get(key)
-    if physical is None:
-        handle = _SHARED_HANDLES.get(key)
-        if handle is not None:
-            physical = PhysicalTopology.attach_shared(handle)
-            _ATTACHED_UNDERLAYS[key] = physical
-    return physical
-
-
-def _attached_oracle(
-    key: OracleKey, physical: PhysicalTopology
-) -> Optional[DelayOracle]:
-    """The attached oracle for *key* over *physical*, mapped on first use.
-
-    The cached instance is only reused while it answers for the same
-    underlay object; a different resolved underlay (e.g. an explicitly
-    passed one) gets a fresh zero-copy attach around the same embedding.
-    """
-    oracle = _ATTACHED_ORACLES.get(key)
-    if oracle is not None and oracle.physical is physical:
-        return oracle
-    handle = _SHARED_ORACLE_HANDLES.get(key)
-    if handle is None:
-        return None
-    oracle = LandmarkOracle.attach_shared(handle, physical)
-    _ATTACHED_ORACLES[key] = oracle
-    return oracle
-
-
-def attached_underlay_count() -> int:
-    """How many shared underlays this process has attached (for tests)."""
-    return len(_ATTACHED_UNDERLAYS)
-
-
-def attached_oracle_count() -> int:
-    """How many shared embeddings this process has attached (for tests)."""
-    return len(_ATTACHED_ORACLES)
-
-
-def clear_attached_underlays() -> None:
-    """Drop this process's shared-handle and attached-instance registries.
-
-    Covers both layers (underlays and oracle embeddings).  Dropping the
-    registries releases the attached instances and thereby this process's
-    segment mappings; the exporter's segments are untouched.
-    """
-    _SHARED_HANDLES.clear()
-    _ATTACHED_UNDERLAYS.clear()
-    _SHARED_ORACLE_HANDLES.clear()
-    _ATTACHED_ORACLES.clear()
-
-
-def build_scenario(
-    config: ScenarioConfig, physical: Optional[PhysicalTopology] = None
-) -> Scenario:
+def build_scenario(config: ScenarioConfig) -> Scenario:
     """Construct a scenario deterministically from its config.
 
     Independent RNG streams (via ``numpy`` seed sequences) are used for the
     underlay, overlay, workload and runtime randomness, so changing e.g. the
     overlay degree does not perturb the underlay.
-
-    The underlay itself is resolved in priority order: an explicitly passed
-    *physical* (caller asserts it matches the config), this process's
-    attached shared-memory registry, and finally the seeded generator.  All
-    three paths yield the identical graph, so results do not depend on which
-    one served the scenario.
     """
     if config.underlay not in _UNDERLAYS:
         raise ValueError(
@@ -370,25 +189,17 @@ def build_scenario(
     underlay_rng, overlay_rng, workload_rng, run_rng = (
         np.random.default_rng(s) for s in seeds
     )
-    if physical is None:
-        physical = _attached_underlay(underlay_key(config))
-    if physical is None:
-        counters.underlay_builds += 1
-        physical = _UNDERLAYS[config.underlay](config.physical_nodes, underlay_rng)
+    counters.underlay_builds += 1
+    physical = _UNDERLAYS[config.underlay](config.physical_nodes, underlay_rng)
     overlay = _OVERLAYS[config.overlay_kind](
         physical, config.peers, avg_degree=config.avg_degree, rng=overlay_rng
     )
     if oracle_spec.kind != "exact":
         # The default ExactOracle installed by the Overlay constructor is
         # already correct for "exact" (and swapping would needlessly drop
-        # cost memos); only non-exact backends are resolved — attached from
-        # shared memory when the pool initializer offered one, built from
-        # the seeded oracle stream otherwise.  Both paths yield identical
-        # embeddings, so results do not depend on which one served.
-        oracle = _attached_oracle(oracle_key(config), physical)
-        if oracle is None:
-            oracle = build_oracle(config, physical)
-        overlay.use_oracle(oracle)
+        # cost memos); only non-exact backends are built, from the seeded
+        # oracle stream.
+        overlay.use_oracle(build_oracle(config, physical))
     # The generators build on the object model; the finished overlay is
     # lowered into flat arrays.  The oracle and epoch carry over.
     overlay = ArrayOverlay.from_overlay(overlay)

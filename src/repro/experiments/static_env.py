@@ -15,9 +15,8 @@ baseline both figures normalize against.
 :func:`run_static_trials` fans independent trials (different configs/seeds)
 out through the shared :mod:`~repro.experiments.parallel` harness: only the
 small, picklable :class:`~repro.experiments.setup.ScenarioConfig` crosses
-the process boundary, workers attach the underlay zero-copy from shared
-memory instead of regenerating it, and each worker's perf-counter delta is
-merged back into the parent's totals.
+the process boundary, each worker builds its world from it, and each
+worker's perf-counter delta is merged back into the parent's totals.
 """
 
 from __future__ import annotations
@@ -190,18 +189,13 @@ def run_static_trials(
 ) -> List[StaticSeries]:
     """Run one static experiment per config, fanning out over processes.
 
-    Each trial is independent (its own scenario, built from seed over the
-    shared underlay inside the worker), so results are byte-identical
-    whatever the worker count.  *max_workers* defaults to the
-    ``REPRO_WORKERS`` environment knob; ``1`` runs everything inline in
-    this process.  Worker perf counters are merged into the parent's.
+    Each trial is independent (its own scenario, built from seed inside
+    the worker), so results are byte-identical whatever the worker count.
+    *max_workers* defaults to the ``REPRO_WORKERS`` environment knob; ``1``
+    runs everything inline in this process.  Worker perf counters are
+    merged into the parent's.
     """
     payloads = [
         (config, steps, ace_config, query_samples, ttl) for config in configs
     ]
-    return run_trials(
-        _static_trial,
-        payloads,
-        shared_underlays=configs,
-        max_workers=max_workers,
-    )
+    return run_trials(_static_trial, payloads, max_workers=max_workers)

@@ -30,9 +30,7 @@ from .exact import ExactOracle
 from .landmark import (
     LANDMARK_ESTIMATORS,
     LANDMARK_STRATEGIES,
-    LandmarkEmbeddingHandle,
     LandmarkOracle,
-    SharedEmbedding,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
@@ -43,8 +41,6 @@ __all__ = [
     "OracleAccuracyError",
     "ExactOracle",
     "LandmarkOracle",
-    "LandmarkEmbeddingHandle",
-    "SharedEmbedding",
     "LANDMARK_STRATEGIES",
     "LANDMARK_ESTIMATORS",
     "OracleSpec",

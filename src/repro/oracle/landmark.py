@@ -31,19 +31,14 @@ RNG):
   computed during selection *are* the embedding rows, so it costs the same
   k solves.
 
-The embedding is immutable once built, so it rides the same zero-copy
-shared-memory transport as the underlay CSR arrays
-(:mod:`repro.topology.shm`): :meth:`LandmarkOracle.export_shared` places
-the ``(k, N)`` matrix in a named segment and
-:meth:`LandmarkOracle.attach_shared` maps it read-only in worker processes
-— no per-worker re-embedding, no multi-megabyte pickling.
+A parallel trial builds its own embedding from the seeded config, like its
+underlay: the k solves cost a fraction of a second at 20,000 nodes.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 from operator import add, sub
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -51,12 +46,6 @@ import numpy as np
 
 from ..perf import counters
 from ..rng import ensure_rng
-from ..topology.shm import (
-    SharedArraySpec,
-    SharedSegments,
-    attach_array,
-    export_arrays,
-)
 from .base import DelayOracle, OracleAccuracyError
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
@@ -65,8 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
 __all__ = [
     "LANDMARK_STRATEGIES",
     "LANDMARK_ESTIMATORS",
-    "LandmarkEmbeddingHandle",
-    "SharedEmbedding",
     "LandmarkOracle",
 ]
 
@@ -83,54 +70,6 @@ _EPS = 1e-12
 #: constant (not the caller's RNG) so validating never perturbs the
 #: scenario's seeded streams.
 _VALIDATION_SEED = 0xACC0
-
-
-@dataclass(frozen=True)
-class LandmarkEmbeddingHandle:
-    """Picklable description of one exported landmark embedding.
-
-    Everything a worker needs to rebuild a functioning
-    :class:`LandmarkOracle` around the shared ``(k, N)`` matrix: the
-    landmark ids and knobs travel inline (a few hundred bytes), only the
-    embedding itself lives in shared memory.
-    """
-
-    landmarks: Tuple[int, ...]
-    strategy: str
-    estimator: str
-    num_nodes: int
-    embedding: SharedArraySpec
-    exact_fallback_budget: int = 0
-    fallback_gap: float = 0.5
-
-
-class SharedEmbedding(SharedSegments):
-    """Owner of one exported landmark embedding's shared-memory segment.
-
-    Created by :meth:`LandmarkOracle.export_shared`; see
-    :class:`~repro.topology.shm.SharedSegments` for the ownership/unlink
-    contract (context manager, idempotent unlink, PID-guarded atexit).
-    """
-
-    def __init__(
-        self,
-        handle: LandmarkEmbeddingHandle,
-        segments: List[object],
-    ) -> None:
-        super().__init__(handle, segments)  # type: ignore[arg-type]
-        self._embedding_handle = handle
-
-    @property
-    def handle(self) -> LandmarkEmbeddingHandle:
-        """The picklable handle workers attach from."""
-        return self._embedding_handle
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "unlinked" if self._unlinked else f"{len(self._segments)} segments"
-        return (
-            f"SharedEmbedding(k={len(self._embedding_handle.landmarks)}, "
-            f"num_nodes={self._embedding_handle.num_nodes}, {state})"
-        )
 
 
 class LandmarkOracle(DelayOracle):
@@ -154,9 +93,6 @@ class LandmarkOracle(DelayOracle):
         the repo-wide seeded default (never OS entropy).
     landmarks:
         Explicit landmark host ids; skips selection (and the RNG) entirely.
-    embedding:
-        Pre-computed ``(k, N)`` delay matrix aligned with *landmarks* —
-        used by :meth:`attach_shared`; skips the embedding solves.
     exact_fallback_budget:
         Number of scalar :meth:`delay` queries allowed to fall back to the
         exact engine when the triangle bracket is too wide.  ``0`` (the
@@ -186,7 +122,6 @@ class LandmarkOracle(DelayOracle):
         estimator: str = "midpoint",
         rng: Optional[np.random.Generator] = None,
         landmarks: Optional[Sequence[int]] = None,
-        embedding: Optional[np.ndarray] = None,
         exact_fallback_budget: int = 0,
         fallback_gap: float = 0.5,
         accuracy: Optional[float] = None,
@@ -213,11 +148,9 @@ class LandmarkOracle(DelayOracle):
         self._strategy = strategy
         self._estimator = estimator
         self._fallback_gap = float(fallback_gap)
-        self._fallback_budget = int(exact_fallback_budget)
         self._fallback_left = int(exact_fallback_budget)
         self._vector_cache_size = int(vector_cache_size)
         self._vector_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._attached_segments: List[object] = []
         #: Median relative error measured by the last accuracy validation
         #: (``None`` until :meth:`validate_accuracy` runs).
         self.validated_error: Optional[float] = None
@@ -232,20 +165,8 @@ class LandmarkOracle(DelayOracle):
             if len(set(lms)) != len(lms):
                 raise ValueError("landmark ids must be distinct")
             self.landmarks: List[int] = lms
-            if embedding is not None:
-                embedding = np.asarray(embedding, dtype=float)
-                if embedding.shape != (len(lms), physical.num_nodes):
-                    raise ValueError(
-                        f"embedding must have shape "
-                        f"({len(lms)}, {physical.num_nodes}), "
-                        f"got {embedding.shape}"
-                    )
-                self._embedding = embedding
-            else:
-                self._embedding = self._embed(lms)
+            self._embedding = self._embed(lms)
         else:
-            if embedding is not None:
-                raise ValueError("embedding requires explicit landmarks")
             if n_landmarks < 1:
                 raise ValueError("need at least one landmark")
             rng = ensure_rng(rng)
@@ -359,11 +280,6 @@ class LandmarkOracle(DelayOracle):
     def exact_fallbacks_remaining(self) -> int:
         """Exact-fallback budget not yet spent."""
         return self._fallback_left
-
-    @property
-    def is_attached(self) -> bool:
-        """Whether the embedding is a shared-memory view from another process."""
-        return bool(self._attached_segments)
 
     def vector_of(self, host: int) -> np.ndarray:
         """The host's landmark delay vector (a read-only-by-convention view)."""
@@ -666,62 +582,6 @@ class LandmarkOracle(DelayOracle):
         error = float(np.median(errors)) if errors else 0.0
         self.validated_error = error
         return error
-
-    # ------------------------------------------------------------------
-    # Shared-memory export / attach
-    # ------------------------------------------------------------------
-
-    def export_shared(self) -> SharedEmbedding:
-        """Copy the embedding into shared memory for zero-copy workers.
-
-        Returns a :class:`SharedEmbedding` that owns the segment; its
-        picklable ``.handle`` is what worker processes pass to
-        :meth:`attach_shared`.  The exporter must unlink when the fleet is
-        done (context manager / ``finally``); attachers only unmap.
-        """
-        segments, specs = export_arrays({"embedding": self._embedding})
-        handle = LandmarkEmbeddingHandle(
-            landmarks=tuple(self.landmarks),
-            strategy=self._strategy,
-            estimator=self._estimator,
-            num_nodes=self._physical.num_nodes,
-            embedding=specs["embedding"],
-            exact_fallback_budget=self._fallback_budget,
-            fallback_gap=self._fallback_gap,
-        )
-        return SharedEmbedding(handle, list(segments))
-
-    @classmethod
-    def attach_shared(
-        cls, handle: LandmarkEmbeddingHandle, physical: "PhysicalTopology"
-    ) -> "LandmarkOracle":
-        """Rebuild an oracle around an exported embedding, zero-copy.
-
-        The embedding becomes a read-only view into the shared segment (no
-        re-solving, no copying); *physical* must be the same underlay the
-        exporter embedded — typically itself attached via
-        :meth:`PhysicalTopology.attach_shared
-        <repro.topology.physical.PhysicalTopology.attach_shared>`.  The
-        attached oracle keeps the segment mapped for its own lifetime and
-        never unlinks it.
-        """
-        if physical.num_nodes != handle.num_nodes:
-            raise ValueError(
-                f"underlay has {physical.num_nodes} nodes but the embedding "
-                f"was exported for {handle.num_nodes}"
-            )
-        seg, view = attach_array(handle.embedding)
-        oracle = cls(
-            physical,
-            strategy=handle.strategy,
-            estimator=handle.estimator,
-            landmarks=list(handle.landmarks),
-            embedding=view,
-            exact_fallback_budget=handle.exact_fallback_budget,
-            fallback_gap=handle.fallback_gap,
-        )
-        oracle._attached_segments = [seg]
-        return oracle
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

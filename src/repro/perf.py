@@ -65,8 +65,6 @@ class PerfCounters:
     query_seconds: float = 0.0
     #: Underlay graphs built by running a generator from the seeded config.
     underlay_builds: int = 0
-    #: Underlay graphs attached zero-copy from shared memory instead.
-    underlay_attaches: int = 0
     #: Delay answers served from an approximate oracle's embedding.
     oracle_estimates: int = 0
     #: Approximate-oracle queries that spent exact-fallback budget instead.
@@ -178,10 +176,7 @@ class PerfCounters:
             f"  queries: {self.queries} in {self.query_seconds:.3f}s "
             f"({self.queries_per_second:.0f}/s)"
         )
-        lines.append(
-            f"  underlays: {self.underlay_builds} built, "
-            f"{self.underlay_attaches} attached from shared memory"
-        )
+        lines.append(f"  underlays: {self.underlay_builds} built")
         lines.append(
             f"  oracle: {self.oracle_estimates} estimates, "
             f"{self.oracle_exact_fallbacks} exact fallbacks, "

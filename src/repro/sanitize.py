@@ -1,11 +1,11 @@
 """Runtime invariant sanitizer: the holder of the run-time contracts.
 
-Version bumps, cache coherence and the shared-memory lifecycle are held
-here, on the objects a real run actually builds, and nowhere else;
-``tools/replint`` keeps only the contracts no run can observe (see
-``docs/STATIC_ANALYSIS.md``).  Enable it with ``REPRO_SANITIZE=1`` in the
-environment or ``--sanitize`` on the CLI; when disabled (the default)
-nothing here is imported into the hot path and no wrapper exists anywhere.
+Version bumps and cache coherence are held here, on the objects a real
+run actually builds, and nowhere else; ``tools/replint`` keeps only the
+contracts no run can observe (see ``docs/STATIC_ANALYSIS.md``).  Enable it
+with ``REPRO_SANITIZE=1`` in the environment or ``--sanitize`` on the CLI;
+when disabled (the default) nothing here is imported into the hot path and
+no wrapper exists anywhere.
 
 What it checks
 ==============
@@ -28,10 +28,6 @@ What it checks
   directional probe memo (:meth:`ArrayOverlay.warm_edge_costs
   <repro.topology.soa.ArrayOverlay.warm_edge_costs>` copies them out of the
   vectors it streams) is compared with the oracle's vector for that source.
-* **Shared-memory leak accounting.**  Every
-  :class:`~repro.topology.shm.SharedSegments` owner must be unlinked
-  explicitly (context manager or ``finally``); segments that survive to the
-  ``atexit`` backstop were leaked by their owner and are reported.
 * **RNG stream ledger** (the run-time side of replint's REP009, which
   checks spawn order statically).  Generators handed out by
   :func:`repro.rng.ensure_rng` / :func:`repro.rng.derive_rng` are wrapped
@@ -53,7 +49,6 @@ import atexit
 import functools
 import os
 import sys
-import weakref
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -68,7 +63,6 @@ __all__ = [
     "violations",
     "violation_count",
     "rng_ledger",
-    "shm_ledger",
     "report",
     "reset",
 ]
@@ -92,10 +86,6 @@ class _State:
         self.rng_draws: Counter = Counter()
         #: generator instantiations per stream key.
         self.rng_derivations: Counter = Counter()
-        #: live SharedSegments owners: id -> (weakref, description, pid).
-        self.shm_owners: Dict[int, Tuple[Any, str, int]] = {}
-        self.shm_created = 0
-        self.shm_unlinked = 0
 
 
 _STATE = _State()
@@ -128,24 +118,11 @@ def rng_ledger() -> Dict[Tuple, Dict[str, int]]:
     }
 
 
-def shm_ledger() -> Dict[str, int]:
-    """Segment-owner accounting: created / explicitly unlinked / live."""
-    live = sum(1 for ref, _, _ in _STATE.shm_owners.values() if ref() is not None)
-    return {
-        "created": _STATE.shm_created,
-        "unlinked": _STATE.shm_unlinked,
-        "live": live,
-    }
-
-
 def reset() -> None:
     """Clear recorded violations and ledgers (hooks stay installed)."""
     _STATE.violations.clear()
     _STATE.rng_draws.clear()
     _STATE.rng_derivations.clear()
-    _STATE.shm_owners.clear()
-    _STATE.shm_created = 0
-    _STATE.shm_unlinked = 0
     _STATE.reported = False
 
 
@@ -166,9 +143,6 @@ def report(out=None) -> int:
 
 
 def _atexit_report() -> None:
-    # Runs after every SharedSegments backstop (those registered later,
-    # hence earlier in atexit's LIFO order), so leak accounting is final.
-    _finalize_shm_accounting()
     if not _STATE.reported and _STATE.violations:
         report(sys.stderr)
 
@@ -398,61 +372,6 @@ def _install_probe_memo_hooks() -> None:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory leak accounting
-# ----------------------------------------------------------------------
-
-def _install_shm_hooks() -> None:
-    from .topology import shm
-
-    orig_init = shm.SharedSegments.__init__
-    orig_unlink = shm.SharedSegments.unlink
-    orig_backstop = shm.SharedSegments._atexit_unlink
-
-    @functools.wraps(orig_init)
-    def init(self, handle, segments):
-        orig_init(self, handle, segments)
-        _STATE.shm_created += 1
-        _STATE.shm_owners[id(self)] = (
-            weakref.ref(self),
-            f"{type(self).__name__}({len(segments)} segment(s))",
-            os.getpid(),
-        )
-
-    @functools.wraps(orig_unlink)
-    def unlink(self):
-        if not self._unlinked and os.getpid() == self._owner_pid:
-            _STATE.shm_unlinked += 1
-            _STATE.shm_owners.pop(id(self), None)
-        orig_unlink(self)
-
-    @functools.wraps(orig_backstop)
-    def backstop(self):
-        if not self._unlinked and os.getpid() == self._owner_pid:
-            entry = _STATE.shm_owners.get(id(self))
-            what = entry[1] if entry else type(self).__name__
-            record(
-                f"shm: {what} reached the atexit backstop without an "
-                "explicit unlink (owner leaked it)"
-            )
-        orig_backstop(self)
-
-    shm.SharedSegments.__init__ = init
-    shm.SharedSegments.unlink = unlink
-    shm.SharedSegments._atexit_unlink = backstop
-
-
-def _finalize_shm_accounting() -> None:
-    """Flag owners that never unlinked at all (not even the backstop)."""
-    pid = os.getpid()
-    for ref, what, owner_pid in list(_STATE.shm_owners.values()):
-        obj = ref()
-        if obj is None or owner_pid != pid:
-            continue
-        if not obj._unlinked:
-            record(f"shm: {what} still linked at interpreter exit")
-
-
-# ----------------------------------------------------------------------
 # RNG stream ledger
 # ----------------------------------------------------------------------
 
@@ -567,7 +486,6 @@ def install() -> None:
     _install_ace_hooks()
     _install_search_hooks()
     _install_probe_memo_hooks()
-    _install_shm_hooks()
     _install_rng_hooks()
     atexit.register(_atexit_report)
 

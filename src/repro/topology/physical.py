@@ -27,12 +27,8 @@ All paths update the shared :data:`repro.perf.counters` so experiments can
 assert cache behavior (e.g. "zero Dijkstra runs during query propagation on
 a warmed overlay").
 
-The topology is immutable once built, which enables a third construction
-path: :meth:`export_shared` places the CSR arrays and coordinates into named
-shared-memory segments, and :meth:`attach_shared` rebuilds a fully
-functional topology around **zero-copy read-only views** of those segments
-in another process — no per-worker graph regeneration, no pickling of
-megabyte-scale arrays (see :mod:`repro.topology.shm`).
+A topology never crosses a process boundary: a parallel trial rebuilds its
+underlay from the seeded config (see :mod:`repro.experiments.parallel`).
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from ..perf import counters
-from .shm import SharedTopologyHandle, SharedUnderlay, attach_array, export_arrays
 
 __all__ = ["PhysicalTopology"]
 
@@ -102,10 +97,8 @@ class PhysicalTopology:
             edge_delays[key] = d
             adjacency[u].append(v)
             adjacency[v].append(u)
-        self._edge_delays: Optional[Dict[Tuple[int, int], float]] = edge_delays
-        self._adjacency: Optional[List[Tuple[int, ...]]] = [
-            tuple(sorted(a)) for a in adjacency
-        ]
+        self._edge_delays = edge_delays
+        self._adjacency: List[Tuple[int, ...]] = [tuple(sorted(a)) for a in adjacency]
 
         if coordinates is not None:
             coordinates = np.asarray(coordinates, dtype=float)
@@ -119,16 +112,13 @@ class PhysicalTopology:
         self._cache_size = int(cache_size)
         self._dist_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._pred_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        #: Shared-memory segments an attached instance borrows its CSR
-        #: buffers from; empty for locally-built topologies.
-        self._attached_segments: List[object] = []
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
 
     def _build_matrix(self) -> csr_matrix:
-        edge_delays = self._edge_map()
+        edge_delays = self._edge_delays
         m = len(edge_delays)
         rows = np.empty(2 * m, dtype=np.int64)
         cols = np.empty(2 * m, dtype=np.int64)
@@ -137,126 +127,6 @@ class PhysicalTopology:
             rows[2 * i], cols[2 * i], data[2 * i] = u, v, d
             rows[2 * i + 1], cols[2 * i + 1], data[2 * i + 1] = v, u, d
         return csr_matrix((data, (rows, cols)), shape=(self._num_nodes, self._num_nodes))
-
-    def _edge_map(self) -> Dict[Tuple[int, int], float]:
-        """The ``{(u < v): delay}`` map, derived lazily when attached."""
-        if self._edge_delays is None:
-            self._materialize_edge_structures()
-            assert self._edge_delays is not None
-        return self._edge_delays
-
-    def _adjacency_lists(self) -> List[Tuple[int, ...]]:
-        """Per-node sorted neighbor tuples, derived lazily when attached."""
-        if self._adjacency is None:
-            self._materialize_edge_structures()
-            assert self._adjacency is not None
-        return self._adjacency
-
-    def _materialize_edge_structures(self) -> None:
-        """Derive the python-level edge map and adjacency from the CSR.
-
-        Attached instances start with only the (shared) CSR arrays; the
-        dict/tuple mirrors are rebuilt on first use.  CSR rows are sorted,
-        so adjacency tuples come out identical to the eager constructor's.
-        """
-        m = self._matrix
-        indptr, indices, data = m.indptr, m.indices, m.data
-        n = self._num_nodes
-        self._adjacency = [
-            tuple(int(j) for j in indices[indptr[i] : indptr[i + 1]])
-            for i in range(n)
-        ]
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        upper = rows < indices
-        self._edge_delays = {
-            (int(u), int(v)): float(d)
-            for u, v, d in zip(rows[upper], indices[upper], data[upper])
-        }
-
-    # ------------------------------------------------------------------
-    # Shared-memory export / attach
-    # ------------------------------------------------------------------
-
-    def export_shared(self) -> SharedUnderlay:
-        """Copy the CSR arrays (and coordinates) into shared memory.
-
-        Returns a :class:`~repro.topology.shm.SharedUnderlay` that owns the
-        segments; its picklable ``.handle`` is what worker processes pass to
-        :meth:`attach_shared`.  The exporter must :meth:`unlink
-        <repro.topology.shm.SharedUnderlay.unlink>` when the fleet is done
-        (context manager / ``finally``); attached workers only unmap.
-        """
-        self._matrix.sort_indices()
-        arrays: Dict[str, np.ndarray] = {
-            "indptr": self._matrix.indptr,
-            "indices": self._matrix.indices,
-            "data": self._matrix.data,
-        }
-        if self._coordinates is not None:
-            arrays["coordinates"] = self._coordinates
-        segments, specs = export_arrays(arrays)
-        handle = SharedTopologyHandle(
-            num_nodes=self._num_nodes,
-            cache_size=self._cache_size,
-            indptr=specs["indptr"],
-            indices=specs["indices"],
-            data=specs["data"],
-            coordinates=specs.get("coordinates"),
-        )
-        return SharedUnderlay(handle, segments)
-
-    @classmethod
-    def attach_shared(cls, handle: SharedTopologyHandle) -> "PhysicalTopology":
-        """Rebuild a topology around an exported underlay, zero-copy.
-
-        The CSR arrays are read-only views into the shared segments (no
-        regeneration, no copying); the python-level edge map and adjacency
-        are derived lazily on first structural access.  Delay/path caches
-        start empty and are private to this process.  The attached instance
-        keeps the segment mappings alive for its own lifetime and never
-        unlinks them — the exporting process owns the segments.
-        """
-        self = cls.__new__(cls)
-        self._num_nodes = int(handle.num_nodes)
-        segments: List[object] = []
-        arrays: Dict[str, np.ndarray] = {}
-        specs = {
-            "indptr": handle.indptr,
-            "indices": handle.indices,
-            "data": handle.data,
-        }
-        if handle.coordinates is not None:
-            specs["coordinates"] = handle.coordinates
-        try:
-            for name, spec in specs.items():
-                seg, view = attach_array(spec)
-                segments.append(seg)
-                arrays[name] = view
-        except BaseException:
-            for seg in segments:
-                seg.close()  # type: ignore[attr-defined]
-            raise
-        matrix = csr_matrix(
-            (arrays["data"], arrays["indices"], arrays["indptr"]),
-            shape=(self._num_nodes, self._num_nodes),
-            copy=False,
-        )
-        matrix.has_sorted_indices = True
-        self._matrix = matrix
-        self._coordinates = arrays.get("coordinates")
-        self._edge_delays = None
-        self._adjacency = None
-        self._cache_size = int(handle.cache_size)
-        self._dist_cache = OrderedDict()
-        self._pred_cache = OrderedDict()
-        self._attached_segments = segments
-        counters.underlay_attaches += 1
-        return self
-
-    @property
-    def is_attached(self) -> bool:
-        """Whether this instance borrows its CSR buffers from shared memory."""
-        return bool(self._attached_segments)
 
     @classmethod
     def from_networkx(cls, graph, weight: str = "delay", **kwargs) -> "PhysicalTopology":
@@ -281,7 +151,7 @@ class PhysicalTopology:
 
         g = nx.Graph()
         g.add_nodes_from(range(self._num_nodes))
-        for (u, v), d in self._edge_map().items():
+        for (u, v), d in self._edge_delays.items():
             g.add_edge(u, v, delay=d)
         return g
 
@@ -297,7 +167,7 @@ class PhysicalTopology:
     @property
     def num_edges(self) -> int:
         """Number of physical links."""
-        return len(self._edge_map())
+        return len(self._edge_delays)
 
     @property
     def coordinates(self) -> Optional[np.ndarray]:
@@ -310,25 +180,25 @@ class PhysicalTopology:
 
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """Iterate over ``(u, v, delay)`` triples with ``u < v``."""
-        for (u, v), d in self._edge_map().items():
+        for (u, v), d in self._edge_delays.items():
             yield u, v, d
 
     def neighbors(self, node: int) -> Tuple[int, ...]:
         """Physical neighbors of *node* (sorted, immutable)."""
-        return self._adjacency_lists()[node]
+        return self._adjacency[node]
 
     def degree(self, node: int) -> int:
         """Number of physical links attached to *node*."""
-        return len(self._adjacency_lists()[node])
+        return len(self._adjacency[node])
 
     def degrees(self) -> np.ndarray:
         """Degree of every node as an array."""
-        return np.array([len(a) for a in self._adjacency_lists()], dtype=np.int64)
+        return np.array([len(a) for a in self._adjacency], dtype=np.int64)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether a direct physical link u-v exists."""
         key = (u, v) if u < v else (v, u)
-        return key in self._edge_map()
+        return key in self._edge_delays
 
     def link_delay(self, u: int, v: int) -> float:
         """Delay of the direct physical link u-v.
@@ -336,7 +206,7 @@ class PhysicalTopology:
         Raises ``KeyError`` if the link does not exist.
         """
         key = (u, v) if u < v else (v, u)
-        return self._edge_map()[key]
+        return self._edge_delays[key]
 
     # ------------------------------------------------------------------
     # Shortest paths

@@ -58,11 +58,10 @@ class TestDynamicReproducibility:
 class TestParallelMatchesSerial:
     """Worker-count invariance: the fan-out must not perturb a single bit.
 
-    Parallel trials rebuild their scenario over a shared-memory underlay
-    attached inside the worker; serial trials build everything inline.  Both
-    paths seed identically from the config, so the results must be
-    byte-identical — the determinism guarantee the parallel harness
-    advertises.
+    Parallel trials build their scenario inside the worker; serial trials
+    build it inline.  Both call ``build_scenario`` on the same seeded
+    config, so the results must be byte-identical — the determinism
+    guarantee the parallel harness advertises.
     """
 
     def test_static_trials_parallel_is_byte_identical_to_serial(self):

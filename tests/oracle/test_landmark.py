@@ -1,4 +1,4 @@
-"""LandmarkOracle: triangle bounds, estimators, accuracy gate, shm transport."""
+"""LandmarkOracle: triangle bounds, estimators, accuracy gate, pairwise path."""
 
 import math
 
@@ -259,44 +259,6 @@ class TestAccuracyGate:
     def test_accuracy_out_of_range(self, ba_physical):
         with pytest.raises(ValueError):
             LandmarkOracle(ba_physical, n_landmarks=2, accuracy=1.5)
-
-
-class TestSharedMemoryTransport:
-    def test_export_attach_round_trip(self, rng, ba_physical):
-        oracle = LandmarkOracle(ba_physical, n_landmarks=6, rng=rng)
-        exported = oracle.export_shared()
-        try:
-            attached = LandmarkOracle.attach_shared(
-                exported.handle, ba_physical
-            )
-            assert attached.is_attached
-            assert not oracle.is_attached
-            assert attached.landmarks == oracle.landmarks
-            assert np.array_equal(
-                attached.embedding, oracle.embedding, equal_nan=True
-            )
-            hosts = ba_physical.largest_component_nodes()
-            for u, v in [(hosts[0], hosts[4]), (hosts[2], hosts[9])]:
-                assert attached.delay(u, v) == oracle.delay(u, v)
-        finally:
-            exported.unlink()
-
-    def test_attach_rejects_wrong_underlay_size(self, rng, ba_physical,
-                                                grid_physical):
-        oracle = LandmarkOracle(ba_physical, n_landmarks=3, rng=rng)
-        exported = oracle.export_shared()
-        try:
-            with pytest.raises(ValueError, match="nodes"):
-                LandmarkOracle.attach_shared(exported.handle, grid_physical)
-        finally:
-            exported.unlink()
-
-    def test_unlink_is_idempotent(self, rng, ba_physical):
-        exported = LandmarkOracle(
-            ba_physical, n_landmarks=2, rng=rng
-        ).export_shared()
-        exported.unlink()
-        exported.unlink()
 
 
 class TestDelayPairs:

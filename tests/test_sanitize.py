@@ -195,43 +195,6 @@ print("DETECTED")
         assert "DETECTED" in proc.stdout, proc.stdout + proc.stderr
 
 
-class TestShmAccounting:
-    def test_leaked_owner_is_reported_at_exit(self):
-        proc = run_snippet("""
-import repro.sanitize as sanitize
-sanitize.install()
-
-import numpy as np
-from repro.topology.shm import SharedSegments, export_arrays
-
-segments, specs = export_arrays(
-    {"a": np.arange(4, dtype=np.float64)}
-)
-owner = SharedSegments(tuple(specs), list(segments))
-# never unlinked: the atexit backstop must record the leak
-""")
-        assert "atexit backstop" in proc.stderr, proc.stdout + proc.stderr
-
-    def test_context_manager_owner_is_clean(self):
-        proc = run_snippet("""
-import repro.sanitize as sanitize
-sanitize.install()
-
-import numpy as np
-from repro.topology.shm import SharedSegments, export_arrays
-
-segments, specs = export_arrays({"a": np.arange(4, dtype=np.float64)})
-with SharedSegments(tuple(specs), list(segments)):
-    pass
-assert sanitize.violation_count() == 0, sanitize.violations()
-ledger = sanitize.shm_ledger()
-assert ledger["created"] == 1 and ledger["unlinked"] == 1
-print("CLEAN")
-""")
-        assert "CLEAN" in proc.stdout, proc.stdout + proc.stderr
-        assert "sanitize:" not in proc.stderr
-
-
 class TestRngLedger:
     def test_duplicate_stream_derivation_is_detected(self):
         proc = run_snippet("""

@@ -336,7 +336,7 @@ UNDERLAYS = {
 class TestDirectedSolveOverSymmetricCsr:
     """The CSR holds both directions of every link, so the solver runs in
     directed mode (each edge scanned once); the floats must be those of the
-    undirected mode, on every generator and on a shared-memory attach."""
+    undirected mode, on every generator."""
 
     @pytest.mark.parametrize("kind", sorted(UNDERLAYS))
     @pytest.mark.parametrize("seed", [0, 1])
@@ -345,12 +345,9 @@ class TestDirectedSolveOverSymmetricCsr:
         want = undirected_reference(topo)
         nodes = list(topo.nodes())
         batched = topo.delays_from_many(nodes, cache=False)
-        with topo.export_shared() as shared:
-            attached = PhysicalTopology.attach_shared(shared.handle)
-            for s in nodes:
-                assert batched[s].tobytes() == want[s].tobytes()
-                assert topo.delays_from(s).tobytes() == want[s].tobytes()
-                assert attached.delays_from(s).tobytes() == want[s].tobytes()
+        for s in nodes:
+            assert batched[s].tobytes() == want[s].tobytes()
+            assert topo.delays_from(s).tobytes() == want[s].tobytes()
 
     def test_distance_fault_skips_predecessors_and_path_solves_them(self):
         topo = PhysicalTopology(
