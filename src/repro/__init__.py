@@ -8,14 +8,14 @@ with every substrate the paper's evaluation depends on:
   logical overlays whose link costs are underlay shortest-path delays.
 * :mod:`repro.oracle` — pluggable delay backends behind one seam: exact
   batched Dijkstra, or a k-landmark embedding with triangle-inequality
-  error bounds and an accuracy gate.
+  error bounds.
 * :mod:`repro.core` — the ACE protocol: neighbor cost tables (Phase 1),
   per-peer minimum spanning trees over h-neighbor closures (Phase 2), and
   adaptive connection replacement (Phase 3).
 * :mod:`repro.search` — blind flooding, ACE tree routing, and response
   index caching.
 * :mod:`repro.sim` — discrete-event kernel, churn, bootstrap, workload.
-* :mod:`repro.metrics` — traffic/scope/response accounting and the
+* :mod:`repro.metrics` — windowed series collection and the
   gain/penalty optimization-rate analysis.
 * :mod:`repro.experiments` — drivers regenerating every evaluation figure.
 * :mod:`repro.extensions` — AOTO and (simplified) LTM comparators.
@@ -65,7 +65,6 @@ from .core import (
 )
 from .extensions import (
     AotoProtocol,
-    LandmarkMatcher,
     LtmProtocol,
     aoto_config,
     hpf_strategy,
@@ -74,7 +73,6 @@ from .oracle import (
     DelayOracle,
     ExactOracle,
     LandmarkOracle,
-    OracleAccuracyError,
     OracleSpec,
     make_oracle,
     parse_oracle_spec,
@@ -82,10 +80,8 @@ from .oracle import (
 from .metrics import (
     OptimizationTradeoff,
     SeriesCollector,
-    TrafficAccount,
     minimal_depth_for_gain,
     optimization_rate,
-    reduction_rate,
     summarize,
 )
 from .search import (
@@ -207,8 +203,6 @@ __all__ = [
     "QueryWorkload",
     "WorkloadConfig",
     # metrics
-    "TrafficAccount",
-    "reduction_rate",
     "SeriesCollector",
     "summarize",
     "OptimizationTradeoff",
@@ -218,7 +212,6 @@ __all__ = [
     "DelayOracle",
     "ExactOracle",
     "LandmarkOracle",
-    "OracleAccuracyError",
     "OracleSpec",
     "parse_oracle_spec",
     "make_oracle",
@@ -227,7 +220,6 @@ __all__ = [
     "aoto_config",
     "LtmProtocol",
     "hpf_strategy",
-    "LandmarkMatcher",
     # related-work search baselines
     "random_walk_query",
     "WalkResult",

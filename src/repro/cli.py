@@ -36,6 +36,17 @@ from typing import Optional, Sequence
 __all__ = ["build_parser", "main"]
 
 
+def _oracle_spec(text: str) -> str:
+    """argparse ``type=`` for ``--oracle``: validate, return *text* unchanged."""
+    from .oracle import parse_oracle_spec
+
+    try:
+        parse_oracle_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -55,10 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degree", type=float, default=degree,
                        help="average logical degree")
         p.add_argument("--seed", type=int, default=1, help="RNG seed")
-        p.add_argument("--oracle", default="exact",
+        p.add_argument("--oracle", default="exact", type=_oracle_spec,
                        help="delay backend: 'exact' (default) or "
-                            "'landmark:<k>[:strategy[:estimator]]' for the "
-                            "approximate k-landmark embedding")
+                            "'landmark[:k]' for the approximate k-landmark "
+                            "embedding (k=16 by default)")
         p.add_argument("--json", dest="json_path", default=None,
                        help="also write the result object to this JSON file")
         p.add_argument("--perf", action="store_true",

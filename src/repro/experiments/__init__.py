@@ -21,18 +21,12 @@ from .opt_rate import (
     rate_vs_depth,
     rate_vs_frequency_ratio,
 )
-from .paper_scale import (
-    estimate_static_run_cost,
-    paper_scenario,
-    paper_seed_family,
-)
 from .paper_example import (
     PEER_NAMES,
     ExampleWalkthrough,
     build_example_overlay,
     run_walkthrough,
 )
-from .replication import MetricSummary, ReplicationResult, replicate
 from .reporting import format_percent, format_series, format_table
 from .results_io import load_result, save_result
 from .setup import Scenario, ScenarioConfig, build_scenario, repro_scale
@@ -69,10 +63,4 @@ __all__ = [
     "line_chart",
     "save_result",
     "load_result",
-    "replicate",
-    "ReplicationResult",
-    "MetricSummary",
-    "paper_scenario",
-    "paper_seed_family",
-    "estimate_static_run_cost",
 ]

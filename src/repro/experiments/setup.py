@@ -112,7 +112,8 @@ class ScenarioConfig:
     seed: int = 0
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     #: Delay backend spec: ``"exact"`` (default, byte-identical to the
-    #: pre-oracle engine) or ``"landmark[:k[:strategy[:estimator]]]"`` (see
+    #: pre-oracle engine) or ``"landmark[:k]"``, a maxmin k-landmark
+    #: embedding answering with midpoint estimates (see
     #: :func:`repro.oracle.parse_oracle_spec`).
     oracle: str = "exact"
 

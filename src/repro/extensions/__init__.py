@@ -7,15 +7,11 @@
   weighted partial flooding.
 * :mod:`~repro.extensions.gia` — Gia capacity-aware adaptation ([4]),
   which fixes a *different* matching problem.
-* :mod:`~repro.extensions.landmark` — landmark-vector topology matching
-  ([21]), including the mapping-inaccuracy measurement the paper's
-  criticism rests on.
 """
 
 from .aoto import AotoProtocol, aoto_config
 from .gia import GiaAdaptation, GiaReport, assign_capacities
 from .hpf import HPF_WEIGHTINGS, hpf_strategy
-from .landmark import LandmarkMatcher, LandmarkReport
 from .ltm import LtmProtocol, LtmReport
 
 __all__ = [
@@ -25,8 +21,6 @@ __all__ = [
     "LtmReport",
     "hpf_strategy",
     "HPF_WEIGHTINGS",
-    "LandmarkMatcher",
-    "LandmarkReport",
     "GiaAdaptation",
     "GiaReport",
     "assign_capacities",

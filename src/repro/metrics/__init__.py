@@ -2,8 +2,8 @@
 
 Traffic cost, search scope and response time come straight out of
 :class:`~repro.search.flooding.QueryResult`; this package adds the
-bookkeeping around them: traffic accounting, optimization-rate analysis and
-windowed series collection for the dynamic experiments.  The engine-level
+bookkeeping around them: optimization-rate analysis and windowed series
+collection for the dynamic experiments.  The engine-level
 performance counters (Dijkstra runs, cache hit rates, queries/sec — see
 :mod:`repro.perf` and ``docs/PERFORMANCE.md``) are re-exported here as
 :data:`perf_counters` so metric consumers can read simulation throughput
@@ -11,7 +11,6 @@ alongside the paper's metrics.
 """
 
 from ..perf import PerfCounters, counters as perf_counters
-from .accounting import TrafficAccount, reduction_rate
 from .collector import SeriesCollector, Summary, summarize
 from .optimization import (
     OptimizationTradeoff,
@@ -20,8 +19,6 @@ from .optimization import (
 )
 
 __all__ = [
-    "TrafficAccount",
-    "reduction_rate",
     "SeriesCollector",
     "Summary",
     "summarize",

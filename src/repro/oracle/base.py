@@ -13,11 +13,10 @@ error.
 hard-coded: :class:`~repro.oracle.exact.ExactOracle` delegates to the
 :class:`~repro.topology.physical.PhysicalTopology` engine (byte-identical
 to calling it directly), :class:`~repro.oracle.landmark.LandmarkOracle`
-answers from a landmark embedding with triangle-inequality error bounds and
-an accuracy gate.  :class:`~repro.topology.overlay.Overlay` routes every
-cost lookup through its oracle; ``tests/test_perf.py`` holds
-``repro.core``/``repro.search`` to the seam (a landmark-oracle run solves
-nothing beyond its embedding).
+answers from a landmark embedding with triangle-inequality error bounds.
+:class:`~repro.topology.overlay.Overlay` routes every cost lookup through
+its oracle; ``tests/test_perf.py`` holds ``repro.core``/``repro.search`` to
+the seam (a landmark-oracle run solves nothing beyond its embedding).
 
 The interface mirrors the underlay engine's access patterns on purpose —
 scalar :meth:`~DelayOracle.delay`, single-source
@@ -37,19 +36,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
     from ..topology.physical import PhysicalTopology
 
-__all__ = ["DelayOracle", "OracleAccuracyError"]
-
-
-class OracleAccuracyError(ValueError):
-    """An approximate oracle failed its configured accuracy validation.
-
-    Raised at construction time when a :class:`LandmarkOracle
-    <repro.oracle.landmark.LandmarkOracle>` built with an ``accuracy`` knob
-    measures a median relative error above the allowed ``1 - accuracy`` on
-    its seeded validation sample — the caller asked for a fidelity this
-    embedding cannot deliver and must raise ``n_landmarks``, lower
-    ``accuracy``, or fall back to the exact backend.
-    """
+__all__ = ["DelayOracle"]
 
 
 class DelayOracle(ABC):

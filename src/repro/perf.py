@@ -67,8 +67,6 @@ class PerfCounters:
     underlay_builds: int = 0
     #: Delay answers served from an approximate oracle's embedding.
     oracle_estimates: int = 0
-    #: Approximate-oracle queries that spent exact-fallback budget instead.
-    oracle_exact_fallbacks: int = 0
     #: Single-source solves spent building landmark embeddings.
     landmark_embed_sources: int = 0
     #: Forwarding strategies lowered to a CSR graph (cache misses only).
@@ -179,7 +177,6 @@ class PerfCounters:
         lines.append(f"  underlays: {self.underlay_builds} built")
         lines.append(
             f"  oracle: {self.oracle_estimates} estimates, "
-            f"{self.oracle_exact_fallbacks} exact fallbacks, "
             f"{self.landmark_embed_sources} landmark embed sources"
         )
         lines.append(

@@ -20,7 +20,6 @@ from .autonomous_systems import (
     as_traffic_report,
     transit_stub,
 )
-from .dot_export import overlay_to_dot, physical_to_dot, write_dot
 from .generators import (
     barabasi_albert,
     glp,
@@ -78,7 +77,4 @@ __all__ = [
     "snapshot_from_adjacency",
     "save_snapshot",
     "load_snapshot",
-    "overlay_to_dot",
-    "physical_to_dot",
-    "write_dot",
 ]

@@ -352,6 +352,8 @@ class PhysicalTopology:
 
     def delay(self, u: int, v: int) -> float:
         """Shortest-path delay between hosts *u* and *v* (0 when ``u == v``)."""
+        if not (0 <= u < self._num_nodes and 0 <= v < self._num_nodes):
+            raise ValueError("host id out of range")
         if u == v:
             return 0.0
         # Serve from whichever endpoint is already cached to avoid extra

@@ -44,6 +44,21 @@ class TestPaperClaims:
         expected = 100.0 * (first - last) / first
         assert series.traffic_reduction_percent == pytest.approx(expected)
 
+    def test_static_reductions_positive_on_average(self):
+        # Figures 7-8 across seeds: both reductions positive in the mean,
+        # traffic reduction substantial, robust to seed noise.
+        runs = [
+            run_static_experiment(build_scenario(ScenarioConfig(
+                physical_nodes=300, peers=48, avg_degree=8, seed=seed
+            )), steps=4, query_samples=10)
+            for seed in (1, 2, 3, 4)
+        ]
+        traffic = [s.traffic_reduction_percent for s in runs]
+        response = [s.response_reduction_percent for s in runs]
+        assert sum(traffic) / len(traffic) > 20.0
+        assert sum(response) / len(response) > 0.0
+        assert min(traffic) > 0.0
+
 
 class TestDeterminism:
     def test_same_seed_same_series(self):

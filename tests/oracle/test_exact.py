@@ -75,7 +75,6 @@ class TestOverlaySeamIsTransparent:
         assert via_overlay == direct
         # The seam adds no Dijkstra work and no oracle-counter noise.
         assert overlay_counters["oracle_estimates"] == 0
-        assert overlay_counters["oracle_exact_fallbacks"] == 0
         assert overlay_counters["landmark_embed_sources"] == 0
 
     def test_copy_shares_the_oracle(self, rng, ba_physical):

@@ -1,5 +1,6 @@
-"""Oracle spec grammar: parse, canonicalize, build."""
+"""Oracle spec grammar: parse, build; the scalar delay contract of both backends."""
 
+import numpy as np
 import pytest
 
 from repro.oracle import (
@@ -18,21 +19,12 @@ class TestParse:
 
     def test_landmark_defaults(self):
         spec = parse_oracle_spec("landmark")
-        assert spec == OracleSpec(
-            kind="landmark", n_landmarks=16, strategy="maxmin",
-            estimator="midpoint",
-        )
+        assert spec == OracleSpec(kind="landmark", n_landmarks=16)
 
     def test_landmark_full(self):
-        spec = parse_oracle_spec("landmark:32:degree:upper")
-        assert spec.n_landmarks == 32
-        assert spec.strategy == "degree"
-        assert spec.estimator == "upper"
-
-    def test_empty_fields_keep_defaults(self):
-        spec = parse_oracle_spec("landmark::random")
-        assert spec.n_landmarks == 16
-        assert spec.strategy == "random"
+        assert parse_oracle_spec("landmark:32") == OracleSpec(
+            kind="landmark", n_landmarks=32
+        )
 
     @pytest.mark.parametrize(
         "bad",
@@ -41,9 +33,12 @@ class TestParse:
             "   ",
             "exact:1",
             "gnp",
+            "landmark:",
             "landmark:zero",
             "landmark:0",
             "landmark:-4",
+            "landmark::random",
+            "landmark:16:maxmin",
             "landmark:8:astrology",
             "landmark:8:maxmin:vibes",
             "landmark:8:maxmin:midpoint:extra",
@@ -54,22 +49,6 @@ class TestParse:
             parse_oracle_spec(bad)
 
 
-class TestCanonical:
-    @pytest.mark.parametrize(
-        "spec,canonical",
-        [
-            ("exact", "exact"),
-            ("landmark", "landmark:16:maxmin:midpoint"),
-            ("landmark:8", "landmark:8:maxmin:midpoint"),
-            ("landmark:8:random:euclidean", "landmark:8:random:euclidean"),
-        ],
-    )
-    def test_round_trip(self, spec, canonical):
-        parsed = parse_oracle_spec(spec)
-        assert parsed.canonical() == canonical
-        assert parse_oracle_spec(parsed.canonical()) == parsed
-
-
 class TestMakeOracle:
     def test_exact_backend(self, ba_physical):
         oracle = make_oracle("exact", ba_physical)
@@ -77,17 +56,28 @@ class TestMakeOracle:
         assert oracle.physical is ba_physical
 
     def test_landmark_backend(self, rng, ba_physical):
-        oracle = make_oracle("landmark:4:degree:lower", ba_physical, rng=rng)
+        oracle = make_oracle("landmark:4", ba_physical, rng=rng)
         assert isinstance(oracle, LandmarkOracle)
         assert oracle.n_landmarks == 4
-        assert oracle.strategy == "degree"
-        assert oracle.estimator == "lower"
 
     def test_landmark_seeded_build_is_deterministic(self, ba_physical):
-        import numpy as np
-
         a = make_oracle("landmark:5", ba_physical,
                         rng=np.random.default_rng(13))
         b = make_oracle("landmark:5", ba_physical,
                         rng=np.random.default_rng(13))
         assert a.landmarks == b.landmarks
+        assert np.array_equal(a.embedding, b.embedding)
+
+
+class TestScalarDelay:
+    @pytest.mark.parametrize("spec", ["exact", "landmark:4"])
+    @pytest.mark.parametrize("bad", [-1, "N"])
+    def test_rejects_ids_instead_of_wrapping(self, rng, ba_physical, spec, bad):
+        # -1 and N would index a cached row from the end; delays_from and
+        # delay_pairs already refuse them, so the scalar form must too.
+        oracle = make_oracle(spec, ba_physical, rng=rng)
+        bad = ba_physical.num_nodes if bad == "N" else bad
+        oracle.delays_from(5)  # a resident row is what a wrapped read hits
+        for u, v in [(5, bad), (bad, 5)]:
+            with pytest.raises(ValueError, match="out of range"):
+                oracle.delay(u, v)

@@ -3,8 +3,8 @@
 A library release lives or dies on its public surface; these meta-tests
 keep it honest — every public module, class and function documented, every
 ``__all__`` entry real, no accidental wildcard leakage, no import left behind
-by a refactor — and the docs may only name files, knobs and lint rules that
-exist.
+by a refactor, no module that only tests import — and the docs may only name
+files, knobs and lint rules that exist.
 """
 
 import ast
@@ -50,7 +50,8 @@ per_public_module = pytest.mark.parametrize(
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-SOURCE_FILES = sorted((REPO_ROOT / "src").rglob("*.py"))
+SRC = REPO_ROOT / "src"
+SOURCE_FILES = sorted(SRC.rglob("*.py"))
 
 
 def unused_imports(path):
@@ -103,7 +104,7 @@ class TestModuleHygiene:
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
     @pytest.mark.parametrize(
-        "path", SOURCE_FILES, ids=lambda p: str(p.relative_to(REPO_ROOT / "src"))
+        "path", SOURCE_FILES, ids=lambda p: str(p.relative_to(SRC))
     )
     def test_every_import_is_used(self, path):
         # Used, re-exported in __all__, or under TYPE_CHECKING.
@@ -154,6 +155,84 @@ def test_public_methods_documented():
             if inspect.isfunction(func) and not (func.__doc__ or "").strip():
                 undocumented.append(f"{qualname}.{name}")
     assert not undocumented, undocumented
+
+
+def _module_file(name):
+    """The source file of module *name* under ``src/``, or ``None``."""
+    base = SRC.joinpath(*name.split("."))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+def _imports(path, name):
+    """``(module, imported names, bound names)`` per import, absolute names.
+
+    ``import a.b`` yields ``("a.b", (), ())``; ``from a import x as y``
+    yields ``("a", ("x",), ("y",))``, relative levels resolved against
+    *name*.
+    """
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, (), ()
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
+                module = ".".join(anchor + ([module] if module else []))
+            yield (module, tuple(a.name for a in node.names),
+                   tuple(a.asname or a.name for a in node.names))
+
+
+def _origin(module, name):
+    """The ``src`` module that defines *name* as seen from *module*.
+
+    Follows package re-exports (``from .sub import name`` in an
+    ``__init__``) down to the defining module; a submodule named *name*
+    is its own origin.
+    """
+    if _module_file(f"{module}.{name}") is not None:
+        return f"{module}.{name}"
+    path = _module_file(module)
+    if path is None or path.name != "__init__.py":
+        return module
+    for source, names, _ in _imports(path, module):
+        if name in names:
+            return _origin(source, name)
+    return module
+
+
+def test_every_module_has_an_importer_outside_tests():
+    # A module only tests reach is code nothing runs.  A package __init__
+    # re-export does not count as a caller (an __init__ import counts only
+    # if the __init__ reads the name itself); importing a name through a
+    # re-export (``from repro import X``) counts for the module defining X.
+    modules = {
+        ".".join(p.relative_to(SRC).with_suffix("").parts)
+        for p in SRC.rglob("*.py")
+        if p.name not in ("__init__.py", "__main__.py")
+    }
+    reached = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in (REPO_ROOT / top).rglob("*.py"):
+            rel = path.relative_to(SRC if top == "src" else REPO_ROOT)
+            importer = ".".join(rel.with_suffix("").parts)
+            if path.name == "__init__.py":
+                importer = importer.rpartition(".")[0]
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for module, names, bound in _imports(path, importer):
+                if path.name == "__init__.py":
+                    names = [n for n, b in zip(names, bound) if b in read]
+                    if not names:
+                        continue
+                reached.add(module)
+                reached.update(_origin(module, n) for n in names)
+    unreached = sorted(modules - reached)
+    assert not unreached, unreached
 
 
 def test_top_level_all_is_sorted_by_section_and_complete():

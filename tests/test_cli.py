@@ -21,6 +21,7 @@ class TestParser:
         assert args.peers == 128
         assert args.steps == 10
         assert args.depth == 1
+        assert args.oracle == "exact"  # the validating type returns the spec
 
     def test_dynamic_flags(self):
         args = build_parser().parse_args(
@@ -39,6 +40,15 @@ class TestParser:
     def test_topology_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["topology", "--underlay", "bogus"])
+
+    @pytest.mark.parametrize("spec", ["landmark:x", "landmark:16:maxmin"])
+    def test_oracle_typo_is_a_usage_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["static", "--oracle", spec])
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("repro static: error: argument --oracle:")
+        assert "exact | landmark[:k]" in error
 
 
 class TestCommands:
