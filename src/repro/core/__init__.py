@@ -1,59 +1,13 @@
 """ACE core: the paper's primary contribution.
 
-Exports the protocol driver (:class:`AceProtocol` / :class:`AceConfig`) and
-its building blocks — h-neighbor closures, neighbor cost tables, Prim
-spanning trees, Phase-3 replacement and the candidate policies.
+Exports the protocol driver (:class:`AceProtocol` / :class:`AceConfig`).
+Its building blocks — h-neighbor closures (:mod:`~repro.core.closure`),
+neighbor cost tables (:mod:`~repro.core.cost_table`), Prim spanning trees
+(:mod:`~repro.core.spanning_tree`), Phase-3 replacement
+(:mod:`~repro.core.replacement`) and the candidate policies
+(:mod:`~repro.core.policies`) — are imported from their modules.
 """
 
-from .ace import AceConfig, AceProtocol, PeerAceState, StepReport
-from .adaptive_depth import (
-    AdaptiveAceProtocol,
-    DepthAdvisor,
-    FrequencyEstimator,
-)
-from .closure import ClosureView, neighbor_closure
-from .cost_table import (
-    NeighborCostTable,
-    Phase1Report,
-    build_cost_table,
-    exchange_overhead,
-    probe_overhead,
-    run_phase1,
-)
-from .policies import (
-    CandidatePolicy,
-    ClosestPolicy,
-    NaivePolicy,
-    RandomPolicy,
-    make_policy,
-)
-from .replacement import ReplacementAction, attempt_replacement
-from .spanning_tree import SpanningTree, prim_mst, prim_mst_heap
+from .ace import AceConfig, AceProtocol
 
-__all__ = [
-    "AceProtocol",
-    "AceConfig",
-    "AdaptiveAceProtocol",
-    "DepthAdvisor",
-    "FrequencyEstimator",
-    "PeerAceState",
-    "StepReport",
-    "ClosureView",
-    "neighbor_closure",
-    "NeighborCostTable",
-    "Phase1Report",
-    "build_cost_table",
-    "probe_overhead",
-    "exchange_overhead",
-    "run_phase1",
-    "SpanningTree",
-    "prim_mst",
-    "prim_mst_heap",
-    "ReplacementAction",
-    "attempt_replacement",
-    "CandidatePolicy",
-    "RandomPolicy",
-    "ClosestPolicy",
-    "NaivePolicy",
-    "make_policy",
-]
+__all__ = ["AceProtocol", "AceConfig"]

@@ -62,29 +62,24 @@ __all__ = ["AceConfig", "PeerAceState", "StepReport", "AceProtocol"]
 class AceConfig:
     """Tunable parameters of the ACE protocol.
 
+    The Phase-1 overhead factors and the Phase-3 limits are constants
+    (:data:`~repro.core.cost_table.ROUND_TRIP_FACTOR` /
+    :data:`~repro.core.cost_table.ENTRY_COST_FACTOR`,
+    :data:`~repro.core.replacement.MIN_DEGREE` /
+    :data:`~repro.core.replacement.MAX_PROBES_PER_TARGET`,
+    :data:`~repro.core.turn.MAX_SHEDS_PER_STEP`), and redundant-link
+    shedding never cuts below the overlay's average degree at protocol
+    construction (:func:`~repro.core.turn.shed_floor_of`).
+
     Attributes
     ----------
     depth:
         The *h* of the h-neighbor closure (paper Section 3.4).  ``1`` is the
         base protocol; larger values trade overhead for optimization rate.
     policy:
-        Phase-3 candidate policy: ``"random"`` (the paper's evaluated
-        choice), ``"closest"``, ``"naive"``, or a
-        :class:`~repro.core.policies.CandidatePolicy` instance.
-    max_probes_per_target:
-        Probe budget per non-flooding neighbor per step.
-    max_targets_per_step:
-        How many non-flooding neighbors a peer tries to replace per step
-        (``None`` = all).
-    max_degree:
-        Cap on logical degree for Figure 4(c) additions (``None`` = none).
-    min_degree:
-        A peer never cuts a link that would leave the other endpoint below
-        this degree unless the replacement preserves its connectivity.
-    round_trip_factor:
-        Cost multiplier for one probe (ping + pong).
-    entry_cost_factor:
-        Per-table-entry cost factor for cost-table exchange messages.
+        Name of the Phase-3 candidate policy: ``"random"`` (the paper's
+        evaluated choice), ``"closest"`` or ``"naive"``
+        (:func:`~repro.core.policies.make_policy`).
     allow_keep_both:
         Enables the Figure 4(c) branch; ``False`` reproduces the AOTO
         precursor (swap-only optimization).
@@ -96,36 +91,16 @@ class AceConfig:
         "node C will try to find another peer to replace H" once H turns
         non-flooding — keeping the logical degree stable instead of growing
         with every keep-both addition.
-    max_sheds_per_step:
-        Per-peer cap on redundant-link cuts per optimization step; keeps the
-        topology change gradual (the distributed protocol only re-examines
-        one connection per periodic round).
-    shed_degree_floor:
-        Shedding never drops an endpoint below this logical degree, so it
-        trims only the *excess* connections that keep-both additions create
-        — a Gnutella servent maintains its configured connection count.
-        ``None`` (default) uses the overlay's average degree at protocol
-        construction.
     """
 
     depth: int = 1
-    policy: object = "random"
-    max_probes_per_target: int = 1
-    max_targets_per_step: Optional[int] = None
-    max_degree: Optional[int] = None
-    min_degree: int = 2
-    round_trip_factor: float = 2.0
-    entry_cost_factor: float = 0.02
+    policy: str = "random"
     allow_keep_both: bool = True
     shed_redundant: bool = True
-    max_sheds_per_step: int = 1
-    shed_degree_floor: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.max_probes_per_target < 1:
-            raise ValueError("max_probes_per_target must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -210,7 +185,7 @@ class AceProtocol:
         # and recompute_tree on an unmutated overlay share one extraction.
         self._closure_cache: Dict[int, ClosureView] = {}
         self._closure_epoch = -1
-        self._shed_floor = shed_floor_of(self.config, overlay)
+        self._shed_floor = shed_floor_of(overlay)
 
     # ------------------------------------------------------------------
     # State access
@@ -317,7 +292,7 @@ class AceProtocol:
     def refresh_peer(self, peer: int) -> Tuple[PeerAceState, Phase1Report]:
         """Run Phases 1-2 for one peer and store its new state."""
         closure = self._closure_of(peer)
-        report = phase1(self.overlay, closure, self.config)
+        report = phase1(self.overlay, closure)
         return self._store_state(peer, closure), report
 
     def _store_state(self, peer: int, closure: ClosureView) -> PeerAceState:
@@ -385,9 +360,7 @@ class AceProtocol:
         cap and degree floor; returns how many links were cut.
         """
         return len(
-            shed_redundant(
-                self.overlay, peer, non_flooding, self.config, self._shed_floor
-            )
+            shed_redundant(self.overlay, peer, non_flooding, self._shed_floor)
         )
 
     def optimize_peer(self, peer: int, report: StepReport) -> List[ReplacementAction]:

@@ -65,6 +65,7 @@ import numpy as np
 from ..perf import counters
 from ..topology.soa import ArrayOverlay
 from .closure import neighbor_closure
+from .cost_table import ENTRY_COST_FACTOR, ROUND_TRIP_FACTOR
 from .turn import Turn, fold, phase3
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -373,8 +374,8 @@ def _refresh_stale(protocol: "AceProtocol", peer: int) -> tuple:
     s = 0.0
     for c in closure.edges[peer].values():
         s += c
-    probe = config.round_trip_factor * s
-    exchange = (1.0 + config.entry_cost_factor * closure.num_edges()) * s
+    probe = ROUND_TRIP_FACTOR * s
+    exchange = (1.0 + ENTRY_COST_FACTOR * closure.num_edges()) * s
     return probe, exchange, sorted(state.non_flooding)
 
 
@@ -404,8 +405,8 @@ def _optimize_one(
     else:
         protocol._put_flat(peer, *batch.row(pos))
         s = batch.probe_sum[pos]
-        probe = config.round_trip_factor * s
-        exchange = (1.0 + config.entry_cost_factor * batch.closure_edges[pos]) * s
+        probe = ROUND_TRIP_FACTOR * s
+        exchange = (1.0 + ENTRY_COST_FACTOR * batch.closure_edges[pos]) * s
         in_tree = set(batch.flooding[pos])
         non_flooding = [t for t in batch.direct[pos] if t not in in_tree]
 
@@ -540,6 +541,6 @@ def churn_refresh(
         protocol._put_flat(peer, *batch.row(batch.index[peer]))
     pos = batch.index[replacement]
     s = batch.probe_sum[pos]
-    probe = config.round_trip_factor * s
-    exchange = (1.0 + config.entry_cost_factor * batch.closure_edges[pos]) * s
+    probe = ROUND_TRIP_FACTOR * s
+    exchange = (1.0 + ENTRY_COST_FACTOR * batch.closure_edges[pos]) * s
     return probe + exchange

@@ -20,6 +20,8 @@ from ..topology.overlay import Overlay
 from .closure import ClosureView
 
 __all__ = [
+    "ROUND_TRIP_FACTOR",
+    "ENTRY_COST_FACTOR",
     "NeighborCostTable",
     "build_cost_table",
     "probe_overhead",
@@ -27,6 +29,11 @@ __all__ = [
     "Phase1Report",
     "run_phase1",
 ]
+
+#: Cost multiplier of one probe: a ping/pong over the logical link.
+ROUND_TRIP_FACTOR = 2.0
+#: Per-link-record cost factor of a cost-table exchange message.
+ENTRY_COST_FACTOR = 0.02
 
 
 @dataclass(frozen=True)
@@ -55,19 +62,18 @@ def build_cost_table(overlay: Overlay, peer: int) -> NeighborCostTable:
     return NeighborCostTable(owner=peer, costs=dict(costs))
 
 
-def probe_overhead(table: NeighborCostTable, round_trip_factor: float = 2.0) -> float:
+def probe_overhead(table: NeighborCostTable) -> float:
     """Traffic cost of probing every entry of a cost table.
 
     A probe is a ping/pong exchange over the logical link, so each entry
-    costs ``round_trip_factor * link_cost`` cost units.
+    costs ``ROUND_TRIP_FACTOR * link_cost`` cost units.
     """
-    return round_trip_factor * sum(table.costs.values())
+    return ROUND_TRIP_FACTOR * sum(table.costs.values())
 
 
 def exchange_overhead(
     closure: ClosureView,
     tables: Mapping[int, NeighborCostTable],
-    entry_cost_factor: float = 0.02,
 ) -> float:
     """Traffic cost of disseminating cost tables across a closure.
 
@@ -79,7 +85,7 @@ def exchange_overhead(
     source's per-period share is therefore one message per incident logical
     link, sized by the closure's information content:
 
-    ``sum_over_neighbors d(S, N) * (1 + entry_cost_factor * E(h))``
+    ``sum_over_neighbors d(S, N) * (1 + ENTRY_COST_FACTOR * E(h))``
 
     where ``E(h)`` is the number of link records in the source's h-neighbor
     closure.  For ``depth == 1`` this reduces to each neighbor sending its
@@ -89,7 +95,7 @@ def exchange_overhead(
     rather than message-dominated.
     """
     entries = closure.num_edges()
-    per_message_factor = 1.0 + entry_cost_factor * entries
+    per_message_factor = 1.0 + ENTRY_COST_FACTOR * entries
     direct = closure.edges.get(closure.source, {})
     return per_message_factor * sum(direct.values())
 
@@ -109,12 +115,7 @@ class Phase1Report:
         return self.probe_cost + self.exchange_cost
 
 
-def run_phase1(
-    overlay: Overlay,
-    closure: ClosureView,
-    round_trip_factor: float = 2.0,
-    entry_cost_factor: float = 0.02,
-) -> Phase1Report:
+def run_phase1(overlay: Overlay, closure: ClosureView) -> Phase1Report:
     """Execute Phase 1 for the closure's source peer.
 
     Builds the cost table of every closure member (they all probe their own
@@ -129,8 +130,8 @@ def run_phase1(
     tables: Dict[int, NeighborCostTable] = {
         m: build_cost_table(overlay, m) for m in closure.members
     }
-    own_probe = probe_overhead(tables[closure.source], round_trip_factor)
-    exch = exchange_overhead(closure, tables, entry_cost_factor)
+    own_probe = probe_overhead(tables[closure.source])
+    exch = exchange_overhead(closure, tables)
     return Phase1Report(
         source=closure.source,
         tables=tables,

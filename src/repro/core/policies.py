@@ -177,13 +177,11 @@ _POLICIES = {
 }
 
 
-def make_policy(spec) -> CandidatePolicy:
-    """Resolve a policy name or instance to a :class:`CandidatePolicy`."""
-    if isinstance(spec, CandidatePolicy):
-        return spec
+def make_policy(name: str) -> CandidatePolicy:
+    """The :class:`CandidatePolicy` a policy name selects."""
     try:
-        return _POLICIES[spec]()
+        return _POLICIES[name]()
     except KeyError:
         raise ValueError(
-            f"unknown policy {spec!r}; choose from {sorted(_POLICIES)}"
+            f"unknown policy {name!r}; choose from {sorted(_POLICIES)}"
         ) from None

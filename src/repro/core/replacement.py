@@ -8,11 +8,10 @@ drawn from C's neighbor list.  With d(x, y) the probed cost:
 * **Figure 4(c)** — ``d(S,C) <= d(S,H) < d(C,H)``: S establishes S-H but
   keeps C; the redundant long link C-H is expected to be shed later by C's
   own optimization once H turns non-flooding for C.
-* **Figure 4(d)** — otherwise: nothing changes; S keeps probing other
-  candidates of C (up to the configured probe budget).
+* **Figure 4(d)** — otherwise: nothing changes.
 
 Each probe is a ping/pong over the (potential) logical link and is charged
-``round_trip_factor * d(S,H)`` cost units of overhead.
+``ROUND_TRIP_FACTOR * d(S,H)`` cost units of overhead.
 """
 
 from __future__ import annotations
@@ -23,9 +22,22 @@ from typing import Optional
 import numpy as np
 
 from ..topology.overlay import Overlay
+from .cost_table import ROUND_TRIP_FACTOR
 from .policies import CandidatePolicy
 
-__all__ = ["ReplacementAction", "attempt_replacement"]
+__all__ = [
+    "MIN_DEGREE",
+    "MAX_PROBES_PER_TARGET",
+    "ReplacementAction",
+    "attempt_replacement",
+]
+
+#: A Figure 4(b) cut never leaves the target below this logical degree
+#: unless the candidate is the target's neighbor; also the lowest shed floor.
+MIN_DEGREE = 2
+#: Candidates a random or naive policy probes per target (the closest
+#: policy probes the target's whole neighbor list).
+MAX_PROBES_PER_TARGET = 1
 
 
 @dataclass(frozen=True)
@@ -55,35 +67,21 @@ def attempt_replacement(
     target: int,
     policy: CandidatePolicy,
     rng: np.random.Generator,
-    max_probes: int = 1,
-    round_trip_factor: float = 2.0,
-    max_degree: Optional[int] = None,
-    min_degree: int = 1,
     allow_keep_both: bool = True,
 ) -> ReplacementAction:
     """Run Phase 3 for one non-flooding neighbor of *source*.
 
-    Parameters
-    ----------
-    max_probes:
-        Probe budget per target (the paper's random policy probes one
-        candidate; the closest policy probes the whole neighbor list).
-    max_degree:
-        If set, a Figure 4(c) "keep both" addition is skipped when it would
-        push *source* above this logical degree (the replacement of 4(b) is
-        degree-neutral and always allowed).
-    min_degree:
-        A cut is skipped when it would drop the *target* below this degree
-        (defensive guard; Figure 4(b) already guarantees the target keeps
-        the candidate as a neighbor).
-    allow_keep_both:
-        When ``False`` the Figure 4(c) branch is disabled — the behaviour of
-        the AOTO precursor, which only ever swaps connections.
+    A Figure 4(b) cut is skipped when it would drop the *target* below
+    :data:`MIN_DEGREE` and the candidate is not the target's neighbor.
+    With *allow_keep_both* ``False`` the Figure 4(c) branch is disabled —
+    the behaviour of the AOTO precursor, which only ever swaps connections.
     """
     if not overlay.has_edge(source, target):
         return ReplacementAction("none", source, target, None, 0, 0.0)
 
-    candidates = policy.candidates(overlay, source, target, rng, max_probes)
+    candidates = policy.candidates(
+        overlay, source, target, rng, MAX_PROBES_PER_TARGET
+    )
     if not candidates:
         return ReplacementAction("none", source, target, None, 0, 0.0)
 
@@ -101,25 +99,21 @@ def attempt_replacement(
         pool = charged(overlay, source, target)
         probes = len(pool)
         pool_costs = overlay.costs_from(source, pool)
-        probe_cost = round_trip_factor * sum(pool_costs[h] for h in pool)
+        probe_cost = ROUND_TRIP_FACTOR * sum(pool_costs[h] for h in pool)
 
     # Target-rooted costs are only needed on the keep-both branch; solved
     # lazily (one batched sweep) the first time a candidate reaches it.
     d_tgt = None
 
-    tried = 0
     for cand in candidates:
-        if tried >= max_probes and charged is None:
-            break
-        tried += 1
         d_sh = d_src[cand]
         if charged is None:
             probes += 1
-            probe_cost += round_trip_factor * d_sh
+            probe_cost += ROUND_TRIP_FACTOR * d_sh
 
         if d_sh < d_sc:
             # Figure 4(b): strictly closer — replace the far neighbor.
-            if overlay.degree(target) - 1 >= min_degree or overlay.has_edge(
+            if overlay.degree(target) - 1 >= MIN_DEGREE or overlay.has_edge(
                 target, cand
             ):
                 overlay.connect(source, cand)
@@ -135,12 +129,10 @@ def attempt_replacement(
         if allow_keep_both and d_sh < d_ch:
             # Figure 4(c): farther than C, but closer than the C-H link —
             # establish S-H and keep C; C is expected to shed C-H later.
-            if max_degree is not None and overlay.degree(source) >= max_degree:
-                continue
             overlay.connect(source, cand)
             return ReplacementAction(
                 "keep_both", source, target, cand, probes, probe_cost
             )
-        # Figure 4(d): keep probing.
+        # Figure 4(d): try the next candidate (the closest policy's pool).
 
     return ReplacementAction("none", source, target, None, probes, probe_cost)

@@ -30,13 +30,14 @@ import numpy as np
 from .closure import ClosureView
 from .cost_table import Phase1Report, run_phase1
 from .policies import CandidatePolicy
-from .replacement import ReplacementAction, attempt_replacement
+from .replacement import MIN_DEGREE, ReplacementAction, attempt_replacement
 from .spanning_tree import SpanningTree, prim_mst_heap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from .ace import AceConfig, StepReport
 
 __all__ = [
+    "MAX_SHEDS_PER_STEP",
     "Turn",
     "shed_floor_of",
     "forwarding_set",
@@ -46,6 +47,10 @@ __all__ = [
     "phase3",
     "fold",
 ]
+
+#: Redundant-link cuts per peer per step: the topology changes gradually,
+#: one connection re-examined per periodic round.
+MAX_SHEDS_PER_STEP = 1
 
 
 @dataclass
@@ -64,17 +69,15 @@ class Turn:
     actions: List[ReplacementAction]
 
 
-def shed_floor_of(config: "AceConfig", overlay) -> int:
+def shed_floor_of(overlay) -> int:
     """The logical degree redundant-link shedding never cuts below.
 
-    ``shed_degree_floor`` when configured, else the overlay's average
-    degree at protocol construction (a servent maintains its configured
-    connection count); never under ``min_degree``.
+    The overlay's average degree at protocol construction (a servent
+    maintains its configured connection count), never under
+    :data:`~repro.core.replacement.MIN_DEGREE`.
     """
-    if config.shed_degree_floor is not None:
-        return max(config.min_degree, config.shed_degree_floor)
     avg = overlay.average_degree() if overlay.num_peers else 0.0
-    return max(config.min_degree, int(round(avg)))
+    return max(MIN_DEGREE, int(round(avg)))
 
 
 def forwarding_set(
@@ -101,14 +104,9 @@ def forwarding_set(
     return set(flooding) | (live - known)
 
 
-def phase1(view, closure: ClosureView, config: "AceConfig") -> Phase1Report:
+def phase1(view, closure: ClosureView) -> Phase1Report:
     """Phase 1 at the closure's source: probe and exchange accounting."""
-    return run_phase1(
-        view,
-        closure,
-        round_trip_factor=config.round_trip_factor,
-        entry_cost_factor=config.entry_cost_factor,
-    )
+    return run_phase1(view, closure)
 
 
 def phase2(
@@ -121,7 +119,7 @@ def phase2(
 
 
 def shed_redundant(
-    view, peer: int, non_flooding: Sequence[int], config: "AceConfig", shed_floor: int
+    view, peer: int, non_flooding: Sequence[int], shed_floor: int
 ) -> List[int]:
     """Cut non-flooding links a logical triangle makes redundant.
 
@@ -130,7 +128,7 @@ def shed_redundant(
     route, so connectivity and search scope are preserved while the most
     expensive redundant connection disappears (the Figure 1 L-M situation,
     and the eventual fate of C-H in Figure 4(c)).  Neither endpoint drops
-    to *shed_floor* or below, and at most ``config.max_sheds_per_step``
+    to *shed_floor* or below, and at most :data:`MAX_SHEDS_PER_STEP`
     links go per call.  Returns the cut targets, in cut order.
     """
     sheds: List[int] = []
@@ -143,7 +141,7 @@ def shed_redundant(
     # redundant connection goes first.
     ordered = sorted(non_flooding, key=lambda t: (-d_peer[t], t))
     for target in ordered:
-        if len(sheds) >= config.max_sheds_per_step:
+        if len(sheds) >= MAX_SHEDS_PER_STEP:
             break
         if not view.has_edge(peer, target):
             continue
@@ -184,16 +182,12 @@ def phase3(
     """
     sheds: List[int] = []
     if config.shed_redundant:
-        sheds = shed_redundant(view, peer, non_flooding, config, shed_floor)
+        sheds = shed_redundant(view, peer, non_flooding, shed_floor)
         if sheds:
             non_flooding = [t for t in non_flooding if view.has_edge(peer, t)]
 
-    targets = policy.targets(view, peer, non_flooding, rng)
-    if config.max_targets_per_step is not None:
-        targets = targets[: config.max_targets_per_step]
-
     actions: List[ReplacementAction] = []
-    for target in targets:
+    for target in policy.targets(view, peer, non_flooding, rng):
         if not view.has_edge(peer, target):
             continue  # cut earlier in this turn, or by another peer since Phase 2
         actions.append(
@@ -203,10 +197,6 @@ def phase3(
                 target,
                 policy,
                 rng,
-                max_probes=config.max_probes_per_target,
-                round_trip_factor=config.round_trip_factor,
-                max_degree=config.max_degree,
-                min_degree=config.min_degree,
                 allow_keep_both=config.allow_keep_both,
             )
         )

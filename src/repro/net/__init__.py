@@ -19,33 +19,7 @@ See ``docs/NETWORK.md`` for the architecture, the wire format and the
 sim-vs-live convergence contract.
 """
 
-from __future__ import annotations
-
-from .launch import LiveRunResult, plan_queries, run_live, run_sim_reference
+from .launch import plan_queries, run_live, run_sim_reference
 from .runtime import NetConfig
-from .wire import (
-    Envelope,
-    FrameAssembler,
-    TruncatedFrame,
-    UnknownMessageType,
-    VersionMismatch,
-    WireError,
-    decode_frame,
-    encode_frame,
-)
 
-__all__ = [
-    "Envelope",
-    "FrameAssembler",
-    "LiveRunResult",
-    "NetConfig",
-    "TruncatedFrame",
-    "UnknownMessageType",
-    "VersionMismatch",
-    "WireError",
-    "decode_frame",
-    "encode_frame",
-    "plan_queries",
-    "run_live",
-    "run_sim_reference",
-]
+__all__ = ["NetConfig", "plan_queries", "run_live", "run_sim_reference"]

@@ -196,7 +196,7 @@ async def _run_live_async(
     coord = DeliveryCoordinator(net.discipline, net.latency_scale)
     ledger = TrafficLedger()
     seed = SeedNode(
-        net, coord, ledger, ace_config, shed_floor_of(ace_config, overlay),
+        net, coord, ledger, ace_config, shed_floor_of(overlay),
         rng=np.random.default_rng(scenario.config.seed + PROTOCOL_SEED_SALT),
     )
     peers: Dict[int, LivePeer] = {

@@ -34,6 +34,7 @@ import numpy as np
 from ..core.ace import AceConfig
 from ..core.closure import neighbor_closure
 from ..core.policies import make_policy
+from ..core.replacement import MIN_DEGREE
 from ..core.turn import Turn, forwarding_set, phase1, phase2, phase3
 from ..perf import counters
 from ..sim.messages import (
@@ -58,6 +59,7 @@ from .wire import (
     Shutdown,
     TurnDone,
     Welcome,
+    WireError,
     encode_frame,
 )
 
@@ -123,7 +125,7 @@ class LivePeer:
 
         # -- ACE state --------------------------------------------------
         self.ace_config = AceConfig()
-        self.shed_floor = self.ace_config.min_degree
+        self.shed_floor = MIN_DEGREE
         self._policy = make_policy(self.ace_config.policy)
         self._flooding: Optional[FrozenSet[int]] = None
         self._known: Optional[FrozenSet[int]] = None
@@ -463,14 +465,14 @@ class LivePeer:
         self.assigned_neighbors = tuple(welcome.neighbors)
         self.cost_row = dict(welcome.cost_row)
         cfg = dict(welcome.config)
-        self.shed_floor = int(cfg.pop("shed_floor", self.ace_config.min_degree))
+        self.shed_floor = int(cfg.pop("shed_floor", MIN_DEGREE))
+        # A key this peer does not know means the seed runs another version
+        # of the protocol; dropping it would let the fleet silently diverge.
+        unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(AceConfig)})
+        if unknown:
+            raise WireError(f"Welcome.config carries unknown keys {unknown}")
         if cfg:
-            known_fields = {
-                f.name for f in AceConfig.__dataclass_fields__.values()
-            }
-            self.ace_config = AceConfig(
-                **{k: v for k, v in cfg.items() if k in known_fields}
-            )
+            self.ace_config = AceConfig(**cfg)
         self._policy = make_policy(self.ace_config.policy)
 
     async def _serve_turn(
@@ -521,7 +523,7 @@ class LivePeer:
         _tree, flooding, known = phase2(view, me, closure)
         if rng is None:
             return flooding, known, None
-        charged = phase1(view, closure, config)
+        charged = phase1(view, closure)
         sheds, actions = phase3(
             view, me, sorted(known - flooding), config,
             self.shed_floor, self._policy, rng,

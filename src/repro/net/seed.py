@@ -97,11 +97,6 @@ class SeedNode(LivePeer):
 
     def _config_payload(self) -> Dict[str, object]:
         payload = asdict(self.ace_config)
-        if not isinstance(payload.get("policy"), str):
-            raise ValueError(
-                "live runs need a named policy (a policy instance cannot "
-                "cross the wire)"
-            )
         if payload["policy"] == "naive":
             raise ValueError(
                 "policy 'naive' cannot run live: it probes candidates from "

@@ -181,8 +181,10 @@ class Welcome:
     ``cost_row`` maps every member to the underlay delay from this peer;
     it is what the peer's latency model injects and what its cost probes
     answer from, reproducing the simulated delay matrix on a live socket.
-    ``config`` carries the ACE parameters (including the shed floor the
-    simulator derives from the bootstrap overlay's average degree).
+    ``config`` carries the four :class:`~repro.core.ace.AceConfig` fields
+    and the shed floor the simulator derives from the bootstrap overlay's
+    average degree; a peer refuses a key it does not know
+    (:meth:`~repro.net.peer.LivePeer.apply_welcome`).
     """
 
     peer: int = 0

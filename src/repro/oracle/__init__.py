@@ -1,9 +1,10 @@
 """Pluggable delay oracles: exact batched Dijkstra or landmark embeddings.
 
 See :mod:`repro.oracle.base` for the seam's rationale.  This package
-exposes the protocol (:class:`DelayOracle`), the two production backends
-(:class:`ExactOracle`, :class:`LandmarkOracle`), and a tiny spec grammar so
-scenario configs and the CLI can select a backend with a string::
+exposes the protocol (:class:`DelayOracle`) and a tiny spec grammar so
+scenario configs and the CLI can select one of the two production backends
+(:mod:`~repro.oracle.exact`, :mod:`~repro.oracle.landmark`) with a
+string::
 
     exact                                  # the default; byte-identical to main
     landmark                               # k=16 landmarks
@@ -29,14 +30,7 @@ from .landmark import LandmarkOracle
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
     from ..topology.physical import PhysicalTopology
 
-__all__ = [
-    "DelayOracle",
-    "ExactOracle",
-    "LandmarkOracle",
-    "OracleSpec",
-    "parse_oracle_spec",
-    "make_oracle",
-]
+__all__ = ["DelayOracle", "parse_oracle_spec", "make_oracle"]
 
 #: The grammar every parse error names.
 _GRAMMAR = "expected 'exact | landmark[:k]'"

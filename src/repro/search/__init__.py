@@ -8,59 +8,8 @@
   vectorized multi-source propagation kernel.
 """
 
-from .batch import (
-    BatchPropagation,
-    CompiledGraph,
-    QueryStats,
-    RingPropagator,
-    compile_strategy,
-    propagate_many,
-    propagate_single,
-    run_queries,
-)
-from .caching import IndexCache, IndexCacheStore, cached_query
-from .expanding_ring import (
-    DEFAULT_TTL_SCHEDULE,
-    RingResult,
-    expanding_ring_query,
-)
-from .random_walk import WalkResult, random_walk_query
-from .flooding import (
-    GNUTELLA_TTL,
-    ForwardingStrategy,
-    QueryPropagation,
-    QueryResult,
-    blind_flooding_strategy,
-    propagate,
-    run_query,
-)
-from .tree_routing import ace_propagate, ace_query, ace_strategy
+from .batch import run_queries
+from .flooding import blind_flooding_strategy
+from .tree_routing import ace_strategy
 
-__all__ = [
-    "GNUTELLA_TTL",
-    "ForwardingStrategy",
-    "QueryPropagation",
-    "QueryResult",
-    "propagate",
-    "run_query",
-    "blind_flooding_strategy",
-    "ace_strategy",
-    "ace_propagate",
-    "ace_query",
-    "IndexCache",
-    "IndexCacheStore",
-    "cached_query",
-    "WalkResult",
-    "random_walk_query",
-    "RingResult",
-    "expanding_ring_query",
-    "DEFAULT_TTL_SCHEDULE",
-    "BatchPropagation",
-    "CompiledGraph",
-    "QueryStats",
-    "RingPropagator",
-    "compile_strategy",
-    "propagate_many",
-    "propagate_single",
-    "run_queries",
-]
+__all__ = ["blind_flooding_strategy", "ace_strategy", "run_queries"]

@@ -37,10 +37,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AceConfig(depth=0)
 
-    def test_probe_budget_positive(self):
-        with pytest.raises(ValueError):
-            AceConfig(max_probes_per_target=0)
-
     def test_defaults_sane(self):
         cfg = AceConfig()
         assert cfg.depth == 1
@@ -193,48 +189,50 @@ class TestTrafficReduction:
 
 
 class TestShedding:
-    def test_sheds_longest_triangle_edge(self, clustered):
-        protocol = AceProtocol(
-            clustered,
-            AceConfig(shed_degree_floor=1, min_degree=1),
-            rng=np.random.default_rng(0),
+    # The shed floor is the overlay's average degree (never below 2), so
+    # every world below keeps that average at 2 and gives the endpoints of
+    # the link under test a third neighbor.
+
+    def test_sheds_longest_triangle_edge(self):
+        # Triangle 0-1-2 (costs 2, 3, 5) with pendants 3 on 0 and 4 on 2.
+        ov = overlay_on_line(
+            [0, 2, 5, 1, 7], [(0, 1), (1, 2), (0, 2), (0, 3), (2, 4)]
         )
+        protocol = AceProtocol(ov, rng=np.random.default_rng(0))
+        assert protocol._shed_floor == 2
         protocol.recompute_tree(0)
         shed = protocol.shed_redundant_links(0, [2])
         assert shed == 1
-        assert not clustered.has_edge(0, 2)
-        assert clustered.is_connected()
+        assert not ov.has_edge(0, 2)
+        assert ov.is_connected()
 
     def test_respects_degree_floor(self, clustered):
-        protocol = AceProtocol(
-            clustered,
-            AceConfig(shed_degree_floor=2),
-            rng=np.random.default_rng(0),
-        )
+        protocol = AceProtocol(clustered, rng=np.random.default_rng(0))
+        assert protocol._shed_floor == 2
         protocol.recompute_tree(0)
         shed = protocol.shed_redundant_links(0, [2])
         assert shed == 0  # peer 0 has degree 2 == floor
         assert clustered.has_edge(0, 2)
 
     def test_does_not_cut_non_triangle_links(self):
-        ov = overlay_on_line([0, 2, 9], [(0, 1), (1, 2)])
-        protocol = AceProtocol(
-            ov, AceConfig(shed_degree_floor=1, min_degree=1),
-            rng=np.random.default_rng(0),
+        # 0 and 1 both have degree 3 but no mutual neighbor.
+        ov = overlay_on_line(
+            [0, 2, 9, 1, 3, 11], [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5)]
         )
+        protocol = AceProtocol(ov, rng=np.random.default_rng(0))
+        assert protocol._shed_floor == 2
         assert protocol.shed_redundant_links(0, [1]) == 0
 
     def test_cap_per_step(self):
-        # Two triangles sharing peer 0, both with 0-incident longest edges.
+        # Two triangles sharing peer 0, both with 0-incident longest edges,
+        # and pendants 5 on 2 and 6 on 4: the floor would allow both cuts.
         ov = overlay_on_line(
-            [0, 1, 9, 2, 12],
-            [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)],
+            [0, 1, 9, 2, 12, 10, 13],
+            [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (2, 5), (4, 6)],
         )
-        protocol = AceProtocol(
-            ov,
-            AceConfig(shed_degree_floor=1, min_degree=1, max_sheds_per_step=1),
-            rng=np.random.default_rng(0),
-        )
+        protocol = AceProtocol(ov, rng=np.random.default_rng(0))
+        assert protocol._shed_floor == 2
+        assert protocol.shed_redundant_links(0, [2, 4]) == 1
         assert protocol.shed_redundant_links(0, [2, 4]) == 1
 
 

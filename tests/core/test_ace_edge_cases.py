@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.ace import AceConfig, AceProtocol, StepReport
+from repro.core.replacement import MIN_DEGREE
 from repro.topology.overlay import Overlay
 from repro.topology.physical import PhysicalTopology
 
@@ -88,14 +89,6 @@ class TestNonFloodingAccessor:
 
 
 class TestShedFloorConfiguration:
-    def test_explicit_floor_wins(self):
-        ov = Overlay(tiny_world(), {0: 0, 1: 2})
-        ov.connect(0, 1)
-        protocol = AceProtocol(
-            ov, AceConfig(shed_degree_floor=7), rng=np.random.default_rng(0)
-        )
-        assert protocol._shed_floor == 7
-
     def test_default_floor_is_average_degree(self):
         ov = Overlay(tiny_world(), {0: 0, 1: 2, 2: 4, 3: 6})
         for u, v in [(0, 1), (1, 2), (2, 3), (3, 0)]:
@@ -103,15 +96,20 @@ class TestShedFloorConfiguration:
         protocol = AceProtocol(ov, rng=np.random.default_rng(0))
         assert protocol._shed_floor == 2
 
+    def test_default_floor_follows_a_denser_overlay(self):
+        ov = Overlay(tiny_world(), {p: p for p in range(5)})
+        for u in range(5):
+            for v in range(u + 1, 5):
+                ov.connect(u, v)
+        protocol = AceProtocol(ov, rng=np.random.default_rng(0))
+        assert protocol._shed_floor == 4
+
     def test_floor_never_below_min_degree(self):
+        # Average degree 1 rounds to 1; the floor stays at MIN_DEGREE.
         ov = Overlay(tiny_world(), {0: 0, 1: 2})
         ov.connect(0, 1)
-        protocol = AceProtocol(
-            ov,
-            AceConfig(min_degree=3, shed_degree_floor=1),
-            rng=np.random.default_rng(0),
-        )
-        assert protocol._shed_floor == 3
+        protocol = AceProtocol(ov, rng=np.random.default_rng(0))
+        assert protocol._shed_floor == MIN_DEGREE == 2
 
 
 class TestOverheadAccounting:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.closure import neighbor_closure
 from repro.core.cost_table import (
+    ENTRY_COST_FACTOR,
+    ROUND_TRIP_FACTOR,
     NeighborCostTable,
     build_cost_table,
     exchange_overhead,
@@ -49,7 +51,7 @@ class TestProbeOverhead:
     def test_round_trip_charging(self):
         table = NeighborCostTable(owner=0, costs={1: 5.0, 2: 4.0})
         assert probe_overhead(table) == pytest.approx(2 * 9.0)
-        assert probe_overhead(table, round_trip_factor=3.0) == pytest.approx(27.0)
+        assert probe_overhead(table) == ROUND_TRIP_FACTOR * 9.0
 
     def test_empty_table_zero(self):
         assert probe_overhead(NeighborCostTable(owner=0, costs={})) == 0.0
@@ -71,11 +73,14 @@ class TestExchangeOverhead:
         assert deep > shallow
 
     def test_entry_factor_scales(self, overlay):
+        # Each link record in the closure adds ENTRY_COST_FACTOR of the
+        # direct links' cost.
         closure = neighbor_closure(overlay, 0, 2)
         tables = {m: build_cost_table(overlay, m) for m in closure.members}
-        cheap = exchange_overhead(closure, tables, entry_cost_factor=0.01)
-        costly = exchange_overhead(closure, tables, entry_cost_factor=1.0)
-        assert costly > cheap
+        direct = sum(closure.edges[0].values())
+        expected = (1.0 + ENTRY_COST_FACTOR * closure.num_edges()) * direct
+        assert exchange_overhead(closure, tables) == expected
+        assert ENTRY_COST_FACTOR == 0.02
 
     def test_isolated_source_zero(self, grid_physical):
         from repro.topology.overlay import Overlay

@@ -37,9 +37,9 @@ class TestMakePolicy:
         assert isinstance(make_policy("closest"), ClosestPolicy)
         assert isinstance(make_policy("naive"), NaivePolicy)
 
-    def test_passthrough_instance(self):
-        policy = RandomPolicy()
-        assert make_policy(policy) is policy
+    def test_instance_is_not_a_name(self):
+        with pytest.raises(ValueError, match="unknown policy"):
+            make_policy(RandomPolicy())
 
     def test_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown policy"):

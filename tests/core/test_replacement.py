@@ -8,8 +8,12 @@ differences are exact pairwise costs.
 import numpy as np
 import pytest
 
-from repro.core.policies import ClosestPolicy, RandomPolicy
-from repro.core.replacement import attempt_replacement
+from repro.core.policies import ClosestPolicy, NaivePolicy, RandomPolicy
+from repro.core.replacement import (
+    MAX_PROBES_PER_TARGET,
+    MIN_DEGREE,
+    attempt_replacement,
+)
 from repro.topology.overlay import Overlay
 from repro.topology.physical import PhysicalTopology
 
@@ -72,14 +76,6 @@ class TestFigure4cKeepBoth:
         assert ov.has_edge(0, 1)
         assert ov.has_edge(0, 2)
 
-    def test_respects_max_degree(self, rng):
-        ov = overlay_on_line([2, 3, 0], [(0, 1), (1, 2)])
-        action = attempt_replacement(
-            ov, 0, 1, RandomPolicy(), rng, max_degree=1
-        )
-        assert action.kind == "none"
-        assert not ov.has_edge(0, 2)
-
     def test_disabled_by_allow_keep_both(self, rng):
         ov = overlay_on_line([2, 3, 0], [(0, 1), (1, 2)])
         action = attempt_replacement(
@@ -120,22 +116,30 @@ class TestGuards:
 
     def test_target_keeps_candidate_link_after_cut(self, rng):
         ov = overlay_on_line([0, 10, 1], [(0, 1), (1, 2)])
-        action = attempt_replacement(
-            ov, 0, 1, RandomPolicy(), rng, min_degree=1
-        )
+        # C drops to degree 1, below MIN_DEGREE, but keeps H as a neighbor.
+        action = attempt_replacement(ov, 0, 1, RandomPolicy(), rng)
         assert action.kind == "replace"
         assert ov.has_edge(1, 2)  # C keeps H: connectivity via S-H-C
 
+    def test_cut_skipped_below_min_degree(self, rng):
+        # The naive policy's candidate H=2 is not C's neighbor, and C=1
+        # (neighbors 0 and 3) would fall to degree 1 < MIN_DEGREE.
+        ov = overlay_on_line([0, 10, 1, 12], [(0, 1), (1, 3), (0, 3)])
+        action = attempt_replacement(ov, 0, 1, NaivePolicy(), rng)
+        assert MIN_DEGREE == 2
+        assert action.kind == "none"
+        assert action.probes == 1
+        assert ov.has_edge(0, 1) and not ov.has_edge(0, 2)
+
     def test_probe_budget_respected(self, rng):
-        # Target 1 has three unattractive neighbors; budget 2 probes.
+        # Target 1 has three unattractive neighbors; the random policy
+        # probes MAX_PROBES_PER_TARGET of them.
         ov = overlay_on_line(
             [0, 2, 9, 10, 11], [(0, 1), (1, 2), (1, 3), (1, 4)]
         )
-        action = attempt_replacement(
-            ov, 0, 1, RandomPolicy(), rng, max_probes=2
-        )
+        action = attempt_replacement(ov, 0, 1, RandomPolicy(), rng)
         assert action.kind == "none"
-        assert action.probes <= 2
+        assert action.probes == MAX_PROBES_PER_TARGET == 1
 
     def test_candidate_already_connected_excluded(self, rng):
         ov = overlay_on_line([0, 10, 1], [(0, 1), (1, 2), (0, 2)])

@@ -17,9 +17,9 @@ class TestConfig:
         assert not cfg.allow_keep_both
 
     def test_other_fields_preserved(self):
-        cfg = aoto_config(AceConfig(policy="closest", min_degree=3))
+        cfg = aoto_config(AceConfig(policy="closest", shed_redundant=False))
         assert cfg.policy == "closest"
-        assert cfg.min_degree == 3
+        assert not cfg.shed_redundant
 
     def test_default_base(self):
         cfg = aoto_config()

@@ -7,10 +7,8 @@ import repro
 from repro import (
     AceConfig,
     AceProtocol,
-    ChurnModel,
     ObjectCatalog,
     WorkloadConfig,
-    ace_query,
     ace_strategy,
     barabasi_albert,
     blind_flooding_strategy,
@@ -18,6 +16,8 @@ from repro import (
     run_query,
     small_world_overlay,
 )
+from repro.search.tree_routing import ace_query
+from repro.sim.churn import ChurnModel
 
 
 class TestQuickstartFlow:
@@ -104,7 +104,7 @@ class TestFullPipeline:
 
     def test_ace_query_on_trace_snapshot(self, ba_physical):
         """The Clip2-style snapshot flows through the same pipeline."""
-        from repro import synthesize_gnutella_snapshot
+        from repro.topology.trace import synthesize_gnutella_snapshot
 
         rng = np.random.default_rng(17)
         overlay = synthesize_gnutella_snapshot(ba_physical, n_peers=60, rng=rng)

@@ -21,7 +21,10 @@ from repro.net.launch import (
     run_live,
     run_sim_reference,
 )
-from repro.net.runtime import NetConfig
+from repro.net.peer import LivePeer
+from repro.net.runtime import DeliveryCoordinator, NetConfig, TrafficLedger
+from repro.net.seed import SeedNode
+from repro.net.wire import Welcome, WireError
 from repro.perf import counters
 
 CONFIG = ScenarioConfig(physical_nodes=64, peers=8, avg_degree=4.0, seed=7)
@@ -45,12 +48,9 @@ def reference(plan):
 TURN_CONFIGS = [
     pytest.param(ACE, id="default"),
     pytest.param(AceConfig(depth=2), id="depth2"),
-    pytest.param(AceConfig(max_targets_per_step=1), id="one-target"),
     pytest.param(AceConfig(allow_keep_both=False), id="swap-only"),
     pytest.param(AceConfig(shed_redundant=False), id="no-shed"),
     pytest.param(AceConfig(policy="closest"), id="closest"),
-    pytest.param(AceConfig(max_probes_per_target=3), id="probes3"),
-    pytest.param(AceConfig(max_degree=4), id="degree4"),
 ]
 
 
@@ -200,3 +200,34 @@ class TestRealtimeDiscipline:
             if q.get("responders")
         ]
         assert walls and all(w >= 0.0 for w in walls)
+
+
+class TestWelcomeConfig:
+    """``Welcome.config`` is the seed's whole ACE configuration, or refused."""
+
+    @staticmethod
+    def peer(peer_id=1):
+        return LivePeer(peer_id, NetConfig(), DeliveryCoordinator(), TrafficLedger())
+
+    def test_seed_payload_installs_every_field(self):
+        ace = AceConfig(
+            depth=3, policy="closest", allow_keep_both=False, shed_redundant=False
+        )
+        seed = SeedNode(
+            NetConfig(), DeliveryCoordinator(), TrafficLedger(), ace, 5,
+            rng=None,
+        )
+        peer = self.peer()
+        peer.apply_welcome(Welcome(config=seed._welcome_config))
+        assert peer.ace_config == ace
+        assert peer.shed_floor == 5
+        assert peer._policy.name == "closest"
+
+    def test_unknown_keys_are_refused_by_name(self):
+        peer = self.peer()
+        welcome = Welcome(
+            config={"depth": 2, "polcy": "closest", "max_degre": 4, "shed_floor": 3}
+        )
+        with pytest.raises(WireError, match="max_degre.*polcy"):
+            peer.apply_welcome(welcome)
+        assert peer.ace_config == AceConfig()

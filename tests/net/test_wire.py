@@ -91,7 +91,8 @@ SAMPLES = [
         addresses={0: ("127.0.0.1", 5000), 2: ("127.0.0.1", 5002)},
         neighbors=(0, 2),
         cost_row={0: AWKWARD, 1: THIRD, 2: 4.25},
-        config={"depth": 1, "policy": "random", "max_targets_per_step": None},
+        config={"depth": 1, "policy": "random", "allow_keep_both": True,
+                "shed_floor": None},
     ),
     GetPeers(count=4),
     PeerSample(addresses={5: ("10.0.0.1", 6000)}),

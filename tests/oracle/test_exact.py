@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.oracle import ExactOracle
+from repro.oracle.exact import ExactOracle
 from repro.perf import counters, reset_counters
 from repro.topology.overlay import Overlay, small_world_overlay
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.oracle import LandmarkOracle
+from repro.oracle.landmark import LandmarkOracle
 from repro.oracle import landmark as landmark_module
 from repro.perf import counters, reset_counters
 from repro.topology.generators import waxman

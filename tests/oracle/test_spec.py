@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.oracle import (
-    ExactOracle,
-    LandmarkOracle,
-    OracleSpec,
-    make_oracle,
-    parse_oracle_spec,
-)
+from repro.oracle import OracleSpec, make_oracle, parse_oracle_spec
+from repro.oracle.exact import ExactOracle
+from repro.oracle.landmark import LandmarkOracle
 
 
 class TestParse:

@@ -3,21 +3,26 @@
 A library release lives or dies on its public surface; these meta-tests
 keep it honest — every public module, class and function documented, every
 ``__all__`` entry real, no accidental wildcard leakage, no import left behind
-by a refactor, no module that only tests import — and the docs may only name
-files, knobs and lint rules that exist.
+by a refactor, no module, package export or ``AceConfig`` field that only
+tests reach — and the docs may only name files, knobs and lint rules that
+exist.
 """
 
 import ast
+import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import repro
 import repro.sanitize
+from repro.core.ace import AceConfig
 from tools.replint import rules_by_code
 
 PACKAGES = [
@@ -112,18 +117,15 @@ class TestModuleHygiene:
 
 
 def iter_public_callables():
+    # Every class and function a module defines under a public name, listed
+    # in its __all__ or not; a re-export is documented at its home.
     out = []
     for module in ALL_MODULES:
-        exported = getattr(module, "__all__", None)
-        names = exported if exported is not None else [
-            n for n in vars(module) if not n.startswith("_")
-        ]
-        for name in names:
-            obj = getattr(module, name, None)
-            if obj is None:
+        for name, obj in vars(module).items():
+            if name.startswith("_"):
                 continue
             if getattr(obj, "__module__", None) != module.__name__:
-                continue  # re-export; documented at its home
+                continue
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 out.append((f"{module.__name__}.{name}", obj))
     return out
@@ -179,12 +181,17 @@ def _imports(path, name):
             for alias in node.names:
                 yield alias.name, (), ()
         elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level:
-                anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
-                module = ".".join(anchor + ([module] if module else []))
-            yield (module, tuple(a.name for a in node.names),
+            yield (_absolute(node, package), tuple(a.name for a in node.names),
                    tuple(a.asname or a.name for a in node.names))
+
+
+def _absolute(node, package):
+    """The module an ``ImportFrom`` in *package* names, relative levels resolved."""
+    module = node.module or ""
+    if node.level:
+        anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
+        module = ".".join(anchor + ([module] if module else []))
+    return module
 
 
 def _origin(module, name):
@@ -235,7 +242,102 @@ def test_every_module_has_an_importer_outside_tests():
     assert not unreached, unreached
 
 
-def test_top_level_all_is_sorted_by_section_and_complete():
+#: A package is every directory of ``src`` with an ``__init__.py``.
+SRC_PACKAGES = sorted(
+    ".".join(p.parent.relative_to(SRC).parts) for p in SRC.rglob("__init__.py")
+)
+
+
+def _through_packages(tree, importer, is_init):
+    """``(package, name)`` for every name *tree* takes from a package namespace.
+
+    Both forms count: ``from repro.net import run_live`` and
+    ``import repro.net as net`` followed by ``net.run_live``.  In a package
+    ``__init__`` an import counts only if the ``__init__`` reads the name
+    itself, so a re-export is not its own caller.
+    """
+    package = importer if is_init else importer.rpartition(".")[0]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    bound = {}  # local name -> the package or module it stands for
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                bound[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom):
+            module = _absolute(node, package)
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if f"{module}.{alias.name}" in SRC_PACKAGES:
+                    bound[local] = f"{module}.{alias.name}"
+                elif module in SRC_PACKAGES and (local in read or not is_init):
+                    found.add((module, alias.name))
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            dotted = bound[node.id].split(".") + chain[::-1]
+            for cut in range(len(dotted) - 1, 0, -1):
+                if ".".join(dotted[:cut]) in SRC_PACKAGES:
+                    found.add((".".join(dotted[:cut]), dotted[cut]))
+                    break
+    return found
+
+
+def _caller_trees():
+    """``(tree, importer, is_init)`` for every caller outside ``tests/``.
+
+    The code under ``src``, ``benchmarks``, ``examples`` and ``tools``, and
+    every ``python`` block of the README and ``docs/``.
+    """
+    for top in ("src", "benchmarks", "examples", "tools"):
+        for path in (REPO_ROOT / top).rglob("*.py"):
+            rel = path.relative_to(SRC if top == "src" else REPO_ROOT)
+            importer = ".".join(rel.with_suffix("").parts)
+            is_init = path.name == "__init__.py"
+            if is_init:
+                importer = importer.rpartition(".")[0]
+            yield ast.parse(path.read_text(encoding="utf-8")), importer, is_init
+    for doc in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        for block in re.findall(r"```python\n(.*?)```", doc.read_text(encoding="utf-8"), re.S):
+            yield ast.parse(block), "README", False
+
+
+def test_every_package_export_is_imported_through_its_package_outside_tests():
+    # A name a package re-exports is public API only if a caller outside
+    # tests/ takes it from the package; tests import from the defining module.
+    used = set()
+    for tree, importer, is_init in _caller_trees():
+        used |= _through_packages(tree, importer, is_init)
+    unused = sorted(
+        f"{package}.{name}"
+        for package in SRC_PACKAGES
+        for name in getattr(importlib.import_module(package), "__all__", [])
+        if (package, name) not in used
+    )
+    assert unused == []
+
+
+def test_every_ace_config_field_is_set_outside_tests():
+    # A field no caller sets is a knob nothing turns: a constant instead.
+    # Counts keyword arguments of AceConfig(...) and of replace(...).
+    fields = {f.name for f in dataclasses.fields(AceConfig)}
+    set_by_callers = set()
+    for tree, _importer, _is_init in _caller_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if callee in ("AceConfig", "replace"):
+                set_by_callers.update(k.arg for k in node.keywords if k.arg in fields)
+    assert sorted(fields - set_by_callers) == []
+
+
+def test_top_level_all_resolves_without_duplicates():
     # Every name in repro.__all__ resolves and is importable.
     for name in repro.__all__:
         assert getattr(repro, name, None) is not None, name
@@ -307,3 +409,41 @@ class TestDocsNameOnlyWhatExists:
             if code not in registered
         }
         assert sorted(unknown) == []
+
+
+def _quickstart(where):
+    """The quickstart code block of the README or of ``repro.__doc__``."""
+    if where == "README.md":
+        text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        return text.split("## Quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = repro.__doc__.split("Quickstart", 1)[1].split("::\n", 1)[1].splitlines()
+    block = []
+    for line in lines:
+        if line.strip() and not line.startswith("    "):
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block))
+
+
+class TestDocumentedSurfaceRuns:
+    """What the README, the package docstring and ``examples/`` promise.
+
+    Nothing else in tier-1 imports the examples, so a trimmed export they
+    use would otherwise break them silently.
+    """
+
+    @pytest.mark.parametrize(
+        "path", sorted((REPO_ROOT / "examples").glob("*.py")), ids=lambda p: p.name
+    )
+    def test_example_imports(self, path):
+        # Each example runs only under its __main__ guard.
+        spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(module.main)
+
+    @pytest.mark.parametrize("where", ["README.md", "repro.__doc__"])
+    def test_quickstart_runs(self, where):
+        code = _quickstart(where)
+        assert "from repro import" in code
+        exec(compile(code, where, "exec"), {})
