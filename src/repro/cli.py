@@ -13,6 +13,9 @@ Subcommands
     Tables 1-2: the six-peer worked example.
 ``topology``
     Section 4.1: generate and validate a topology pair.
+``figures``
+    Every paper table, figure and ablation, with its shape checks
+    (:mod:`repro.experiments.figures`).
 ``net``
     Live asyncio network runtime: real sockets, wire protocol, seed-node
     bootstrap, optional sim-vs-live convergence check (docs/NETWORK.md).
@@ -24,6 +27,7 @@ Every run is reproducible from ``--seed``.  Examples::
     python -m repro depth --degrees 4 10 --depths 1 2 3
     python -m repro walkthrough --depth 2
     python -m repro topology --peers 200
+    python -m repro figures table1_table2 fig07_traffic_vs_steps
     python -m repro net --peers 8 --check --perf
 """
 
@@ -44,6 +48,18 @@ def _oracle_spec(text: str) -> str:
         parse_oracle_spec(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _figure_name(text: str) -> str:
+    """argparse ``type=`` for ``figures``: a row name of the figure table."""
+    from .experiments.figures import FIGURES
+
+    names = [row.name for row in FIGURES]
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"unknown figure {text!r} (choose from {', '.join(names)})"
+        )
     return text
 
 
@@ -123,6 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["ba", "waxman", "glp", "ws"])
     p_topo.add_argument("--overlay", dest="overlay_kind", default="small_world",
                         choices=["random", "power_law", "small_world"])
+
+    p_fig = sub.add_parser(
+        "figures", help="every paper table and figure, with shape checks")
+    p_fig.add_argument("names", nargs="*", type=_figure_name, metavar="NAME",
+                       help="rows to run (default: all); REPRO_SCALE and "
+                            "REPRO_WORKERS set scale and fan-out")
 
     p_net = sub.add_parser(
         "net", help="live asyncio network runtime (see docs/NETWORK.md)")
@@ -328,6 +350,12 @@ def _cmd_topology(args, out) -> int:
     return 0
 
 
+def _cmd_figures(args, out) -> int:
+    from .experiments.figures import run_figures
+
+    return run_figures(args.names, out)
+
+
 def _cmd_net(args, out) -> int:
     from .core.ace import AceConfig
     from .experiments.reporting import format_table
@@ -409,6 +437,7 @@ _COMMANDS = {
     "depth": _cmd_depth,
     "walkthrough": _cmd_walkthrough,
     "topology": _cmd_topology,
+    "figures": _cmd_figures,
     "net": _cmd_net,
 }
 

@@ -1,9 +1,9 @@
 """Terminal plotting: sparklines and multi-series line charts in text.
 
-The benches and examples print their series as tables; for eyeballing the
+The figures and examples print their series as tables; for eyeballing the
 *shape* of a convergence curve or a sweep, a picture helps.  These helpers
 render series with plain Unicode so figure shapes are visible directly in
-``bench_output.txt`` and CLI output, with no plotting dependency.
+terminal output, with no plotting dependency.
 """
 
 from __future__ import annotations

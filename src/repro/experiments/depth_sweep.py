@@ -25,6 +25,7 @@ from ..core.ace import AceConfig, AceProtocol
 from ..metrics.optimization import OptimizationTradeoff
 from ..search.flooding import blind_flooding_strategy
 from ..search.tree_routing import ace_strategy
+from .parallel import run_trials
 from .setup import Scenario, ScenarioConfig, build_scenario
 from .static_env import measure_queries
 
@@ -96,33 +97,43 @@ def _measure_depth(
     )
 
 
+def _degree_trial(payload: Tuple[DepthSweepConfig, int]) -> List[OptimizationTradeoff]:
+    """One average degree C of the sweep: its baseline, then every depth h."""
+    config, degree = payload
+    scenario = build_scenario(replace(config.base, avg_degree=float(degree)))
+    peers = scenario.overlay.peers()
+    src_rng = np.random.default_rng(scenario.config.seed + 0xBEEF)
+    sources = [
+        peers[int(i)]
+        for i in src_rng.integers(0, len(peers), size=config.query_samples)
+    ]
+    baseline_traffic, _resp, _scope = measure_queries(
+        scenario.overlay,
+        blind_flooding_strategy(scenario.overlay),
+        sources,
+        scenario.catalog,
+        np.random.default_rng(scenario.config.seed + 0xF00D),
+    )
+    return [
+        _measure_depth(scenario, depth, config, baseline_traffic)
+        for depth in config.depths
+    ]
+
+
 def run_depth_sweep(config: Optional[DepthSweepConfig] = None) -> DepthSweepResult:
     """Measure the gain/penalty trade-off for every (C, h) combination.
 
     For each average degree C a fresh scenario is built (same underlay seed
     family); the blind-flooding baseline is measured once per C, then each
     depth h gets an independent copy of the overlay, ACE run to convergence,
-    and its converged query traffic and per-step overhead recorded.
+    and its converged query traffic and per-step overhead recorded.  The
+    degrees are independent trials and fan out over ``REPRO_WORKERS``
+    processes; the result is the same at any worker count.
     """
     config = config or DepthSweepConfig()
+    per_degree = run_trials(_degree_trial, [(config, c) for c in config.degrees])
     result = DepthSweepResult()
-    for degree in config.degrees:
-        scenario = build_scenario(replace(config.base, avg_degree=float(degree)))
-        peers = scenario.overlay.peers()
-        src_rng = np.random.default_rng(scenario.config.seed + 0xBEEF)
-        sources = [
-            peers[int(i)]
-            for i in src_rng.integers(0, len(peers), size=config.query_samples)
-        ]
-        baseline_traffic, _resp, _scope = measure_queries(
-            scenario.overlay,
-            blind_flooding_strategy(scenario.overlay),
-            sources,
-            scenario.catalog,
-            np.random.default_rng(scenario.config.seed + 0xF00D),
-        )
-        for depth in config.depths:
-            result.tradeoffs[(degree, depth)] = _measure_depth(
-                scenario, depth, config, baseline_traffic
-            )
+    for degree, tradeoffs in zip(config.degrees, per_degree):
+        for depth, tradeoff in zip(config.depths, tradeoffs):
+            result.tradeoffs[(degree, depth)] = tradeoff
     return result

@@ -27,7 +27,7 @@ __all__ = [
 PAPER_R_VALUES_C10: Tuple[float, ...] = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
 #: R values on the paper's Figure 14 (C = 4) extend further right.
 PAPER_R_VALUES_C4: Tuple[float, ...] = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.5, 3.0)
-#: R values for this reproduction's benches.  Our cost model charges the
+#: R values for this reproduction's figures.  Our cost model charges the
 #: full periodic table gossip as overhead and our laptop-scale networks have
 #: a smaller per-query traffic base than the paper's 8000-peer systems, so
 #: the rate-crossing-1 frequency ratios land higher than the paper's 1.5-2;

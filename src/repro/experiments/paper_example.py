@@ -12,8 +12,8 @@ The scanned source's figures are not fully recoverable, so this module
 builds a six-peer instance with the same *structure* — a mismatched overlay
 whose logical links have explicit underlay delays — and exposes the
 walkthrough programmatically.  The three headline relations above are
-asserted by the test suite and reproduced by
-``benchmarks/bench_table1_table2.py``.
+asserted by the test suite and by the ``table1_table2`` row of
+:mod:`repro.experiments.figures`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Generic parallel trial harness: one fan-out path for every experiment.
 
-The static driver, the dynamic arms and the benchmark conftest all spread
-independent trials over one plain process pool:
+The static trials, the dynamic arms and the depth sweep's degrees all
+spread independent trials over one plain process pool:
 
 * **Workers build their own world.**  A payload is a seeded config, never
   a built topology; the worker calls

@@ -1,9 +1,8 @@
 """Plain-text reporting for experiment results.
 
-The benchmark harness regenerates the paper's tables and figures as aligned
-text tables and series listings printed to stdout (and captured in
-``bench_output.txt``), so "who wins, by how much, where the crossover falls"
-can be read directly off the run.
+``repro figures`` regenerates the paper's tables and figures as aligned
+text tables and series listings printed to stdout, so "who wins, by how
+much, where the crossover falls" can be read directly off the run.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Every experiment in Section 5 starts from the same ingredients — a physical
 topology, a logical overlay of a given average degree on top of it, a query
 workload — differing only in parameters.  :func:`build_scenario` constructs
 all of it reproducibly from one seed, and :class:`ScenarioConfig.scaled`
-honors the ``REPRO_SCALE`` environment knob so the benchmark harness can run
+honors the ``REPRO_SCALE`` environment knob so the figure table can run
 laptop-sized by default and paper-sized on demand.
 
 There is one way to build a world: a worker process of the parallel harness

@@ -12,9 +12,9 @@ components:
   refinement that distinguishes the two schemes).
 
 We therefore express AOTO as an :class:`~repro.core.ace.AceProtocol`
-configuration: depth 1, keep-both disabled.  The benchmark comparing the
-two (:mod:`benchmarks.bench_ablation_aoto_vs_ace`) is the ablation the
-related-work section implies.
+configuration: depth 1, keep-both disabled.  The figure row comparing the
+two (``ablation_aoto_vs_ace`` in :mod:`repro.experiments.figures`) is the
+ablation the related-work section implies.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ capacity nodes are within short reach of high capacity nodes".
 The paper's Section 2 positions Gia precisely: "It addresses a different
 matching problem in overlay networks, but does not address the topology
 mismatching problem between the overlay and physical networks."  This
-module implements the adaptation so that the benches can show both halves
+module implements the adaptation so that a figure row can show both halves
 of that sentence: Gia raises the capacity-degree correlation (its goal) but
 leaves the underlay cost of the overlay — and hence flooding traffic —
 essentially untouched, while ACE does the reverse.

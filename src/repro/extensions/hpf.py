@@ -7,7 +7,7 @@ neighbor list, chosen uniformly at random, by degree (reach more peers per
 message) or by cost (stay physically local).
 
 HPF trades search scope for traffic: coverage becomes probabilistic.  It is
-*orthogonal* to ACE (which keeps full scope); the benches combine the two
+*orthogonal* to ACE (which keeps full scope); the figure rows combine the two
 to show the mismatch repair also benefits partial-flooding schemes.
 """
 

@@ -18,7 +18,7 @@ because the two shorter sides remain.
 
 The clock-synchronization requirement and the probabilistic
 connection-adding of the full LTM are out of scope; the comparison
-benchmarks therefore pair LTM's cutting with blind flooding, which is how
+figure rows therefore pair LTM's cutting with blind flooding, which is how
 its traffic saving materializes.
 """
 

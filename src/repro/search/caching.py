@@ -115,31 +115,25 @@ def cached_query(
     prop = propagate(overlay, source, strategy, ttl=ttl, stop_at=cache_hit)
 
     # A responder is a real holder or a peer with a live cached index.
-    responses = []  # (response_time, holder)
+    responses = []  # (response_time, holder, responder)
     for peer, t in prop.arrival_time.items():
         if peer == source:
             continue
         if peer in holder_set:
-            responses.append((2.0 * t, peer))
+            responses.append((2.0 * t, peer, peer))
         else:
             cached = caches.cache_of(peer).lookup(obj)
             if cached is not None and overlay.has_peer(cached):
-                responses.append((2.0 * t, cached))
-    responses.sort()
-    first = responses[0][0] if responses else None
-
-    # Index dissemination: relays on the first response's reverse path cache
-    # the holder (including the source, which may re-query later).
+                responses.append((2.0 * t, cached, peer))
+    first = None
     if responses:
-        first_time, holder = responses[0]
-        responder = next(
-            (p for p, t in prop.arrival_time.items() if 2.0 * t == first_time),
-            None,
-        )
-        if responder is not None:
-            for relay in prop.path_to(responder):
-                if relay != holder:
-                    caches.cache_of(relay).insert(obj, holder)
+        # A tie on (time, holder) keeps the earliest responder to arrive.
+        first, holder, responder = min(responses, key=lambda r: r[:2])
+        # Index dissemination: relays on the first response's reverse path
+        # cache the holder (including the source, which may re-query later).
+        for relay in prop.path_to(responder):
+            if relay != holder:
+                caches.cache_of(relay).insert(obj, holder)
 
     reached_holders = tuple(sorted(h for h in holder_set if h in prop.arrival_time and h != source))
     return QueryResult(

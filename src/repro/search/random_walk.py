@@ -12,7 +12,7 @@ traffic but take long, meandering paths.  They are orthogonal to the
 topology-mismatch problem — a walker over a mismatched overlay still pays
 the full underlay cost per hop — which is exactly the paper's argument that
 "the performance gains of both approaches are seriously limited by the
-topology mismatching problem".  The benches combine them with ACE to show
+topology mismatching problem".  A figure row combines them with ACE to show
 the mismatch repair also benefits walk-based search.
 """
 

@@ -14,7 +14,7 @@ This module makes that motivation measurable:
   links — and records each host's AS id;
 * :class:`AsTrafficReport` / :func:`as_traffic_report` classify an
   overlay's logical connections and a query's traffic into intra- vs
-  inter-AS shares, so the benches can show ACE turning border-crossing
+  inter-AS shares, so a figure row can show ACE turning border-crossing
   connections into local ones.
 """
 

@@ -121,6 +121,20 @@ class TestCachedQuery:
         assert warm.traffic_cost < cold.traffic_cost
         assert warm.first_response_time <= cold.first_response_time
 
+    def test_tied_arrival_caches_along_the_responders_path(
+        self, make_overlay_from_weighted_edges
+    ):
+        # Peers 1 and 2 hear the query at the same time; only 2 holds the
+        # object, so the response travels 2 -> 0 and never passes peer 1.
+        star = make_overlay_from_weighted_edges([(0, 1, 5.0), (0, 2, 5.0)])
+        caches = IndexCacheStore(capacity=10)
+        result = cached_query(
+            star, 0, "obj", [2], blind_flooding_strategy(star), caches,
+        )
+        assert result.first_response_time == 10.0
+        assert caches.cache_of(0).lookup("obj") == 2
+        assert caches.cache_of(1).lookup("obj") is None
+
     def test_stale_cache_entry_ignored(self, chain):
         caches = IndexCacheStore(capacity=10)
         caches.cache_of(1).insert("obj", 99)  # 99 is not in the overlay

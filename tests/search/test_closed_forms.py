@@ -13,6 +13,11 @@ engines and the protocol without a second implementation to compare with:
   whole overlay, so after a step every peer's Phase-2 tree is the global
   minimum spanning tree of the final topology.  A query then sends exactly
   ``n - 1`` messages and its traffic is the MST weight.
+
+At a finite TTL = k flooding has no closed form, only bounds: a peer first
+reached over a cheap path of many hops forwards with the hops that path
+left it, so the scope can fall short of the BFS ball of radius k.  It never
+leaves the ball, and no peer hears the query sooner than at TTL = infinity.
 """
 
 import math
@@ -63,13 +68,27 @@ def link_weights(overlay):
     return {(u, v): overlay.cost(u, v) for u, v in overlay.edges()}
 
 
-def queries(overlay, strategy, engine):
-    """One TTL-unbounded query per peer, as ``QueryPropagation`` records."""
+def queries(overlay, strategy, engine, ttl=None):
+    """One query per peer, as ``QueryPropagation`` records."""
     sources = overlay.peers()
     if engine == "kernel":
-        batch = propagate_many(overlay, sources, strategy, ttl=None)
+        batch = propagate_many(overlay, sources, strategy, ttl=ttl)
         return [batch.result(i) for i in range(len(batch))]
-    return [propagate(overlay, s, strategy, ttl=None) for s in sources]
+    return [propagate(overlay, s, strategy, ttl=ttl) for s in sources]
+
+
+def bfs_hops(overlay, source):
+    """Overlay hop distance from *source* to every peer it can reach."""
+    hops, frontier = {source: 0}, [source]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in overlay.neighbors(u):
+                if v not in hops:
+                    hops[v] = hops[u] + 1
+                    reached.append(v)
+        frontier = reached
+    return hops
 
 
 def mst_weight(overlay):
@@ -99,6 +118,21 @@ def test_flooding_at_unbounded_ttl_matches_its_closed_form(engine, config):
         )
         expected = 2.0 * math.fsum(weights.values()) - tree
         assert within_ulps(prop.traffic_cost, expected)
+
+
+@pytest.mark.parametrize("engine", ["kernel", "scalar"])
+@examples
+@given(config=worlds, ttl=st.integers(1, 4))
+def test_flooding_at_ttl_k_stays_inside_the_bfs_ball(engine, config, ttl):
+    overlay = build_world(config)
+    strategy = blind_flooding_strategy(overlay)
+    unbounded = queries(overlay, strategy, engine)
+    for free, prop in zip(unbounded, queries(overlay, strategy, engine, ttl=ttl)):
+        ball = bfs_hops(overlay, prop.source)
+        assert prop.reached <= {p for p, d in ball.items() if d <= ttl}
+        for peer, hops in prop.hops.items():
+            assert ball[peer] <= hops <= ttl
+            assert prop.arrival_time[peer] >= free.arrival_time[peer]
 
 
 @pytest.mark.parametrize("engine", ["kernel", "scalar"])
