@@ -119,7 +119,9 @@ class ClosestPolicy(CandidatePolicy):
     ) -> List[int]:
         """The whole eligible pool, cheapest (from *source*) first."""
         pool = self._eligible(overlay, source, target)
-        pool.sort(key=lambda h: (overlay.cost(source, h), h))
+        # One batched read: a live turn probes the whole pool in one round.
+        costs = overlay.costs_from(source, pool)
+        pool.sort(key=lambda h: (costs[h], h))
         # The engine charges a probe per returned candidate; "closest" pays
         # for the whole pool even though it tries the best one first.
         return pool

@@ -10,8 +10,9 @@ tables (Phase 1), build a minimum spanning tree over the h-closure
 * :mod:`repro.core.batch_ace` — the kernel scenarios run, Phases 1-2 read
   off a pre-extracted closure batch (or recomputed when a mutation staled
   it);
-* :meth:`repro.net.peer.LivePeer.run_turn` — live sockets, Phases 1-2 over
-  a :class:`~repro.net.peer.TurnView` whose reads are protocol exchanges.
+* :meth:`repro.net.peer.LivePeer.run_turn` — live sockets: the peer gathers
+  probes and neighbor tables concurrently, then runs Phases 1-3 on its event
+  loop over a :class:`~repro.net.snapshot.SnapshotView` of the answers.
 
 Each obtains Phases 1-2 its own way and hands the result to this module,
 which holds what they share and nothing else.  Everything is written
@@ -150,7 +151,7 @@ def shed_redundant(
         d_pt = d_peer[target]
         # Re-fetch the peer's neighbor set: earlier sheds in this loop
         # mutate the overlay, and views are free to return snapshots
-        # (ArrayOverlay, TurnView) rather than a live set (object Overlay).
+        # (ArrayOverlay, SnapshotView) rather than a live set (object Overlay).
         mutual = view.neighbors(peer) & view.neighbors(target)
         if not mutual:
             continue

@@ -4,17 +4,19 @@ Each :class:`LivePeer` owns
 
 * a listening socket (``asyncio.start_server``) with one reader task per
   accepted connection,
-* an outbound connection pool (dial on demand, retry with backoff, mark
-  peers dead on failure),
+* an outbound connection pool (one dial per remote however many callers
+  race to it, retry with backoff, mark peers dead on failure),
 * a :class:`repro.sim.node.Servent` — the simulator's own GUID dedup,
   reverse-path QueryHits and flooding-set forwarding — fed *logical*
   timestamps carried in the frame envelopes, its sends written to sockets,
   and
-* the ACE turn: on an :class:`~repro.net.wire.OptimizeTurn` token it runs
-  the shared per-peer procedure of :mod:`repro.core.turn` in a worker
-  thread against a :class:`TurnView`, whose every read is a live protocol
-  exchange (``CostProbe`` for costs, ``GetTable``/``CostTableMessage`` for
-  remote tables, ``ConnectRequest``/``DisconnectNotice`` for mutations).
+* the ACE turn, sans-IO like the servent: on an
+  :class:`~repro.net.wire.OptimizeTurn` token the peer gathers what the
+  turn reads — ``CostProbe`` RPCs to its neighbors and ``GetTable`` RPCs
+  to its closure, one concurrent round per closure level — then runs the
+  shared procedure of :mod:`repro.core.turn` on its own event loop against
+  a :class:`SnapshotView` of those answers, and finally sends the logged
+  ``ConnectRequest``/``DisconnectNotice`` mutations in order.
 
 The peer knows only what the protocol lets it know: its own neighbor set,
 its cost row (what its probes measure), and whatever tables its RPCs
@@ -26,16 +28,12 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
-from typing import Awaitable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core.ace import AceConfig
-from ..core.closure import neighbor_closure
 from ..core.policies import make_policy
 from ..core.replacement import MIN_DEGREE
-from ..core.turn import Turn, forwarding_set, phase1, phase2, phase3
+from ..core.turn import forwarding_set
 from ..perf import counters
 from ..sim.messages import (
     ConnectRequest,
@@ -49,6 +47,7 @@ from ..sim.messages import (
 )
 from ..sim.node import Sends, Servent
 from .runtime import DeliveryCoordinator, NetConfig, PeerUnreachable, TrafficLedger
+from .snapshot import NeedProbes, SnapshotView, TurnPlan, plan_turn
 from .wire import (
     ConnectAck,
     Envelope,
@@ -63,7 +62,7 @@ from .wire import (
     encode_frame,
 )
 
-__all__ = ["LivePeer", "TurnView", "serialize_rng", "restore_rng"]
+__all__ = ["LivePeer"]
 
 #: Data-plane descriptor types (scheduled by the delivery coordinator and
 #: charged to the traffic ledger); everything else is control plane.
@@ -113,6 +112,7 @@ class LivePeer:
         self.port = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._conns: Dict[int, _Connection] = {}
+        self._dials: Dict[int, asyncio.Task] = {}
         self._anon_tasks: Set[asyncio.Task] = set()
 
         # -- membership / topology knowledge ---------------------------
@@ -169,7 +169,7 @@ class LivePeer:
             if conn.task is not None:
                 conn.task.cancel()
         self._conns.clear()
-        for task in list(self._anon_tasks):
+        for task in [*self._anon_tasks, *self._dials.values()]:
             task.cancel()
         self.stopped.set()
 
@@ -184,10 +184,23 @@ class LivePeer:
         )
 
     async def connect_to(self, remote: int) -> _Connection:
-        """Dial *remote*, retrying per config; registers the connection."""
+        """The open connection to *remote*, dialing it if there is none.
+
+        Concurrent callers share one pending dial, so a turn's gathered
+        RPCs to an undialed peer open one connection, not one each.
+        """
         existing = self._conns.get(remote)
         if existing is not None and not existing.closed:
             return existing
+        dial = self._dials.get(remote)
+        if dial is None:
+            dial = asyncio.get_running_loop().create_task(self._dial(remote))
+            self._dials[remote] = dial
+            dial.add_done_callback(lambda _done: self._dials.pop(remote, None))
+        return await asyncio.shield(dial)
+
+    async def _dial(self, remote: int) -> _Connection:
+        """Dial *remote*, retrying per config; registers the connection."""
         if remote in self.dead:
             raise PeerUnreachable(f"peer {remote} is marked dead")
         host, port = self.addresses[remote]
@@ -400,7 +413,12 @@ class LivePeer:
                 CostTableMessage(sender=self.peer_id, entries=entries), 0.0
             )
         if isinstance(message, ConnectRequest):
-            self.neighbors.add(env.src)
+            # Only a live member can become a neighbor: every neighbor
+            # needs a cost row entry to forward queries to.
+            src = env.src
+            if src == self.peer_id or src in self.dead or src not in self.members:
+                return (ConnectAck(accepted=False), 0.0)
+            self.neighbors.add(src)
             return (ConnectAck(accepted=True), 0.0)
         if isinstance(message, DisconnectNotice):
             self.neighbors.discard(env.src)
@@ -496,181 +514,80 @@ class LivePeer:
                 pass
 
     async def run_turn(self, turn: OptimizeTurn) -> TurnDone:
-        """Execute one ACE phase; decisions run in a worker thread."""
-        loop = asyncio.get_running_loop()
-        rng = None if turn.phase == "recompute" else restore_rng(turn.rng_state)
-        self._flooding, self._known, outcome = await loop.run_in_executor(
-            None, self._turn, TurnView(self, loop), rng
-        )
-        if outcome is None:
+        """Execute one ACE phase: gather the reads, decide, send the mutations.
+
+        The reads go out one concurrent round per closure level: the
+        neighbors' tables and probes first, then each next level's tables.
+        The decision runs synchronously on this loop.  When Phase 3 names
+        peers not yet probed, they are probed together and the turn re-runs
+        from the token, so its draws repeat exactly.
+        """
+        rng_state = None if turn.phase == "recompute" else turn.rng_state
+        me, mine = self.peer_id, frozenset(self.neighbors)
+        tables: Dict[int, Dict[int, float]] = {}
+        probed: Dict[int, float] = {}
+        level, seen = sorted(mine), {me, *mine}
+        # Phase 1 probes every neighbor; a recompute (Phase 2 only) probes
+        # just those its closure asks for, below.
+        asks: List[Tuple[int, object]] = []
+        if rng_state is not None:
+            asks = [(p, CostProbe(sender=me, target=p)) for p in level]
+        for _ in range(self.ace_config.depth):
+            asks += [(p, GetTable(peer=p)) for p in level]
+            await self._read(asks, tables, probed)
+            level = sorted({n for p in level for n in tables[p]} - seen)
+            seen.update(level)
+            asks = []
+        plan: Optional[TurnPlan] = None
+        while plan is None:
+            try:
+                plan = plan_turn(
+                    SnapshotView(me, mine, tables, probed), self.ace_config,
+                    self.shed_floor, self._policy, rng_state,
+                )
+            except NeedProbes as need:
+                asks = [(p, CostProbe(sender=me, target=p)) for p in sorted(need.peers)]
+                await self._read(asks, tables, probed)
+        await self._apply(plan.log)
+        self._flooding, self._known = plan.flooding, plan.known
+        if plan.turn is None:
             return TurnDone(rng_state=turn.rng_state)
         return TurnDone(
-            rng_state=serialize_rng(rng), report=dataclasses.asdict(outcome)
+            rng_state=plan.rng_state, report=dataclasses.asdict(plan.turn)
         )
 
-    def _turn(
-        self, view: "TurnView", rng: Optional[np.random.Generator]
-    ) -> Tuple[FrozenSet[int], FrozenSet[int], Optional[Turn]]:
-        """Phases 1-2 over the live view, then the shared Phase 3.
+    async def _read(
+        self,
+        asks: List[Tuple[int, object]],
+        tables: Dict[int, Dict[int, float]],
+        probed: Dict[int, float],
+    ) -> None:
+        """Send *asks* concurrently and file each answer in the snapshot.
 
-        With no *rng* this is the end-of-step recompute: Phase 2 only, no
-        charges.  The returned routing sets are the tree built *before*
-        the turn's own mutations, like the simulator's — the seed's
-        recompute pass refreshes every peer afterwards.
+        A probe's cost is its reply's logical timestamp (see
+        :meth:`handle_request`); a table is the ``CostTableMessage``.
         """
-        me, config = self.peer_id, self.ace_config
-        closure = neighbor_closure(view, me, config.depth)
-        _tree, flooding, known = phase2(view, me, closure)
-        if rng is None:
-            return flooding, known, None
-        charged = phase1(view, closure)
-        sheds, actions = phase3(
-            view, me, sorted(known - flooding), config,
-            self.shed_floor, self._policy, rng,
-        )
-        turn = Turn(charged.probe_cost, charged.exchange_cost, sheds, actions)
-        return flooding, known, turn
+        replies = await asyncio.gather(*(self.rpc(p, ask) for p, ask in asks))
+        for (p, ask), (reply, env) in zip(asks, replies):
+            if isinstance(ask, CostProbe):
+                probed[p] = env.ltime
+            else:
+                tables[p] = dict(reply.entries)
 
+    async def _apply(self, log: List[Tuple[str, int]]) -> None:
+        """Send a decided turn's mutations in order, each acknowledged.
 
-def serialize_rng(rng: np.random.Generator) -> str:
-    """JSON form of the generator's bit-generator state (the turn token)."""
-    return json.dumps(rng.bit_generator.state)
-
-
-def restore_rng(state: str) -> np.random.Generator:
-    """Rebuild the shared protocol Generator from a turn token."""
-    payload = json.loads(state)
-    bitgen_cls = getattr(np.random, payload["bit_generator"])
-    bitgen = bitgen_cls()
-    bitgen.state = payload
-    return np.random.Generator(bitgen)
-
-
-class TurnView:
-    """The overlay surface ACE's decision code sees during a live turn.
-
-    Reads and writes translate to live protocol exchanges, bridged from
-    the turn's worker thread into the peer's event loop:
-
-    * ``costs_from(self, ...)``  — ``CostProbe`` RPCs (cached per turn),
-    * ``neighbors(other)`` / ``costs_from(other, ...)`` — ``GetTable``
-      RPCs answered with ``CostTableMessage`` (cached per turn,
-      invalidated when this peer mutates an edge at the remote end),
-    * ``connect`` / ``disconnect`` — ``ConnectRequest`` /
-      ``DisconnectNotice`` exchanges, acknowledged before returning.
-
-    Correctness note: during a token-serialized turn only *this* peer
-    mutates topology, and every mutation involves this peer as an
-    endpoint.  Every remote-rooted cost the decision code consults is a
-    cost to that remote's own neighbor, which its table carries — so the
-    view can answer everything the simulator's omniscient overlay could,
-    with identical floats, from protocol traffic alone.
-    """
-
-    def __init__(self, peer: LivePeer, loop: asyncio.AbstractEventLoop):
-        self._peer = peer
-        self._loop = loop
-        self._tables: Dict[int, Dict[int, float]] = {}
-        self._probed: Dict[int, float] = {}
-
-    # -- thread -> loop bridge -----------------------------------------
-
-    def _call(self, coro: Awaitable):
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(self._peer.net.rpc_timeout * 4)
-
-    # -- protocol reads -------------------------------------------------
-
-    def _probe(self, target: int) -> float:
-        cached = self._probed.get(target)
-        if cached is None:
-            reply, env = self._call(
-                self._peer.rpc(target, CostProbe(
-                    sender=self._peer.peer_id, target=target,
-                ))
-            )
-            cached = env.ltime
-            self._probed[target] = cached
-        return cached
-
-    def _table(self, member: int) -> Dict[int, float]:
-        table = self._tables.get(member)
-        if table is None:
-            reply, _env = self._call(
-                self._peer.rpc(member, GetTable(peer=member))
-            )
-            table = {p: c for p, c in reply.entries}
-            self._tables[member] = table
-        return table
-
-    # -- Overlay surface ------------------------------------------------
-
-    def has_peer(self, peer: int) -> bool:
-        return peer in self._peer.members and peer not in self._peer.dead
-
-    def neighbors(self, peer: int) -> Set[int]:
-        if peer == self._peer.peer_id:
-            return set(self._peer.neighbors)
-        return set(self._table(peer))
-
-    def degree(self, peer: int) -> int:
-        return len(self.neighbors(peer))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == self._peer.peer_id:
-            return v in self._peer.neighbors
-        if v == self._peer.peer_id:
-            return u in self._peer.neighbors
-        return v in self._table(u)
-
-    def cost(self, u: int, v: int) -> float:
-        return self.costs_from(u, [v])[v]
-
-    def costs_from(self, u, targets) -> Dict[int, float]:
-        # Insertion order follows *targets*, matching Overlay.costs_from —
-        # downstream float sums iterate these dicts in insertion order.
-        out: Dict[int, float] = {}
-        if u == self._peer.peer_id:
-            for t in targets:
-                out[t] = self._probe(t)
-            return out
-        table = self._table(u)
-        for t in targets:
-            out[t] = table[t]
-        return out
-
-    def warm_edge_costs(self, chunk_size: int = 256) -> int:
-        return 0  # live peers have no underlay cache to pre-fill
-
-    # -- protocol writes ------------------------------------------------
-
-    def connect(self, u: int, v: int) -> bool:
-        me = self._peer.peer_id
-        if u != me and v != me:
-            raise ValueError(f"peer {me} cannot connect {u}-{v} remotely")
-        other = v if u == me else u
-        if other in self._peer.neighbors:
-            return False
-        if not self._call(self._peer.bootstrap_connect(other)):
-            return False
-        self._tables.pop(other, None)  # its table gained this edge
-        return True
-
-    def disconnect(self, u: int, v: int) -> bool:
-        me = self._peer.peer_id
-        if u != me and v != me:
-            raise ValueError(f"peer {me} cannot disconnect {u}-{v} remotely")
-        other = v if u == me else u
-        if other not in self._peer.neighbors:
-            return False
-        self._peer.neighbors.discard(other)
-        self._tables.pop(other, None)  # its table lost this edge
-        try:
-            self._call(
-                self._peer.rpc(
-                    other, DisconnectNotice(sender=me, target=other)
+        An unreachable connect target fails the turn; a disconnect target
+        that is already gone does not — the link is down either way.
+        """
+        for kind, other in log:
+            if kind == "connect":
+                await self.bootstrap_connect(other)
+                continue
+            self.neighbors.discard(other)
+            try:
+                await self.rpc(
+                    other, DisconnectNotice(sender=self.peer_id, target=other)
                 )
-            )
-        except PeerUnreachable:
-            pass  # already gone; the link is down either way
-        return True
+            except PeerUnreachable:
+                pass

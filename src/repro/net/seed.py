@@ -38,8 +38,9 @@ import numpy as np
 from ..core.ace import AceConfig, StepReport
 from ..core.replacement import ReplacementAction
 from ..core.turn import Turn, fold
-from .peer import LivePeer, restore_rng, serialize_rng
+from .peer import LivePeer
 from .runtime import DeliveryCoordinator, NetConfig, PeerUnreachable, TrafficLedger
+from .snapshot import restore_rng, serialize_rng
 from .wire import Envelope, Hello, OptimizeTurn, Shutdown, Welcome
 
 __all__ = ["SEED_ID", "PeerRecord", "SeedNode"]
@@ -80,7 +81,8 @@ class SeedNode(LivePeer):
         #: ``(step_index, peer, error repr)`` of every turn a reachable
         #: peer reported as failed.
         self.turn_errors: List[Tuple[int, int, str]] = []
-        #: Generous per-turn budget: one turn is many sequential RPCs.
+        #: Generous per-turn budget: a turn waits on one round of reads per
+        #: closure level, Phase 3's probes and each mutation's acknowledgement.
         self.turn_timeout = net.rpc_timeout * 8
         #: The ``Welcome`` config, built now so a configuration that cannot
         #: run live is rejected before any socket opens.

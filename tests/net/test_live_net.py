@@ -11,6 +11,8 @@ the run completes with the victim marked dead, retries counted, and
 queries still returning hits.
 """
 
+import asyncio
+
 import pytest
 
 from repro.core.ace import AceConfig
@@ -24,8 +26,9 @@ from repro.net.launch import (
 from repro.net.peer import LivePeer
 from repro.net.runtime import DeliveryCoordinator, NetConfig, TrafficLedger
 from repro.net.seed import SeedNode
-from repro.net.wire import Welcome, WireError
+from repro.net.wire import Envelope, Welcome, WireError
 from repro.perf import counters
+from repro.sim.messages import ConnectRequest, CostProbe
 
 CONFIG = ScenarioConfig(physical_nodes=64, peers=8, avg_degree=4.0, seed=7)
 ACE = AceConfig()
@@ -231,3 +234,46 @@ class TestWelcomeConfig:
         with pytest.raises(WireError, match="max_degre.*polcy"):
             peer.apply_welcome(welcome)
         assert peer.ace_config == AceConfig()
+
+
+def _peer(peer_id):
+    return LivePeer(peer_id, NetConfig(), DeliveryCoordinator(), TrafficLedger())
+
+
+class TestPeerPlumbing:
+    def test_concurrent_rpcs_to_a_fresh_peer_open_one_connection(self):
+        async def race():
+            a, b = _peer(1), _peer(2)
+            await a.start()
+            await b.start()
+            try:
+                a.addresses[2] = (b.host, b.port)
+                before = counters.net_connections
+                await asyncio.gather(
+                    a.rpc(2, CostProbe(sender=1, target=2)),
+                    a.rpc(2, CostProbe(sender=1, target=2)),
+                )
+                return counters.net_connections - before, list(a._conns)
+            finally:
+                await a.stop()
+                await b.stop()
+
+        opened, conns = asyncio.run(race())
+        assert opened == 1
+        assert conns == [2]
+
+    def test_connect_request_from_a_non_member_is_refused(self):
+        peer = _peer(1)
+        peer.apply_welcome(Welcome(peer=1, members=(1, 2, 3), cost_row={2: 1.0, 3: 2.0}))
+        peer.dead.add(3)
+        for src in (999, 1, 3):  # not a member, itself, dead
+            reply, _ltime = peer.handle_request(
+                ConnectRequest(sender=src, target=1), Envelope(src=src, dst=1)
+            )
+            assert reply.accepted is False
+        assert peer.neighbors == set()
+        reply, _ltime = peer.handle_request(
+            ConnectRequest(sender=2, target=1), Envelope(src=2, dst=1)
+        )
+        assert reply.accepted is True
+        assert peer.neighbors == {2}
