@@ -37,7 +37,7 @@ from ..perf import counters
 from ..rng import ensure_rng
 from ..topology.overlay import Overlay
 from ..topology.soa import ArrayOverlay
-from .batch_ace import batched_step
+from .batch_ace import batched_step, store_closures
 from .closure import ClosureView, neighbor_closure
 from .cost_table import Phase1Report
 from .flat_state import FlatAceStore
@@ -440,6 +440,15 @@ class AceProtocol:
             self._state_version += 1
 
     def rebuild_all_trees(self) -> None:
-        """Recompute Phase 2 at every live peer (no Phase 3 mutations)."""
+        """Recompute Phase 2 at every live peer (no Phase 3 mutations).
+
+        On the flat store every closure comes out of one
+        :func:`~repro.core.batch_ace.store_closures` call, as the step's
+        end-of-step rebuild does; rows and version bumps are the per-peer
+        loop's.
+        """
+        if self._flat is not None:
+            store_closures(self, self.overlay.peers())
+            return
         for peer in self.overlay.peers():
             self.recompute_tree(peer)

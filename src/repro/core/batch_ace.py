@@ -7,17 +7,19 @@ rebuild — as per-peer Python over dict-of-dict closures.  This module
 replaces that loop on an ``ArrayOverlay``:
 
 1. **Batched closure extraction** (:func:`extract_closures`): all scheduled
-   peers' depth-``h`` closures are computed in one shared CSR frontier sweep
-   over :meth:`ArrayOverlay.adjacency_csr` — one ``visited`` matrix, one
-   vectorized neighbor gather per BFS level — instead of one dict-building
+   peers' depth-``h`` closures are computed in one shared frontier sweep
+   over the overlay as it stands — base CSR, tombstones and edit buffer
+   merged row by row (:meth:`ArrayOverlay.live_rows`), so a mid-step
+   extraction costs no compaction — with one ``visited`` matrix and one
+   vectorized neighbor gather per BFS level, instead of one dict-building
    BFS per peer.  Everything the per-source tail needs (member ids, local
    edge indices, row pointers, roots) is lowered for the whole sweep with
    numpy; the per-source loop slices those arrays, crosses into Python one
    closure at a time (``.tolist()``, so at most one closure's edges are
    boxed at once) and runs Prim on lists.  Nothing here is buffer-backed:
-   the lists are copies of one CSR snapshot, and it is the dirty log below,
-   not the arrays, that decides how long a :class:`ClosureBatch` entry
-   stays valid.
+   the lists are copies of one read, and it is the dirty log below, not
+   the arrays, that decides how long a :class:`ClosureBatch` entry stays
+   valid.
 2. **Flat Phase-1 accounting**: a peer's probe and exchange overheads reduce
    to the sequential IEEE sum of its direct-edge costs in ascending-neighbor
    order (exactly the order :func:`~repro.core.cost_table.run_phase1`'s
@@ -42,10 +44,11 @@ one of its endpoints is a closure *member* (every path of ``<= h`` hops from
 the source runs through members, so an edge with both endpoints outside the
 member set can neither add nor remove members or induced edges).  The kernel
 tracks mutation endpoints in a dirty list; a scheduled peer whose
-pre-extracted closure intersects the dirty set falls back to the scalar
-reference path for that turn.  RNG draws happen peer-by-peer in the same
-order as the reference loop, so the random streams — and therefore every
-figure — are byte-identical.
+pre-extracted closure intersects the dirty set re-derives it for that turn
+in plain Python over the overlay's live rows (:func:`_rederive`); steps
+extract in blocks of :data:`_BLOCK` peers to keep such turns few.  RNG
+draws happen peer-by-peer in the same order as the reference loop, so the
+random streams — and therefore every figure — are byte-identical.
 
 The kernel is what :meth:`AceProtocol.step` runs whenever the protocol sits
 on an ``ArrayOverlay`` — always, for a built scenario; the object-model loop
@@ -64,7 +67,6 @@ import numpy as np
 
 from ..perf import counters
 from ..topology.soa import ArrayOverlay
-from .closure import neighbor_closure
 from .cost_table import ENTRY_COST_FACTOR, ROUND_TRIP_FACTOR
 from .turn import Turn, fold, phase3
 
@@ -75,6 +77,7 @@ __all__ = [
     "ClosureBatch",
     "extract_closures",
     "batched_step",
+    "store_closures",
     "churn_refresh",
 ]
 
@@ -86,8 +89,8 @@ __all__ = [
 class ClosureBatch:
     """Depth-``h`` closures of a batch of sources, extracted in one sweep.
 
-    Everything is computed eagerly against a single
-    :meth:`ArrayOverlay.adjacency_csr` snapshot, in **peer-id space** (slot
+    Everything is computed eagerly against one read of the overlay
+    (:meth:`ArrayOverlay.live_rows`), in **peer-id space** (slot
     numbering is stable between peer additions/removals, but peer ids are
     what mutations report), so entries stay valid across mid-step edge
     mutations — validity is decided by the caller's dirty-set test, not by
@@ -178,6 +181,36 @@ def _prim_flooding(
     return flooding
 
 
+def _phases12(
+    members: List[int],
+    indptr: List[int],
+    nbrs: List[int],
+    costs: List[float],
+    root: int,
+) -> tuple:
+    """Phases 1-2 of one closure in local-CSR form (members ascending).
+
+    Returns ``(flooding, direct, direct_costs, probe_sum, closure_size,
+    closure_edges)`` in peer-id space.  Direct neighbors are the root's own
+    row (always closure members at depth >= 1), ascending, and
+    ``probe_sum`` is their sequential left-to-right IEEE cost sum.
+    """
+    r0, r1 = indptr[root], indptr[root + 1]
+    direct_costs = costs[r0:r1]
+    probe_sum = 0.0
+    for c in direct_costs:
+        probe_sum += c
+    flooding = _prim_flooding(indptr, nbrs, costs, root)
+    return (
+        [members[i] for i in flooding],
+        [members[i] for i in nbrs[r0:r1]],
+        direct_costs,
+        probe_sum,
+        len(members),
+        len(nbrs) // 2,
+    )
+
+
 #: Sources swept per shared ``visited`` matrix (bounds its memory to
 #: ``_SWEEP x num_peers`` bools regardless of how many peers are scheduled).
 _SWEEP = 256
@@ -188,44 +221,37 @@ def extract_closures(
 ) -> ClosureBatch:
     """Extract the depth-``h`` closures of *sources* in CSR frontier sweeps.
 
-    All sources must be live peers.  Costs are read from the warmed CSR
-    (``adjacency_csr`` bulk-fills any stragglers first), so the floats are
-    the exact cached values the scalar reference reads through its dicts.
+    All sources must be live peers.  The sweeps read the overlay as it
+    stands — base CSR, tombstones and edit buffer merged row by row
+    (:meth:`ArrayOverlay.live_rows`) — after the costs are warmed, so the
+    floats are the exact cached values the scalar reference reads through
+    its dicts.  Only a moved peer set costs a compaction
+    (:meth:`ArrayOverlay.canonical_slots`).
     """
     if depth < 1:
         raise ValueError(f"closure depth must be >= 1, got {depth}")
     batch = ClosureBatch()
     if not sources:
         return batch
-    peer_arr, indptr, nbr, cost = overlay.adjacency_csr()
-    n = len(peer_arr)
+    peer_arr = overlay.canonical_slots()
     src_arr = np.asarray(sources, dtype=np.int64)
     slots = np.searchsorted(peer_arr, src_arr)
     for start in range(0, len(sources), _SWEEP):
         _extract_sweep(
-            batch,
-            peer_arr,
-            indptr,
-            nbr,
-            cost,
-            n,
-            slots[start : start + _SWEEP],
-            depth,
+            batch, overlay, peer_arr, slots[start : start + _SWEEP], depth
         )
     return batch
 
 
 def _extract_sweep(
     batch: ClosureBatch,
+    overlay: ArrayOverlay,
     peer_arr: np.ndarray,
-    indptr: np.ndarray,
-    nbr: np.ndarray,
-    cost: np.ndarray,
-    n: int,
     src_slots: np.ndarray,
     depth: int,
 ) -> None:
     nsrc = len(src_slots)
+    n = len(peer_arr)
     stride = np.int64(n)
     visited = np.zeros((nsrc, n), dtype=bool)
     rows = np.arange(nsrc)
@@ -235,15 +261,9 @@ def _extract_sweep(
     # Members as ``source * n + slot`` keys, one array per BFS level.
     levels = [rows * stride + src_slots]
     for _ in range(depth):
-        deg = indptr[f_node + 1] - indptr[f_node]
-        total = int(deg.sum())
-        if not total:
-            break
-        # Flat gather of every frontier node's CSR row in one shot.
-        ends = np.cumsum(deg)
-        eidx = np.repeat(indptr[f_node] - (ends - deg), deg) + np.arange(total)
-        cand_src = np.repeat(f_src, deg)
-        cand_node = nbr[eidx]
+        # Every frontier node's live row in one gather.
+        at, cand_node, _ = overlay.live_rows(f_node)
+        cand_src = f_src[at]
         fresh = ~visited[cand_src, cand_node]
         # Dedup (source, node) pairs discovered via several frontier nodes
         # in the same level, or the expansion grows multiplicatively.
@@ -261,19 +281,14 @@ def _extract_sweep(
     m_off = np.zeros(nsrc + 1, dtype=np.int64)
     np.cumsum(np.bincount(m_src, minlength=nsrc), out=m_off[1:])
 
-    # Induced edges: every member's full CSR row, filtered to members of the
-    # same source.  Rows are gathered in member order, so the kept entries
-    # form one CSR over the sweep's member rows (``e_ptr``), ascending v
-    # inside a row.
-    first = indptr[m_slot]
-    deg = indptr[m_slot + 1] - first
-    ends = np.cumsum(deg)
-    eidx = np.repeat(first - (ends - deg), deg) + np.arange(int(deg.sum()))
-    e_row = np.repeat(np.arange(len(m_key)), deg)
+    # Induced edges: every member's live row, filtered to members of the
+    # same source.  Rows come back in member order, so the kept entries form
+    # one CSR over the sweep's member rows (``e_ptr``), ascending v inside a
+    # row.
+    e_row, e_v, e_cost = overlay.live_rows(m_slot)
     e_src = m_src[e_row]
-    e_v = nbr[eidx]
     keep = visited[e_src, e_v]
-    e_row, e_src, e_v, eidx = e_row[keep], e_src[keep], e_v[keep], eidx[keep]
+    e_row, e_src, e_v, e_cost = e_row[keep], e_src[keep], e_v[keep], e_cost[keep]
     e_ptr = np.zeros(len(m_key) + 1, dtype=np.int64)
     np.cumsum(np.bincount(e_row, minlength=len(m_key)), out=e_ptr[1:])
     # One lookup ranks every edge head and every source among the sweep's
@@ -281,7 +296,6 @@ def _extract_sweep(
     at = np.searchsorted(m_key, np.concatenate([e_src * stride + e_v, levels[0]]))
     local_v = at[:-nsrc] - m_off[e_src]
     roots = (at[-nsrc:] - m_off[:-1]).tolist()
-    e_cost = cost[eidx]
     e_off = e_ptr[m_off].tolist()
     m_off = m_off.tolist()
     m_peer = peer_arr[m_slot]
@@ -290,26 +304,59 @@ def _extract_sweep(
     # would box every edge of 256 closures at once (hundreds of MB at h = 3).
     for b, root in enumerate(roots):
         members = m_peer[m_off[b] : m_off[b + 1]].tolist()
-        lptr = (e_ptr[m_off[b] : m_off[b + 1] + 1] - e_off[b]).tolist()
-        nbrs = local_v[e_off[b] : e_off[b + 1]].tolist()
-        costs = e_cost[e_off[b] : e_off[b + 1]].tolist()
-        # Direct neighbors are the source's own row (always closure members
-        # at depth >= 1), already ascending.
-        r0, r1 = lptr[root], lptr[root + 1]
-        direct_costs = costs[r0:r1]
-        probe_sum = 0.0
-        for c in direct_costs:
-            probe_sum += c
-        flooding_local = _prim_flooding(lptr, nbrs, costs, root)
+        flooding, direct, direct_costs, probe_sum, _, edges = _phases12(
+            members,
+            (e_ptr[m_off[b] : m_off[b + 1] + 1] - e_off[b]).tolist(),
+            local_v[e_off[b] : e_off[b + 1]].tolist(),
+            e_cost[e_off[b] : e_off[b + 1]].tolist(),
+            root,
+        )
         batch.index[members[root]] = len(batch.sources)
         batch.sources.append(members[root])
         batch.members.append(members)
         batch.member_sets.append(frozenset(members))
-        batch.direct.append([members[i] for i in nbrs[r0:r1]])
+        batch.direct.append(direct)
         batch.direct_costs.append(direct_costs)
         batch.probe_sum.append(probe_sum)
-        batch.closure_edges.append(len(nbrs) // 2)
-        batch.flooding.append([members[i] for i in flooding_local])
+        batch.closure_edges.append(edges)
+        batch.flooding.append(flooding)
+
+
+def _rederive(overlay: ArrayOverlay, peer: int, depth: int) -> tuple:
+    """One peer's sweep entry, re-read in plain Python (a stale turn).
+
+    What :func:`extract_closures` would return for *peer* right now: a BFS
+    over the overlay's live rows (:meth:`ArrayOverlay.live_row`), the
+    induced rows in peer-id order, then :func:`_phases12`, after the same
+    cost warm (O(1) on a warm overlay).  One closure costs less this way
+    than a one-source sweep's fixed numpy overhead.
+    """
+    overlay.warm_edge_costs()
+    rows: Dict[int, tuple] = {}
+    seen = {peer}
+    frontier = [peer]
+    for _ in range(depth):
+        nxt = []
+        for u in frontier:
+            rows[u] = row = overlay.live_row(u)
+            for v in row[0]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    for u in frontier:
+        rows[u] = overlay.live_row(u)
+    members = sorted(seen)
+    local = {p: i for i, p in enumerate(members)}
+    indptr = [0]
+    nbrs: List[int] = []
+    costs: List[float] = []
+    for u in members:
+        row = sorted((local[v], c) for v, c in zip(*rows[u]) if v in local)
+        nbrs += [i for i, _ in row]
+        costs += [c for _, c in row]
+        indptr.append(len(nbrs))
+    return _phases12(members, indptr, nbrs, costs, local[peer])
 
 
 # ---------------------------------------------------------------------------
@@ -357,28 +404,6 @@ def _mark_dirty(dirty: List[int], stamps: Dict[int, int], peer: int) -> None:
     stamps[peer] = len(dirty)
 
 
-def _refresh_stale(protocol: "AceProtocol", peer: int) -> tuple:
-    """Scalar Phases 1-2 for a peer whose pre-extracted closure went stale.
-
-    Equivalent to :meth:`AceProtocol.refresh_peer` minus the
-    ``NeighborCostTable`` dicts :func:`~repro.core.cost_table.run_phase1`
-    builds for closure members Phase 3 never reads: the probe/exchange
-    overheads are the same flat formulas the fresh path uses (both dict
-    sums iterate ascending neighbor ids — the closure row's insertion
-    order — so the sequential IEEE totals match bit for bit), and state
-    storage goes through the reference :meth:`AceProtocol._store_state`.
-    """
-    config = protocol.config
-    closure = neighbor_closure(protocol.overlay, peer, config.depth)
-    state = protocol._store_state(peer, closure)
-    s = 0.0
-    for c in closure.edges[peer].values():
-        s += c
-    probe = ROUND_TRIP_FACTOR * s
-    exchange = (1.0 + ENTRY_COST_FACTOR * closure.num_edges()) * s
-    return probe, exchange, sorted(state.non_flooding)
-
-
 def _optimize_one(
     protocol: "AceProtocol",
     peer: int,
@@ -391,24 +416,26 @@ def _optimize_one(
     """Phases 1-3 for one peer, from the batch when still exact.
 
     Phases 1-2 are served from the pre-extracted arrays when no mid-step
-    mutation touched the peer's closure; Phase 3 and the fold are the
-    shared turn, whose sheds and actions then extend the dirty log.
+    mutation touched the peer's closure, and re-derived from the overlay's
+    live rows otherwise; Phase 3 and the fold are the shared turn, whose
+    sheds and actions then extend the dirty log.
     """
     config = protocol.config
     pos = batch.index[peer]
     if _is_stale(
         batch.member_sets[pos], batch.members[pos], dirty, dirty_start, stamps
     ):
-        # A mutation invalidated the pre-extracted closure: recompute it
-        # through the scalar path (identical by construction).
-        probe, exchange, non_flooding = _refresh_stale(protocol, peer)
+        flooding, direct, _, s, size, edges = _rederive(
+            protocol.overlay, peer, config.depth
+        )
     else:
-        protocol._put_flat(peer, *batch.row(pos))
+        flooding, direct, size, edges = batch.row(pos)
         s = batch.probe_sum[pos]
-        probe = ROUND_TRIP_FACTOR * s
-        exchange = (1.0 + ENTRY_COST_FACTOR * batch.closure_edges[pos]) * s
-        in_tree = set(batch.flooding[pos])
-        non_flooding = [t for t in batch.direct[pos] if t not in in_tree]
+    protocol._put_flat(peer, flooding, direct, size, edges)
+    probe = ROUND_TRIP_FACTOR * s
+    exchange = (1.0 + ENTRY_COST_FACTOR * edges) * s
+    in_tree = set(flooding)
+    non_flooding = [t for t in direct if t not in in_tree]
 
     sheds, actions = phase3(
         protocol.overlay,
@@ -430,6 +457,13 @@ def _optimize_one(
     if touched:
         for endpoint in (peer, *touched):
             _mark_dirty(dirty, stamps, endpoint)
+
+
+#: Peers per extraction block of a step.  A turn whose closure an earlier
+#: turn of its block touched is re-derived on its own (:func:`_rederive`),
+#: so smaller blocks mean fewer stale turns and more, smaller sweeps;
+#: ``static_8k`` measured 64 against 32 and 128 (docs/PERFORMANCE.md).
+_BLOCK = 64
 
 
 def batched_step(
@@ -459,9 +493,8 @@ def batched_step(
     dirty: List[int] = []
     stamps: Dict[int, int] = {}
     batches: List[tuple] = []
-    block_size = 256
-    for start in range(0, len(order), block_size):
-        block = order[start : start + block_size]
+    for start in range(0, len(order), _BLOCK):
+        block = order[start : start + _BLOCK]
         live = [p for p in block if overlay.has_peer(p)]
         batch = extract_closures(overlay, live, protocol.config.depth)
         counters.closure_batch_peers += len(live)
@@ -487,7 +520,6 @@ def _rebuild_trees(
     bumps happen once each, like the reference loop.
     """
     overlay = protocol.overlay
-    config = protocol.config
     stale: List[int] = []
     for batch, dirty_start in batches:
         recent = set(dirty[dirty_start:])
@@ -500,10 +532,22 @@ def _rebuild_trees(
                 protocol._bump_state_version()
     if not stale:
         return
-    rebuilt = extract_closures(overlay, stale, config.depth)
-    counters.closure_batch_peers += len(stale)
-    for peer in stale:
-        protocol._put_flat(peer, *rebuilt.row(rebuilt.index[peer]))
+    # The step's one deliberate compaction: the bulk sweep then reads a
+    # clean CSR, and the query compile that follows a step finds it packed.
+    overlay.flush_edits()
+    store_closures(protocol, stale)
+
+
+def store_closures(protocol: "AceProtocol", peers: List[int]) -> ClosureBatch:
+    """Phase 2 at *peers* in one extraction, each stored as its flat row.
+
+    One ``_put_flat`` (one version bump) per listed peer, in list order.
+    """
+    batch = extract_closures(protocol.overlay, peers, protocol.config.depth)
+    counters.closure_batch_peers += len(peers)
+    for peer in peers:
+        protocol._put_flat(peer, *batch.row(batch.index[peer]))
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +574,11 @@ def churn_refresh(
     """
     overlay = protocol.overlay
     assert isinstance(overlay, ArrayOverlay)
-    config = protocol.config
     overlay.warm_edge_costs()
     targets = [replacement] + [
         p for p in sorted(affected) if overlay.has_peer(p)
     ]
-    batch = extract_closures(overlay, targets, config.depth)
-    counters.closure_batch_peers += len(targets)
-    for peer in targets:
-        protocol._put_flat(peer, *batch.row(batch.index[peer]))
+    batch = store_closures(protocol, targets)
     pos = batch.index[replacement]
     s = batch.probe_sum[pos]
     probe = ROUND_TRIP_FACTOR * s

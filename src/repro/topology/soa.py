@@ -44,14 +44,15 @@ returns its live internal set); all in-repo consumers either copy or re-fetch
 around mutations, so the two behaviours are indistinguishable.
 
 One rule splits the code: **numpy for bulk, buffers for scalars.**  The bulk
-kernels (compaction, the NaN scan, :meth:`_live_rows`, the CSR views) work
+kernels (compaction, the NaN scan, :meth:`live_rows`, the CSR views) work
 on the arrays; every method that touches one element at a time — the
 per-peer half of an ACE turn: :meth:`neighbors`, :meth:`has_edge`,
 :meth:`cost`, :meth:`costs_from`, :meth:`connect`, :meth:`disconnect`,
-:meth:`remove_peer`, :meth:`degree`, :meth:`host_of` and the helpers under
-them — reads and writes the *same memory* through ``memoryview``s
-(``_vpeer`` … ``_vdead``), which hand back plain ``int`` / ``float`` /
-``bool`` at a fifth of the price of a numpy element read plus unwrapping.
+:meth:`remove_peer`, :meth:`degree`, :meth:`host_of`, :meth:`live_row` and
+the helpers under them — reads and writes the *same memory* through
+``memoryview``s (``_vpeer`` … ``_vdead``), which hand back plain ``int`` /
+``float`` / ``bool`` at a fifth of the price of a numpy element read plus
+unwrapping.
 There is no second copy of any state to keep in step: a view aliases its
 array, so a write on either side is the other side's next read.  A view can
 only go stale when an array *object* is replaced, and that happens in four
@@ -324,11 +325,13 @@ class ArrayOverlay(Overlay):
 
         # Canonical layout: rows in sorted-peer order, each row sorted by
         # neighbor slot (== neighbor peer id; (row, nbr) pairs are unique,
-        # so this matches the scalar per-row pair sort exactly).  Under the
-        # identity fast path with no buffered extras the masked base rows
-        # are already in that order, so the sort is a no-op we skip.
+        # so one stable sort of the key ``row * n + nbr`` matches the scalar
+        # per-row pair sort exactly, at a quarter of a two-key lexsort's
+        # time on these mostly ordered runs).  Under the identity fast path
+        # with no buffered extras the masked base rows are already in that
+        # order, so the sort is a no-op we skip.
         if not (identity and not ex_row):
-            perm = np.lexsort((e_nbr, e_row))
+            perm = np.argsort(e_row * max(n, 1) + e_nbr, kind="stable")
             e_nbr = e_nbr[perm]
             e_cost = e_cost[perm]
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -744,8 +747,16 @@ class ArrayOverlay(Overlay):
                 if math.isnan(c) and pu < sp[sv]:
                     yield su, sv
 
-    def _live_rows(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Live edges out of *slots*: ``(position in slots, neighbor slot)``."""
+    def live_rows(
+        self, slots: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Live edges out of *slots*, the edit buffer merged in.
+
+        Returns ``(position in slots, neighbor slot, cost)`` sorted by
+        position, then by neighbor slot: tombstoned base entries are
+        dropped and buffered links join their row, so a bulk kernel reads
+        the overlay as it stands without waiting for a compaction.
+        """
         based = np.flatnonzero(slots < self._nbase)
         first = self._indptr[slots[based]]
         deg = self._indptr[slots[based] + 1] - first
@@ -753,18 +764,57 @@ class ArrayOverlay(Overlay):
         eidx = np.repeat(first - (ends - deg), deg) + np.arange(int(deg.sum()))
         live = ~self._dead[eidx]
         pos = np.repeat(based, deg)[live]
-        nbr = self._nbr[eidx[live]]
+        eidx = eidx[live]
+        nbr = self._nbr[eidx]
+        cost = self._ncost[eidx]
         if self._extra:
-            buffered = [
-                (i, sv)
-                for i, s in enumerate(slots.tolist())
-                for sv in self._extra.get(s, ())
-            ]
-            if buffered:
-                extra = np.array(buffered, dtype=np.int64)
-                pos = np.concatenate([pos, extra[:, 0]])
-                nbr = np.concatenate([nbr, extra[:, 1]])
-        return pos, nbr
+            held = np.fromiter(self._extra, dtype=np.int64, count=len(self._extra))
+            at = np.flatnonzero(np.isin(slots, held))
+            if len(at):
+                x_pos: List[int] = []
+                x_nbr: List[int] = []
+                x_cost: List[float] = []
+                for i, s in zip(at.tolist(), slots[at].tolist()):
+                    ex = self._extra[s]
+                    x_pos += [i] * len(ex)
+                    x_nbr += ex
+                    x_cost += ex.values()
+                pos = np.concatenate([pos, np.array(x_pos, dtype=np.int64)])
+                nbr = np.concatenate([nbr, np.array(x_nbr, dtype=np.int64)])
+                cost = np.concatenate([cost, np.array(x_cost, dtype=np.float64)])
+                # Base rows come out (position, slot)-ordered already; the
+                # buffered links are merged into that order.  The pairs are
+                # unique, so sorting one combined key is the lexsort, and
+                # on a mostly ordered key a stable sort is close to a merge.
+                order = np.argsort(pos * max(self._nslots, 1) + nbr, kind="stable")
+                pos, nbr, cost = pos[order], nbr[order], cost[order]
+        return pos, nbr, cost
+
+    def live_row(self, peer: int) -> Tuple[List[int], List[float]]:
+        """Live neighbors of *peer* and their cached costs (NaN = unknown).
+
+        :meth:`live_rows` for one peer, read through the buffer views and in
+        peer-id space: base entries first, then buffered links, unsorted.
+        """
+        slot = self._index[peer]
+        sp = self._vpeer
+        nbrs: List[int] = []
+        costs: List[float] = []
+        if slot < self._nbase:
+            s = self._vptr[slot]
+            e = self._vptr[slot + 1]
+            for sv, dead, c in zip(
+                self._vnbr[s:e], self._vdead[s:e], self._vcost[s:e]
+            ):
+                if not dead:
+                    nbrs.append(sp[sv])
+                    costs.append(c)
+        ex = self._extra.get(slot)
+        if ex:
+            for sv, c in ex.items():
+                nbrs.append(sp[sv])
+                costs.append(c)
+        return nbrs, costs
 
     def _probe_pools(self, slots: np.ndarray) -> Dict[int, np.ndarray]:
         """Per host of *slots*: sorted hosts within two logical hops.
@@ -774,8 +824,8 @@ class ArrayOverlay(Overlay):
         (:meth:`repro.core.policies.CandidatePolicy._eligible`).  Peers
         sharing a host pool their neighborhoods.
         """
-        at1, hop1 = self._live_rows(slots)
-        at2, hop2 = self._live_rows(hop1)
+        at1, hop1, _ = self.live_rows(slots)
+        at2, hop2, _ = self.live_rows(hop1)
         stride = self._physical.num_nodes
         source_host = self._slot_host[slots][np.concatenate([at1, at1[at2]])]
         target_host = self._slot_host[np.concatenate([hop1, hop2])]
@@ -905,10 +955,7 @@ class ArrayOverlay(Overlay):
         snapshots: consume them before the next structural mutation.
         """
         self.warm_edge_costs()
-        if self._extra or self._edits or self._free or self._nbase != len(
-            self._index
-        ):
-            self._compact()
+        self.flush_edits()
         n = len(self._index)
         return (
             self._slot_peer[:n],
@@ -916,6 +963,27 @@ class ArrayOverlay(Overlay):
             self._nbr,
             self._ncost,
         )
+
+    def flush_edits(self) -> None:
+        """Fold the edit buffer into a fresh base CSR, if it holds anything."""
+        if self._extra or self._edits or self._free or self._nbase != len(
+            self._index
+        ):
+            self._compact()
+
+    def canonical_slots(self) -> np.ndarray:
+        """Slot -> peer id, ascending, with every edge cost warmed.
+
+        The entry of the bulk kernels that read the edit buffer as it
+        stands (:meth:`live_rows`).  Edge edits keep slot order equal to
+        peer order, so only a moved peer set (a join or a departure since
+        the last repack) forces a compaction here; the edit threshold of
+        :meth:`connect` / :meth:`disconnect` paces every other one.
+        """
+        self.warm_edge_costs()
+        if not self._slots_canonical:
+            self._compact()
+        return self._slot_peer[: self._nbase]
 
     def flooding_csr(
         self,
@@ -941,7 +1009,7 @@ class ArrayOverlay(Overlay):
         seen = np.zeros(self._nslots, dtype=bool)
         while len(frontier):
             seen[frontier] = True
-            _, reached = self._live_rows(frontier)
+            _, reached, _ = self.live_rows(frontier)
             frontier = np.unique(reached[~seen[reached]])
         return set(self._slot_peer[np.flatnonzero(seen)].tolist())
 
@@ -989,6 +1057,7 @@ class ArrayOverlay(Overlay):
         clone._peers_cache = (
             list(self._peers_cache) if self._peers_cache is not None else None
         )
+        clone._slots_canonical = self._slots_canonical
         clone._cost_cache = self._cost_cache  # shared, append-only cache
         clone._probe_memo = self._probe_memo  # shared: oracle facts only
         clone._epoch = self._epoch  # compiled-graph caches key on identity

@@ -17,7 +17,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core import batch_ace
 from repro.core.ace import AceConfig, AceProtocol
 from repro.core.batch_ace import extract_closures
 from repro.core.closure import neighbor_closure
@@ -26,8 +29,10 @@ from repro.experiments.depth_sweep import DepthSweepConfig, run_depth_sweep
 from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_experiment
 from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.experiments.static_env import run_static_experiment
+from repro.oracle.exact import ExactOracle
 from repro.perf import counters
 from repro.topology.overlay import Overlay
+from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
 from tests.reference import production_and_reference
 
@@ -100,6 +105,34 @@ class TestKernelEquality:
     def test_full_state_matches_across_seeds(self, seed):
         kern, ref = kernel_and_reference(seed=seed)
         assert full_state(kern) == full_state(ref)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, 64, 256])
+    def test_full_state_matches_at_every_block_size(
+        self, monkeypatch, block, depth
+    ):
+        # The block size moves only which turns go stale, never a result:
+        # one peer per block, blocks that straddle the order unevenly, and
+        # one block for all 150 peers give the reference's state.
+        monkeypatch.setattr(batch_ace, "_BLOCK", block)
+        kern, ref = kernel_and_reference(depth=depth, peers=150, nodes=400)
+        assert full_state(kern) == full_state(ref)
+
+    def test_rebuild_all_trees_matches_the_per_peer_loop(self):
+        kern, ref = kernel_and_reference(depth=2)
+        for protocol in (kern, ref):
+            protocol.step()
+            protocol.rebuild_all_trees()
+        assert kern.state_version == ref.state_version
+        for peer in ref.overlay.peers():
+            want = ref.state_of(peer)
+            got = kern.state_of(peer)
+            assert (got.flooding, got.known_neighbors) == (
+                want.flooding, want.known_neighbors
+            )
+            assert (got.closure_size, got.closure_edges) == (
+                want.closure_size, want.closure_edges
+            )
 
     def test_dynamic_churn_series_matches(self):
         dyn = DynamicConfig(total_queries=120, window=40)
@@ -187,6 +220,23 @@ class TestExtractClosures:
         assert batch.members[i] == [loner] and batch.probe_sum[i] == 0.0
         assert batch.row(i) == ([], [], 1, 0)
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_an_edges_only_buffer_is_read_without_a_compaction(self, depth):
+        overlay = scenario(peers=300, nodes=600, oracle="landmark:8").fresh_overlay()
+        overlay.adjacency_csr()
+        # Tombstones and buffered links, but the peer set is the packed one.
+        peers = overlay.peers()
+        for u in peers[:40:4]:
+            overlay.disconnect(u, min(overlay.neighbors(u)))
+        for u, v in zip(peers[:60:3], peers[-60::3]):
+            overlay.connect(u, v)
+        assert overlay._extra and overlay._edits
+        np.random.default_rng(depth).shuffle(peers)
+        compactions = counters.soa_compactions
+        batch = extract_closures(overlay, peers, depth)
+        assert counters.soa_compactions == compactions
+        assert_batch_matches_reference(overlay, batch, peers, depth)
+
     def test_depth_below_one_is_rejected_like_neighbor_closure(self):
         overlay = scenario().fresh_overlay()
         peer = overlay.peers()[0]
@@ -214,6 +264,74 @@ class TestExtractClosures:
         batch = extract_closures(overlay, [], depth=2)
         assert batch.sources == []
         assert batch.index == {}
+
+
+def stale_world(seed):
+    """Twelve peers on a 16-host ring with chords, under the exact oracle."""
+    rng = np.random.default_rng(seed)
+    nodes = 16
+    links = [(i, (i + 1) % nodes) for i in range(nodes)] + [(0, 7), (3, 12)]
+    physical = PhysicalTopology(
+        nodes, links, rng.uniform(0.1, 1.0, size=len(links)), cache_size=4
+    )
+    hosts = {p: int(h) for p, h in enumerate(rng.integers(0, nodes, size=12))}
+    overlay = ArrayOverlay(physical, hosts, oracle=ExactOracle(physical))
+    for p in range(1, 12):
+        overlay.connect(p, int(rng.integers(0, p)))
+    return overlay
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 10_000),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(("connect", "disconnect", "rejoin", "check")),
+            st.integers(0, 10_000),
+            st.integers(0, 10_000),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_a_stale_turn_rederives_the_sweep_entry(seed, ops):
+    """``_rederive`` is the sweep's entry for the same peer, bit for bit.
+
+    Connects and disconnects leave tombstones and buffered links; a rejoin
+    puts a peer on a free slot (slot order no longer peer order) and on a
+    host pair nobody has costed yet.  Each check re-derives before the
+    sweep, which then compacts.
+    """
+    overlay = stale_world(seed)
+    ops = list(ops) + [("check", seed, seed)]
+    for op, a, b in ops:
+        peers = overlay.peers()
+        p, q = peers[a % len(peers)], peers[b % len(peers)]
+        if op == "connect" and p != q:
+            overlay.connect(p, q)
+        elif op == "disconnect" and p != q:
+            overlay.disconnect(p, q)
+        elif op == "rejoin" and p != q:
+            overlay.remove_peer(p)
+            overlay.add_peer(p, b % overlay.physical.num_nodes)
+            overlay.connect(p, q)
+        elif op == "check":
+            for depth in (1, 2, 3):
+                lean = batch_ace._rederive(overlay, p, depth)
+                batch = extract_closures(overlay, [p], depth)
+                assert lean == (
+                    batch.flooding[0],
+                    batch.direct[0],
+                    batch.direct_costs[0],
+                    batch.probe_sum[0],
+                    len(batch.members[0]),
+                    batch.closure_edges[0],
+                )
+                assert_batch_matches_reference(overlay, batch, [p], depth)
 
 
 class TestPerfCounters:
@@ -286,3 +404,4 @@ class TestPerfCounters:
             degrees=(4,), depths=(1, 2), convergence_steps=2,
             query_samples=8, base=world,
         ))
+        protocol_for(build_scenario(world)).rebuild_all_trees()

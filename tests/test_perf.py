@@ -339,6 +339,43 @@ class TestExactOracleSolvesEachSourceOnce:
         assert counters.dijkstra_sources == 26 + 14 + 8 + 4
 
 
+@pytest.mark.perf_smoke
+class TestStepCompactsOnTheEditThreshold:
+    """The ACE step re-packs the CSR when its edits force it, not per block.
+
+    Closure extraction reads tombstones and buffered links in place, so
+    inside a step only ``ArrayOverlay._maybe_compact``'s edit threshold
+    (``max(64, edges // 4)`` buffered edits) and the one flush before the
+    end-of-step rebuild compact.  The counts repeat exactly per seed.
+    """
+
+    def test_depth_1_step_and_rebuild(self, monkeypatch):
+        config = ScenarioConfig(
+            physical_nodes=4000, peers=2000, avg_degree=6, seed=5,
+            oracle="landmark:8",
+        )
+        overlay = build_scenario(config).fresh_overlay()
+        protocol = AceProtocol(overlay, rng=np.random.default_rng(3))
+        compact = ArrayOverlay._compact
+        forced = []
+
+        def spy(self):
+            forced.append(self._edits > max(64, self._nedges // 4))
+            compact(self)
+
+        monkeypatch.setattr(ArrayOverlay, "_compact", spy)
+        protocol.step()
+        # Measured here: the threshold forces four and the rebuild flushes
+        # once.  Compacting per 256-peer extraction block, as the step did
+        # before, made eight, none of them forced.
+        assert forced == [True, True, True, True, False]
+        forced.clear()
+        before = counters.copy()
+        protocol.rebuild_all_trees()
+        assert forced == []
+        assert counters.delta(before)["closure_batch_peers"] == 2000
+
+
 class TestQueryKernelWorksInBlocks:
     """``run_queries`` holds a block of labels, never the ``(queries, peers)`` lot."""
 
