@@ -1,10 +1,9 @@
-"""Vectorized ACE step kernel: what an ACE step runs on every scenario.
+"""Vectorized ACE step kernel: what every ACE step runs.
 
-PR 6 made the ACE *state* flat (:class:`~repro.topology.soa.ArrayOverlay` +
-:class:`~repro.core.flat_state.FlatAceStore`) but left the optimization
-inner loop — closure build, Phase-1 accounting, Prim MST, end-of-step tree
-rebuild — as per-peer Python over dict-of-dict closures.  This module
-replaces that loop on an ``ArrayOverlay``:
+:meth:`AceProtocol.step <repro.core.ace.AceProtocol.step>` hands this
+module the step's shuffled order on an
+:class:`~repro.topology.soa.ArrayOverlay` with its
+:class:`~repro.core.flat_state.FlatAceStore`:
 
 1. **Batched closure extraction** (:func:`extract_closures`): all scheduled
    peers' depth-``h`` closures are computed in one shared frontier sweep
@@ -16,27 +15,21 @@ replaces that loop on an ``ArrayOverlay``:
    edge indices, row pointers, roots) is lowered for the whole sweep with
    numpy; the per-source loop slices those arrays, crosses into Python one
    closure at a time (``.tolist()``, so at most one closure's edges are
-   boxed at once) and runs Prim on lists.  Nothing here is buffer-backed:
-   the lists are copies of one read, and it is the dirty log below, not
-   the arrays, that decides how long a :class:`ClosureBatch` entry stays
-   valid.
+   boxed at once) and runs the shared Phases 1-2 on lists
+   (:func:`~repro.core.turn.local_phases12`).  Nothing here is
+   buffer-backed: the lists are copies of one read, and it is the dirty log
+   below, not the arrays, that decides how long a :class:`ClosureBatch`
+   entry stays valid.
 2. **Flat Phase-1 accounting**: a peer's probe and exchange overheads reduce
    to the sequential IEEE sum of its direct-edge costs in ascending-neighbor
-   order (exactly the order :func:`~repro.core.cost_table.run_phase1`'s
-   dicts iterate), read straight off the peer's CSR row — no
-   ``NeighborCostTable`` dicts for closure members that Phase 3 never reads.
-3. **Segmented MST kernel**: Prim over each closure's packed local-index
-   segment, tie-broken ``(cost, node, parent)`` exactly like
-   :func:`~repro.core.spanning_tree.prim_mst_heap` (member segments are
-   sorted by peer id, so local-index order is order-isomorphic to peer-id
-   order), writing flooding/known memberships straight into the flat store
-   without materializing ``PeerAceState`` or ``SpanningTree`` objects.
+   order, read straight off the peer's CSR row and scaled by
+   :func:`~repro.core.turn.phase1_charges`.
+3. **Flat state writes**: flooding/known memberships go straight into the
+   flat store, one row per peer.
 4. **A vectorized churn driver** (:func:`churn_refresh`): one churn event's
    whole mutation batch is applied to the overlay edit buffer first, the
    touched cost rows are re-warmed in a single bulk call, and the joiner
-   plus all affected ex/new neighbors are re-extracted in one sweep —
-   replacing the per-peer ``refresh_peer``/``recompute_tree`` chain in
-   :mod:`repro.experiments.dynamic_env`.
+   plus all affected ex/new neighbors are re-extracted in one sweep.
 
 Mid-step mutations (Phase-3 replacements, redundant-link sheds) are handled
 with an exact staleness rule: a mutation can only change a peer's closure if
@@ -45,30 +38,25 @@ the source runs through members, so an edge with both endpoints outside the
 member set can neither add nor remove members or induced edges).  The kernel
 tracks mutation endpoints in a dirty list; a scheduled peer whose
 pre-extracted closure intersects the dirty set re-derives it for that turn
-in plain Python over the overlay's live rows (:func:`_rederive`); steps
-extract in blocks of :data:`_BLOCK` peers to keep such turns few.  RNG
-draws happen peer-by-peer in the same order as the reference loop, so the
-random streams — and therefore every figure — are byte-identical.
-
-The kernel is what :meth:`AceProtocol.step` runs whenever the protocol sits
-on an ``ArrayOverlay`` — always, for a built scenario; the object-model loop
-is the reference, and the equivalence suites pin the two byte-for-byte.  Phase 3
-and the report fold are not restated here — they are
-:func:`repro.core.turn.phase3` / :func:`repro.core.turn.fold`, the same
-code the object loop and the live runtime run.
+with :func:`~repro.core.turn.phases12` over the overlay's live rows — the
+live runtime's Phases 1-2 too; steps extract in blocks of :data:`_BLOCK`
+peers to keep such turns few.  RNG draws happen peer by peer in the step's
+order, so the random streams — and therefore every figure — equal those of
+a one-peer-at-a-time loop (the reference in ``tests/reference`` pins them
+byte for byte).  Phase 3 and the report fold are not restated here — they
+are :func:`repro.core.turn.phase3` / :func:`repro.core.turn.fold`, the same
+code the live runtime runs.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from ..perf import counters
 from ..topology.soa import ArrayOverlay
-from .cost_table import ENTRY_COST_FACTOR, ROUND_TRIP_FACTOR
-from .turn import Turn, fold, phase3
+from .turn import Turn, fold, local_phases12, phase1_charges, phase3, phases12
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from .ace import AceProtocol, StepReport
@@ -123,8 +111,8 @@ class ClosureBatch:
         #: Matching direct-edge costs (the Phase-1 probe values).
         self.direct_costs: List[List[float]] = []
         #: Sequential left-to-right IEEE sum of ``direct_costs`` — the float
-        #: both Phase-1 overhead formulas scale (same order as the dict sums
-        #: in the reference, so the totals match bit for bit).
+        #: both Phase-1 overhead formulas scale
+        #: (:func:`~repro.core.turn.phase1_charges`).
         self.probe_sum: List[float] = []
         #: Undirected edge count of each closure's induced subgraph.
         self.closure_edges: List[int] = []
@@ -141,76 +129,6 @@ class ClosureBatch:
         )
 
 
-def _prim_flooding(
-    indptr: List[int], nbrs: List[int], costs: List[float], root: int
-) -> List[int]:
-    """Root's tree-neighbor set of Prim's MST over one local-CSR segment.
-
-    Mirrors :func:`~repro.core.spanning_tree.prim_mst_heap` exactly: heap
-    entries are ``(cost, node, parent)``, popped in global ascending order.
-    Local indices are assigned in ascending-peer-id order, so every
-    tie-break compares the same way it would on raw peer ids, and the
-    returned set equals ``tree.tree_neighbors(root)`` of the reference.
-    """
-    nloc = len(indptr) - 1
-    if nloc <= 1:
-        return []
-    in_tree = bytearray(nloc)
-    in_tree[root] = 1
-    heap = [
-        (costs[j], nbrs[j], root) for j in range(indptr[root], indptr[root + 1])
-    ]
-    heapq.heapify(heap)
-    push = heapq.heappush
-    pop = heapq.heappop
-    flooding: List[int] = []
-    added = 1
-    while heap and added < nloc:
-        c, v, par = pop(heap)
-        if in_tree[v]:
-            continue
-        in_tree[v] = 1
-        added += 1
-        if par == root:
-            flooding.append(v)
-        for j in range(indptr[v], indptr[v + 1]):
-            w = nbrs[j]
-            if not in_tree[w]:
-                push(heap, (costs[j], w, v))
-    flooding.sort()
-    return flooding
-
-
-def _phases12(
-    members: List[int],
-    indptr: List[int],
-    nbrs: List[int],
-    costs: List[float],
-    root: int,
-) -> tuple:
-    """Phases 1-2 of one closure in local-CSR form (members ascending).
-
-    Returns ``(flooding, direct, direct_costs, probe_sum, closure_size,
-    closure_edges)`` in peer-id space.  Direct neighbors are the root's own
-    row (always closure members at depth >= 1), ascending, and
-    ``probe_sum`` is their sequential left-to-right IEEE cost sum.
-    """
-    r0, r1 = indptr[root], indptr[root + 1]
-    direct_costs = costs[r0:r1]
-    probe_sum = 0.0
-    for c in direct_costs:
-        probe_sum += c
-    flooding = _prim_flooding(indptr, nbrs, costs, root)
-    return (
-        [members[i] for i in flooding],
-        [members[i] for i in nbrs[r0:r1]],
-        direct_costs,
-        probe_sum,
-        len(members),
-        len(nbrs) // 2,
-    )
-
-
 #: Sources swept per shared ``visited`` matrix (bounds its memory to
 #: ``_SWEEP x num_peers`` bools regardless of how many peers are scheduled).
 _SWEEP = 256
@@ -224,8 +142,7 @@ def extract_closures(
     All sources must be live peers.  The sweeps read the overlay as it
     stands — base CSR, tombstones and edit buffer merged row by row
     (:meth:`ArrayOverlay.live_rows`) — after the costs are warmed, so the
-    floats are the exact cached values the scalar reference reads through
-    its dicts.  Only a moved peer set costs a compaction
+    floats are the exact cached values a scalar read returns.  Only a moved peer set costs a compaction
     (:meth:`ArrayOverlay.canonical_slots`).
     """
     if depth < 1:
@@ -304,7 +221,7 @@ def _extract_sweep(
     # would box every edge of 256 closures at once (hundreds of MB at h = 3).
     for b, root in enumerate(roots):
         members = m_peer[m_off[b] : m_off[b + 1]].tolist()
-        flooding, direct, direct_costs, probe_sum, _, edges = _phases12(
+        flooding, direct, direct_costs, probe_sum, _, edges = local_phases12(
             members,
             (e_ptr[m_off[b] : m_off[b + 1] + 1] - e_off[b]).tolist(),
             local_v[e_off[b] : e_off[b + 1]].tolist(),
@@ -320,43 +237,6 @@ def _extract_sweep(
         batch.probe_sum.append(probe_sum)
         batch.closure_edges.append(edges)
         batch.flooding.append(flooding)
-
-
-def _rederive(overlay: ArrayOverlay, peer: int, depth: int) -> tuple:
-    """One peer's sweep entry, re-read in plain Python (a stale turn).
-
-    What :func:`extract_closures` would return for *peer* right now: a BFS
-    over the overlay's live rows (:meth:`ArrayOverlay.live_row`), the
-    induced rows in peer-id order, then :func:`_phases12`, after the same
-    cost warm (O(1) on a warm overlay).  One closure costs less this way
-    than a one-source sweep's fixed numpy overhead.
-    """
-    overlay.warm_edge_costs()
-    rows: Dict[int, tuple] = {}
-    seen = {peer}
-    frontier = [peer]
-    for _ in range(depth):
-        nxt = []
-        for u in frontier:
-            rows[u] = row = overlay.live_row(u)
-            for v in row[0]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    for u in frontier:
-        rows[u] = overlay.live_row(u)
-    members = sorted(seen)
-    local = {p: i for i, p in enumerate(members)}
-    indptr = [0]
-    nbrs: List[int] = []
-    costs: List[float] = []
-    for u in members:
-        row = sorted((local[v], c) for v, c in zip(*rows[u]) if v in local)
-        nbrs += [i for i, _ in row]
-        costs += [c for _, c in row]
-        indptr.append(len(nbrs))
-    return _phases12(members, indptr, nbrs, costs, local[peer])
 
 
 # ---------------------------------------------------------------------------
@@ -425,15 +305,18 @@ def _optimize_one(
     if _is_stale(
         batch.member_sets[pos], batch.members[pos], dirty, dirty_start, stamps
     ):
-        flooding, direct, _, s, size, edges = _rederive(
+        # One closure costs less in plain Python over the live rows than a
+        # one-source sweep's fixed numpy overhead; the warm is O(1) on a
+        # warm overlay.
+        protocol.overlay.warm_edge_costs()
+        flooding, direct, _, s, size, edges = phases12(
             protocol.overlay, peer, config.depth
         )
     else:
         flooding, direct, size, edges = batch.row(pos)
         s = batch.probe_sum[pos]
     protocol._put_flat(peer, flooding, direct, size, edges)
-    probe = ROUND_TRIP_FACTOR * s
-    exchange = (1.0 + ENTRY_COST_FACTOR * edges) * s
+    probe, exchange = phase1_charges(s, edges)
     in_tree = set(flooding)
     non_flooding = [t for t in direct if t not in in_tree]
 
@@ -460,7 +343,8 @@ def _optimize_one(
 
 
 #: Peers per extraction block of a step.  A turn whose closure an earlier
-#: turn of its block touched is re-derived on its own (:func:`_rederive`),
+#: turn of its block touched is re-derived on its own
+#: (:func:`~repro.core.turn.phases12`),
 #: so smaller blocks mean fewer stale turns and more, smaller sweeps;
 #: ``static_8k`` measured 64 against 32 and 128 (docs/PERFORMANCE.md).
 _BLOCK = 64
@@ -472,11 +356,11 @@ def batched_step(
     """The per-peer loops of one optimization step, through the kernel.
 
     Called by :meth:`AceProtocol.step` with the step's shuffled *order*
-    and its fresh *report*.  Byte-identical to the object loops there:
-    peers processed in the same order with the same RNG stream, and the
-    same end-of-step tree rebuild — only Phase 1-2 extraction is batched
-    (and the rebuild reuses the optimize-phase state wherever no later
-    mutation touched a closure).
+    and its fresh *report*.  Byte-identical to running Phases 1-3 peer by
+    peer in that order and then Phase 2 everywhere: the same RNG stream and
+    the same end-of-step tree rebuild — only Phase 1-2 extraction is
+    batched (and the rebuild reuses the optimize-phase state wherever no
+    later mutation touched a closure).
 
     Nothing is prefetched from the underlay: a Phase-3 probe reads the
     host-pair cache, then the probe memo left by the ``warm_edge_costs``
@@ -485,7 +369,6 @@ def batched_step(
     outside its pool, instead of one per scheduled peer.
     """
     overlay = protocol.overlay
-    assert isinstance(overlay, ArrayOverlay)
     counters.ace_batched_steps += 1
     # Peer-id endpoints of every mid-step edge mutation, in order (plus a
     # last-stamp index per endpoint); slices of this log decide whether a
@@ -517,7 +400,7 @@ def _rebuild_trees(
     (same closure, same costs, same live neighbor set), so only the state
     version advances for it; everyone else is re-extracted in bulk sweeps.
     The blocks partition the step's shuffled order, so per-peer version
-    bumps happen once each, like the reference loop.
+    bumps happen once each, as a per-peer rebuild loop would.
     """
     overlay = protocol.overlay
     stale: List[int] = []
@@ -564,23 +447,20 @@ def churn_refresh(
     the overlay's edit buffer (departure, replacement arrival, bootstrap
     links, isolation repairs).  This re-warms exactly the touched cost rows
     in one bulk call — every fill uses the canonical lower-peer-endpoint
-    direction, the same direction the reference's closure extraction and
-    trailing ``warm_edge_costs`` use, so the cached floats are identical —
-    then re-extracts the joiner plus all affected peers in one sweep.
+    direction, so the cached floats do not depend on which endpoint faulted
+    first — then re-extracts the joiner plus all affected peers in one
+    sweep.
 
     Returns the joiner's Phase-1 overhead (its new links must be probed);
     the affected peers merely rebuild trees from information they already
-    hold, exactly like the reference's ``recompute_tree`` chain.
+    hold, which costs no traffic.
     """
     overlay = protocol.overlay
-    assert isinstance(overlay, ArrayOverlay)
     overlay.warm_edge_costs()
     targets = [replacement] + [
         p for p in sorted(affected) if overlay.has_peer(p)
     ]
     batch = store_closures(protocol, targets)
     pos = batch.index[replacement]
-    s = batch.probe_sum[pos]
-    probe = ROUND_TRIP_FACTOR * s
-    exchange = (1.0 + ENTRY_COST_FACTOR * batch.closure_edges[pos]) * s
+    probe, exchange = phase1_charges(batch.probe_sum[pos], batch.closure_edges[pos])
     return probe + exchange

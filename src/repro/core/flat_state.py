@@ -1,9 +1,10 @@
 """Flat-array store for per-peer ACE optimization state.
 
-The object-mode :class:`~repro.core.ace.AceProtocol` keeps one
-:class:`~repro.core.ace.PeerAceState` dataclass per peer — tens of bytes of
-Python object headers per field, which dominates memory at 100k+ peers.
-:class:`FlatAceStore` holds the same information in struct-of-arrays form:
+One :class:`~repro.core.ace.PeerAceState` dataclass per peer would cost
+tens of bytes of Python object headers per field, which dominates memory at
+100k+ peers.  :class:`FlatAceStore` holds the same information in
+struct-of-arrays form — it is :class:`~repro.core.ace.AceProtocol`'s only
+state store:
 
 * scalar fields (``closure_size``, ``closure_edges``) in dense ``int64``
   arrays indexed by a per-peer *row*;
@@ -19,9 +20,8 @@ bulk consumers such as the ACE strategy compiler, every row at once
 pair without repacking).
 
 The store only keeps raw memberships — the protocol derives
-``non_flooding = known - flooding`` on materialization, exactly as the
-object path computes it at store time, so both representations yield
-byte-identical protocol behaviour.
+``non_flooding = known - flooding`` on materialization
+(:meth:`~repro.core.ace.AceProtocol.state_of`).
 """
 
 from __future__ import annotations

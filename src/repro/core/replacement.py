@@ -22,16 +22,20 @@ from typing import Optional
 import numpy as np
 
 from ..topology.overlay import Overlay
-from .cost_table import ROUND_TRIP_FACTOR
 from .policies import CandidatePolicy
 
 __all__ = [
+    "ROUND_TRIP_FACTOR",
     "MIN_DEGREE",
     "MAX_PROBES_PER_TARGET",
     "ReplacementAction",
     "attempt_replacement",
 ]
 
+#: Cost multiplier of one probe: a ping/pong over the (potential) logical
+#: link.  Phase 1 charges its neighbor probes at the same rate
+#: (:func:`~repro.core.turn.phase1_charges`).
+ROUND_TRIP_FACTOR = 2.0
 #: A Figure 4(b) cut never leaves the target below this logical degree
 #: unless the candidate is the target's neighbor; also the lowest shed floor.
 MIN_DEGREE = 2
@@ -99,7 +103,12 @@ def attempt_replacement(
         pool = charged(overlay, source, target)
         probes = len(pool)
         pool_costs = overlay.costs_from(source, pool)
-        probe_cost = ROUND_TRIP_FACTOR * sum(pool_costs[h] for h in pool)
+        # A left fold, not ``sum()``: from Python 3.12 the builtin sums
+        # floats with compensation, which can move the last bit.
+        pool_sum = 0.0
+        for h in pool:
+            pool_sum += pool_costs[h]
+        probe_cost = ROUND_TRIP_FACTOR * pool_sum
 
     # Target-rooted costs are only needed on the keep-both branch; solved
     # lazily (one batched sweep) the first time a candidate reaches it.

@@ -3,52 +3,62 @@
 The paper's ACE is a single per-peer procedure — probe and exchange cost
 tables (Phase 1), build a minimum spanning tree over the h-closure
 (Phase 2), then replace or shed non-flooding links per Figure 4 (Phase 3)
-— run independently at every peer.  Three runners execute it here:
+— run independently at every peer.  Two runners execute it here:
 
-* :meth:`repro.core.ace.AceProtocol.optimize_peer` — the reference loop,
-  Phases 1-2 through the protocol's closure cache and state store;
-* :mod:`repro.core.batch_ace` — the kernel scenarios run, Phases 1-2 read
-  off a pre-extracted closure batch (or recomputed when a mutation staled
-  it);
+* :mod:`repro.core.batch_ace` — the kernel every scenario runs, Phases 1-2
+  read off a pre-extracted closure batch, or re-derived by :func:`phases12`
+  when a mutation staled it;
 * :meth:`repro.net.peer.LivePeer.run_turn` — live sockets: the peer gathers
-  probes and neighbor tables concurrently, then runs Phases 1-3 on its event
-  loop over a :class:`~repro.net.snapshot.SnapshotView` of the answers.
+  probes and neighbor tables concurrently, then
+  :func:`~repro.net.snapshot.plan_turn` runs :func:`phases12` and Phase 3
+  on its event loop over a :class:`~repro.net.snapshot.SnapshotView` of the
+  answers.
 
-Each obtains Phases 1-2 its own way and hands the result to this module,
-which holds what they share and nothing else.  Everything is written
-against the duck-typed overlay surface (``neighbors`` / ``degree`` /
-``has_edge`` / ``costs_from`` / ``connect`` / ``disconnect``), so the
+Both share everything from the closure on: :func:`phases12` reads a view's
+rows through ``live_row(u)`` — ``(neighbors, costs)``, one reading per link
+— and :func:`local_phases12` / :func:`prim_flooding` do the rest in
+local-CSR form, which the kernel's bulk sweep feeds directly.  Phase 3 is
+written against the duck-typed overlay surface (``neighbors`` / ``degree``
+/ ``has_edge`` / ``costs_from`` / ``connect`` / ``disconnect``), so the
 float evaluation order is the same whichever runner supplies the view.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .closure import ClosureView
-from .cost_table import Phase1Report, run_phase1
 from .policies import CandidatePolicy
-from .replacement import MIN_DEGREE, ReplacementAction, attempt_replacement
-from .spanning_tree import SpanningTree, prim_mst_heap
+from .replacement import (
+    MIN_DEGREE,
+    ROUND_TRIP_FACTOR,
+    ReplacementAction,
+    attempt_replacement,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from .ace import AceConfig, StepReport
 
 __all__ = [
+    "ENTRY_COST_FACTOR",
     "MAX_SHEDS_PER_STEP",
     "Turn",
     "shed_floor_of",
     "forwarding_set",
-    "phase1",
-    "phase2",
+    "phase1_charges",
+    "prim_flooding",
+    "local_phases12",
+    "phases12",
     "shed_redundant",
     "phase3",
     "fold",
 ]
 
+#: Per-link-record cost factor of a cost-table exchange message.
+ENTRY_COST_FACTOR = 0.02
 #: Redundant-link cuts per peer per step: the topology changes gradually,
 #: one connection re-examined per periodic round.
 MAX_SHEDS_PER_STEP = 1
@@ -105,18 +115,132 @@ def forwarding_set(
     return set(flooding) | (live - known)
 
 
-def phase1(view, closure: ClosureView) -> Phase1Report:
-    """Phase 1 at the closure's source: probe and exchange accounting."""
-    return run_phase1(view, closure)
+def phase1_charges(probe_sum: float, closure_edges: int) -> Tuple[float, float]:
+    """Phase 1's ``(probe, exchange)`` charges at one peer, in cost units.
+
+    *probe_sum* is the sequential left-to-right sum of the peer's direct
+    link costs in ascending-neighbor order, *closure_edges* the link count
+    of its h-closure.  A probe is a ping/pong over each direct link
+    (:data:`~repro.core.replacement.ROUND_TRIP_FACTOR` per cost unit).
+    Tables are exchanged aggregated: once per period each neighbor sends
+    one routing message bundling every closure link record it knows, so
+    the peer's share is one message per direct link, sized by the
+    closure's information content — ``d(S, N) * (1 + ENTRY_COST_FACTOR *
+    E(h))`` summed over neighbors N.  At depth 1 that is each neighbor
+    sending its own table (the base protocol); deeper closures grow it
+    with their link count (Figure 12).
+    """
+    return (
+        ROUND_TRIP_FACTOR * probe_sum,
+        (1.0 + ENTRY_COST_FACTOR * closure_edges) * probe_sum,
+    )
 
 
-def phase2(
-    view, peer: int, closure: ClosureView
-) -> Tuple[SpanningTree, FrozenSet[int], FrozenSet[int]]:
-    """Phase 2: the closure's MST and the ``(flooding, known)`` sets it fixes."""
-    tree = prim_mst_heap(closure.edges, peer)
-    flooding = frozenset(tree.tree_neighbors(peer))
-    return tree, flooding, frozenset(view.neighbors(peer))
+def prim_flooding(
+    indptr: List[int], nbrs: List[int], costs: List[float], root: int
+) -> List[int]:
+    """Root's tree-neighbor set of Prim's MST over one local-CSR segment.
+
+    Heap entries are ``(cost, node, parent)``, popped in global ascending
+    order, so ties break on node then parent id and independent
+    re-computations agree.  Local indices are assigned in ascending peer-id
+    order, so every tie-break compares the same way it would on raw peer
+    ids.  Returns local indices, ascending.
+    """
+    nloc = len(indptr) - 1
+    if nloc <= 1:
+        return []
+    in_tree = bytearray(nloc)
+    in_tree[root] = 1
+    heap = [
+        (costs[j], nbrs[j], root) for j in range(indptr[root], indptr[root + 1])
+    ]
+    heapq.heapify(heap)
+    push = heapq.heappush
+    pop = heapq.heappop
+    flooding: List[int] = []
+    added = 1
+    while heap and added < nloc:
+        c, v, par = pop(heap)
+        if in_tree[v]:
+            continue
+        in_tree[v] = 1
+        added += 1
+        if par == root:
+            flooding.append(v)
+        for j in range(indptr[v], indptr[v + 1]):
+            w = nbrs[j]
+            if not in_tree[w]:
+                push(heap, (costs[j], w, v))
+    flooding.sort()
+    return flooding
+
+
+def local_phases12(
+    members: List[int],
+    indptr: List[int],
+    nbrs: List[int],
+    costs: List[float],
+    root: int,
+) -> tuple:
+    """Phases 1-2 of one closure in local-CSR form (members ascending).
+
+    Returns ``(flooding, direct, direct_costs, probe_sum, closure_size,
+    closure_edges)`` in peer-id space.  Direct neighbors are the root's own
+    row (always closure members at depth >= 1), ascending, and
+    ``probe_sum`` is their sequential left-to-right IEEE cost sum — what
+    :func:`phase1_charges` scales.
+    """
+    r0, r1 = indptr[root], indptr[root + 1]
+    direct_costs = costs[r0:r1]
+    probe_sum = 0.0
+    for c in direct_costs:
+        probe_sum += c
+    flooding = prim_flooding(indptr, nbrs, costs, root)
+    return (
+        [members[i] for i in flooding],
+        [members[i] for i in nbrs[r0:r1]],
+        direct_costs,
+        probe_sum,
+        len(members),
+        len(nbrs) // 2,
+    )
+
+
+def phases12(view, peer: int, depth: int) -> tuple:
+    """Phases 1-2 at *peer* over its depth-h closure, read from *view*.
+
+    The closure is a BFS over ``view.live_row(u)``; the induced rows are
+    then lowered in peer-id order and handed to :func:`local_phases12`,
+    whose tuple this returns.  The view's costs must be known (an
+    ``ArrayOverlay`` warmed first); a view that has to ask for a reading
+    raises instead (:class:`~repro.net.snapshot.NeedProbes`).
+    """
+    rows: Dict[int, tuple] = {}
+    seen = {peer}
+    frontier = [peer]
+    for _ in range(depth):
+        nxt = []
+        for u in frontier:
+            rows[u] = row = view.live_row(u)
+            for v in row[0]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    for u in frontier:
+        rows[u] = view.live_row(u)
+    members = sorted(seen)
+    local = {p: i for i, p in enumerate(members)}
+    indptr = [0]
+    nbrs: List[int] = []
+    costs: List[float] = []
+    for u in members:
+        row = sorted((local[v], c) for v, c in zip(*rows[u]) if v in local)
+        nbrs += [i for i, _ in row]
+        costs += [c for _, c in row]
+        indptr.append(len(nbrs))
+    return local_phases12(members, indptr, nbrs, costs, local[peer])
 
 
 def shed_redundant(

@@ -189,27 +189,19 @@ def run_dynamic_experiment(
                 # already hold, which costs CPU, not traffic.
                 affected |= set(overlay.neighbors(replacement))
                 affected.discard(replacement)
-                if protocol.flat_store is not None:
-                    # Vectorized churn driver: the whole mutation batch
-                    # above already sits in the array engine's edit buffer;
-                    # re-warm the touched cost rows once and re-extract the
-                    # joiner plus every affected peer in one batched sweep.
-                    counters.churn_batch_mutations += overlay.epoch - epoch_before
-                    overhead = churn_refresh(protocol, replacement, affected)
-                else:
-                    _state, phase1 = protocol.refresh_peer(replacement)
-                    overhead = phase1.total_overhead
-                    for p in affected:
-                        if overlay.has_peer(p):
-                            protocol.recompute_tree(p)
+                # The whole mutation batch above already sits in the edit
+                # buffer; re-warm the touched cost rows once and re-extract
+                # the joiner plus every affected peer in one batched sweep.
+                counters.churn_batch_mutations += overlay.epoch - epoch_before
+                overhead = churn_refresh(protocol, replacement, affected)
                 pending_overhead[0] += overhead
                 series.total_overhead += overhead
             # Re-warm the edges the churn event created, in the canonical
             # direction.  A lazily filled cost can differ in the last ulp
             # depending on which endpoint's delay vector happens to be
-            # cached, and the object and batched engines fault edges in
-            # different orders — warming here keeps the cost cache (and so
-            # the figures) engine-independent.
+            # cached, and a one-peer-at-a-time refresh faults edges in
+            # another order than the batched one — warming here keeps the
+            # cost cache (and so the figures) independent of that order.
             overlay.warm_edge_costs()
             series.departures += 1
             schedule_departure(replacement)

@@ -27,8 +27,8 @@ from ..core.ace import AceConfig, AceProtocol
 from ..search.batch import propagate_single
 from ..search.flooding import blind_flooding_strategy
 from ..search.tree_routing import ace_strategy
-from ..topology.overlay import Overlay
 from ..topology.physical import PhysicalTopology
+from ..topology.soa import ArrayOverlay
 
 __all__ = [
     "PEER_NAMES",
@@ -60,7 +60,7 @@ def _name_to_id(name: str) -> int:
     return PEER_NAMES.index(name)
 
 
-def build_example_overlay() -> Overlay:
+def build_example_overlay() -> ArrayOverlay:
     """Construct the six-peer example.
 
     The underlay *is* the drawn weighted graph (each peer on its own host);
@@ -71,7 +71,7 @@ def build_example_overlay() -> Overlay:
     edges = [(_name_to_id(u), _name_to_id(v)) for u, v, _ in _EXAMPLE_LINKS]
     delays = [d for _, _, d in _EXAMPLE_LINKS]
     physical = PhysicalTopology(len(PEER_NAMES), edges, delays)
-    overlay = Overlay(physical, {i: i for i in range(len(PEER_NAMES))})
+    overlay = ArrayOverlay(physical, {i: i for i in range(len(PEER_NAMES))})
     for (u, v), _d in zip(edges, delays):
         overlay.connect(u, v)
     return overlay

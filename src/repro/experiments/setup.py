@@ -201,9 +201,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         # cost memos); only non-exact backends are built, from the seeded
         # oracle stream.
         overlay.use_oracle(build_oracle(config, physical))
-    # The generators build on the object model; the finished overlay is
-    # lowered into flat arrays.  The oracle and epoch carry over.
-    overlay = ArrayOverlay.from_overlay(overlay)
     catalog = ObjectCatalog(overlay.peers(), config.workload, workload_rng)
     return Scenario(
         config=config,

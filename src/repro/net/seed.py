@@ -172,7 +172,7 @@ class SeedNode(LivePeer):
             actions = [ReplacementAction(**a) for a in done.report["actions"]]
             fold(report, Turn(**{**done.report, "actions": actions}))
         # End-of-step Phase-2 refresh, same order (the simulator's
-        # recompute_tree sweep): routing catches up with the final topology.
+        # end-of-step rebuild): routing catches up with the final topology.
         for peer in order:
             if peer not in self.dead:
                 await self._pass_token(peer, "recompute", step_index)

@@ -3,7 +3,9 @@
 A live peer gathers what its turn reads — ``GetTable`` answers from its
 h-closure and ``CostProbe`` costs to its neighbors — and :func:`plan_turn`
 runs the shared procedure of :mod:`repro.core.turn` over a
-:class:`SnapshotView` of those answers, with no socket and no event loop.
+:class:`SnapshotView` of those answers, with no socket and no event loop:
+Phases 1-2 through :func:`~repro.core.turn.phases12`, the kernel's own
+re-derivation, then Phase 3.
 The plan carries the turn's outcome, its mutations in decision order and
 the advanced RNG token; :class:`~repro.net.peer.LivePeer` sends the rest.
 """
@@ -17,9 +19,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from ..core.ace import AceConfig
-from ..core.closure import neighbor_closure
 from ..core.policies import CandidatePolicy
-from ..core.turn import Turn, phase1, phase2, phase3
+from ..core.turn import Turn, phase1_charges, phase3, phases12
 from .wire import WireError
 
 __all__ = [
@@ -72,7 +73,8 @@ class SnapshotView:
     floats.  A mutation edits the snapshot as a re-fetch would see it and
     is appended to :attr:`log` as ``("connect" | "disconnect", other)``.
     Costs from this peer to unprobed peers raise :class:`NeedProbes`
-    naming all of them.
+    naming all of them.  :meth:`live_row` gives Phases 1-2 one reading per
+    link, the lower endpoint's.
     """
 
     def __init__(
@@ -95,9 +97,6 @@ class SnapshotView:
         if self.peer not in (u, v):
             raise ValueError(f"peer {self.peer} cannot change {u}-{v} remotely")
         return v if u == self.peer else u
-
-    def has_peer(self, peer: int) -> bool:
-        return peer == self.peer or peer in self._tables
 
     def neighbors(self, peer: int) -> Set[int]:
         return set(self._row(peer))
@@ -125,8 +124,32 @@ class SnapshotView:
             raise NeedProbes(missing)
         return {t: self._probed[t] for t in targets}
 
-    def warm_edge_costs(self, chunk_size: int = 256) -> int:
-        return 0  # live peers have no underlay cache to pre-fill
+    def live_row(self, u: int) -> Tuple[List[int], List[float]]:
+        """*u*'s neighbors, ascending, and each link's cost.
+
+        A link reads its lower endpoint's answer — a table, or this peer's
+        probe — so the two ends of a link agree even where their tables
+        differ in the last bit.  A link whose lower endpoint was not
+        gathered (it lies outside the closure) reads *u*'s own.  The
+        links this peer's probes answer raise one :class:`NeedProbes`
+        naming every unprobed peer among them.
+        """
+        nbrs = sorted(self._row(u))
+        costs: List[float] = []
+        missing: List[int] = []
+        for v in nbrs:
+            lo, hi = (u, v) if u < v else (v, u)
+            if lo != self.peer and lo not in self._tables:
+                lo, hi = u, v
+            if lo != self.peer:
+                costs.append(self._tables[lo][hi])
+            elif hi in self._probed:
+                costs.append(self._probed[hi])
+            else:
+                missing.append(hi)
+        if missing:
+            raise NeedProbes(missing)
+        return nbrs, costs
 
     def connect(self, u: int, v: int) -> bool:
         other = self._other(u, v)
@@ -181,12 +204,13 @@ def plan_turn(
     draws exactly what the first run drew.
     """
     me = view.peer
-    closure = neighbor_closure(view, me, config.depth)
-    _tree, flooding, known = phase2(view, me, closure)
+    flooding, direct, _, probe_sum, _, edges = phases12(view, me, config.depth)
+    known = frozenset(direct)
     if rng_state is None:
-        return TurnPlan(flooding, known, None, view.log, None)
+        return TurnPlan(frozenset(flooding), known, None, view.log, None)
     rng = restore_rng(rng_state)
-    charged = phase1(view, closure)
-    sheds, actions = phase3(view, me, sorted(known - flooding), config, shed_floor, policy, rng)
-    turn = Turn(charged.probe_cost, charged.exchange_cost, sheds, actions)
-    return TurnPlan(flooding, known, turn, view.log, serialize_rng(rng))
+    in_tree = set(flooding)
+    non_flooding = [t for t in direct if t not in in_tree]
+    sheds, actions = phase3(view, me, non_flooding, config, shed_floor, policy, rng)
+    turn = Turn(*phase1_charges(probe_sum, edges), sheds, actions)
+    return TurnPlan(frozenset(flooding), known, turn, view.log, serialize_rng(rng))

@@ -270,14 +270,10 @@ def _install_soa_hooks() -> None:
 def _install_ace_hooks() -> None:
     from .core.ace import AceProtocol
 
-    # _store_state always (re)writes a peer entry; the churn handlers bump
-    # iff they actually dropped state, which monotonicity alone checks.
-    _wrap_versioned(
-        AceProtocol, "_store_state", "_state_version", changed=_always_changed
-    )
-    # The batched kernel bypasses _store_state and writes through _put_flat;
-    # it must bump the version on every write just like the scalar path, and
-    # a whole step() may never move the version backwards.
+    # Every state write goes through _put_flat and must bump the version;
+    # the churn handlers bump iff they actually dropped state, and a whole
+    # step() may never move the version backwards — monotonicity alone
+    # checks those.
     _wrap_versioned(
         AceProtocol, "_put_flat", "_state_version", changed=_always_changed
     )

@@ -362,8 +362,7 @@ def _ace_graph(overlay: Overlay, protocol: object) -> CompiledGraph:
     cached = _ACE_CACHE.get(protocol)
     if cached is not None and cached[0] == key:
         return cached[1]
-    if protocol.flat_store is not None:  # type: ignore[attr-defined]
-        assert isinstance(overlay, ArrayOverlay)  # the flat store's engine
+    if isinstance(overlay, ArrayOverlay):
         graph = _lower_arrays(overlay, "ace", protocol)
     else:
         graph = ace_graph_by_rows(overlay, protocol)

@@ -32,11 +32,15 @@ of memoization:
   host-pair cache when possible.  On a warmed static overlay the query
   engine's inner loop (:func:`repro.search.flooding.propagate`) therefore
   never touches scipy at all.
+
+The generators at the bottom build on this class as their scratch and hand
+back the finished build lowered into the array engine every run uses
+(:class:`~repro.topology.soa.ArrayOverlay`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -45,6 +49,9 @@ from ..oracle.exact import ExactOracle
 from ..perf import counters
 from ..rng import ensure_rng
 from .physical import PhysicalTopology
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (soa builds on this module)
+    from .soa import ArrayOverlay
 
 __all__ = [
     "Overlay",
@@ -454,12 +461,19 @@ def _pick_hosts(
     return [candidates[int(i)] for i in chosen]
 
 
+def _lowered(ov: Overlay) -> "ArrayOverlay":
+    """A generator's finished build in the array engine (oracle and epoch carry over)."""
+    from .soa import ArrayOverlay  # soa builds on this module
+
+    return ArrayOverlay.from_overlay(ov)
+
+
 def random_overlay(
     physical: PhysicalTopology,
     n_peers: int,
     avg_degree: float = 6.0,
     rng: Optional[np.random.Generator] = None,
-) -> Overlay:
+) -> "ArrayOverlay":
     """Uniform random overlay with the given average logical degree.
 
     This mirrors the paper's logical-topology generation: peers are placed on
@@ -486,7 +500,7 @@ def random_overlay(
         attempts += 1
         if u != v and not ov.has_edge(u, v):
             ov.connect(u, v)
-    return ov
+    return _lowered(ov)
 
 
 def power_law_overlay(
@@ -494,7 +508,7 @@ def power_law_overlay(
     n_peers: int,
     avg_degree: float = 6.0,
     rng: Optional[np.random.Generator] = None,
-) -> Overlay:
+) -> "ArrayOverlay":
     """Preferential-attachment overlay (power-law degrees, Gnutella-like).
 
     Measurement studies cited by the paper ([7] and the DSS Clip2 crawls)
@@ -522,7 +536,7 @@ def power_law_overlay(
         for t in chosen:
             ov.connect(new, t)
             pool.extend((t, new))
-    return ov
+    return _lowered(ov)
 
 
 def small_world_overlay(
@@ -531,7 +545,7 @@ def small_world_overlay(
     avg_degree: float = 6.0,
     triad_probability: float = 0.75,
     rng: Optional[np.random.Generator] = None,
-) -> Overlay:
+) -> "ArrayOverlay":
     """Power-law *and* small-world overlay (Holme–Kim triad formation).
 
     The paper's Section 4.1: "PP overlay topologies follow small world and
@@ -584,4 +598,4 @@ def small_world_overlay(
             pool.extend((target, new))
             links += 1
             last_target = target
-    return ov
+    return _lowered(ov)

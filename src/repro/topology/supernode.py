@@ -3,7 +3,7 @@
 Section 1: "In unstructured P2P systems, queries are flooded among peers
 (such as in Gnutella) or among supernodes (such as in KaZaA)."  ACE applies
 unchanged to the supernode tier: the backbone *is* an
-:class:`~repro.topology.overlay.Overlay`, so
+:class:`~repro.topology.soa.ArrayOverlay`, so
 :class:`~repro.core.ace.AceProtocol` optimizes it directly while leaves
 stay attached to their supernodes.
 
@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set
 import numpy as np
 
 from ..rng import ensure_rng
-from .overlay import Overlay
 from .physical import PhysicalTopology
+from .soa import ArrayOverlay
 
 if TYPE_CHECKING:  # avoid a topology -> search -> core import cycle
     from ..search.flooding import ForwardingStrategy
@@ -40,7 +40,7 @@ __all__ = ["TwoTierOverlay", "TwoTierQueryResult", "build_two_tier", "two_tier_q
 class TwoTierOverlay:
     """A supernode backbone plus leaf attachments."""
 
-    backbone: Overlay
+    backbone: ArrayOverlay
     leaf_parent: Dict[int, int]
     leaf_hosts: Dict[int, int]
     capacities: Dict[int, float]
@@ -136,7 +136,7 @@ def build_two_tier(
 
     # Build the backbone among the elected supernodes: reuse the
     # small-world generator on a sub-mapping, then relabel to peer ids.
-    backbone = Overlay(physical, {p: hosts[p] for p in supernodes})
+    backbone = ArrayOverlay(physical, {p: hosts[p] for p in supernodes})
     template = small_world_overlay(
         physical,
         n_super,

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.ace import AceProtocol
 from repro.topology.generators import barabasi_albert, grid
 from repro.topology.overlay import Overlay, small_world_overlay
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
+from tests.reference import object_twin
+from tests.reference.ace import ReferenceAce
 
 
 @pytest.fixture
@@ -50,6 +53,13 @@ def overlay_class(request):
 
 
 @pytest.fixture
+def ace_class(overlay_class):
+    """ACE on the overlay class's engine: the per-peer reference loop on the
+    object model, the production protocol on arrays."""
+    return ReferenceAce if overlay_class is Overlay else AceProtocol
+
+
+@pytest.fixture
 def triangle_overlay(grid_physical, overlay_class):
     """Three peers, fully connected, on grid corners.
 
@@ -67,7 +77,11 @@ def triangle_overlay(grid_physical, overlay_class):
 def small_overlay(ba_physical, rng, overlay_class):
     """40-peer small-world overlay, average degree ~6."""
     ov = small_world_overlay(ba_physical, 40, avg_degree=6, rng=rng)
-    return ov if overlay_class is Overlay else ArrayOverlay.from_overlay(ov)
+    if overlay_class is ArrayOverlay:
+        return ov
+    twin = object_twin(ov)
+    assert type(twin) is Overlay
+    return twin
 
 
 @pytest.fixture

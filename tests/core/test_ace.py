@@ -1,9 +1,15 @@
-"""Unit tests for the ACE protocol driver."""
+"""Unit tests for the ACE protocol driver.
+
+Tests on the shared overlay fixtures run twice: the production protocol on
+``ArrayOverlay`` and the per-peer reference loop on the object model
+(the ``ace_class`` fixture).
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.ace import AceConfig, AceProtocol
+from repro.core.turn import shed_floor_of, shed_redundant
 from repro.search.flooding import blind_flooding_strategy, propagate
 from repro.search.tree_routing import ace_strategy
 from repro.topology.overlay import Overlay, small_world_overlay
@@ -16,20 +22,28 @@ def line_underlay(n=32):
     )
 
 
-def overlay_on_line(hosts, edges):
-    ov = Overlay(line_underlay(), dict(enumerate(hosts)))
+def overlay_on_line(hosts, edges, cls=Overlay):
+    ov = cls(line_underlay(), dict(enumerate(hosts)))
     for u, v in edges:
         ov.connect(u, v)
     return ov
 
 
 @pytest.fixture
-def clustered():
+def clustered(overlay_class):
     """Triangle 0-1-2 (costs 2, 3, 5) plus pendant 3.
 
     Peer 0@0, 1@2, 2@5, 3@7 on a line underlay.
     """
-    return overlay_on_line([0, 2, 5, 7], [(0, 1), (1, 2), (0, 2), (2, 3)])
+    return overlay_on_line(
+        [0, 2, 5, 7], [(0, 1), (1, 2), (0, 2), (2, 3)], overlay_class
+    )
+
+
+def tree_of(protocol, peer):
+    """Phase 2 everywhere, then *peer*'s stored state."""
+    protocol.rebuild_all_trees()
+    return protocol.state_of(peer)
 
 
 class TestConfigValidation:
@@ -44,70 +58,78 @@ class TestConfigValidation:
         assert cfg.shed_redundant
 
 
+class TestEngine:
+    def test_object_overlay_is_refused(self):
+        ov = overlay_on_line([0, 2, 5, 7], [(0, 1), (1, 2), (0, 2), (2, 3)])
+        assert type(ov) is Overlay
+        with pytest.raises(TypeError, match="ArrayOverlay"):
+            AceProtocol(ov)
+
+
 class TestPhase2Classification:
-    def test_flooding_vs_non_flooding(self, clustered):
-        protocol = AceProtocol(
+    def test_flooding_vs_non_flooding(self, ace_class, clustered):
+        protocol = ace_class(
             clustered, AceConfig(shed_redundant=False), rng=np.random.default_rng(0)
         )
-        state = protocol.recompute_tree(0)
+        state = tree_of(protocol, 0)
         # MST of triangle {0,1,2} keeps 0-1 (2) and 1-2 (3), drops 0-2 (5).
         assert state.flooding == frozenset({1})
         assert state.non_flooding == frozenset({2})
 
-    def test_all_neighbors_flood_before_phase2(self, clustered):
-        protocol = AceProtocol(clustered, rng=np.random.default_rng(0))
+    def test_all_neighbors_flood_before_phase2(self, ace_class, clustered):
+        protocol = ace_class(clustered, rng=np.random.default_rng(0))
         assert protocol.flooding_neighbors(0) == {1, 2}
 
-    def test_tree_spans_closure(self, clustered):
-        protocol = AceProtocol(clustered, rng=np.random.default_rng(0))
-        state = protocol.recompute_tree(2)
-        assert state.tree.nodes() == {0, 1, 2, 3}
+    def test_tree_spans_closure(self, ace_class, clustered):
+        protocol = ace_class(clustered, rng=np.random.default_rng(0))
+        state = tree_of(protocol, 2)
         assert state.closure_size == 4
+        assert state.closure_edges == 4
 
-    def test_known_neighbors_recorded(self, clustered):
-        protocol = AceProtocol(clustered, rng=np.random.default_rng(0))
-        state = protocol.recompute_tree(0)
+    def test_known_neighbors_recorded(self, ace_class, clustered):
+        protocol = ace_class(clustered, rng=np.random.default_rng(0))
+        state = tree_of(protocol, 0)
         assert state.known_neighbors == frozenset({1, 2})
 
 
 class TestStaleStateHandling:
-    def test_new_link_is_flooded_to(self, clustered):
-        protocol = AceProtocol(
+    def test_new_link_is_flooded_to(self, ace_class, clustered):
+        protocol = ace_class(
             clustered, AceConfig(shed_redundant=False), rng=np.random.default_rng(0)
         )
-        protocol.recompute_tree(0)
+        protocol.rebuild_all_trees()
         clustered.connect(0, 3)
         assert 3 in protocol.flooding_neighbors(0)
 
-    def test_lost_flooding_neighbor_falls_back_to_all(self, clustered):
-        protocol = AceProtocol(
+    def test_lost_flooding_neighbor_falls_back_to_all(self, ace_class, clustered):
+        protocol = ace_class(
             clustered, AceConfig(shed_redundant=False), rng=np.random.default_rng(0)
         )
-        protocol.recompute_tree(0)
+        protocol.rebuild_all_trees()
         clustered.disconnect(0, 1)  # 1 was the flooding neighbor of 0
         assert protocol.flooding_neighbors(0) == {2}
 
-    def test_lost_non_flooding_neighbor_keeps_tree(self, clustered):
-        protocol = AceProtocol(
+    def test_lost_non_flooding_neighbor_keeps_tree(self, ace_class, clustered):
+        protocol = ace_class(
             clustered, AceConfig(shed_redundant=False), rng=np.random.default_rng(0)
         )
-        protocol.recompute_tree(0)
+        protocol.rebuild_all_trees()
         clustered.disconnect(0, 2)  # non-flooding for 0
         assert protocol.flooding_neighbors(0) == {1}
 
-    def test_churn_hooks_drop_state(self, clustered):
-        protocol = AceProtocol(clustered, rng=np.random.default_rng(0))
-        protocol.recompute_tree(0)
+    def test_churn_hooks_drop_state(self, ace_class, clustered):
+        protocol = ace_class(clustered, rng=np.random.default_rng(0))
+        protocol.rebuild_all_trees()
         protocol.handle_peer_left(0)
         assert protocol.state_of(0) is None
-        protocol.recompute_tree(0)
+        protocol.rebuild_all_trees()
         protocol.handle_peer_joined(0)
         assert protocol.state_of(0) is None
 
 
 class TestStep:
-    def test_step_reports_accumulate(self, small_overlay):
-        protocol = AceProtocol(small_overlay, rng=np.random.default_rng(1))
+    def test_step_reports_accumulate(self, ace_class, small_overlay):
+        protocol = ace_class(small_overlay, rng=np.random.default_rng(1))
         report = protocol.step()
         assert report.peers_optimized == small_overlay.num_peers
         assert report.probe_overhead > 0
@@ -118,25 +140,25 @@ class TestStep:
             + report.replacement_probe_overhead
         )
 
-    def test_steps_run_counter(self, small_overlay):
-        protocol = AceProtocol(small_overlay, rng=np.random.default_rng(1))
+    def test_steps_run_counter(self, ace_class, small_overlay):
+        protocol = ace_class(small_overlay, rng=np.random.default_rng(1))
         protocol.run(3)
         assert protocol.steps_run == 3
 
-    def test_all_peers_have_state_after_step(self, small_overlay):
-        protocol = AceProtocol(small_overlay, rng=np.random.default_rng(1))
+    def test_all_peers_have_state_after_step(self, ace_class, small_overlay):
+        protocol = ace_class(small_overlay, rng=np.random.default_rng(1))
         protocol.step()
         assert all(
             protocol.state_of(p) is not None for p in small_overlay.peers()
         )
 
-    def test_step_keeps_overlay_connected(self, small_overlay):
-        protocol = AceProtocol(small_overlay, rng=np.random.default_rng(1))
+    def test_step_keeps_overlay_connected(self, ace_class, small_overlay):
+        protocol = ace_class(small_overlay, rng=np.random.default_rng(1))
         protocol.run(4)
         assert small_overlay.is_connected()
 
-    def test_step_subset_of_peers(self, small_overlay):
-        protocol = AceProtocol(small_overlay, rng=np.random.default_rng(1))
+    def test_step_subset_of_peers(self, ace_class, small_overlay):
+        protocol = ace_class(small_overlay, rng=np.random.default_rng(1))
         report = protocol.step(peers=small_overlay.peers()[:5])
         assert report.peers_optimized == 5
 
@@ -198,30 +220,24 @@ class TestShedding:
         ov = overlay_on_line(
             [0, 2, 5, 1, 7], [(0, 1), (1, 2), (0, 2), (0, 3), (2, 4)]
         )
-        protocol = AceProtocol(ov, rng=np.random.default_rng(0))
-        assert protocol._shed_floor == 2
-        protocol.recompute_tree(0)
-        shed = protocol.shed_redundant_links(0, [2])
-        assert shed == 1
+        assert shed_floor_of(ov) == 2
+        assert shed_redundant(ov, 0, [2], 2) == [2]
         assert not ov.has_edge(0, 2)
         assert ov.is_connected()
 
-    def test_respects_degree_floor(self, clustered):
-        protocol = AceProtocol(clustered, rng=np.random.default_rng(0))
-        assert protocol._shed_floor == 2
-        protocol.recompute_tree(0)
-        shed = protocol.shed_redundant_links(0, [2])
-        assert shed == 0  # peer 0 has degree 2 == floor
-        assert clustered.has_edge(0, 2)
+    def test_respects_degree_floor(self):
+        ov = overlay_on_line([0, 2, 5, 7], [(0, 1), (1, 2), (0, 2), (2, 3)])
+        assert shed_floor_of(ov) == 2
+        assert shed_redundant(ov, 0, [2], 2) == []  # peer 0 has degree 2 == floor
+        assert ov.has_edge(0, 2)
 
     def test_does_not_cut_non_triangle_links(self):
         # 0 and 1 both have degree 3 but no mutual neighbor.
         ov = overlay_on_line(
             [0, 2, 9, 1, 3, 11], [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5)]
         )
-        protocol = AceProtocol(ov, rng=np.random.default_rng(0))
-        assert protocol._shed_floor == 2
-        assert protocol.shed_redundant_links(0, [1]) == 0
+        assert shed_floor_of(ov) == 2
+        assert shed_redundant(ov, 0, [1], 2) == []
 
     def test_cap_per_step(self):
         # Two triangles sharing peer 0, both with 0-incident longest edges,
@@ -230,10 +246,9 @@ class TestShedding:
             [0, 1, 9, 2, 12, 10, 13],
             [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (2, 5), (4, 6)],
         )
-        protocol = AceProtocol(ov, rng=np.random.default_rng(0))
-        assert protocol._shed_floor == 2
-        assert protocol.shed_redundant_links(0, [2, 4]) == 1
-        assert protocol.shed_redundant_links(0, [2, 4]) == 1
+        assert shed_floor_of(ov) == 2
+        assert len(shed_redundant(ov, 0, [2, 4], 2)) == 1
+        assert len(shed_redundant(ov, 0, [2, 4], 2)) == 1
 
 
 class TestDegreeStability:

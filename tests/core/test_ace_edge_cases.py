@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.ace import AceConfig, AceProtocol, StepReport
+from repro.core.ace import AceConfig, AceProtocol
 from repro.core.replacement import MIN_DEGREE
-from repro.topology.overlay import Overlay
 from repro.topology.physical import PhysicalTopology
+from repro.topology.soa import ArrayOverlay
 
 
 def tiny_world(n_hosts=8):
@@ -18,7 +18,7 @@ def tiny_world(n_hosts=8):
 
 class TestDegenerateOverlays:
     def test_single_peer(self):
-        ov = Overlay(tiny_world(), {0: 0})
+        ov = ArrayOverlay(tiny_world(), {0: 0})
         protocol = AceProtocol(ov, rng=np.random.default_rng(0))
         report = protocol.step()
         assert report.peers_optimized == 1
@@ -26,7 +26,7 @@ class TestDegenerateOverlays:
         assert protocol.flooding_neighbors(0) == set()
 
     def test_two_peers(self):
-        ov = Overlay(tiny_world(), {0: 0, 1: 5})
+        ov = ArrayOverlay(tiny_world(), {0: 0, 1: 5})
         ov.connect(0, 1)
         protocol = AceProtocol(ov, rng=np.random.default_rng(0))
         protocol.step()
@@ -35,13 +35,13 @@ class TestDegenerateOverlays:
         assert ov.has_edge(0, 1)
 
     def test_empty_overlay_step(self):
-        ov = Overlay(tiny_world())
+        ov = ArrayOverlay(tiny_world())
         protocol = AceProtocol(ov, rng=np.random.default_rng(0))
         report = protocol.step()
         assert report.peers_optimized == 0
 
     def test_step_skips_departed_peers(self):
-        ov = Overlay(tiny_world(), {0: 0, 1: 3, 2: 6})
+        ov = ArrayOverlay(tiny_world(), {0: 0, 1: 3, 2: 6})
         ov.connect(0, 1)
         ov.connect(1, 2)
         protocol = AceProtocol(ov, rng=np.random.default_rng(0))
@@ -53,16 +53,17 @@ class TestStarOverlayBehaviour:
     """On a star (no neighbor-neighbor links) Phase 2 floods everywhere."""
 
     def test_star_has_no_non_flooding_neighbors(self):
-        ov = Overlay(tiny_world(), {0: 3, 1: 0, 2: 1, 3: 6, 4: 7})
+        ov = ArrayOverlay(tiny_world(), {0: 3, 1: 0, 2: 1, 3: 6, 4: 7})
         for leaf in (1, 2, 3, 4):
             ov.connect(0, leaf)
         protocol = AceProtocol(ov, rng=np.random.default_rng(0))
-        state = protocol.recompute_tree(0)
+        protocol.rebuild_all_trees()
+        state = protocol.state_of(0)
         assert state.flooding == frozenset({1, 2, 3, 4})
         assert state.non_flooding == frozenset()
 
     def test_star_step_makes_no_changes(self):
-        ov = Overlay(tiny_world(), {0: 3, 1: 0, 2: 1, 3: 6, 4: 7})
+        ov = ArrayOverlay(tiny_world(), {0: 3, 1: 0, 2: 1, 3: 6, 4: 7})
         for leaf in (1, 2, 3, 4):
             ov.connect(0, leaf)
         protocol = AceProtocol(ov, rng=np.random.default_rng(0))
@@ -75,14 +76,14 @@ class TestStarOverlayBehaviour:
 
 class TestNonFloodingAccessor:
     def test_non_flooding_neighbors_live_view(self):
-        ov = Overlay(tiny_world(), {0: 0, 1: 2, 2: 4})
+        ov = ArrayOverlay(tiny_world(), {0: 0, 1: 2, 2: 4})
         ov.connect(0, 1)
         ov.connect(1, 2)
         ov.connect(0, 2)  # triangle with 0-2 as the long side
         protocol = AceProtocol(
             ov, AceConfig(shed_redundant=False), rng=np.random.default_rng(0)
         )
-        protocol.recompute_tree(0)
+        protocol.rebuild_all_trees()
         assert protocol.non_flooding_neighbors(0) == {2}
         ov.disconnect(0, 2)
         assert protocol.non_flooding_neighbors(0) == set()
@@ -90,14 +91,14 @@ class TestNonFloodingAccessor:
 
 class TestShedFloorConfiguration:
     def test_default_floor_is_average_degree(self):
-        ov = Overlay(tiny_world(), {0: 0, 1: 2, 2: 4, 3: 6})
+        ov = ArrayOverlay(tiny_world(), {0: 0, 1: 2, 2: 4, 3: 6})
         for u, v in [(0, 1), (1, 2), (2, 3), (3, 0)]:
             ov.connect(u, v)
         protocol = AceProtocol(ov, rng=np.random.default_rng(0))
         assert protocol._shed_floor == 2
 
     def test_default_floor_follows_a_denser_overlay(self):
-        ov = Overlay(tiny_world(), {p: p for p in range(5)})
+        ov = ArrayOverlay(tiny_world(), {p: p for p in range(5)})
         for u in range(5):
             for v in range(u + 1, 5):
                 ov.connect(u, v)
@@ -106,7 +107,7 @@ class TestShedFloorConfiguration:
 
     def test_floor_never_below_min_degree(self):
         # Average degree 1 rounds to 1; the floor stays at MIN_DEGREE.
-        ov = Overlay(tiny_world(), {0: 0, 1: 2})
+        ov = ArrayOverlay(tiny_world(), {0: 0, 1: 2})
         ov.connect(0, 1)
         protocol = AceProtocol(ov, rng=np.random.default_rng(0))
         assert protocol._shed_floor == MIN_DEGREE == 2
@@ -115,7 +116,7 @@ class TestShedFloorConfiguration:
 class TestOverheadAccounting:
     def test_deeper_closures_cost_more_per_step(self):
         hosts = {i: i for i in range(8)}
-        ov = Overlay(tiny_world(), hosts)
+        ov = ArrayOverlay(tiny_world(), hosts)
         for i in range(7):
             ov.connect(i, i + 1)
         ov.connect(0, 2)
@@ -129,7 +130,7 @@ class TestOverheadAccounting:
         assert deep.exchange_overhead > shallow.exchange_overhead
 
     def test_probe_overhead_matches_neighbor_costs(self):
-        ov = Overlay(tiny_world(), {0: 0, 1: 2, 2: 4})
+        ov = ArrayOverlay(tiny_world(), {0: 0, 1: 2, 2: 4})
         ov.connect(0, 1)
         ov.connect(1, 2)
         protocol = AceProtocol(ov, rng=np.random.default_rng(0))

@@ -1,9 +1,10 @@
 """The batched ACE kernel is an optimization, not a treatment.
 
-``repro.core.batch_ace`` replaces the per-peer closure/Phase-1/MST inner
-loop of :meth:`AceProtocol.step` with one shared CSR frontier sweep, a flat
-cost pass and a segmented MST kernel.  These tests pin the contract from
-the inside against the object-model reference loop: identical step
+``repro.core.batch_ace`` runs the per-peer closure/Phase-1/MST inner loop
+of :meth:`AceProtocol.step` as one shared CSR frontier sweep, a flat cost
+pass and a segmented MST kernel.  These tests pin the contract from the
+inside against the per-peer reference loop (``tests.reference.ace``) on
+the object model: identical step
 reports, identical replacement actions, identical state versions,
 identical overlay edges and routing sets — across depths, oracles and
 seeds, static and under churn — plus the perf counters the kernel is
@@ -23,8 +24,7 @@ from hypothesis import strategies as st
 from repro.core import batch_ace
 from repro.core.ace import AceConfig, AceProtocol
 from repro.core.batch_ace import extract_closures
-from repro.core.closure import neighbor_closure
-from repro.core.spanning_tree import prim_mst_heap
+from repro.core.turn import phases12
 from repro.experiments.depth_sweep import DepthSweepConfig, run_depth_sweep
 from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_experiment
 from repro.experiments.setup import ScenarioConfig, build_scenario
@@ -35,6 +35,9 @@ from repro.topology.overlay import Overlay
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
 from tests.reference import production_and_reference
+from tests.reference.ace import ReferenceAce, reference_drivers
+from tests.reference.closure import neighbor_closure
+from tests.reference.spanning_tree import prim_mst_heap
 
 
 def config(seed=5, oracle="exact", peers=60, nodes=240):
@@ -52,9 +55,11 @@ def scenario(**world):
 
 
 def protocol_for(sc, depth=2, seed=5):
+    """Production ACE on an array world, the reference loop on its twin."""
     overlay = sc.fresh_overlay()
     overlay.warm_edge_costs()
-    return AceProtocol(
+    engine = AceProtocol if isinstance(overlay, ArrayOverlay) else ReferenceAce
+    return engine(
         overlay,
         AceConfig(depth=depth),
         rng=np.random.default_rng(seed + 0xACE),
@@ -87,8 +92,8 @@ def kernel_and_reference(depth=2, seed=5, **world):
     production, reference = production_and_reference(config(seed=seed, **world))
     kern = protocol_for(production, depth=depth, seed=seed)
     ref = protocol_for(reference, depth=depth, seed=seed)
-    assert isinstance(kern.overlay, ArrayOverlay) and kern.flat_store is not None
-    assert type(ref.overlay) is Overlay and ref.flat_store is None
+    assert isinstance(kern, AceProtocol) and isinstance(kern.overlay, ArrayOverlay)
+    assert isinstance(ref, ReferenceAce) and type(ref.overlay) is Overlay
     return kern, ref
 
 
@@ -137,14 +142,14 @@ class TestKernelEquality:
     def test_dynamic_churn_series_matches(self):
         dyn = DynamicConfig(total_queries=120, window=40)
         production, reference = production_and_reference(config())
-        ref = run_dynamic_experiment(reference, dyn)
+        with reference_drivers():
+            ref = run_dynamic_experiment(reference, dyn)
         kern = run_dynamic_experiment(production, dyn)
         assert dataclasses.asdict(kern) == dataclasses.asdict(ref)
 
     def test_object_engine_is_untouched_by_the_toggle(self):
-        # The kernel engages on the array overlay only — chosen by the
-        # overlay type, not by a switch; the object-model reference never
-        # enters it.
+        # The kernel is production's only step; the per-peer reference
+        # never enters it.
         kern, ref = kernel_and_reference()
         counters.reset()
         ref_state = full_state(ref)
@@ -299,7 +304,7 @@ def stale_world(seed):
     ),
 )
 def test_a_stale_turn_rederives_the_sweep_entry(seed, ops):
-    """``_rederive`` is the sweep's entry for the same peer, bit for bit.
+    """``phases12`` is the sweep's entry for the same peer, bit for bit.
 
     Connects and disconnects leave tombstones and buffered links; a rejoin
     puts a peer on a free slot (slot order no longer peer order) and on a
@@ -321,7 +326,8 @@ def test_a_stale_turn_rederives_the_sweep_entry(seed, ops):
             overlay.connect(p, q)
         elif op == "check":
             for depth in (1, 2, 3):
-                lean = batch_ace._rederive(overlay, p, depth)
+                overlay.warm_edge_costs()
+                lean = phases12(overlay, p, depth)
                 batch = extract_closures(overlay, [p], depth)
                 assert lean == (
                     batch.flooding[0],
@@ -361,11 +367,11 @@ class TestPerfCounters:
         assert counters.closure_reuses > 0
 
     def test_refresh_then_recompute_reuses_the_closure(self):
-        # The satellite fix for AceProtocol.recompute_tree: back-to-back
-        # refresh_peer/recompute_tree on an unmutated overlay must extract
-        # the closure once, not twice — the reuse is keyed on
-        # (overlay.epoch, depth) and observable through the counter.
-        protocol = protocol_for(scenario())
+        # The reference loop's closure cache: back-to-back
+        # refresh_peer/recompute_tree on an unmutated overlay extract the
+        # closure once, not twice — the reuse is keyed on (overlay.epoch,
+        # depth) and observable through the counter.
+        protocol = protocol_for(production_and_reference(config())[1])
         peer = protocol.overlay.peers()[0]
         counters.reset()
         protocol.refresh_peer(peer)
@@ -386,15 +392,13 @@ class TestPerfCounters:
         assert counters.ace_batched_steps > 0
         assert counters.churn_batch_mutations > 0
 
-    def test_drivers_never_refresh_one_peer_at_a_time(self, monkeypatch):
-        # On a built scenario the step, churn and sweep drivers go through
-        # the batched kernel only; the per-peer entry points are the object
-        # reference's and a driver looping them would fail here.
-        def refuse(self, *args):
-            raise AssertionError("per-peer ACE path taken")
-
+    def test_drivers_never_refresh_one_peer_at_a_time(self):
+        # The step, churn and sweep drivers go through the batched kernel
+        # only: the per-peer entry points live in the reference alone, so a
+        # driver calling one fails here.
         for name in ("refresh_peer", "recompute_tree", "optimize_peer"):
-            monkeypatch.setattr(AceProtocol, name, refuse)
+            assert hasattr(ReferenceAce, name)
+            assert not hasattr(AceProtocol, name)
         world = config(peers=40, nodes=200)
         run_static_experiment(build_scenario(world), steps=2, query_samples=8)
         run_dynamic_experiment(

@@ -1,8 +1,8 @@
-"""Unit tests for h-neighbor closures."""
+"""Unit tests for the reference h-neighbor closures."""
 
 import pytest
 
-from repro.core.closure import neighbor_closure
+from tests.reference.closure import neighbor_closure
 
 
 @pytest.fixture

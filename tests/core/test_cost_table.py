@@ -1,11 +1,11 @@
-"""Unit tests for neighbor cost tables and Phase-1 overhead accounting."""
+"""Unit tests for the reference cost tables and Phase-1 overhead accounting."""
 
 import pytest
 
-from repro.core.closure import neighbor_closure
-from repro.core.cost_table import (
-    ENTRY_COST_FACTOR,
-    ROUND_TRIP_FACTOR,
+from repro.core.replacement import ROUND_TRIP_FACTOR
+from repro.core.turn import ENTRY_COST_FACTOR
+from tests.reference.closure import neighbor_closure
+from tests.reference.cost_table import (
     NeighborCostTable,
     build_cost_table,
     exchange_overhead,

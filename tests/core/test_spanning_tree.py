@@ -1,9 +1,18 @@
-"""Unit tests for Prim spanning trees (ACE Phase 2)."""
+"""Prim spanning trees (ACE Phase 2): the reference against a definition.
+
+The reference heap Prim (``tests.reference.spanning_tree``) is checked on
+hand cases and against scipy's ``minimum_spanning_tree``, which shares no
+code with the repo; production's root-only Prim
+(:func:`repro.core.turn.prim_flooding`) against the reference on ties.
+"""
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
-from repro.core.spanning_tree import SpanningTree, prim_mst, prim_mst_heap
+from repro.core.turn import prim_flooding
+from tests.reference.spanning_tree import prim_mst_heap
 
 
 def graph_from_edges(edges):
@@ -19,22 +28,44 @@ def graph_from_edges(edges):
     return g
 
 
+def edges_of(tree):
+    """Tree edges as ``(min, max)`` pairs."""
+    return {
+        (min(child, par), max(child, par))
+        for child, par in tree.parent.items()
+        if child != par
+    }
+
+
+def scipy_mst_weight(graph):
+    """Total weight of scipy's minimum spanning tree of *graph*."""
+    index = {node: i for i, node in enumerate(sorted(graph))}
+    rows, cols, data = [], [], []
+    for u, nbrs in graph.items():
+        for v, c in nbrs.items():
+            rows.append(index[u])
+            cols.append(index[v])
+            data.append(c)
+    matrix = csr_matrix((data, (rows, cols)), shape=(len(index), len(index)))
+    return float(minimum_spanning_tree(matrix).sum())
+
+
 SIMPLE = graph_from_edges(
     [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 5.0), (2, 3, 1.0), (1, 3, 4.0)]
 )
 
 
-@pytest.mark.parametrize("algo", [prim_mst, prim_mst_heap], ids=["array", "heap"])
+@pytest.mark.parametrize("algo", [prim_mst_heap], ids=["heap"])
 class TestPrimVariants:
     def test_spans_all_nodes(self, algo):
         tree = algo(SIMPLE, 0)
-        assert tree.nodes() == {0, 1, 2, 3}
+        assert set(tree.adjacency) == {0, 1, 2, 3}
 
     def test_minimum_weight(self, algo):
         tree = algo(SIMPLE, 0)
         # MST: 0-1 (1), 1-2 (2), 2-3 (1) = 4.
         assert tree.total_cost == pytest.approx(4.0)
-        assert tree.edges() == {(0, 1), (1, 2), (2, 3)}
+        assert edges_of(tree) == {(0, 1), (1, 2), (2, 3)}
 
     def test_root_is_own_parent(self, algo):
         tree = algo(SIMPLE, 2)
@@ -47,13 +78,13 @@ class TestPrimVariants:
 
     def test_single_node(self, algo):
         tree = algo({7: {}}, 7)
-        assert tree.nodes() == {7}
+        assert set(tree.adjacency) == {7}
         assert tree.total_cost == 0.0
         assert tree.tree_neighbors(7) == frozenset()
 
     def test_two_nodes(self, algo):
         tree = algo(graph_from_edges([(0, 1, 3.0)]), 0)
-        assert tree.edges() == {(0, 1)}
+        assert edges_of(tree) == {(0, 1)}
         assert tree.total_cost == 3.0
 
     def test_disconnected_raises(self, algo):
@@ -95,9 +126,9 @@ class TestPrimVariants:
         assert algo(g, 0).total_cost == pytest.approx(expected)
 
 
-class TestVariantEquivalence:
+class TestAgainstScipy:
     @pytest.mark.parametrize("seed", range(6))
-    def test_array_and_heap_agree_on_random_graphs(self, seed):
+    def test_total_cost_matches_scipy(self, seed):
         rng = np.random.default_rng(seed)
         n = 12
         edges = []
@@ -108,39 +139,43 @@ class TestVariantEquivalence:
             if u != v:
                 edges.append((int(u), int(v), float(rng.uniform(1, 50))))
         g = graph_from_edges(edges)
+        expected = scipy_mst_weight(g)
         for root in (0, n - 1):
-            a = prim_mst(g, root)
-            b = prim_mst_heap(g, root)
-            assert a.parent == b.parent
-            assert a.total_cost == pytest.approx(b.total_cost)
+            assert prim_mst_heap(g, root).total_cost == pytest.approx(expected)
+
+
+class TestTieBreaks:
+    """Equal costs break on ``(cost, node, parent)``, in both Prims."""
+
+    # A unit-cost square 0-1-2-3 with both diagonals at cost 1 too.
+    SQUARE = graph_from_edges(
+        [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0), (0, 2, 1.0), (1, 3, 1.0)]
+    )
+
+    def test_reference_takes_the_lowest_node_then_parent(self):
+        # From 0 every edge ties: pop (1, 1, 0), (1, 2, 0), (1, 3, 0).
+        tree = prim_mst_heap(self.SQUARE, 0)
+        assert tree.parent == {0: 0, 1: 0, 2: 0, 3: 0}
+        # From 3: (1, 0, 3) first, then node 1 ties on parents 0 and 3.
+        tree = prim_mst_heap(self.SQUARE, 3)
+        assert tree.parent == {3: 3, 0: 3, 1: 0, 2: 0}
+
+    @pytest.mark.parametrize("root", range(4))
+    def test_production_keeps_the_references_root_neighbors(self, root):
+        nodes = sorted(self.SQUARE)
+        indptr, nbrs, costs = [0], [], []
+        for u in nodes:
+            row = sorted(self.SQUARE[u].items())
+            nbrs += [v for v, _ in row]
+            costs += [c for _, c in row]
+            indptr.append(len(nbrs))
+        tree = prim_mst_heap(self.SQUARE, root)
+        assert prim_flooding(indptr, nbrs, costs, root) == sorted(
+            tree.tree_neighbors(root)
+        )
 
 
 class TestSpanningTreeApi:
-    def test_children_orientation(self):
-        tree = prim_mst(SIMPLE, 0)
-        assert tree.children(0) == {1}
-        assert tree.children(1) == {2}
-        assert tree.children(3) == set()
-
-    def test_depth_of(self):
-        tree = prim_mst(SIMPLE, 0)
-        assert tree.depth_of(0) == 0
-        assert tree.depth_of(3) == 3
-
     def test_tree_neighbors_absent_node(self):
-        tree = prim_mst(SIMPLE, 0)
+        tree = prim_mst_heap(SIMPLE, 0)
         assert tree.tree_neighbors(42) == frozenset()
-
-    def test_depth_of_detects_cycle(self):
-        bad = SpanningTree(
-            root=0,
-            parent={0: 0, 1: 2, 2: 1},
-            adjacency={
-                0: frozenset(),
-                1: frozenset({2}),
-                2: frozenset({1}),
-            },
-            total_cost=0.0,
-        )
-        with pytest.raises(RuntimeError, match="cycle"):
-            bad.depth_of(1)

@@ -20,6 +20,7 @@ from repro.perf import counters
 from repro.rng import DEFAULT_SEED, ensure_rng
 from repro.search import batch
 from tests.reference import production_and_reference
+from tests.reference.ace import reference_drivers
 
 CONFIG = ScenarioConfig(physical_nodes=200, peers=40, avg_degree=6, seed=5)
 
@@ -143,29 +144,32 @@ class TestBatchedMatchesScalarEngine:
 class TestArrayEngineMatchesObject:
     """The struct-of-arrays overlay engine is an optimization, not a model.
 
-    ``build_scenario`` lowers the generated overlay into flat CSR arrays
+    ``build_scenario`` returns flat CSR arrays
     (:class:`repro.topology.soa.ArrayOverlay`), which pairs ACE with the
     flat state store, runs its steps through the batched kernel
     (:mod:`repro.core.batch_ace`) and its queries through the compiled
     kernel; every figure — static and dynamic, with and without ACE, exact
     and landmark oracle — must come out byte-identical to the object
-    reference (dict-of-sets overlay, per-peer ACE loop, row-by-row strategy
-    lowering) built by ``tests.reference``.  The protocol-level observables
-    (reports, actions, state versions) are pinned peer-by-peer in
-    ``tests/core/test_batch_ace.py``.
+    reference (dict-of-sets overlay, row-by-row strategy lowering) built by
+    ``tests.reference``, with the per-peer ACE loop swapped into the same
+    drivers (:func:`~tests.reference.ace.reference_drivers`).  The
+    protocol-level observables (reports, actions, state versions) are
+    pinned peer-by-peer in ``tests/core/test_batch_ace.py``.
     """
 
     def test_static_experiment_is_byte_identical(self):
         prod, ref = production_and_reference(CONFIG)
         arr = run_static_experiment(prod, steps=3, query_samples=8)
-        obj = run_static_experiment(ref, steps=3, query_samples=8)
+        with reference_drivers():
+            obj = run_static_experiment(ref, steps=3, query_samples=8)
         assert as_bytes(obj) == as_bytes(arr)
 
     def test_dynamic_experiment_is_byte_identical(self):
         dyn = DynamicConfig(total_queries=120, window=40)
         prod, ref = production_and_reference(CONFIG)
         arr = run_dynamic_experiment(prod, dyn)
-        obj = run_dynamic_experiment(ref, dyn)
+        with reference_drivers():
+            obj = run_dynamic_experiment(ref, dyn)
         assert as_bytes(obj) == as_bytes(arr)
 
     def test_landmark_oracle_static_is_byte_identical(self):
@@ -177,14 +181,16 @@ class TestArrayEngineMatchesObject:
             dataclasses.replace(CONFIG, oracle="landmark:8")
         )
         arr = run_static_experiment(prod, steps=3, query_samples=8)
-        obj = run_static_experiment(ref, steps=3, query_samples=8)
+        with reference_drivers():
+            obj = run_static_experiment(ref, steps=3, query_samples=8)
         assert as_bytes(obj) == as_bytes(arr)
 
     def test_dynamic_no_ace_is_byte_identical(self):
         dyn = DynamicConfig(total_queries=120, window=40, enable_ace=False)
         prod, ref = production_and_reference(CONFIG)
         arr = run_dynamic_experiment(prod, dyn)
-        obj = run_dynamic_experiment(ref, dyn)
+        with reference_drivers():
+            obj = run_dynamic_experiment(ref, dyn)
         assert as_bytes(obj) == as_bytes(arr)
 
     def test_paper_default_gate_is_byte_identical(self):
@@ -197,7 +203,8 @@ class TestArrayEngineMatchesObject:
             )
         )
         arr = run_static_experiment(prod, steps=10)
-        obj = run_static_experiment(ref, steps=10)
+        with reference_drivers():
+            obj = run_static_experiment(ref, steps=10)
         assert as_bytes(obj) == as_bytes(arr)
 
     def test_array_engine_parallel_is_byte_identical_to_serial(self):

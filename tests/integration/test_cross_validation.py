@@ -69,8 +69,8 @@ class TestGraphStatsAgainstNetworkx:
         assert ours == pytest.approx(theirs)
 
     def test_mst_weight_on_closures(self, world):
-        from repro.core.closure import neighbor_closure
-        from repro.core.spanning_tree import prim_mst_heap
+        from tests.reference.closure import neighbor_closure
+        from tests.reference.spanning_tree import prim_mst_heap
 
         _physical, overlay = world
         for source in overlay.peers()[:5]:

@@ -18,6 +18,7 @@ from repro import (
 )
 from repro.search.tree_routing import ace_query
 from repro.sim.churn import ChurnModel
+from repro.topology.soa import ArrayOverlay
 
 
 class TestQuickstartFlow:
@@ -107,7 +108,9 @@ class TestFullPipeline:
         from repro.topology.trace import synthesize_gnutella_snapshot
 
         rng = np.random.default_rng(17)
-        overlay = synthesize_gnutella_snapshot(ba_physical, n_peers=60, rng=rng)
+        overlay = ArrayOverlay.from_overlay(
+            synthesize_gnutella_snapshot(ba_physical, n_peers=60, rng=rng)
+        )
         protocol = AceProtocol(overlay, rng=rng)
         protocol.run(3)
         peers = overlay.peers()

@@ -7,8 +7,9 @@ Phase 3 reads a cost to a peer the snapshot has not probed, it raises
 :class:`~repro.net.snapshot.NeedProbes` naming every unprobed peer of that
 read; given those probes it re-runs from the same token and returns the
 turn, its mutation log and the advanced RNG state.  Each must equal what
-``repro.core.turn``'s phases give on an object :class:`Overlay` with the
-same costs.
+the reference phases (``tests.reference``: dict-of-dicts closure, member
+cost tables, heap Prim) plus ``repro.core.turn.phase3`` give on an object
+:class:`Overlay` with the same costs.
 """
 
 import asyncio
@@ -20,9 +21,8 @@ import numpy as np
 import pytest
 
 from repro.core.ace import AceConfig
-from repro.core.closure import neighbor_closure
 from repro.core.policies import make_policy
-from repro.core.turn import Turn, phase1, phase2, phase3, shed_floor_of
+from repro.core.turn import Turn, phase3, shed_floor_of
 from repro.net.snapshot import (
     NeedProbes,
     SnapshotView,
@@ -33,6 +33,10 @@ from repro.net.snapshot import (
 from repro.net.wire import WireError
 from repro.topology.overlay import small_world_overlay
 from repro.topology.physical import PhysicalTopology
+from tests.reference import object_twin
+from tests.reference.closure import neighbor_closure
+from tests.reference.cost_table import run_phase1
+from tests.reference.spanning_tree import prim_mst_heap
 
 TOKEN = serialize_rng(np.random.default_rng(11))
 
@@ -55,7 +59,7 @@ def world():
     edges += [(int(a), int(b)) for a, b in rng.integers(0, n, (30, 2)) if a != b]
     delays = rng.integers(1, 20, len(edges)).tolist()
     physical = PhysicalTopology(n, edges, delays)
-    return small_world_overlay(physical, 16, avg_degree=4.0, rng=rng)
+    return object_twin(small_world_overlay(physical, 16, avg_degree=4.0, rng=rng))
 
 
 class Recording:
@@ -93,12 +97,13 @@ class Recording:
 
 
 def reference(me, config, shed_floor):
-    """``core.turn``'s phases at *me* on an object overlay."""
+    """The reference Phases 1-2 and ``core.turn``'s Phase 3 at *me*."""
     view = Recording(world(), me)
     closure = neighbor_closure(view, me, config.depth)
-    _tree, flooding, known = phase2(view, me, closure)
+    flooding = frozenset(prim_mst_heap(closure.edges, me).tree_neighbors(me))
+    known = frozenset(view.neighbors(me))
     rng = restore_rng(TOKEN)
-    charged = phase1(view, closure)
+    charged = run_phase1(view, closure)
     sheds, actions = phase3(
         view, me, sorted(known - flooding), config, shed_floor,
         make_policy(config.policy), rng,
@@ -131,6 +136,7 @@ def no_io(monkeypatch):
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_plan_equals_core_phases(config, no_io):
+    """``plan_turn`` equals the reference at depth 1 and 2 and under ``closest``."""
     assert not inspect.iscoroutinefunction(plan_turn)
     costs = world()
     floor = shed_floor_of(costs)
@@ -199,6 +205,32 @@ def test_snapshot_mutations_match_a_refetch():
     assert view.log == [("connect", 5), ("disconnect", 2)]
     with pytest.raises(ValueError):
         view.connect(1, 2)
+
+
+def test_live_row_reads_each_link_from_its_lower_endpoint():
+    # Peers 3 and 5 read their link one ulp apart (the direction an exact
+    # delay was solved in decides its last bit): every row takes 3's.
+    low, high = 0.30000000000000004, 0.3
+    assert low != high
+    tables = {3: {0: 1.0, 5: low}, 5: {0: 2.0, 3: high}}
+    view = SnapshotView(0, {3, 5}, tables, {3: 1.0, 5: 2.0})
+    assert view.live_row(3) == ([0, 5], [1.0, low])
+    assert view.live_row(5) == ([0, 3], [2.0, low])
+    # Links to this peer read its probes, the lower endpoint's answers.
+    assert view.live_row(0) == ([3, 5], [1.0, 2.0])
+
+
+def test_live_row_names_every_unprobed_neighbor_at_once():
+    tables = {1: {4: 1.0}, 6: {4: 2.0}, 9: {4: 3.0}}
+    view = SnapshotView(4, {1, 6, 9}, tables, {})
+    with pytest.raises(NeedProbes) as need:
+        view.live_row(4)
+    # Peer 1's link reads 1's own table; 6 and 9 read this peer's probes.
+    assert need.value.peers == {6, 9}
+    view = SnapshotView(4, {1, 6, 9}, tables, {6: 2.0})
+    with pytest.raises(NeedProbes) as need:
+        view.live_row(4)
+    assert need.value.peers == {9}
 
 
 @pytest.mark.parametrize("name", ["seed", "default_rng"])

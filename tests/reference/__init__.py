@@ -1,9 +1,14 @@
 """The object-model reference, built by hand from public API.
 
-``build_scenario`` only ever returns the production ``ArrayOverlay``; a test
-that compares production with the dict-of-sets ``Overlay`` (and through it
-the per-peer ``AceProtocol`` loop with its dict store) builds the twin here.
-Every comparison asserts the types of both sides —
+``build_scenario`` and the overlay generators only ever return the
+production ``ArrayOverlay``; a test that compares production with the
+dict-of-sets ``Overlay`` builds the twin here.  ACE on the twin is the
+per-peer reference loop of :mod:`tests.reference.ace` (``AceProtocol``
+refuses an object overlay), over the reference Phases 1-2:
+:mod:`~tests.reference.closure` (h-neighbor closures),
+:mod:`~tests.reference.cost_table` (member cost tables and Phase-1
+charges) and :mod:`~tests.reference.spanning_tree` (heap Prim).  Every
+comparison asserts the types of both sides —
 :func:`production_and_reference` does it for scenarios — so it cannot
 silently turn into array-vs-array.
 """

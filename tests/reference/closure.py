@@ -1,4 +1,4 @@
-"""h-neighbor closures (paper Section 3.4).
+"""h-neighbor closures (paper Section 3.4), the dict-of-dicts reference.
 
 "We define h-neighbor closure of a source peer as the set of peers within h
 hops from the source peer."  ACE builds its per-source spanning tree over the
@@ -7,7 +7,9 @@ between two members, weighted by the probed link costs that peers learn from
 exchanged neighbor cost tables.
 
 A :class:`ClosureView` is an immutable snapshot; it does not track later
-overlay mutations.
+overlay mutations.  Production reads closures in bulk
+(:func:`repro.core.batch_ace.extract_closures`) or one at a time
+(:func:`repro.core.turn.phases12`); both are tested against this.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Set
 
-from ..topology.overlay import Overlay
+from repro.topology.overlay import Overlay
 
 __all__ = ["ClosureView", "neighbor_closure"]
 

@@ -1,4 +1,4 @@
-"""Neighbor cost tables (ACE Phase 1).
+"""Neighbor cost tables (ACE Phase 1), the per-member reference.
 
 "Each peer probes the costs with its immediate logical neighbors and forms a
 neighbor cost table.  Two neighboring peers exchange their neighbor cost
@@ -8,20 +8,22 @@ neighbors."  (Paper Section 3.3, Phase 1.)
 The probing traffic and the table-exchange traffic are *overhead* in the
 paper's accounting (they appear in Figure 12 and in the dynamic-environment
 traffic of Figure 9), so this module also computes the cost-unit overhead of
-one Phase-1 round over an h-neighbor closure.
+one Phase-1 round over an h-neighbor closure.  Production charges the same
+formula from one probe sum (:func:`repro.core.turn.phase1_charges`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Iterable, Mapping
 
-from ..topology.overlay import Overlay
+from repro.core.replacement import ROUND_TRIP_FACTOR
+from repro.core.turn import ENTRY_COST_FACTOR
+from repro.topology.overlay import Overlay
+
 from .closure import ClosureView
 
 __all__ = [
-    "ROUND_TRIP_FACTOR",
-    "ENTRY_COST_FACTOR",
     "NeighborCostTable",
     "build_cost_table",
     "probe_overhead",
@@ -30,10 +32,16 @@ __all__ = [
     "run_phase1",
 ]
 
-#: Cost multiplier of one probe: a ping/pong over the logical link.
-ROUND_TRIP_FACTOR = 2.0
-#: Per-link-record cost factor of a cost-table exchange message.
-ENTRY_COST_FACTOR = 0.02
+def left_fold(values: Iterable[float]) -> float:
+    """The sequential left-to-right IEEE sum production computes.
+
+    Not ``sum()``: from Python 3.12 the builtin sums floats with
+    compensation, which can move the last bit.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ def probe_overhead(table: NeighborCostTable) -> float:
     A probe is a ping/pong exchange over the logical link, so each entry
     costs ``ROUND_TRIP_FACTOR * link_cost`` cost units.
     """
-    return ROUND_TRIP_FACTOR * sum(table.costs.values())
+    return ROUND_TRIP_FACTOR * left_fold(table.costs.values())
 
 
 def exchange_overhead(
@@ -97,7 +105,7 @@ def exchange_overhead(
     entries = closure.num_edges()
     per_message_factor = 1.0 + ENTRY_COST_FACTOR * entries
     direct = closure.edges.get(closure.source, {})
-    return per_message_factor * sum(direct.values())
+    return per_message_factor * left_fold(direct.values())
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ name below, random interleavings under hypothesis after that.
 
 The interleaving test is two-sided: the same operations drive a production
 world (``ArrayOverlay``, flat store, batched step, compiled strategies,
-``run_queries``) and its object twin (``Overlay``, dict store, per-peer
-loop, row lowering, scalar ``run_query``), and every observable is compared
+``run_queries``) and its object twin (``Overlay``, the per-peer reference
+loop with its dict store, row lowering, scalar ``run_query``), and every
+observable is compared
 after each one — the randomized counterpart of the pinned-seed driver
 comparisons in ``tests/experiments/test_reproducibility.py``.
 """
@@ -26,8 +27,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ace import AceConfig, AceProtocol
-from repro.core.batch_ace import churn_refresh
+from repro.core.batch_ace import churn_refresh, store_closures
 from repro.core.flat_state import FlatAceStore
+from repro.core.turn import phase1_charges
 from repro.perf import counters
 from repro.search.batch import ace_graph_by_rows, compile_strategy, run_queries
 from repro.search.flooding import blind_flooding_strategy, run_query
@@ -36,6 +38,7 @@ from repro.topology.generators import barabasi_albert
 from repro.topology.overlay import Overlay, small_world_overlay
 from repro.topology.soa import ArrayOverlay
 from tests.reference import object_twin
+from tests.reference.ace import ReferenceAce, reference_churn_refresh
 
 ARRAYS = ("peer_ids", "indptr", "targets", "costs")
 
@@ -158,7 +161,7 @@ class TestRoutingRuleBranches:
         protocol.flat_store._repack()
         p, q = tree_edge(overlay, protocol)
         overlay.disconnect(p, q)
-        protocol.recompute_tree(p)
+        store_closures(protocol, [p])
         assert protocol.flat_store.pending_rows == 1
         graph = assert_equals_reference(overlay, protocol)
         assert row(graph, p) == sorted(protocol.flat_store.flooding_of(p))
@@ -172,7 +175,7 @@ class TestRoutingRuleBranches:
         protocol.handle_peer_left(p)  # state dropped, peer stays
         graph = assert_equals_reference(overlay, protocol)
         assert row(graph, p) == sorted(overlay.neighbors(p))
-        protocol.recompute_tree(p)
+        store_closures(protocol, [p])
         assert store._row[p] == store.packed_rows  # a new row; the old is a hole
         graph = assert_equals_reference(overlay, protocol)
         assert row(graph, p) == sorted(store.flooding_of(p))
@@ -282,15 +285,9 @@ def depart_and_replace(world, departing, joiner, host, bootstrap):
     protocol.handle_peer_joined(joiner)
     affected |= set(overlay.neighbors(joiner))
     affected.discard(joiner)
-    if protocol.flat_store is not None:
-        overhead = churn_refresh(protocol, joiner, affected)
-    else:
-        _state, phase1 = protocol.refresh_peer(joiner)
-        overhead = phase1.total_overhead
-        for peer in affected:
-            if overlay.has_peer(peer):
-                protocol.recompute_tree(peer)
-    return overhead
+    if isinstance(protocol, AceProtocol):
+        return churn_refresh(protocol, joiner, affected)
+    return reference_churn_refresh(protocol, joiner, affected)
 
 
 def apply(world, op, a, b, next_id):
@@ -314,10 +311,17 @@ def apply(world, op, a, b, next_id):
     elif op == "step":
         return dataclasses.asdict(protocol.step())
     elif op == "recompute":
-        protocol.recompute_tree(p)
+        if isinstance(protocol, AceProtocol):
+            store_closures(protocol, [p])
+        else:
+            protocol.recompute_tree(p)
     elif op == "refresh":
-        _state, phase1 = protocol.refresh_peer(p)
-        return phase1.probe_cost, phase1.exchange_cost
+        if isinstance(protocol, ReferenceAce):
+            _state, phase1 = protocol.refresh_peer(p)
+            return phase1.probe_cost, phase1.exchange_cost
+        overlay.warm_edge_costs()
+        batch = store_closures(protocol, [p])
+        return phase1_charges(batch.probe_sum[0], batch.closure_edges[0])
     elif op == "drop_state":
         protocol.handle_peer_left(p)
     elif op == "churn" and len(peers) > 4:
@@ -338,10 +342,7 @@ def assert_worlds_agree(production, reference, ids, sources, holders):
     assert structure(production.overlay) == structure(reference.overlay)
     got, want = production.protocol, reference.protocol
     for peer in ids:
-        row, ref_row = got.state_of(peer), want.state_of(peer)
-        if ref_row is not None:
-            ref_row = dataclasses.replace(ref_row, tree=None)
-        assert row == ref_row, peer
+        assert got.state_of(peer) == want.state_of(peer), peer
     assert got.state_version == want.state_version
     assert got.steps_run == want.steps_run
     assert got.last_actions == want.last_actions
@@ -376,12 +377,10 @@ def run_interleaving(seed, thresholds, ops):
     production = World(overlay, protocol)
     twin = object_twin(overlay)
     reference = World(
-        twin, AceProtocol(twin, protocol.config, rng=copy.deepcopy(protocol.rng))
+        twin, ReferenceAce(twin, protocol.config, rng=copy.deepcopy(protocol.rng))
     )
     assert isinstance(production.overlay, ArrayOverlay)
-    assert protocol.flat_store is not None
     assert type(reference.overlay) is Overlay
-    assert reference.protocol.flat_store is None
     next_id = overlay.peers()[-1] + 1
     assert_worlds_agree(production, reference, range(next_id), overlay.peers()[:2], [0])
     for op, a, b in ops:

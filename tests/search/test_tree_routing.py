@@ -25,11 +25,11 @@ class TestStrategy:
         peer = optimized.overlay.peers()[0]
         assert set(strategy(peer, None)) == optimized.flooding_neighbors(peer)
 
-    def test_fresh_peer_floods_all(self, make_overlay_from_weighted_edges):
+    def test_fresh_peer_floods_all(self, ace_class, make_overlay_from_weighted_edges):
         ov = make_overlay_from_weighted_edges(
             [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)]
         )
-        protocol = AceProtocol(ov, rng=np.random.default_rng(0))
+        protocol = ace_class(ov, rng=np.random.default_rng(0))
         strategy = ace_strategy(protocol)
         assert set(strategy(0, None)) == {1, 2}
 
@@ -53,12 +53,12 @@ class TestPropagation:
         assert limited.reached <= set(optimized.overlay.peers())
         assert max(limited.hops.values()) <= 1
 
-    def test_triangle_pruned(self, make_overlay_from_weighted_edges):
+    def test_triangle_pruned(self, ace_class, make_overlay_from_weighted_edges):
         """On a single mismatched triangle the long edge carries no query."""
         ov = make_overlay_from_weighted_edges(
             [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)]
         )
-        protocol = AceProtocol(
+        protocol = ace_class(
             ov, AceConfig(shed_redundant=False), rng=np.random.default_rng(0)
         )
         protocol.rebuild_all_trees()

@@ -27,6 +27,7 @@ from repro.topology.overlay import Overlay, small_world_overlay
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
 from tests.reference import production_and_reference
+from tests.reference.ace import ReferenceAce, reference_drivers
 
 
 @pytest.fixture(autouse=True)
@@ -314,22 +315,29 @@ class TestExactOracleSolvesEachSourceOnce:
     ):
         config = ScenarioConfig(physical_nodes=200, peers=40, avg_degree=6, seed=5)
         per_step = []
-        step = AceProtocol.step
 
-        def counted(self, peers=None):
-            before = counters.copy()
-            report = step(self, peers)
-            per_step.append(counters.delta(before)["dijkstra_sources"])
-            return report
+        def counting(step):
+            def counted(self, peers=None):
+                before = counters.copy()
+                report = step(self, peers)
+                per_step.append(counters.delta(before)["dijkstra_sources"])
+                return report
 
-        monkeypatch.setattr(AceProtocol, "step", counted)
+            return counted
+
+        for engine in (AceProtocol, ReferenceAce):
+            monkeypatch.setattr(engine, "step", counting(engine.step))
         series = {}
         production, reference = production_and_reference(config)
-        for engine, scenario in (("object", reference), ("array", production)):
-            reset_counters()
-            series[engine] = run_static_experiment(
-                scenario, steps=3, query_samples=8
+        reset_counters()
+        with reference_drivers():
+            series["object"] = run_static_experiment(
+                reference, steps=3, query_samples=8
             )
+        reset_counters()
+        series["array"] = run_static_experiment(
+            production, steps=3, query_samples=8
+        )
         assert series["array"] == series["object"]
         # Both engines stream the same 26 sources to fill the edge costs
         # before step 1; the array engine then solves again only the hosts

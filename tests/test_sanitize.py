@@ -42,10 +42,13 @@ from repro.experiments.setup import ScenarioConfig
 from repro.experiments.static_env import run_static_experiment
 from repro.topology.overlay import Overlay
 from tests.reference import object_scenario
+from tests.reference.ace import reference_drivers
 
 scenario = object_scenario(ScenarioConfig(physical_nodes=256, peers=32, seed=1))
 assert type(scenario.overlay) is Overlay
-print(json.dumps(dataclasses.asdict(RUN), sort_keys=True))
+with reference_drivers():
+    series = RUN
+print(json.dumps(dataclasses.asdict(series), sort_keys=True))
 """
 
 
@@ -58,9 +61,9 @@ def run_reference(run, sanitize=False):
 
 
 class TestByteIdentity:
-    """CLI runs cover the array engine; ``run_reference`` the object model,
-    whose hooks (``_edge_costs`` coherence, the per-peer state writes) no
-    CLI run reaches any more."""
+    """CLI runs cover the array engine; ``run_reference`` the object model
+    and the per-peer reference loop, whose hooks (``_edge_costs``
+    coherence) no CLI run reaches any more."""
 
     def test_static_run_is_byte_identical_and_violation_free(self):
         run = "run_static_experiment(scenario, steps=2, query_samples=6)"
@@ -257,13 +260,10 @@ from repro.search.batch import compile_strategy
 from repro.search.tree_routing import ace_strategy
 from repro.topology.generators import barabasi_albert
 from repro.topology.overlay import small_world_overlay
-from repro.topology.soa import ArrayOverlay
 
 rng = np.random.default_rng(3)
 physical = barabasi_albert(80, m=2, rng=rng)
-overlay = ArrayOverlay.from_overlay(
-    small_world_overlay(physical, 20, avg_degree=6, rng=rng)
-)
+overlay = small_world_overlay(physical, 20, avg_degree=6, rng=rng)
 protocol = AceProtocol(overlay, rng=rng)
 protocol.step()
 """

@@ -77,7 +77,10 @@ def physical():
 @pytest.fixture
 def pair(physical):
     """An object overlay and its array conversion (aggressive compaction)."""
-    obj = random_overlay(physical, 36, avg_degree=5, rng=np.random.default_rng(9))
+    obj = object_twin(
+        random_overlay(physical, 36, avg_degree=5, rng=np.random.default_rng(9))
+    )
+    assert type(obj) is Overlay
     arr = ArrayOverlay.from_overlay(obj, compact_threshold=3)
     return obj, arr
 
@@ -88,9 +91,10 @@ class TestConversion:
         assert_equivalent(obj, arr)
 
     def test_from_overlay_carries_known_costs(self, physical):
-        obj = random_overlay(
-            physical, 20, avg_degree=4, rng=np.random.default_rng(3)
+        obj = object_twin(
+            random_overlay(physical, 20, avg_degree=4, rng=np.random.default_rng(3))
         )
+        assert type(obj) is Overlay
         obj.warm_edge_costs()
         arr = ArrayOverlay.from_overlay(obj)
         assert arr.cached_edge_costs == obj.cached_edge_costs == obj.num_edges
