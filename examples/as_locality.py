@@ -18,7 +18,9 @@ import numpy as np
 from repro import AceProtocol
 from repro.experiments.ascii_plot import line_chart, sparkline
 from repro.experiments.reporting import format_table
-from repro.search.flooding import blind_flooding_strategy, propagate
+from repro.metrics.collector import left_fold
+from repro.search.batch import run_queries
+from repro.search.flooding import blind_flooding_strategy
 from repro.search.tree_routing import ace_strategy
 from repro.topology.autonomous_systems import as_traffic_report, transit_stub
 from repro.topology.overlay import small_world_overlay
@@ -37,10 +39,8 @@ def main(peers: int = 120) -> None:
 
     def measure(strategy):
         link = as_traffic_report(labels, overlay)
-        traffic = sum(
-            propagate(overlay, s, strategy, ttl=None).traffic_cost
-            for s in sources
-        ) / len(sources)
+        stats = run_queries(overlay, strategy, [(s, ()) for s in sources], ttl=None)
+        traffic = left_fold(r.traffic_cost for r in stats) / len(sources)
         return link.intra_link_fraction, traffic
 
     intra0, traffic0 = measure(blind_flooding_strategy(overlay))

@@ -20,7 +20,9 @@ import numpy as np
 from repro import AceConfig, AceProtocol, AotoProtocol, LtmProtocol
 from repro.experiments.reporting import format_table
 from repro.experiments.setup import ScenarioConfig, build_scenario
-from repro.search.flooding import blind_flooding_strategy, propagate
+from repro.metrics.collector import left_fold
+from repro.search.batch import run_queries
+from repro.search.flooding import blind_flooding_strategy
 from repro.search.tree_routing import ace_strategy
 
 STEPS = 8
@@ -35,10 +37,8 @@ def main(peers: int = 96) -> None:
     sources = [all_peers[int(i)] for i in rng.integers(0, len(all_peers), 12)]
 
     def measure(overlay, strategy):
-        return sum(
-            propagate(overlay, s, strategy, ttl=None).traffic_cost
-            for s in sources
-        ) / len(sources)
+        stats = run_queries(overlay, strategy, [(s, ()) for s in sources], ttl=None)
+        return left_fold(r.traffic_cost for r in stats) / len(sources)
 
     baseline = measure(scenario.overlay, blind_flooding_strategy(scenario.overlay))
     print(f"Blind-flooding baseline: {baseline:,.0f} cost units per query\n")

@@ -20,9 +20,10 @@ from repro import (
     ace_strategy,
     barabasi_albert,
     blind_flooding_strategy,
-    run_query,
+    run_queries,
     small_world_overlay,
 )
+from repro.metrics.collector import left_fold
 
 
 def main(seed: int = 9) -> None:
@@ -43,15 +44,17 @@ def main(seed: int = 9) -> None:
 
     def measure(strategy, label):
         traffic, responses, scope = 0.0, [], 0
-        for i, src in enumerate(sources):
-            holders = catalog.holders_of(i % catalog.num_objects)
-            result = run_query(overlay, src, strategy, holders, ttl=None)
+        queries = [
+            (src, catalog.holders_of(i % catalog.num_objects))
+            for i, src in enumerate(sources)
+        ]
+        for result in run_queries(overlay, strategy, queries, ttl=None):
             traffic += result.traffic_cost
             scope = result.search_scope
             if result.first_response_time is not None:
                 responses.append(result.first_response_time)
         avg_traffic = traffic / len(sources)
-        avg_response = sum(responses) / len(responses)
+        avg_response = left_fold(responses) / len(responses)
         print(f"   {label}: traffic/query={avg_traffic:,.0f} "
               f"response={avg_response:,.0f} scope={scope}")
         return avg_traffic, avg_response

@@ -22,7 +22,9 @@ import numpy as np
 
 from repro import AceProtocol, barabasi_albert, build_two_tier, two_tier_query
 from repro.experiments.reporting import format_table
-from repro.search.flooding import blind_flooding_strategy, propagate
+from repro.metrics.collector import left_fold
+from repro.search.batch import run_queries
+from repro.search.flooding import blind_flooding_strategy
 from repro.search.tree_routing import ace_strategy
 from repro.topology.overlay import small_world_overlay
 
@@ -37,10 +39,10 @@ def main(peers: int = 160) -> None:
 
     flat = small_world_overlay(physical, peers, avg_degree=8, rng=rng)
     flat_sources = flat.peers()[:10]
-    flat_traffic = sum(
-        propagate(flat, s, blind_flooding_strategy(flat), ttl=None).traffic_cost
-        for s in flat_sources
-    ) / len(flat_sources)
+    flat_stats = run_queries(
+        flat, blind_flooding_strategy(flat), [(s, ()) for s in flat_sources], ttl=None
+    )
+    flat_traffic = left_fold(r.traffic_cost for r in flat_stats) / len(flat_sources)
 
     print("Electing supernodes by capacity (top 25%)...")
     tt = build_two_tier(physical, peers, supernode_fraction=0.25, rng=rng)
@@ -48,7 +50,7 @@ def main(peers: int = 160) -> None:
           f"backbone degree {tt.backbone.average_degree():.2f}")
 
     leaves = sorted(tt.leaf_parent)[:10]
-    super_traffic = sum(
+    super_traffic = left_fold(
         two_tier_query(tt, s, holders=[]).traffic_cost for s in leaves
     ) / len(leaves)
 
@@ -56,7 +58,7 @@ def main(peers: int = 160) -> None:
     protocol = AceProtocol(tt.backbone, rng=rng)
     protocol.run(STEPS)
     strategy = ace_strategy(protocol)
-    ace_traffic = sum(
+    ace_traffic = left_fold(
         two_tier_query(tt, s, holders=[], strategy=strategy).traffic_cost
         for s in leaves
     ) / len(leaves)

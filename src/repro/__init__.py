@@ -25,19 +25,20 @@ Quickstart (the README's)::
     import numpy as np
     from repro import (
         barabasi_albert, small_world_overlay, AceProtocol, AceConfig,
-        blind_flooding_strategy, ace_strategy, propagate,
+        blind_flooding_strategy, ace_strategy, run_queries,
     )
 
     rng = np.random.default_rng(7)
     physical = barabasi_albert(1000, m=2, rng=rng)
     overlay = small_world_overlay(physical, 128, avg_degree=8, rng=rng)
 
-    before = propagate(overlay, 0, blind_flooding_strategy(overlay), ttl=None)
+    query = [(0, ())]                               # (source, holders)
+    (before,) = run_queries(overlay, blind_flooding_strategy(overlay), query, ttl=None)
     protocol = AceProtocol(overlay, AceConfig(depth=1), rng=rng)
     protocol.run(10)
-    after = propagate(overlay, 0, ace_strategy(protocol), ttl=None)
-    assert after.reached == before.reached          # same search scope
-    assert after.traffic_cost < before.traffic_cost  # less traffic
+    (after,) = run_queries(overlay, ace_strategy(protocol), query, ttl=None)
+    assert after.search_scope == before.search_scope  # same search scope
+    assert after.traffic_cost < before.traffic_cost    # less traffic
 
 Everything else is imported from the module that defines it.
 """
@@ -45,7 +46,8 @@ Everything else is imported from the module that defines it.
 from .core.ace import AceConfig, AceProtocol
 from .extensions.aoto import AotoProtocol
 from .extensions.ltm import LtmProtocol
-from .search.flooding import blind_flooding_strategy, propagate, run_query
+from .search.batch import run_queries
+from .search.flooding import blind_flooding_strategy
 from .search.tree_routing import ace_strategy
 from .sim.workload import ObjectCatalog, WorkloadConfig
 from .topology.generators import barabasi_albert
@@ -64,8 +66,7 @@ __all__ = [
     "AceProtocol",
     "AceConfig",
     # search
-    "propagate",
-    "run_query",
+    "run_queries",
     "blind_flooding_strategy",
     "ace_strategy",
     # sim

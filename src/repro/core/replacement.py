@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..metrics.collector import left_fold
 from ..topology.overlay import Overlay
 from .policies import CandidatePolicy
 
@@ -103,12 +104,7 @@ def attempt_replacement(
         pool = charged(overlay, source, target)
         probes = len(pool)
         pool_costs = overlay.costs_from(source, pool)
-        # A left fold, not ``sum()``: from Python 3.12 the builtin sums
-        # floats with compensation, which can move the last bit.
-        pool_sum = 0.0
-        for h in pool:
-            pool_sum += pool_costs[h]
-        probe_cost = ROUND_TRIP_FACTOR * pool_sum
+        probe_cost = ROUND_TRIP_FACTOR * left_fold(pool_costs[h] for h in pool)
 
     # Target-rooted costs are only needed on the keep-both branch; solved
     # lazily (one batched sweep) the first time a candidate reaches it.

@@ -31,7 +31,7 @@ import numpy as np
 from ..core.ace import AceConfig, AceProtocol
 from ..core.batch_ace import churn_refresh
 from ..perf import counters
-from ..metrics.collector import SeriesCollector
+from ..metrics.collector import SeriesCollector, left_fold
 from ..search.batch import run_queries
 from ..search.caching import IndexCacheStore, cached_query
 from ..search.flooding import blind_flooding_strategy
@@ -92,13 +92,13 @@ class DynamicSeries:
     def mean_traffic(self) -> float:
         """Mean of the windowed traffic points."""
         pts = self.traffic_points
-        return sum(pts) / len(pts) if pts else 0.0
+        return left_fold(pts) / len(pts) if pts else 0.0
 
     @property
     def mean_response(self) -> float:
         """Mean of the windowed response-time points."""
         pts = self.response_points
-        return sum(pts) / len(pts) if pts else 0.0
+        return left_fold(pts) / len(pts) if pts else 0.0
 
 
 def _build_churn(
@@ -237,7 +237,8 @@ def run_dynamic_experiment(
             event = workload.next_query(loop.now, online)
             holders = scenario.catalog.holders_of(event.object_id)
             if caches is not None:
-                # stop_at flows stay on the scalar reference engine.
+                # One query on the kernel, the peers that answer from their
+                # caches stopped in a copy of the compiled graph.
                 result = cached_query(
                     overlay, event.source, event.object_id, holders,
                     strategy, caches, ttl=config.ttl,

@@ -33,8 +33,10 @@ from ..extensions.aoto import AotoProtocol
 from ..extensions.gia import GiaAdaptation, assign_capacities
 from ..extensions.hpf import hpf_strategy
 from ..extensions.ltm import LtmProtocol
+from ..metrics.collector import left_fold
+from ..search.batch import propagate_many, run_queries
 from ..search.expanding_ring import expanding_ring_query
-from ..search.flooding import blind_flooding_strategy, propagate, run_query
+from ..search.flooding import blind_flooding_strategy, propagate
 from ..search.random_walk import random_walk_query
 from ..search.tree_routing import ace_strategy
 from ..sim.churn import ChurnConfig
@@ -167,9 +169,8 @@ def _dynamic_arms():
 
 def _traffic(overlay, strategy, sources) -> float:
     """Mean unbounded-TTL traffic of one query from each of *sources*."""
-    return sum(
-        propagate(overlay, s, strategy, ttl=None).traffic_cost for s in sources
-    ) / len(sources)
+    stats = run_queries(overlay, strategy, [(s, ()) for s in sources], ttl=None)
+    return left_fold(r.traffic_cost for r in stats) / len(sources)
 
 
 def _ablation_world():
@@ -185,7 +186,7 @@ def _ablation_world():
 def _steady(points) -> float:
     """Mean of the second half of a windowed series."""
     tail = points[max(1, len(points) // 2):]
-    return sum(tail) / len(tail)
+    return left_fold(tail) / len(tail)
 
 
 # -- Tables 1-2, Section 4.1 and Figures 7-8 ----------------------------------
@@ -425,8 +426,9 @@ def _as_locality() -> Values:
     def snapshot(strategy):
         traffic = 0.0
         inter_frac = 0.0
-        for s in sources:
-            prop = propagate(overlay, s, strategy, ttl=None)
+        batch = propagate_many(overlay, sources, strategy, ttl=None)
+        for i in range(len(sources)):
+            prop = batch.result(i)
             traffic += prop.traffic_cost
             inter_frac += as_traffic_report(labels, overlay, prop).inter_traffic_fraction
         return (as_traffic_report(labels, overlay).intra_link_fraction,
@@ -460,15 +462,16 @@ def _measure_schemes(overlay, catalog, base_strategy, n_queries=12) -> Dict[str,
         source = peers[int(si)]
         obj = catalog.sample_object(rng)
         holders = catalog.holders_of(obj)
-        out["flooding"] += run_query(
-            overlay, source, base_strategy, holders, ttl=None
-        ).traffic_cost
+        (flood,) = run_queries(overlay, base_strategy, [(source, holders)], ttl=None)
+        out["flooding"] += flood.traffic_cost
         out["random walk"] += random_walk_query(
             overlay, source, holders, rng, walkers=4, max_hops=48
         ).traffic_cost
         out["expanding ring"] += expanding_ring_query(
             overlay, source, base_strategy, holders
         ).traffic_cost
+        # HPF draws each relay's subset as it settles: no graph to compile,
+        # so its column runs on the heap engine.
         hpf = hpf_strategy(overlay, np.random.default_rng(1000 + i), fraction=0.5)
         out["hpf"] += propagate(overlay, source, hpf, ttl=None).traffic_cost
     return {k: v / n_queries for k, v in out.items()}
@@ -507,13 +510,13 @@ def _supernode_tier() -> Values:
     tt = build_two_tier(scenario.physical, scenario.config.peers, supernode_fraction=0.25,
                         rng=np.random.default_rng(17))
     leaves = sorted(tt.leaf_parent)[:n_queries]
-    super_traffic = sum(
+    super_traffic = left_fold(
         two_tier_query(tt, s, holders=[]).traffic_cost for s in leaves
     ) / n_queries
     protocol = AceProtocol(tt.backbone, rng=np.random.default_rng(18))
     protocol.run(6)
     strategy = ace_strategy(protocol)
-    ace_traffic = sum(
+    ace_traffic = left_fold(
         two_tier_query(tt, s, holders=[], strategy=strategy).traffic_cost for s in leaves
     ) / n_queries
     return dict(flat=flat_traffic, supernode=super_traffic, ace=ace_traffic,
@@ -611,7 +614,7 @@ def _policies() -> Values:
         reports = protocol.run(8)
         results[policy] = (
             _traffic(ov, ace_strategy(protocol), sources),
-            sum(r.replacement_probe_overhead for r in reports),
+            left_fold(r.replacement_probe_overhead for r in reports),
             sum(r.probes for r in reports),
         )
     return dict(baseline=baseline, results=results)
@@ -683,7 +686,8 @@ def _churn() -> Values:
         }
         g = arms["gnutella"].traffic_points[2:]
         a = arms["ace"].traffic_points[2:]
-        results[lifetime] = (100.0 * (sum(g) - sum(a)) / sum(g), arms["ace"].departures)
+        g_sum, a_sum = left_fold(g), left_fold(a)
+        results[lifetime] = (100.0 * (g_sum - a_sum) / g_sum, arms["ace"].departures)
     return dict(results=results, reductions={lt: r for lt, (r, _d) in results.items()})
 
 

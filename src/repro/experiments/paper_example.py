@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..core.ace import AceConfig, AceProtocol
-from ..search.batch import propagate_single
+from ..search.batch import propagate_many
 from ..search.flooding import blind_flooding_strategy
 from ..search.tree_routing import ace_strategy
 from ..topology.physical import PhysicalTopology
@@ -131,7 +131,7 @@ def run_walkthrough(
             flooding = protocol.flooding_neighbors(_name_to_id(name))
             trees[name] = tuple(sorted(PEER_NAMES[n] for n in flooding))
 
-    prop = propagate_single(overlay, src, strategy, ttl=None)
+    prop = propagate_many(overlay, [src], strategy, ttl=None).result(0)
     paths = []
     for peer, parent in sorted(prop.parent.items()):
         paths.append((PEER_NAMES[parent], PEER_NAMES[peer]))

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.ace import AceConfig, AceProtocol
+from ..metrics.collector import left_fold
 from ..search.batch import run_queries
 from ..search.flooding import blind_flooding_strategy
 from ..search.tree_routing import ace_strategy
@@ -89,9 +90,7 @@ def measure_queries(
 
     Object sampling stays sequential per present source (the draw order is
     part of the seeded contract); the propagations themselves run through
-    the batched kernel in one shot (:func:`repro.search.batch.run_queries`),
-    which falls back to the scalar engine per query when the strategy does
-    not compile.
+    the batched kernel in one shot (:func:`repro.search.batch.run_queries`).
     """
     queries: List[Tuple[int, Tuple[int, ...]]] = []
     for src in sources:
@@ -108,7 +107,7 @@ def measure_queries(
         if result.first_response_time is not None:
             responses.append(result.first_response_time)
     n = max(1, len(sources))
-    avg_response = sum(responses) / len(responses) if responses else 0.0
+    avg_response = left_fold(responses) / len(responses) if responses else 0.0
     return traffic / n, avg_response, scope / n
 
 

@@ -10,9 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["Summary", "summarize", "SeriesCollector"]
+__all__ = ["Summary", "left_fold", "summarize", "SeriesCollector"]
+
+
+def left_fold(values: Iterable[float]) -> float:
+    """``values`` added left to right, one rounding per term.
+
+    Not ``sum()``: from Python 3.12 the builtin sums floats with
+    compensation, which can move the last bit of a printed figure.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -37,8 +49,8 @@ def summarize(values: Sequence[float]) -> Summary:
     n = len(values)
     if n == 0:
         return Summary.empty()
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+    mean = left_fold(values) / n
+    var = left_fold((v - mean) ** 2 for v in values) / n
     ordered = sorted(values)
     mid = n // 2
     median = ordered[mid] if n % 2 == 1 else 0.5 * (ordered[mid - 1] + ordered[mid])
@@ -86,7 +98,7 @@ class SeriesCollector:
         """Record an observation; returns the window mean if one completed."""
         self._current.append(value)
         if len(self._current) >= self._window:
-            mean = sum(self._current) / len(self._current)
+            mean = left_fold(self._current) / len(self._current)
             self._points.append(mean)
             self._current = []
             return mean
@@ -96,7 +108,7 @@ class SeriesCollector:
         """Close a partial window (if any) and return its mean."""
         if not self._current:
             return None
-        mean = sum(self._current) / len(self._current)
+        mean = left_fold(self._current) / len(self._current)
         self._points.append(mean)
         self._current = []
         return mean

@@ -10,11 +10,13 @@ counters that the engine layers increment as they work:
   those invocations performed in total (``dijkstra_sources``, > runs when the
   batched path is used), and hits/misses of the per-source distance LRU.
 * :class:`Overlay <repro.topology.overlay.Overlay>` counts hits/misses of the
-  persistent logical edge-cost cache that ``propagate()`` reads in its inner
-  loop.
-* :func:`propagate <repro.search.flooding.propagate>` counts queries and
-  accumulates wall-clock time, so ``queries_per_second`` reports end-to-end
-  simulation throughput.
+  persistent logical edge-cost cache that strategy compilation and the heap
+  ``propagate()`` read.
+* Both query engines — the compiled kernel
+  (:func:`~repro.search.batch.propagate_many`, which every driver query
+  goes through) and the heap :func:`~repro.search.flooding.propagate` —
+  count queries and accumulate wall-clock time, so ``queries_per_second``
+  reports end-to-end simulation throughput.
 
 Counters are plain module-global state: increments are cheap and each
 process owns its own bag.  Use :func:`reset_counters` (or
@@ -59,9 +61,9 @@ class PerfCounters:
     edge_cost_hits: int = 0
     #: Logical edge costs that had to be computed (then memoized).
     edge_cost_misses: int = 0
-    #: Completed :func:`~repro.search.flooding.propagate` simulations.
+    #: Completed queries, kernel (``propagate_many``) and heap (``propagate``).
     queries: int = 0
-    #: Wall-clock seconds spent inside ``propagate``.
+    #: Wall-clock seconds spent inside ``propagate_many`` and ``propagate``.
     query_seconds: float = 0.0
     #: Underlay graphs built by running a generator from the seeded config.
     underlay_builds: int = 0

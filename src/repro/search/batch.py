@@ -1,9 +1,9 @@
 """Compiled forwarding graphs + vectorized multi-source query propagation.
 
-The scalar engine (:func:`repro.search.flooding.propagate`) simulates one
-query at a time with a Python heap — exact, general, and the dominant cost of
-every evaluation arm once the delay hot path is warm.  This module removes
-that last scalar loop for the two strategies the figures actually measure:
+This module is the query engine: every query the experiments, the figures
+and the examples issue is answered here.  The heap engine
+(:func:`repro.search.flooding.propagate`) is the reference it is tested
+against, and the engine of the one strategy that cannot compile (HPF).
 
 1. A **strategy compiler** (:func:`compile_strategy`) lowers a
    :data:`~repro.search.flooding.ForwardingStrategy` into a
@@ -12,20 +12,18 @@ that last scalar loop for the two strategies the figures actually measure:
    overlay edge set once per :attr:`Overlay.epoch
    <repro.topology.overlay.Overlay.epoch>`; ACE tree routing compiles the
    edges every relay forwards on into a *directed* CSR keyed by
-   ``(overlay.epoch, protocol.state_version)``.  Which lowering runs
-   follows the overlay handed in.  On an
+   ``(overlay.epoch, protocol.state_version)``.  Both kinds lower an
    :class:`~repro.topology.soa.ArrayOverlay` — what every scenario builds —
-   both kinds go through :func:`_lower_arrays`: the overlay's compacted CSR
-   is the flooding graph, and the ACE graph is that CSR with the routing
-   rule (:func:`repro.core.turn.forwarding_set`) applied to all peers at
-   once against one bulk read of the flat state store.  On the reference
-   :class:`~repro.topology.overlay.Overlay`, which tests build by hand,
-   :func:`_build_graph` walks the peers row by row — the neighbor sets for
-   flooding, ``protocol.flooding_neighbors(p)`` for ACE — and is what
-   the array lowering is tested (and, under ``REPRO_SANITIZE=1``,
-   rechecked at run time) against.  Compilation is memoized in per-owner
-   weak caches, so churn/ACE mutations invalidate for free and a static
-   overlay compiles exactly once.
+   through :func:`_lower_arrays`: the overlay's compacted CSR is the
+   flooding graph, and the ACE graph is that CSR with the routing rule
+   (:func:`repro.core.turn.forwarding_set`) applied to all peers at once
+   against one bulk read of the flat state store.  Any other overlay raises
+   ``TypeError``.  :func:`ace_graph_by_rows` walks the peers row by row,
+   ``protocol.flooding_neighbors(p)`` each, and is what the array lowering
+   is tested (and, under ``REPRO_SANITIZE=1``, rechecked at run time)
+   against.  Compilation is memoized in per-owner weak caches, so
+   churn/ACE mutations invalidate for free and a static overlay compiles
+   exactly once.
 
 2. A **vectorized multi-source kernel** (:func:`propagate_many`) solves the
    source batch a block of rows at a time, the block sized so that one
@@ -34,30 +32,30 @@ that last scalar loop for the two strategies the figures actually measure:
    unbounded; a TTL then re-settles, row by row, only the peers whose
    winning path is longer than it allows (:func:`_gate_row`).  Parents,
    hop counts, traffic cost and message/duplicate counts are reconstructed
-   vectorially — **bit-identical** to the scalar engine (same floats, same
+   vectorially — **bit-identical** to the heap engine (same floats, same
    counts), which the equivalence suite pins.  :func:`run_queries` keeps
    only the per-query stats of each block, so the figure path never holds
-   a ``(queries, peers)`` array.
+   a ``(queries, peers)`` array.  A peer that answers from its index cache
+   and forwards nobody (:func:`repro.search.caching.cached_query`) is a
+   graph with that peer's row emptied (:meth:`CompiledGraph.stopped_at`),
+   not a kernel parameter.
 
 Exactness contract: identical results require strictly positive edge costs
-(true for every generated overlay — peers are placed on distinct hosts).  A
-graph containing a zero-cost edge, a non-compilable strategy, or a
-``stop_at`` predicate (index caching) falls back to the scalar engine, which
-remains the reference implementation.  That fallback is the only way the
-high-level helpers reach the scalar engine: there is no switch, and a test
-that wants the reference calls :func:`~repro.search.flooding.propagate` /
-:func:`~repro.search.flooding.run_query` directly.
+(true for every generated overlay — peers are placed on distinct hosts).
+:func:`propagate_many` and :func:`run_queries` raise ``ValueError`` for a
+graph containing a zero-cost edge and for a strategy that does not compile;
+there is no fallback, so every call here is answered by the kernel.
 
 How equivalence is preserved, briefly:
 
-* *Arrival times* — with positive costs, the scalar engine's never-forward-
+* *Arrival times* — with positive costs, the heap engine's never-forward-
   back rule cannot affect first arrivals, so they equal single-source
   Dijkstra distances over the compiled graph; both engines sum the winning
   path left-to-right in IEEE doubles.
-* *Parents* — the scalar winner among equal-time arrivals is the minimum
+* *Parents* — the heap's winner among equal-time arrivals is the minimum
   sender id (heap entries tie-break on ``(time, target, sender)``); the
   kernel reproduces it as the min sender over tight edges.
-* *Traffic* — the scalar engine accumulates edge costs in settle order
+* *Traffic* — the heap engine accumulates edge costs in settle order
   (source first, then reached peers by ``(arrival, peer id)``), iterating
   each peer's strategy set in Python iteration order with the parent edge
   skipped in place.  The kernel gathers CSR cost slices in exactly that
@@ -91,23 +89,15 @@ from ..core.flat_state import FlatAceStore
 from ..perf import counters
 from ..topology.overlay import Overlay
 from ..topology.soa import ArrayOverlay
-from .flooding import (
-    GNUTELLA_TTL,
-    ForwardingStrategy,
-    QueryPropagation,
-    propagate,
-    run_query,
-)
+from .flooding import GNUTELLA_TTL, ForwardingStrategy, QueryPropagation
 
 __all__ = [
     "CompiledGraph",
     "BatchPropagation",
     "QueryStats",
-    "RingPropagator",
     "compile_strategy",
     "ace_graph_by_rows",
     "propagate_many",
-    "propagate_single",
     "run_queries",
 ]
 
@@ -123,7 +113,7 @@ class CompiledGraph:
     ``targets[indptr[i]:indptr[i+1]]`` lists the forwarding targets of peer
     ``peer_ids[i]`` *in the strategy's own iteration order* (that order is
     load-bearing: traffic accounting must add edge costs exactly as the
-    scalar engine does).  ``costs`` are the matching logical-link costs.
+    heap engine does).  ``costs`` are the matching logical-link costs.
     """
 
     kind: str
@@ -152,16 +142,6 @@ class CompiledGraph:
         return int(self.peer_ids.size)
 
     @property
-    def supports_exact(self) -> bool:
-        """Whether the kernels guarantee bit-identity with the scalar engine.
-
-        Requires strictly positive edge costs; a zero-cost edge (two peers
-        on one physical host — never produced by the generators) makes the
-        scalar heap's pop order unrecoverable, so exact callers fall back.
-        """
-        return not self.has_zero_cost
-
-    @property
     def matrix(self) -> csr_matrix:
         """The scipy CSR matrix view (built lazily, shared across queries)."""
         if self._matrix is None:
@@ -186,45 +166,38 @@ class CompiledGraph:
         """Map peer ids to row indices (raises ``KeyError`` on unknowns)."""
         return np.array([self.index[p] for p in peers], dtype=np.int64)
 
+    def stopped_at(self, peers: Iterable[int]) -> "CompiledGraph":
+        """This graph with the rows of *peers* emptied: they forward to nobody.
+
+        A stopped peer still receives, so its in-edges stay.  Returns
+        ``self`` when no row changes; otherwise a directed copy, uncached.
+        """
+        stop = np.zeros(self.num_peers, dtype=bool)
+        stop[self.index_of(peers)] = True
+        if not self.degrees[stop].any():
+            return self
+        keep = ~stop[self.edge_src]
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(np.where(stop, 0, self.degrees), out=indptr[1:])
+        return CompiledGraph(
+            kind=self.kind,
+            peer_ids=self.peer_ids,
+            indptr=indptr,
+            targets=self.targets[keep],
+            costs=self.costs[keep],
+            index=self.index,
+            directed=True,
+        )
+
 
 # Weak per-owner memo caches: a compiled graph lives exactly as long as the
 # overlay/protocol it describes, and is invalidated by version-key mismatch.
-_FLOODING_CACHE: "WeakKeyDictionary[Overlay, Tuple[int, CompiledGraph]]" = (
+_FLOODING_CACHE: "WeakKeyDictionary[ArrayOverlay, Tuple[int, CompiledGraph]]" = (
     WeakKeyDictionary()
 )
 _ACE_CACHE: "WeakKeyDictionary[object, Tuple[Tuple[int, int], CompiledGraph]]" = (
     WeakKeyDictionary()
 )
-
-
-def _build_graph(
-    overlay: Overlay,
-    forward_sets: Iterable[Tuple[int, Iterable[int]]],
-    kind: str,
-    directed: bool,
-) -> CompiledGraph:
-    peers = overlay.peers()
-    index = {p: i for i, p in enumerate(peers)}
-    indptr = np.zeros(len(peers) + 1, dtype=np.int64)
-    targets: List[int] = []
-    costs: List[float] = []
-    for i, (peer, fwd) in enumerate(forward_sets):
-        fwd_list = list(fwd)
-        # One batched cost lookup per row (dict hits on a warmed overlay).
-        cost_map = overlay.costs_from(peer, fwd_list)
-        targets.extend(index[t] for t in fwd_list)
-        costs.extend(cost_map[t] for t in fwd_list)
-        indptr[i + 1] = indptr[i] + len(fwd_list)
-    counters.compiled_strategies += 1
-    return CompiledGraph(
-        kind=kind,
-        peer_ids=np.array(peers, dtype=np.int64),
-        indptr=indptr,
-        targets=np.array(targets, dtype=np.int64),
-        costs=np.array(costs, dtype=np.float64),
-        index=index,
-        directed=directed,
-    )
 
 
 def _lower_arrays(
@@ -237,8 +210,8 @@ def _lower_arrays(
     which already *is* the flooding graph; the ACE graph is the same rows
     with the edges the routing rule drops masked out (:func:`_ace_keep`).
     The views alias the overlay's storage, so whatever the mask does not
-    rebuild is copied, once.  The result equals :func:`_build_graph` over
-    the same rows field for field.
+    rebuild is copied, once.  The ACE result equals
+    :func:`ace_graph_by_rows` field for field.
     """
     peers, indptr, targets, costs = overlay.flooding_csr()
     peer_ids = np.array(peers, dtype=np.int64)
@@ -317,23 +290,12 @@ def _find_sorted(
     return pos, haystack[pos] == keys
 
 
-def _flooding_graph(overlay: Overlay) -> CompiledGraph:
+def _flooding_graph(overlay: ArrayOverlay) -> CompiledGraph:
     cached = _FLOODING_CACHE.get(overlay)
     if cached is not None and cached[0] == overlay.epoch:
         return cached[1]
     epoch = overlay.epoch
-    if isinstance(overlay, ArrayOverlay):
-        graph = _lower_arrays(overlay, "flooding")
-    else:
-        # CSR row order must equal the (sorted) order the scalar engine's
-        # strategy yields at forward time — blind_flooding_strategy sorts,
-        # so the compiled rows sort too.
-        graph = _build_graph(
-            overlay,
-            ((p, sorted(overlay.neighbors(p))) for p in overlay.peers()),
-            kind="flooding",
-            directed=False,
-        )
+    graph = _lower_arrays(overlay, "flooding")
     _FLOODING_CACHE[overlay] = (epoch, graph)
     return graph
 
@@ -341,59 +303,72 @@ def _flooding_graph(overlay: Overlay) -> CompiledGraph:
 def ace_graph_by_rows(overlay: Overlay, protocol: object) -> CompiledGraph:
     """Compile *protocol*'s ACE forwarding graph row by row, uncached.
 
-    The lowering a reference ``Overlay`` gets, and the reference for the
-    array lowering: each live peer's row is
-    ``sorted(protocol.flooding_neighbors(peer))``.  Works on either overlay
-    class; counts one compile and probes the cost cache once per edge.
+    The reference for the array lowering: each live peer's row is
+    ``sorted(protocol.flooding_neighbors(peer))`` — ``ace_strategy`` sorts
+    at forward time, so the rows sort the same way.  Works on either
+    overlay class; counts one compile and probes the cost cache once per
+    edge.
     """
-    # Sorted rows: ace_strategy sorts flooding_neighbors() at forward time,
-    # so the compiled CSR rows must sort the same way.
-    flooding_neighbors = protocol.flooding_neighbors  # type: ignore[attr-defined]
-    return _build_graph(
-        overlay,
-        ((p, sorted(flooding_neighbors(p))) for p in overlay.peers()),
+    peers = overlay.peers()
+    index = {p: i for i, p in enumerate(peers)}
+    indptr = np.zeros(len(peers) + 1, dtype=np.int64)
+    targets: List[int] = []
+    costs: List[float] = []
+    for i, peer in enumerate(peers):
+        row = sorted(protocol.flooding_neighbors(peer))  # type: ignore[attr-defined]
+        cost_map = overlay.costs_from(peer, row)
+        targets.extend(index[t] for t in row)
+        costs.extend(cost_map[t] for t in row)
+        indptr[i + 1] = indptr[i] + len(row)
+    counters.compiled_strategies += 1
+    return CompiledGraph(
         kind="ace",
+        peer_ids=np.array(peers, dtype=np.int64),
+        indptr=indptr,
+        targets=np.array(targets, dtype=np.int64),
+        costs=np.array(costs, dtype=np.float64),
+        index=index,
         directed=True,
     )
 
 
-def _ace_graph(overlay: Overlay, protocol: object) -> CompiledGraph:
+def _ace_graph(overlay: ArrayOverlay, protocol: object) -> CompiledGraph:
     key = (overlay.epoch, protocol.state_version)  # type: ignore[attr-defined]
     cached = _ACE_CACHE.get(protocol)
     if cached is not None and cached[0] == key:
         return cached[1]
-    if isinstance(overlay, ArrayOverlay):
-        graph = _lower_arrays(overlay, "ace", protocol)
-    else:
-        graph = ace_graph_by_rows(overlay, protocol)
+    graph = _lower_arrays(overlay, "ace", protocol)
     _ACE_CACHE[protocol] = (key, graph)
     return graph
 
 
 def compile_strategy(
-    overlay: Overlay, strategy: ForwardingStrategy
-) -> Optional[CompiledGraph]:
-    """Lower *strategy* to a :class:`CompiledGraph`, or ``None``.
+    overlay: ArrayOverlay, strategy: ForwardingStrategy
+) -> CompiledGraph:
+    """Lower *strategy* over *overlay* to a :class:`CompiledGraph`.
 
     Only strategies that declare a ``compiled_spec`` attribute — the
     closures returned by :func:`~repro.search.flooding.blind_flooding_strategy`
-    and :func:`~repro.search.tree_routing.ace_strategy` — are compilable,
-    and only against the overlay they were built for.  Results are memoized
-    per owner and invalidated by epoch/state-version mismatch.
+    and :func:`~repro.search.tree_routing.ace_strategy` — compile, and only
+    against the overlay they were built for; any other raises
+    ``ValueError``.  An overlay that is not an
+    :class:`~repro.topology.soa.ArrayOverlay` raises ``TypeError``.
+    Results are memoized per owner and invalidated by epoch/state-version
+    mismatch.
     """
-    spec = getattr(strategy, "compiled_spec", None)
-    if spec is None:
-        return None
-    kind, owner = spec
-    if kind == "flooding":
-        if owner is not overlay:
-            return None
+    if not isinstance(overlay, ArrayOverlay):
+        raise TypeError(
+            f"queries compile on an ArrayOverlay, not {type(overlay).__name__}"
+        )
+    kind, owner = getattr(strategy, "compiled_spec", (None, None))
+    if kind == "flooding" and owner is overlay:
         return _flooding_graph(overlay)
-    if kind == "ace":
-        if getattr(owner, "overlay", None) is not overlay:
-            return None
+    if kind == "ace" and getattr(owner, "overlay", None) is overlay:
         return _ace_graph(overlay, owner)
-    return None
+    raise ValueError(
+        "strategy does not compile over this overlay; only the heap "
+        "propagate() answers it"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +402,7 @@ def _labels(
     reached = np.isfinite(dist)
 
     # Parent = minimum sender over tight in-edges (dist[u] + c == dist[v]),
-    # matching the scalar heap's (time, target, sender) pop order.  The
+    # matching the heap engine's (time, target, sender) pop order.  The
     # in-edge list is ordered by (receiver, sender), so in the flattened
     # block the first tight edge of each (row, receiver) slot is the one.
     # Unreached peers look tight (inf + c == inf) and are masked after.
@@ -477,7 +452,7 @@ def _gate_row(
     the frozen interior forwards across the boundary, forwarding onward
     among fringe peers only.  The fringe is empty for well-connected
     overlays at Gnutella TTLs, and the simulation visits only delivered
-    messages, so this costs far less than a full scalar propagate.
+    messages, so this costs far less than a full heap propagate.
     """
     finite = np.isfinite(dist_row)
     fringe = finite & (hops_row > ttl)
@@ -566,13 +541,13 @@ def _account(
     hops: np.ndarray,
     ttl: Optional[int],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(messages, traffic, duplicates) per row of a block, in scalar float order.
+    """(messages, traffic, duplicates) per row of a block, in heap float order.
 
     Forwarders are visited in settle order — the source first (arrival 0 is
     the unique minimum), then by ``(arrival, peer id)`` — each contributing
     its CSR cost slice.  The edge back to a forwarder's parent is not sent
     on; its cost is multiplied by zero in place, and since ``x + 0.0 == x``
-    the sequential ``cumsum`` reproduces the scalar engine's left-to-right
+    the sequential ``cumsum`` reproduces the heap engine's left-to-right
     float accumulation exactly.  Costs are positive, so the nonzero terms
     count the messages.
     """
@@ -626,7 +601,14 @@ def _solve_block(
 
 @dataclass(frozen=True)
 class QueryStats:
-    """Search-quality summary of one batched query (cf. ``QueryResult``)."""
+    """Search-quality summary of one query: the metrics of Section 4.2.
+
+    Response time follows the paper's definition: "the time period from
+    when the query is issued until when the source peer received a response
+    result from the first responder" — the response travels back along the
+    inverse of the query path, so a responder reached at time *t* answers
+    at ``2 t``.
+    """
 
     source: int
     traffic_cost: float
@@ -644,8 +626,9 @@ class BatchPropagation:
     """Column-oriented record of a whole batch of query propagations.
 
     Per-query views are materialized lazily: :meth:`stats` answers the
-    experiment metrics straight from the arrays, :meth:`result` rebuilds a
-    full scalar-compatible :class:`~repro.search.flooding.QueryPropagation`.
+    experiment metrics straight from the arrays, :meth:`result` rebuilds the
+    full :class:`~repro.search.flooding.QueryPropagation` the heap engine
+    would have produced.
     """
 
     def __init__(
@@ -706,7 +689,7 @@ class BatchPropagation:
         )
 
     def result(self, i: int) -> QueryPropagation:
-        """Materialize query *i* as a scalar-identical ``QueryPropagation``."""
+        """Materialize query *i* as a heap-identical ``QueryPropagation``."""
         prop = QueryPropagation(source=self.sources[i])
         ids = self.graph.peer_ids
         dist_row, parent_row, hops_row = (
@@ -726,8 +709,23 @@ class BatchPropagation:
         return prop
 
 
+def _kernel_graph(
+    overlay: ArrayOverlay,
+    strategy: ForwardingStrategy,
+    graph: Optional[CompiledGraph] = None,
+) -> CompiledGraph:
+    """*graph*, or the compiled *strategy*; a zero-cost edge raises."""
+    if graph is None:
+        graph = compile_strategy(overlay, strategy)
+    if graph.has_zero_cost:
+        # Two peers on one host (never generated): the heap's pop order among
+        # zero-delay arrivals is not recoverable from the labels.
+        raise ValueError("graph has a zero-cost edge; the kernel is not exact")
+    return graph
+
+
 def propagate_many(
-    overlay: Overlay,
+    overlay: ArrayOverlay,
     sources: Sequence[int],
     strategy: ForwardingStrategy,
     ttl: Optional[int] = GNUTELLA_TTL,
@@ -735,7 +733,8 @@ def propagate_many(
 ) -> BatchPropagation:
     """Propagate one query per source through the compiled strategy graph.
 
-    The batch shares one compiled CSR graph and is solved
+    The batch shares one compiled CSR graph — *graph* if given, e.g. a
+    :meth:`CompiledGraph.stopped_at` copy — and is solved
     :func:`_block_rows` source rows at a time, which keeps every ``(rows,
     edges)`` temporary of the kernels at a few megabytes whatever the batch
     size.  Rows are solved independently, so the labels do not depend on
@@ -743,21 +742,12 @@ def propagate_many(
     Dijkstra; an integer TTL then repairs them row by row
     (:func:`_gate_row`).  Raises ``ValueError`` for strategies
     :func:`compile_strategy` cannot lower and for graphs with a zero-cost
-    edge (use the scalar engine for those, as :func:`run_queries` and
-    :func:`propagate_single` do) and ``KeyError`` for unknown sources.
+    edge, ``TypeError`` for an overlay that is not an ``ArrayOverlay`` and
+    ``KeyError`` for unknown sources.
 
-    Results are bit-identical to the scalar engine.
+    Results are bit-identical to the heap engine.
     """
-    if graph is None:
-        graph = compile_strategy(overlay, strategy)
-        if graph is None:
-            raise ValueError(
-                "strategy is not compilable; use the scalar propagate()"
-            )
-    if graph.has_zero_cost:
-        raise ValueError(
-            "graph has a zero-cost edge; use the scalar propagate()"
-        )
+    graph = _kernel_graph(overlay, strategy, graph)
     for s in sources:
         if not overlay.has_peer(s):
             raise KeyError(f"peer {s} not in overlay")
@@ -801,81 +791,8 @@ def propagate_many(
     )
 
 
-# ---------------------------------------------------------------------------
-# High-level helpers (scalar fallback built in)
-# ---------------------------------------------------------------------------
-
-
-def _exact_graph(
-    overlay: Overlay, strategy: ForwardingStrategy
-) -> Optional[CompiledGraph]:
-    """The compiled graph when batching may replace the scalar engine."""
-    graph = compile_strategy(overlay, strategy)
-    if graph is None or not graph.supports_exact:
-        return None
-    return graph
-
-
-def propagate_single(
-    overlay: Overlay,
-    source: int,
-    strategy: ForwardingStrategy,
-    ttl: Optional[int] = GNUTELLA_TTL,
-    graph: Optional[CompiledGraph] = None,
-) -> QueryPropagation:
-    """Drop-in :func:`~repro.search.flooding.propagate` on the fast path.
-
-    Uses the batched kernel (sharing the epoch-memoized compiled graph)
-    when the strategy compiles and exactness holds; falls back to the
-    scalar engine otherwise.  Always returns a full ``QueryPropagation``.
-    """
-    if graph is None:
-        graph = _exact_graph(overlay, strategy)
-    if graph is None:
-        return propagate(overlay, source, strategy, ttl=ttl)
-    return propagate_many(
-        overlay, [source], strategy, ttl=ttl, graph=graph
-    ).result(0)
-
-
-class RingPropagator:
-    """Shared propagation state for expanding-ring (iterative deepening).
-
-    The rings of one expanding-ring search differ only in TTL, so the
-    compiled graph *and* the batched unbounded-label solve are computed once
-    and each ring merely re-runs the cheap fringe repair
-    (:func:`_gate_row`) plus accounting against its own TTL.  Falls back to
-    the scalar engine per ring when the strategy does not compile exactly.
-    """
-
-    def __init__(
-        self, overlay: Overlay, source: int, strategy: ForwardingStrategy
-    ) -> None:
-        self._overlay = overlay
-        self._source = source
-        self._strategy = strategy
-        self._graph = _exact_graph(overlay, strategy)
-        self._base: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-    def propagate(self, ttl: Optional[int]) -> QueryPropagation:
-        """One ring's full propagation record at the given TTL."""
-        graph = self._graph
-        if graph is None:
-            return propagate(self._overlay, self._source, self._strategy, ttl=ttl)
-        if not self._overlay.has_peer(self._source):
-            raise KeyError(f"peer {self._source} not in overlay")
-        started = perf_counter()
-        if self._base is None:
-            self._base = _labels(graph, graph.index_of([self._source]))
-        solved = _solve_block(graph, tuple(a.copy() for a in self._base), ttl)
-        counters.batched_queries += 1
-        counters.queries += 1
-        counters.query_seconds += perf_counter() - started
-        return BatchPropagation(graph, [self._source], ttl, *solved).result(0)
-
-
 def run_queries(
-    overlay: Overlay,
+    overlay: ArrayOverlay,
     strategy: ForwardingStrategy,
     queries: Sequence[Tuple[int, Iterable[int]]],
     ttl: Optional[int] = GNUTELLA_TTL,
@@ -884,26 +801,11 @@ def run_queries(
 
     The experiment drivers' entry point: one compiled graph, the vectorized
     kernel a block of sources at a time, light per-query stats (no per-peer
-    dicts, no ``(queries, peers)`` labels).  Strategies the compiler cannot
-    lower — custom closures, ``stop_at`` flows — are answered by looping the
-    scalar :func:`~repro.search.flooding.run_query`, with identical numbers.
+    dicts, no ``(queries, peers)`` labels).  Raises as
+    :func:`propagate_many` does.
     """
     query_list = list(queries)
-    graph = _exact_graph(overlay, strategy)
-    if graph is None:
-        out: List[QueryStats] = []
-        for source, holders in query_list:
-            result = run_query(overlay, source, strategy, holders, ttl=ttl)
-            out.append(
-                QueryStats(
-                    source=source,
-                    traffic_cost=result.traffic_cost,
-                    search_scope=result.search_scope,
-                    holders_reached=result.holders_reached,
-                    first_response_time=result.first_response_time,
-                )
-            )
-        return out
+    graph = _kernel_graph(overlay, strategy)
     # A block at a time, keeping only the stats: no (queries, peers) array.
     rows = _block_rows(graph)
     stats: List[QueryStats] = []

@@ -10,6 +10,11 @@ The scheme is the transparent query/index caching of the related work
 inverse query path, every relay caches the (object -> holder) index; a later
 query arriving at a peer with a cache hit is answered from the cache and not
 forwarded further, cutting both traffic and response time.
+
+The query itself runs on the compiled kernel: the peers that will answer
+from their caches are known before it starts, so they are the compiled
+graph with their rows emptied (:meth:`CompiledGraph.stopped_at
+<repro.search.batch.CompiledGraph.stopped_at>`).
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterable, Optional
 
-from ..topology.overlay import Overlay
-from .flooding import ForwardingStrategy, QueryResult, propagate
+from ..topology.soa import ArrayOverlay
+from .batch import QueryStats, compile_strategy, propagate_many
+from .flooding import ForwardingStrategy
 
 __all__ = ["IndexCache", "IndexCacheStore", "cached_query"]
 
@@ -42,6 +48,10 @@ class IndexCache:
 
     def __contains__(self, obj: object) -> bool:
         return obj in self._entries
+
+    def peek(self, obj: object) -> Optional[int]:
+        """Return the cached holder for *obj*, leaving recency untouched."""
+        return self._entries.get(obj)
 
     def lookup(self, obj: object) -> Optional[int]:
         """Return the cached holder for *obj* (refreshing recency)."""
@@ -81,6 +91,11 @@ class IndexCacheStore:
             self._caches[peer] = cache
         return cache
 
+    def cached_holders(self, obj: object) -> Dict[int, int]:
+        """Peer -> cached holder of *obj*, over every cache; recency untouched."""
+        peeked = ((peer, cache.peek(obj)) for peer, cache in self._caches.items())
+        return {peer: holder for peer, holder in peeked if holder is not None}
+
     def drop_peer(self, peer: int) -> None:
         """Forget a departed peer's cache."""
         self._caches.pop(peer, None)
@@ -92,52 +107,63 @@ class IndexCacheStore:
 
 
 def cached_query(
-    overlay: Overlay,
+    overlay: ArrayOverlay,
     source: int,
     obj: object,
     holders: Iterable[int],
     strategy: ForwardingStrategy,
     caches: IndexCacheStore,
     ttl: Optional[int] = None,
-) -> QueryResult:
+) -> QueryStats:
     """Run one query with transparent index caching.
 
-    A peer whose cache holds a *live* index for *obj* answers the query and
-    stops forwarding it.  After the query, every relay on the first
-    responder's reverse path learns the index.
+    A peer other than the source whose cache holds a *live* index for *obj*
+    answers the query and stops forwarding it.  After the query, every
+    relay on the first responder's reverse path learns the index.  Raises
+    as :func:`~repro.search.batch.propagate_many` does.
     """
     holder_set = {h for h in holders if overlay.has_peer(h)}
-
-    def cache_hit(peer: int) -> bool:
-        cached = caches.cache_of(peer).lookup(obj)
-        return cached is not None and overlay.has_peer(cached)
-
-    prop = propagate(overlay, source, strategy, ttl=ttl, stop_at=cache_hit)
+    hits = {
+        peer: cached
+        for peer, cached in caches.cached_holders(obj).items()
+        if overlay.has_peer(peer) and overlay.has_peer(cached)
+    }
+    graph = compile_strategy(overlay, strategy).stopped_at(
+        [peer for peer in hits if peer != source]
+    )
+    prop = propagate_many(overlay, [source], strategy, ttl=ttl, graph=graph).result(0)
 
     # A responder is a real holder or a peer with a live cached index.
     responses = []  # (response_time, holder, responder)
     for peer, t in prop.arrival_time.items():
         if peer == source:
             continue
+        # The lookups a per-peer query makes, replayed so every cache keeps
+        # its LRU order: one where the peer would forward (under the TTL),
+        # one where a non-holder is asked for a response.
+        if peer not in holder_set or ttl is None or prop.hops[peer] < ttl:
+            caches.cache_of(peer).lookup(obj)
         if peer in holder_set:
             responses.append((2.0 * t, peer, peer))
-        else:
-            cached = caches.cache_of(peer).lookup(obj)
-            if cached is not None and overlay.has_peer(cached):
-                responses.append((2.0 * t, cached, peer))
+        elif peer in hits:
+            responses.append((2.0 * t, hits[peer], peer))
     first = None
     if responses:
-        # A tie on (time, holder) keeps the earliest responder to arrive.
-        first, holder, responder = min(responses, key=lambda r: r[:2])
+        # A tie on (time, holder) goes to the responder that settled first:
+        # equal arrivals settle by peer id.
+        first, holder, responder = min(responses)
         # Index dissemination: relays on the first response's reverse path
         # cache the holder (including the source, which may re-query later).
         for relay in prop.path_to(responder):
             if relay != holder:
                 caches.cache_of(relay).insert(obj, holder)
 
-    reached_holders = tuple(sorted(h for h in holder_set if h in prop.arrival_time and h != source))
-    return QueryResult(
-        propagation=prop,
-        holders_reached=reached_holders,
+    return QueryStats(
+        source=source,
+        traffic_cost=prop.traffic_cost,
+        search_scope=prop.search_scope,
+        holders_reached=tuple(
+            sorted(h for h in holder_set if h in prop.arrival_time and h != source)
+        ),
         first_response_time=first,
     )

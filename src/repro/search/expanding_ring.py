@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Set, Tuple
 
-from ..topology.overlay import Overlay
-from .batch import RingPropagator
+from ..topology.soa import ArrayOverlay
+from .batch import propagate_many
 from .flooding import ForwardingStrategy
 
 __all__ = ["RingResult", "expanding_ring_query", "DEFAULT_TTL_SCHEDULE"]
@@ -48,7 +48,7 @@ class RingResult:
 
 
 def expanding_ring_query(
-    overlay: Overlay,
+    overlay: ArrayOverlay,
     source: int,
     strategy: ForwardingStrategy,
     holders: Iterable[int],
@@ -64,12 +64,12 @@ def expanding_ring_query(
     rounds: each failed ring costs its own full round-trip diameter plus
     *round_trip_wait* of timer slack.
 
-    All rings share one :class:`~repro.search.batch.RingPropagator` — the
-    compiled forwarding graph and the batched label solve are computed once
-    and each ring only re-applies its own TTL gate.  Once a ring *saturates*
-    (no reached peer sits exactly at the TTL boundary, so no forwarding was
-    suppressed), every deeper ring is provably identical and is reused
-    without recomputation.
+    Each ring is one query on the compiled kernel
+    (:func:`~repro.search.batch.propagate_many`), the rings sharing the
+    memoized forwarding graph.  Once a ring *saturates* (no reached peer
+    sits exactly at the TTL boundary, so no forwarding was suppressed),
+    every deeper ring is provably identical and is reused without
+    recomputation.
     """
     if not ttl_schedule:
         raise ValueError("ttl_schedule must not be empty")
@@ -77,7 +77,6 @@ def expanding_ring_query(
         raise ValueError("ttl_schedule must be strictly increasing")
     holder_set = {h for h in holders if h != source}
 
-    propagator = RingPropagator(overlay, source, strategy)
     total_traffic = 0.0
     total_messages = 0
     elapsed = 0.0
@@ -85,7 +84,7 @@ def expanding_ring_query(
     saturated = False
     for round_idx, ttl in enumerate(ttl_schedule, start=1):
         if prop is None or not saturated:
-            prop = propagator.propagate(ttl)
+            prop = propagate_many(overlay, [source], strategy, ttl=ttl).result(0)
             # Saturated: every reached peer still had TTL budget left, so a
             # deeper ring delivers the same messages at the same times.
             saturated = all(h < ttl for h in prop.hops.values())

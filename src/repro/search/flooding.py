@@ -7,16 +7,18 @@ transmission — including one into a peer that drops it as a duplicate —
 consumes the underlay resources of that logical hop, which is exactly the
 redundant traffic the paper sets out to remove.
 
-:func:`propagate` is the shared engine: it takes a *forwarding strategy*
-(blind flooding, ACE tree routing, a cache-aware wrapper, ...) and simulates
-the query's spread in arrival-time order, charging
+:func:`propagate` is the heap engine: it takes a *forwarding strategy*
+(blind flooding, ACE tree routing, HPF, ...) and simulates one query's
+spread in arrival-time order, charging
 
 * ``traffic_cost`` — Σ over transmissions of the logical hop cost (the
   underlay shortest-path delay, the unit of the paper's Tables 1-2), and
 * per-peer ``arrival_time`` — earliest delivery time along overlay paths,
 
 so that search scope, traffic cost and response time (Section 4.2's metrics)
-all fall out of one simulation.
+all fall out of one simulation.  Queries are answered by the compiled kernel
+(:mod:`repro.search.batch`); :func:`propagate` is its reference and HPF's
+engine.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ from ..topology.overlay import Overlay
 __all__ = [
     "ForwardingStrategy",
     "QueryPropagation",
-    "QueryResult",
     "propagate",
     "blind_flooding_strategy",
-    "run_query",
     "GNUTELLA_TTL",
 ]
 
@@ -86,9 +86,14 @@ def propagate(
     source: int,
     strategy: ForwardingStrategy,
     ttl: Optional[int] = GNUTELLA_TTL,
-    stop_at: Optional[Callable[[int], bool]] = None,
 ) -> QueryPropagation:
-    """Simulate one query spreading from *source*.
+    """Simulate one query spreading from *source* with a Python heap.
+
+    The compiled kernel (:func:`repro.search.batch.propagate_many`) answers
+    every query of the experiments; this engine stays for two reasons.  It
+    is the reference every kernel-equivalence test compares against, field
+    for field.  And it is HPF's engine: HPF draws each relay's neighbor
+    subset when the relay settles, so its strategy has no graph to compile.
 
     Parameters
     ----------
@@ -98,10 +103,6 @@ def propagate(
         Maximum number of overlay hops; ``None`` means unlimited (used when
         measuring full-coverage scope, as in the paper's Figure 7 where "the
         search scope is all peers").
-    stop_at:
-        Optional predicate; a peer for which it returns ``True`` receives
-        the query but does not forward it (used by the index-caching
-        extension, where a cache hit answers the query locally).
     """
     if not overlay.has_peer(source):
         raise KeyError(f"peer {source} not in overlay")
@@ -114,8 +115,6 @@ def propagate(
 
     def forward_from(peer: int, came_from: Optional[int], t: float, hops: int) -> None:
         if ttl is not None and hops >= ttl:
-            return
-        if stop_at is not None and peer != source and stop_at(peer):
             return
         live = overlay.neighbors(peer)
         for nbr in strategy(peer, came_from):
@@ -157,52 +156,3 @@ def blind_flooding_strategy(overlay: Overlay) -> ForwardingStrategy:
     # CSR forwarding graph memoized per overlay epoch (repro.search.batch).
     strategy.compiled_spec = ("flooding", overlay)  # type: ignore[attr-defined]
     return strategy
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    """Search-quality view of a propagation against a set of object holders.
-
-    Response time follows the paper's definition: "the time period from when
-    the query is issued until when the source peer received a response result
-    from the first responder" — the response travels back along the inverse
-    of the query path, so a holder reached at time *t* responds at ``2 t``.
-    """
-
-    propagation: QueryPropagation
-    holders_reached: Tuple[int, ...]
-    first_response_time: Optional[float]
-
-    @property
-    def success(self) -> bool:
-        """Whether any object holder was reached."""
-        return self.first_response_time is not None
-
-    @property
-    def traffic_cost(self) -> float:
-        """Total query traffic in cost units."""
-        return self.propagation.traffic_cost
-
-    @property
-    def search_scope(self) -> int:
-        """Number of peers reached."""
-        return self.propagation.search_scope
-
-
-def run_query(
-    overlay: Overlay,
-    source: int,
-    strategy: ForwardingStrategy,
-    holders: Iterable[int],
-    ttl: Optional[int] = GNUTELLA_TTL,
-    stop_at: Optional[Callable[[int], bool]] = None,
-) -> QueryResult:
-    """Propagate a query and evaluate it against the object's holders."""
-    prop = propagate(overlay, source, strategy, ttl=ttl, stop_at=stop_at)
-    reached = [h for h in holders if h in prop.arrival_time and h != source]
-    first = min((2.0 * prop.arrival_time[h] for h in reached), default=None)
-    return QueryResult(
-        propagation=prop,
-        holders_reached=tuple(sorted(reached)),
-        first_response_time=first,
-    )

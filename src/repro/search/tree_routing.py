@@ -17,15 +17,9 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..core.ace import AceProtocol
-from .flooding import (
-    ForwardingStrategy,
-    QueryPropagation,
-    QueryResult,
-    propagate,
-    run_query,
-)
+from .flooding import ForwardingStrategy
 
-__all__ = ["ace_strategy", "ace_propagate", "ace_query"]
+__all__ = ["ace_strategy"]
 
 
 def ace_strategy(protocol: AceProtocol) -> ForwardingStrategy:
@@ -41,29 +35,3 @@ def ace_strategy(protocol: AceProtocol) -> ForwardingStrategy:
     # (overlay.epoch, protocol.state_version) pair (repro.search.batch).
     strategy.compiled_spec = ("ace", protocol)  # type: ignore[attr-defined]
     return strategy
-
-
-def ace_propagate(
-    protocol: AceProtocol,
-    source: int,
-    ttl: Optional[int] = None,
-) -> QueryPropagation:
-    """Propagate a query from *source* using ACE tree routing.
-
-    ``ttl=None`` (unlimited) by default: tree routing is loop-free enough
-    that the paper measures full-coverage scope; pass a TTL to mimic
-    deployment limits.
-    """
-    return propagate(protocol.overlay, source, ace_strategy(protocol), ttl=ttl)
-
-
-def ace_query(
-    protocol: AceProtocol,
-    source: int,
-    holders: Iterable[int],
-    ttl: Optional[int] = None,
-) -> QueryResult:
-    """Run a query with ACE routing and evaluate it against *holders*."""
-    return run_query(
-        protocol.overlay, source, ace_strategy(protocol), holders, ttl=ttl
-    )

@@ -40,6 +40,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+from ..metrics.collector import left_fold
 from ..perf import counters
 
 __all__ = ["PhysicalTopology"]
@@ -392,7 +393,7 @@ class PhysicalTopology:
 
     def path_delay(self, path: Sequence[int]) -> float:
         """Total delay along an explicit node path."""
-        return sum(self.link_delay(a, b) for a, b in zip(path, path[1:]))
+        return left_fold(self.link_delay(a, b) for a, b in zip(path, path[1:]))
 
     # ------------------------------------------------------------------
     # Connectivity

@@ -197,7 +197,7 @@ def two_tier_query(
     :func:`repro.search.tree_routing.ace_strategy` of a protocol running on
     ``overlay.backbone`` for the ACE-enabled system).
     """
-    from ..search.batch import propagate_single
+    from ..search.batch import propagate_many
     from ..search.flooding import blind_flooding_strategy
 
     backbone = overlay.backbone
@@ -212,7 +212,7 @@ def two_tier_query(
 
     if strategy is None:
         strategy = blind_flooding_strategy(backbone)
-    prop = propagate_single(backbone, entry, strategy, ttl=ttl)
+    prop = propagate_many(backbone, [entry], strategy, ttl=ttl).result(0)
 
     covered = len(prop.reached) + sum(
         len(overlay.leaves_of(sn)) for sn in prop.reached

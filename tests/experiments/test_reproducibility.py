@@ -18,9 +18,9 @@ from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.experiments.static_env import run_static_experiment, run_static_trials
 from repro.perf import counters
 from repro.rng import DEFAULT_SEED, ensure_rng
-from repro.search import batch
 from tests.reference import production_and_reference
 from tests.reference.ace import reference_drivers
+from tests.reference.search import reference_queries
 
 CONFIG = ScenarioConfig(physical_nodes=200, peers=40, avg_degree=6, seed=5)
 
@@ -91,11 +91,11 @@ class TestBatchedMatchesScalarEngine:
     """The batched kernel is an optimization, not a treatment.
 
     Running the experiments with the compiled-graph engine must produce
-    byte-identical figures to answering every query on the scalar
-    reference engine — same floats, same counts.  The scalar arm is
-    reached through the helpers' own fallback: ``_exact_graph`` is patched
-    to find nothing compilable.  This is the experiment-level end of the
-    contract pinned peer-by-peer in
+    byte-identical figures to answering every query on the heap reference
+    engine — same floats, same counts.  The heap arm swaps the drivers'
+    query calls (``run_queries``, ``cached_query``) for their references
+    (:func:`~tests.reference.search.reference_queries`).  This is the
+    experiment-level end of the contract pinned peer-by-peer in
     ``tests/search/test_batched_equivalence.py``.
     """
 
@@ -103,9 +103,9 @@ class TestBatchedMatchesScalarEngine:
     def both_ways(monkeypatch, run):
         batched = run()
         assert counters.batched_queries > 0
-        monkeypatch.setattr(batch, "_exact_graph", lambda overlay, strategy: None)
         before = counters.batched_queries
-        scalar = run()
+        with reference_queries():
+            scalar = run()
         assert counters.batched_queries == before
         return batched, scalar
 
@@ -140,6 +140,16 @@ class TestBatchedMatchesScalarEngine:
         )
         assert as_bytes(batched) == as_bytes(scalar)
 
+    def test_dynamic_cache_batched_is_byte_identical_to_scalar(
+        self, monkeypatch
+    ):
+        dyn = DynamicConfig(total_queries=120, window=40, enable_cache=True)
+        batched, scalar = self.both_ways(
+            monkeypatch,
+            lambda: run_dynamic_experiment(build_scenario(CONFIG), dyn),
+        )
+        assert as_bytes(batched) == as_bytes(scalar)
+
 
 class TestArrayEngineMatchesObject:
     """The struct-of-arrays overlay engine is an optimization, not a model.
@@ -150,7 +160,7 @@ class TestArrayEngineMatchesObject:
     (:mod:`repro.core.batch_ace`) and its queries through the compiled
     kernel; every figure — static and dynamic, with and without ACE, exact
     and landmark oracle — must come out byte-identical to the object
-    reference (dict-of-sets overlay, row-by-row strategy lowering) built by
+    reference (dict-of-sets overlay, heap query engine) built by
     ``tests.reference``, with the per-peer ACE loop swapped into the same
     drivers (:func:`~tests.reference.ace.reference_drivers`).  The
     protocol-level observables (reports, actions, state versions) are
@@ -183,6 +193,14 @@ class TestArrayEngineMatchesObject:
         arr = run_static_experiment(prod, steps=3, query_samples=8)
         with reference_drivers():
             obj = run_static_experiment(ref, steps=3, query_samples=8)
+        assert as_bytes(obj) == as_bytes(arr)
+
+    def test_dynamic_cache_is_byte_identical(self):
+        dyn = DynamicConfig(total_queries=120, window=40, enable_cache=True)
+        prod, ref = production_and_reference(CONFIG)
+        arr = run_dynamic_experiment(prod, dyn)
+        with reference_drivers():
+            obj = run_dynamic_experiment(ref, dyn)
         assert as_bytes(obj) == as_bytes(arr)
 
     def test_dynamic_no_ace_is_byte_identical(self):

@@ -12,11 +12,10 @@ from repro import (
     ace_strategy,
     barabasi_albert,
     blind_flooding_strategy,
-    propagate,
-    run_query,
+    run_queries,
     small_world_overlay,
 )
-from repro.search.tree_routing import ace_query
+from repro.search.batch import propagate_many
 from repro.sim.churn import ChurnModel
 from repro.topology.soa import ArrayOverlay
 
@@ -29,12 +28,13 @@ class TestQuickstartFlow:
         physical = barabasi_albert(400, m=2, rng=rng)
         overlay = small_world_overlay(physical, 64, avg_degree=6, rng=rng)
 
-        before = propagate(overlay, 0, blind_flooding_strategy(overlay), ttl=None)
+        query = [(0, ())]
+        (before,) = run_queries(overlay, blind_flooding_strategy(overlay), query, ttl=None)
         protocol = AceProtocol(overlay, AceConfig(depth=1), rng=rng)
         protocol.run(10)
-        after = propagate(overlay, 0, ace_strategy(protocol), ttl=None)
+        (after,) = run_queries(overlay, ace_strategy(protocol), query, ttl=None)
 
-        assert after.reached == before.reached
+        assert after.search_scope == before.search_scope
         assert after.traffic_cost < before.traffic_cost
 
     def test_public_api_surface(self):
@@ -60,9 +60,11 @@ class TestFullPipeline:
 
         def measure(strategy):
             traffic, responses = 0.0, []
-            for i, src in enumerate(sources):
-                holders = catalog.holders_of(i % catalog.num_objects)
-                result = run_query(overlay, src, strategy, holders, ttl=None)
+            queries = [
+                (src, catalog.holders_of(i % catalog.num_objects))
+                for i, src in enumerate(sources)
+            ]
+            for result in run_queries(overlay, strategy, queries, ttl=None):
                 traffic += result.traffic_cost
                 if result.first_response_time:
                     responses.append(result.first_response_time)
@@ -100,7 +102,9 @@ class TestFullPipeline:
         assert overlay.is_connected()
         # Query from any peer still reaches everyone.
         src = overlay.peers()[0]
-        reached = propagate(overlay, src, ace_strategy(protocol), ttl=None).reached
+        reached = propagate_many(
+            overlay, [src], ace_strategy(protocol), ttl=None
+        ).result(0).reached
         assert reached == set(overlay.peers())
 
     def test_ace_query_on_trace_snapshot(self, ba_physical):
@@ -114,6 +118,8 @@ class TestFullPipeline:
         protocol = AceProtocol(overlay, rng=rng)
         protocol.run(3)
         peers = overlay.peers()
-        result = ace_query(protocol, peers[0], holders=peers[-5:])
+        (result,) = run_queries(
+            overlay, ace_strategy(protocol), [(peers[0], peers[-5:])], ttl=None
+        )
         assert result.success
         assert result.search_scope == 60

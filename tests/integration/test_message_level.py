@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.ace import AceProtocol
-from repro.search.flooding import blind_flooding_strategy, run_query
+from repro.search.batch import propagate_many
+from repro.search.flooding import blind_flooding_strategy
 from repro.search.tree_routing import ace_strategy
 from repro.sim.node import run_message_level_query
 from repro.topology.overlay import small_world_overlay
@@ -26,6 +27,12 @@ def world():
     return overlay
 
 
+def run_analytic(overlay, source, strategy, holders, ttl):
+    """One query on the compiled kernel: its propagation and its stats."""
+    batch = propagate_many(overlay, [source], strategy, ttl=ttl)
+    return batch.result(0), batch.stats(0, holders)
+
+
 class TestEquivalenceBlindFlooding:
     @pytest.mark.parametrize("src_idx", [0, 7, 20])
     def test_matches_analytic_engine(self, world, src_idx):
@@ -34,21 +41,19 @@ class TestEquivalenceBlindFlooding:
         holders = overlay.peers()[-4:]
         strategy = blind_flooding_strategy(overlay)
 
-        analytic = run_query(overlay, source, strategy, holders, ttl=None)
+        prop, stats = run_analytic(overlay, source, strategy, holders, ttl=None)
         message = run_message_level_query(
             overlay, source, strategy, holders, ttl=None
         )
 
-        assert message.reached == analytic.propagation.reached
-        assert message.query_traffic == pytest.approx(
-            analytic.propagation.traffic_cost
-        )
-        assert message.query_messages == analytic.propagation.messages
-        assert message.duplicates == analytic.propagation.duplicate_messages
-        for peer, t in analytic.propagation.arrival_time.items():
+        assert message.reached == prop.reached
+        assert message.query_traffic == pytest.approx(prop.traffic_cost)
+        assert message.query_messages == prop.messages
+        assert message.duplicates == prop.duplicate_messages
+        for peer, t in prop.arrival_time.items():
             assert message.arrival_time[peer] == pytest.approx(t)
         assert message.first_response_time == pytest.approx(
-            analytic.first_response_time
+            stats.first_response_time
         )
 
     def test_ttl_equivalence(self, world):
@@ -56,11 +61,11 @@ class TestEquivalenceBlindFlooding:
         source = overlay.peers()[3]
         strategy = blind_flooding_strategy(overlay)
         for ttl in (1, 2, 3):
-            analytic = run_query(overlay, source, strategy, [], ttl=ttl)
+            prop, _stats = run_analytic(overlay, source, strategy, [], ttl=ttl)
             message = run_message_level_query(
                 overlay, source, strategy, ttl=ttl
             )
-            assert message.reached == analytic.propagation.reached
+            assert message.reached == prop.reached
 
 
 class TestEquivalenceAceRouting:
@@ -72,17 +77,15 @@ class TestEquivalenceAceRouting:
         source = overlay.peers()[0]
         holders = overlay.peers()[10:13]
 
-        analytic = run_query(overlay, source, strategy, holders, ttl=None)
+        prop, stats = run_analytic(overlay, source, strategy, holders, ttl=None)
         message = run_message_level_query(
             overlay, source, strategy, holders, ttl=None
         )
 
-        assert message.reached == analytic.propagation.reached
-        assert message.query_traffic == pytest.approx(
-            analytic.propagation.traffic_cost
-        )
+        assert message.reached == prop.reached
+        assert message.query_traffic == pytest.approx(prop.traffic_cost)
         assert message.first_response_time == pytest.approx(
-            analytic.first_response_time
+            stats.first_response_time
         )
 
 

@@ -7,7 +7,11 @@ per-peer reference loop of :mod:`tests.reference.ace` (``AceProtocol``
 refuses an object overlay), over the reference Phases 1-2:
 :mod:`~tests.reference.closure` (h-neighbor closures),
 :mod:`~tests.reference.cost_table` (member cost tables and Phase-1
-charges) and :mod:`~tests.reference.spanning_tree` (heap Prim).  Every
+charges) and :mod:`~tests.reference.spanning_tree` (heap Prim).  Queries
+on the twin run on the heap engine (:mod:`~tests.reference.search`,
+:mod:`~tests.reference.caching`): the compiled kernel lowers only an
+``ArrayOverlay``, and a hand-built object overlay reaches it through
+:func:`array_twin`.  Every
 comparison asserts the types of both sides —
 :func:`production_and_reference` does it for scenarios — so it cannot
 silently turn into array-vs-array.
@@ -20,16 +24,27 @@ from repro.topology.overlay import Overlay
 from repro.topology.soa import ArrayOverlay
 
 
-def object_twin(overlay: Overlay) -> Overlay:
-    """An ``Overlay`` with *overlay*'s peers, hosts, edges and oracle."""
+def _twin(cls, overlay: Overlay) -> Overlay:
     peers = overlay.peers()
-    twin = Overlay(overlay.physical, {p: overlay.host_of(p) for p in peers})
+    twin = cls(overlay.physical, {p: overlay.host_of(p) for p in peers})
     for u in peers:
         for v in sorted(overlay.neighbors(u)):
             if u < v:
                 twin.connect(u, v)
     twin.use_oracle(overlay.oracle)
     return twin
+
+
+def object_twin(overlay: Overlay) -> Overlay:
+    """An ``Overlay`` with *overlay*'s peers, hosts, edges and oracle."""
+    return _twin(Overlay, overlay)
+
+
+def array_twin(overlay: Overlay) -> ArrayOverlay:
+    """*overlay* itself if it is an ``ArrayOverlay``, else its array twin."""
+    if isinstance(overlay, ArrayOverlay):
+        return overlay
+    return _twin(ArrayOverlay, overlay)
 
 
 def object_scenario(config: ScenarioConfig) -> Scenario:

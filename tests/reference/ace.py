@@ -12,8 +12,9 @@ tests read, plus the per-peer entry points :meth:`refresh_peer` /
 :meth:`recompute_tree` the kernel batches away.
 
 :func:`reference_drivers` swaps it (and :func:`reference_churn_refresh`)
-into the experiment drivers' module namespaces, so a driver-level
-comparison runs the same driver code over either engine.
+into the experiment drivers' module namespaces, together with the heap
+query engine (:func:`~tests.reference.search.reference_queries`), so a
+driver-level comparison runs the same driver code over either engine.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.topology.overlay import Overlay
 
 from .closure import ClosureView, neighbor_closure
 from .cost_table import Phase1Report, run_phase1
+from .search import reference_queries
 from .spanning_tree import prim_mst_heap
 
 __all__ = ["ReferenceAce", "reference_churn_refresh", "reference_drivers"]
@@ -180,8 +182,9 @@ def reference_churn_refresh(
 
 @contextlib.contextmanager
 def reference_drivers():
-    """Run the static and dynamic drivers on :class:`ReferenceAce`."""
-    with pytest.MonkeyPatch.context() as patch:
+    """Run the static and dynamic drivers on :class:`ReferenceAce` and the
+    heap query engine."""
+    with pytest.MonkeyPatch.context() as patch, reference_queries():
         for module in (static_env, dynamic_env):
             patch.setattr(module, "AceProtocol", ReferenceAce)
         patch.setattr(dynamic_env, "churn_refresh", reference_churn_refresh)

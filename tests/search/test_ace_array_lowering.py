@@ -10,8 +10,8 @@ name below, random interleavings under hypothesis after that.
 The interleaving test is two-sided: the same operations drive a production
 world (``ArrayOverlay``, flat store, batched step, compiled strategies,
 ``run_queries``) and its object twin (``Overlay``, the per-peer reference
-loop with its dict store, row lowering, scalar ``run_query``), and every
-observable is compared
+loop with its dict store, row lowering, heap-engine ``run_queries``), and
+every observable is compared
 after each one — the randomized counterpart of the pinned-seed driver
 comparisons in ``tests/experiments/test_reproducibility.py``.
 """
@@ -20,9 +20,11 @@ import copy
 import dataclasses
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -32,12 +34,13 @@ from repro.core.flat_state import FlatAceStore
 from repro.core.turn import phase1_charges
 from repro.perf import counters
 from repro.search.batch import ace_graph_by_rows, compile_strategy, run_queries
-from repro.search.flooding import blind_flooding_strategy, run_query
+from repro.search.flooding import blind_flooding_strategy
 from repro.search.tree_routing import ace_strategy
 from repro.topology.generators import barabasi_albert
 from repro.topology.overlay import Overlay, small_world_overlay
 from repro.topology.soa import ArrayOverlay
 from tests.reference import object_twin
+from tests.reference import search as reference_search
 from tests.reference.ace import ReferenceAce, reference_churn_refresh
 
 ARRAYS = ("peer_ids", "indptr", "targets", "costs")
@@ -348,24 +351,27 @@ def assert_worlds_agree(production, reference, ids, sources, holders):
     assert got.last_actions == want.last_actions
     lowered = assert_equals_reference(production.overlay, got)
     assert_graphs_equal(lowered, ace_graph_by_rows(reference.overlay, want))
+    twin = reference.overlay
     assert_graphs_equal(
         compile_strategy(production.overlay, production.flooding()),
-        compile_strategy(reference.overlay, reference.flooding()),
+        reference_search.graph_by_rows(
+            twin, {p: sorted(twin.neighbors(p)) for p in twin.peers()},
+            kind="flooding", directed=False,
+        ),
     )
     queries = [(s, holders) for s in sources]
     for ttl in (None, 3):
         for strategy in (World.flooding, World.ace):
-            stats = run_queries(
-                production.overlay, strategy(production), queries, ttl=ttl
+            want = reference_search.run_queries(
+                twin, strategy(reference), queries, ttl=ttl
             )
-            scalar = [
-                run_query(reference.overlay, s, strategy(reference), holders, ttl=ttl)
-                for s in sources
-            ]
-            assert [dataclasses.astuple(x) for x in stats] == [
-                (s, r.traffic_cost, r.search_scope, r.holders_reached, r.first_response_time)
-                for s, r in zip(sources, scalar)
-            ]
+            ask = partial(run_queries, production.overlay, strategy(production), queries, ttl=ttl)
+            if compile_strategy(production.overlay, strategy(production)).has_zero_cost:
+                # A joiner shares a host: the kernel refuses, nothing falls back.
+                with pytest.raises(ValueError, match="zero-cost"):
+                    ask()
+            else:
+                assert ask() == want
 
 
 def run_interleaving(seed, thresholds, ops):

@@ -1,14 +1,17 @@
-"""Batched propagation engine vs. the scalar reference engine.
+"""Batched propagation engine vs. the heap reference engine.
 
 The contract of :mod:`repro.search.batch` is *bit-identical* results: the
-compiled-graph kernels must reproduce the scalar engine's arrival times,
+compiled-graph kernels must reproduce the heap engine's arrival times,
 parents, hop counts, traffic cost (same float, same addition order),
 message and duplicate counts — across strategies, TTLs, and seeds.  These
 tests compare full :class:`~repro.search.flooding.QueryPropagation`
-records with dataclass equality, which is exact float equality.
+records with dataclass equality, which is exact float equality.  The
+kernel lowers only an ``ArrayOverlay``; on a hand-built object overlay it
+runs on the overlay's array twin and is compared with the heap on the
+object overlay itself.
 """
 
-import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,21 +20,17 @@ from hypothesis import strategies as st
 
 from repro.core.ace import AceConfig, AceProtocol
 from repro.perf import counters
-from repro.search import batch
-from repro.search.batch import (
-    CompiledGraph,
-    RingPropagator,
-    compile_strategy,
-    propagate_many,
-    propagate_single,
-    run_queries,
-)
+from repro.search import batch, expanding_ring
+from repro.search.batch import compile_strategy, propagate_many, run_queries
 from repro.search.expanding_ring import expanding_ring_query
-from repro.search.flooding import blind_flooding_strategy, propagate, run_query
+from repro.search.flooding import blind_flooding_strategy, propagate
 from repro.search.tree_routing import ace_strategy
 from repro.topology.generators import barabasi_albert
-from repro.topology.overlay import Overlay, small_world_overlay
-from repro.topology.physical import PhysicalTopology
+from repro.topology.overlay import small_world_overlay
+from repro.topology.soa import ArrayOverlay
+from tests.reference import array_twin, object_twin
+from tests.reference.caching import stopping_at
+from tests.reference.search import graph_by_rows, query_stats, run_query
 
 
 def make_world(seed: int, peers: int = 36):
@@ -106,11 +105,11 @@ class TestBatchedMatchesScalar:
             assert batch._block_rows(compile_strategy(overlay, strategy)) == rows
             assert_equal(vars(propagate_many(overlay, sources, strategy, ttl=ttl)), whole)
 
-    def test_propagate_single_matches_scalar(self):
+    def test_single_source_result_matches_scalar(self):
         overlay = make_world(5)
         strategy = blind_flooding_strategy(overlay)
         src = overlay.peers()[0]
-        assert propagate_single(overlay, src, strategy, ttl=7) == propagate(
+        assert propagate_many(overlay, [src], strategy, ttl=7).result(0) == propagate(
             overlay, src, strategy, ttl=7
         )
 
@@ -133,27 +132,24 @@ class TestBatchedMatchesScalar:
         stats = run_queries(overlay, strategy, queries, ttl=7)
         for (source, holders), got in zip(queries, stats):
             want = run_query(overlay, source, strategy, holders, ttl=7)
-            assert got.source == source
-            assert got.traffic_cost == want.traffic_cost
-            assert got.search_scope == want.search_scope
-            assert got.holders_reached == want.holders_reached
-            assert got.first_response_time == want.first_response_time
+            assert got == want
             assert got.success == want.success
 
 
-def assert_batch_equals_scalar(overlay, strategy, sources, ttl, holders=(), graph=None):
-    """Every field of ``result(i)`` and ``stats(i, holders)`` against scalar."""
-    got = propagate_many(overlay, sources, strategy, ttl=ttl, graph=graph)
+def assert_batch_equals_scalar(
+    overlay, make_strategy, sources, ttl, holders=(), graph=None
+):
+    """Every field of ``result(i)`` and ``stats(i, holders)`` against the heap.
+
+    The kernel runs on the overlay's array twin, the heap on *overlay*;
+    *make_strategy* builds the strategy for either.
+    """
+    twin = array_twin(overlay)
+    got = propagate_many(twin, sources, make_strategy(twin), ttl=ttl, graph=graph)
     for i, src in enumerate(sources):
-        want = run_query(overlay, src, strategy, holders, ttl=ttl)
-        assert got.result(i) == want.propagation, (src, ttl)
-        assert dataclasses.astuple(got.stats(i, holders)) == (
-            src,
-            want.traffic_cost,
-            want.search_scope,
-            want.holders_reached,
-            want.first_response_time,
-        ), (src, ttl)
+        want = propagate(overlay, src, make_strategy(overlay), ttl=ttl)
+        assert got.result(i) == want, (src, ttl)
+        assert got.stats(i, holders) == query_stats(want, holders), (src, ttl)
     return got
 
 
@@ -167,22 +163,6 @@ def grid_edges(rows, cols, cost=1.0):
                 yield u, u + cols, cost
 
 
-def graph_of_rows(overlay, rows):
-    """The ``CompiledGraph`` of a forwarding table, rows in table order."""
-    peers = overlay.peers()
-    index = {p: i for i, p in enumerate(peers)}
-    lengths = [len(rows[p]) for p in peers]
-    return CompiledGraph(
-        kind="ace",
-        peer_ids=np.array(peers, dtype=np.int64),
-        indptr=np.concatenate(([0], np.cumsum(lengths))).astype(np.int64),
-        targets=np.array([index[t] for p in peers for t in rows[p]], dtype=np.int64),
-        costs=np.array([overlay.cost(p, t) for p in peers for t in rows[p]]),
-        index=index,
-        directed=True,
-    )
-
-
 class TestHandBuiltGraphs:
     """Shapes the generated worlds rarely draw, each against the scalar engine."""
 
@@ -190,10 +170,9 @@ class TestHandBuiltGraphs:
     def test_unit_cost_grid(self, make_overlay_from_weighted_edges, ttl):
         """Equal arrivals everywhere and several tight parents per peer."""
         overlay = make_overlay_from_weighted_edges(grid_edges(5, 5))
-        strategy = blind_flooding_strategy(overlay)
         sources = [0, 12, 24, 7]
         got = assert_batch_equals_scalar(
-            overlay, strategy, sources, ttl, holders=(6, 18, 24)
+            overlay, blind_flooding_strategy, sources, ttl, holders=(6, 18, 24)
         )
         if ttl is None:
             # From the corner, peer 6 hears from 1 and from 5 at time 2.0.
@@ -206,8 +185,7 @@ class TestHandBuiltGraphs:
         hub = [(0, i, 1.0) for i in range(1, 301)]
         leaves = [(i, 300 + i, 0.1 * i + 0.01) for i in range(1, 301)]
         overlay = make_overlay_from_weighted_edges(hub + leaves)
-        strategy = blind_flooding_strategy(overlay)
-        got = assert_batch_equals_scalar(overlay, strategy, [0, 1], None)
+        got = assert_batch_equals_scalar(overlay, blind_flooding_strategy, [0, 1], None)
         order = batch._settle_order(got.dist)
         for row, dist_row in zip(order, got.dist):
             want = np.lexsort((np.arange(dist_row.size), dist_row))
@@ -228,14 +206,15 @@ class TestHandBuiltGraphs:
     ):
         overlay = make_overlay_from_weighted_edges(self.EDGES)
         rows = self.ROWS
-        graph = graph_of_rows(overlay, rows)
+        graph = graph_by_rows(overlay, rows)
         assert 0 in np.diff(graph.reverse[0])  # peer 6: no in-edge
 
         def strategy(peer, came_from):
             return rows[peer]
 
         got = assert_batch_equals_scalar(
-            overlay, strategy, overlay.peers(), ttl, holders=(3, 5, 6), graph=graph
+            overlay, lambda _overlay: strategy, overlay.peers(), ttl,
+            holders=(3, 5, 6), graph=graph,
         )
         if ttl is None:
             assert got.parent[0].tolist() == [-1, 0, 0, 1, 1, 2, -1]
@@ -249,15 +228,15 @@ class TestHandBuiltGraphs:
         """Two components: the far one keeps ``-1`` labels, scope < n."""
         far = [(u + 9, v + 9, 2.0) for u, v, _ in grid_edges(2, 3)]
         overlay = make_overlay_from_weighted_edges([*grid_edges(3, 3), *far])
-        strategy = blind_flooding_strategy(overlay)
         got = assert_batch_equals_scalar(
-            overlay, strategy, [4, 10], ttl, holders=(0, 8, 14)
+            overlay, blind_flooding_strategy, [4, 10], ttl, holders=(0, 8, 14)
         )
         assert not np.isfinite(got.dist[0, 9:]).any()
         assert (got.parent[0, 9:] == -1).all() and (got.hops[0, 9:] == -1).all()
         assert got.search_scope(0) <= 9 and got.search_scope(1) <= 6
         queries = [(4, (0, 8, 14)), (10, (0, 8, 14))]
-        assert run_queries(overlay, strategy, queries, ttl=ttl) == [
+        twin = array_twin(overlay)
+        assert run_queries(twin, blind_flooding_strategy(twin), queries, ttl=ttl) == [
             got.stats(0, (0, 8, 14)),
             got.stats(1, (0, 8, 14)),
         ]
@@ -267,22 +246,24 @@ class TestHandBuiltGraphs:
         overlay = overlay_class(line_physical, {0: 0, 1: 1, 2: 4})
         for u, v in links:
             overlay.connect(u, v)
-        strategy = blind_flooding_strategy(overlay)
-        got = assert_batch_equals_scalar(overlay, strategy, [2, 0], None, holders=(1,))
+        got = assert_batch_equals_scalar(
+            overlay, blind_flooding_strategy, [2, 0], None, holders=(1,)
+        )
         assert (got.messages[0], got.traffic[0], got.duplicates[0]) == (0, 0.0, 0)
         assert got.search_scope(0) == 1
 
     def test_empty_and_single_batches(self, small_overlay):
         small_overlay.warm_edge_costs()
-        strategy = blind_flooding_strategy(small_overlay)
+        twin = array_twin(small_overlay)
+        strategy = blind_flooding_strategy(twin)
         n = small_overlay.num_peers
-        empty = propagate_many(small_overlay, [], strategy, ttl=4)
+        empty = propagate_many(twin, [], strategy, ttl=4)
         assert len(empty) == 0
         assert empty.dist.shape == empty.parent.shape == empty.hops.shape == (0, n)
         assert empty.messages.shape == empty.traffic.shape == (0,)
-        assert run_queries(small_overlay, strategy, [], ttl=4) == []
+        assert run_queries(twin, strategy, [], ttl=4) == []
         one = assert_batch_equals_scalar(
-            small_overlay, strategy, small_overlay.peers()[3:4], 4
+            small_overlay, blind_flooding_strategy, small_overlay.peers()[3:4], 4
         )
         assert one.dist.shape == (1, n)
 
@@ -309,7 +290,7 @@ def test_random_worlds_equal_scalar(seed, peers, kind, ttl, steps):
     rng = np.random.default_rng(seed + 1)
     sources = sample_sources(overlay, rng, k=5)
     holders = tuple(sample_sources(overlay, rng, k=3))
-    assert_batch_equals_scalar(overlay, strategy, sources, ttl, holders)
+    assert_batch_equals_scalar(overlay, lambda _overlay: strategy, sources, ttl, holders)
     stats = run_queries(overlay, strategy, [(s, holders) for s in sources], ttl=ttl)
     batch_stats = propagate_many(overlay, sources, strategy, ttl=ttl)
     assert stats == [batch_stats.stats(i, holders) for i in range(len(sources))]
@@ -336,7 +317,7 @@ class TestCacheInvalidation:
         # Post-churn batched results must match the scalar engine on the
         # mutated topology, not the stale compiled graph.
         src = overlay.peers()[0]
-        assert propagate_single(overlay, src, strategy, ttl=None) == propagate(
+        assert propagate_many(overlay, [src], strategy, ttl=None).result(0) == propagate(
             overlay, src, strategy, ttl=None
         )
 
@@ -360,70 +341,80 @@ class TestCacheInvalidation:
         after = compile_strategy(overlay, strategy)
         assert after is not before
         src = overlay.peers()[0]
-        assert propagate_single(overlay, src, strategy, ttl=None) == propagate(
+        assert propagate_many(overlay, [src], strategy, ttl=None).result(0) == propagate(
             overlay, src, strategy, ttl=None
         )
 
 
 class TestScalarFallback:
-    def test_custom_strategy_falls_back(self):
+    """There is none: what the kernel cannot answer exactly raises, and only
+    an explicit call to the heap ``propagate`` answers it."""
+
+    def test_custom_strategy_raises(self):
         overlay = make_world(9)
 
         def custom(peer, came_from):
             # No compiled_spec: the compiler must decline, not guess.
             return overlay.neighbors(peer)
 
-        assert compile_strategy(overlay, custom) is None
         src = overlay.peers()[0]
-        before = counters.batched_queries
-        prop = propagate_single(overlay, src, custom, ttl=7)
-        assert counters.batched_queries == before
-        assert prop == propagate(overlay, src, custom, ttl=7)
+        with pytest.raises(ValueError, match="does not compile"):
+            compile_strategy(overlay, custom)
+        with pytest.raises(ValueError, match="does not compile"):
+            run_queries(overlay, custom, [(src, ())], ttl=7)
 
     def test_propagate_many_rejects_uncompilable(self):
         overlay = make_world(9)
         with pytest.raises(ValueError):
             propagate_many(overlay, [overlay.peers()[0]], lambda p, c: (), ttl=7)
 
+    def test_object_overlay_does_not_compile(self):
+        twin = object_twin(make_world(9))
+        with pytest.raises(TypeError, match="ArrayOverlay"):
+            compile_strategy(twin, blind_flooding_strategy(twin))
+
     def test_zero_cost_edge_stays_scalar(self, line_physical):
-        """Two peers on one host: the kernel declines, the helpers fall back."""
-        overlay = Overlay(line_physical, {0: 0, 1: 0, 2: 3})
+        """Two peers on one host: the kernel and its drivers refuse the graph,
+        and only the heap engine answers it."""
+        overlay = ArrayOverlay(line_physical, {0: 0, 1: 0, 2: 3})
         overlay.connect(0, 1)
         overlay.connect(1, 2)
         strategy = blind_flooding_strategy(overlay)
         assert compile_strategy(overlay, strategy).has_zero_cost
         with pytest.raises(ValueError, match="zero-cost"):
             propagate_many(overlay, [0], strategy, ttl=None)
-        before = counters.batched_queries
-        assert propagate_single(overlay, 0, strategy, ttl=None) == propagate(
-            overlay, 0, strategy, ttl=None
-        )
-        (stats,) = run_queries(overlay, strategy, [(0, (2,))], ttl=None)
-        assert stats.traffic_cost == run_query(overlay, 0, strategy, (2,), ttl=None).traffic_cost
-        assert counters.batched_queries == before
+        with pytest.raises(ValueError, match="zero-cost"):
+            run_queries(overlay, strategy, [(0, (2,))], ttl=None)
+        assert propagate(overlay, 0, strategy, ttl=None).reached == {0, 1, 2}
 
-    def test_stop_at_stays_scalar(self):
-        # The cached-query flow passes stop_at to the scalar propagate();
-        # batch has no stop_at parameter by design — this pins that the
-        # scalar path still honors it.
-        overlay = make_world(9)
-        strategy = blind_flooding_strategy(overlay)
-        src = overlay.peers()[0]
-        full = propagate(overlay, src, strategy, ttl=None)
-        others = [p for p in full.reached if p != src]
-        blocker = max(others, key=lambda p: full.hops[p])
-        stopped = propagate(
-            overlay, src, strategy, ttl=None, stop_at=lambda p: p == blocker
-        )
-        assert blocker in stopped.reached
-        assert stopped.traffic_cost <= full.traffic_cost
+    def test_stopped_graph_matches_stop_wrapper(self):
+        """``CompiledGraph.stopped_at`` is the heap's forward-to-nobody wrapper."""
+        for kind in ("flooding", "ace"):
+            overlay = make_world(9)
+            strategy = make_strategy(overlay, kind, 9)
+            graph = compile_strategy(overlay, strategy)
+            src = overlay.peers()[0]
+            assert graph.stopped_at([]) is graph
+            full = propagate(overlay, src, strategy, ttl=None)
+            blockers = {p for p in full.reached if p != src and full.hops[p] <= 2}
+            stopped = graph.stopped_at(sorted(blockers))
+            assert stopped.directed and stopped.num_peers == graph.num_peers
+            for peer in blockers:
+                row = stopped.index[peer]
+                assert stopped.indptr[row] == stopped.indptr[row + 1]
+            for ttl in (2, None):
+                got = propagate_many(overlay, [src], strategy, ttl=ttl, graph=stopped)
+                want = propagate(
+                    overlay, src, stopping_at(strategy, blockers.__contains__), ttl=ttl
+                )
+                assert got.result(0) == want, (kind, ttl)
+            assert want.traffic_cost < full.traffic_cost
 
 
 def uncompiled(strategy):
     """The same forwarding rule without a ``compiled_spec``.
 
-    The compiler declines a plain closure, so every high-level helper
-    answers it on the scalar engine — the only way left to get there.
+    The compiler declines a plain closure; only the heap engine answers it.
     """
     return lambda peer, came_from: strategy(peer, came_from)
 
@@ -433,14 +424,25 @@ class TestBatchingToggle:
         overlay = make_world(10)
         strategy = blind_flooding_strategy(overlay)
         src = overlay.peers()[0]
+        with pytest.raises(ValueError):
+            propagate_many(overlay, [src], uncompiled(strategy), ttl=7)
         before = counters.batched_queries
-        prop = propagate_single(overlay, src, uncompiled(strategy), ttl=7)
+        prop = propagate(overlay, src, uncompiled(strategy), ttl=7)
         assert counters.batched_queries == before
-        assert prop == propagate(overlay, src, strategy, ttl=7)
+        assert prop == propagate_many(overlay, [src], strategy, ttl=7).result(0)
+
+
+def heap_rings(overlay, sources, strategy, ttl):
+    """``propagate_many``'s one-source surface, answered by the heap engine."""
+    (source,) = sources
+    prop = propagate(overlay, source, strategy, ttl=ttl)
+    return SimpleNamespace(result=lambda i: prop)
 
 
 class TestExpandingRing:
-    def test_batched_matches_scalar_mode(self):
+    """Every ring on the kernel vs every ring on the heap engine."""
+
+    def test_batched_matches_scalar_mode(self, monkeypatch):
         overlay = make_world(12)
         strategy = blind_flooding_strategy(overlay)
         peers = overlay.peers()
@@ -449,32 +451,20 @@ class TestExpandingRing:
         batched = expanding_ring_query(overlay, peers[0], strategy, holders)
         rings = counters.batched_queries - before
         assert rings > 0
-        scalar = expanding_ring_query(
-            overlay, peers[0], uncompiled(strategy), holders
-        )
+        monkeypatch.setattr(expanding_ring, "propagate_many", heap_rings)
+        scalar = expanding_ring_query(overlay, peers[0], strategy, holders)
         assert counters.batched_queries - before == rings
         assert batched == scalar
 
-    def test_failed_search_matches_scalar_mode(self):
+    def test_failed_search_matches_scalar_mode(self, monkeypatch):
         overlay = make_world(12)
         strategy = blind_flooding_strategy(overlay)
         src = overlay.peers()[0]
         batched = expanding_ring_query(overlay, src, strategy, holders=())
-        scalar = expanding_ring_query(
-            overlay, src, uncompiled(strategy), holders=()
-        )
+        monkeypatch.setattr(expanding_ring, "propagate_many", heap_rings)
+        scalar = expanding_ring_query(overlay, src, strategy, holders=())
         assert batched == scalar
         assert not batched.success
-
-    def test_ring_propagator_matches_per_ring_scalar(self):
-        overlay = make_world(13)
-        strategy = blind_flooding_strategy(overlay)
-        src = overlay.peers()[0]
-        propagator = RingPropagator(overlay, src, strategy)
-        for ttl in (1, 2, 4, 7, None):
-            assert propagator.propagate(ttl) == propagate(
-                overlay, src, strategy, ttl=ttl
-            )
 
 
 class TestCounters:

@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.search.batch import compile_strategy, propagate_many, run_queries
 from repro.search.flooding import (
     GNUTELLA_TTL,
     blind_flooding_strategy,
     propagate,
-    run_query,
 )
 from repro.topology.overlay import Overlay
 from repro.topology.physical import PhysicalTopology
+from repro.topology.soa import ArrayOverlay
+from tests.reference import search as reference
+from tests.reference.caching import stopping_at
 
 
 @pytest.fixture
@@ -135,19 +138,34 @@ class TestTrafficAccounting:
         assert prop.duplicate_messages == 6
 
 
+def stopped_query(overlay, source, stops):
+    """A flood in which *stops* receive but do not forward: a stopped copy of
+    the compiled graph on arrays, the heap's wrapping strategy otherwise."""
+    strategy = blind_flooding_strategy(overlay)
+    if isinstance(overlay, ArrayOverlay):
+        graph = compile_strategy(overlay, strategy).stopped_at(
+            [p for p in overlay.peers() if p != source and stops(p)]
+        )
+        return propagate_many(overlay, [source], strategy, ttl=None, graph=graph).result(0)
+    return propagate(overlay, source, stopping_at(strategy, stops), ttl=None)
+
+
+def run_query(overlay, source, strategy, holders, ttl):
+    """One query on the overlay class's engine: the kernel on arrays, the
+    heap reference on the object model."""
+    if isinstance(overlay, ArrayOverlay):
+        (stats,) = run_queries(overlay, strategy, [(source, holders)], ttl=ttl)
+        return stats
+    return reference.run_query(overlay, source, strategy, holders, ttl=ttl)
+
+
 class TestStopAt:
     def test_stop_peer_receives_but_does_not_forward(self, chain):
-        prop = propagate(
-            chain, 0, blind_flooding_strategy(chain), ttl=None,
-            stop_at=lambda p: p == 1,
-        )
+        prop = stopped_query(chain, 0, lambda p: p == 1)
         assert prop.reached == {0, 1}
 
     def test_stop_at_ignored_for_source(self, chain):
-        prop = propagate(
-            chain, 0, blind_flooding_strategy(chain), ttl=None,
-            stop_at=lambda p: True,
-        )
+        prop = stopped_query(chain, 0, lambda p: True)
         assert prop.reached == {0, 1}
 
 
@@ -185,5 +203,6 @@ class TestRunQuery:
         result = run_query(
             chain, 0, blind_flooding_strategy(chain), holders=[3], ttl=None
         )
-        assert result.traffic_cost == result.propagation.traffic_cost
-        assert result.search_scope == 4
+        prop = propagate(chain, 0, blind_flooding_strategy(chain), ttl=None)
+        assert result.traffic_cost == prop.traffic_cost
+        assert result.search_scope == prop.search_scope == 4

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from repro.core.ace import AceConfig, AceProtocol
+from repro.search.batch import propagate_many, run_queries
 from repro.search.flooding import blind_flooding_strategy, propagate
-from repro.search.tree_routing import ace_propagate, ace_query, ace_strategy
+from repro.search.tree_routing import ace_strategy
 from repro.topology.overlay import small_world_overlay
+
+
+def tree_propagate(protocol, source, ttl=None):
+    """A query routed on *protocol*'s trees: the kernel under the production
+    protocol, the heap engine under the per-peer reference loop."""
+    strategy = ace_strategy(protocol)
+    if isinstance(protocol, AceProtocol):
+        return propagate_many(protocol.overlay, [source], strategy, ttl=ttl).result(0)
+    return propagate(protocol.overlay, source, strategy, ttl=ttl)
 
 
 @pytest.fixture
@@ -37,19 +47,19 @@ class TestStrategy:
 class TestPropagation:
     def test_full_scope(self, optimized):
         for source in optimized.overlay.peers()[:5]:
-            prop = ace_propagate(optimized, source)
+            prop = tree_propagate(optimized, source)
             assert prop.reached == set(optimized.overlay.peers())
 
     def test_traffic_not_above_blind(self, optimized):
         ov = optimized.overlay
         for source in ov.peers()[:5]:
             blind = propagate(ov, source, blind_flooding_strategy(ov), ttl=None)
-            tree = ace_propagate(optimized, source)
+            tree = tree_propagate(optimized, source)
             assert tree.traffic_cost <= blind.traffic_cost
 
     def test_ttl_respected(self, optimized):
         source = optimized.overlay.peers()[0]
-        limited = ace_propagate(optimized, source, ttl=1)
+        limited = tree_propagate(optimized, source, ttl=1)
         assert limited.reached <= set(optimized.overlay.peers())
         assert max(limited.hops.values()) <= 1
 
@@ -62,7 +72,7 @@ class TestPropagation:
             ov, AceConfig(shed_redundant=False), rng=np.random.default_rng(0)
         )
         protocol.rebuild_all_trees()
-        prop = ace_propagate(protocol, 0)
+        prop = tree_propagate(protocol, 0)
         assert prop.reached == {0, 1, 2}
         # Blind flooding costs 1+5+1+1 = 8; the tree costs 2 with no dups.
         assert prop.traffic_cost == pytest.approx(2.0)
@@ -72,13 +82,17 @@ class TestPropagation:
 class TestAceQuery:
     def test_query_finds_holders(self, optimized):
         peers = optimized.overlay.peers()
-        result = ace_query(optimized, peers[0], holders=[peers[-1]])
+        (result,) = run_queries(
+            optimized.overlay, ace_strategy(optimized), [(peers[0], [peers[-1]])], ttl=None
+        )
         assert result.success
         assert result.first_response_time > 0
 
     def test_response_not_slower_than_twice_arrival(self, optimized):
         peers = optimized.overlay.peers()
-        result = ace_query(optimized, peers[0], holders=peers[1:4])
-        arrivals = result.propagation.arrival_time
+        (result,) = run_queries(
+            optimized.overlay, ace_strategy(optimized), [(peers[0], peers[1:4])], ttl=None
+        )
+        arrivals = tree_propagate(optimized, peers[0]).arrival_time
         best = min(arrivals[h] for h in result.holders_reached)
         assert result.first_response_time == pytest.approx(2 * best)
