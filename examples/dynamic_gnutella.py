@@ -16,6 +16,7 @@ import sys
 from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_experiment
 from repro.experiments.reporting import format_series
 from repro.experiments.setup import ScenarioConfig, build_scenario
+from repro.metrics.collector import left_fold
 
 
 def main(peers: int = 100, total_queries: int = 600) -> None:
@@ -59,7 +60,7 @@ def main(peers: int = 100, total_queries: int = 600) -> None:
     ))
 
     g, a, c = (arms[n] for n in ("gnutella", "ace", "ace+cache"))
-    steady = lambda pts: sum(pts[3:]) / len(pts[3:])
+    steady = lambda pts: left_fold(pts[3:]) / len(pts[3:])
     print()
     print(f"Steady-state traffic reduction, ACE vs gnutella-like: "
           f"{100 * (1 - steady(a.traffic_points) / steady(g.traffic_points)):.1f}%")

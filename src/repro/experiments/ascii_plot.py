@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence
 
+from ..metrics.collector import left_fold
+
 __all__ = ["sparkline", "line_chart"]
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
@@ -27,7 +29,7 @@ def sparkline(values: Sequence[float], width: Optional[int] = None) -> str:
     if width is not None and width > 0 and len(vals) > width:
         bucket = len(vals) / width
         vals = [
-            sum(vals[int(i * bucket): max(int(i * bucket) + 1, int((i + 1) * bucket))])
+            left_fold(vals[int(i * bucket): max(int(i * bucket) + 1, int((i + 1) * bucket))])
             / max(1, len(vals[int(i * bucket): max(int(i * bucket) + 1, int((i + 1) * bucket))]))
             for i in range(width)
         ]

@@ -24,7 +24,7 @@ running the arms serially.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from ..core.ace import AceConfig, AceProtocol
 from ..core.batch_ace import churn_refresh
 from ..perf import counters
 from ..metrics.collector import SeriesCollector, left_fold
-from ..search.batch import run_queries
+from ..search.batch import QueryStats, run_queries
 from ..search.caching import IndexCacheStore, cached_query
 from ..search.flooding import blind_flooding_strategy
 from ..search.tree_routing import ace_strategy
@@ -72,6 +72,8 @@ class DynamicConfig:
             raise ValueError("window must be in [1, total_queries]")
         if self.optimization_interval <= 0:
             raise ValueError("optimization_interval must be positive")
+        if self.ttl is not None and self.ttl < 0:
+            raise ValueError("ttl must be None or >= 0")
 
 
 @dataclass
@@ -151,6 +153,10 @@ def run_dynamic_experiment(
     caches: Optional[IndexCacheStore] = None
     if config.enable_cache:
         caches = IndexCacheStore(config.cache_capacity)
+    strategy = (
+        ace_strategy(protocol) if protocol is not None
+        else blind_flooding_strategy(overlay)
+    )
 
     series = DynamicSeries(window=config.window)
     traffic_collector = SeriesCollector(config.window)
@@ -159,6 +165,33 @@ def run_dynamic_experiment(
     scope_collector = SeriesCollector(config.window)
     pending_overhead = [0.0]
     queries_done = [0]
+    # Queries issued since the last overlay or ACE-state mutation, each with
+    # the overhead it amortizes: (source, holders, overhead).
+    unanswered: List[Tuple[int, FrozenSet[int], float]] = []
+
+    def observe(result: QueryStats, overhead: float) -> None:
+        traffic_collector.add(result.traffic_cost + overhead)
+        scope_collector.add(float(result.search_scope))
+        success_collector.add(1.0 if result.success else 0.0)
+        if result.first_response_time is not None:
+            response_collector.add(result.first_response_time)
+
+    def flush() -> None:
+        """Answer every unanswered query on the graph it was issued on.
+
+        Reads between two writes see one compiled graph, so the stretch is
+        one kernel batch; every mutation site flushes before it mutates.
+        """
+        if not unanswered:
+            return
+        results = run_queries(
+            overlay, strategy,
+            [(source, holders) for source, holders, _ in unanswered],
+            ttl=config.ttl,
+        )
+        for result, (_, _, overhead) in zip(results, unanswered):
+            observe(result, overhead)
+        unanswered.clear()
 
     # ---------------------------------------------------------------- churn
     def schedule_departure(peer: int) -> None:
@@ -168,6 +201,7 @@ def run_dynamic_experiment(
         when = max(record.departs_at, loop.now)
 
         def depart() -> None:
+            flush()
             if not overlay.has_peer(peer):
                 return
             epoch_before = overlay.epoch
@@ -215,6 +249,7 @@ def run_dynamic_experiment(
     if protocol is not None:
 
         def optimize() -> None:
+            flush()
             report = protocol.step()
             pending_overhead[0] += report.total_overhead
             series.total_overhead += report.total_overhead
@@ -224,11 +259,6 @@ def run_dynamic_experiment(
         loop.schedule_in(config.optimization_interval, optimize)
 
     # ---------------------------------------------------------------- queries
-    strategy = (
-        ace_strategy(protocol) if protocol is not None
-        else blind_flooding_strategy(overlay)
-    )
-
     def issue_query() -> None:
         if queries_done[0] >= config.total_queries:
             return
@@ -236,32 +266,23 @@ def run_dynamic_experiment(
         if len(online) >= 2:
             event = workload.next_query(loop.now, online)
             holders = scenario.catalog.holders_of(event.object_id)
+            # Amortize accumulated optimization overhead over this query.
+            overhead = pending_overhead[0]
+            pending_overhead[0] = 0.0
             if caches is not None:
                 # One query on the kernel, the peers that answer from their
-                # caches stopped in a copy of the compiled graph.
-                result = cached_query(
+                # caches stopped in a copy of the compiled graph.  Each
+                # query moves the caches' LRU state, so it is answered now.
+                observe(cached_query(
                     overlay, event.source, event.object_id, holders,
                     strategy, caches, ttl=config.ttl,
-                )
+                ), overhead)
             else:
-                # Batched kernel; the compiled graph is memoized per
-                # overlay epoch / ACE state version, so the stretches of
-                # queries between churn events and optimization rounds
-                # share one compilation.  Under churn that is still a
-                # recompile every few queries, lowered from the overlay's
-                # CSR and the flat state store in one pass.
-                (result,) = run_queries(
-                    overlay, strategy, [(event.source, holders)],
-                    ttl=config.ttl,
-                )
-            # Amortize accumulated optimization overhead over this query.
-            observed = result.traffic_cost + pending_overhead[0]
-            pending_overhead[0] = 0.0
-            traffic_collector.add(observed)
-            scope_collector.add(float(result.search_scope))
-            success_collector.add(1.0 if result.success else 0.0)
-            if result.first_response_time is not None:
-                response_collector.add(result.first_response_time)
+                # Answered by the next flush, in one kernel batch with the
+                # rest of its stretch: the compiled graph is memoized per
+                # overlay epoch / ACE state version and recompiled once per
+                # stretch, from the overlay's CSR and the flat state store.
+                unanswered.append((event.source, holders, overhead))
             queries_done[0] += 1
         if queries_done[0] < config.total_queries:
             loop.schedule_in(workload.next_interarrival(max(1, len(online))), issue_query)
@@ -271,6 +292,7 @@ def run_dynamic_experiment(
     # Run until the query budget is exhausted (drain events as they come).
     while queries_done[0] < config.total_queries and loop.step():
         pass
+    flush()
 
     series.total_queries = queries_done[0]
     series.duration = loop.now

@@ -29,6 +29,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..metrics.collector import left_fold
 from ..rng import ensure_rng
 from ..topology.overlay import Overlay
 
@@ -77,11 +78,11 @@ class LtmProtocol:
         the peer's link costs plus its neighbors' link costs.
         """
         nbrs = sorted(self.overlay.neighbors(peer))
-        total = sum(self.overlay.costs_from(peer, nbrs).values())
+        total = left_fold(self.overlay.costs_from(peer, nbrs).values())
         for nbr in nbrs:
             seconds = [s for s in sorted(self.overlay.neighbors(nbr)) if s != peer]
             if seconds:
-                total += sum(self.overlay.costs_from(nbr, seconds).values())
+                total += left_fold(self.overlay.costs_from(nbr, seconds).values())
         return total * self.round_trip_factor
 
     def optimize_peer(self, peer: int, report: LtmReport) -> int:

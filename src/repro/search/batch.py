@@ -31,9 +31,10 @@ against, and the engine of the one strategy that cannot compile (HPF).
    arrival times from one batched :func:`scipy.sparse.csgraph.dijkstra`,
    unbounded; a TTL then re-settles, row by row, only the peers whose
    winning path is longer than it allows (:func:`_gate_row`).  Parents,
-   hop counts, traffic cost and message/duplicate counts are reconstructed
-   vectorially — **bit-identical** to the heap engine (same floats, same
-   counts), which the equivalence suite pins.  :func:`run_queries` keeps
+   hop counts (derived on demand when no TTL reads them), traffic cost and
+   message/duplicate counts are reconstructed vectorially —
+   **bit-identical** to the heap engine (same floats, same counts), which
+   the equivalence suite pins.  :func:`run_queries` keeps
    only the per-query stats of each block, so the figure path never holds
    a ``(queries, peers)`` array.  A peer that answers from its index cache
    and forwards nobody (:func:`repro.search.caching.cached_query`) is a
@@ -135,6 +136,7 @@ class CompiledGraph:
         )
         self._matrix: Optional[csr_matrix] = None
         self._reverse: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._receivers: Optional[np.ndarray] = None
 
     @property
     def num_peers(self) -> int:
@@ -161,6 +163,15 @@ class CompiledGraph:
             np.cumsum(np.bincount(self.targets, minlength=n), out=indptr[1:])
             self._reverse = (indptr, self.edge_src[order], self.costs[order])
         return self._reverse
+
+    @property
+    def receivers(self) -> np.ndarray:
+        """Receiver index of every in-edge of :attr:`reverse`, built lazily."""
+        if self._receivers is None:
+            self._receivers = np.repeat(
+                np.arange(self.num_peers, dtype=np.int64), np.diff(self.reverse[0])
+            )
+        return self._receivers
 
     def index_of(self, peers: Sequence[int]) -> np.ndarray:
         """Map peer ids to row indices (raises ``KeyError`` on unknowns)."""
@@ -390,12 +401,11 @@ def _block_rows(graph: CompiledGraph) -> int:
 
 def _labels(
     graph: CompiledGraph, src_idx: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Unlimited-TTL labels of one block of sources via scipy's Dijkstra.
 
-    Returns ``(dist, parent, hops)`` with shape ``(len(src_idx), n)``;
-    ``parent``/``hops`` are ``-1`` off the reached set and at the source
-    (``hops`` is 0 there).
+    Returns ``(dist, parent)`` with shape ``(len(src_idx), n)``; ``parent``
+    is ``-1`` off the reached set and at the source.
     """
     n = graph.num_peers
     dist = np.atleast_2d(dijkstra(graph.matrix, directed=True, indices=src_idx))
@@ -406,8 +416,8 @@ def _labels(
     # in-edge list is ordered by (receiver, sender), so in the flattened
     # block the first tight edge of each (row, receiver) slot is the one.
     # Unreached peers look tight (inf + c == inf) and are masked after.
-    rev_indptr, senders, costs = graph.reverse
-    receivers = np.repeat(np.arange(n, dtype=np.int64), np.diff(rev_indptr))
+    _, senders, costs = graph.reverse
+    receivers = graph.receivers
     arrival = np.take(dist, senders, axis=1, mode="clip")
     arrival += costs
     tight = arrival == np.take(dist, receivers, axis=1, mode="clip")
@@ -418,12 +428,19 @@ def _labels(
     parent = np.full(dist.shape, -1, dtype=np.int64)
     parent.reshape(-1)[slot[first]] = senders[edge[first]]
     parent[~reached] = -1
+    return dist, parent
 
-    # Hops by pointer doubling over the parent forest (roots self-loop);
-    # jump holds positions in the flattened block.
+
+def _hop_counts(parent: np.ndarray, reached: np.ndarray) -> np.ndarray:
+    """Depth of every peer in its row's parent forest; ``-1`` off *reached*.
+
+    Pointer doubling (roots self-loop); jump holds positions in the
+    flattened block.
+    """
+    rows, n = parent.shape
     has_parent = parent >= 0
     jump = np.where(has_parent, parent, np.arange(n, dtype=np.int64))
-    jump += n * np.arange(dist.shape[0], dtype=np.int64)[:, None]
+    jump += n * np.arange(rows, dtype=np.int64)[:, None]
     hops = has_parent.astype(np.int64)
     while True:
         nxt = jump.take(jump)
@@ -432,7 +449,7 @@ def _labels(
         hops += hops.take(jump)
         jump = nxt
     hops[~reached] = -1
-    return dist, parent, hops
+    return hops
 
 
 def _gate_row(
@@ -538,7 +555,7 @@ def _account(
     graph: CompiledGraph,
     dist: np.ndarray,
     parent: np.ndarray,
-    hops: np.ndarray,
+    hops: Optional[np.ndarray],
     ttl: Optional[int],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(messages, traffic, duplicates) per row of a block, in heap float order.
@@ -561,7 +578,7 @@ def _account(
     indptr, degrees = graph.indptr, graph.degrees
     for r in range(rows):
         forwarders = order[r, : scope[r]]
-        if ttl is not None:
+        if hops is not None:
             forwarders = forwarders[hops[r, forwarders] < ttl]
         lengths = degrees[forwarders]
         if not lengths.any():
@@ -578,17 +595,18 @@ def _account(
 
 
 def _solve_block(
-    graph: CompiledGraph,
-    labels: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    ttl: Optional[int],
-) -> Tuple[np.ndarray, ...]:
-    """Finish one block from its unbounded *labels*, which it overwrites.
+    graph: CompiledGraph, src_idx: np.ndarray, ttl: Optional[int]
+) -> Tuple[Optional[np.ndarray], ...]:
+    """Solve one block of sources: unbounded labels, the TTL gate, the accounts.
 
-    A TTL repairs them row by row (:func:`_gate_row`); then the accounts.
-    Returns ``(dist, parent, hops, messages, traffic, duplicates)``.
+    Returns ``(dist, parent, hops, messages, traffic, duplicates)``.  Only
+    the gate reads hop counts, so without a TTL ``hops`` is ``None`` and
+    :attr:`BatchPropagation.hops` derives it on demand.
     """
-    dist, parent, hops = labels
+    dist, parent = _labels(graph, src_idx)
+    hops = None
     if ttl is not None:
+        hops = _hop_counts(parent, np.isfinite(dist))
         for r in range(dist.shape[0]):
             _gate_row(graph, dist[r], parent[r], hops[r], ttl)
     return (dist, parent, hops) + _account(graph, dist, parent, hops, ttl)
@@ -638,7 +656,7 @@ class BatchPropagation:
         ttl: Optional[int],
         dist: np.ndarray,
         parent: np.ndarray,
-        hops: np.ndarray,
+        hops: Optional[np.ndarray],
         messages: np.ndarray,
         traffic: np.ndarray,
         duplicates: np.ndarray,
@@ -648,10 +666,21 @@ class BatchPropagation:
         self.ttl = ttl
         self.dist = dist
         self.parent = parent
-        self.hops = hops
+        self._hops = hops
         self.messages = messages
         self.traffic = traffic
         self.duplicates = duplicates
+
+    @property
+    def hops(self) -> np.ndarray:
+        """Hop count of every label: 0 at the source, ``-1`` off the reached set.
+
+        A TTL-gated batch computes them in the kernel; an unbounded one
+        derives them from ``parent`` on first access.
+        """
+        if self._hops is None:
+            self._hops = _hop_counts(self.parent, np.isfinite(self.dist))
+        return self._hops
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -712,9 +741,12 @@ class BatchPropagation:
 def _kernel_graph(
     overlay: ArrayOverlay,
     strategy: ForwardingStrategy,
+    ttl: Optional[int],
     graph: Optional[CompiledGraph] = None,
 ) -> CompiledGraph:
-    """*graph*, or the compiled *strategy*; a zero-cost edge raises."""
+    """*graph*, or the compiled *strategy*; a negative TTL or a zero-cost edge raises."""
+    if ttl is not None and ttl < 0:
+        raise ValueError(f"ttl must be None or >= 0, not {ttl}")
     if graph is None:
         graph = compile_strategy(overlay, strategy)
     if graph.has_zero_cost:
@@ -740,14 +772,14 @@ def propagate_many(
     size.  Rows are solved independently, so the labels do not depend on
     the blocking.  Each block takes its distances from one batched scipy
     Dijkstra; an integer TTL then repairs them row by row
-    (:func:`_gate_row`).  Raises ``ValueError`` for strategies
-    :func:`compile_strategy` cannot lower and for graphs with a zero-cost
-    edge, ``TypeError`` for an overlay that is not an ``ArrayOverlay`` and
-    ``KeyError`` for unknown sources.
+    (:func:`_gate_row`).  Raises ``ValueError`` for a negative *ttl*, for
+    strategies :func:`compile_strategy` cannot lower and for graphs with a
+    zero-cost edge, ``TypeError`` for an overlay that is not an
+    ``ArrayOverlay`` and ``KeyError`` for unknown sources.
 
     Results are bit-identical to the heap engine.
     """
-    graph = _kernel_graph(overlay, strategy, graph)
+    graph = _kernel_graph(overlay, strategy, ttl, graph)
     for s in sources:
         if not overlay.has_peer(s):
             raise KeyError(f"peer {s} not in overlay")
@@ -759,21 +791,17 @@ def propagate_many(
 
     dist = np.empty((S, n))
     parent = np.empty((S, n), dtype=np.int64)
-    hops = np.empty((S, n), dtype=np.int64)
+    hops = None if ttl is None else np.empty((S, n), dtype=np.int64)
     messages = np.empty(S, dtype=np.int64)
     traffic = np.empty(S)
     duplicates = np.empty(S, dtype=np.int64)
+    outputs = (dist, parent, hops, messages, traffic, duplicates)
     rows = _block_rows(graph)
     for start in range(0, S, rows):
         block = slice(start, start + rows)
-        (
-            dist[block],
-            parent[block],
-            hops[block],
-            messages[block],
-            traffic[block],
-            duplicates[block],
-        ) = _solve_block(graph, _labels(graph, src_idx[block]), ttl)
+        for out, part in zip(outputs, _solve_block(graph, src_idx[block], ttl)):
+            if out is not None:
+                out[block] = part
 
     counters.batched_queries += S
     counters.queries += S
@@ -805,7 +833,7 @@ def run_queries(
     :func:`propagate_many` does.
     """
     query_list = list(queries)
-    graph = _kernel_graph(overlay, strategy)
+    graph = _kernel_graph(overlay, strategy, ttl)
     # A block at a time, keeping only the stats: no (queries, peers) array.
     rows = _block_rows(graph)
     stats: List[QueryStats] = []

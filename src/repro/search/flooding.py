@@ -102,10 +102,12 @@ def propagate(
     ttl:
         Maximum number of overlay hops; ``None`` means unlimited (used when
         measuring full-coverage scope, as in the paper's Figure 7 where "the
-        search scope is all peers").
+        search scope is all peers"); a negative value raises ``ValueError``.
     """
     if not overlay.has_peer(source):
         raise KeyError(f"peer {source} not in overlay")
+    if ttl is not None and ttl < 0:
+        raise ValueError(f"ttl must be None or >= 0, not {ttl}")
     started = perf_counter()
     prop = QueryPropagation(source=source)
     prop.arrival_time[source] = 0.0

@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set,
 
 import numpy as np
 
+from ..metrics.collector import left_fold
 from ..oracle.base import DelayOracle
 from ..oracle.exact import ExactOracle
 from ..perf import counters
@@ -382,7 +383,7 @@ class Overlay:
 
     def total_edge_cost(self) -> float:
         """Sum of logical-link costs over all overlay edges."""
-        return sum(self.cost(u, v) for u, v in self.edges())
+        return left_fold(self.cost(u, v) for u, v in self.edges())
 
     # ------------------------------------------------------------------
     # Connectivity

@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..metrics.collector import left_fold
 from .overlay import Overlay
 from .physical import PhysicalTopology
 
@@ -63,7 +64,7 @@ def power_law_exponent(
     ds = [d for d in degrees if d >= d_min]
     if len(ds) < 2:
         return float("nan")
-    denom = sum(math.log(d / (d_min - 0.5)) for d in ds)
+    denom = left_fold(math.log(d / (d_min - 0.5)) for d in ds)
     if denom <= 0:
         return float("nan")
     return 1.0 + len(ds) / denom

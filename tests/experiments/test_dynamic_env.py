@@ -44,6 +44,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DynamicConfig(optimization_interval=0.0)
 
+    def test_rejects_negative_ttl(self):
+        with pytest.raises(ValueError, match="ttl"):
+            DynamicConfig(ttl=-1)
+        assert DynamicConfig(ttl=0).ttl == 0
+
 
 class TestRunShape:
     def test_window_points(self):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.experiments import dynamic_env
+
 # replint: disable=REP003 — white-box test of the churn-wiring internals
 from repro.experiments.dynamic_env import (
     DynamicConfig,
@@ -98,3 +100,106 @@ class TestPopulationInvariant:
             ),
         )
         assert series.total_queries == 100
+
+
+class TestDeferredQueries:
+    """Queries between two mutations are answered together, on their own graph."""
+
+    #: ``float.hex`` of each arm's series, recorded when every query was
+    #: answered by its own kernel call the moment it was issued.
+    PINNED = {
+        False: {
+            "traffic_points": [
+                "0x1.227f83113621cp+16", "0x1.45fb318c3fab1p+16",
+                "0x1.05b4dc48286bbp+16", "0x1.e520927263adbp+15",
+                "0x1.d19128dc382c3p+15",
+            ],
+            "response_points": [
+                "0x1.c46f9d21c7136p+11", "0x1.696fb4064431ap+11",
+                "0x1.bb7754ea85f50p+11", "0x1.c700eb8b1587fp+11",
+                "0x1.c5e528adbee1bp+11",
+            ],
+            "success_points": ["0x1.0000000000000p+0"] * 5,
+            "scope_points": [
+                "0x1.6dddddddddddep+4", "0x1.9088888888889p+4",
+                "0x1.6aaaaaaaaaaabp+4", "0x1.6888888888889p+4",
+                "0x1.6111111111111p+4",
+            ],
+            "total_overhead": "0x0.0p+0",
+            "duration": "0x1.ce5a406066f1ep+9",
+        },
+        True: {
+            "traffic_points": [
+                "0x1.b1a67a08ae94bp+17", "0x1.291ca283d1ddfp+18",
+                "0x1.1ac2b6197eeaep+17", "0x1.6d27fdd106a77p+17",
+                "0x1.e92c1c79f275ep+17",
+            ],
+            "response_points": [
+                "0x1.59d8736e8e833p+11", "0x1.57c69b6805482p+11",
+                "0x1.7d8edfc619399p+11", "0x1.71c457bb28e6ap+11",
+                "0x1.242d425fdf415p+11",
+            ],
+            "success_points": [
+                "0x1.ddddddddddddep-1", "0x1.ccccccccccccdp-1",
+                "0x1.999999999999ap-1", "0x1.8888888888889p-1",
+                "0x1.ddddddddddddep-1",
+            ],
+            "scope_points": [
+                "0x1.abbbbbbbbbbbcp+3", "0x1.699999999999ap+3",
+                "0x1.7111111111111p+3", "0x1.7444444444444p+3",
+                "0x1.5888888888889p+3",
+            ],
+            "total_overhead": "0x1.de2d45435c64ep+24",
+            "duration": "0x1.f3231ca238725p+9",
+        },
+    }
+
+    @pytest.mark.parametrize("enable_ace", [False, True], ids=["gnutella", "ace"])
+    def test_each_query_is_answered_on_the_graph_it_was_issued_on(
+        self, scenario, enable_ace, monkeypatch
+    ):
+        overlay = scenario.overlay
+        protocols = []
+
+        class RecordedAce(dynamic_env.AceProtocol):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                protocols.append(self)
+
+        def graph_key():
+            version = protocols[0].state_version if protocols else None
+            return (overlay.epoch, version)
+
+        issued, answered, calls = [], [], []
+        next_query = dynamic_env.QueryWorkload.next_query
+        run_queries = dynamic_env.run_queries
+
+        def issue(workload, *args, **kwargs):
+            issued.append(graph_key())
+            return next_query(workload, *args, **kwargs)
+
+        def answer(overlay, strategy, queries, ttl):
+            queries = list(queries)
+            calls.append(len(queries))
+            answered.extend([graph_key()] * len(queries))
+            return run_queries(overlay, strategy, queries, ttl=ttl)
+
+        monkeypatch.setattr(dynamic_env, "AceProtocol", RecordedAce)
+        monkeypatch.setattr(dynamic_env.QueryWorkload, "next_query", issue)
+        monkeypatch.setattr(dynamic_env, "run_queries", answer)
+        series = run_dynamic_experiment(
+            scenario,
+            DynamicConfig(total_queries=150, window=30, enable_ace=enable_ace, ttl=2),
+        )
+
+        assert len(protocols) == int(enable_ace)
+        assert series.total_queries == len(issued) == 150
+        assert answered == issued
+        assert sum(calls) == 150 and len(calls) < 150
+        got = {
+            name: [float.hex(x) for x in getattr(series, name)]
+            for name in ("traffic_points", "response_points", "success_points", "scope_points")
+        }
+        got["total_overhead"] = float.hex(series.total_overhead)
+        got["duration"] = float.hex(series.duration)
+        assert got == self.PINNED[enable_ace]

@@ -87,14 +87,17 @@ class TestBatchedMatchesScalar:
         sources = sample_sources(overlay, np.random.default_rng(13), k=11)
         fields = ("dist", "parent", "hops", "messages", "traffic", "duplicates")
 
+        def labels(batch):
+            return {name: getattr(batch, name) for name in fields}
+
         def assert_equal(got, want):
             for name in fields:
                 np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
-        whole = vars(propagate_many(overlay, sources, strategy, ttl=ttl))
+        whole = labels(propagate_many(overlay, sources, strategy, ttl=ttl))
         assert whole["dist"].shape == (11, overlay.num_peers)
         for i, src in enumerate(sources):
-            alone = vars(propagate_many(overlay, [src], strategy, ttl=ttl))
+            alone = labels(propagate_many(overlay, [src], strategy, ttl=ttl))
             assert_equal(
                 {name: alone[name][0] for name in fields},
                 {name: whole[name][i] for name in fields},
@@ -103,7 +106,32 @@ class TestBatchedMatchesScalar:
         for rows in (1, len(sources)):
             monkeypatch.setattr(batch, "_BLOCK_BYTES", 8 * edges * rows)
             assert batch._block_rows(compile_strategy(overlay, strategy)) == rows
-            assert_equal(vars(propagate_many(overlay, sources, strategy, ttl=ttl)), whole)
+            assert_equal(labels(propagate_many(overlay, sources, strategy, ttl=ttl)), whole)
+
+    def test_negative_ttl_raises_and_zero_reaches_the_source(self):
+        overlay = make_world(8, peers=40)
+        strategy = blind_flooding_strategy(overlay)
+        src = overlay.peers()[0]
+        with pytest.raises(ValueError, match="ttl"):
+            propagate(overlay, src, strategy, ttl=-1)
+        with pytest.raises(ValueError, match="ttl"):
+            propagate_many(overlay, [src], strategy, ttl=-1)
+        with pytest.raises(ValueError, match="ttl"):
+            run_queries(overlay, strategy, [], ttl=-1)
+        scalar = propagate(overlay, src, strategy, ttl=0)
+        assert scalar.reached == {src} and scalar.messages == 0
+        assert propagate_many(overlay, [src], strategy, ttl=0).result(0) == scalar
+
+    def test_unbounded_batch_derives_hops_from_parents(self):
+        overlay = make_world(9)
+        strategy = blind_flooding_strategy(overlay)
+        sources = sample_sources(overlay, np.random.default_rng(3))
+        unbounded = propagate_many(overlay, sources, strategy, ttl=None)
+        assert unbounded._hops is None
+        # A TTL above the overlay's depth gates nothing: same labels, kernel hops.
+        deep = propagate_many(overlay, sources, strategy, ttl=overlay.num_peers)
+        np.testing.assert_array_equal(unbounded.parent, deep.parent)
+        np.testing.assert_array_equal(unbounded.hops, deep.hops)
 
     def test_single_source_result_matches_scalar(self):
         overlay = make_world(5)
