@@ -20,27 +20,29 @@ overhead (probes and table exchanges) accounted in cost units so that the
 optimization-rate experiments (Figures 11-16) can weigh gain against penalty.
 
 The protocol runs on an :class:`~repro.topology.soa.ArrayOverlay` — what
-every built scenario and generator returns — and keeps its state in a
-:class:`~repro.core.flat_state.FlatAceStore`; the per-peer loops of a step
-run through :mod:`repro.core.batch_ace`.
+every built scenario and generator returns — and keeps its routing state on
+the overlay's connections, as a servent does (§3.3): one label per directed
+link and one tree-broken bit per peer, which the overlay's own mutators keep
+through churn (:meth:`ArrayOverlay.label_links
+<repro.topology.soa.ArrayOverlay.label_links>`).  The per-peer loops of a
+step run through :mod:`repro.core.batch_ace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set
+from typing import Collection, List, Optional, Sequence, Set
 
 import numpy as np
 
 from ..rng import ensure_rng
 from ..topology.soa import ArrayOverlay
 from .batch_ace import batched_step, store_closures
-from .flat_state import FlatAceStore
 from .policies import CandidatePolicy, make_policy
 from .replacement import ReplacementAction
-from .turn import forwarding_set, shed_floor_of
+from .turn import forwards, shed_floor_of
 
-__all__ = ["AceConfig", "PeerAceState", "StepReport", "AceProtocol"]
+__all__ = ["AceConfig", "StepReport", "AceProtocol"]
 
 
 @dataclass(frozen=True)
@@ -88,24 +90,6 @@ class AceConfig:
             raise ValueError("depth must be >= 1")
 
 
-@dataclass(frozen=True)
-class PeerAceState:
-    """Per-peer protocol state after Phases 1-2.
-
-    ``known_neighbors`` records the direct neighbor set at tree-build time so
-    routing can detect staleness: a neighbor gained since then must be
-    flooded to (it is not covered by the tree), and a lost *flooding*
-    neighbor breaks the tree entirely.
-    """
-
-    peer: int
-    flooding: FrozenSet[int]
-    non_flooding: FrozenSet[int]
-    known_neighbors: FrozenSet[int]
-    closure_size: int
-    closure_edges: int
-
-
 @dataclass
 class StepReport:
     """Aggregate outcome of one optimization step across all peers."""
@@ -133,10 +117,10 @@ class StepReport:
 class AceProtocol:
     """Run ACE over a (mutable) array overlay.
 
-    The protocol object owns per-peer state (flooding sets) and keeps it
-    consistent across overlay mutations and churn via
-    :meth:`handle_peer_joined` / :meth:`handle_peer_left`.  Any overlay but
-    an :class:`~repro.topology.soa.ArrayOverlay` raises ``TypeError``.
+    The routing state lives on the overlay's links (module docstring); a
+    new protocol clears it, so every peer floods until its first Phase 2.
+    One protocol drives one overlay.  Any overlay but an
+    :class:`~repro.topology.soa.ArrayOverlay` raises ``TypeError``.
     """
 
     def __init__(
@@ -153,7 +137,7 @@ class AceProtocol:
         self.config = config or AceConfig()
         self.rng = ensure_rng(rng)
         self._policy: CandidatePolicy = make_policy(self.config.policy)
-        self._flat = FlatAceStore()
+        overlay.clear_labels()
         self._state_version = 0
         self._steps_run = 0
         #: Phase-3 actions of the most recent step, for diagnostics and the
@@ -179,46 +163,22 @@ class AceProtocol:
     def state_version(self) -> int:
         """Monotone version of the per-peer routing state.
 
-        Bumped whenever a peer's Phase-2 state is stored or dropped, so the
-        routing decided by :meth:`flooding_neighbors` can only change when
-        either this version or the overlay's ``epoch`` moves.  The compiled
+        Bumped whenever a peer's Phase 2 labels its links, so the routing
+        decided by :meth:`flooding_neighbors` can only change when either
+        this version or the overlay's ``epoch`` moves.  The compiled
         ACE forwarding graph (:mod:`repro.search.batch`) keys its cache on
         the ``(overlay.epoch, state_version)`` pair.
         """
         return self._state_version
 
-    @property
-    def flat_store(self) -> FlatAceStore:
-        """The struct-of-arrays state store."""
-        return self._flat
-
-    def state_of(self, peer: int) -> Optional[PeerAceState]:
-        """The peer's Phase-2 state, or ``None`` if not yet computed."""
-        if peer not in self._flat:
-            return None
-        flooding = self._flat.flooding_of(peer)
-        known = self._flat.known_of(peer)
-        return PeerAceState(
-            peer=peer,
-            flooding=flooding,
-            non_flooding=known - flooding,
-            known_neighbors=known,
-            closure_size=self._flat.closure_size_of(peer),
-            closure_edges=self._flat.closure_edges_of(peer),
-        )
-
     def flooding_neighbors(self, peer: int) -> Set[int]:
         """The neighbors a peer forwards queries to *right now*.
 
-        The stored Phase-2 sets pushed through the shared routing rule,
-        :func:`~repro.core.turn.forwarding_set` (which see for the rule).
+        Its live links' labels pushed through the routing rule,
+        :func:`~repro.core.turn.forwards` (which see for the rule).
         """
-        live = set(self.overlay.neighbors(peer))
-        if peer not in self._flat:
-            return live
-        return forwarding_set(
-            live, self._flat.flooding_of(peer), self._flat.known_of(peer)
-        )
+        labels, broken = self.overlay.link_labels(peer)
+        return {v for v, label in labels.items() if forwards(broken, label)}
 
     def non_flooding_neighbors(self, peer: int) -> Set[int]:
         """Live direct neighbors currently classified as non-flooding."""
@@ -228,23 +188,16 @@ class AceProtocol:
     # State writes (the kernel's seams)
     # ------------------------------------------------------------------
 
-    def _put_flat(
-        self,
-        peer: int,
-        flooding: Sequence[int],
-        known: Sequence[int],
-        closure_size: int,
-        closure_edges: int,
-    ) -> None:
-        """Store one peer's Phase-2 row; one state-version bump per write."""
-        self._flat.put(peer, flooding, known, closure_size, closure_edges)
+    def _write_labels(self, peer: int, flooding: Collection[int]) -> None:
+        """Label one peer's links from its Phase 2; one version bump."""
+        self.overlay.label_links(peer, flooding)
         self._state_version += 1
 
     def _bump_state_version(self) -> None:
-        """Advance the state version without rewriting a row.
+        """Advance the state version without rewriting a peer's labels.
 
-        Used by the kernel's rebuild phase when a peer's stored state is
-        provably identical to what a recompute would produce — the version
+        Used by the kernel's rebuild phase when a peer's labels are
+        provably identical to what a recompute would write — the version
         trajectory still moves once per peer, as a rewrite would.
         """
         self._state_version += 1
@@ -282,23 +235,15 @@ class AceProtocol:
         return [self.step() for _ in range(steps)]
 
     # ------------------------------------------------------------------
-    # Churn hooks
+    # Phase 2 only
     # ------------------------------------------------------------------
-
-    def handle_peer_joined(self, peer: int) -> None:
-        """Invalidate state for a (re)joining peer: it floods until Phase 2."""
-        self.handle_peer_left(peer)
-
-    def handle_peer_left(self, peer: int) -> None:
-        """Drop protocol state of a departed peer."""
-        if self._flat.drop(peer):
-            self._state_version += 1
 
     def rebuild_all_trees(self) -> None:
         """Recompute Phase 2 at every live peer (no Phase 3 mutations).
 
         Every closure comes out of one
         :func:`~repro.core.batch_ace.store_closures` call, as the step's
-        end-of-step rebuild does: one row and one version bump per peer.
+        end-of-step rebuild does: one label write and one version bump per
+        peer.
         """
         store_closures(self, self.overlay.peers())

@@ -2,8 +2,8 @@
 
 :meth:`AceProtocol.step <repro.core.ace.AceProtocol.step>` hands this
 module the step's shuffled order on an
-:class:`~repro.topology.soa.ArrayOverlay` with its
-:class:`~repro.core.flat_state.FlatAceStore`:
+:class:`~repro.topology.soa.ArrayOverlay`, which also carries the routing
+state (its per-link labels):
 
 1. **Batched closure extraction** (:func:`extract_closures`): all scheduled
    peers' depth-``h`` closures are computed in one shared frontier sweep
@@ -24,8 +24,9 @@ module the step's shuffled order on an
    to the sequential IEEE sum of its direct-edge costs in ascending-neighbor
    order, read straight off the peer's CSR row and scaled by
    :func:`~repro.core.turn.phase1_charges`.
-3. **Flat state writes**: flooding/known memberships go straight into the
-   flat store, one row per peer.
+3. **Label writes**: each peer's Phase 2 labels its live links flooding or
+   non-flooding on the overlay (:meth:`ArrayOverlay.label_links
+   <repro.topology.soa.ArrayOverlay.label_links>`), one write per peer.
 4. **A vectorized churn driver** (:func:`churn_refresh`): one churn event's
    whole mutation batch is applied to the overlay edit buffer first, the
    touched cost rows are re-warmed in a single bulk call, and the joiner
@@ -118,15 +119,6 @@ class ClosureBatch:
         self.closure_edges: List[int] = []
         #: MST tree-neighbors of each source (ascending peer ids).
         self.flooding: List[List[int]] = []
-
-    def row(self, pos: int) -> tuple:
-        """Entry *pos* as a flat-store row: flooding, known, size, edges."""
-        return (
-            self.flooding[pos],
-            self.direct[pos],
-            len(self.members[pos]),
-            self.closure_edges[pos],
-        )
 
 
 #: Sources swept per shared ``visited`` matrix (bounds its memory to
@@ -309,13 +301,13 @@ def _optimize_one(
         # one-source sweep's fixed numpy overhead; the warm is O(1) on a
         # warm overlay.
         protocol.overlay.warm_edge_costs()
-        flooding, direct, _, s, size, edges = phases12(
+        flooding, direct, _, s, _, edges = phases12(
             protocol.overlay, peer, config.depth
         )
     else:
-        flooding, direct, size, edges = batch.row(pos)
-        s = batch.probe_sum[pos]
-    protocol._put_flat(peer, flooding, direct, size, edges)
+        flooding, direct = batch.flooding[pos], batch.direct[pos]
+        s, edges = batch.probe_sum[pos], batch.closure_edges[pos]
+    protocol._write_labels(peer, flooding)
     probe, exchange = phase1_charges(s, edges)
     in_tree = set(flooding)
     non_flooding = [t for t in direct if t not in in_tree]
@@ -396,8 +388,8 @@ def _rebuild_trees(
     """End-of-step Phase 2 at every peer, against the final topology.
 
     A peer whose optimize-phase closure was never touched by a later
-    mutation already stores exactly the state a recompute would produce
-    (same closure, same costs, same live neighbor set), so only the state
+    mutation already carries exactly the labels a recompute would write
+    (same closure, same costs, same live links), so only the state
     version advances for it; everyone else is re-extracted in bulk sweeps.
     The blocks partition the step's shuffled order, so per-peer version
     bumps happen once each, as a per-peer rebuild loop would.
@@ -422,14 +414,14 @@ def _rebuild_trees(
 
 
 def store_closures(protocol: "AceProtocol", peers: List[int]) -> ClosureBatch:
-    """Phase 2 at *peers* in one extraction, each stored as its flat row.
+    """Phase 2 at *peers* in one extraction, each writing its labels.
 
-    One ``_put_flat`` (one version bump) per listed peer, in list order.
+    One label write (one version bump) per listed peer, in list order.
     """
     batch = extract_closures(protocol.overlay, peers, protocol.config.depth)
     counters.closure_batch_peers += len(peers)
     for peer in peers:
-        protocol._put_flat(peer, *batch.row(batch.index[peer]))
+        protocol._write_labels(peer, batch.flooding[batch.index[peer]])
     return batch
 
 

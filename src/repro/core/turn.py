@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..topology.soa import NON_FLOODING
 from .policies import CandidatePolicy
 from .replacement import (
     MIN_DEGREE,
@@ -47,7 +48,7 @@ __all__ = [
     "MAX_SHEDS_PER_STEP",
     "Turn",
     "shed_floor_of",
-    "forwarding_set",
+    "forwards",
     "phase1_charges",
     "prim_flooding",
     "local_phases12",
@@ -91,28 +92,19 @@ def shed_floor_of(overlay) -> int:
     return max(MIN_DEGREE, int(round(avg)))
 
 
-def forwarding_set(
-    live: Set[int],
-    flooding: Optional[FrozenSet[int]],
-    known: Optional[FrozenSet[int]],
-) -> Set[int]:
-    """The neighbors a peer forwards queries to *right now*.
+def forwards(broken, label):
+    """Whether a peer forwards queries on a link — the routing rule (§3.3).
 
-    *live* is its current neighbor set, *flooding* / *known* the tree
-    neighbors and the neighbor set recorded at its last Phase 2 (``None``
-    before the first one).  A peer without a tree floods to all neighbors
-    — the Gnutella default.  Routing degrades safely against stale state:
-
-    * a *flooding* neighbor that disappeared breaks the tree, so the peer
-      falls back to flooding all live neighbors until its next Phase 2 (in
-      the real protocol the peer notices the dropped TCP connection
-      immediately);
-    * neighbors gained since the tree was built are not covered by it and
-      are flooded to in addition to the tree neighbors.
+    *label* is the link's :data:`~repro.topology.soa.FLOODING` /
+    :data:`~repro.topology.soa.NON_FLOODING` /
+    :data:`~repro.topology.soa.UNLABELLED` label from the peer's side,
+    *broken* the peer's tree-broken bit.  A peer whose tree lost a link
+    since its last Phase 2 floods every link until the next one (a servent
+    notices the dropped connection at once); any other peer forwards on
+    every link its tree did not leave out — tree links, and links made
+    since its last Phase 2.  Scalars or numpy arrays alike.
     """
-    if flooding is None or not flooding <= live:
-        return live
-    return set(flooding) | (live - known)
+    return broken | (label != NON_FLOODING)
 
 
 def phase1_charges(probe_sum: float, closure_edges: int) -> Tuple[float, float]:

@@ -206,14 +206,13 @@ def run_dynamic_experiment(
                 return
             epoch_before = overlay.epoch
             affected = set(overlay.neighbors(peer))
-            if protocol is not None:
-                protocol.handle_peer_left(peer)
             if caches is not None:
                 caches.drop_peer(peer)
                 caches.invalidate_holder(peer)
+            # The overlay's mutators keep the ACE state: the departure cuts
+            # the leaver's links (a neighbor whose tree it was breaks), and
+            # the joiner's links come up unlabelled.
             replacement = churn.depart(peer, loop.now)
-            if protocol is not None:
-                protocol.handle_peer_joined(replacement)
             churn.repair_isolated()
             if protocol is not None:
                 # A servent reacts to connection changes immediately.  The
@@ -281,7 +280,7 @@ def run_dynamic_experiment(
                 # Answered by the next flush, in one kernel batch with the
                 # rest of its stretch: the compiled graph is memoized per
                 # overlay epoch / ACE state version and recompiled once per
-                # stretch, from the overlay's CSR and the flat state store.
+                # stretch, from the overlay's CSR and its link labels.
                 unanswered.append((event.source, holders, overhead))
             queries_done[0] += 1
         if queries_done[0] < config.total_queries:

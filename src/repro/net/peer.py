@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.ace import AceConfig
 from ..core.policies import make_policy
 from ..core.replacement import MIN_DEGREE
-from ..core.turn import forwarding_set
+from ..core.turn import forwards
 from ..perf import counters
 from ..sim.messages import (
     ConnectRequest,
@@ -46,6 +46,7 @@ from ..sim.messages import (
     QueryHit,
 )
 from ..sim.node import Sends, Servent
+from ..topology.soa import FLOODING, NON_FLOODING, UNLABELLED
 from .runtime import DeliveryCoordinator, NetConfig, PeerUnreachable, TrafficLedger
 from .snapshot import NeedProbes, SnapshotView, TurnPlan, plan_turn
 from .wire import (
@@ -127,8 +128,11 @@ class LivePeer:
         self.ace_config = AceConfig()
         self.shed_floor = MIN_DEGREE
         self._policy = make_policy(self.ace_config.policy)
-        self._flooding: Optional[FrozenSet[int]] = None
-        self._known: Optional[FrozenSet[int]] = None
+        #: Each link's label from this side (no entry: unlabelled) and the
+        #: tree-broken bit — the routing state an ``ArrayOverlay`` keeps,
+        #: kept per connection.
+        self._labels: Dict[int, int] = {}
+        self._broken = False
 
         # -- servent (the simulator's, driven over sockets) -------------
         self.servent = Servent(peer_id)
@@ -238,7 +242,13 @@ class LivePeer:
         leaves the forwarding set and the cost tables this peer hands out.
         """
         self.dead.add(remote)
-        self.neighbors.discard(remote)
+        self._unlink(remote)
+
+    def _unlink(self, other: int) -> None:
+        """Drop the overlay link to *other*; a cut tree link breaks the tree."""
+        self.neighbors.discard(other)
+        if self._labels.pop(other, UNLABELLED) == FLOODING:
+            self._broken = True
 
     def _drop_conn(self, conn: _Connection) -> None:
         conn.close()
@@ -421,7 +431,7 @@ class LivePeer:
             self.neighbors.add(src)
             return (ConnectAck(accepted=True), 0.0)
         if isinstance(message, DisconnectNotice):
-            self.neighbors.discard(env.src)
+            self._unlink(env.src)
             return (ConnectAck(accepted=True), 0.0)
         return None
 
@@ -441,9 +451,18 @@ class LivePeer:
 
     def _routes(self) -> Iterable[int]:
         """This peer's current forwarding set (the shared routing rule)."""
+        labels, broken = self._labels, self._broken
         yield from sorted(
-            forwarding_set(set(self.neighbors), self._flooding, self._known)
+            v for v in self.neighbors
+            if forwards(broken, labels.get(v, UNLABELLED))
         )
+
+    def _label_links(self, flooding: Collection[int]) -> None:
+        """Phase 2: label every link flooding or non-flooding, mend the tree."""
+        self._labels = {
+            v: FLOODING if v in flooding else NON_FLOODING for v in self.neighbors
+        }
+        self._broken = False
 
     async def _send_all(self, sends: Sends, now: float) -> None:
         for dst, message in sends:
@@ -548,8 +567,11 @@ class LivePeer:
             except NeedProbes as need:
                 asks = [(p, CostProbe(sender=me, target=p)) for p in sorted(need.peers)]
                 await self._read(asks, tables, probed)
+        # Labelled before the turn's own mutations go out, as the kernel
+        # labels before Phase 3: a link the turn cuts drops its label, a
+        # link it makes comes up unlabelled.
+        self._label_links(plan.flooding)
         await self._apply(plan.log)
-        self._flooding, self._known = plan.flooding, plan.known
         if plan.turn is None:
             return TurnDone(rng_state=turn.rng_state)
         return TurnDone(
@@ -584,7 +606,7 @@ class LivePeer:
             if kind == "connect":
                 await self.bootstrap_connect(other)
                 continue
-            self.neighbors.discard(other)
+            self._unlink(other)
             try:
                 await self.rpc(
                     other, DisconnectNotice(sender=self.peer_id, target=other)

@@ -176,12 +176,12 @@ class SnapshotView:
 class TurnPlan:
     """What one live turn decided, before any mutation leaves the peer.
 
-    ``turn`` and ``rng_state`` (the advanced token) are ``None`` for a
-    recompute; ``log`` holds the mutations in decision order.
+    ``flooding`` is the peer's tree neighbors, which its links are labelled
+    from; ``turn`` and ``rng_state`` (the advanced token) are ``None`` for
+    a recompute; ``log`` holds the mutations in decision order.
     """
 
     flooding: FrozenSet[int]
-    known: FrozenSet[int]
     turn: Optional[Turn]
     log: List[Tuple[str, int]]
     rng_state: Optional[str]
@@ -197,7 +197,7 @@ def plan_turn(
     """One peer's turn over *view*: Phases 1-2, then Phase 3.
 
     With no *rng_state* this is the end-of-step recompute: Phase 2 only,
-    no charges.  The routing sets are the tree built *before* the turn's
+    no charges.  The flooding set is the tree built *before* the turn's
     own mutations, like the simulator's — the seed's recompute pass
     refreshes every peer afterwards.  The generator is restored from
     *rng_state* on every call, so a re-run after :class:`NeedProbes`
@@ -205,12 +205,11 @@ def plan_turn(
     """
     me = view.peer
     flooding, direct, _, probe_sum, _, edges = phases12(view, me, config.depth)
-    known = frozenset(direct)
     if rng_state is None:
-        return TurnPlan(frozenset(flooding), known, None, view.log, None)
+        return TurnPlan(frozenset(flooding), None, view.log, None)
     rng = restore_rng(rng_state)
     in_tree = set(flooding)
     non_flooding = [t for t in direct if t not in in_tree]
     sheds, actions = phase3(view, me, non_flooding, config, shed_floor, policy, rng)
     turn = Turn(*phase1_charges(probe_sum, edges), sheds, actions)
-    return TurnPlan(frozenset(flooding), known, turn, view.log, serialize_rng(rng))
+    return TurnPlan(frozenset(flooding), turn, view.log, serialize_rng(rng))

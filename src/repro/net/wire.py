@@ -84,8 +84,6 @@ __all__ = [
     "Envelope",
     "Hello",
     "Welcome",
-    "GetPeers",
-    "PeerSample",
     "GetTable",
     "ConnectAck",
     "OptimizeTurn",
@@ -196,20 +194,6 @@ class Welcome:
 
 
 @dataclass(frozen=True)
-class GetPeers:
-    """Membership sample request (gossip-style peer discovery)."""
-
-    count: int = 8
-
-
-@dataclass(frozen=True)
-class PeerSample:
-    """Response to :class:`GetPeers`: a sample of member addresses."""
-
-    addresses: Dict[int, Tuple[str, int]] = dataclasses.field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class GetTable:
     """Ask a peer for its current neighbor cost table.
 
@@ -279,8 +263,6 @@ _REGISTRY: Tuple[Tuple[int, type], ...] = (
     (9, DisconnectNotice),
     (64, Hello),
     (65, Welcome),
-    (66, GetPeers),
-    (67, PeerSample),
     (68, GetTable),
     (69, ConnectAck),
     (70, OptimizeTurn),

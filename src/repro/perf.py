@@ -81,8 +81,6 @@ class PerfCounters:
     soa_compactions: int = 0
     #: Compactions that had buffered edits/tombstones to fold in.
     soa_edit_buffer_flushes: int = 0
-    #: Flat ACE-state store re-packs of the membership snapshot arrays.
-    array_state_syncs: int = 0
     #: Optimization steps executed by the batched ACE kernel.
     ace_batched_steps: int = 0
     #: Peer closures extracted by shared CSR frontier sweeps (kernel blocks).
@@ -188,8 +186,7 @@ class PerfCounters:
         )
         lines.append(
             f"  array engine: {self.soa_compactions} compactions "
-            f"({self.soa_edit_buffer_flushes} with buffered edits), "
-            f"{self.array_state_syncs} state syncs"
+            f"({self.soa_edit_buffer_flushes} with buffered edits)"
         )
         lines.append(
             f"  ace kernel: {self.ace_batched_steps} batched steps, "

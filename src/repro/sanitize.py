@@ -20,8 +20,8 @@ What it checks
   edges only, so ``disconnect``/``remove_peer`` must leave no stale entry
   behind and ``invalidate_edge_costs`` must leave the cache empty.
 * **Array-lowered ACE forwarding graphs.**  Every graph
-  :mod:`repro.search.batch` lowers from the array engine's CSR and the flat
-  state store is recompiled row by row from
+  :mod:`repro.search.batch` lowers from the array engine's CSR and its link
+  labels is recompiled row by row from
   :meth:`~repro.core.ace.AceProtocol.flooding_neighbors` — the reference —
   and must equal it field for field.
 * **Probe-memo costs.**  Every cost the array engine serves from the
@@ -270,16 +270,13 @@ def _install_soa_hooks() -> None:
 def _install_ace_hooks() -> None:
     from .core.ace import AceProtocol
 
-    # Every state write goes through _put_flat and must bump the version;
-    # the churn handlers bump iff they actually dropped state, and a whole
-    # step() may never move the version backwards — monotonicity alone
-    # checks those.
+    # Every label write goes through _write_labels and must bump the
+    # version; a whole step() may never move it backwards — monotonicity
+    # alone checks that.
     _wrap_versioned(
-        AceProtocol, "_put_flat", "_state_version", changed=_always_changed
+        AceProtocol, "_write_labels", "_state_version", changed=_always_changed
     )
     _wrap_versioned(AceProtocol, "step", "_state_version")
-    _wrap_versioned(AceProtocol, "handle_peer_joined", "_state_version")
-    _wrap_versioned(AceProtocol, "handle_peer_left", "_state_version")
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,8 @@ against, and the engine of the one strategy that cannot compile (HPF).
    :class:`~repro.topology.soa.ArrayOverlay` — what every scenario builds —
    through :func:`_lower_arrays`: the overlay's compacted CSR is the
    flooding graph, and the ACE graph is that CSR with the routing rule
-   (:func:`repro.core.turn.forwarding_set`) applied to all peers at once
-   against one bulk read of the flat state store.  Any other overlay raises
+   (:func:`repro.core.turn.forwards`) applied to all entries at once, as
+   one mask over the overlay's link labels.  Any other overlay raises
    ``TypeError``.  :func:`ace_graph_by_rows` walks the peers row by row,
    ``protocol.flooding_neighbors(p)`` each, and is what the array lowering
    is tested (and, under ``REPRO_SANITIZE=1``, rechecked at run time)
@@ -86,7 +86,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from ..core.flat_state import FlatAceStore
+from ..core.turn import forwards
 from ..perf import counters
 from ..topology.overlay import Overlay
 from ..topology.soa import ArrayOverlay
@@ -219,10 +219,11 @@ def _lower_arrays(
     :meth:`ArrayOverlay.flooding_csr` hands over views of the compacted live
     adjacency — rows ascending by peer id, each row sorted, costs warmed —
     which already *is* the flooding graph; the ACE graph is the same rows
-    with the edges the routing rule drops masked out (:func:`_ace_keep`).
-    The views alias the overlay's storage, so whatever the mask does not
-    rebuild is copied, once.  The ACE result equals
-    :func:`ace_graph_by_rows` field for field.
+    with the edges the routing rule drops masked out: one
+    :func:`~repro.core.turn.forwards` over the label column and each row's
+    tree-broken bit (:meth:`ArrayOverlay.label_csr`).  The views alias the
+    overlay's storage, so whatever the mask does not rebuild is copied,
+    once.  The ACE result equals :func:`ace_graph_by_rows` field for field.
     """
     peers, indptr, targets, costs = overlay.flooding_csr()
     peer_ids = np.array(peers, dtype=np.int64)
@@ -231,10 +232,8 @@ def _lower_arrays(
     else:
         n = peer_ids.size
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        keep = _ace_keep(
-            peer_ids, src, targets,
-            protocol.flat_store,  # type: ignore[attr-defined]
-        )
+        labels, broken = overlay.label_csr()
+        keep = forwards(broken[src], labels)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src[keep], minlength=n), out=indptr[1:])
         targets, costs = targets[keep], costs[keep]
@@ -248,57 +247,6 @@ def _lower_arrays(
         index={p: i for i, p in enumerate(peers)},
         directed=protocol is not None,
     )
-
-
-def _ace_keep(
-    peer_ids: np.ndarray,
-    src: np.ndarray,
-    targets: np.ndarray,
-    store: FlatAceStore,
-) -> np.ndarray:
-    """Mask of the live directed edges ``src -> targets`` ACE forwards on.
-
-    :func:`repro.core.turn.forwarding_set` evaluated for every peer at once:
-    a peer with no stored state, or with a stored flooding neighbor that is
-    no longer a live neighbor, keeps all its edges; any other keeps those in
-    ``flooding`` or not in ``known``.  Edges and stored pairs are matched as
-    ``u * stride + v`` keys in peer-id space — the live keys ascend, rows
-    being sorted — so ids of departed peers, which have no row, need no
-    special case.
-    """
-    if not targets.size:
-        return np.zeros(0, dtype=bool)
-    peer, f_indptr, f_data, k_indptr, k_data = store.rows()
-    n = peer_ids.size
-    stride = 1 + max(int(a.max()) for a in (peer_ids, f_data, k_data) if a.size)
-    live_keys = peer_ids[src] * stride + peer_ids[targets]
-    f_pos, f_live = _find_sorted(
-        live_keys, np.repeat(peer, np.diff(f_indptr)) * stride + f_data
-    )
-    k_pos, k_live = _find_sorted(
-        live_keys, np.repeat(peer, np.diff(k_indptr)) * stride + k_data
-    )
-    # routed[i]: row i forwards by its stored tree.  State the store still
-    # holds for a peer that is not live lands on the spare row n.
-    row, live = _find_sorted(peer_ids, peer)
-    row[~live] = n
-    routed = np.zeros(n + 1, dtype=bool)
-    routed[row] = True
-    routed[np.repeat(row, np.diff(f_indptr))[~f_live]] = False
-    in_flooding = np.zeros(targets.size, dtype=bool)
-    in_flooding[f_pos[f_live]] = True
-    in_known = np.zeros(targets.size, dtype=bool)
-    in_known[k_pos[k_live]] = True
-    return ~routed[src] | in_flooding | ~in_known
-
-
-def _find_sorted(
-    haystack: np.ndarray, keys: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Where each key sits in the ascending, non-empty *haystack*, and whether."""
-    pos = np.searchsorted(haystack, keys)
-    pos[pos == haystack.size] = 0
-    return pos, haystack[pos] == keys
 
 
 def _flooding_graph(overlay: ArrayOverlay) -> CompiledGraph:

@@ -7,9 +7,9 @@ tree — exactly the Figure 5 mechanics, where F queries C and D, C relays to
 E, and so on.
 
 The routing never uses a connection that no longer exists: the protocol's
-:meth:`~repro.core.ace.AceProtocol.flooding_neighbors` already intersects the
-stored tree with the live neighbor set, and peers with no Phase-2 state yet
-(fresh joiners) fall back to blind flooding, preserving the search scope.
+:meth:`~repro.core.ace.AceProtocol.flooding_neighbors` reads the labels of
+the peer's live links, and links no Phase 2 has labelled yet (a fresh
+joiner's, or any made since) are forwarded on, preserving the search scope.
 """
 
 from __future__ import annotations

@@ -11,6 +11,16 @@ reference — holding the peer/edge state in flat numpy arrays instead:
 * a CSR adjacency over slots (``_indptr`` / ``_nbr``) with a parallel
   ``float64`` per-edge cost array (``NaN`` = cost not yet known, the array
   form of the reference's per-edge cost cache);
+* ACE's routing state, kept the way a servent keeps it (paper §3.3): one
+  ``int8`` label per *directed* entry beside its cost (``_label``:
+  :data:`UNLABELLED`, :data:`FLOODING` or :data:`NON_FLOODING`, written by
+  the peer's Phase 2 through :meth:`label_links`) and one "tree broken" bit
+  per slot (``_broken``), set when :meth:`disconnect` or
+  :meth:`remove_peer` cuts a link its peer labelled flooding.
+  :meth:`connect` makes unlabelled links, a reused slot starts unbroken, and
+  the column travels through the edit buffer (``_xlabel``), compaction and
+  :meth:`copy`.  The routing rule that reads it is
+  :func:`repro.core.turn.forwards`;
 * an **incremental edit buffer**: mutations never rewrite the CSR in place.
   :meth:`disconnect` tombstones base entries (``_dead``), :meth:`connect`
   buffers new edges in a small dict-of-dicts overlay (``_extra``), and once
@@ -48,9 +58,10 @@ kernels (compaction, the NaN scan, :meth:`live_rows`, the CSR views) work
 on the arrays; every method that touches one element at a time — the
 per-peer half of an ACE turn: :meth:`neighbors`, :meth:`has_edge`,
 :meth:`cost`, :meth:`costs_from`, :meth:`connect`, :meth:`disconnect`,
-:meth:`remove_peer`, :meth:`degree`, :meth:`host_of`, :meth:`live_row` and
-the helpers under them — reads and writes the *same memory* through
-``memoryview``s (``_vpeer`` … ``_vdead``), which hand back plain ``int`` /
+:meth:`remove_peer`, :meth:`degree`, :meth:`host_of`, :meth:`live_row`,
+:meth:`label_links`, :meth:`link_labels` and the helpers under them — reads
+and writes the *same memory* through ``memoryview``s (``_vpeer`` …
+``_vbroken``), which hand back plain ``int`` /
 ``float`` / ``bool`` at a fifth of the price of a numpy element read plus
 unwrapping.
 There is no second copy of any state to keep in step: a view aliases its
@@ -65,7 +76,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -75,7 +96,12 @@ from ..perf import counters
 from .overlay import Overlay
 from .physical import PhysicalTopology
 
-__all__ = ["ArrayOverlay"]
+__all__ = ["ArrayOverlay", "UNLABELLED", "FLOODING", "NON_FLOODING"]
+
+#: Link labels of the ACE routing state: a link its peer has not classified
+#: since it was made (or since the protocol started), a tree link of the
+#: peer's last Phase 2, and a link that tree left out.
+UNLABELLED, FLOODING, NON_FLOODING = 0, 1, 2
 
 
 class ArrayOverlay(Overlay):
@@ -109,16 +135,21 @@ class ArrayOverlay(Overlay):
         self._slot_peer: np.ndarray = np.empty(0, dtype=np.int64)
         self._slot_host: np.ndarray = np.empty(0, dtype=np.int64)
         self._slot_degree: np.ndarray = np.empty(0, dtype=np.int64)
+        self._broken: np.ndarray = np.empty(0, dtype=bool)
         self._nslots = 0
         self._free: List[int] = []
 
         self._indptr: np.ndarray = np.zeros(1, dtype=np.int64)
         self._nbr: np.ndarray = np.empty(0, dtype=np.int64)
         self._ncost: np.ndarray = np.empty(0, dtype=np.float64)
+        self._label: np.ndarray = np.empty(0, dtype=np.int8)
         self._dead: np.ndarray = np.zeros(0, dtype=bool)
         self._nbase = 0
 
         self._extra: Dict[int, Dict[int, float]] = {}
+        #: Labels of buffered links, ``(slot, neighbor slot) -> label``;
+        #: a link with no entry is unlabelled.
+        self._xlabel: Dict[Tuple[int, int], int] = {}
         self._edits = 0
         self._nedges = 0
         self._missing = 0
@@ -177,7 +208,10 @@ class ArrayOverlay(Overlay):
                 key = (p, q) if p < q else (q, p)
                 cost.append(edge_costs.get(key, math.nan))
             indptr[i + 1] = indptr[i] + len(row)
-        out._install_base(order, index, host, indptr, nbr, cost)
+        out._install_base(
+            order, index, host, indptr, nbr, cost,
+            np.zeros(len(nbr), dtype=np.int8), np.zeros(n, dtype=bool),
+        )
         out._cost_cache = dict(source._cost_cache)
         out._epoch = source.epoch
         return out
@@ -190,6 +224,8 @@ class ArrayOverlay(Overlay):
         indptr: np.ndarray,
         nbr: Union[List[int], np.ndarray],
         cost: Union[List[float], np.ndarray],
+        label: np.ndarray,
+        broken: np.ndarray,
     ) -> None:
         """Install a freshly packed base CSR (slots in sorted-peer order)."""
         n = len(order)
@@ -198,6 +234,7 @@ class ArrayOverlay(Overlay):
         self._slot_peer = np.array(order, dtype=np.int64)
         self._slot_host = host
         self._slot_degree = np.diff(indptr).astype(np.int64)
+        self._broken = broken
         self._nslots = n
         self._free = []
         self._indptr = indptr
@@ -209,9 +246,11 @@ class ArrayOverlay(Overlay):
             if nnz
             else np.empty(0, dtype=np.float64)
         )
+        self._label = label
         self._dead = np.zeros(nnz, dtype=bool)
         self._nbase = n
         self._extra = {}
+        self._xlabel = {}
         self._edits = 0
         self._nedges = nnz // 2
         self._missing = (
@@ -233,7 +272,9 @@ class ArrayOverlay(Overlay):
         self._vptr = memoryview(self._indptr)
         self._vnbr = memoryview(self._nbr)
         self._vcost = memoryview(self._ncost)
+        self._vlabel = memoryview(self._label)
         self._vdead = memoryview(self._dead)
+        self._vbroken = memoryview(self._broken)
 
     def _compact(self) -> None:
         """Re-pack the CSR: merge the edit buffer, drop tombstones.
@@ -257,6 +298,7 @@ class ArrayOverlay(Overlay):
             n = self._nbase
             index = self._index
             host = self._slot_host[:n].astype(np.int64)
+            broken = self._broken[:n].copy()
             new_of = None
         else:
             order = sorted(self._index)
@@ -272,6 +314,7 @@ class ArrayOverlay(Overlay):
             new_of = np.full(max(self._nslots, 1), -1, dtype=np.int64)
             new_of[old_slots] = np.arange(n, dtype=np.int64)
             host = self._slot_host[old_slots].astype(np.int64)
+            broken = self._broken[old_slots]
 
         # Live base entries of every surviving row, gathered in one shot.
         if identity:
@@ -282,6 +325,7 @@ class ArrayOverlay(Overlay):
             e_row = np.repeat(np.arange(n, dtype=np.int64), deg_all)[live]
             e_nbr = self._nbr[live]
             e_cost = self._ncost[live]
+            e_label = self._label[live]
         else:
             has_base = old_slots < self._nbase
             so = old_slots[has_base]
@@ -299,15 +343,19 @@ class ArrayOverlay(Overlay):
                 e_row = np.repeat(base_rows, deg)[live]
                 e_nbr = new_of[self._nbr[eidx]]
                 e_cost = self._ncost[eidx]
+                e_label = self._label[eidx]
             else:
                 e_row = e_nbr = np.empty(0, dtype=np.int64)
                 e_cost = np.empty(0, dtype=np.float64)
+                e_label = np.empty(0, dtype=np.int8)
 
         # Buffered extra edges (small; entries on freed slots are skipped
         # exactly like the per-row .get() of the scalar layout pass).
         ex_row: List[int] = []
         ex_nbr: List[int] = []
         ex_cost: List[float] = []
+        ex_label: List[int] = []
+        xlabel = self._xlabel
         for slot, ex in self._extra.items():
             r = slot if new_of is None else int(new_of[slot])
             if r < 0 or not ex:
@@ -316,11 +364,15 @@ class ArrayOverlay(Overlay):
                 ex_row.append(r)
                 ex_nbr.append(sv if new_of is None else int(new_of[sv]))
                 ex_cost.append(c)
+                ex_label.append(xlabel.get((slot, sv), UNLABELLED))
         if ex_row:
             e_row = np.concatenate([e_row, np.array(ex_row, dtype=np.int64)])
             e_nbr = np.concatenate([e_nbr, np.array(ex_nbr, dtype=np.int64)])
             e_cost = np.concatenate(
                 [e_cost, np.array(ex_cost, dtype=np.float64)]
+            )
+            e_label = np.concatenate(
+                [e_label, np.array(ex_label, dtype=np.int8)]
             )
 
         # Canonical layout: rows in sorted-peer order, each row sorted by
@@ -334,9 +386,12 @@ class ArrayOverlay(Overlay):
             perm = np.argsort(e_row * max(n, 1) + e_nbr, kind="stable")
             e_nbr = e_nbr[perm]
             e_cost = e_cost[perm]
+            e_label = e_label[perm]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(e_row, minlength=n), out=indptr[1:])
-        self._install_base(order, index, host, indptr, e_nbr, e_cost)
+        self._install_base(
+            order, index, host, indptr, e_nbr, e_cost, e_label, broken
+        )
 
     def _maybe_compact(self) -> None:
         limit = self._compact_threshold
@@ -362,12 +417,16 @@ class ArrayOverlay(Overlay):
                 self._slot_degree = np.concatenate(
                     [self._slot_degree, np.zeros(grow, dtype=np.int64)]
                 )
+                self._broken = np.concatenate(
+                    [self._broken, np.zeros(grow, dtype=bool)]
+                )
                 self._bind_views()
             slot = self._nslots
             self._nslots += 1
         self._vpeer[slot] = peer
         self._vhost[slot] = host
         self._vdeg[slot] = 0
+        self._vbroken[slot] = False
         self._index[peer] = slot
         return slot
 
@@ -445,13 +504,18 @@ class ArrayOverlay(Overlay):
         """Remove a peer and all its logical connections."""
         slot = self._index[peer]
         deg = self._vdeg
+        broken = self._vbroken
         ex = self._extra.pop(slot, None)
         if ex:
+            xlabel = self._xlabel
             for sv, c in ex.items():
                 other = self._extra[sv]
                 del other[slot]
                 if not other:
                     del self._extra[sv]
+                xlabel.pop((slot, sv), None)
+                if xlabel.pop((sv, slot), UNLABELLED) == FLOODING:
+                    broken[sv] = True
                 deg[sv] -= 1
                 self._nedges -= 1
                 if math.isnan(c):
@@ -462,8 +526,11 @@ class ArrayOverlay(Overlay):
                 if dead[j]:
                     continue
                 sv = self._vnbr[j]
+                back = self._base_find(sv, slot)
                 dead[j] = True
-                dead[self._base_find(sv, slot)] = True
+                dead[back] = True
+                if self._vlabel[back] == FLOODING:
+                    broken[sv] = True
                 deg[sv] -= 1
                 self._nedges -= 1
                 if math.isnan(self._vcost[j]):
@@ -564,14 +631,24 @@ class ArrayOverlay(Overlay):
             del other[su]
             if not other:
                 del self._extra[sv]
+            label_u = self._xlabel.pop((su, sv), UNLABELLED)
+            label_v = self._xlabel.pop((sv, su), UNLABELLED)
         else:
             i = self._base_find(su, sv)
             if i < 0 or self._vdead[i]:
                 return False
+            back = self._base_find(sv, su)
             c = self._vcost[i]
             self._vdead[i] = True
-            self._vdead[self._base_find(sv, su)] = True
+            self._vdead[back] = True
+            label_u, label_v = self._vlabel[i], self._vlabel[back]
             self._edits += 2
+        # A servent notices the dropped connection at once: a cut tree
+        # link breaks its peer's tree until that peer's next Phase 2.
+        if label_u == FLOODING:
+            self._vbroken[su] = True
+        if label_v == FLOODING:
+            self._vbroken[sv] = True
         self._vdeg[su] -= 1
         self._vdeg[sv] -= 1
         self._nedges -= 1
@@ -598,6 +675,66 @@ class ArrayOverlay(Overlay):
                 v = sp[sv]
                 if u < v:
                     yield (u, v)
+
+    # ------------------------------------------------------------------
+    # ACE link labels
+    # ------------------------------------------------------------------
+
+    def label_links(self, peer: int, flooding: Collection[int]) -> None:
+        """Phase 2 at *peer*: classify every live link, mend the tree.
+
+        A link to a peer in *flooding* is labelled :data:`FLOODING`, every
+        other live link :data:`NON_FLOODING`.  Routing state, not
+        structure: the epoch does not move.
+        """
+        slot = self._index[peer]
+        sp = self._vpeer
+        if slot < self._nbase:
+            nbr, dead, label = self._vnbr, self._vdead, self._vlabel
+            for i in range(self._vptr[slot], self._vptr[slot + 1]):
+                if not dead[i]:
+                    label[i] = FLOODING if sp[nbr[i]] in flooding else NON_FLOODING
+        ex = self._extra.get(slot)
+        if ex:
+            for sv in ex:
+                self._xlabel[(slot, sv)] = (
+                    FLOODING if sp[sv] in flooding else NON_FLOODING
+                )
+        self._vbroken[slot] = False
+
+    def link_labels(self, peer: int) -> Tuple[Dict[int, int], bool]:
+        """*peer*'s live links as ``{neighbor: label}``, and its broken bit."""
+        slot = self._index[peer]
+        sp = self._vpeer
+        out: Dict[int, int] = {}
+        if slot < self._nbase:
+            s = self._vptr[slot]
+            e = self._vptr[slot + 1]
+            for sv, dead, label in zip(
+                self._vnbr[s:e], self._vdead[s:e], self._vlabel[s:e]
+            ):
+                if not dead:
+                    out[sp[sv]] = label
+        ex = self._extra.get(slot)
+        if ex:
+            for sv in ex:
+                out[sp[sv]] = self._xlabel.get((slot, sv), UNLABELLED)
+        return out, bool(self._vbroken[slot])
+
+    def label_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The label column and the per-row broken bits, compacted.
+
+        Aligned with :meth:`flooding_csr`: entry ``i`` labels ``targets[i]``
+        and row ``r``'s bit is ``broken[r]``.  Views, like that method's.
+        """
+        self.flush_edits()
+        return self._label, self._broken[: len(self._index)]
+
+    def clear_labels(self) -> None:
+        """Unlabel every link and mend every tree: the state before ACE."""
+        self._label[:] = UNLABELLED
+        self._broken[:] = False
+        self._xlabel = {}
 
     # ------------------------------------------------------------------
     # Costs
@@ -1043,14 +1180,17 @@ class ArrayOverlay(Overlay):
         clone._slot_peer = self._slot_peer.copy()
         clone._slot_host = self._slot_host.copy()
         clone._slot_degree = self._slot_degree.copy()
+        clone._broken = self._broken.copy()
         clone._nslots = self._nslots
         clone._free = list(self._free)
         clone._indptr = self._indptr.copy()
         clone._nbr = self._nbr.copy()
         clone._ncost = self._ncost.copy()
+        clone._label = self._label.copy()
         clone._dead = self._dead.copy()
         clone._nbase = self._nbase
         clone._extra = {s: dict(d) for s, d in self._extra.items()}
+        clone._xlabel = dict(self._xlabel)
         clone._edits = self._edits
         clone._nedges = self._nedges
         clone._missing = self._missing

@@ -5,15 +5,21 @@ Tests on the shared overlay fixtures run twice: the production protocol on
 (the ``ace_class`` fixture).
 """
 
+from typing import FrozenSet, NamedTuple
+
 import numpy as np
 import pytest
 
 from repro.core.ace import AceConfig, AceProtocol
+from repro.core.batch_ace import extract_closures
 from repro.core.turn import shed_floor_of, shed_redundant
 from repro.search.flooding import blind_flooding_strategy, propagate
 from repro.search.tree_routing import ace_strategy
 from repro.topology.overlay import Overlay, small_world_overlay
 from repro.topology.physical import PhysicalTopology
+from repro.topology.soa import FLOODING, NON_FLOODING, UNLABELLED
+from tests.reference.ace import ReferenceAce
+from tests.reference.labels import LabelledOverlay, LabelledReferenceAce, labelled_twin
 
 
 def line_underlay(n=32):
@@ -40,10 +46,54 @@ def clustered(overlay_class):
     )
 
 
+class Tree(NamedTuple):
+    """One peer's Phase 2 as either engine keeps it."""
+
+    flooding: FrozenSet[int]
+    non_flooding: FrozenSet[int]
+    closure_size: int
+    closure_edges: int
+
+
 def tree_of(protocol, peer):
-    """Phase 2 everywhere, then *peer*'s stored state."""
+    """Phase 2 everywhere, then *peer*'s tree.
+
+    The reference remembers it; production keeps only the link labels, so
+    the closure is read off one extraction.
+    """
     protocol.rebuild_all_trees()
-    return protocol.state_of(peer)
+    if isinstance(protocol, ReferenceAce):
+        state = protocol.state_of(peer)
+        return Tree(
+            state.flooding, state.non_flooding, state.closure_size, state.closure_edges
+        )
+    labels, _ = protocol.overlay.link_labels(peer)
+    batch = extract_closures(protocol.overlay, [peer], protocol.config.depth)
+    return Tree(
+        frozenset(v for v, label in labels.items() if label == FLOODING),
+        frozenset(v for v, label in labels.items() if label == NON_FLOODING),
+        len(batch.members[0]),
+        batch.closure_edges[0],
+    )
+
+
+def link_state(overlay, peer):
+    """*peer*'s link labels and tree-broken bit, on either label store."""
+    if isinstance(overlay, LabelledOverlay):
+        labels = overlay.labels[peer]
+        return (
+            {v: labels.get(v, UNLABELLED) for v in overlay.neighbors(peer)},
+            overlay.broken[peer],
+        )
+    return overlay.link_labels(peer)
+
+
+def has_tree(protocol, peer):
+    """Whether *peer* ran Phase 2 since its links last changed."""
+    if isinstance(protocol, ReferenceAce):
+        return protocol.state_of(peer) is not None
+    labels, broken = protocol.overlay.link_labels(peer)
+    return UNLABELLED not in labels.values() and not broken
 
 
 class TestConfigValidation:
@@ -89,7 +139,7 @@ class TestPhase2Classification:
     def test_known_neighbors_recorded(self, ace_class, clustered):
         protocol = ace_class(clustered, rng=np.random.default_rng(0))
         state = tree_of(protocol, 0)
-        assert state.known_neighbors == frozenset({1, 2})
+        assert state.flooding | state.non_flooding == frozenset({1, 2})
 
 
 class TestStaleStateHandling:
@@ -118,13 +168,36 @@ class TestStaleStateHandling:
         assert protocol.flooding_neighbors(0) == {1}
 
     def test_churn_hooks_drop_state(self, ace_class, clustered):
-        protocol = ace_class(clustered, rng=np.random.default_rng(0))
+        """The churn hooks are the overlay's own mutators.
+
+        The reference states the label rule in dicts on a labelled twin.
+        A departure cuts the leaver's links: a neighbor whose tree it was
+        in floods everywhere, one that labelled it non-flooding keeps its
+        tree.  A rejoining peer has no labels and floods until its next
+        Phase 2; its links count as new at the peers it links to.
+        """
+        if ace_class is ReferenceAce:
+            clustered, ace_class = labelled_twin(clustered), LabelledReferenceAce
+        protocol = ace_class(
+            clustered, AceConfig(shed_redundant=False), rng=np.random.default_rng(0)
+        )
         protocol.rebuild_all_trees()
-        protocol.handle_peer_left(0)
-        assert protocol.state_of(0) is None
+        assert protocol.flooding_neighbors(1) == {0, 2}
+        assert protocol.flooding_neighbors(2) == {1, 3}
+        host = clustered.host_of(0)
+        clustered.remove_peer(0)
+        assert link_state(clustered, 1) == ({2: FLOODING}, True)
+        assert protocol.flooding_neighbors(1) == {2}
+        assert link_state(clustered, 2) == ({1: FLOODING, 3: FLOODING}, False)
+        assert protocol.flooding_neighbors(2) == {1, 3}
         protocol.rebuild_all_trees()
-        protocol.handle_peer_joined(0)
-        assert protocol.state_of(0) is None
+        clustered.add_peer(0, host)
+        clustered.connect(0, 1)
+        clustered.connect(0, 2)
+        assert link_state(clustered, 0) == ({1: UNLABELLED, 2: UNLABELLED}, False)
+        assert protocol.flooding_neighbors(0) == {1, 2}
+        assert protocol.flooding_neighbors(1) == {0, 2}
+        assert protocol.flooding_neighbors(2) == {0, 1, 3}
 
 
 class TestStep:
@@ -148,9 +221,7 @@ class TestStep:
     def test_all_peers_have_state_after_step(self, ace_class, small_overlay):
         protocol = ace_class(small_overlay, rng=np.random.default_rng(1))
         protocol.step()
-        assert all(
-            protocol.state_of(p) is not None for p in small_overlay.peers()
-        )
+        assert all(has_tree(protocol, p) for p in small_overlay.peers())
 
     def test_step_keeps_overlay_connected(self, ace_class, small_overlay):
         protocol = ace_class(small_overlay, rng=np.random.default_rng(1))

@@ -6,7 +6,7 @@ import pytest
 from repro.core.ace import AceConfig, AceProtocol
 from repro.core.replacement import MIN_DEGREE
 from repro.topology.physical import PhysicalTopology
-from repro.topology.soa import ArrayOverlay
+from repro.topology.soa import FLOODING, ArrayOverlay
 
 
 def tiny_world(n_hosts=8):
@@ -58,9 +58,8 @@ class TestStarOverlayBehaviour:
             ov.connect(0, leaf)
         protocol = AceProtocol(ov, rng=np.random.default_rng(0))
         protocol.rebuild_all_trees()
-        state = protocol.state_of(0)
-        assert state.flooding == frozenset({1, 2, 3, 4})
-        assert state.non_flooding == frozenset()
+        labels, broken = ov.link_labels(0)
+        assert labels == {leaf: FLOODING for leaf in (1, 2, 3, 4)} and not broken
 
     def test_star_step_makes_no_changes(self):
         ov = ArrayOverlay(tiny_world(), {0: 3, 1: 0, 2: 1, 3: 6, 4: 7})

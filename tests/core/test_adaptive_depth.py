@@ -10,6 +10,7 @@ from repro.core.adaptive_depth import (
 )
 from repro.metrics.optimization import OptimizationTradeoff
 from repro.topology.overlay import small_world_overlay
+from repro.topology.soa import UNLABELLED
 
 
 def tradeoff(depth, saving, overhead):
@@ -118,8 +119,9 @@ class TestAdaptiveProtocol:
         assert protocol.parked_steps == 1
         assert report.replacements == 0
         assert sorted(world.edges()) == edges_before
-        # Trees are still fresh for routing.
-        assert protocol.state_of(world.peers()[0]) is not None
+        # Trees are still fresh for routing: every link is labelled.
+        labels, broken = world.link_labels(world.peers()[0])
+        assert UNLABELLED not in labels.values() and not broken
 
     def test_optimizes_at_recommended_depth(self, world, advisor):
         protocol = AdaptiveAceProtocol(

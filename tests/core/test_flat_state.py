@@ -1,82 +1,79 @@
-"""FlatAceStore against a plain dict, across repacks.
+"""ACE's flat routing state against a plain dict, across compactions.
 
-The store keeps rows packed in CSR snapshots plus a pending overlay and
-re-packs (one gather per CSR pair, rows in sorted-peer order) whenever
-pending rows plus holes outgrow ``repack_threshold``.  Whatever the
-interleaving of ``put`` / ``drop`` and wherever the repacks fall, every
-reader must answer like a dict of the last value written per peer.
+``ArrayOverlay`` keeps each peer's Phase 2 as one label per directed CSR
+entry plus one tree-broken bit per slot, and compacts its buffers and
+tombstones away whenever edits outgrow ``compact_threshold``.  Whatever the
+interleaving of label writes (``put``: Phase 2 at one peer) and of the
+mutations that drop labels (``drop``: a departure, ``cut``: a disconnect),
+and wherever the compactions fall, every peer's labels must read like a
+dict of the last write per link, less what a mutation took away.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.flat_state import FlatAceStore
-from repro.perf import counters
+from repro.core.ace import AceProtocol
+from repro.core.batch_ace import store_closures
+from repro.topology.generators import barabasi_albert
+from repro.topology.overlay import small_world_overlay
+from repro.topology.soa import FLOODING, NON_FLOODING, UNLABELLED, ArrayOverlay
 
 _PEER = st.integers(0, 11)
-_SET = st.frozensets(st.integers(0, 40), max_size=5)
 _OP = st.one_of(
-    st.tuples(st.just("put"), _PEER, _SET, _SET, st.integers(0, 99)),
-    st.tuples(st.just("drop"), _PEER),
+    st.tuples(st.just("put"), _PEER, st.just(0)),
+    st.tuples(st.just("drop"), _PEER, st.just(0)),
+    st.tuples(st.sampled_from(["cut", "link"]), _PEER, _PEER),
 )
 
 
-def assert_matches_model(store, model):
-    assert len(store) == len(model)
-    for peer in range(12):
-        assert (peer in store) == (peer in model)
-    for peer, (flooding, known, size, edges) in model.items():
-        assert store.flooding_of(peer) == flooding
-        assert store.known_of(peer) == known
-        assert store.closure_size_of(peer) == size
-        assert store.closure_edges_of(peer) == edges
-    peers, f_indptr, f_data, k_indptr, k_data = store.rows()
-    assert sorted(peers.tolist()) == sorted(model)
-    for i, peer in enumerate(peers.tolist()):
-        flooding, known, _, _ = model[peer]
-        assert f_data[f_indptr[i] : f_indptr[i + 1]].tolist() == sorted(flooding)
-        assert k_data[k_indptr[i] : k_indptr[i + 1]].tolist() == sorted(known)
+def assert_matches_model(overlay, labels, broken):
+    assert sorted(overlay.peers()) == sorted(labels)
+    for peer, row in labels.items():
+        want = {v: row.get(v, UNLABELLED) for v in overlay.neighbors(peer)}
+        assert overlay.link_labels(peer) == (want, broken[peer]), peer
 
 
 @settings(max_examples=150, deadline=None)
-@given(threshold=st.sampled_from([0, 2, 5]), ops=st.lists(_OP, max_size=40))
-def test_put_drop_sequences_match_a_dict_model(threshold, ops):
-    store = FlatAceStore(repack_threshold=threshold)
-    model = {}
-    for op, peer, *state in ops:
-        # The store's own rule, restated: it repacks when pending rows plus
-        # the holes left by drops exceed the threshold.
-        syncs = counters.array_state_syncs
-        rows_before, pending_before = store.packed_rows, store.pending_rows
-        if op == "put":
-            flooding, known, size = state
-            store.put(peer, flooding, known, size, len(known))
-            model[peer] = (flooding, known, size, len(known))
-        else:
-            assert store.drop(peer) == (peer in model)
-            model.pop(peer, None)
-        repacked = counters.array_state_syncs - syncs
-        assert repacked in (0, 1)
-        if repacked:
-            # Packed rows are exactly the live peers, in sorted-peer order.
-            assert store.pending_rows == 0
-            assert store.packed_rows == len(model)
-            assert list(store._row) == sorted(model)
-            assert store.rows()[0].tolist() == sorted(model)
-        else:
-            assert store.packed_rows == rows_before
-            assert store.pending_rows <= pending_before + 1
-        assert_matches_model(store, model)
+@given(
+    seed=st.integers(0, 1_000),
+    threshold=st.sampled_from([0, 2, 5]),
+    ops=st.lists(_OP, max_size=40),
+)
+def test_put_drop_sequences_match_a_dict_model(seed, threshold, ops):
+    rng = np.random.default_rng(seed)
+    physical = barabasi_albert(40, m=2, rng=rng)
+    overlay = ArrayOverlay.from_overlay(
+        small_world_overlay(physical, 12, avg_degree=4, rng=rng),
+        compact_threshold=threshold,
+    )
+    protocol = AceProtocol(overlay, rng=rng)
+    labels = {p: {} for p in overlay.peers()}
+    broken = {p: False for p in overlay.peers()}
 
+    def cut(peer, other):
+        # The store's own rule, restated: losing a link drops its label,
+        # and losing a flooding link breaks the tree.
+        if labels[peer].pop(other, None) == FLOODING:
+            broken[peer] = True
 
-def test_repack_keeps_dtype_and_empty_store_works():
-    store = FlatAceStore(repack_threshold=0)
-    store.put(3, {1, 2}, {1, 2, 4}, 5, 6)  # repacks at once
-    store.drop(3)  # repacks to an empty store
-    assert (len(store), store.packed_rows, store.pending_rows) == (0, 0, 0)
-    for array in store.rows():
-        assert array.dtype == np.int64
-    store.put(7, (), {9}, 2, 1)
-    assert store.known_of(7) == {9} and store.flooding_of(7) == frozenset()
-    assert store.closure_size_of(7) == 2 and store.closure_edges_of(7) == 1
+    for op, a, b in ops:
+        if op == "put" and a in labels:
+            store_closures(protocol, [a])
+            written, _ = overlay.link_labels(a)
+            assert set(written) == set(overlay.neighbors(a))
+            assert set(written.values()) <= {FLOODING, NON_FLOODING}
+            assert not written or FLOODING in written.values()
+            labels[a], broken[a] = dict(written), False
+        elif op == "drop" and a in labels and len(labels) > 2:
+            for other in overlay.neighbors(a):
+                cut(other, a)
+            overlay.remove_peer(a)
+            del labels[a], broken[a]
+        elif op == "cut" and a in labels and b in labels:
+            if overlay.disconnect(a, b):
+                cut(a, b)
+                cut(b, a)
+        elif op == "link" and a in labels and b in labels and a != b:
+            overlay.connect(a, b)  # a new link starts unlabelled
+        assert_matches_model(overlay, labels, broken)

@@ -93,9 +93,7 @@ class TestFullPipeline:
         for round_idx in range(6):
             protocol.step()
             victim = overlay.peers()[int(rng.integers(overlay.num_peers))]
-            protocol.handle_peer_left(victim)
-            replacement = churn.depart(victim, now=float(round_idx))
-            protocol.handle_peer_joined(replacement)
+            churn.depart(victim, now=float(round_idx))
             churn.repair_isolated()
 
         assert overlay.num_peers == 30

@@ -15,7 +15,7 @@ import asyncio
 
 import pytest
 
-from repro.core.ace import AceConfig
+from repro.core.ace import AceConfig, AceProtocol
 from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.net.launch import (
     compare_runs,
@@ -28,7 +28,9 @@ from repro.net.runtime import DeliveryCoordinator, NetConfig, TrafficLedger
 from repro.net.seed import SeedNode
 from repro.net.wire import Envelope, Welcome, WireError
 from repro.perf import counters
-from repro.sim.messages import ConnectRequest, CostProbe
+from repro.sim.messages import ConnectRequest, CostProbe, DisconnectNotice
+from repro.topology.physical import PhysicalTopology
+from repro.topology.soa import FLOODING, ArrayOverlay
 
 CONFIG = ScenarioConfig(physical_nodes=64, peers=8, avg_degree=4.0, seed=7)
 ACE = AceConfig()
@@ -277,3 +279,50 @@ class TestPeerPlumbing:
         )
         assert reply.accepted is True
         assert peer.neighbors == {2}
+
+
+class TestLiveRouting:
+    """A live peer labels its connections as ``ArrayOverlay`` labels links."""
+
+    @staticmethod
+    def worlds():
+        """Triangle 0-1-2 (costs 2, 3, 5) plus pendant 3, both engines.
+
+        After Phase 2, peer 0's tree keeps 0-1 and leaves 0-2 out.
+        """
+        line = PhysicalTopology(8, [(i, i + 1) for i in range(7)], [1.0] * 7)
+        overlay = ArrayOverlay(line, {0: 0, 1: 2, 2: 5, 3: 7})
+        for u, v in ((0, 1), (1, 2), (0, 2), (2, 3)):
+            overlay.connect(u, v)
+        protocol = AceProtocol(overlay, AceConfig(shed_redundant=False))
+        protocol.rebuild_all_trees()
+        live = _peer(0)
+        live.apply_welcome(Welcome(peer=0, members=(0, 1, 2, 3)))
+        for other in sorted(overlay.neighbors(0)):
+            live.handle_request(
+                ConnectRequest(sender=other, target=0), Envelope(src=other, dst=0)
+            )
+        labels, _ = overlay.link_labels(0)
+        live._label_links({v for v, label in labels.items() if label == FLOODING})
+        return overlay, protocol, live
+
+    @pytest.mark.parametrize(
+        "other, remade",
+        [
+            # A re-made tree link does not mend the tree: 0 floods on both.
+            (1, [1, 2]),
+            # A re-made non-flooding link is unlabelled: 0 forwards on it.
+            (2, [1, 2]),
+        ],
+        ids=["flooding", "non_flooding"],
+    )
+    def test_remade_link_routes_as_the_overlay_does(self, other, remade):
+        overlay, protocol, live = self.worlds()
+        assert list(live._routes()) == sorted(protocol.flooding_neighbors(0)) == [1]
+        env = Envelope(src=other, dst=0)
+        overlay.disconnect(0, other)
+        live.handle_request(DisconnectNotice(sender=other, target=0), env)
+        assert list(live._routes()) == sorted(protocol.flooding_neighbors(0))
+        overlay.connect(0, other)
+        live.handle_request(ConnectRequest(sender=other, target=0), env)
+        assert list(live._routes()) == sorted(protocol.flooding_neighbors(0)) == remade

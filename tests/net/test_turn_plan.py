@@ -109,7 +109,7 @@ def reference(me, config, shed_floor):
         make_policy(config.policy), rng,
     )
     turn = Turn(charged.probe_cost, charged.exchange_cost, sheds, actions)
-    return turn, view.log, serialize_rng(rng), view.probed, (flooding, known)
+    return turn, view.log, serialize_rng(rng), view.probed, flooding
 
 
 def snapshot(me, depth):
@@ -143,7 +143,7 @@ def test_plan_equals_core_phases(config, no_io):
     policy = make_policy(config.policy)
     misses_seen, mutated, advanced = [], 0, 0
     for me in costs.peers():
-        turn, log, rng_state, ref_probed, routing = reference(me, config, floor)
+        turn, log, rng_state, ref_probed, flooding = reference(me, config, floor)
         mine, tables, probed = snapshot(me, config.depth)
 
         # Withholding any one candidate probe names exactly that peer.
@@ -169,7 +169,7 @@ def test_plan_equals_core_phases(config, no_io):
         assert plan.turn == turn
         assert plan.log == log
         assert plan.rng_state == rng_state
-        assert (plan.flooding, plan.known) == routing
+        assert plan.flooding == flooding
         mutated += bool(log)
         advanced += rng_state != TOKEN
     # Not vacuous: turns missed probes and mutated.
@@ -191,7 +191,7 @@ def test_recompute_plans_routing_only(no_io):
             SnapshotView(me, mine, tables, probed), config, 2, make_policy("random"), None
         )
         assert plan.turn is None and plan.log == [] and plan.rng_state is None
-        assert plan.known == mine and plan.flooding <= mine
+        assert plan.flooding <= mine
 
 
 def test_snapshot_mutations_match_a_refetch():

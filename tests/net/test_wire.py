@@ -31,11 +31,9 @@ from repro.net.wire import (
     Envelope,
     FrameAssembler,
     FrameTooLarge,
-    GetPeers,
     GetTable,
     Hello,
     OptimizeTurn,
-    PeerSample,
     Shutdown,
     TruncatedFrame,
     TurnDone,
@@ -94,8 +92,6 @@ SAMPLES = [
         config={"depth": 1, "policy": "random", "allow_keep_both": True,
                 "shed_floor": None},
     ),
-    GetPeers(count=4),
-    PeerSample(addresses={5: ("10.0.0.1", 6000)}),
     GetTable(peer=9),
     ConnectAck(accepted=False),
     OptimizeTurn(phase="optimize", step_index=3, rng_state='{"s": 1}'),
@@ -154,9 +150,11 @@ class TestRoundTrip:
 class TestRejection:
     def test_unknown_type_id_rejected(self):
         frame = encode_frame(Ping(sender=1), ENV)
-        bad = HEADER.pack(len(frame) - HEADER.size, WIRE_VERSION, 200)
-        with pytest.raises(UnknownMessageType):
-            decode_frame(bad + frame[HEADER.size:])
+        # 66 was a control frame no peer ever sent; its id stays unassigned.
+        for type_id in (66, 200):
+            bad = HEADER.pack(len(frame) - HEADER.size, WIRE_VERSION, type_id)
+            with pytest.raises(UnknownMessageType):
+                decode_frame(bad + frame[HEADER.size:])
 
     def test_unregistered_class_rejected_at_encode(self):
         with pytest.raises(UnknownMessageType):
@@ -245,7 +243,7 @@ class TestRejection:
         with pytest.raises(WireError):
             encode_frame(Hello(peer=1, host=5), ENV)
         with pytest.raises(WireError):
-            encode_frame(PeerSample(addresses={1: ("h",)}), ENV)
+            encode_frame(Welcome(addresses={1: ("h",)}), ENV)
 
 
 class TestFrameAssembler:

@@ -24,7 +24,8 @@ from repro.topology.overlay import Overlay
 from repro.topology.soa import ArrayOverlay
 
 
-def _twin(cls, overlay: Overlay) -> Overlay:
+def twin(cls, overlay: Overlay) -> Overlay:
+    """A *cls* overlay with *overlay*'s peers, hosts, edges and oracle."""
     peers = overlay.peers()
     twin = cls(overlay.physical, {p: overlay.host_of(p) for p in peers})
     for u in peers:
@@ -37,14 +38,14 @@ def _twin(cls, overlay: Overlay) -> Overlay:
 
 def object_twin(overlay: Overlay) -> Overlay:
     """An ``Overlay`` with *overlay*'s peers, hosts, edges and oracle."""
-    return _twin(Overlay, overlay)
+    return twin(Overlay, overlay)
 
 
 def array_twin(overlay: Overlay) -> ArrayOverlay:
     """*overlay* itself if it is an ``ArrayOverlay``, else its array twin."""
     if isinstance(overlay, ArrayOverlay):
         return overlay
-    return _twin(ArrayOverlay, overlay)
+    return twin(ArrayOverlay, overlay)
 
 
 def object_scenario(config: ScenarioConfig) -> Scenario:

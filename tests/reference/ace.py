@@ -4,9 +4,12 @@
 :func:`~tests.reference.closure.neighbor_closure`, Phase 1 by
 :func:`~tests.reference.cost_table.run_phase1`, Phase 2 by
 :func:`~tests.reference.spanning_tree.prim_mst_heap` — and keeps one
-:class:`~repro.core.ace.PeerAceState` per peer in a dict.  Phase 3, the
-routing rule and the report fold are production's own
-(:mod:`repro.core.turn`).  Its surface is the part of
+:class:`ReferenceState` per peer in a dict.  It routes by the rule of
+remembered sets (:func:`set_rule`), not by production's link labels: the
+two rules differ only for a link cut and re-made before its peer's next
+Phase 2, which no driver queries, so every driver-level comparison also
+checks that they agree wherever a driver asks.  Phase 3 and the report
+fold are production's own (:mod:`repro.core.turn`).  Its surface is the part of
 :class:`~repro.core.ace.AceProtocol` the drivers, the strategies and the
 tests read, plus the per-peer entry points :meth:`refresh_peer` /
 :meth:`recompute_tree` the kernel batches away.
@@ -20,26 +23,64 @@ driver-level comparison runs the same driver code over either engine.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
 
-from repro.core.ace import AceConfig, PeerAceState, StepReport
+from repro.core.ace import AceConfig, StepReport
 from repro.core.policies import CandidatePolicy, make_policy
 from repro.core.replacement import ReplacementAction
-from repro.core.turn import Turn, fold, forwarding_set, phase3, shed_floor_of
+from repro.core.turn import Turn, fold, phase3, shed_floor_of
 from repro.experiments import dynamic_env, static_env
 from repro.perf import counters
 from repro.rng import ensure_rng
 from repro.topology.overlay import Overlay
+from repro.topology.soa import ArrayOverlay
 
 from .closure import ClosureView, neighbor_closure
 from .cost_table import Phase1Report, run_phase1
 from .search import reference_queries
 from .spanning_tree import prim_mst_heap
 
-__all__ = ["ReferenceAce", "reference_churn_refresh", "reference_drivers"]
+__all__ = [
+    "ReferenceState",
+    "set_rule",
+    "ReferenceAce",
+    "reference_churn_refresh",
+    "reference_drivers",
+]
+
+
+@dataclass(frozen=True)
+class ReferenceState:
+    """One peer's Phase 2 as the reference remembers it.
+
+    ``flooding`` is its tree neighbors, ``known`` the neighbor set the
+    tree was built over, and the closure's size and link count.
+    """
+
+    flooding: FrozenSet[int]
+    known: FrozenSet[int]
+    closure_size: int
+    closure_edges: int
+
+    @property
+    def non_flooding(self) -> FrozenSet[int]:
+        return self.known - self.flooding
+
+
+def set_rule(live: Set[int], state: Optional[ReferenceState]) -> Set[int]:
+    """The neighbors a peer forwards to, from its remembered sets.
+
+    No state, or a tree neighbor that is no longer live: every live
+    neighbor.  Otherwise the tree neighbors plus every neighbor gained
+    since the tree was built.
+    """
+    if state is None or not state.flooding <= live:
+        return live
+    return set(state.flooding) | (live - state.known)
 
 
 class ReferenceAce:
@@ -51,12 +92,14 @@ class ReferenceAce:
         config: Optional[AceConfig] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        assert type(overlay) is Overlay, "the reference runs on the object model"
+        assert not isinstance(overlay, ArrayOverlay), (
+            "the reference runs on the object model"
+        )
         self.overlay = overlay
         self.config = config or AceConfig()
         self.rng = ensure_rng(rng)
         self.policy: CandidatePolicy = make_policy(self.config.policy)
-        self._states: Dict[int, PeerAceState] = {}
+        self._states: Dict[int, ReferenceState] = {}
         self.state_version = 0
         self.steps_run = 0
         self.last_actions: List[ReplacementAction] = []
@@ -67,15 +110,11 @@ class ReferenceAce:
         self._closure_epoch = -1
         self._shed_floor = shed_floor_of(overlay)
 
-    def state_of(self, peer: int) -> Optional[PeerAceState]:
+    def state_of(self, peer: int) -> Optional[ReferenceState]:
         return self._states.get(peer)
 
     def flooding_neighbors(self, peer: int) -> Set[int]:
-        live = set(self.overlay.neighbors(peer))
-        state = self._states.get(peer)
-        if state is None:
-            return live
-        return forwarding_set(live, state.flooding, state.known_neighbors)
+        return set_rule(set(self.overlay.neighbors(peer)), self._states.get(peer))
 
     def non_flooding_neighbors(self, peer: int) -> Set[int]:
         return set(self.overlay.neighbors(peer)) - self.flooding_neighbors(peer)
@@ -93,25 +132,21 @@ class ReferenceAce:
         self._closure_cache[peer] = closure
         return closure
 
-    def refresh_peer(self, peer: int) -> Tuple[PeerAceState, Phase1Report]:
+    def refresh_peer(self, peer: int) -> Tuple[ReferenceState, Phase1Report]:
         """Phases 1-2 for one peer; stores and returns its state."""
         closure = self._closure_of(peer)
         report = run_phase1(self.overlay, closure)
         return self._store_state(peer, closure), report
 
-    def recompute_tree(self, peer: int) -> PeerAceState:
+    def recompute_tree(self, peer: int) -> ReferenceState:
         """Phase 2 only, without Phase-1 charges."""
         return self._store_state(peer, self._closure_of(peer))
 
-    def _store_state(self, peer: int, closure: ClosureView) -> PeerAceState:
+    def _store_state(self, peer: int, closure: ClosureView) -> ReferenceState:
         tree = prim_mst_heap(closure.edges, peer)
-        flooding = frozenset(tree.tree_neighbors(peer))
-        known = frozenset(self.overlay.neighbors(peer))
-        state = PeerAceState(
-            peer=peer,
-            flooding=flooding,
-            non_flooding=known - flooding,
-            known_neighbors=known,
+        state = ReferenceState(
+            flooding=frozenset(tree.tree_neighbors(peer)),
+            known=frozenset(self.overlay.neighbors(peer)),
             closure_size=closure.size,
             closure_edges=closure.num_edges(),
         )
@@ -152,13 +187,6 @@ class ReferenceAce:
 
     def run(self, steps: int) -> List[StepReport]:
         return [self.step() for _ in range(steps)]
-
-    def handle_peer_joined(self, peer: int) -> None:
-        self.handle_peer_left(peer)
-
-    def handle_peer_left(self, peer: int) -> None:
-        if self._states.pop(peer, None) is not None:
-            self.state_version += 1
 
     def rebuild_all_trees(self) -> None:
         for peer in self.overlay.peers():

@@ -1,19 +1,20 @@
 """Array-lowered ACE forwarding graph vs. the row-by-row reference.
 
 On the array engine :func:`repro.search.batch.compile_strategy` lowers the
-ACE forwarding graph from the overlay's CSR and one bulk read of the flat
-state store; the reference walks ``sorted(protocol.flooding_neighbors(p))``
-peer by peer.  The two must agree field for field after any interleaving of
-overlay mutations and state writes: every branch of the routing rule by
+ACE forwarding graph from the overlay's CSR and its link labels in one
+mask; the reference walks ``sorted(protocol.flooding_neighbors(p))`` peer
+by peer.  The two must agree field for field after any interleaving of
+overlay mutations and label writes: every branch of the routing rule by
 name below, random interleavings under hypothesis after that.
 
 The interleaving test is two-sided: the same operations drive a production
-world (``ArrayOverlay``, flat store, batched step, compiled strategies,
-``run_queries``) and its object twin (``Overlay``, the per-peer reference
-loop with its dict store, row lowering, heap-engine ``run_queries``), and
-every observable is compared
-after each one — the randomized counterpart of the pinned-seed driver
-comparisons in ``tests/experiments/test_reproducibility.py``.
+world (``ArrayOverlay`` with its label column, batched step, compiled
+strategies, ``run_queries``) and its object twin (a ``LabelledOverlay``
+keeping the §3.3 labels in per-peer dicts, the per-peer reference loop,
+row lowering, heap-engine ``run_queries``), and every observable — each
+peer's labels and broken bit included — is compared after each one: the
+randomized counterpart of the pinned-seed driver comparisons in
+``tests/experiments/test_reproducibility.py``.
 """
 
 import copy
@@ -30,24 +31,27 @@ from hypothesis import strategies as st
 
 from repro.core.ace import AceConfig, AceProtocol
 from repro.core.batch_ace import churn_refresh, store_closures
-from repro.core.flat_state import FlatAceStore
 from repro.core.turn import phase1_charges
 from repro.perf import counters
 from repro.search.batch import ace_graph_by_rows, compile_strategy, run_queries
 from repro.search.flooding import blind_flooding_strategy
 from repro.search.tree_routing import ace_strategy
 from repro.topology.generators import barabasi_albert
-from repro.topology.overlay import Overlay, small_world_overlay
-from repro.topology.soa import ArrayOverlay
-from tests.reference import object_twin
+from repro.topology.overlay import small_world_overlay
+from repro.topology.soa import FLOODING, NON_FLOODING, UNLABELLED, ArrayOverlay
 from tests.reference import search as reference_search
 from tests.reference.ace import ReferenceAce, reference_churn_refresh
+from tests.reference.labels import (
+    LabelledOverlay,
+    LabelledReferenceAce,
+    labelled_twin,
+)
 
 ARRAYS = ("peer_ids", "indptr", "targets", "costs")
 
 
-def make_world(seed, peers=24, repack_threshold=None, compact_threshold=None):
-    """Array overlay + protocol whose store repacks past *repack_threshold*."""
+def make_world(seed, peers=24, compact_threshold=None):
+    """Array overlay + protocol, compacting past *compact_threshold* edits."""
     rng = np.random.default_rng(seed)
     physical = barabasi_albert(120, m=2, rng=rng)
     overlay = ArrayOverlay.from_overlay(
@@ -55,8 +59,6 @@ def make_world(seed, peers=24, repack_threshold=None, compact_threshold=None):
         compact_threshold=compact_threshold,
     )
     protocol = AceProtocol(overlay, AceConfig(depth=2), rng=rng)
-    assert len(protocol.flat_store) == 0
-    protocol._flat = FlatAceStore(repack_threshold=repack_threshold)
     return overlay, protocol
 
 
@@ -81,12 +83,14 @@ def assert_equals_reference(overlay, protocol):
     return graph
 
 
+def labelled(overlay, peer, wanted):
+    """*peer*'s neighbors whose link it labelled *wanted*, ascending."""
+    return sorted(q for q, label in overlay.link_labels(peer)[0].items() if label == wanted)
+
+
 def tree_edge(overlay, protocol):
-    """A live edge ``(p, q)`` with q in p's stored flooding set."""
-    store = protocol.flat_store
-    return min(
-        (p, q) for p in overlay.peers() if p in store for q in store.flooding_of(p)
-    )
+    """A live edge ``(p, q)`` that p labelled flooding."""
+    return min((p, q) for p in overlay.peers() for q in labelled(overlay, p, FLOODING))
 
 
 class TestRoutingRuleBranches:
@@ -103,14 +107,13 @@ class TestRoutingRuleBranches:
         graph = assert_equals_reference(overlay, protocol)
         assert graph.targets.size < 2 * overlay.num_edges
         for p in overlay.peers():
-            assert row(graph, p) == sorted(protocol.flat_store.flooding_of(p))
+            assert row(graph, p) == labelled(overlay, p, FLOODING)
 
     def test_departed_flooding_neighbor_falls_back_to_all_live(self):
         overlay, protocol = make_world(3)
         protocol.rebuild_all_trees()
         p, q = tree_edge(overlay, protocol)
         overlay.remove_peer(q)
-        protocol.handle_peer_left(q)
         graph = assert_equals_reference(overlay, protocol)
         assert row(graph, p) == sorted(overlay.neighbors(p))
 
@@ -126,10 +129,9 @@ class TestRoutingRuleBranches:
         overlay, protocol = make_world(4)
         protocol.rebuild_all_trees()
         top = overlay.peers()[-1]
-        p = min(protocol.flat_store.flooding_of(top))
-        assert top in protocol.flat_store.flooding_of(p)
+        p = min(labelled(overlay, top, FLOODING))
+        assert top in labelled(overlay, p, FLOODING)
         overlay.remove_peer(top)
-        protocol.handle_peer_left(top)
         graph = assert_equals_reference(overlay, protocol)
         assert row(graph, p) == sorted(overlay.neighbors(p))
 
@@ -140,55 +142,95 @@ class TestRoutingRuleBranches:
         q = next(x for x in overlay.peers() if x != p and not overlay.has_edge(p, x))
         overlay.connect(p, q)
         graph = assert_equals_reference(overlay, protocol)
-        assert row(graph, p) == sorted(protocol.flat_store.flooding_of(p) | {q})
+        assert row(graph, p) == sorted({*labelled(overlay, p, FLOODING), q})
         assert p in row(graph, q)
 
-    def test_state_only_in_pending_rows(self):
-        overlay, protocol = make_world(6, repack_threshold=10_000)
+    def test_remade_flooding_link_leaves_the_tree_broken(self):
+        # §3.3: the cut broke p's tree, and a new connection to the same
+        # peer does not mend it — only p's next Phase 2 does.
+        overlay, protocol = make_world(12)
         protocol.rebuild_all_trees()
-        store = protocol.flat_store
-        assert (store.packed_rows, store.pending_rows) == (0, overlay.num_peers)
-        assert_equals_reference(overlay, protocol)
-
-    def test_state_only_in_packed_rows(self):
-        overlay, protocol = make_world(7, repack_threshold=10_000)
-        protocol.rebuild_all_trees()
-        store = protocol.flat_store
-        store._repack()
-        assert (store.packed_rows, store.pending_rows) == (overlay.num_peers, 0)
-        assert_equals_reference(overlay, protocol)
-
-    def test_packed_row_overwritten_by_pending(self):
-        overlay, protocol = make_world(8, repack_threshold=10_000)
-        protocol.rebuild_all_trees()
-        protocol.flat_store._repack()
         p, q = tree_edge(overlay, protocol)
         overlay.disconnect(p, q)
-        store_closures(protocol, [p])
-        assert protocol.flat_store.pending_rows == 1
-        graph = assert_equals_reference(overlay, protocol)
-        assert row(graph, p) == sorted(protocol.flat_store.flooding_of(p))
-
-    def test_state_dropped_and_put_again_leaves_a_hole(self):
-        overlay, protocol = make_world(9, repack_threshold=10_000)
-        protocol.rebuild_all_trees()
-        store = protocol.flat_store
-        store._repack()
-        p = overlay.peers()[3]
-        protocol.handle_peer_left(p)  # state dropped, peer stays
+        overlay.connect(p, q)
+        labels, broken = overlay.link_labels(p)
+        assert broken and labels[q] == UNLABELLED
         graph = assert_equals_reference(overlay, protocol)
         assert row(graph, p) == sorted(overlay.neighbors(p))
         store_closures(protocol, [p])
-        assert store._row[p] == store.packed_rows  # a new row; the old is a hole
+        assert not overlay.link_labels(p)[1]
+        assert_equals_reference(overlay, protocol)
+
+    def test_remade_non_flooding_link_is_forwarded_on(self):
+        overlay, protocol = make_world(13)
+        protocol.rebuild_all_trees()
+        p, q = min(
+            (p, q) for p in overlay.peers() for q in labelled(overlay, p, NON_FLOODING)
+        )
+        tree = labelled(overlay, p, FLOODING)
+        overlay.disconnect(p, q)
+        overlay.connect(p, q)
+        labels, broken = overlay.link_labels(p)
+        assert not broken and labels[q] == UNLABELLED
         graph = assert_equals_reference(overlay, protocol)
-        assert row(graph, p) == sorted(store.flooding_of(p))
+        assert row(graph, p) == sorted({*tree, q})
+
+    def test_reused_slot_starts_unlabelled_and_unbroken(self):
+        overlay, protocol = make_world(14, compact_threshold=10_000)
+        protocol.rebuild_all_trees()
+        p, q = tree_edge(overlay, protocol)
+        overlay.disconnect(p, q)  # p's tree breaks, then p leaves
+        slot, host = overlay._index[p], overlay.host_of(p)
+        overlay.remove_peer(p)
+        joiner = overlay.peers()[-1] + 1
+        overlay.add_peer(joiner, host)
+        assert overlay._index[joiner] == slot
+        for target in overlay.peers()[:3]:
+            overlay.connect(joiner, target)
+        labels, broken = overlay.link_labels(joiner)
+        assert not broken and set(labels.values()) == {UNLABELLED}
+        graph = assert_equals_reference(overlay, protocol)
+        assert row(graph, joiner) == sorted(overlay.neighbors(joiner))
+
+    def test_labels_survive_compaction_and_copy(self):
+        overlay, protocol = make_world(15, compact_threshold=10_000)
+        protocol.rebuild_all_trees()
+        p, q = tree_edge(overlay, protocol)
+        overlay.disconnect(p, q)  # a tombstone and a broken tree
+        u = overlay.peers()[-1]
+        v = next(x for x in overlay.peers() if x != u and not overlay.has_edge(u, x))
+        overlay.connect(u, v)  # a buffered link ...
+        store_closures(protocol, [u])  # ... labelled while buffered
+        assert overlay._extra and overlay.link_labels(u)[0][v] != UNLABELLED
+
+        def every_label(world):
+            return {x: world.link_labels(x) for x in world.peers()}
+
+        before = every_label(overlay)
+        assert before[p][1]
+        clone = overlay.copy()
+        overlay._compact()
+        assert not overlay._extra
+        assert every_label(overlay) == before == every_label(clone)
+        assert_equals_reference(overlay, protocol)
+        clone.label_links(p, [])  # the copy's labels are its own
+        assert every_label(overlay) == before != every_label(clone)
+
+    def test_fresh_protocol_on_a_labelled_overlay_floods_everywhere(self):
+        overlay, protocol = make_world(16)
+        protocol.rebuild_all_trees()
+        overlay.disconnect(*tree_edge(overlay, protocol))
+        fresh = AceProtocol(overlay, protocol.config, rng=np.random.default_rng(0))
+        graph = assert_equals_reference(overlay, fresh)
+        flooding = compile_strategy(overlay, blind_flooding_strategy(overlay))
+        for name in ARRAYS:
+            assert getattr(graph, name).tobytes() == getattr(flooding, name).tobytes()
 
     def test_state_of_a_peer_the_overlay_lost_is_ignored(self):
         overlay, protocol = make_world(10)
         protocol.rebuild_all_trees()
         for victim in (overlay.peers()[0], overlay.peers()[-1]):
-            overlay.remove_peer(victim)  # the protocol is not told
-            assert victim in protocol.flat_store
+            overlay.remove_peer(victim)  # its links, and their labels, go
             assert_equals_reference(overlay, protocol)
 
     def test_empty_and_edgeless_overlays(self):
@@ -237,7 +279,7 @@ class TestCounters:
         by_rows, want = run()
         assert lowered == by_rows
         assert lowered.departures > 0
-        for name in ("compiled_strategies", "soa_compactions", "array_state_syncs"):
+        for name in ("compiled_strategies", "soa_compactions"):
             assert got[name] == want[name] > 0, name
         # The one counter that moves: no per-row probe of the cost cache.
         assert got["edge_cost_hits"] < want["edge_cost_hits"]
@@ -245,8 +287,8 @@ class TestCounters:
 
 
 OPS = (
-    "join", "leave", "vanish", "connect", "disconnect", "step", "recompute",
-    "refresh", "drop_state", "churn", "copy", "queries",
+    "join", "leave", "connect", "disconnect", "remake", "step", "recompute",
+    "refresh", "churn", "copy", "queries",
 )
 
 
@@ -280,12 +322,10 @@ def depart_and_replace(world, departing, joiner, host, bootstrap):
     """The departure handler of ``run_dynamic_experiment``, both branches."""
     overlay, protocol = world.overlay, world.protocol
     affected = set(overlay.neighbors(departing))
-    protocol.handle_peer_left(departing)
     overlay.remove_peer(departing)
     overlay.add_peer(joiner, host)
     for target in bootstrap:
         overlay.connect(joiner, target)
-    protocol.handle_peer_joined(joiner)
     affected |= set(overlay.neighbors(joiner))
     affected.discard(joiner)
     if isinstance(protocol, AceProtocol):
@@ -301,16 +341,17 @@ def apply(world, op, a, b, next_id):
     host = b % overlay.physical.num_nodes
     if op == "join":
         overlay.add_peer(next_id, host)
-        protocol.handle_peer_joined(next_id)
         overlay.connect(next_id, p)
-    elif op in ("leave", "vanish") and len(peers) > 4:
+    elif op == "leave" and len(peers) > 4:
         overlay.remove_peer(p)
-        if op == "leave":
-            protocol.handle_peer_left(p)
     elif op == "connect" and p != q:
         return overlay.connect(p, q)
     elif op == "disconnect" and p != q:
         return overlay.disconnect(p, q)
+    elif op == "remake" and p != q:
+        # Cut and re-made before either end's next Phase 2: the one case
+        # in which the label rule and the rule of remembered sets differ.
+        return overlay.disconnect(p, q), overlay.connect(p, q)
     elif op == "step":
         return dataclasses.asdict(protocol.step())
     elif op == "recompute":
@@ -325,8 +366,6 @@ def apply(world, op, a, b, next_id):
         overlay.warm_edge_costs()
         batch = store_closures(protocol, [p])
         return phase1_charges(batch.probe_sum[0], batch.closure_edges[0])
-    elif op == "drop_state":
-        protocol.handle_peer_left(p)
     elif op == "churn" and len(peers) > 4:
         bootstrap = [t for t in (q, peers[(b + 1) % len(peers)]) if t != p]
         return depart_and_replace(world, p, next_id, host, bootstrap)
@@ -336,7 +375,7 @@ def apply(world, op, a, b, next_id):
     return None
 
 
-def assert_worlds_agree(production, reference, ids, sources, holders):
+def assert_worlds_agree(production, reference, sources, holders):
     """Every observable of the production world equals its object twin's."""
     for world in (production, reference):
         # The drivers' discipline: costs of edges made outside a step are
@@ -344,14 +383,15 @@ def assert_worlds_agree(production, reference, ids, sources, holders):
         world.overlay.warm_edge_costs()
     assert structure(production.overlay) == structure(reference.overlay)
     got, want = production.protocol, reference.protocol
-    for peer in ids:
-        assert got.state_of(peer) == want.state_of(peer), peer
+    twin = reference.overlay
+    for peer in twin.peers():
+        labels = {v: twin.labels[peer].get(v, UNLABELLED) for v in twin.neighbors(peer)}
+        assert production.overlay.link_labels(peer) == (labels, twin.broken[peer]), peer
     assert got.state_version == want.state_version
     assert got.steps_run == want.steps_run
     assert got.last_actions == want.last_actions
     lowered = assert_equals_reference(production.overlay, got)
-    assert_graphs_equal(lowered, ace_graph_by_rows(reference.overlay, want))
-    twin = reference.overlay
+    assert_graphs_equal(lowered, ace_graph_by_rows(twin, want))
     assert_graphs_equal(
         compile_strategy(production.overlay, production.flooding()),
         reference_search.graph_by_rows(
@@ -374,28 +414,26 @@ def assert_worlds_agree(production, reference, ids, sources, holders):
                 assert ask() == want
 
 
-def run_interleaving(seed, thresholds, ops):
-    """Drive production and its object twin through *ops*, side by side."""
-    repack, compact = thresholds
-    overlay, protocol = make_world(
-        seed, peers=14, repack_threshold=repack, compact_threshold=compact
-    )
+def run_interleaving(seed, compact, ops):
+    """Drive production and its labelled object twin through *ops*."""
+    overlay, protocol = make_world(seed, peers=14, compact_threshold=compact)
     production = World(overlay, protocol)
-    twin = object_twin(overlay)
+    twin = labelled_twin(overlay)
     reference = World(
-        twin, ReferenceAce(twin, protocol.config, rng=copy.deepcopy(protocol.rng))
+        twin,
+        LabelledReferenceAce(twin, protocol.config, rng=copy.deepcopy(protocol.rng)),
     )
     assert isinstance(production.overlay, ArrayOverlay)
-    assert type(reference.overlay) is Overlay
+    assert type(reference.overlay) is LabelledOverlay
     next_id = overlay.peers()[-1] + 1
-    assert_worlds_agree(production, reference, range(next_id), overlay.peers()[:2], [0])
+    assert_worlds_agree(production, reference, overlay.peers()[:2], [0])
     for op, a, b in ops:
         assert apply(production, op, a, b, next_id) == apply(reference, op, a, b, next_id)
         next_id += 1
         peers = production.overlay.peers()
         sources = peers if op == "queries" else [peers[a % len(peers)]]
         holders = [peers[b % len(peers)], peers[(a + b) % len(peers)]]
-        assert_worlds_agree(production, reference, range(next_id), sources, holders)
+        assert_worlds_agree(production, reference, sources, holders)
     for world in (production, reference):
         for retired, snapshot in world.retired:
             assert structure(retired) == snapshot
@@ -408,15 +446,15 @@ def run_interleaving(seed, thresholds, ops):
 )
 @given(
     seed=st.integers(0, 10_000),
-    thresholds=st.tuples(st.sampled_from([0, 2, 7]), st.sampled_from([2, 9, None])),
+    compact=st.sampled_from([2, 9, None]),
     ops=st.lists(
         st.tuples(st.sampled_from(OPS), st.integers(0, 10_000), st.integers(0, 10_000)),
         min_size=1,
         max_size=14,
     ),
 )
-def test_random_interleavings_equal_reference(seed, thresholds, ops):
-    run_interleaving(seed, thresholds, ops)
+def test_random_interleavings_equal_reference(seed, compact, ops):
+    run_interleaving(seed, compact, ops)
 
 
 def test_interleaving_under_the_sanitizer_records_no_violation():
@@ -426,7 +464,7 @@ def test_interleaving_under_the_sanitizer_records_no_violation():
 import repro.sanitize as sanitize
 assert sanitize.maybe_install()
 from tests.search.test_ace_array_lowering import OPS, run_interleaving
-run_interleaving(7, (2, 2), [(op, 3 * i + 1, 5 * i + 2) for i, op in enumerate(OPS * 2)])
+run_interleaving(7, 2, [(op, 3 * i + 1, 5 * i + 2) for i, op in enumerate(OPS * 2)])
 assert sanitize.violation_count() == 0, sanitize.violations()
 print("CLEAN")
 """

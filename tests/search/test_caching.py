@@ -271,9 +271,7 @@ def test_random_cached_query_sequences_equal_reference(seed, kind, ttl, capacity
             # A departing peer takes its cache; b decides whether the
             # indices pointing at it are invalidated or left stale.
             peer = live[a % len(live)]
-            for (overlay, protocol, _strategy), store in zip(worlds, stores):
-                if protocol is not None:
-                    protocol.handle_peer_left(peer)
+            for (overlay, _protocol, _strategy), store in zip(worlds, stores):
                 overlay.remove_peer(peer)
                 store.drop_peer(peer)
                 if b % 2:

@@ -3,42 +3,12 @@
 import pytest
 
 from repro.sim.messages import (
-    GNUTELLA_HEADER_BYTES,
     ConnectRequest,
     CostProbe,
-    CostTableMessage,
     DisconnectNotice,
     Ping,
-    Pong,
     Query,
-    QueryHit,
-    wire_cost,
 )
-
-
-class TestSizes:
-    def test_header_size(self):
-        assert GNUTELLA_HEADER_BYTES == 23
-
-    def test_ping_is_header_only(self):
-        assert Ping(sender=0).size_bytes == 23
-
-    def test_pong_payload(self):
-        assert Pong(sender=0).size_bytes == 23 + 14
-
-    def test_query_bigger_than_ping(self):
-        assert Query(sender=0).size_bytes > Ping(sender=0).size_bytes
-
-    def test_query_hit_biggest_standard(self):
-        assert QueryHit(sender=0).size_bytes > Query(sender=0).size_bytes
-
-    def test_cost_table_scales_with_entries(self):
-        empty = CostTableMessage(sender=0, entries=())
-        three = CostTableMessage(
-            sender=0, entries=((1, 5.0), (2, 3.0), (3, 8.0))
-        )
-        assert empty.size_bytes == 23
-        assert three.size_bytes == 23 + 3 * CostTableMessage.ENTRY_BYTES
 
 
 class TestIdentity:
@@ -73,19 +43,3 @@ class TestForwarding:
         assert q2.ttl == 1
         assert q2.hops == 2
 
-
-class TestWireCost:
-    def test_default_is_delay(self):
-        assert wire_cost(Ping(sender=0), 10.0) == pytest.approx(10.0)
-
-    def test_byte_factor_scales(self):
-        msg = Pong(sender=0)
-        cost = wire_cost(msg, 10.0, byte_factor=0.01)
-        assert cost == pytest.approx(10.0 * (1 + 0.01 * msg.size_bytes))
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            wire_cost(Ping(sender=0), -1.0)
-
-    def test_zero_delay_free(self):
-        assert wire_cost(QueryHit(sender=0), 0.0) == 0.0

@@ -272,10 +272,10 @@ protocol.step()
         proc = run_snippet("""
 import repro.search.batch as batch
 
-def keep_everything(peer_ids, src, targets, store):  # forgets the rule
-    return targets == targets
+def keep_everything(broken, label):  # forgets the rule
+    return label == label
 
-batch._ace_keep = keep_everything
+batch.forwards = keep_everything
 
 import repro.sanitize as sanitize
 sanitize.install()
