@@ -7,26 +7,26 @@ source node's most expensive neighbor [and probes] some other nodes ...
 The second one is closest policy in which the source will probe the costs to
 all of the non-flooding neighbor's neighbors, and select the closest one."
 
-We implement all three.  A policy answers two questions for a source peer:
+We implement all three.  A policy answers three questions for a source
+peer, from what the turn has already read — never from the overlay:
 
 * which non-flooding neighbors to try to replace, and in what order
-  (:meth:`CandidatePolicy.targets`), and
-* which candidate peers to probe for a given target
-  (:meth:`CandidatePolicy.candidates`).
+  (:meth:`CandidatePolicy.targets`, from the source's cost row),
+* which peers a replacement for one target may be drawn from
+  (:meth:`CandidatePolicy.pool`, from the two neighbor sets), and
+* which of them the source probes (:meth:`CandidatePolicy.probe`).
 
-Every returned candidate is probed (a cost-unit charge accounted by the
-replacement engine), so a policy's candidate count directly controls the
+Every probed peer is charged (a cost-unit charge accounted by the
+replacement engine), so a policy's probe count directly controls the
 overhead/optimization-quality trade-off studied in Figures 13-16.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence, Set
+from typing import Callable, Iterable, List, Mapping, Sequence, Set
 
 import numpy as np
-
-from ..topology.overlay import Overlay
 
 __all__ = [
     "CandidatePolicy",
@@ -43,39 +43,38 @@ class CandidatePolicy(abc.ABC):
     name: str = "abstract"
 
     def targets(
-        self,
-        overlay: Overlay,
-        source: int,
-        non_flooding: Sequence[int],
-        rng: np.random.Generator,
+        self, non_flooding: Sequence[int], d_source: Mapping[int, float]
     ) -> List[int]:
         """Non-flooding neighbors to attempt to replace, in order.
 
-        Default: all of them, most expensive first (the peer wants to shed
-        its physically farthest connections first).
+        *d_source* maps each to its link cost from the source.  Default:
+        all of them, most expensive first (the peer wants to shed its
+        physically farthest connections first).
         """
-        return sorted(
-            non_flooding, key=lambda n: (-overlay.cost(source, n), n)
-        )
+        return sorted(non_flooding, key=lambda n: (-d_source[n], n))
+
+    def pool(
+        self,
+        source: int,
+        mine: Set[int],
+        theirs: Set[int],
+        roster: Callable[[], Iterable[int]],
+    ) -> List[int]:
+        """Peers a replacement for one target may be drawn from.
+
+        *mine* and *theirs* are the source's and the target's neighbor
+        sets, *roster* lists every live peer.  Default: the target's
+        neighbors that are not yet the source's, ascending.
+        """
+        pool = theirs - mine
+        pool.discard(source)
+        return sorted(pool)
 
     @abc.abstractmethod
-    def candidates(
-        self,
-        overlay: Overlay,
-        source: int,
-        target: int,
-        rng: np.random.Generator,
-        limit: int,
+    def probe(
+        self, pool: List[int], rng: np.random.Generator, limit: int
     ) -> List[int]:
-        """Ordered candidate peers to probe as replacements for *target*."""
-
-    def _eligible(
-        self, overlay: Overlay, source: int, target: int
-    ) -> List[int]:
-        """Target's neighbors that could become new neighbors of *source*."""
-        exclude: Set[int] = set(overlay.neighbors(source))
-        exclude.add(source)
-        return sorted(n for n in overlay.neighbors(target) if n not in exclude)
+        """The members of *pool* the source probes, in probe order."""
 
 
 class RandomPolicy(CandidatePolicy):
@@ -83,20 +82,21 @@ class RandomPolicy(CandidatePolicy):
 
     name = "random"
 
-    def candidates(
-        self,
-        overlay: Overlay,
-        source: int,
-        target: int,
-        rng: np.random.Generator,
-        limit: int,
+    def probe(
+        self, pool: List[int], rng: np.random.Generator, limit: int
     ) -> List[int]:
-        """Up to *limit* uniformly random eligible neighbors of *target*."""
-        pool = self._eligible(overlay, source, target)
+        """Up to *limit* distinct members of the pool, uniformly at random.
+
+        One member is one ``rng.integers`` call: it returns the index
+        ``rng.choice(len(pool), 1, replace=False)`` would and leaves the
+        generator in the same state, at a fifth of the cost
+        (``tests/core/test_policies.py`` holds the equality).
+        """
         if not pool:
             return []
-        k = min(limit, len(pool))
-        idx = rng.choice(len(pool), size=k, replace=False)
+        if limit == 1:
+            return [pool[int(rng.integers(len(pool)))]]
+        idx = rng.choice(len(pool), size=min(limit, len(pool)), replace=False)
         return [pool[int(i)] for i in idx]
 
 
@@ -109,29 +109,15 @@ class ClosestPolicy(CandidatePolicy):
 
     name = "closest"
 
-    def candidates(
-        self,
-        overlay: Overlay,
-        source: int,
-        target: int,
-        rng: np.random.Generator,
-        limit: int,
+    def probe(
+        self, pool: List[int], rng: np.random.Generator, limit: int
     ) -> List[int]:
-        """The whole eligible pool, cheapest (from *source*) first."""
-        pool = self._eligible(overlay, source, target)
-        # One batched read: a live turn probes the whole pool in one round.
-        costs = overlay.costs_from(source, pool)
-        pool.sort(key=lambda h: (costs[h], h))
-        # The engine charges a probe per returned candidate; "closest" pays
-        # for the whole pool even though it tries the best one first.
+        """The whole pool: the source pays for every probe, then tries the
+        cheapest candidate first."""
         return pool
 
-    def probes_charged(self, overlay: Overlay, source: int, target: int) -> List[int]:
-        """All peers probed regardless of which candidate is tried."""
-        return self._eligible(overlay, source, target)
 
-
-class NaivePolicy(CandidatePolicy):
+class NaivePolicy(RandomPolicy):
     """Cut the most expensive neighbor; probe random peers anywhere.
 
     Section 6's first future-work policy: not restricted to the target's
@@ -141,35 +127,22 @@ class NaivePolicy(CandidatePolicy):
     name = "naive"
 
     def targets(
-        self,
-        overlay: Overlay,
-        source: int,
-        non_flooding: Sequence[int],
-        rng: np.random.Generator,
+        self, non_flooding: Sequence[int], d_source: Mapping[int, float]
     ) -> List[int]:
         """Only the single most expensive non-flooding neighbor."""
         if not non_flooding:
             return []
-        worst = max(non_flooding, key=lambda n: (overlay.cost(source, n), n))
-        return [worst]
+        return [max(non_flooding, key=lambda n: (d_source[n], n))]
 
-    def candidates(
+    def pool(
         self,
-        overlay: Overlay,
         source: int,
-        target: int,
-        rng: np.random.Generator,
-        limit: int,
+        mine: Set[int],
+        theirs: Set[int],
+        roster: Callable[[], Iterable[int]],
     ) -> List[int]:
-        """Random peers from anywhere in the overlay (no locality)."""
-        exclude: Set[int] = set(overlay.neighbors(source))
-        exclude.add(source)
-        pool = [p for p in overlay.peers() if p not in exclude]
-        if not pool:
-            return []
-        k = min(limit, len(pool))
-        idx = rng.choice(len(pool), size=k, replace=False)
-        return [pool[int(i)] for i in idx]
+        """Every live peer but the source and its neighbors (no locality)."""
+        return [p for p in roster() if p not in mine and p != source]
 
 
 _POLICIES = {

@@ -17,12 +17,11 @@ Each probe is a ping/pong over the (potential) logical link and is charged
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Set
 
 import numpy as np
 
 from ..metrics.collector import left_fold
-from ..topology.overlay import Overlay
 from .policies import CandidatePolicy
 
 __all__ = [
@@ -67,77 +66,68 @@ class ReplacementAction:
 
 
 def attempt_replacement(
-    overlay: Overlay,
+    view,
     source: int,
     target: int,
+    mine: Set[int],
+    d_sc: float,
     policy: CandidatePolicy,
     rng: np.random.Generator,
     allow_keep_both: bool = True,
 ) -> ReplacementAction:
-    """Run Phase 3 for one non-flooding neighbor of *source*.
+    """Run Phase 3 for one non-flooding neighbor *target* of *source*.
 
-    A Figure 4(b) cut is skipped when it would drop the *target* below
+    *mine* is the source's neighbor set as its turn keeps it — edited here
+    on a new or cut link — and *d_sc* the probed link cost d(S,C); the
+    target's own neighbor set is read once and answers the candidate pool,
+    the degree guard and whether the candidate is already its neighbor.
+    Every probed candidate is charged; they are tried cheapest first.  A
+    Figure 4(b) cut is skipped when it would drop the *target* below
     :data:`MIN_DEGREE` and the candidate is not the target's neighbor.
     With *allow_keep_both* ``False`` the Figure 4(c) branch is disabled —
     the behaviour of the AOTO precursor, which only ever swaps connections.
     """
-    if not overlay.has_edge(source, target):
+    theirs = view.neighbors(target)
+    pool = policy.pool(source, mine, theirs, lambda: view.peers())
+    probed = policy.probe(pool, rng, MAX_PROBES_PER_TARGET)
+    if not probed:
         return ReplacementAction("none", source, target, None, 0, 0.0)
 
-    candidates = policy.candidates(
-        overlay, source, target, rng, MAX_PROBES_PER_TARGET
-    )
-    if not candidates:
-        return ReplacementAction("none", source, target, None, 0, 0.0)
+    # One batched read: a live turn probes every candidate in one round.
+    d_src = view.costs_from(source, probed)
+    probe_cost = ROUND_TRIP_FACTOR * left_fold(d_src[h] for h in probed)
+    order = sorted(probed, key=lambda h: (d_src[h], h))
 
-    d_sc = overlay.cost(source, target)
-    probes = 0
-    probe_cost = 0.0
-
-    # All source-rooted probe costs come from one batched sweep: the same
-    # underlay vector serves the charged pool and every candidate below.
-    d_src = overlay.costs_from(source, list(candidates))
-
-    # The closest policy pays for probing the full eligible pool up front.
-    charged = getattr(policy, "probes_charged", None)
-    if charged is not None:
-        pool = charged(overlay, source, target)
-        probes = len(pool)
-        pool_costs = overlay.costs_from(source, pool)
-        probe_cost = ROUND_TRIP_FACTOR * left_fold(pool_costs[h] for h in pool)
-
-    # Target-rooted costs are only needed on the keep-both branch; solved
+    # Target-rooted costs are only needed on the keep-both branch; read
     # lazily (one batched sweep) the first time a candidate reaches it.
     d_tgt = None
 
-    for cand in candidates:
+    for cand in order:
         d_sh = d_src[cand]
-        if charged is None:
-            probes += 1
-            probe_cost += ROUND_TRIP_FACTOR * d_sh
-
         if d_sh < d_sc:
             # Figure 4(b): strictly closer — replace the far neighbor.
-            if overlay.degree(target) - 1 >= MIN_DEGREE or overlay.has_edge(
-                target, cand
-            ):
-                overlay.connect(source, cand)
-                overlay.disconnect(source, target)
+            if len(theirs) - 1 >= MIN_DEGREE or cand in theirs:
+                view.connect(source, cand)
+                view.disconnect(source, target)
+                mine.add(cand)
+                mine.discard(target)
                 return ReplacementAction(
-                    "replace", source, target, cand, probes, probe_cost
+                    "replace", source, target, cand, len(probed), probe_cost
                 )
             continue
 
         if d_tgt is None:
-            d_tgt = overlay.costs_from(target, list(candidates))
-        d_ch = d_tgt[cand]
-        if allow_keep_both and d_sh < d_ch:
+            d_tgt = view.costs_from(target, order)
+        if allow_keep_both and d_sh < d_tgt[cand]:
             # Figure 4(c): farther than C, but closer than the C-H link —
             # establish S-H and keep C; C is expected to shed C-H later.
-            overlay.connect(source, cand)
+            view.connect(source, cand)
+            mine.add(cand)
             return ReplacementAction(
-                "keep_both", source, target, cand, probes, probe_cost
+                "keep_both", source, target, cand, len(probed), probe_cost
             )
         # Figure 4(d): try the next candidate (the closest policy's pool).
 
-    return ReplacementAction("none", source, target, None, probes, probe_cost)
+    return ReplacementAction(
+        "none", source, target, None, len(probed), probe_cost
+    )

@@ -18,16 +18,27 @@ Both share everything from the closure on: :func:`phases12` reads a view's
 rows through ``live_row(u)`` — ``(neighbors, costs)``, one reading per link
 — and :func:`local_phases12` / :func:`prim_flooding` do the rest in
 local-CSR form, which the kernel's bulk sweep feeds directly.  Phase 3 is
-written against the duck-typed overlay surface (``neighbors`` / ``degree``
-/ ``has_edge`` / ``costs_from`` / ``connect`` / ``disconnect``), so the
-float evaluation order is the same whichever runner supplies the view.
+written against a duck-typed overlay surface, so the float evaluation order
+is the same whichever runner supplies the view, and it reads each row once:
+
+* per turn, ``neighbors(peer)`` and one ``costs_from(peer, neighbors)``,
+  shared by shedding, target order and every attempt;
+* per shed check, ``degree(target)``, ``neighbors(target)`` and
+  ``costs_from(target, mutual neighbors)``;
+* per replacement attempt, ``neighbors(target)`` (the candidate pool, the
+  degree guard and the candidate's link to the target), one
+  ``costs_from(peer, probed)`` and, on the keep-both branch, one
+  ``costs_from(target, probed)``; the naive policy's pool reads
+  ``peers()``;
+* ``connect`` / ``disconnect`` for each change, mirrored in the turn's
+  neighbor set.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -236,7 +247,12 @@ def phases12(view, peer: int, depth: int) -> tuple:
 
 
 def shed_redundant(
-    view, peer: int, non_flooding: Sequence[int], shed_floor: int
+    view,
+    peer: int,
+    non_flooding: Sequence[int],
+    shed_floor: int,
+    mine: Set[int],
+    d_peer: Dict[int, float],
 ) -> List[int]:
     """Cut non-flooding links a logical triangle makes redundant.
 
@@ -246,35 +262,29 @@ def shed_redundant(
     expensive redundant connection disappears (the Figure 1 L-M situation,
     and the eventual fate of C-H in Figure 4(c)).  Neither endpoint drops
     to *shed_floor* or below, and at most :data:`MAX_SHEDS_PER_STEP`
-    links go per call.  Returns the cut targets, in cut order.
+    links go per call.  *mine* is the peer's neighbor set (a superset of
+    *non_flooding*), edited here on every cut, and *d_peer* its link costs
+    (:func:`phase3` reads both once per turn; a cut only removes links, so
+    the costs stay valid).
+    Returns the cut targets, in cut order.
     """
     sheds: List[int] = []
-    my_neighbors = view.neighbors(peer)
-    # One batched sweep covers every peer-rooted cost this phase needs
-    # (targets and mutual witnesses alike); shedding only removes edges,
-    # so the precomputed costs stay valid for the whole loop.
-    d_peer = view.costs_from(peer, sorted(set(non_flooding) | set(my_neighbors)))
     # Most expensive candidates first: with a per-step cap, the worst
     # redundant connection goes first.
-    ordered = sorted(non_flooding, key=lambda t: (-d_peer[t], t))
-    for target in ordered:
-        if len(sheds) >= MAX_SHEDS_PER_STEP:
+    for target in sorted(non_flooding, key=lambda t: (-d_peer[t], t)):
+        if len(sheds) >= MAX_SHEDS_PER_STEP or len(mine) <= shed_floor:
             break
-        if not view.has_edge(peer, target):
+        if view.degree(target) <= shed_floor:
             continue
-        if view.degree(peer) <= shed_floor or view.degree(target) <= shed_floor:
-            continue
-        d_pt = d_peer[target]
-        # Re-fetch the peer's neighbor set: earlier sheds in this loop
-        # mutate the overlay, and views are free to return snapshots
-        # (ArrayOverlay, SnapshotView) rather than a live set (object Overlay).
-        mutual = view.neighbors(peer) & view.neighbors(target)
+        mutual = mine & view.neighbors(target)
         if not mutual:
             continue
+        d_pt = d_peer[target]
         d_target = view.costs_from(target, sorted(mutual))
         for w in mutual:
             if d_peer[w] < d_pt and d_target[w] < d_pt:
                 view.disconnect(peer, target)
+                mine.discard(target)
                 sheds.append(target)
                 break
     return sheds
@@ -293,25 +303,33 @@ def phase3(
 
     *non_flooding* is the peer's ascending non-flooding neighbor list from
     Phase 2; *rng* is the shared protocol stream (every runner draws from
-    it peer by peer in the same order).  Returns the shed targets and one
+    it peer by peer in the same order).  The turn reads the peer's own row
+    once — its neighbor set and one cost sweep over it — and shedding,
+    target order and every attempt share that read, the set edited in
+    place as links are cut and made.  Returns the shed targets and one
     :class:`ReplacementAction` per attempted target — all a runner needs
     to fold the turn and to track which endpoints mutated.
     """
+    mine = set(view.neighbors(peer))
+    non_flooding = [t for t in non_flooding if t in mine]
+    if not non_flooding:
+        return [], []
+    d_peer = view.costs_from(peer, sorted(mine))
     sheds: List[int] = []
     if config.shed_redundant:
-        sheds = shed_redundant(view, peer, non_flooding, shed_floor)
+        sheds = shed_redundant(view, peer, non_flooding, shed_floor, mine, d_peer)
         if sheds:
-            non_flooding = [t for t in non_flooding if view.has_edge(peer, t)]
+            non_flooding = [t for t in non_flooding if t in mine]
 
     actions: List[ReplacementAction] = []
-    for target in policy.targets(view, peer, non_flooding, rng):
-        if not view.has_edge(peer, target):
-            continue  # cut earlier in this turn, or by another peer since Phase 2
+    for target in policy.targets(non_flooding, d_peer):
         actions.append(
             attempt_replacement(
                 view,
                 peer,
                 target,
+                mine,
+                d_peer[target],
                 policy,
                 rng,
                 allow_keep_both=config.allow_keep_both,

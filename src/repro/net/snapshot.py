@@ -104,14 +104,6 @@ class SnapshotView:
     def degree(self, peer: int) -> int:
         return len(self._row(peer))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if v == self.peer:
-            u, v = v, u
-        return v in self._row(u)
-
-    def cost(self, u: int, v: int) -> float:
-        return self.costs_from(u, [v])[v]
-
     def costs_from(self, u: int, targets: Iterable[int]) -> Dict[int, float]:
         # Insertion order follows *targets*, matching Overlay.costs_from —
         # downstream float sums iterate these dicts in insertion order.

@@ -246,10 +246,10 @@ def _install_soa_hooks() -> None:
     from .topology.soa import ArrayOverlay
 
     def invalidate_shadow(self: Any, args: tuple) -> None:
-        if self.cached_edge_costs() != 0:
+        if self.cached_edge_costs != 0:
             record(
                 "ArrayOverlay.invalidate_edge_costs: "
-                f"{self.cached_edge_costs()} cached cost(s) survived "
+                f"{self.cached_edge_costs} cached cost(s) survived "
                 "invalidation"
             )
 

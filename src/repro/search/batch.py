@@ -155,7 +155,14 @@ class CompiledGraph:
 
     @property
     def reverse(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """In-edge CSR ``(indptr, senders, costs)``, built lazily."""
+        """In-edge CSR ``(indptr, senders, costs)``, built lazily.
+
+        An undirected graph is its own reverse: its rows are sorted and
+        each link carries one cost both ways, so its in-edges are its
+        out-edges, in the same order, bit for bit.
+        """
+        if not self.directed:
+            return self.indptr, self.targets, self.costs
         if self._reverse is None:
             n = self.num_peers
             order = np.argsort(self.targets, kind="stable")
@@ -167,6 +174,8 @@ class CompiledGraph:
     @property
     def receivers(self) -> np.ndarray:
         """Receiver index of every in-edge of :attr:`reverse`, built lazily."""
+        if not self.directed:
+            return self.edge_src
         if self._receivers is None:
             self._receivers = np.repeat(
                 np.arange(self.num_peers, dtype=np.int64), np.diff(self.reverse[0])

@@ -958,7 +958,7 @@ class ArrayOverlay(Overlay):
 
         Two hops are exactly where Phase 3 looks: a replacement candidate
         is a neighbor of a neighbor
-        (:meth:`repro.core.policies.CandidatePolicy._eligible`).  Peers
+        (:meth:`repro.core.policies.CandidatePolicy.pool`).  Peers
         sharing a host pool their neighborhoods.
         """
         at1, hop1, _ = self.live_rows(slots)

@@ -281,6 +281,15 @@ class TestTrafficReduction:
         assert optimized < baseline
 
 
+def shed(ov, peer, non_flooding, floor):
+    """Shedding as a turn runs it: the peer's row read once, then shared,
+    over the non-flooding links still live."""
+    mine = set(ov.neighbors(peer))
+    d_peer = ov.costs_from(peer, sorted(mine))
+    live = [t for t in non_flooding if t in mine]
+    return shed_redundant(ov, peer, live, floor, mine, d_peer)
+
+
 class TestShedding:
     # The shed floor is the overlay's average degree (never below 2), so
     # every world below keeps that average at 2 and gives the endpoints of
@@ -292,14 +301,14 @@ class TestShedding:
             [0, 2, 5, 1, 7], [(0, 1), (1, 2), (0, 2), (0, 3), (2, 4)]
         )
         assert shed_floor_of(ov) == 2
-        assert shed_redundant(ov, 0, [2], 2) == [2]
+        assert shed(ov, 0, [2], 2) == [2]
         assert not ov.has_edge(0, 2)
         assert ov.is_connected()
 
     def test_respects_degree_floor(self):
         ov = overlay_on_line([0, 2, 5, 7], [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert shed_floor_of(ov) == 2
-        assert shed_redundant(ov, 0, [2], 2) == []  # peer 0 has degree 2 == floor
+        assert shed(ov, 0, [2], 2) == []  # peer 0 has degree 2 == floor
         assert ov.has_edge(0, 2)
 
     def test_does_not_cut_non_triangle_links(self):
@@ -308,7 +317,7 @@ class TestShedding:
             [0, 2, 9, 1, 3, 11], [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5)]
         )
         assert shed_floor_of(ov) == 2
-        assert shed_redundant(ov, 0, [1], 2) == []
+        assert shed(ov, 0, [1], 2) == []
 
     def test_cap_per_step(self):
         # Two triangles sharing peer 0, both with 0-incident longest edges,
@@ -318,8 +327,8 @@ class TestShedding:
             [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (2, 5), (4, 6)],
         )
         assert shed_floor_of(ov) == 2
-        assert len(shed_redundant(ov, 0, [2, 4], 2)) == 1
-        assert len(shed_redundant(ov, 0, [2, 4], 2)) == 1
+        assert len(shed(ov, 0, [2, 4], 2)) == 1
+        assert len(shed(ov, 0, [2, 4], 2)) == 1
 
 
 class TestDegreeStability:

@@ -46,83 +46,112 @@ class TestMakePolicy:
             make_policy("bogus")
 
 
+def row(overlay, source):
+    """The source's link costs, as a turn reads them: one sweep."""
+    return overlay.costs_from(source, sorted(overlay.neighbors(source)))
+
+
+def pool(policy, overlay, source, target):
+    """The candidate pool for *target*, from the two neighbor sets."""
+    return policy.pool(
+        source, overlay.neighbors(source), overlay.neighbors(target), overlay.peers
+    )
+
+
 class TestTargets:
     def test_default_most_expensive_first(self, overlay, rng):
         policy = RandomPolicy()
-        targets = policy.targets(overlay, 0, [1, 2], rng)
+        targets = policy.targets([1, 2], row(overlay, 0))
         assert targets == [1, 2]  # cost(0,1)=50 > cost(0,2)=5
 
     def test_naive_picks_single_worst(self, overlay, rng):
         policy = NaivePolicy()
-        assert policy.targets(overlay, 0, [1, 2], rng) == [1]
+        assert policy.targets([1, 2], row(overlay, 0)) == [1]
 
     def test_naive_empty(self, overlay, rng):
-        assert NaivePolicy().targets(overlay, 0, [], rng) == []
+        assert NaivePolicy().targets([], row(overlay, 0)) == []
 
 
 class TestEligibility:
     def test_excludes_source_and_existing_neighbors(self, overlay, rng):
-        policy = RandomPolicy()
         # Candidates for target 1 are 1's neighbors minus {0} and 0's
         # neighbors: {3, 4, 5} (0 itself excluded automatically).
-        pool = policy._eligible(overlay, 0, 1)
-        assert pool == [3, 4, 5]
+        assert pool(RandomPolicy(), overlay, 0, 1) == [3, 4, 5]
 
     def test_excludes_current_neighbors_of_source(self, overlay, rng):
         overlay.connect(0, 3)
-        pool = RandomPolicy()._eligible(overlay, 0, 1)
-        assert pool == [4, 5]
+        assert pool(RandomPolicy(), overlay, 0, 1) == [4, 5]
 
 
 class TestRandomPolicy:
     def test_respects_limit(self, overlay, rng):
-        cands = RandomPolicy().candidates(overlay, 0, 1, rng, limit=2)
+        cands = RandomPolicy().probe(pool(RandomPolicy(), overlay, 0, 1), rng, 2)
         assert len(cands) == 2
         assert set(cands) <= {3, 4, 5}
 
     def test_limit_larger_than_pool(self, overlay, rng):
-        cands = RandomPolicy().candidates(overlay, 0, 1, rng, limit=10)
+        cands = RandomPolicy().probe(pool(RandomPolicy(), overlay, 0, 1), rng, 10)
         assert sorted(cands) == [3, 4, 5]
 
     def test_no_candidates(self, overlay, rng):
         # Target 2's only other neighbor is 5; once 0 connects to it the
         # pool is empty.
         overlay.connect(0, 5)
-        assert RandomPolicy().candidates(overlay, 0, 2, rng, limit=3) == []
+        assert pool(RandomPolicy(), overlay, 0, 2) == []
+        assert RandomPolicy().probe([], rng, 3) == []
 
     def test_randomized_but_seed_deterministic(self, overlay):
-        a = RandomPolicy().candidates(
-            overlay, 0, 1, np.random.default_rng(5), limit=1
-        )
-        b = RandomPolicy().candidates(
-            overlay, 0, 1, np.random.default_rng(5), limit=1
-        )
+        candidates = pool(RandomPolicy(), overlay, 0, 1)
+        a = RandomPolicy().probe(candidates, np.random.default_rng(5), 1)
+        b = RandomPolicy().probe(candidates, np.random.default_rng(5), 1)
         assert a == b
 
 
 class TestClosestPolicy:
     def test_orders_by_cost(self, overlay, rng):
-        cands = ClosestPolicy().candidates(overlay, 0, 1, rng, limit=1)
-        costs = [overlay.cost(0, c) for c in cands]
-        assert costs == sorted(costs)
-        assert set(cands) == {3, 4, 5}
+        # The closest policy probes the whole pool; the engine tries the
+        # cheapest first (test_replacement.TestClosestPolicyAccounting).
+        cands = ClosestPolicy().probe(pool(ClosestPolicy(), overlay, 0, 1), rng, 1)
+        assert cands == [3, 4, 5]
 
     def test_probes_charged_is_whole_pool(self, overlay, rng):
-        assert ClosestPolicy().probes_charged(overlay, 0, 1) == [3, 4, 5]
+        state = rng.bit_generator.state
+        assert ClosestPolicy().probe([3, 4, 5], rng, 1) == [3, 4, 5]
+        assert rng.bit_generator.state == state  # draws nothing
 
 
 class TestNaivePolicy:
     def test_candidates_anywhere(self, overlay, rng):
-        cands = NaivePolicy().candidates(overlay, 0, 1, rng, limit=10)
+        cands = NaivePolicy().probe(pool(NaivePolicy(), overlay, 0, 1), rng, 10)
         # Anyone except 0 and its neighbors {1, 2}.
         assert set(cands) == {3, 4, 5}
 
     def test_limit(self, overlay, rng):
-        assert len(NaivePolicy().candidates(overlay, 0, 1, rng, limit=2)) == 2
+        cands = NaivePolicy().probe(pool(NaivePolicy(), overlay, 0, 1), rng, 2)
+        assert len(cands) == 2
 
     def test_empty_pool(self, grid_physical, rng):
         from repro.topology.overlay import Overlay
 
         ov = Overlay(grid_physical, {0: 0, 1: 1})
         ov.connect(0, 1)
-        assert NaivePolicy().candidates(ov, 0, 1, rng, limit=3) == []
+        assert pool(NaivePolicy(), ov, 0, 1) == []
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_one_candidate_draw_is_the_one_element_choice(seed):
+    """``rng.integers(n)`` returns ``rng.choice(n, 1, replace=False)``'s
+    index and leaves the generator where it left it — the one-candidate
+    draw of :meth:`~repro.core.policies.RandomPolicy.probe` depends on
+    both."""
+    sizes = list(range(1, 50)) + [64, 100, 1000, 8000, 10_001, 70_000]
+    fast = np.random.default_rng(seed)
+    slow = np.random.default_rng(seed)
+    for n in sizes * 4:
+        assert int(fast.integers(n)) == int(slow.choice(n, 1, replace=False)[0])
+        assert fast.bit_generator.state == slow.bit_generator.state
+    pool = list(range(100, 160))
+    assert RandomPolicy().probe(pool, fast, 1) == [
+        pool[int(slow.choice(60, 1, replace=False)[0])]
+    ]
+    assert fast.bit_generator.state == slow.bit_generator.state

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ace import AceConfig, AceProtocol
@@ -444,6 +444,11 @@ def run_interleaving(seed, compact, ops):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# Every run covers the two ways a tree loses a link after a Phase 2: the
+# cut of a link both ends labelled flooding, and the departure of a peer
+# its neighbors' trees route through.
+@example(seed=5, compact=None, ops=[("step", 0, 0), ("disconnect", 0, 12)])
+@example(seed=5, compact=None, ops=[("step", 0, 0), ("leave", 0, 0)])
 @given(
     seed=st.integers(0, 10_000),
     compact=st.sampled_from([2, 9, None]),

@@ -19,6 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ace import AceConfig, AceProtocol
+from repro.core.batch_ace import churn_refresh
+from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.perf import counters
 from repro.search import batch, expanding_ring
 from repro.search.batch import compile_strategy, propagate_many, run_queries
@@ -513,3 +515,37 @@ class TestCounters:
         compile_strategy(overlay, strategy)
         compile_strategy(overlay, strategy)  # cache hit: no recompile
         assert counters.compiled_strategies - before == 1
+
+
+@pytest.mark.parametrize("oracle", ["exact", "landmark:8"])
+def test_undirected_graph_is_its_own_reverse(oracle):
+    """The flooding graph's in-edge CSR, built by the directed argsort,
+    equals its forward CSR bit for bit — after ACE steps and churn, under
+    either oracle — which is what lets ``reverse`` return the forward
+    arrays of an undirected graph."""
+    scenario = build_scenario(
+        ScenarioConfig(physical_nodes=500, peers=120, seed=4, oracle=oracle)
+    )
+    overlay = scenario.overlay
+    protocol = AceProtocol(overlay, rng=np.random.default_rng(4))
+    joiner = overlay.peers()[-1] + 1
+    for round_ in range(3):
+        protocol.step()
+        departing = overlay.peers()[7 * round_]
+        affected = set(overlay.neighbors(departing))
+        overlay.remove_peer(departing)
+        overlay.add_peer(joiner, 11 * round_)
+        for target in overlay.peers()[:3]:
+            overlay.connect(joiner, target)
+        churn_refresh(protocol, joiner, affected | set(overlay.neighbors(joiner)))
+        joiner += 1
+        graph = compile_strategy(overlay, blind_flooding_strategy(overlay))
+        assert not graph.directed
+        order = np.argsort(graph.targets, kind="stable")
+        indptr = np.zeros(graph.num_peers + 1, dtype=np.int64)
+        np.cumsum(np.bincount(graph.targets, minlength=graph.num_peers), out=indptr[1:])
+        assert indptr.tobytes() == graph.indptr.tobytes()
+        assert graph.edge_src[order].tobytes() == graph.targets.tobytes()
+        assert graph.costs[order].tobytes() == graph.costs.tobytes()
+        assert graph.reverse[1] is graph.targets
+        assert graph.receivers is graph.edge_src

@@ -112,6 +112,30 @@ class TestByteIdentity:
         assert "sanitize:" not in sanitized.stderr
 
 
+ARRAY_INVALIDATION = """
+PATCH
+import repro.sanitize as sanitize
+sanitize.install()
+
+from repro.topology.physical import PhysicalTopology
+from repro.topology.soa import ArrayOverlay
+
+physical = PhysicalTopology(4, [(0, 1), (1, 2), (2, 3)], [1.0, 1.0, 1.0])
+overlay = ArrayOverlay(physical, {0: 0, 1: 1, 2: 3})
+overlay.connect(0, 1)
+overlay.connect(1, 2)
+overlay.flush_edits()  # base CSR entries as well as buffered ones
+overlay.connect(0, 2)
+overlay.warm_edge_costs()
+assert overlay.cached_edge_costs == 3
+overlay.invalidate_edge_costs()
+print(sanitize.violations())
+assert sanitize.violation_count() == 0, sanitize.violations()
+assert overlay.cached_edge_costs == 0
+print("CLEAN")
+"""
+
+
 class TestEpochChecks:
     def test_missing_bump_in_subclass_is_detected(self):
         # model a shipped defect: the mutator loses its bump BEFORE the
@@ -165,6 +189,25 @@ assert sanitize.violation_count() == 0, sanitize.violations()
 print("CLEAN")
 """)
         assert "CLEAN" in proc.stdout, proc.stdout + proc.stderr
+
+    def test_array_overlay_invalidation_records_nothing(self):
+        proc = run_snippet(ARRAY_INVALIDATION.replace("PATCH", ""))
+        assert "CLEAN" in proc.stdout, proc.stdout + proc.stderr
+
+    def test_array_overlay_cost_surviving_invalidation_is_detected(self):
+        # The shipped invalidate, then one edge cost written back: the
+        # shadow check must see it survive.
+        patch = """
+from repro.topology.soa import ArrayOverlay
+invalidate = ArrayOverlay.invalidate_edge_costs
+def leaky(self):
+    invalidate(self)
+    self._vcost[0] = 1.0
+    self._missing -= 1
+ArrayOverlay.invalidate_edge_costs = leaky
+"""
+        proc = run_snippet(ARRAY_INVALIDATION.replace("PATCH", patch))
+        assert "1 cached cost(s) survived" in proc.stdout, proc.stdout + proc.stderr
 
     def test_stale_cache_entry_after_disconnect_is_detected(self):
         proc = run_snippet("""
