@@ -2,10 +2,10 @@
 
 Each :class:`LivePeer` owns
 
-* a listening socket (``asyncio.start_server``) with one reader task per
-  accepted connection,
-* an outbound connection pool (one dial per remote however many callers
-  race to it, retry with backoff, mark peers dead on failure),
+* a listening socket and an outbound pool (one dial per remote however
+  many callers race to it, retry with backoff, mark peers dead on
+  failure) of ``asyncio.Protocol`` connections that dispatch each frame
+  as it completes — no reader task; only an ``OptimizeTurn`` gets a task,
 * a :class:`repro.sim.node.Servent` — the simulator's own GUID dedup,
   reverse-path QueryHits and flooding-set forwarding — fed *logical*
   timestamps carried in the frame envelopes, its sends written to sockets,
@@ -56,7 +56,6 @@ from .wire import (
     GetTable,
     Hello,
     OptimizeTurn,
-    Shutdown,
     TurnDone,
     Welcome,
     WireError,
@@ -70,28 +69,59 @@ __all__ = ["LivePeer"]
 _DATA_TYPES = (Query, QueryHit)
 
 
-class _Connection:
-    """One open socket to a remote peer: writer plus its reader task."""
+class _Connection(asyncio.Protocol):
+    """One socket to a remote peer; each frame is dispatched as it completes.
 
-    def __init__(self, remote: int, reader, writer) -> None:
+    Writes go straight to the transport; :meth:`drain` waits out a full
+    write buffer, which ``pause_writing`` / ``resume_writing`` bracket.
+    """
+
+    def __init__(self, peer: "LivePeer", remote: int) -> None:
+        self.peer = peer
         self.remote = remote
-        self.reader = reader
-        self.writer = writer
-        self.task: Optional[asyncio.Task] = None
-        self.closed = False
+        self.transport: Optional[asyncio.Transport] = None
+        self._assembler = FrameAssembler()
+        #: Pending while the transport's write buffer is over its limit.
+        self._resumed: Optional[asyncio.Future] = None
 
-    async def send(self, data: bytes) -> None:
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.peer._open.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        for message, env in self._assembler.feed(data):
+            self.peer._on_frame(self, message, env)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.peer._drop_conn(self)
+        self.resume_writing()
+
+    def pause_writing(self) -> None:
+        self._resumed = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        resumed, self._resumed = self._resumed, None
+        if resumed is not None:
+            resumed.set_result(None)
+
+    def write(self, data: bytes) -> None:
         if self.closed:
             raise ConnectionError(f"connection to {self.remote} is closed")
-        self.writer.write(data)
-        await self.writer.drain()
+        self.transport.write(data)
+
+    async def drain(self) -> None:
+        """Wait while the write buffer is over its limit; raise if closed."""
+        if self._resumed is not None:
+            await asyncio.shield(self._resumed)
+        if self.closed:
+            raise ConnectionError(f"connection to {self.remote} was lost")
+
+    @property
+    def closed(self) -> bool:
+        return self.transport.is_closing()
 
     def close(self) -> None:
-        self.closed = True
-        try:
-            self.writer.close()
-        except Exception:
-            pass
+        self.transport.close()
 
 
 class LivePeer:
@@ -113,6 +143,8 @@ class LivePeer:
         self.port = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._conns: Dict[int, _Connection] = {}
+        #: Every open connection, dialed or accepted, registered or not.
+        self._open: Set[_Connection] = set()
         self._dials: Dict[int, asyncio.Task] = {}
         self._anon_tasks: Set[asyncio.Task] = set()
 
@@ -143,7 +175,6 @@ class LivePeer:
         # -- RPC plumbing -----------------------------------------------
         self._rpc_seq = 0
         self._rpc_waiters: Dict[int, asyncio.Future] = {}
-        self.stopped = asyncio.Event()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -151,8 +182,8 @@ class LivePeer:
 
     async def start(self) -> None:
         """Open the listening socket (the OS picks the port)."""
-        self._server = await asyncio.start_server(
-            self._accept, host=self.host, port=0
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self, -1), host=self.host, port=0
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -168,24 +199,15 @@ class LivePeer:
         if self._server is not None:
             self._server.close()
             self._server = None
-        for conn in list(self._conns.values()):
+        for conn in list(self._open):
             conn.close()
-            if conn.task is not None:
-                conn.task.cancel()
         self._conns.clear()
         for task in [*self._anon_tasks, *self._dials.values()]:
             task.cancel()
-        self.stopped.set()
 
     # ------------------------------------------------------------------
     # Connections
     # ------------------------------------------------------------------
-
-    def _accept(self, reader, writer) -> None:
-        conn = _Connection(-1, reader, writer)
-        conn.task = asyncio.get_running_loop().create_task(
-            self._read_loop(conn)
-        )
 
     async def connect_to(self, remote: int) -> _Connection:
         """The open connection to *remote*, dialing it if there is none.
@@ -214,20 +236,18 @@ class LivePeer:
                 counters.net_retries += 1
                 await asyncio.sleep(self.net.retry_delay * attempt)
             try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port),
+                _transport, conn = await asyncio.wait_for(
+                    asyncio.get_running_loop().create_connection(
+                        lambda: _Connection(self, remote), host, port
+                    ),
                     self.net.connect_timeout,
                 )
             except (OSError, asyncio.TimeoutError) as exc:
                 last_error = exc
                 continue
-            conn = _Connection(remote, reader, writer)
-            conn.task = asyncio.get_running_loop().create_task(
-                self._read_loop(conn)
-            )
             self._conns[remote] = conn
             counters.net_connections += 1
-            await self._send_control(
+            self._write_control(
                 conn, Hello(peer=self.peer_id, host=self.host, port=self.port),
                 Envelope(src=self.peer_id, dst=remote),
             )
@@ -252,6 +272,7 @@ class LivePeer:
 
     def _drop_conn(self, conn: _Connection) -> None:
         conn.close()
+        self._open.discard(conn)
         if conn.remote >= 0 and self._conns.get(conn.remote) is conn:
             del self._conns[conn.remote]
 
@@ -259,13 +280,14 @@ class LivePeer:
     # Sending
     # ------------------------------------------------------------------
 
-    async def _send_control(
+    def _write_control(
         self, conn: _Connection, message: object, env: Envelope
     ) -> None:
+        """Write one control frame; only the data plane awaits :meth:`drain`."""
         data = encode_frame(message, env)
         counters.net_messages_sent += 1
         counters.net_bytes_sent += len(data)
-        await conn.send(data)
+        conn.write(data)
 
     async def send_data(self, dst: int, message: Message, ltime: float) -> bool:
         """Transmit a data descriptor (charged at send, like the simulator).
@@ -282,7 +304,8 @@ class LivePeer:
         self.coord.will_send()
         try:
             conn = await self.connect_to(dst)
-            await conn.send(data)
+            conn.write(data)
+            await conn.drain()
         except (ConnectionError, OSError, PeerUnreachable):
             self.coord.abort_send()
             self._mark_dead(dst)
@@ -320,7 +343,7 @@ class LivePeer:
             env = Envelope(src=self.peer_id, dst=dst, rpc=rpc_id)
             try:
                 conn = await self.connect_to(dst)
-                await self._send_control(conn, message, env)
+                self._write_control(conn, message, env)
                 return await asyncio.wait_for(future, timeout)
             except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
                 last_error = exc
@@ -340,23 +363,15 @@ class LivePeer:
     # Receiving
     # ------------------------------------------------------------------
 
-    async def _read_loop(self, conn: _Connection) -> None:
-        assembler = FrameAssembler()
-        try:
-            while True:
-                data = await conn.reader.read(65536)
-                if not data:
-                    break
-                for message, env in assembler.feed(data):
-                    await self._handle_frame(conn, message, env)
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        finally:
-            self._drop_conn(conn)
-
-    async def _handle_frame(
+    def _on_frame(
         self, conn: _Connection, message: object, env: Envelope
     ) -> None:
+        """Dispatch one received frame; only a turn gets a task of its own."""
+        if isinstance(message, _DATA_TYPES):
+            self.coord.on_frame(
+                env.ltime, env.seq, self._data_handler(message, env)
+            )
+            return
         if env.reply is not None:
             waiter = self._rpc_waiters.get(env.reply)
             if waiter is not None and not waiter.done():
@@ -365,19 +380,11 @@ class LivePeer:
         if isinstance(message, Hello):
             conn.remote = message.peer
             self._conns.setdefault(message.peer, conn)
-            await self.on_hello(conn, message, env)
-            return
-        if isinstance(message, _DATA_TYPES):
-            self.coord.on_frame(
-                env.ltime, env.seq, self._data_handler(message, env)
-            )
-            return
-        if isinstance(message, Shutdown):
-            self.stopped.set()
+            self.on_hello(conn, message, env)
             return
         if isinstance(message, OptimizeTurn):
-            # Served in a detached task so this reader keeps answering
-            # probes from the peers the turn itself is querying.
+            # The turn awaits its own reads, so it runs in a task while
+            # this connection keeps answering the peers it is querying.
             task = asyncio.get_running_loop().create_task(
                 self._serve_turn(conn, message, env)
             )
@@ -385,9 +392,9 @@ class LivePeer:
             task.add_done_callback(self._anon_tasks.discard)
             return
         result = self.handle_request(message, env)
-        if result is not None and env.rpc is not None:
+        if result is not None and env.rpc is not None and not conn.closed:
             reply, reply_ltime = result
-            await self._send_control(
+            self._write_control(
                 conn, reply,
                 Envelope(
                     src=self.peer_id, dst=env.src,
@@ -395,9 +402,7 @@ class LivePeer:
                 ),
             )
 
-    async def on_hello(
-        self, conn: _Connection, hello: Hello, env: Envelope
-    ) -> None:
+    def on_hello(self, conn: _Connection, hello: Hello, env: Envelope) -> None:
         """Hook for the seed subclass; plain peers just bind the id."""
 
     def handle_request(
@@ -523,14 +528,10 @@ class LivePeer:
                 report={"error": repr(exc)},
                 ok=False,
             )
-        if env.rpc is not None:
-            try:
-                await self._send_control(
-                    conn, done,
-                    Envelope(src=self.peer_id, dst=env.src, reply=env.rpc),
-                )
-            except (ConnectionError, OSError):
-                pass
+        if env.rpc is not None and not conn.closed:
+            self._write_control(
+                conn, done, Envelope(src=self.peer_id, dst=env.src, reply=env.rpc)
+            )
 
     async def run_turn(self, turn: OptimizeTurn) -> TurnDone:
         """Execute one ACE phase: gather the reads, decide, send the mutations.

@@ -1,27 +1,29 @@
 """Asyncio runtime plumbing: delivery disciplines, latency, accounting.
 
-The live network must *be* a real network (sockets, reader tasks, frames)
-while still being able to reproduce the simulator's results exactly.  The
-pieces here make that possible:
+The live network must *be* a real network (sockets, protocol callbacks,
+frames) while still being able to reproduce the simulator's results
+exactly.  The pieces here make that possible:
 
 :class:`DeliveryCoordinator`
-    The data plane's delivery scheduler, in one of two disciplines.
+    The data plane's delivery scheduler: one ``(ltime, seq)`` heap of
+    received frames and one loop, :meth:`DeliveryCoordinator.drain`, that
+    runs their handlers in one of two disciplines.  Every data frame
+    (Query/QueryHit) gets a global send sequence number at *send* time —
+    the exact counter the simulator's :class:`~repro.sim.engine.EventLoop`
+    uses to break same-timestamp ties — and carries its logical arrival
+    time ``ltime``.
 
     * ``"lockstep"`` replays the simulator's event heap on a live network.
-      Every data frame (Query/QueryHit) gets a global send sequence number
-      at *send* time — the exact counter the simulator's
-      :class:`~repro.sim.engine.EventLoop` uses to break same-timestamp
-      ties — and carries its logical arrival time ``ltime``.  Frames still
-      genuinely cross sockets and the codec; the coordinator merely holds
-      each received frame until the wire is quiescent and then runs
-      handlers in ``(ltime, seq)`` order.  Deliveries therefore happen in
-      *exactly* the simulator's order, including tie-breaks, which is what
-      makes the sim-vs-live convergence check an equality, not a tolerance.
-    * ``"realtime"`` delivers each data frame at the wall-clock deadline
-      ``epoch + ltime * latency_scale`` — the artificial-latency injection
-      that reproduces the simulated underlay's delay matrix in real time.
-      ``latency_scale`` is seconds per cost unit; ``0`` delivers as fast as
-      asyncio can schedule.
+      Frames still genuinely cross sockets and the codec; the loop merely
+      pops the head once the wire is quiescent.  Deliveries therefore
+      happen in *exactly* the simulator's order, including tie-breaks,
+      which is what makes the sim-vs-live convergence check an equality,
+      not a tolerance.
+    * ``"realtime"`` pops the head once its wall-clock deadline
+      ``epoch + ltime * latency_scale`` has passed — the artificial-latency
+      injection that reproduces the simulated underlay's delay matrix in
+      real time.  ``latency_scale`` is seconds per cost unit; at ``0``
+      every frame is due on arrival.
 
 :class:`TrafficLedger`
     Cost/byte accounting, one entry per transmitted data frame, keyed by
@@ -42,7 +44,7 @@ import asyncio
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Dict, List, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "NetConfig",
@@ -144,8 +146,11 @@ class DeliveryCoordinator:
     """Shared data-plane scheduler for an in-process peer fleet.
 
     Senders call :meth:`next_seq` / :meth:`will_send` before writing a
-    data frame; reader tasks hand received frames to :meth:`on_frame`.
-    The launcher then awaits :meth:`drain` to run one query to quiescence.
+    data frame; connections hand each received frame to :meth:`on_frame`,
+    which files it on one ``(ltime, seq)`` heap and counts it arrived.  The
+    launcher then awaits :meth:`drain`, the one delivery loop, to run one
+    query to quiescence.  A handler's exception leaves :meth:`drain`: a
+    failing delivery fails the run in either discipline.
 
     In-flight counting is exact on the happy path (every ``will_send`` is
     matched by an ``on_frame`` or an ``abort_send``); a frame swallowed by
@@ -163,9 +168,8 @@ class DeliveryCoordinator:
         self._seq = itertools.count(1)
         self._inflight = 0
         self._heap: List[Tuple[float, int, Callable[[], Awaitable[None]]]] = []
-        self._tasks: "set[asyncio.Task]" = set()
-        self._event = asyncio.Event()
-        self._event.set()
+        #: Set while :meth:`drain` sleeps; an arrival or a settled send wakes it.
+        self._waiter: Optional[asyncio.Future] = None
         self._epoch = 0.0
 
     # -- send side ------------------------------------------------------
@@ -177,12 +181,11 @@ class DeliveryCoordinator:
     def will_send(self) -> None:
         """Declare one data frame about to hit the wire."""
         self._inflight += 1
-        self._event.clear()
 
     def abort_send(self) -> None:
         """Undo :meth:`will_send` after a failed write."""
         self._inflight -= 1
-        self._maybe_wake()
+        self._wake()
 
     # -- receive side ---------------------------------------------------
 
@@ -193,89 +196,74 @@ class DeliveryCoordinator:
     def on_frame(
         self, ltime: float, seq: int, handler: Callable[[], Awaitable[None]]
     ) -> None:
-        """A data frame arrived; schedule its handler per the discipline."""
-        if self.discipline == "lockstep":
-            heapq.heappush(self._heap, (ltime, seq, handler))
-            self._inflight -= 1
-            self._maybe_wake()
-        else:
-            deadline = self._epoch + ltime * self.latency_scale
-            task = asyncio.get_running_loop().create_task(
-                self._deliver_at(deadline, handler)
-            )
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+        """A data frame arrived: queue its handler for :meth:`drain`."""
+        heapq.heappush(self._heap, (ltime, seq, handler))
+        self._inflight -= 1
+        self._wake()
 
-    async def _deliver_at(
-        self, deadline: float, handler: Callable[[], Awaitable[None]]
-    ) -> None:
-        delay = deadline - asyncio.get_running_loop().time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        try:
-            await handler()
-        finally:
-            # The handler's own sends were counted before this decrement,
-            # so quiescence cannot be observed between a delivery and the
-            # transmissions it caused.
-            self._inflight -= 1
-            self._maybe_wake()
-
-    def _maybe_wake(self) -> None:
-        if self._inflight == 0:
-            self._event.set()
+    def _wake(self) -> None:
+        # Lockstep only acts on quiescence; realtime also on each arrival,
+        # which may be due already or due before the current head.
+        if self._waiter is not None and (
+            self._inflight == 0 or self.discipline == "realtime"
+        ):
+            _release(self._waiter)
 
     # -- drain ----------------------------------------------------------
 
     @property
     def pending(self) -> int:
-        """Frames in flight plus (lockstep) frames queued for delivery."""
-        return self._inflight + len(self._heap) + len(self._tasks)
+        """Frames in flight plus frames queued for delivery."""
+        return self._inflight + len(self._heap)
 
     async def drain(self, timeout: float) -> bool:
         """Run the data plane to quiescence; ``False`` on timeout.
 
-        Lockstep: repeatedly wait for the wire to go quiet, then dispatch
-        the earliest ``(ltime, seq)`` handler — the simulator's event loop,
-        with real sockets as the transport.  Realtime: wait until no frame
-        is in flight and no delivery task is pending.
+        The loop pops the earliest ``(ltime, seq)`` frame and awaits its
+        handler: lockstep once the wire is quiescent, realtime once the
+        head's deadline has passed (the deadline grows with ``ltime``, so
+        one key orders both).  Until then it sleeps to the earlier of that
+        deadline and the next arrival, which may be due sooner.  It returns
+        once nothing is in flight or queued.
 
-        On timeout the in-flight count is force-cleared (frames sent to a
-        peer that died mid-run can never arrive) and the loss is counted,
-        so a killed peer degrades the run instead of hanging it.
+        A handler's own sends are counted before it returns, so quiescence
+        cannot be observed between a delivery and the transmissions it
+        caused.  On timeout the in-flight count is force-cleared (frames
+        sent to a peer that died mid-run can never arrive) and the loss is
+        counted, so a killed peer degrades the run instead of hanging it.
         """
         loop = asyncio.get_running_loop()
         give_up = loop.time() + timeout
+        heap, realtime = self._heap, self.discipline == "realtime"
         while True:
-            remaining = give_up - loop.time()
-            if remaining <= 0:
+            now = loop.time()
+            if now >= give_up:
                 self.lost_frames += self._inflight
                 self._inflight = 0
-                self._heap.clear()
-                self._event.set()
+                heap.clear()
                 return False
-            if self._inflight > 0:
-                try:
-                    await asyncio.wait_for(self._event.wait(), remaining)
-                except asyncio.TimeoutError:
-                    continue
-                continue
-            if self.discipline == "lockstep":
-                if not self._heap:
-                    return True
-                _ltime, _seq, handler = heapq.heappop(self._heap)
-                await handler()
-            else:
-                if not self._tasks:
-                    return True
-                await asyncio.sleep(0)
-                if self._tasks:
-                    try:
-                        await asyncio.wait_for(
-                            asyncio.gather(
-                                *list(self._tasks), return_exceptions=True
-                            ),
-                            remaining,
-                        )
-                    except asyncio.TimeoutError:
+            wait = give_up - now
+            if heap:
+                if realtime:
+                    due = self._epoch + heap[0][0] * self.latency_scale - now
+                    if due <= 0:
+                        await heapq.heappop(heap)[2]()
                         continue
+                    wait = min(wait, due)
+                elif self._inflight == 0:
+                    await heapq.heappop(heap)[2]()
+                    continue
+            elif self._inflight == 0:
+                return True
+            waiter = self._waiter = loop.create_future()
+            timer = loop.call_later(wait, _release, waiter)
+            try:
+                await waiter
+            finally:
+                timer.cancel()
+                self._waiter = None
+
+
+def _release(waiter: asyncio.Future) -> None:
+    if not waiter.done():
+        waiter.set_result(None)

@@ -13,10 +13,11 @@ round driver: one optimization *step* is a token-passing sweep —
    carrying the serialized RNG state; the peer runs Phases 1-3 over live
    probe/table/connect exchanges, advances the stream, and returns the new
    state in its :class:`~repro.net.wire.TurnDone`,
-3. after every turn, sweep the same order again with ``recompute`` tokens
-   (the simulator's end-of-step Phase-2 refresh).
+3. after every turn, send every live peer a ``recompute`` token at once
+   (the simulator's end-of-step Phase-2 refresh: read-only turns that
+   write only their own labels, so their order cannot matter).
 
-Because exactly one peer holds the token at a time, the fleet consumes
+Because exactly one peer holds the optimize token at a time, the fleet consumes
 *one* RNG stream in the simulator's order, and every returned turn is
 folded into the step report by the simulator's own
 :func:`repro.core.turn.fold`, in the same order — which is what makes the
@@ -30,6 +31,7 @@ not deadlock.  A turn that fails at a reachable peer is recorded in
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import asdict
 from typing import Dict, List, Tuple
 
@@ -108,7 +110,7 @@ class SeedNode(LivePeer):
         payload["shed_floor"] = self.shed_floor
         return payload
 
-    async def on_hello(self, conn, hello: Hello, env: Envelope) -> None:
+    def on_hello(self, conn, hello: Hello, env: Envelope) -> None:
         record = self.roster.get(hello.peer)
         if record is None or env.rpc is None:
             return
@@ -121,7 +123,7 @@ class SeedNode(LivePeer):
             cost_row=record.cost_row,
             config=self._welcome_config,
         )
-        await self._send_control(
+        self._write_control(
             conn, welcome,
             Envelope(src=self.peer_id, dst=hello.peer, reply=env.rpc),
         )
@@ -171,11 +173,19 @@ class SeedNode(LivePeer):
             self.rng = restore_rng(done.rng_state)
             actions = [ReplacementAction(**a) for a in done.report["actions"]]
             fold(report, Turn(**{**done.report, "actions": actions}))
-        # End-of-step Phase-2 refresh, same order (the simulator's
-        # end-of-step rebuild): routing catches up with the final topology.
-        for peer in order:
-            if peer not in self.dead:
-                await self._pass_token(peer, "recompute", step_index)
+        # End-of-step Phase-2 refresh (the simulator's end-of-step rebuild):
+        # routing catches up with the final topology.  A recompute turn
+        # reads its closure's tables and writes only its own labels — no
+        # mutation, no draw — so no turn can see another's, and the tokens
+        # go out together.  Failures are listed in sweep order.
+        mark, rank = len(self.turn_errors), {p: i for i, p in enumerate(order)}
+        await asyncio.gather(*(
+            self._pass_token(peer, "recompute", step_index)
+            for peer in order if peer not in self.dead
+        ))
+        self.turn_errors[mark:] = sorted(
+            self.turn_errors[mark:], key=lambda error: rank[error[1]]
+        )
         return report
 
     # ------------------------------------------------------------------
@@ -187,7 +197,7 @@ class SeedNode(LivePeer):
         for peer in self.live_order():
             try:
                 conn = await self.connect_to(peer)
-                await self._send_control(
+                self._write_control(
                     conn, Shutdown(reason=reason),
                     Envelope(src=self.peer_id, dst=peer),
                 )

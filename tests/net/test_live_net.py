@@ -26,9 +26,10 @@ from repro.net.launch import (
 from repro.net.peer import LivePeer
 from repro.net.runtime import DeliveryCoordinator, NetConfig, TrafficLedger
 from repro.net.seed import SeedNode
-from repro.net.wire import Envelope, Welcome, WireError
+from repro.net.wire import Envelope, Shutdown, Welcome, WireError, encode_frame
 from repro.perf import counters
 from repro.sim.messages import ConnectRequest, CostProbe, DisconnectNotice
+from repro.sim.node import Servent
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import FLOODING, ArrayOverlay
 
@@ -106,8 +107,10 @@ class TestLockstepConvergence:
         def no_sockets(*_args, **_kwargs):
             raise AssertionError("a socket was opened")
 
-        monkeypatch.setattr("asyncio.start_server", no_sockets)
-        monkeypatch.setattr("asyncio.open_connection", no_sockets)
+        # What the runtime calls to listen and to dial (patching
+        # ``socket.socket`` would also break the event loop's self-pipe).
+        monkeypatch.setattr(asyncio.BaseEventLoop, "create_server", no_sockets)
+        monkeypatch.setattr(asyncio.BaseEventLoop, "create_connection", no_sockets)
         with pytest.raises(ValueError, match="naive"):
             run_live(
                 build_scenario(CONFIG), AceConfig(policy="naive"),
@@ -122,7 +125,7 @@ class TestLockstepConvergence:
 #: whichever direction its cache history solved first (an ACE-made edge
 #: takes the prober's), while the live cost rows take the lower peer id's,
 #: so an edge Phase 3 adds can carry different last bits on each side.
-#: The fix is a canonical direction per host pair in the delay oracle.
+#: ROADMAP item 18 (link delays on a dyadic grid) removes the asymmetry.
 _ASYMMETRIC = {(16, 1), (16, 4), (16, 6)}
 
 SEED_CASES = [
@@ -150,6 +153,36 @@ def test_lockstep_convergence_across_seeds(peers, seed):
     )
     assert live.turn_errors == []
     assert compare_runs(live, reference) == []
+
+
+def test_recompute_tokens_go_out_together_and_failures_keep_sweep_order(
+    plan, monkeypatch
+):
+    # Every recompute turn fails, each later in the sweep failing sooner.
+    real_turn = LivePeer.run_turn
+    sweep, events = [], []
+
+    async def run_turn(self, turn):
+        if turn.phase == "optimize":
+            sweep.append(self.peer_id)
+            return await real_turn(self, turn)
+        events.append(("start", self.peer_id))
+        await asyncio.sleep(0.002 * (len(sweep) - sweep.index(self.peer_id)))
+        events.append(("end", self.peer_id))
+        raise RuntimeError(f"recompute at {self.peer_id}")
+
+    monkeypatch.setattr(LivePeer, "run_turn", run_turn)
+    live = run_live(
+        build_scenario(CONFIG), ACE, steps=1, plan=plan[:1], net=NetConfig()
+    )
+    assert len(sweep) == CONFIG.peers
+    # Concurrent: every token was out before the first turn finished, and
+    # the turns finished in reverse sweep order.
+    n = CONFIG.peers
+    assert [kind for kind, _p in events] == ["start"] * n + ["end"] * n
+    assert [p for kind, p in events if kind == "end"] == sweep[::-1]
+    assert [error[1] for error in live.turn_errors] == sweep
+    assert all(error[2].startswith("recompute:") for error in live.turn_errors)
 
 
 class TestDegradation:
@@ -205,6 +238,121 @@ class TestRealtimeDiscipline:
             if q.get("responders")
         ]
         assert walls and all(w >= 0.0 for w in walls)
+
+
+    def test_positive_latency_scale_drains_every_query_without_a_task_per_frame(
+        self, monkeypatch
+    ):
+        config = ScenarioConfig(
+            physical_nodes=128, peers=16, avg_degree=4.0, seed=2
+        )
+        plan = plan_queries(build_scenario(config), QUERIES)
+        reference = run_sim_reference(build_scenario(config), ACE, STEPS, plan)
+        # Per query: what drain returned, what was left pending, and how
+        # many tasks the loop created from the query's start to its drain.
+        drains, created = [], [0]
+        start_epoch, drain = DeliveryCoordinator.start_epoch, DeliveryCoordinator.drain
+
+        def counting_start(coord):
+            created[0] = 0
+
+            def factory(loop, coro, **kwargs):
+                created[0] += 1
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            asyncio.get_running_loop().set_task_factory(factory)
+            start_epoch(coord)
+
+        async def counting_drain(coord, timeout):
+            try:
+                drained = await drain(coord, timeout)
+            finally:
+                asyncio.get_running_loop().set_task_factory(None)
+            drains.append((drained, coord.pending, created[0]))
+            return drained
+
+        monkeypatch.setattr(DeliveryCoordinator, "start_epoch", counting_start)
+        monkeypatch.setattr(DeliveryCoordinator, "drain", counting_drain)
+        live = run_live(
+            build_scenario(config), ACE, steps=STEPS, plan=plan,
+            net=NetConfig(discipline="realtime", latency_scale=2e-6),
+        )
+        assert compare_runs(live, reference, check_queries=False) == []
+        assert [(d, p) for d, p, _t in drains] == [(True, 0)] * len(plan)
+        for query, expected in zip(live.queries, reference.queries):
+            assert query["scope"] == config.peers
+            assert query["responders"] == expected["responders"]
+        # Hundreds of frames per query, and no task for any of them.
+        frames = [q["query_messages"] + q["hit_messages"] for q in live.queries]
+        assert min(frames) > 20
+        assert [tasks for _d, _p, tasks in drains] == [0] * len(plan)
+
+
+class TestDeliveryLoop:
+    """``DeliveryCoordinator.drain`` is the one delivery loop of both disciplines."""
+
+    @pytest.mark.parametrize("discipline", ["lockstep", "realtime"])
+    def test_a_raising_handler_leaves_drain_and_wedges_nothing(self, discipline):
+        delivered = []
+
+        async def boom():
+            raise RuntimeError("handler failed")
+
+        async def fine():
+            delivered.append("fine")
+
+        async def scenario():
+            coord = DeliveryCoordinator(discipline)
+            coord.start_epoch()
+            for seq, handler in ((1, boom), (2, fine)):
+                coord.will_send()
+                coord.on_frame(float(seq), seq, handler)
+            with pytest.raises(RuntimeError, match="handler failed"):
+                await coord.drain(1.0)
+            # Nothing in flight; the next frame still queued and deliverable.
+            assert coord.pending == 1
+            assert await coord.drain(1.0) is True
+            assert coord.pending == 0 and coord.lost_frames == 0
+
+        asyncio.run(scenario())
+        assert delivered == ["fine"]
+
+    @pytest.mark.parametrize("discipline", ["lockstep", "realtime"])
+    def test_a_raising_handler_fails_the_live_run(self, discipline, plan, monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("servent failed")
+
+        monkeypatch.setattr(Servent, "on_query", broken)
+        with pytest.raises(RuntimeError, match="servent failed"):
+            run_live(
+                build_scenario(CONFIG), ACE, steps=1, plan=plan[:1],
+                net=NetConfig(discipline=discipline),
+            )
+
+    def test_realtime_waits_for_the_head_deadline_and_takes_earlier_arrivals_first(self):
+        order = []
+
+        def record(name):
+            async def handler():
+                order.append(name)
+            return handler
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            coord = DeliveryCoordinator("realtime", latency_scale=0.01)
+            start = loop.time()
+            coord.start_epoch()
+            coord.will_send()
+            coord.will_send()
+            coord.on_frame(5.0, 1, record("late"))  # due 50 ms after the epoch
+            # A frame that arrives while drain sleeps on "late" and is due first.
+            loop.call_later(0.01, coord.on_frame, 2.0, 2, record("early"))
+            assert await coord.drain(1.0) is True
+            return loop.time() - start
+
+        elapsed = asyncio.run(scenario())
+        assert order == ["early", "late"]
+        assert elapsed >= 0.05
 
 
 class TestWelcomeConfig:
@@ -263,6 +411,50 @@ class TestPeerPlumbing:
         opened, conns = asyncio.run(race())
         assert opened == 1
         assert conns == [2]
+
+    def test_a_full_write_buffer_holds_drain_until_the_reader_catches_up(self):
+        frame = encode_frame(Shutdown(reason="x" * 4000), Envelope(src=1, dst=2))
+
+        def fill(conn):
+            """Write until the transport pauses (bounded at 64 MB)."""
+            for _ in range((64 << 20) // len(frame)):
+                conn.write(frame)
+                if conn._resumed is not None:
+                    return
+            raise AssertionError("the transport never paused writing")
+
+        async def scenario():
+            a, b = _peer(1), _peer(2)
+            await a.start()
+            await b.start()
+            try:
+                a.addresses[2] = (b.host, b.port)
+                conn = await a.connect_to(2)
+                await asyncio.sleep(0.05)  # b reads the Hello, binds peer 1
+                far = b._conns[1]
+                conn.transport.set_write_buffer_limits(high=16 << 10)
+                far.transport.pause_reading()
+                fill(conn)
+                waiter = asyncio.ensure_future(conn.drain())
+                await asyncio.sleep(0.05)
+                assert not waiter.done()
+                far.transport.resume_reading()
+                await asyncio.wait_for(waiter, 5.0)  # the buffer emptied
+                # Paused again, a lost connection fails the waiting sender.
+                far.transport.pause_reading()
+                fill(conn)
+                waiter = asyncio.ensure_future(conn.drain())
+                await asyncio.sleep(0)
+                b.kill()
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(waiter, 5.0)
+                with pytest.raises(ConnectionError):
+                    conn.write(frame)
+            finally:
+                await a.stop()
+                await b.stop()
+
+        asyncio.run(scenario())
 
     def test_connect_request_from_a_non_member_is_refused(self):
         peer = _peer(1)

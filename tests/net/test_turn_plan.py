@@ -130,7 +130,8 @@ def no_io(monkeypatch):
         raise AssertionError("the sans-IO turn did I/O")
 
     monkeypatch.setattr(socket, "socket", refuse)
-    monkeypatch.setattr(asyncio, "open_connection", refuse)
+    monkeypatch.setattr(asyncio.BaseEventLoop, "create_connection", refuse)
+    monkeypatch.setattr(asyncio.BaseEventLoop, "create_server", refuse)
     monkeypatch.setattr(asyncio, "get_running_loop", refuse)
 
 
