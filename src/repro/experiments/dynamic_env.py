@@ -229,12 +229,10 @@ def run_dynamic_experiment(
                 overhead = churn_refresh(protocol, replacement, affected)
                 pending_overhead[0] += overhead
                 series.total_overhead += overhead
-            # Re-warm the edges the churn event created, in the canonical
-            # direction.  A lazily filled cost can differ in the last ulp
-            # depending on which endpoint's delay vector happens to be
-            # cached, and a one-peer-at-a-time refresh faults edges in
-            # another order than the batched one — warming here keeps the
-            # cost cache (and so the figures) independent of that order.
+            # Re-warm the edges the churn event created in one batched fill.
+            # Delays sit on the 2**-10 grid, so a cost does not depend on
+            # which endpoint's vector solved it or in what order; the fill
+            # only saves the later reads a vector fault each.
             overlay.warm_edge_costs()
             series.departures += 1
             schedule_departure(replacement)

@@ -43,7 +43,13 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from ..metrics.collector import left_fold
 from ..perf import counters
 
-__all__ = ["PhysicalTopology"]
+__all__ = ["DELAY_GRID", "PhysicalTopology"]
+
+#: Every link delay is a whole multiple of this step.  A sum of such delays
+#: is exact in float64 while it stays below 2**43, so a path delay does not
+#: depend on the order its links are added in: d(u, v) == d(v, u) bit for
+#: bit, and any two solves that reach the same node agree on its delay.
+DELAY_GRID = 2.0**-10
 
 
 class PhysicalTopology:
@@ -56,7 +62,9 @@ class PhysicalTopology:
     edges:
         Iterable of ``(u, v)`` pairs with ``0 <= u, v < num_nodes``.
     delays:
-        Per-edge link delays, aligned with *edges*.  Must be positive.
+        Per-edge link delays, aligned with *edges*.  Must be positive; each
+        is rounded to the nearest multiple of :data:`DELAY_GRID`, and one
+        that rounds to 0 is refused.
     coordinates:
         Optional ``(num_nodes, 2)`` array of plane coordinates (kept for
         inspection and for generators that derive delays from geometry).
@@ -75,16 +83,23 @@ class PhysicalTopology:
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
         edge_list = [(int(u), int(v)) for u, v in edges]
-        delay_list = [float(d) for d in delays]
-        if len(edge_list) != len(delay_list):
+        raw = np.array([float(d) for d in delays], dtype=float)
+        if len(edge_list) != len(raw):
             raise ValueError("edges and delays must have the same length")
-        for (u, v), d in zip(edge_list, delay_list):
+        snapped = np.round(raw / DELAY_GRID) * DELAY_GRID
+        delay_list = snapped.tolist()
+        for (u, v), d, r in zip(edge_list, delay_list, raw.tolist()):
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
                 raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
             if u == v:
                 raise ValueError(f"self-loop at node {u} is not allowed")
+            if r <= 0:
+                raise ValueError(f"link delay must be positive, got {r} on ({u}, {v})")
             if d <= 0:
-                raise ValueError(f"link delay must be positive, got {d} on ({u}, {v})")
+                raise ValueError(
+                    f"link delay {r} on ({u}, {v}) rounds to 0 on the "
+                    f"{DELAY_GRID} grid"
+                )
 
         self._num_nodes = int(num_nodes)
         edge_delays: Dict[Tuple[int, int], float] = {}

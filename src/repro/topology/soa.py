@@ -774,10 +774,9 @@ class ArrayOverlay(Overlay):
                 if self._oracle.pairwise_cheap:
                     got = self._oracle.delay(hu, hv)
                 else:
-                    # Rooted at u like costs_from: the exact engine's
-                    # scalar delay() reads whichever endpoint's vector is
-                    # resident, and dist[u][v] / dist[v][u] may differ in
-                    # the last ulp, so its bits would depend on the LRU.
+                    # Read like costs_from, the probe memo before a vector
+                    # fault.  Delays sit on the 2**-10 grid, so the float
+                    # does not depend on which endpoint is solved.
                     got = self._source_delays(hu, [hv]).item(0)
                 self._cost_cache[hkey] = got
             d = got
@@ -1170,7 +1169,15 @@ class ArrayOverlay(Overlay):
     # ------------------------------------------------------------------
 
     def copy(self) -> "ArrayOverlay":
-        """Deep copy of the logical layer (shares the underlay and oracle)."""
+        """Deep copy of the logical layer (shares the underlay and oracle).
+
+        The host-pair cost cache and the probe memo are shared as well.
+        That is safe: link delays sit on the 2**-10 grid, so a cached delay
+        is a fact of its host pair, the same float whichever copy, arm or
+        direction solved it first, and arms run over copies of one scenario
+        read the same costs in either order
+        (``tests/topology/test_array_overlay.py::TestCopiesShareCosts``).
+        """
         clone = ArrayOverlay(
             self._physical,
             oracle=self._oracle,

@@ -106,18 +106,19 @@ class TestDeferredQueries:
     """Queries between two mutations are answered together, on their own graph."""
 
     #: ``float.hex`` of each arm's series, recorded when every query was
-    #: answered by its own kernel call the moment it was issued.
+    #: answered by its own kernel call the moment it was issued, and
+    #: re-recorded once when link delays moved onto the 2**-10 grid.
     PINNED = {
         False: {
             "traffic_points": [
-                "0x1.227f83113621cp+16", "0x1.45fb318c3fab1p+16",
-                "0x1.05b4dc48286bbp+16", "0x1.e520927263adbp+15",
-                "0x1.d19128dc382c3p+15",
+                "0x1.227f844444444p+16", "0x1.45fb334222222p+16",
+                "0x1.05b4dc5333333p+16", "0x1.e520924000000p+15",
+                "0x1.d19129a666666p+15",
             ],
             "response_points": [
-                "0x1.c46f9d21c7136p+11", "0x1.696fb4064431ap+11",
-                "0x1.bb7754ea85f50p+11", "0x1.c700eb8b1587fp+11",
-                "0x1.c5e528adbee1bp+11",
+                "0x1.c46f9dddddddep+11", "0x1.696fb5ddddddep+11",
+                "0x1.bb7754ccccccdp+11", "0x1.c700e9999999ap+11",
+                "0x1.c5e5291111111p+11",
             ],
             "success_points": ["0x1.0000000000000p+0"] * 5,
             "scope_points": [
@@ -130,14 +131,14 @@ class TestDeferredQueries:
         },
         True: {
             "traffic_points": [
-                "0x1.b1a67a08ae94bp+17", "0x1.291ca283d1ddfp+18",
-                "0x1.1ac2b6197eeaep+17", "0x1.6d27fdd106a77p+17",
-                "0x1.e92c1c79f275ep+17",
+                "0x1.b1a67cca2d0e5p+17", "0x1.291ca3a733334p+18",
+                "0x1.1ac2b64ee978ep+17", "0x1.6d27ff82015d9p+17",
+                "0x1.e92c1bebbbbbbp+17",
             ],
             "response_points": [
-                "0x1.59d8736e8e833p+11", "0x1.57c69b6805482p+11",
-                "0x1.7d8edfc619399p+11", "0x1.71c457bb28e6ap+11",
-                "0x1.242d425fdf415p+11",
+                "0x1.59d874ccccccdp+11", "0x1.57c69dddddddep+11",
+                "0x1.7d8ee3bbbbbbcp+11", "0x1.71c45bbbbbbbcp+11",
+                "0x1.242d433333333p+11",
             ],
             "success_points": [
                 "0x1.ddddddddddddep-1", "0x1.ccccccccccccdp-1",
@@ -149,7 +150,7 @@ class TestDeferredQueries:
                 "0x1.7111111111111p+3", "0x1.7444444444444p+3",
                 "0x1.5888888888889p+3",
             ],
-            "total_overhead": "0x1.de2d45435c64ep+24",
+            "total_overhead": "0x1.de2d4692f999bp+24",
             "duration": "0x1.f3231ca238725p+9",
         },
     }

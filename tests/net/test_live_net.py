@@ -118,24 +118,12 @@ class TestLockstepConvergence:
             )
 
 
-#: Lockstep convergence beyond the one seed above.  At 16 peers seeds 1, 4
-#: and 6 diverge by one ulp, whatever the wire format: an exact delay is
-#: the sum of link delays along the path in the direction it was solved,
-#: and the two directions can round apart.  The simulator's overlay keeps
-#: whichever direction its cache history solved first (an ACE-made edge
-#: takes the prober's), while the live cost rows take the lower peer id's,
-#: so an edge Phase 3 adds can carry different last bits on each side.
-#: ROADMAP item 18 (link delays on a dyadic grid) removes the asymmetry.
-_ASYMMETRIC = {(16, 1), (16, 4), (16, 6)}
-
+#: Lockstep convergence beyond the one seed above.  Every case passes
+#: plainly: link delays sit on a 2**-10 grid, so a delay does not depend on
+#: the direction it was solved in, and the simulator's cost cache and the
+#: live cost rows hold the same float for every link.
 SEED_CASES = [
-    pytest.param(
-        peers, seed,
-        id=f"{peers}peers-seed{seed}",
-        marks=pytest.mark.xfail(
-            strict=True, reason="delay direction asymmetry (see _ASYMMETRIC)"
-        ) if (peers, seed) in _ASYMMETRIC else (),
-    )
+    pytest.param(peers, seed, id=f"{peers}peers-seed{seed}")
     for peers in (8, 16)
     for seed in range(1, 7)
 ]

@@ -357,7 +357,7 @@ from repro.perf import counters
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
 
-physical = PhysicalTopology(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.2, 0.3])
+physical = PhysicalTopology(4, [(0, 1), (1, 2), (2, 3)], [0.25, 0.5, 0.75])
 overlay = ArrayOverlay(physical, {7: 0, 8: 1, 9: 2})
 overlay.connect(7, 8)
 overlay.connect(8, 9)
@@ -381,7 +381,7 @@ print("DETECTED")
     def test_healthy_memo_is_clean_and_the_recheck_leaves_no_trace(self):
         proc = run_snippet(self.WORLD + """
 before = counters.copy()
-assert overlay.costs_from(7, [9]) == {9: 0.1 + 0.2}
+assert overlay.costs_from(7, [9]) == {9: 0.75}
 assert sanitize.violation_count() == 0, sanitize.violations()
 assert counters.delta(before)["dijkstra_sources"] == 0  # rolled back
 assert physical.cached_sources() == []  # solved off to the side

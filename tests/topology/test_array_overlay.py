@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ace import AceConfig, AceProtocol
+from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.oracle.landmark import LandmarkOracle
 from repro.perf import counters
 from repro.topology.generators import barabasi_albert, grid
@@ -463,6 +465,33 @@ class TestCopySemantics:
     def test_copy_preserves_epoch(self, pair):
         _, arr = pair
         assert arr.copy().epoch == arr.epoch
+
+
+class TestCopiesShareCosts:
+    """Arms over copies of one scenario share the host-pair cost cache.
+
+    With link delays on the 2**-10 grid a cached delay is a fact of its
+    host pair, so what an arm's probes are charged does not depend on the
+    arm that ran before it (off the grid it did, in the last bits).
+    """
+
+    @staticmethod
+    def probe_costs(overlay, policy):
+        protocol = AceProtocol(
+            overlay, AceConfig(policy=policy), rng=np.random.default_rng(7)
+        )
+        protocol.step()
+        return [a.probe_cost.hex() for a in protocol.last_actions]
+
+    def test_closest_and_random_arms_read_the_same_costs_in_either_order(self):
+        runs = []
+        for order in (("closest", "random"), ("random", "closest")):
+            base = build_scenario(
+                ScenarioConfig(physical_nodes=800, peers=200, seed=3)
+            ).overlay
+            runs.append({policy: self.probe_costs(base.copy(), policy) for policy in order})
+        assert runs[0] == runs[1]
+        assert all(len(costs) > 100 for costs in runs[0].values())
 
 
 class TestFloodingCsr:

@@ -7,7 +7,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from repro.perf import counters
 from repro.topology import generators
-from repro.topology.physical import PhysicalTopology
+from repro.experiments.setup import ScenarioConfig, build_scenario
+from repro.topology.physical import DELAY_GRID, PhysicalTopology
 
 
 def make_line(delays=(1.0, 2.0, 3.0, 4.0)):
@@ -42,6 +43,16 @@ class TestConstruction:
             PhysicalTopology(2, [(0, 1)], [0.0])
         with pytest.raises(ValueError, match="positive"):
             PhysicalTopology(2, [(0, 1)], [-3.0])
+
+    def test_delay_that_rounds_to_zero_is_refused(self):
+        with pytest.raises(ValueError, match="rounds to 0"):
+            PhysicalTopology(2, [(0, 1)], [DELAY_GRID / 4])
+
+    def test_delays_snap_to_the_nearest_grid_multiple(self):
+        topo = PhysicalTopology(3, [(0, 1), (1, 2)], [0.1, 1000.0004])
+        assert topo.link_delay(0, 1) == 102 * DELAY_GRID
+        assert topo.link_delay(1, 2) == 1000.0
+        assert topo.link_delay(0, 1) + topo.link_delay(1, 2) == topo.delay(2, 0)
 
     def test_duplicate_edges_keep_cheaper(self):
         topo = PhysicalTopology(2, [(0, 1), (1, 0)], [5.0, 2.0])
@@ -376,3 +387,18 @@ class TestDirectedSolveOverSymmetricCsr:
         assert set(topo._pred_cache) <= set(topo._dist_cache) == {1, 2}
         assert topo.path(0, 5) == [0, 1, 2, 3, 4, 5]
         assert topo.path_delay(topo.path(2, 5)) == topo.delay(2, 5)
+
+
+class TestDirectionFreeDelays:
+    def test_every_host_pair_reads_one_float_at_the_paper_default(self):
+        # 160 peers on 1,200 nodes: 12,720 host pairs, each solved from both
+        # ends.  Off the grid a third of them differed in the last bit.
+        scenario = build_scenario(
+            ScenarioConfig(physical_nodes=1200, peers=160, avg_degree=6.0, seed=1)
+        )
+        overlay = scenario.overlay
+        hosts = sorted({overlay.host_of(p) for p in overlay.peers()})
+        rows = scenario.physical.delays_from_many(hosts, cache=False)
+        table = np.array([rows[h][hosts] for h in hosts])
+        assert len(hosts) == 160
+        assert table.tobytes() == table.T.copy().tobytes()

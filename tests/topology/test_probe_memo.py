@@ -3,10 +3,10 @@
 Under an exact oracle :meth:`ArrayOverlay.warm_edge_costs` copies, out of
 every vector it streams, the delays to the hosts within two logical hops of
 the pending peers on that source host; ``costs_from`` / ``cost`` read that
-directional memo after the unordered host-pair cache and before faulting a
-vector.  The memo may change how many sources are solved and never which
-float a lookup returns: ``dist[u][v]`` and ``dist[v][u]`` can differ in the
-last ulp, so every case below compares bits, not values.
+memo after the unordered host-pair cache and before faulting a vector.  The
+memo may change how many sources are solved and never which float a lookup
+returns.  Link delays sit on the 2**-10 grid, so ``dist[u][v]`` and
+``dist[v][u]`` are one float; every case below still compares bits.
 """
 
 import os
@@ -26,16 +26,15 @@ from repro.topology.overlay import Overlay
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
 
-#: Hosts 0-1-2-3-4-5 in a line.  (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1, so
-#: the delay between hosts 0 and 3 depends on which end the solve started.
-FROM_0_TO_3 = (0.1 + 0.2) + 0.3
-FROM_3_TO_0 = (0.3 + 0.2) + 0.1
-assert FROM_0_TO_3 != FROM_3_TO_0
+#: Hosts 0-1-2-3-4-5 in a line, every link delay on the grid.
+LINE_DELAYS = [0.25, 0.5, 0.75, 1.0, 1.25]
+FROM_0_TO_2 = 0.25 + 0.5
+FROM_0_TO_3 = 0.25 + 0.5 + 0.75
 
 
 def line(cache_size=2):
     return PhysicalTopology(
-        6, [(i, i + 1) for i in range(5)], [0.1, 0.2, 0.3, 0.4, 0.5],
+        6, [(i, i + 1) for i in range(5)], LINE_DELAYS,
         cache_size=cache_size,
     )
 
@@ -72,7 +71,7 @@ class TestNamedCases:
         assert arr.warm_edge_costs() == obj.warm_edge_costs() == 2
         got, solved = solved_by(lambda: arr.costs_from(0, [2]))
         assert solved == 0
-        assert bits(got) == bits(obj.costs_from(0, [2])) == {2: (0.1 + 0.2).hex()}
+        assert bits(got) == bits(obj.costs_from(0, [2])) == {2: FROM_0_TO_2.hex()}
 
     def test_probe_outside_the_pool_faults_one_vector(self):
         obj, arr = pair(line(), ONE_PER_HOST, [(0, 1), (1, 2)])
@@ -82,18 +81,18 @@ class TestNamedCases:
         assert bits(got) == bits(obj.costs_from(0, [2, 3]))
         assert got[3].hex() == FROM_0_TO_3.hex()
 
-    def test_reversed_pair_in_the_host_pair_cache_wins_over_the_memo(self):
+    def test_host_pair_cache_and_memo_hold_one_float_per_pair(self):
         obj, arr = pair(line(), ONE_PER_HOST, [])
         for overlay in (obj, arr):
-            assert overlay.costs_from(3, [0])[0].hex() == FROM_3_TO_0.hex()
+            # Solved from host 3 first, then streamed from host 0.
+            assert overlay.costs_from(3, [0])[0].hex() == FROM_0_TO_3.hex()
             overlay.connect(0, 1)
             overlay.connect(1, 3)
             overlay.warm_edge_costs()
-        # White-box: the memo does hold the other direction's float.
         pool, values = arr._probe_memo[0]
         assert values[pool.tolist().index(3)].hex() == FROM_0_TO_3.hex()
         assert bits(arr.costs_from(0, [3])) == bits(obj.costs_from(0, [3]))
-        assert arr.cost(0, 3).hex() == FROM_3_TO_0.hex()
+        assert arr.cost(0, 3).hex() == FROM_0_TO_3.hex()
 
     def test_restreamed_source_replaces_its_pool(self):
         obj, arr = pair(line(), ONE_PER_HOST, [(0, 1), (1, 2)])
@@ -157,10 +156,9 @@ OPS = (
 def drive(seed, compact, ops):
     """Apply *ops* to both engines over one exact oracle, comparing bits."""
     rng = np.random.default_rng(seed)
-    # A ring of 12 hosts with two chords: paths are long enough for the two
-    # directions of a pair to round differently, and ~10 peers revisit the
-    # same host pairs from both ends.  The LRU holds three vectors, so
-    # sources are evicted all the time.
+    # A ring of 12 hosts with two chords: ~10 peers revisit the same host
+    # pairs from both ends.  The LRU holds three vectors, so sources are
+    # evicted all the time.
     nodes = 12
     links = [(i, (i + 1) % nodes) for i in range(nodes)] + [(0, 5), (3, 9)]
     physical = PhysicalTopology(
@@ -205,9 +203,7 @@ def drive(seed, compact, ops):
             assert bits(got) == bits(want)
         elif op == "cost":
             # Overlay.cost() asks the exact engine's scalar delay(), which
-            # reads whichever endpoint is resident; with p's vector resident
-            # that is the p-rooted float the array engine always returns.
-            oracle.delays_from(obj.host_of(p))
+            # reads whichever endpoint is resident; both hold one float.
             want, got = both(lambda o: o.cost(p, q))
             assert got.hex() == want.hex()
         elif op == "copy":
