@@ -8,7 +8,11 @@ cost lookups through this oracle therefore behaves **byte-for-byte** like
 one calling the underlay directly (same answers, same Dijkstra workload,
 same perf-counter increments), which is what lets the oracle seam exist
 without perturbing any seeded experiment
-(``tests/experiments/test_reproducibility.py`` pins this).
+(``tests/experiments/test_reproducibility.py`` pins this).  Once an
+overlay's fill has named its hosts, the underlay solves on its
+series-reduced graph
+(:meth:`~repro.topology.physical.PhysicalTopology.reduce_series`); the
+answers stay those of the full graph, bit for bit.
 """
 
 from __future__ import annotations

@@ -27,6 +27,14 @@ All paths update the shared :data:`repro.perf.counters` so experiments can
 assert cache behavior (e.g. "zero Dijkstra runs during query propagation on
 a warmed overlay").
 
+Link delays sit on a grid (:data:`DELAY_GRID`), so every delay sum is exact
+and a shorter graph gives the same floats.  Once an overlay names its hosts
+(:meth:`PhysicalTopology.reduce_series`), distance solves run on the
+*series-reduced* underlay: each degree-2 node that hosts no peer is folded
+into the link between the two ends of its chain, and a folded node's delay
+is read off the nearer end afterwards.  :meth:`PhysicalTopology.path` and
+a topology nobody reduced keep the full graph.
+
 A topology never crosses a process boundary: a parallel trial rebuilds its
 underlay from the seeded config (see :mod:`repro.experiments.parallel`).
 """
@@ -83,22 +91,19 @@ class PhysicalTopology:
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
         edge_list = [(int(u), int(v)) for u, v in edges]
-        raw = np.array([float(d) for d in delays], dtype=float)
+        raw = [float(d) for d in delays]
         if len(edge_list) != len(raw):
             raise ValueError("edges and delays must have the same length")
-        snapped = np.round(raw / DELAY_GRID) * DELAY_GRID
-        delay_list = snapped.tolist()
-        for (u, v), d, r in zip(edge_list, delay_list, raw.tolist()):
+        delay_list = (np.round(np.array(raw) / DELAY_GRID) * DELAY_GRID).tolist()
+        for (u, v), d, r in zip(edge_list, delay_list, raw):
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
                 raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
             if u == v:
                 raise ValueError(f"self-loop at node {u} is not allowed")
-            if r <= 0:
-                raise ValueError(f"link delay must be positive, got {r} on ({u}, {v})")
             if d <= 0:
                 raise ValueError(
-                    f"link delay {r} on ({u}, {v}) rounds to 0 on the "
-                    f"{DELAY_GRID} grid"
+                    f"link delay must be positive on the {DELAY_GRID} grid, "
+                    f"got {r} on ({u}, {v})"
                 )
 
         self._num_nodes = int(num_nodes)
@@ -125,6 +130,7 @@ class PhysicalTopology:
         self._coordinates = coordinates
 
         self._matrix = self._build_matrix()
+        self._series: Optional[_SeriesReduction] = None
         self._cache_size = int(cache_size)
         self._dist_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._pred_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
@@ -136,13 +142,15 @@ class PhysicalTopology:
     def _build_matrix(self) -> csr_matrix:
         edge_delays = self._edge_delays
         m = len(edge_delays)
-        rows = np.empty(2 * m, dtype=np.int64)
-        cols = np.empty(2 * m, dtype=np.int64)
-        data = np.empty(2 * m, dtype=float)
-        for i, ((u, v), d) in enumerate(edge_delays.items()):
-            rows[2 * i], cols[2 * i], data[2 * i] = u, v, d
-            rows[2 * i + 1], cols[2 * i + 1], data[2 * i + 1] = v, u, d
-        return csr_matrix((data, (rows, cols)), shape=(self._num_nodes, self._num_nodes))
+        # Both directions of every link, interleaved: (u, v), (v, u), ...
+        ends = np.fromiter(
+            (x for link in edge_delays for x in link), dtype=np.int64, count=2 * m
+        ).reshape(m, 2)
+        data = np.repeat(np.fromiter(edge_delays.values(), dtype=float, count=m), 2)
+        return csr_matrix(
+            (data, (ends.ravel(), ends[:, ::-1].ravel())),
+            shape=(self._num_nodes, self._num_nodes),
+        )
 
     @classmethod
     def from_networkx(cls, graph, weight: str = "delay", **kwargs) -> "PhysicalTopology":
@@ -240,26 +248,49 @@ class PhysicalTopology:
             old, _ = self._dist_cache.popitem(last=False)
             self._pred_cache.pop(old, None)
 
-    def _run_dijkstra(self, source: int, predecessors: bool = False) -> None:
-        """Solve one source into the LRU; predecessors only for :meth:`path`.
+    def reduce_series(self, keep: Iterable[int]) -> None:
+        """Let later distance solves run on the series-reduced underlay.
+
+        Every degree-2 node outside *keep* (the hosts of an overlay's
+        peers) is contracted into the link between its chain's ends.  Only
+        the first call builds anything; an overlay makes it just before its
+        first exact solve.  No answer changes by a bit: a source outside the
+        reduced graph is solved on the full one, and a contracted node's
+        delay is the smaller of its two chain ends' delays plus its offset
+        to that end, exact on the delay grid.
+        """
+        if self._series is None:
+            self._series = _SeriesReduction(self, np.fromiter(keep, dtype=np.int64))
+
+    def _solve(self, sources: List[int]) -> List[np.ndarray]:
+        """A fresh distance row per source, solved on the smallest graph.
 
         The CSR stores both directions of every link, so ``directed=True``
         walks the same graph as the undirected mode without scanning each
         edge twice — distances are bit-identical (pinned by
         ``tests/topology/test_physical.py``).
         """
+        series = self._series
+        kept = [s for s in sources if series is not None and series.kept[s]]
+        rest = [s for s in sources if series is None or not series.kept[s]]
+        rows = dict(zip(kept, series.solve(kept))) if kept and series else {}
+        if rest:
+            # Copy each row out so the (k, n) solve block can be freed.
+            block = np.atleast_2d(dijkstra(self._matrix, directed=True, indices=rest))
+            rows.update((s, np.array(row, copy=True)) for s, row in zip(rest, block))
+        return [rows[s] for s in sources]
+
+    def _run_dijkstra(self, source: int, predecessors: bool = False) -> None:
+        """Solve one source into the LRU; predecessors only for :meth:`path`,
+        which walks the full graph."""
         counters.dijkstra_runs += 1
         counters.dijkstra_sources += 1
-        solved = dijkstra(
-            self._matrix,
-            directed=True,
-            indices=source,
-            return_predecessors=predecessors,
-        )
         if predecessors:
-            self._dist_cache[source], self._pred_cache[source] = solved
+            self._dist_cache[source], self._pred_cache[source] = dijkstra(
+                self._matrix, directed=True, indices=source, return_predecessors=True
+            )
         else:
-            self._dist_cache[source] = solved
+            self._dist_cache[source] = self._solve([source])[0]
         self._evict()
 
     def delays_from(self, source: int) -> np.ndarray:
@@ -315,11 +346,7 @@ class PhysicalTopology:
             counters.dijkstra_runs += 1
             counters.dijkstra_sources += len(missing)
             counters.largest_batch = max(counters.largest_batch, len(missing))
-            dist = dijkstra(self._matrix, directed=True, indices=missing)
-            dist = np.atleast_2d(dist)
-            for i, s in enumerate(missing):
-                # Copy each row out so the (k, n) solve block can be freed.
-                vec = np.array(dist[i], copy=True)
+            for s, vec in zip(missing, self._solve(missing)):
                 out[s] = vec
                 if cache:
                     self._dist_cache[s] = vec
@@ -438,3 +465,100 @@ class PhysicalTopology:
             f"PhysicalTopology(num_nodes={self._num_nodes}, "
             f"num_edges={self.num_edges})"
         )
+
+
+class _SeriesReduction:
+    """An underlay with its unkept degree-2 chains folded into single links.
+
+    A chain ``a - c1 - ... - ck - b`` of contracted nodes between kept ends
+    becomes one link ``a - b`` weighing the chain's total delay.  Where
+    several chains, or a chain and a direct link, join the same two ends,
+    the reduced link keeps the cheapest (a sparse matrix built from
+    duplicate entries would *sum* them); a chain that closes on its own end
+    adds no link.  A ring of contracted nodes with no kept node on it keeps
+    its lowest node.
+    """
+
+    def __init__(self, physical: PhysicalTopology, keep: np.ndarray) -> None:
+        kept = physical.degrees() != 2
+        kept[keep] = True
+        walked = kept.copy()
+        members: List[int] = []
+        member_chain: List[int] = []
+        offsets: List[float] = []
+        chains: List[Tuple[int, int, float]] = []
+
+        def fold_chains(a: int) -> None:
+            for first in physical.neighbors(a):
+                if walked[first]:
+                    continue
+                prev, node, total = a, first, physical.link_delay(a, first)
+                while not kept[node]:
+                    walked[node] = True
+                    members.append(node)
+                    member_chain.append(len(chains))
+                    offsets.append(total)
+                    x, y = physical.neighbors(node)
+                    prev, node = node, (y if x == prev else x)
+                    total += physical.link_delay(prev, node)
+                chains.append((a, node, total))
+
+        for a in np.flatnonzero(kept).tolist():
+            fold_chains(a)
+        for v in np.flatnonzero(~walked).tolist():
+            if not walked[v]:
+                kept[v] = walked[v] = True
+                fold_chains(v)
+
+        #: Which nodes of the full graph the reduced graph holds.
+        self.kept = kept
+        self._nodes = np.flatnonzero(kept)
+        index = np.full(physical.num_nodes, -1, dtype=np.int64)
+        index[self._nodes] = np.arange(len(self._nodes))
+        self._index = index
+
+        # Per contracted node: its chain's two ends and its delay to each
+        # (a difference of two grid sums, so exact).
+        chain_a, chain_b = (
+            np.array([c[i] for c in chains], dtype=np.int64) for i in (0, 1)
+        )
+        length = np.array([c[2] for c in chains], dtype=float)
+        on = np.array(member_chain, dtype=np.int64)
+        self._members = np.array(members, dtype=np.int64)
+        self._end_a, self._end_b = chain_a[on], chain_b[on]
+        self._off_a = np.array(offsets, dtype=float)
+        self._off_b = length[on] - self._off_a
+
+        full = physical._matrix.tocoo()
+        direct = kept[full.row] & kept[full.col]
+        link = chain_a != chain_b
+        rows = index[np.concatenate([full.row[direct], chain_a[link], chain_b[link]])]
+        cols = index[np.concatenate([full.col[direct], chain_b[link], chain_a[link]])]
+        weights = np.concatenate([full.data[direct], length[link], length[link]])
+        order = np.lexsort((weights, cols, rows))
+        rows, cols, weights = rows[order], cols[order], weights[order]
+        cheapest = np.ones(len(rows), dtype=bool)
+        cheapest[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        size = len(self._nodes)
+        self._matrix = csr_matrix(
+            (weights[cheapest], (rows[cheapest], cols[cheapest])), shape=(size, size)
+        )
+
+    def solve(self, sources: List[int]) -> List[np.ndarray]:
+        """A full-length distance row per kept source.
+
+        Each row is filled on its own: a contracted node reads the smaller
+        of (end's delay + offset to that end) over its two chain ends.
+        """
+        block = np.atleast_2d(
+            dijkstra(self._matrix, directed=True, indices=self._index[sources])
+        )
+        rows = []
+        for reduced in block:
+            row = np.empty(len(self.kept))
+            row[self._nodes] = reduced
+            row[self._members] = np.minimum(
+                row[self._end_a] + self._off_a, row[self._end_b] + self._off_b
+            )
+            rows.append(row)
+        return rows

@@ -35,11 +35,12 @@ per-edge memo), counter accounting, and error behaviour — mirror the
 reference exactly, so both produce byte-identical experiment figures from
 the same seed (pinned in ``tests/experiments/test_reproducibility.py``).
 One memo has no twin in the reference: under an exact oracle
-:meth:`warm_edge_costs` keeps, per streamed source host, the delays to the
-hosts Phase 3 can probe from there, so a step solves a source again only for
-a probe outside that pool.  It sits *behind* the host-pair cache and holds
-the floats a vector fault would return, so it changes how many sources are
-solved and never a cost (``tests/topology/test_probe_memo.py``).
+:meth:`warm_edge_costs` streams a vertex cover of the missing host pairs and
+keeps, per source host, the delays to the hosts Phase 3 can probe from
+there, so a step solves a source again only for a probe that neither end's
+pool holds.  It sits *behind* the host-pair cache and holds the floats a
+vector fault would return, so it changes how many sources are solved and
+never a cost (``tests/topology/test_probe_memo.py``).
 The payoff is bulk state:
 
 * :meth:`warm_edge_costs` is O(1) when the overlay is already warm (the
@@ -104,6 +105,30 @@ __all__ = ["ArrayOverlay", "UNLABELLED", "FLOODING", "NON_FLOODING"]
 UNLABELLED, FLOODING, NON_FLOODING = 0, 1, 2
 
 
+def _greedy_cover(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """A vertex cover of the links ``a[i] - b[i]``, as a mask over ``0..n-1``.
+
+    Greedy by degree, in rounds: a round takes every node whose count of
+    uncovered links beats that of each neighbour over an uncovered link
+    (ties go to the lower id) — the parallel form of "take the node that
+    covers the most links".  The best node always wins, so each round
+    covers at least one link.
+    """
+    chosen = np.zeros(n, dtype=bool)
+    uncovered = np.ones(len(a), dtype=bool)
+    while uncovered.any():
+        u, v = a[uncovered], b[uncovered]
+        degree = np.bincount(np.concatenate([u, v]), minlength=n)
+        rank = degree * n + (n - 1 - np.arange(n))
+        rival = np.zeros(n, dtype=np.int64)
+        np.maximum.at(rival, u, rank[v])
+        np.maximum.at(rival, v, rank[u])
+        won = (degree > 0) & (rank > rival)
+        chosen |= won
+        uncovered &= ~(won[a] | won[b])
+    return chosen
+
+
 class ArrayOverlay(Overlay):
     """Flat-array overlay engine (see module docstring)."""
 
@@ -123,9 +148,9 @@ class ArrayOverlay(Overlay):
             raise ValueError("oracle answers for a different underlay")
         self._oracle = oracle if oracle is not None else ExactOracle(physical)
         self._cost_cache: Dict[Tuple[int, int], float] = {}
-        #: Directional probe memo: source host -> (sorted target hosts,
-        #: ``dist[source][target]`` values), filled by the streaming branch
-        #: of :meth:`warm_edge_costs`.  Shared by :meth:`copy` like
+        #: Probe memo: source host -> (sorted target hosts, their delays),
+        #: filled by the streaming branch of :meth:`warm_edge_costs` and read
+        #: from either end of a pair.  Shared by :meth:`copy` like
         #: ``_cost_cache``; entries are oracle facts, never stale.
         self._probe_memo: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._epoch = 0
@@ -788,17 +813,30 @@ class ArrayOverlay(Overlay):
     def _memo_values(self, hu: int, hosts: List[int]) -> Optional[np.ndarray]:
         """Delays from host *hu* to *hosts* out of the probe memo.
 
-        ``None`` unless every host is in *hu*'s pool (the caller then
-        faults the whole vector once and reads all of them from it).
+        A host is found in *hu*'s pool or, failing that, *hu* in the host's
+        own pool: on the delay grid both rows hold the same float.  ``None``
+        unless every host is found (the caller then faults the whole vector
+        once and reads all of them from it).
         """
-        entry = self._probe_memo.get(hu)
-        if entry is None:
-            return None
-        pool, values = entry
-        at = np.minimum(np.searchsorted(pool, hosts), len(pool) - 1)
-        if not np.array_equal(pool[at], hosts):
-            return None
-        return values[at]
+        memo = self._probe_memo
+        out = np.empty(len(hosts))
+        found = np.zeros(len(hosts), dtype=bool)
+        entry = memo.get(hu)
+        if entry is not None:
+            pool, values = entry
+            at = np.minimum(np.searchsorted(pool, hosts), len(pool) - 1)
+            found = pool[at] == hosts
+            out[found] = values[at[found]]
+        for i in np.flatnonzero(~found).tolist():
+            entry = memo.get(hosts[i])
+            if entry is None:
+                return None
+            pool, values = entry
+            j = int(np.searchsorted(pool, hu))
+            if j == len(pool) or pool[j] != hu:
+                return None
+            out[i] = values[j]
+        return out
 
     def _source_delays(self, hu: int, hosts: List[int]) -> np.ndarray:
         """``dist[hu][h]`` per host: the probe memo, else one vector fault."""
@@ -979,18 +1017,19 @@ class ArrayOverlay(Overlay):
 
         The object engine re-scans every edge per call; here a running
         missing-cost counter short-circuits the warm case, and the cold case
-        finds the NaN entries with one vectorized scan.  The oracle call
-        pattern (grouping, direction, chunking) matches the object engine
-        exactly, so both engines compute bit-identical costs.
+        finds the NaN entries with one vectorized scan.
 
-        Under a vector-streaming (exact) oracle the pass reads more entries
-        of the same vectors than the object engine does: while it holds the
-        vector of a source host it also copies the delays to every host
-        within two logical hops of the pending peers there into the
-        directional probe memo (see :meth:`_probe_pools`), so the Phase-3
-        probes of those peers need no second solve of the same source.  The
-        memo is only ever read *after* the host-pair cache, which therefore
-        receives the same floats in the same order as without it.
+        Under a vector-streaming (exact) oracle the pass solves from a
+        greedy vertex cover of the missing host pairs (fewer sources than
+        one fixed end of each pair, which the object engine solves from),
+        on the series-reduced underlay
+        (:meth:`~repro.topology.physical.PhysicalTopology.reduce_series`).
+        On the delay grid d(u, v) == d(v, u) bit for bit, so the choice of
+        end moves no cost.  While it holds the vector of a source host it
+        also copies the delays to every host within two logical hops of the
+        peers there into the probe memo (see :meth:`_probe_pools`), so the
+        Phase-3 probes from either end of those pairs need no second solve.
+        The memo is only ever read *after* the host-pair cache.
         """
         if self._missing == 0:
             return 0
@@ -1027,8 +1066,25 @@ class ArrayOverlay(Overlay):
                 counters.edge_cost_misses += 1
                 filled += 1
             return filled
+        # Exact oracle: one vector per host of a greedy cover of the missing
+        # host pairs.  Each pair is read off whichever end is a source; on
+        # the delay grid both ends hold the same float.
+        hosts = self._slot_host[: self._nslots]
+        self._physical.reduce_series(hosts[hosts >= 0])
+        edges = [e for h in sources for e in pending[h]]
+        ends = np.array([hkey for *_, hkey in edges], dtype=np.int64)
+        cover = _greedy_cover(ends[:, 0], ends[:, 1], self._physical.num_nodes)
+        # source host -> (its slot, the link's slots, the other host, pair)
+        by_source: Dict[int, List[Tuple[int, int, int, int, Tuple[int, int]]]] = {}
+        for su, sv, hv, hkey in edges:
+            hu = self._vhost[su]
+            if cover[hu]:
+                by_source.setdefault(hu, []).append((su, su, sv, hv, hkey))
+            else:
+                by_source.setdefault(hv, []).append((sv, su, sv, hu, hkey))
+        sources = sorted(by_source)
         pools = self._probe_pools(
-            np.unique([su for edges in pending.values() for su, *_ in edges])
+            np.unique([slot for links in by_source.values() for slot, *_ in links])
         )
         for start in range(0, len(sources), chunk_size):
             chunk = sources[start : start + chunk_size]
@@ -1037,8 +1093,8 @@ class ArrayOverlay(Overlay):
                 row = rows[h]
                 pool = pools[h]
                 self._probe_memo[h] = (pool, row[pool])
-                for su, sv, hv, hkey in pending[h]:
-                    d = float(row[hv])
+                for _, su, sv, other, hkey in by_source[h]:
+                    d = float(row[other])
                     self._cost_cache[hkey] = d
                     self._fill_edge_cost(su, sv, d)
                     counters.edge_cost_misses += 1

@@ -118,10 +118,9 @@ class TestLockstepConvergence:
             )
 
 
-#: Lockstep convergence beyond the one seed above.  Every case passes
-#: plainly: link delays sit on a 2**-10 grid, so a delay does not depend on
-#: the direction it was solved in, and the simulator's cost cache and the
-#: live cost rows hold the same float for every link.
+#: Lockstep convergence beyond the one seed above.  Link delays sit on a
+#: 2**-10 grid, so the simulator's cost cache and the live cost rows hold
+#: the same float for every link, whichever end solved it.
 SEED_CASES = [
     pytest.param(peers, seed, id=f"{peers}peers-seed{seed}")
     for peers in (8, 16)

@@ -274,10 +274,11 @@ class TestPerfSmoke:
 class TestExactOracleSolvesEachSourceOnce:
     """Count gates for the array engine's call pattern under the exact oracle.
 
-    ``warm_edge_costs`` copies each streamed source's two-hop probe pool out
-    of the vector it already holds, and the ACE step prefetches nothing: a
-    source is solved during the step only when a peer there probes a host
-    that is in neither the host-pair cache nor its pool.  The counts repeat
+    ``warm_edge_costs`` streams a cover of the missing host pairs and copies
+    each source's two-hop probe pool out of the vector it already holds,
+    and the ACE step prefetches nothing: a source is solved during the step
+    only when a peer there probes a host that is in neither the host-pair
+    cache nor either end's pool.  The counts repeat
     exactly per seed, so the gates need no timing and no tolerance.
     """
 
@@ -339,12 +340,13 @@ class TestExactOracleSolvesEachSourceOnce:
             production, steps=3, query_samples=8
         )
         assert series["array"] == series["object"]
-        # Both engines stream the same 26 sources to fill the edge costs
-        # before step 1; the array engine then solves again only the hosts
-        # whose peer probes outside its pool, the object engine every host
-        # whose peer probes at all.
-        assert per_step == [31, 2, 3, 14, 8, 4]
-        assert counters.dijkstra_sources == 26 + 14 + 8 + 4
+        # Before step 1 the object engine fills the edge costs from 26
+        # sources (each link's lower peer), the array engine from 23 (a
+        # cover of the links).  The array engine then solves again only the
+        # hosts whose peers probe outside both ends' pools, the object
+        # engine every host whose peer probes at all.
+        assert per_step == [31, 2, 3, 13, 10, 3]
+        assert counters.dijkstra_sources == 23 + 13 + 10 + 3
 
 
 @pytest.mark.perf_smoke

@@ -358,10 +358,11 @@ from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
 
 physical = PhysicalTopology(4, [(0, 1), (1, 2), (2, 3)], [0.25, 0.5, 0.75])
-overlay = ArrayOverlay(physical, {7: 0, 8: 1, 9: 2})
+overlay = ArrayOverlay(physical, {6: 3, 7: 0, 8: 1, 9: 2})
 overlay.connect(7, 8)
 overlay.connect(8, 9)
-overlay.warm_edge_costs()
+overlay.connect(7, 6)
+overlay.warm_edge_costs()  # streams hosts 0 and 1, a cover of the links
 """
 
     def test_wrong_memo_value_is_reported_with_peer_hosts_and_epoch(self):

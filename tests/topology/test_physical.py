@@ -45,7 +45,7 @@ class TestConstruction:
             PhysicalTopology(2, [(0, 1)], [-3.0])
 
     def test_delay_that_rounds_to_zero_is_refused(self):
-        with pytest.raises(ValueError, match="rounds to 0"):
+        with pytest.raises(ValueError, match="positive on the"):
             PhysicalTopology(2, [(0, 1)], [DELAY_GRID / 4])
 
     def test_delays_snap_to_the_nearest_grid_multiple(self):
@@ -402,3 +402,81 @@ class TestDirectionFreeDelays:
         table = np.array([rows[h][hosts] for h in hosts])
         assert len(hosts) == 160
         assert table.tobytes() == table.T.copy().tobytes()
+
+
+def chains_world():
+    """Node 0 with a loop 0-1-2-3-0 that closes on itself, two chains
+    0-4-5-6 and 0-7-6 beside a heavier direct link 0-6, a tail 6-8-9, and
+    a ring 10-11-12 with no kept node on it."""
+    links = {
+        (0, 1): 1.0, (1, 2): 0.5, (2, 3): 0.25, (3, 0): 2.0,
+        (0, 4): 0.75, (4, 5): 0.5, (5, 6): 0.25,
+        (0, 7): 1.0, (7, 6): 1.0,
+        (0, 6): 2.5,
+        (6, 8): 1.5, (8, 9): 0.125,
+        (10, 11): 0.5, (11, 12): 0.75, (12, 10): 1.25,
+    }
+    return lambda: PhysicalTopology(13, list(links), list(links.values()))
+
+
+class TestSeriesReduction:
+    """Solves on the series-reduced underlay equal the full graph's bit for
+    bit, at every node, from kept and contracted sources alike."""
+
+    @staticmethod
+    def assert_same_rows(reduced, full, sources):
+        got = reduced.delays_from_many(sources, cache=False)
+        want = full.delays_from_many(sources, cache=False)
+        for s in sources:
+            assert got[s].tobytes() == want[s].tobytes(), s
+
+    def test_loops_parallel_chains_and_rings_fold_exactly(self):
+        make = chains_world()
+        reduced, full = make(), make()
+        reduced.reduce_series([])
+        self.assert_same_rows(reduced, full, list(range(13)))
+        # White-box: kept are the hub 0, node 6, the leaf 9 and the ring's
+        # lowest node; the reduced graph keeps one 0-6 link (the 0-4-5-6
+        # chain, 1.5) and 6-9.  Summed duplicates would read 0-6 as 6.5.
+        series = reduced._series
+        assert np.flatnonzero(series.kept).tolist() == [0, 6, 9, 10]
+        assert (series._matrix.shape[0], series._matrix.nnz) == (4, 2 * 2)
+        assert reduced.delay(0, 6) == 1.5
+        assert reduced.delay(2, 9) == 0.5 + 1.0 + 1.5 + 1.5 + 0.125
+
+    def test_contracted_source_is_solved_on_the_full_graph(self):
+        make = chains_world()
+        reduced, full = make(), make()
+        reduced.reduce_series([4])
+        before = counters.copy()
+        self.assert_same_rows(reduced, full, [2, 4, 7])
+        assert counters.delta(before)["dijkstra_sources"] == 6
+        assert reduced._series.kept[4] and not reduced._series.kept[7]
+        assert reduced.delays_from(11).tobytes() == full.delays_from(11).tobytes()
+
+    def test_only_the_first_keep_set_counts_and_path_keeps_the_full_graph(self):
+        make = chains_world()
+        reduced = make()
+        reduced.reduce_series([1])
+        reduced.delays_from(0)
+        reduced.reduce_series([2, 5])
+        reduced.delays_from(5)
+        assert np.flatnonzero(reduced._series.kept).tolist() == [0, 1, 6, 9, 10]
+        for u in range(10):
+            for v in range(10):
+                assert reduced.path_delay(reduced.path(u, v)) == reduced.delay(u, v)
+        assert reduced.path(0, 9) == [0, 4, 5, 6, 8, 9]
+
+    @pytest.mark.parametrize("kind", sorted(UNDERLAYS))
+    def test_generated_underlays_fold_exactly(self, kind):
+        rng = np.random.default_rng(5)
+        reduced = UNDERLAYS[kind](np.random.default_rng(1))
+        full = UNDERLAYS[kind](np.random.default_rng(1))
+        n = reduced.num_nodes
+        reduced.reduce_series(rng.choice(n, size=n // 3, replace=False))
+        self.assert_same_rows(reduced, full, list(range(n)))
+
+    def test_unreduced_topology_never_builds_a_reduction(self):
+        topo = chains_world()()
+        topo.delays_from_many(range(13), cache=False)
+        assert topo._series is None

@@ -28,7 +28,7 @@ from repro.topology.soa import ArrayOverlay
 
 #: Hosts 0-1-2-3-4-5 in a line, every link delay on the grid.
 LINE_DELAYS = [0.25, 0.5, 0.75, 1.0, 1.25]
-FROM_0_TO_2 = 0.25 + 0.5
+FROM_1_TO_3 = 0.5 + 0.75
 FROM_0_TO_3 = 0.25 + 0.5 + 0.75
 
 
@@ -64,50 +64,71 @@ def bits(costs):
 
 ONE_PER_HOST = {p: p for p in range(6)}
 
+#: Links 1-2, 2-3, 1-4.  The greedy cover of their host pairs is {1, 2};
+#: host 1's pool (two hops from peer 1) and host 2's are both {1, 2, 3, 4}.
+HUB = [(1, 2), (2, 3), (1, 4)]
+
 
 class TestNamedCases:
+    def test_the_fill_solves_from_a_cover_of_the_missing_pairs(self):
+        obj, arr = pair(line(), ONE_PER_HOST, [(1, 0), (1, 2), (1, 3)])
+        # The object engine solves from each link's lower peer: 0 and 1.
+        assert solved_by(obj.warm_edge_costs) == (3, 2)
+        assert solved_by(arr.warm_edge_costs) == (3, 1)
+        assert sorted(arr._probe_memo) == [1]
+        for u, v in obj.edges():
+            assert arr.cost(u, v).hex() == obj.cost(u, v).hex()
+
     def test_probe_inside_the_pool_is_served_without_a_solve(self):
-        obj, arr = pair(line(), ONE_PER_HOST, [(0, 1), (1, 2)])
-        assert arr.warm_edge_costs() == obj.warm_edge_costs() == 2
-        got, solved = solved_by(lambda: arr.costs_from(0, [2]))
+        obj, arr = pair(line(), ONE_PER_HOST, HUB)
+        arr.warm_edge_costs()
+        got, solved = solved_by(lambda: arr.costs_from(1, [3]))
         assert solved == 0
-        assert bits(got) == bits(obj.costs_from(0, [2])) == {2: FROM_0_TO_2.hex()}
+        assert bits(got) == bits(obj.costs_from(1, [3])) == {3: FROM_1_TO_3.hex()}
+
+    def test_probe_is_served_from_the_far_ends_row(self):
+        obj, arr = pair(line(), ONE_PER_HOST, HUB)
+        arr.warm_edge_costs()
+        assert 3 not in arr._probe_memo and 4 not in arr._probe_memo
+        got, solved = solved_by(lambda: arr.costs_from(3, [1]))
+        also, solved_also = solved_by(lambda: arr.costs_from(4, [2]))
+        assert (solved, solved_also) == (0, 0)
+        assert bits({**got, **also}) == bits({**obj.costs_from(3, [1]), **obj.costs_from(4, [2])})
 
     def test_probe_outside_the_pool_faults_one_vector(self):
-        obj, arr = pair(line(), ONE_PER_HOST, [(0, 1), (1, 2)])
+        obj, arr = pair(line(), ONE_PER_HOST, HUB)
         arr.warm_edge_costs()
-        got, solved = solved_by(lambda: arr.costs_from(0, [2, 3]))
-        assert solved == 1  # host 3 is three hops out: the whole read faults
-        assert bits(got) == bits(obj.costs_from(0, [2, 3]))
-        assert got[3].hex() == FROM_0_TO_3.hex()
+        got, solved = solved_by(lambda: arr.costs_from(3, [4]))
+        # Host 2 is in 4's reach through host 2's row, host 3 is not: the
+        # whole read faults once.
+        mixed, solved_mixed = solved_by(lambda: arr.costs_from(4, [2, 0]))
+        assert (solved, solved_mixed) == (1, 1)
+        assert bits(got) == bits(obj.costs_from(3, [4]))
+        assert bits(mixed) == bits(obj.costs_from(4, [2, 0]))
 
-    def test_host_pair_cache_and_memo_hold_one_float_per_pair(self):
-        obj, arr = pair(line(), ONE_PER_HOST, [])
-        for overlay in (obj, arr):
-            # Solved from host 3 first, then streamed from host 0.
-            assert overlay.costs_from(3, [0])[0].hex() == FROM_0_TO_3.hex()
-            overlay.connect(0, 1)
-            overlay.connect(1, 3)
-            overlay.warm_edge_costs()
-        pool, values = arr._probe_memo[0]
-        assert values[pool.tolist().index(3)].hex() == FROM_0_TO_3.hex()
-        assert bits(arr.costs_from(0, [3])) == bits(obj.costs_from(0, [3]))
-        assert arr.cost(0, 3).hex() == FROM_0_TO_3.hex()
+    def test_either_end_of_a_pair_reads_one_float(self):
+        obj, arr = pair(line(), ONE_PER_HOST, HUB)
+        arr.warm_edge_costs()
+        # White-box: hosts 1 and 2 are both sources, each row holds the other.
+        one_to_two = arr._memo_values(1, [2]).item(0)
+        two_to_one = arr._memo_values(2, [1]).item(0)
+        assert one_to_two.hex() == two_to_one.hex() == obj.cost(1, 2).hex()
+        assert arr._memo_values(1, [4]).item(0) == arr._memo_values(4, [1]).item(0)
 
     def test_restreamed_source_replaces_its_pool(self):
-        obj, arr = pair(line(), ONE_PER_HOST, [(0, 1), (1, 2)])
+        obj, arr = pair(line(), ONE_PER_HOST, HUB)
         for overlay in (obj, arr):
             overlay.warm_edge_costs()
-            overlay.disconnect(0, 1)
-            overlay.connect(0, 4)
-            overlay.connect(4, 5)
+            overlay.disconnect(2, 3)
+            overlay.connect(1, 0)
+            overlay.connect(1, 5)
             overlay.warm_edge_costs()
-        assert arr._probe_memo[0][0].tolist() == [0, 4, 5]
-        near, solved_near = solved_by(lambda: arr.costs_from(0, [5]))
-        far, solved_far = solved_by(lambda: arr.costs_from(0, [2]))
-        # Host 2 left the pool with the old neighborhood.
-        assert (solved_near, solved_far) == (0, 1)
-        assert bits({**near, **far}) == bits(obj.costs_from(0, [5, 2]))
+        assert arr._probe_memo[1][0].tolist() == [0, 1, 2, 4, 5]
+        # Host 3 left host 1's pool with the cut link (the first pool held
+        # it), and host 3 was never a source: the read faults.
+        got, solved = solved_by(lambda: arr.costs_from(1, [3]))
+        assert solved == 1
+        assert bits(got) == bits(obj.costs_from(1, [3]))
 
     def test_peers_on_one_host_pool_their_neighborhoods(self):
         hosts = {0: 0, 1: 1, 6: 0, 7: 4, 8: 5}
@@ -127,12 +148,12 @@ class TestNamedCases:
 
     def test_copy_shares_the_memo_and_a_new_oracle_drops_it(self):
         physical = line()
-        _, arr = pair(physical, ONE_PER_HOST, [(0, 1), (1, 2)])
+        _, arr = pair(physical, ONE_PER_HOST, HUB)
         arr.warm_edge_costs()
         clone = arr.copy()
         arr.use_oracle(ExactOracle(physical))
-        assert solved_by(lambda: clone.costs_from(0, [2]))[1] == 0
-        assert solved_by(lambda: arr.costs_from(0, [2]))[1] == 1
+        assert solved_by(lambda: clone.costs_from(1, [3]))[1] == 0
+        assert solved_by(lambda: arr.costs_from(1, [3]))[1] == 1
 
     def test_pairwise_cheap_oracle_never_fills_the_memo(self):
         physical = line()
