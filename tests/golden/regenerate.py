@@ -2,7 +2,10 @@
 
 ``paper_default.json`` holds, as ``float.hex``, every figure of one static
 run (10 ACE steps) and one dynamic run with churn (600 queries) at the
-paper default: 160 peers on 1,200 underlay nodes, exact delays.
+paper default: 160 peers on 1,200 underlay nodes, exact delays.  A second
+dynamic run, ``dynamic_landmark``, repeats the churned one under the
+``landmark:8`` oracle, whose estimates put link costs on the 2^-11 grid the
+paper-scale benchmark workloads run on.
 ``tests/golden/test_golden.py`` recomputes them and compares the files bit
 for bit.  A change that moves a figure on purpose rewrites the file with::
 
@@ -27,6 +30,8 @@ GOLDEN = Path(__file__).with_name("paper_default.json")
 CONFIG = ScenarioConfig(
     physical_nodes=1200, peers=160, avg_degree=6.0, seed=1, oracle="exact"
 )
+LANDMARK = dataclasses.replace(CONFIG, oracle="landmark:8")
+DYNAMIC = DynamicConfig(total_queries=600, window=100)
 
 
 def _hexed(series: object) -> Dict[str, object]:
@@ -44,10 +49,13 @@ def _hexed(series: object) -> Dict[str, object]:
 def figures() -> Dict[str, Dict[str, object]]:
     """Every golden figure, computed by the code as it stands."""
     static = run_static_experiment(build_scenario(CONFIG), steps=10)
-    dynamic = run_dynamic_experiment(
-        build_scenario(CONFIG), DynamicConfig(total_queries=600, window=100)
-    )
-    return {"static": _hexed(static), "dynamic": _hexed(dynamic)}
+    dynamic = run_dynamic_experiment(build_scenario(CONFIG), DYNAMIC)
+    landmark = run_dynamic_experiment(build_scenario(LANDMARK), DYNAMIC)
+    return {
+        "static": _hexed(static),
+        "dynamic": _hexed(dynamic),
+        "dynamic_landmark": _hexed(landmark),
+    }
 
 
 def main() -> None:

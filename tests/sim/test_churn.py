@@ -141,6 +141,55 @@ class TestRepair:
         assert repaired == 1
         assert ov.degree(victim) >= 1
 
+    @staticmethod
+    def _star_world(ba_physical, overlay_class):
+        # Peers 0..11 on a ring, plus hub 20 whose only links go to the
+        # leaves 15 and 12: the hub's departure isolates both leaves and
+        # nobody else.
+        hosts = ba_physical.largest_component_nodes()
+        ov = overlay_class(ba_physical, {p: hosts[p] for p in (*range(13), 15, 20)})
+        for p in range(12):
+            ov.connect(p, (p + 1) % 12)
+        ov.connect(20, 15)
+        ov.connect(20, 12)
+        model = ChurnModel(ov, {}, np.random.default_rng(3))
+        model.start_initial_sessions(0.0)
+        ov.remove_peer(20)
+        return ov, model
+
+    def test_departure_isolating_two_peers_repairs_both_in_id_order(
+        self, ba_physical, overlay_class
+    ):
+        ov, model = self._star_world(ba_physical, overlay_class)
+        assert [p for p in ov.peers() if ov.degree(p) == 0] == [12, 15]
+        connect = model.bootstrap.connect_joining_peer
+        order = []
+
+        def recording(peer):
+            order.append(peer)
+            return connect(peer)
+
+        model.bootstrap.connect_joining_peer = recording
+        assert model.repair_isolated() == 2
+        assert order == [12, 15]
+        assert ov.degree(12) >= 1 and ov.degree(15) >= 1
+
+    def test_repair_skips_a_peer_an_earlier_repair_reconnected(
+        self, ba_physical, overlay_class
+    ):
+        ov, model = self._star_world(ba_physical, overlay_class)
+        order = []
+
+        def link_to_the_other_leaf(peer):
+            order.append(peer)
+            ov.connect(peer, 27 - peer)  # 12 <-> 15
+            return [27 - peer]
+
+        model.bootstrap.connect_joining_peer = link_to_the_other_leaf
+        assert model.repair_isolated() == 1
+        assert order == [12]
+        assert ov.has_edge(12, 15)
+
     def test_repair_noop_when_healthy(self, world):
         _ov, model = world
         model.start_initial_sessions(0.0)
