@@ -41,10 +41,13 @@ against, and the engine of the one strategy that cannot compile (HPF).
    graph with that peer's row emptied (:meth:`CompiledGraph.stopped_at`),
    not a kernel parameter.
 
-Exactness contract: identical results require strictly positive edge costs
-(true for every generated overlay — peers are placed on distinct hosts).
-:func:`propagate_many` and :func:`run_queries` raise ``ValueError`` for a
-graph containing a zero-cost edge and for a strategy that does not compile;
+Exactness contract: identical results require edge costs that are strictly
+positive, on the 2^-11 grid, and total below 2^42.  Every generated overlay
+has them: peers are placed on distinct hosts, exact delays sit on the
+underlay's 2^-10 grid and a landmark estimate is half a sum of two of
+them.  :func:`propagate_many` and :func:`run_queries` raise ``ValueError``
+for a graph that breaks the contract (:attr:`CompiledGraph.has_zero_cost`,
+:attr:`CompiledGraph.off_grid`) and for a strategy that does not compile;
 there is no fallback, so every call here is answered by the kernel.
 
 How equivalence is preserved, briefly:
@@ -56,13 +59,11 @@ How equivalence is preserved, briefly:
 * *Parents* — the heap's winner among equal-time arrivals is the minimum
   sender id (heap entries tie-break on ``(time, target, sender)``); the
   kernel reproduces it as the min sender over tight edges.
-* *Traffic* — the heap engine accumulates edge costs in settle order
-  (source first, then reached peers by ``(arrival, peer id)``), iterating
-  each peer's strategy set in Python iteration order with the parent edge
-  skipped in place.  The kernel gathers CSR cost slices in exactly that
-  order, the parent edge's cost replaced by ``0.0`` (adding it changes no
-  partial sum), and reduces with a sequential ``cumsum``, matching the
-  float sum term for term.
+* *Traffic* — the heap engine adds the cost of every message it sends, in
+  settle order.  Those are the costs of the forwarders' edges minus each
+  forwarder's edge back to its parent.  On the grid every partial sum of
+  them is exact, so the order of addition cannot move the float: the
+  kernel masks the sent edges of a whole block at once and sums each row.
 * *Messages / duplicates* — every transmission is eventually popped exactly
   once, so ``duplicates = messages - (search_scope - 1)``.
 """
@@ -107,14 +108,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+#: Link costs are multiples of 2^-11 (exact delays sit on 2^-10, a landmark
+#: estimate is half a sum of two of them) and a graph's total stays below
+#: 2^42, so any sum of its costs is exact in a double, in any order.
+_COST_STEPS = 2.0**11
+_COST_BOUND = 2.0**42
+
+
 @dataclass
 class CompiledGraph:
     """A forwarding strategy lowered to CSR arrays over the live peer set.
 
     ``targets[indptr[i]:indptr[i+1]]`` lists the forwarding targets of peer
-    ``peer_ids[i]`` *in the strategy's own iteration order* (that order is
-    load-bearing: traffic accounting must add edge costs exactly as the
-    heap engine does).  ``costs`` are the matching logical-link costs.
+    ``peer_ids[i]`` in the strategy's own iteration order; no result
+    depends on that order, since every sum of costs on the grid is exact.
+    ``costs`` are the matching logical-link costs.
     """
 
     kind: str
@@ -133,6 +141,12 @@ class CompiledGraph:
         )
         self.has_zero_cost = bool(self.costs.size) and bool(
             (self.costs <= 0.0).any()
+        )
+        #: Whether a cost is off the 2^-11 grid or they total 2^42 or more:
+        #: then a sum of costs may round, and its order matters.
+        steps = self.costs * _COST_STEPS  # exact: a power-of-two scale
+        self.off_grid = not (
+            np.array_equal(steps, np.floor(steps)) and self.costs.sum() < _COST_BOUND
         )
         self._matrix: Optional[csr_matrix] = None
         self._reverse: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -165,7 +179,8 @@ class CompiledGraph:
             return self.indptr, self.targets, self.costs
         if self._reverse is None:
             n = self.num_peers
-            order = np.argsort(self.targets, kind="stable")
+            # Narrowed to 8 or 16 bits, a stable sort is numpy's radix sort.
+            order = np.argsort(self.targets.astype(np.min_scalar_type(n - 1)), kind="stable")
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(self.targets, minlength=n), out=indptr[1:])
             self._reverse = (indptr, self.edge_src[order], self.costs[order])
@@ -485,29 +500,6 @@ def _gate_row(
             heapq.heappush(heap, (t + float(costs[k]), w, v, h + 1))
 
 
-def _settle_order(dist: np.ndarray) -> np.ndarray:
-    """Per row, peer indices by ``(arrival, index)``; the unreached come last.
-
-    An unstable sort leaves equal arrivals in any order, and they occur in
-    every row at paper scale (landmark costs repeat), so the tied runs alone
-    are sorted again, by run and then by index.
-    """
-    order = np.argsort(dist, axis=1)
-    arrival = np.take_along_axis(dist, order, axis=1)
-    follows = np.zeros(dist.shape, dtype=bool)  # ties with its left neighbour
-    np.equal(arrival[:, 1:], arrival[:, :-1], out=follows[:, 1:])
-    follows &= np.isfinite(arrival)
-    in_run = follows.copy()
-    in_run[:, :-1] |= follows[:, 1:]
-    at = np.flatnonzero(in_run)
-    if at.size:
-        flat = order.reshape(-1)
-        run = np.cumsum(~follows.reshape(-1)[at])
-        peers = flat[at]
-        flat[at] = peers[np.argsort(run * dist.shape[1] + peers)]
-    return order
-
-
 def _account(
     graph: CompiledGraph,
     dist: np.ndarray,
@@ -515,37 +507,22 @@ def _account(
     hops: Optional[np.ndarray],
     ttl: Optional[int],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(messages, traffic, duplicates) per row of a block, in heap float order.
+    """(messages, traffic, duplicates) per row of a block, as the heap counts them.
 
-    Forwarders are visited in settle order — the source first (arrival 0 is
-    the unique minimum), then by ``(arrival, peer id)`` — each contributing
-    its CSR cost slice.  The edge back to a forwarder's parent is not sent
-    on; its cost is multiplied by zero in place, and since ``x + 0.0 == x``
-    the sequential ``cumsum`` reproduces the heap engine's left-to-right
-    float accumulation exactly.  Costs are positive, so the nonzero terms
-    count the messages.
+    Every reached peer forwards — under a TTL only below it — on each edge
+    of its row but the one back to its parent; one mask over the block's
+    edges marks what was sent.  The costs sit on the 2^-11 grid and total
+    below 2^42 (:func:`_kernel_graph` checks), so every partial sum of any
+    subset of them is exact and the masked row sums are the heap engine's
+    settle-order floats, in whatever order they add.
     """
-    rows = dist.shape[0]
-    messages = np.zeros(rows, dtype=np.int64)
-    traffic = np.zeros(rows)
-    order = _settle_order(dist)
-    scope = np.isfinite(dist).sum(axis=1)
-    sent = np.take(parent, graph.edge_src, axis=1, mode="clip") != graph.targets
-    charged = graph.costs * sent
-    indptr, degrees = graph.indptr, graph.degrees
-    for r in range(rows):
-        forwarders = order[r, : scope[r]]
-        if hops is not None:
-            forwarders = forwarders[hops[r, forwarders] < ttl]
-        lengths = degrees[forwarders]
-        if not lengths.any():
-            continue
-        ends = np.cumsum(lengths)
-        flat = np.repeat(indptr[forwarders] - (ends - lengths), lengths)
-        flat += np.arange(ends[-1])
-        terms = charged[r][flat]
-        messages[r] = np.count_nonzero(terms)
-        traffic[r] = np.cumsum(terms)[-1]
+    reached = np.isfinite(dist)
+    scope = reached.sum(axis=1)
+    fwd = reached if hops is None else reached & (hops < ttl)
+    sent = np.take(fwd, graph.edge_src, axis=1, mode="clip")
+    sent &= np.take(parent, graph.edge_src, axis=1, mode="clip") != graph.targets
+    messages = np.count_nonzero(sent, axis=1)
+    traffic = (sent * graph.costs).sum(axis=1)  # costs are finite: 0 * c == 0.0
     # Every pushed message pops exactly once: either it settles a peer
     # (scope - 1 of those) or it is counted as a duplicate.
     return messages, traffic, messages - (scope - 1)
@@ -701,7 +678,8 @@ def _kernel_graph(
     ttl: Optional[int],
     graph: Optional[CompiledGraph] = None,
 ) -> CompiledGraph:
-    """*graph*, or the compiled *strategy*; a negative TTL or a zero-cost edge raises."""
+    """*graph*, or the compiled *strategy*; a negative TTL, a zero-cost edge
+    or costs whose sums can round (:attr:`CompiledGraph.off_grid`) raise."""
     if ttl is not None and ttl < 0:
         raise ValueError(f"ttl must be None or >= 0, not {ttl}")
     if graph is None:
@@ -710,6 +688,11 @@ def _kernel_graph(
         # Two peers on one host (never generated): the heap's pop order among
         # zero-delay arrivals is not recoverable from the labels.
         raise ValueError("graph has a zero-cost edge; the kernel is not exact")
+    if graph.off_grid:
+        raise ValueError(
+            "graph costs are off the 2^-11 grid or total 2^42 or more; "
+            "the kernel's sums are not exact"
+        )
     return graph
 
 

@@ -175,7 +175,8 @@ class ChurnModel:
         that loses all connections immediately re-bootstraps.)
         """
         repaired = 0
-        for peer in self.overlay.peers():
+        for peer in self.overlay.isolated_peers():
+            # Repairs only add links: an earlier one may have reached this peer.
             if self.overlay.degree(peer) == 0 and self.overlay.num_peers > 1:
                 self.bootstrap.connect_joining_peer(peer)
                 repaired += 1

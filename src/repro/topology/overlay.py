@@ -188,6 +188,10 @@ class Overlay:
         """Number of logical connections of *peer*."""
         return len(self._adjacency[peer])
 
+    def isolated_peers(self) -> List[int]:
+        """Sorted ids of the live peers with no logical connection."""
+        return sorted(p for p, nbrs in self._adjacency.items() if not nbrs)
+
     def average_degree(self) -> float:
         """Mean logical degree over live peers."""
         if not self._hosts:

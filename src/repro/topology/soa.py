@@ -597,6 +597,12 @@ class ArrayOverlay(Overlay):
         """Number of logical connections of *peer*."""
         return self._vdeg[self._index[peer]]
 
+    def isolated_peers(self) -> List[int]:
+        """Sorted ids of the live peers with no logical connection."""
+        peer = self._slot_peer[: self._nslots]
+        lone = (self._slot_degree[: self._nslots] == 0) & (peer >= 0)
+        return sorted(peer[lone].tolist())
+
     def average_degree(self) -> float:
         """Mean logical degree over live peers."""
         if not self._index:

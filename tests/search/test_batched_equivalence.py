@@ -11,6 +11,7 @@ runs on the overlay's array twin and is compared with the heap on the
 object overlay itself.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -211,15 +212,12 @@ class TestHandBuiltGraphs:
             assert got.duplicates[0] == got.messages[0] - 24
 
     def test_tied_arrivals_settle_by_peer_id(self, make_overlay_from_weighted_edges):
-        """300 peers hear at time 1.0; their inexact leaf costs add in id order."""
+        """300 peers hear at time 1.0 and the heap settles them by peer id;
+        the kernel's labels and accounts equal the heap's."""
         hub = [(0, i, 1.0) for i in range(1, 301)]
         leaves = [(i, 300 + i, 0.1 * i + 0.01) for i in range(1, 301)]
         overlay = make_overlay_from_weighted_edges(hub + leaves)
-        got = assert_batch_equals_scalar(overlay, blind_flooding_strategy, [0, 1], None)
-        order = batch._settle_order(got.dist)
-        for row, dist_row in zip(order, got.dist):
-            want = np.lexsort((np.arange(dist_row.size), dist_row))
-            np.testing.assert_array_equal(row, want)
+        assert_batch_equals_scalar(overlay, blind_flooding_strategy, [0, 1], None)
 
     #: Peer -> forwarding targets, in the strategy's own (unsorted) order.
     #: From 0, peer 1's row lacks the edge back to its parent, 3 hears from
@@ -417,6 +415,25 @@ class TestScalarFallback:
             run_queries(overlay, strategy, [(0, (2,))], ttl=None)
         assert propagate(overlay, 0, strategy, ttl=None).reached == {0, 1, 2}
 
+    @pytest.mark.parametrize("total", ["off_grid", "at_bound"])
+    def test_costs_whose_sums_can_round_raise(self, total):
+        """A hand-built graph with a cost off the 2^-11 grid, or costs that
+        total 2^42, is refused: the kernel's sums would not be exact."""
+        overlay = make_world(9)
+        strategy = blind_flooding_strategy(overlay)
+        graph = compile_strategy(overlay, strategy)
+        assert not graph.off_grid
+        costs = graph.costs.copy()
+        if total == "off_grid":
+            costs[0] = 0.1
+        else:
+            costs[0] += 2.0**42 - costs.sum()
+            assert costs.sum() == 2.0**42
+        bad = dataclasses.replace(graph, costs=costs)
+        assert bad.off_grid and not bad.has_zero_cost
+        with pytest.raises(ValueError, match="2\\^-11 grid"):
+            propagate_many(overlay, overlay.peers()[:2], strategy, ttl=None, graph=bad)
+
     def test_stopped_graph_matches_stop_wrapper(self):
         """``CompiledGraph.stopped_at`` is the heap's forward-to-nobody wrapper."""
         for kind in ("flooding", "ace"):
@@ -515,6 +532,48 @@ class TestCounters:
         compile_strategy(overlay, strategy)
         compile_strategy(overlay, strategy)  # cache hit: no recompile
         assert counters.compiled_strategies - before == 1
+
+
+@pytest.mark.parametrize("ttl", [3, None])
+@pytest.mark.parametrize("kind", ["flooding", "ace"])
+@pytest.mark.parametrize("oracle", ["exact", "landmark:8"])
+def test_row_order_changes_no_bit(oracle, kind, ttl):
+    """Each row's targets and costs shuffled together, and a heap strategy
+    iterating the shuffled rows: on the 2^-11 grid every sum is exact, so
+    the kernel's and the heap's fields all equal the unshuffled graph's."""
+    scenario = build_scenario(
+        ScenarioConfig(physical_nodes=300, peers=60, seed=5, oracle=oracle)
+    )
+    overlay = scenario.overlay
+    strategy = make_strategy(overlay, kind, 5)
+    graph = compile_strategy(overlay, strategy)
+    rng = np.random.default_rng(5)
+    spans = list(zip(graph.indptr, graph.indptr[1:]))
+    perm = np.concatenate(
+        [start + rng.permutation(stop - start) for start, stop in spans]
+    ).astype(np.int64)
+    shuffled = dataclasses.replace(
+        graph, targets=graph.targets[perm], costs=graph.costs[perm], directed=True
+    )
+    ids = graph.peer_ids.tolist()
+    rows = {
+        ids[i]: [ids[t] for t in shuffled.targets[start:stop]]
+        for i, (start, stop) in enumerate(spans)
+    }
+    assert any(rows[p] != sorted(rows[p]) for p in ids)
+
+    def shuffled_strategy(peer, came_from):
+        return rows[peer]
+
+    sources = sample_sources(overlay, rng, k=12)
+    want = propagate_many(overlay, sources, strategy, ttl=ttl)
+    got = propagate_many(overlay, sources, strategy, ttl=ttl, graph=shuffled)
+    for name in ("dist", "parent", "hops", "messages", "traffic", "duplicates"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for i, src in enumerate(sources):
+        heap = propagate(overlay, src, shuffled_strategy, ttl=ttl)
+        assert heap == propagate(overlay, src, strategy, ttl=ttl)
+        assert got.result(i) == heap
 
 
 @pytest.mark.parametrize("oracle", ["exact", "landmark:8"])

@@ -154,6 +154,8 @@ def assert_reads_match(obj: Overlay, arr: ArrayOverlay, pick: int) -> None:
         assert arr.neighbors(p) == obj.neighbors(p)
         assert arr.degree(p) == obj.degree(p)
         assert arr.host_of(p) == obj.host_of(p)
+    lone = [p for p in peers if obj.degree(p) == 0]
+    assert arr.isolated_peers() == obj.isolated_peers() == lone
     u = peers[pick % len(peers)]
     # Neighbors, non-neighbors, same-host peers and u itself, two of them
     # twice; then the same list ending in a peer that does not exist.
