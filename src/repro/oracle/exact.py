@@ -47,11 +47,10 @@ class ExactOracle(DelayOracle):
     def delays_from(
         self, source: int, targets: Optional[Sequence[int]] = None
     ) -> np.ndarray:
-        """Exact delay vector from *source* (optionally sliced to targets)."""
-        vec = self._physical.delays_from(source)
+        """Exact delays from *source*: the vector, or at *targets* only."""
         if targets is None:
-            return vec
-        return vec[np.asarray(list(targets), dtype=np.int64)]
+            return self._physical.delays_from(source)
+        return self._physical.delays_to(source, list(targets))
 
     def delays_from_many(
         self, sources: Iterable[int], cache: bool = True

@@ -10,7 +10,9 @@ small-world model for property studies.
 
 All generators return a connected :class:`~repro.topology.physical.PhysicalTopology`
 whose link delays are the Euclidean distances between endpoint coordinates
-(the standard BRITE convention for delay), floored at ``min_delay``.
+(the standard BRITE convention for delay), floored at ``min_delay``.  Links
+are drawn one attachment at a time; the component joins, delays and topology
+are built on arrays, bit for bit as the per-link pass the tests keep.
 
 Randomness is always taken from an explicit :class:`numpy.random.Generator`
 so that every experiment in the repository is reproducible from a seed.
@@ -19,9 +21,12 @@ so that every experiment in the repository is reproducible from a seed.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ..rng import ensure_rng
 from .physical import PhysicalTopology
@@ -48,69 +53,47 @@ def _place_nodes(n: int, rng: np.random.Generator, plane_size: float) -> np.ndar
     return rng.uniform(0.0, plane_size, size=(n, 2))
 
 
-def _euclidean_delay(coords: np.ndarray, u: int, v: int, min_delay: float) -> float:
-    d = float(np.hypot(*(coords[u] - coords[v])))
-    return max(d, min_delay)
-
-
-def _connect_components(
-    edges: Set[Tuple[int, int]],
-    n: int,
-    coords: np.ndarray,
-    rng: np.random.Generator,
-) -> None:
-    """Add shortest geometric links until the edge set forms one component.
-
-    Generators with probabilistic attachment can leave the graph
-    disconnected; BRITE repairs this the same way, by joining components
-    with extra links.  We join each smaller component to the largest one via
-    the geometrically closest node pair, which keeps delays realistic.
-    """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
-
-    for u, v in edges:
-        union(u, v)
-
-    groups: dict = {}
-    for node in range(n):
-        groups.setdefault(find(node), []).append(node)
-    components = sorted(groups.values(), key=len, reverse=True)
-    main = components[0]
-    main_arr = np.array(main)
-    for comp in components[1:]:
-        comp_arr = np.array(comp)
-        # Closest pair between comp and the main component.
-        diffs = coords[comp_arr][:, None, :] - coords[main_arr][None, :, :]
-        dists = np.hypot(diffs[..., 0], diffs[..., 1])
-        i, j = np.unravel_index(int(np.argmin(dists)), dists.shape)
-        u, v = int(comp_arr[i]), int(main_arr[j])
-        key = (u, v) if u < v else (v, u)
-        edges.add(key)
-        union(u, v)
-        main_arr = np.concatenate([main_arr, comp_arr])
+def _sorted_links(edges: Set[Tuple[int, int]], n: int) -> np.ndarray:
+    """*edges* as an ``(m, 2)`` array in ``sorted`` order."""
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    keys = np.sort(flat[0::2] * n + flat[1::2])
+    return np.stack(np.divmod(keys, n), axis=1)
 
 
 def _finalize(
     n: int,
     edges: Set[Tuple[int, int]],
     coords: np.ndarray,
-    rng: np.random.Generator,
     min_delay: float,
     cache_size: int,
 ) -> PhysicalTopology:
-    _connect_components(edges, n, coords, rng)
-    edge_list = sorted(edges)
-    delays = [_euclidean_delay(coords, u, v, min_delay) for u, v in edge_list]
-    return PhysicalTopology(n, edge_list, delays, coordinates=coords, cache_size=cache_size)
+    """The underlay of the ``u < v`` links *edges*, joined into one component.
+
+    Generators with probabilistic attachment can leave the graph
+    disconnected; BRITE repairs this the same way, by joining components
+    with extra links.  We join each smaller component to the largest one via
+    the geometrically closest node pair, which keeps delays realistic.
+    """
+    links = _sorted_links(edges, n)
+    graph = csr_matrix((np.ones(len(links)), tuple(links.T)), shape=(n, n))
+    count, labels = connected_components(graph, directed=False)
+    if count > 1:
+        # Labels number the components by lowest node; largest first.
+        by_size = np.argsort(-np.bincount(labels), kind="stable")
+        main_arr = np.flatnonzero(labels == by_size[0])
+        joins: List[Tuple[int, int]] = []
+        for comp_arr in (np.flatnonzero(labels == c) for c in by_size[1:]):
+            # Closest pair between comp and the main component.
+            diffs = coords[comp_arr][:, None, :] - coords[main_arr][None, :, :]
+            dists = np.hypot(diffs[..., 0], diffs[..., 1])
+            i, j = np.unravel_index(int(np.argmin(dists)), dists.shape)
+            u, v = int(comp_arr[i]), int(main_arr[j])
+            joins.append((u, v) if u < v else (v, u))
+            main_arr = np.concatenate([main_arr, comp_arr])
+        links = _sorted_links(edges.union(joins), n)
+    dx, dy = (coords[links[:, 0]] - coords[links[:, 1]]).T
+    delays = np.maximum(np.hypot(dx, dy), min_delay)
+    return PhysicalTopology(n, links, delays, coordinates=coords, cache_size=cache_size)
 
 
 def waxman(
@@ -141,7 +124,7 @@ def waxman(
         hits = np.flatnonzero(rng.random(d.shape[0]) < prob)
         for h in hits:
             edges.add((u, u + 1 + int(h)))
-    return _finalize(n, edges, coords, rng, min_delay, cache_size)
+    return _finalize(n, edges, coords, min_delay, cache_size)
 
 
 def barabasi_albert(
@@ -181,7 +164,7 @@ def barabasi_albert(
         for t in chosen:
             edges.add((t, new) if t < new else (new, t))
             targets_pool.extend((t, new))
-    return _finalize(n, edges, coords, rng, min_delay, cache_size)
+    return _finalize(n, edges, coords, min_delay, cache_size)
 
 
 def glp(
@@ -269,7 +252,7 @@ def glp(
                 add_edge(new, t)
             if degree[new] == 0:
                 add_edge(new, int(rng.integers(active - 1)))
-    return _finalize(n, edges, coords, rng, min_delay, cache_size)
+    return _finalize(n, edges, coords, min_delay, cache_size)
 
 
 def watts_strogatz(
@@ -306,7 +289,7 @@ def watts_strogatz(
                 rewired.add((u, v))
         else:
             rewired.add((u, v))
-    return _finalize(n, rewired, coords, rng, min_delay, cache_size)
+    return _finalize(n, rewired, coords, min_delay, cache_size)
 
 
 def grid(

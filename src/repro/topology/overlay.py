@@ -12,8 +12,6 @@ churn model adds and removes peers.  All mutation goes through
 :meth:`connect` / :meth:`disconnect` / :meth:`add_peer` / :meth:`remove_peer`
 so invariants (symmetry, no self-loops, live endpoints) hold by construction.
 
-Cost lookups are served from two layers of memoization:
-
 All underlay delay lookups go through the overlay's
 :class:`~repro.oracle.base.DelayOracle` (an
 :class:`~repro.oracle.exact.ExactOracle` unless configured otherwise), so
@@ -33,13 +31,14 @@ of memoization:
   engine's inner loop (:func:`repro.search.flooding.propagate`) therefore
   never touches scipy at all.
 
-The generators at the bottom build on this class as their scratch and hand
-back the finished build lowered into the array engine every run uses
+The generators at the bottom fill plain neighbor sets and pack the result
+straight into the array engine every run uses
 (:class:`~repro.topology.soa.ArrayOverlay`).
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -466,11 +465,17 @@ def _pick_hosts(
     return [candidates[int(i)] for i in chosen]
 
 
-def _lowered(ov: Overlay) -> "ArrayOverlay":
-    """A generator's finished build in the array engine (oracle and epoch carry over)."""
+def _installed(physical: PhysicalTopology, hosts: List[int], ends: List[int]) -> "ArrayOverlay":
+    """Peer ``i`` on ``hosts[i]``, linked by *ends* (``u0, v0, u1, v1, ...``),
+    at the epoch an object build reaches: one bump per peer and per link."""
     from .soa import ArrayOverlay  # soa builds on this module
 
-    return ArrayOverlay.from_overlay(ov)
+    n, links = len(hosts), len(ends) // 2
+    overlay = ArrayOverlay._packed(
+        physical, list(range(n)), hosts, ends, [math.nan] * links
+    )
+    overlay._epoch = n + links
+    return overlay
 
 
 def random_overlay(
@@ -490,22 +495,23 @@ def random_overlay(
     if avg_degree < 2:
         raise ValueError("avg_degree must be >= 2 to allow a connected overlay")
     hosts = _pick_hosts(physical, n_peers, rng)
-    ov = Overlay(physical, {i: hosts[i] for i in range(n_peers)})
+    linked: Set[Tuple[int, int]] = set()
     target_edges = int(round(n_peers * avg_degree / 2.0))
     # Random spanning tree first (guarantees connectivity), then random fill.
     order = list(range(n_peers))
     rng.shuffle(order)
     for i in range(1, n_peers):
-        ov.connect(order[i], order[int(rng.integers(i))])
+        u, v = order[i], order[int(rng.integers(i))]
+        linked.add((min(u, v), max(u, v)))
     attempts = 0
     max_attempts = 20 * target_edges + 100
-    while ov.num_edges < target_edges and attempts < max_attempts:
+    while len(linked) < target_edges and attempts < max_attempts:
         u = int(rng.integers(n_peers))
         v = int(rng.integers(n_peers))
         attempts += 1
-        if u != v and not ov.has_edge(u, v):
-            ov.connect(u, v)
-    return _lowered(ov)
+        if u != v:
+            linked.add((min(u, v), max(u, v)))
+    return _installed(physical, hosts, [x for link in linked for x in link])
 
 
 def power_law_overlay(
@@ -526,12 +532,11 @@ def power_law_overlay(
     if n_peers < m + 1:
         raise ValueError("n_peers too small for the requested degree")
     hosts = _pick_hosts(physical, n_peers, rng)
-    ov = Overlay(physical, {i: hosts[i] for i in range(n_peers)})
+    # The pool lists both ends of every link: a draw is degree-proportional.
     pool: List[int] = []
     for u in range(m + 1):
         for v in range(u + 1, m + 1):
-            ov.connect(u, v)
-            pool.extend((u, v))
+            pool += (u, v)
     for new in range(m + 1, n_peers):
         chosen: Set[int] = set()
         guard = 0
@@ -539,9 +544,8 @@ def power_law_overlay(
             chosen.add(pool[int(rng.integers(len(pool)))])
             guard += 1
         for t in chosen:
-            ov.connect(new, t)
-            pool.extend((t, new))
-    return _lowered(ov)
+            pool += (t, new)
+    return _installed(physical, hosts, pool)
 
 
 def small_world_overlay(
@@ -572,13 +576,16 @@ def small_world_overlay(
     if n_peers < m + 1:
         raise ValueError("n_peers too small for the requested degree")
     hosts = _pick_hosts(physical, n_peers, rng)
-    ov = Overlay(physical, {i: hosts[i] for i in range(n_peers)})
+    # Sets filled in link order iterate, and so draw, as the object build's did.
+    adj: List[Set[int]] = [set() for _ in range(n_peers)]
     pool: List[int] = []
     for u in range(m + 1):
         for v in range(u + 1, m + 1):
-            ov.connect(u, v)
-            pool.extend((u, v))
+            adj[u].add(v)
+            adj[v].add(u)
+            pool += (u, v)
     for new in range(m + 1, n_peers):
+        mine = adj[new]
         links = 0
         last_target: Optional[int] = None
         guard = 0
@@ -587,20 +594,18 @@ def small_world_overlay(
             target: Optional[int] = None
             if last_target is not None and rng.random() < triad_probability:
                 # Triad formation: close a triangle through the last target.
-                nbrs = [
-                    x for x in ov.neighbors(last_target)
-                    if x != new and not ov.has_edge(new, x)
-                ]
+                nbrs = [x for x in adj[last_target] if x != new and x not in mine]
                 if nbrs:
                     target = nbrs[int(rng.integers(len(nbrs)))]
             if target is None:
                 # Preferential attachment step.
                 cand = pool[int(rng.integers(len(pool)))]
-                if cand == new or ov.has_edge(new, cand):
+                if cand == new or cand in mine:
                     continue
                 target = cand
-            ov.connect(new, target)
-            pool.extend((target, new))
+            mine.add(target)
+            adj[target].add(new)
+            pool += (target, new)
             links += 1
             last_target = target
-    return _lowered(ov)
+    return _installed(physical, hosts, pool)

@@ -42,7 +42,7 @@ underlay from the seeded config (see :mod:`repro.experiments.parallel`).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -60,6 +60,42 @@ __all__ = ["DELAY_GRID", "PhysicalTopology"]
 DELAY_GRID = 2.0**-10
 
 
+def _links(
+    num_nodes: int, edges: Union[Iterable[Tuple[int, int]], np.ndarray],
+    delays: Union[Iterable[float], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct links as ``(lo, hi, delay)`` arrays in arrival order, delays
+    on :data:`DELAY_GRID` and the cheaper of duplicates kept; a bad link raises."""
+    ends = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    if ends.size and (ends.ndim != 2 or ends.shape[1] != 2):
+        raise ValueError("edges must be (u, v) pairs")
+    ends = ends.reshape(-1, 2)
+    raw = np.array(delays if isinstance(delays, np.ndarray) else list(delays), dtype=float)
+    if len(ends) != len(raw):
+        raise ValueError("edges and delays must have the same length")
+    u, v = ends[:, 0], ends[:, 1]
+    snapped = np.round(raw / DELAY_GRID) * DELAY_GRID
+    outside = (u < 0) | (u >= num_nodes) | (v < 0) | (v >= num_nodes)
+    bad = np.flatnonzero(outside | (u == v) | (snapped <= 0))
+    if len(bad):
+        i = int(bad[0])
+        a, b = int(u[i]), int(v[i])
+        if outside[i]:
+            raise ValueError(f"edge ({a}, {b}) out of range for {num_nodes} nodes")
+        if a == b:
+            raise ValueError(f"self-loop at node {a} is not allowed")
+        raise ValueError(
+            f"link delay must be positive on the {DELAY_GRID} grid, "
+            f"got {float(raw[i])} on ({a}, {b})"
+        )
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys, first, link = np.unique(lo * num_nodes + hi, return_index=True, return_inverse=True)
+    cheapest = np.full(len(keys), np.inf)
+    np.minimum.at(cheapest, link, snapped)
+    by_arrival = np.argsort(first)
+    return lo[first[by_arrival]], hi[first[by_arrival]], cheapest[by_arrival]
+
+
 class PhysicalTopology:
     """An undirected weighted graph modelling the physical Internet.
 
@@ -68,7 +104,7 @@ class PhysicalTopology:
     num_nodes:
         Number of hosts/routers in the underlay.
     edges:
-        Iterable of ``(u, v)`` pairs with ``0 <= u, v < num_nodes``.
+        ``(u, v)`` pairs with ``0 <= u, v < num_nodes``, or an ``(m, 2)`` array.
     delays:
         Per-edge link delays, aligned with *edges*.  Must be positive; each
         is rounded to the nearest multiple of :data:`DELAY_GRID`, and one
@@ -83,43 +119,29 @@ class PhysicalTopology:
     def __init__(
         self,
         num_nodes: int,
-        edges: Iterable[Tuple[int, int]],
-        delays: Iterable[float],
+        edges: Union[Iterable[Tuple[int, int]], np.ndarray],
+        delays: Union[Iterable[float], np.ndarray],
         coordinates: Optional[np.ndarray] = None,
         cache_size: int = 128,
     ) -> None:
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
-        edge_list = [(int(u), int(v)) for u, v in edges]
-        raw = [float(d) for d in delays]
-        if len(edge_list) != len(raw):
-            raise ValueError("edges and delays must have the same length")
-        delay_list = (np.round(np.array(raw) / DELAY_GRID) * DELAY_GRID).tolist()
-        for (u, v), d, r in zip(edge_list, delay_list, raw):
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-            if u == v:
-                raise ValueError(f"self-loop at node {u} is not allowed")
-            if d <= 0:
-                raise ValueError(
-                    f"link delay must be positive on the {DELAY_GRID} grid, "
-                    f"got {r} on ({u}, {v})"
-                )
-
         self._num_nodes = int(num_nodes)
-        edge_delays: Dict[Tuple[int, int], float] = {}
-        adjacency: List[List[int]] = [[] for _ in range(num_nodes)]
-        for (u, v), d in zip(edge_list, delay_list):
-            key = (u, v) if u < v else (v, u)
-            if key in edge_delays:
-                # Keep the cheaper of duplicate links (multigraphs collapse).
-                edge_delays[key] = min(edge_delays[key], d)
-                continue
-            edge_delays[key] = d
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        self._edge_delays = edge_delays
-        self._adjacency: List[Tuple[int, ...]] = [tuple(sorted(a)) for a in adjacency]
+        lo, hi, link_delays = _links(num_nodes, edges, delays)
+        # Both directions of every link, sorted by (row, column).
+        rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        order = np.argsort(rows * num_nodes + cols)
+        cols = cols[order]
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+        # One int object per node, shared by adjacency tuples and link keys.
+        node: Callable[[int], int] = list(range(num_nodes)).__getitem__
+        flat, at = list(map(node, cols.tolist())), indptr.tolist()
+        self._adjacency = [tuple(flat[at[i] : at[i + 1]]) for i in range(num_nodes)]
+        del flat  # freed before the link keys are built: a lower peak
+        links = zip(list(map(node, lo.tolist())), map(node, hi.tolist()))
+        delay_list: List[float] = link_delays.tolist()
+        self._edge_delays = dict(zip(links, delay_list))
 
         if coordinates is not None:
             coordinates = np.asarray(coordinates, dtype=float)
@@ -129,7 +151,8 @@ class PhysicalTopology:
                 )
         self._coordinates = coordinates
 
-        self._matrix = self._build_matrix()
+        data = np.concatenate([link_delays, link_delays])[order]
+        self._matrix = csr_matrix((data, cols, indptr), shape=(num_nodes, num_nodes))
         self._series: Optional[_SeriesReduction] = None
         self._cache_size = int(cache_size)
         self._dist_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
@@ -138,19 +161,6 @@ class PhysicalTopology:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-
-    def _build_matrix(self) -> csr_matrix:
-        edge_delays = self._edge_delays
-        m = len(edge_delays)
-        # Both directions of every link, interleaved: (u, v), (v, u), ...
-        ends = np.fromiter(
-            (x for link in edge_delays for x in link), dtype=np.int64, count=2 * m
-        ).reshape(m, 2)
-        data = np.repeat(np.fromiter(edge_delays.values(), dtype=float, count=m), 2)
-        return csr_matrix(
-            (data, (ends.ravel(), ends[:, ::-1].ravel())),
-            shape=(self._num_nodes, self._num_nodes),
-        )
 
     @classmethod
     def from_networkx(cls, graph, weight: str = "delay", **kwargs) -> "PhysicalTopology":
@@ -309,6 +319,20 @@ class PhysicalTopology:
             self._dist_cache.move_to_end(source)
         return self._dist_cache[source]
 
+    def delays_to(self, source: int, targets: Sequence[int]) -> np.ndarray:
+        """Delays from *source* to *targets*, read from the resident row of
+        *source*, else from every target's (on the delay grid both hold the
+        same float), else from a fresh solve of *source*."""
+        if not (0 <= source < self._num_nodes):
+            raise ValueError(f"source {source} out of range")
+        cache = self._dist_cache
+        if targets and source not in cache and all(t in cache for t in targets):
+            counters.delay_cache_hits += len(targets)
+            for t in targets:
+                cache.move_to_end(t)
+            return np.array([cache[t][source] for t in targets])
+        return np.array(self.delays_from(source)[list(targets)])
+
     def delays_from_many(
         self, sources: Iterable[int], cache: bool = True
     ) -> Dict[int, np.ndarray]:
@@ -399,19 +423,7 @@ class PhysicalTopology:
             raise ValueError("host id out of range")
         if u == v:
             return 0.0
-        # Serve from whichever endpoint is already cached to avoid extra
-        # runs, refreshing LRU recency so hot sources stay resident.
-        if u in self._dist_cache:
-            counters.delay_cache_hits += 1
-            self._dist_cache.move_to_end(u)
-            return float(self._dist_cache[u][v])
-        if v in self._dist_cache:
-            counters.delay_cache_hits += 1
-            self._dist_cache.move_to_end(v)
-            return float(self._dist_cache[v][u])
-        counters.delay_cache_misses += 1
-        self._run_dijkstra(u)
-        return float(self._dist_cache[u][v])
+        return float(self.delays_to(u, [v])[0])
 
     def path(self, u: int, v: int) -> List[int]:
         """One shortest path from *u* to *v* as a node list (inclusive).

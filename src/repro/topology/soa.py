@@ -3,8 +3,7 @@
 :class:`ArrayOverlay` is the overlay
 :func:`~repro.experiments.setup.build_scenario` returns.  It is a drop-in
 replacement for the dict-of-sets :class:`~repro.topology.overlay.Overlay` —
-the generators still build on that class and tests keep it as the
-reference — holding the peer/edge state in flat numpy arrays instead:
+which the tests keep as the reference — holding the peer/edge state in flat numpy arrays instead:
 
 * per-slot arrays — peer id, physical host, live logical degree — indexed by
   a dense *slot* number (``_index`` maps peer id -> slot);
@@ -38,7 +37,7 @@ One memo has no twin in the reference: under an exact oracle
 :meth:`warm_edge_costs` streams a vertex cover of the missing host pairs and
 keeps, per source host, the delays to the hosts Phase 3 can probe from
 there, so a step solves a source again only for a probe that neither end's
-pool holds.  It sits *behind* the host-pair cache and holds the floats a
+pool, nor either end's resident LRU row, holds.  It sits *behind* the host-pair cache and holds the floats a
 vector fault would return, so it changes how many sources are solved and
 never a cost (``tests/topology/test_probe_memo.py``).
 The payoff is bulk state:
@@ -210,35 +209,40 @@ class ArrayOverlay(Overlay):
             clone._probe_memo = dict(source._probe_memo)
             clone._compact_threshold = compact_threshold
             return clone
-        out = cls(
-            source.physical, oracle=source.oracle,
-            compact_threshold=compact_threshold,
-        )
         order = source.peers()
-        n = len(order)
-        index = {p: i for i, p in enumerate(order)}
-        host = np.empty(n, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        nbr: List[int] = []
-        cost: List[float] = []
-        # Engine conversion snapshots the sibling
-        # engine's memo wholesale; coherence is preserved because the costs
-        # transfer together with the epoch and host-pair cache below.
-        edge_costs = source._edge_costs
-        for i, p in enumerate(order):
-            host[i] = source.host_of(p)
-            row = sorted(source.neighbors(p))
-            for q in row:
-                nbr.append(index[q])
-                key = (p, q) if p < q else (q, p)
-                cost.append(edge_costs.get(key, math.nan))
-            indptr[i + 1] = indptr[i] + len(row)
-        out._install_base(
-            order, index, host, indptr, nbr, cost,
-            np.zeros(len(nbr), dtype=np.int8), np.zeros(n, dtype=bool),
+        slot = {p: i for i, p in enumerate(order)}
+        links = list(source.edges())
+        # Costs, host-pair memo and epoch transfer together: a coherent copy.
+        out = cls._packed(
+            source.physical, order, [source.host_of(p) for p in order],
+            [slot[p] for link in links for p in link],
+            [source._edge_costs.get(link, math.nan) for link in links],
+            source.oracle, compact_threshold,
         )
         out._cost_cache = dict(source._cost_cache)
         out._epoch = source.epoch
+        return out
+
+    @classmethod
+    def _packed(
+        cls, physical: PhysicalTopology, order: List[int], host: List[int], ends: List[int],
+        cost: List[float], oracle: Optional[DelayOracle] = None,
+        compact_threshold: Optional[int] = None,
+    ) -> "ArrayOverlay":
+        """Peers *order* (sorted) on *host*, packed as a repack leaves them, with
+        links *ends* (slot pairs ``u0, v0, u1, v1, ...``) costing *cost* (NaN: unknown)."""
+        n = len(order)
+        pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
+        entries = np.argsort(rows * n + cols)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        out = cls(physical, oracle=oracle, compact_threshold=compact_threshold)
+        out._install_base(
+            order, dict(zip(order, range(n))), np.array(host, dtype=np.int64),
+            indptr, cols[entries], np.tile(np.array(cost, dtype=np.float64), 2)[entries],
+            np.zeros(len(cols), dtype=np.int8), np.zeros(n, dtype=bool),
+        )
         return out
 
     def _install_base(
@@ -326,16 +330,12 @@ class ArrayOverlay(Overlay):
             broken = self._broken[:n].copy()
             new_of = None
         else:
-            order = sorted(self._index)
+            # Live slots (all but the freed ones) in peer order.
+            held = np.delete(np.arange(self._nslots), self._free)
+            old_slots = held[np.argsort(self._slot_peer[held], kind="stable")]
+            order = self._slot_peer[old_slots].tolist()
             n = len(order)
-            index = {p: i for i, p in enumerate(order)}
-            old_index = self._index
-            if n:
-                old_slots = np.fromiter(
-                    (old_index[p] for p in order), count=n, dtype=np.int64
-                )
-            else:
-                old_slots = np.empty(0, dtype=np.int64)
+            index = dict(zip(order, range(n)))
             new_of = np.full(max(self._nslots, 1), -1, dtype=np.int64)
             new_of[old_slots] = np.arange(n, dtype=np.int64)
             host = self._slot_host[old_slots].astype(np.int64)
@@ -845,7 +845,8 @@ class ArrayOverlay(Overlay):
         return out
 
     def _source_delays(self, hu: int, hosts: List[int]) -> np.ndarray:
-        """``dist[hu][h]`` per host: the probe memo, else one vector fault."""
+        """``dist[hu][h]`` per host: the probe memo, else the oracle (which
+        reads either end's resident row before it faults a vector)."""
         vals = self._memo_values(hu, hosts)
         if vals is None:
             vals = self._oracle.delays_from(hu, hosts)

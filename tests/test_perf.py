@@ -278,7 +278,8 @@ class TestExactOracleSolvesEachSourceOnce:
     each source's two-hop probe pool out of the vector it already holds,
     and the ACE step prefetches nothing: a source is solved during the step
     only when a peer there probes a host that is in neither the host-pair
-    cache nor either end's pool.  The counts repeat
+    cache nor either end's pool, and neither end's row is resident in the
+    LRU.  The counts repeat
     exactly per seed, so the gates need no timing and no tolerance.
     """
 
@@ -343,10 +344,10 @@ class TestExactOracleSolvesEachSourceOnce:
         # Before step 1 the object engine fills the edge costs from 26
         # sources (each link's lower peer), the array engine from 23 (a
         # cover of the links).  The array engine then solves again only the
-        # hosts whose peers probe outside both ends' pools, the object
-        # engine every host whose peer probes at all.
-        assert per_step == [31, 2, 3, 13, 10, 3]
-        assert counters.dijkstra_sources == 23 + 13 + 10 + 3
+        # hosts whose peers probe outside both ends' pools and rows resident
+        # in the LRU, the object engine every host whose peer probes at all.
+        assert per_step == [31, 2, 3, 12, 6, 2]
+        assert counters.dijkstra_sources == 23 + 12 + 6 + 2
 
 
 @pytest.mark.perf_smoke

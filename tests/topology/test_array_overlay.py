@@ -263,6 +263,54 @@ class TestMutationEquivalence:
         assert arr.degree(99) == 1
 
 
+class TestCompactionLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["remove", "add", "connect", "disconnect"]),
+                st.integers(0, 10**4),
+                st.integers(0, 10**4),
+            ),
+            max_size=30,
+        )
+    )
+    def test_repack_after_joins_and_departures_is_the_sorted_peer_layout(self, ops):
+        # No automatic repack: freed slots are reused by later joins, whose
+        # ids may be lower (a returning peer) or higher than their slot's
+        # neighbours, so only one repack at the end sorts them all.
+        arr = ArrayOverlay(_physical(), _HOSTS, compact_threshold=10**6)
+        for u, v in _EDGES:
+            arr.connect(u, v)
+        gone = []
+        next_peer = len(_HOSTS)
+        for op, a, b in ops:
+            peers = arr.peers()
+            u, v = peers[a % len(peers)], peers[b % len(peers)]
+            if op == "remove" and len(peers) > 4:
+                arr.remove_peer(u)
+                gone.append(u)
+            elif op == "add":
+                if gone and b % 2:
+                    peer = gone.pop(a % len(gone))
+                else:
+                    peer, next_peer = next_peer, next_peer + 1
+                arr.add_peer(peer, b % 6)
+            elif op == "connect" and u != v:
+                arr.connect(u, v)
+            elif op == "disconnect":
+                arr.disconnect(u, v)
+        want = ArrayOverlay.from_overlay(object_twin(arr))
+        arr._compact()
+        peers = arr.peers()
+        assert arr._slot_peer[: arr._nslots].tolist() == peers == sorted(peers)
+        assert arr._index == {p: i for i, p in enumerate(peers)}
+        for name in ("_slot_host", "_indptr", "_nbr", "_label", "_broken"):
+            got, expected = getattr(arr, name), getattr(want, name)
+            assert got[: len(expected)].tolist() == expected.tolist(), name
+        assert_views_alias(arr)
+
+
 class TestBufferViews:
     """The scalar path reads the arrays through ``memoryview``s; they must
     follow every array replacement and share every write, both ways."""

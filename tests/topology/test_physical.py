@@ -305,6 +305,27 @@ class TestLruCoherence:
         cached = topo.cached_sources()
         assert 3 in cached and 4 not in cached
 
+    def test_delays_to_reads_the_targets_resident_rows(self):
+        topo = make_line()
+        topo.delays_from_many([1, 3, 4])  # cache: [1, 3, 4]
+        before = counters.copy()
+        got = topo.delays_to(0, [3, 1])
+        delta = counters.delta(before)
+        assert got.tolist() == [6.0, 1.0]
+        assert (delta["dijkstra_sources"], delta["delay_cache_hits"]) == (0, 2)
+        assert topo.cached_sources() == [4, 3, 1]  # recency refreshed, 0 not solved
+
+    def test_delays_to_solves_the_source_unless_every_target_is_resident(self):
+        topo = make_line()
+        topo.delays_from(3)
+        before = counters.copy()
+        got = topo.delays_to(0, [3, 4])  # host 4's row is not resident
+        assert got.tolist() == [6.0, 10.0]
+        assert counters.delta(before)["dijkstra_sources"] == 1
+        assert topo.cached_sources() == [3, 0]
+        with pytest.raises(ValueError, match="source -1 out of range"):
+            topo.delays_to(-1, [3])
+
     def test_eviction_keeps_pred_cache_subset_of_dist_cache(self):
         topo = PhysicalTopology(
             8, [(i, i + 1) for i in range(7)], [1.0] * 7, cache_size=3

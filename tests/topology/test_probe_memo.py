@@ -115,6 +115,15 @@ class TestNamedCases:
         assert one_to_two.hex() == two_to_one.hex() == obj.cost(1, 2).hex()
         assert arr._memo_values(1, [4]).item(0) == arr._memo_values(4, [1]).item(0)
 
+    def test_probe_outside_the_pools_reads_the_far_ends_resident_row(self):
+        physical = line(cache_size=4)
+        obj, arr = pair(physical, ONE_PER_HOST, HUB)
+        arr.warm_edge_costs()
+        physical.delays_from(4)  # only the far end of the probe is resident
+        got, solved = solved_by(lambda: arr.costs_from(3, [4]))
+        assert solved == 0
+        assert bits(got) == bits(obj.costs_from(3, [4]))
+
     def test_restreamed_source_replaces_its_pool(self):
         obj, arr = pair(line(), ONE_PER_HOST, HUB)
         for overlay in (obj, arr):
