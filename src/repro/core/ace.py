@@ -241,9 +241,9 @@ class AceProtocol:
     def rebuild_all_trees(self) -> None:
         """Recompute Phase 2 at every live peer (no Phase 3 mutations).
 
-        Every closure comes out of one
-        :func:`~repro.core.batch_ace.store_closures` call, as the step's
-        end-of-step rebuild does: one label write and one version bump per
-        peer.
+        Through :func:`~repro.core.batch_ace.store_closures`, as the step's
+        end-of-step rebuild: one sweep of 256 peers at a time, each dropped
+        before the next, and one label write and one version bump per peer,
+        in peer order.
         """
         store_closures(self, self.overlay.peers())

@@ -17,8 +17,8 @@ state (its per-link labels):
    closure at a time (``.tolist()``, so at most one closure's edges are
    boxed at once) and runs the shared Phases 1-2 on lists
    (:func:`~repro.core.turn.local_phases12`).  Nothing here is
-   buffer-backed: the lists are copies of one read, and it is the dirty log
-   below, not the arrays, that decides how long a :class:`ClosureBatch`
+   buffer-backed: the lists are copies of one read, and it is the stamp
+   rule below, not the arrays, that decides how long a :class:`ClosureBatch`
    entry stays valid.
 2. **Flat Phase-1 accounting**: a peer's probe and exchange overheads reduce
    to the sequential IEEE sum of its direct-edge costs in ascending-neighbor
@@ -30,28 +30,32 @@ state (its per-link labels):
 4. **A vectorized churn driver** (:func:`churn_refresh`): one churn event's
    whole mutation batch is applied to the overlay edit buffer first, the
    touched cost rows are re-warmed in a single bulk call, and the joiner
-   plus all affected ex/new neighbors are re-extracted in one sweep.
+   plus all affected ex/new neighbors are re-extracted in bulk sweeps.
 
 Mid-step mutations (Phase-3 replacements, redundant-link sheds) are handled
 with an exact staleness rule: a mutation can only change a peer's closure if
 one of its endpoints is a closure *member* (every path of ``<= h`` hops from
 the source runs through members, so an edge with both endpoints outside the
 member set can neither add nor remove members or induced edges).  The kernel
-tracks mutation endpoints in a dirty list; a scheduled peer whose
-pre-extracted closure intersects the dirty set re-derives it for that turn
-with :func:`~repro.core.turn.phases12` over the overlay's live rows — the
-live runtime's Phases 1-2 too; steps extract in blocks of :data:`_BLOCK`
-peers to keep such turns few.  RNG draws happen peer by peer in the step's
-order, so the random streams — and therefore every figure — equal those of
-a one-peer-at-a-time loop (the reference in ``tests/reference`` pins them
-byte for byte).  Phase 3 and the report fold are not restated here — they
-are :func:`repro.core.turn.phase3` / :func:`repro.core.turn.fold`, the same
-code the live runtime runs.
+logs mutation endpoints as one stamp per peer, the log's length at the
+peer's last append, so a closure extracted at log position ``start`` is
+stale iff a member's stamp exceeds ``start`` (:func:`_stale`).  A stale
+turn re-derives its closure with :func:`~repro.core.turn.phases12` over
+the overlay's live rows — the live runtime's Phases 1-2 too; steps extract
+in blocks of :data:`_BLOCK` peers to keep such turns few.  A step holds one
+block's lists at a time: after its turns a block keeps only its sources and
+flat member array, which the end-of-step rebuild tests again before it
+re-extracts the stale peers one :data:`_SWEEP` at a time.  RNG draws happen
+peer by peer in the step's order, so the random streams — and therefore
+every figure — equal those of a one-peer-at-a-time loop (the reference in
+``tests/reference`` pins them byte for byte).  Phase 3 and the report fold
+are not restated here — they are :func:`repro.core.turn.phase3` /
+:func:`repro.core.turn.fold`, the same code the live runtime runs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,21 +80,20 @@ __all__ = [
 
 
 class ClosureBatch:
-    """Depth-``h`` closures of a batch of sources, extracted in one sweep.
+    """Depth-``h`` closures of a batch of sources, extracted together.
 
     Everything is computed eagerly against one read of the overlay
     (:meth:`ArrayOverlay.live_rows`), in **peer-id space** (slot
     numbering is stable between peer additions/removals, but peer ids are
     what mutations report), so entries stay valid across mid-step edge
-    mutations — validity is decided by the caller's dirty-set test, not by
-    the arrays going stale.
+    mutations — validity is decided by the caller's stamp rule
+    (:func:`_stale`), not by the arrays going stale.
     """
 
     __slots__ = (
         "sources",
-        "index",
         "members",
-        "member_sets",
+        "offsets",
         "direct",
         "direct_costs",
         "probe_sum",
@@ -101,12 +104,10 @@ class ClosureBatch:
     def __init__(self) -> None:
         #: Sources in extraction order.
         self.sources: List[int] = []
-        #: peer id -> position of its entry in the per-source lists.
-        self.index: Dict[int, int] = {}
-        #: Closure members per source (ascending peer ids).
-        self.members: List[List[int]] = []
-        #: Same memberships as sets, for the dirty-intersection test.
-        self.member_sets: List[frozenset] = []
+        #: Closure members of every source in one flat array: source
+        #: ``i``'s are ``members[offsets[i]:offsets[i + 1]]``, ascending.
+        self.members = np.zeros(0, dtype=np.int64)
+        self.offsets = np.zeros(1, dtype=np.int64)
         #: Direct logical neighbors per source (ascending peer ids).
         self.direct: List[List[int]] = []
         #: Matching direct-edge costs (the Phase-1 probe values).
@@ -145,10 +146,16 @@ def extract_closures(
     peer_arr = overlay.canonical_slots()
     src_arr = np.asarray(sources, dtype=np.int64)
     slots = np.searchsorted(peer_arr, src_arr)
-    for start in range(0, len(sources), _SWEEP):
-        _extract_sweep(
-            batch, overlay, peer_arr, slots[start : start + _SWEEP], depth
+    members, sizes = zip(
+        *(
+            _extract_sweep(
+                batch, overlay, peer_arr, slots[start : start + _SWEEP], depth
+            )
+            for start in range(0, len(sources), _SWEEP)
         )
+    )
+    batch.members = np.concatenate(members)
+    batch.offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
     return batch
 
 
@@ -158,7 +165,8 @@ def _extract_sweep(
     peer_arr: np.ndarray,
     src_slots: np.ndarray,
     depth: int,
-) -> None:
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One sweep's entries onto *batch*; returns its members and their counts."""
     nsrc = len(src_slots)
     n = len(peer_arr)
     stride = np.int64(n)
@@ -187,8 +195,9 @@ def _extract_sweep(
     # ascending peer id) within each group.
     m_key = np.sort(np.concatenate(levels))
     m_src, m_slot = np.divmod(m_key, stride)
+    m_count = np.bincount(m_src, minlength=nsrc)
     m_off = np.zeros(nsrc + 1, dtype=np.int64)
-    np.cumsum(np.bincount(m_src, minlength=nsrc), out=m_off[1:])
+    np.cumsum(m_count, out=m_off[1:])
 
     # Induced edges: every member's live row, filtered to members of the
     # same source.  Rows come back in member order, so the kept entries form
@@ -220,15 +229,13 @@ def _extract_sweep(
             e_cost[e_off[b] : e_off[b + 1]].tolist(),
             root,
         )
-        batch.index[members[root]] = len(batch.sources)
         batch.sources.append(members[root])
-        batch.members.append(members)
-        batch.member_sets.append(frozenset(members))
         batch.direct.append(direct)
         batch.direct_costs.append(direct_costs)
         batch.probe_sum.append(probe_sum)
         batch.closure_edges.append(edges)
         batch.flooding.append(flooding)
+    return m_peer, m_count
 
 
 # ---------------------------------------------------------------------------
@@ -236,67 +243,41 @@ def _extract_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _is_stale(
-    member_set: frozenset,
-    members: List[int],
-    dirty: List[int],
-    start: int,
-    stamps: Dict[int, int],
-) -> bool:
-    """Did any mutation endpoint since *start* land inside the closure?
+def _stale(
+    stamps: np.ndarray, members: np.ndarray, starts: Sequence[int], since: int
+) -> np.ndarray:
+    """Which closures did a mutation logged after log position *since* touch?
 
-    Exactness: a mutation with both endpoints outside the member set cannot
-    change the closure — every ``<= h``-hop path from the source runs
-    through members, so neither membership nor induced edges move.  By
-    induction over the mutation sequence the pre-extracted entry stays
-    exact until the first dirty endpoint that is a member.
-
-    Two equivalent indexes over the same mutation log: *dirty* is the
-    endpoint list in order, *stamps* maps an endpoint to the log length
-    when it was last appended.  Scanning whichever side is shorter keeps
-    the test O(min(closure, mutations-since-extraction)).
+    Closure ``i`` is ``members[starts[i]:starts[i + 1]]`` (the last runs to
+    the end), never empty; ``stamps[m]`` is the log's length at ``m``'s last
+    append, so a stamp above *since* is exactly "``m`` was logged since
+    *since*".  Exactness: a mutation with both endpoints outside the member
+    set cannot change the closure — every ``<= h``-hop path from the source
+    runs through members, so neither membership nor induced edges move.  By
+    induction over the mutation sequence an entry extracted at *since* stays
+    exact until the first logged endpoint that is a member.
     """
-    pending = len(dirty) - start
-    if pending <= 0:
-        return False
-    if len(members) < pending:
-        for m in members:
-            if stamps.get(m, 0) > start:
-                return True
-        return False
-    for i in range(start, len(dirty)):
-        if dirty[i] in member_set:
-            return True
-    return False
-
-
-def _mark_dirty(dirty: List[int], stamps: Dict[int, int], peer: int) -> None:
-    """Append one mutation endpoint to the log (and its stamp index)."""
-    dirty.append(peer)
-    stamps[peer] = len(dirty)
+    return np.maximum.reduceat(stamps[members], starts) > since
 
 
 def _optimize_one(
     protocol: "AceProtocol",
-    peer: int,
     batch: ClosureBatch,
-    dirty: List[int],
-    dirty_start: int,
-    stamps: Dict[int, int],
+    i: int,
+    stale: bool,
     report: "StepReport",
-) -> None:
-    """Phases 1-3 for one peer, from the batch when still exact.
+) -> List[int]:
+    """Phases 1-3 for the batch's *i*-th source, from the batch when exact.
 
-    Phases 1-2 are served from the pre-extracted arrays when no mid-step
-    mutation touched the peer's closure, and re-derived from the overlay's
-    live rows otherwise; Phase 3 and the fold are the shared turn, whose
-    sheds and actions then extend the dirty log.
+    Phases 1-2 are served from the pre-extracted entry unless the caller
+    found it *stale*, and then re-derived from the overlay's live rows;
+    Phase 3 and the fold are the shared turn.  Returns the mutation
+    endpoints the turn logs: none, or the peer and everyone its sheds and
+    actions touched.
     """
     config = protocol.config
-    pos = batch.index[peer]
-    if _is_stale(
-        batch.member_sets[pos], batch.members[pos], dirty, dirty_start, stamps
-    ):
+    peer = batch.sources[i]
+    if stale:
         # One closure costs less in plain Python over the live rows than a
         # one-source sweep's fixed numpy overhead; the warm is O(1) on a
         # warm overlay.
@@ -305,8 +286,8 @@ def _optimize_one(
             protocol.overlay, peer, config.depth
         )
     else:
-        flooding, direct = batch.flooding[pos], batch.direct[pos]
-        s, edges = batch.probe_sum[pos], batch.closure_edges[pos]
+        flooding, direct = batch.flooding[i], batch.direct[i]
+        s, edges = batch.probe_sum[i], batch.closure_edges[i]
     protocol._write_labels(peer, flooding)
     probe, exchange = phase1_charges(s, edges)
     in_tree = set(flooding)
@@ -329,9 +310,7 @@ def _optimize_one(
             touched += (action.target, action.candidate)
         elif action.kind == "keep_both":
             touched.append(action.candidate)
-    if touched:
-        for endpoint in (peer, *touched):
-            _mark_dirty(dirty, stamps, endpoint)
+    return [peer, *touched] if touched else []
 
 
 #: Peers per extraction block of a step.  A turn whose closure an earlier
@@ -362,28 +341,36 @@ def batched_step(
     """
     overlay = protocol.overlay
     counters.ace_batched_steps += 1
-    # Peer-id endpoints of every mid-step edge mutation, in order (plus a
-    # last-stamp index per endpoint); slices of this log decide whether a
-    # pre-extracted closure is still exact.
-    dirty: List[int] = []
-    stamps: Dict[int, int] = {}
-    batches: List[tuple] = []
+    # The log of every mid-step mutation endpoint, as its length and one
+    # stamp per peer id (the length at the peer's last append); Phase 3
+    # adds no peers, so the ids live now cover every endpoint.
+    peers = overlay.peers()
+    stamps = np.zeros(peers[-1] + 1 if peers else 0, dtype=np.int64)
+    logged = 0
+    blocks: List[tuple] = []
     for start in range(0, len(order), _BLOCK):
         block = order[start : start + _BLOCK]
         live = [p for p in block if overlay.has_peer(p)]
         batch = extract_closures(overlay, live, protocol.config.depth)
         counters.closure_batch_peers += len(live)
-        dirty_start = len(dirty)
-        batches.append((batch, dirty_start))
-        for peer in live:
-            _optimize_one(
-                protocol, peer, batch, dirty, dirty_start, stamps, report
-            )
-    _rebuild_trees(protocol, batches, dirty)
+        since = logged
+        members, offsets = batch.members, batch.offsets
+        for i in range(len(live)):
+            stale = logged > since and _stale(
+                stamps, members[offsets[i] : offsets[i + 1]], [0], since
+            )[0]
+            for endpoint in _optimize_one(protocol, batch, i, stale, report):
+                logged += 1
+                stamps[endpoint] = logged
+        # The rebuild needs only who was extracted, and from what, when:
+        # the block's lists go before the next block is extracted.
+        blocks.append((batch.sources, members, offsets, since))
+        del batch
+    _rebuild_trees(protocol, blocks, stamps)
 
 
 def _rebuild_trees(
-    protocol: "AceProtocol", batches: List[tuple], dirty: List[int]
+    protocol: "AceProtocol", blocks: List[tuple], stamps: np.ndarray
 ) -> None:
     """End-of-step Phase 2 at every peer, against the final topology.
 
@@ -394,35 +381,49 @@ def _rebuild_trees(
     The blocks partition the step's shuffled order, so per-peer version
     bumps happen once each, as a per-peer rebuild loop would.
     """
-    overlay = protocol.overlay
     stale: List[int] = []
-    for batch, dirty_start in batches:
-        recent = set(dirty[dirty_start:])
-        for peer in batch.sources:
-            pos = batch.index[peer]
-            if recent and not recent.isdisjoint(batch.member_sets[pos]):
+    for sources, members, offsets, since in blocks:
+        touched = _stale(stamps, members, offsets[:-1], since)
+        for peer, redo in zip(sources, touched.tolist()):
+            if redo:
                 stale.append(peer)
             else:
                 counters.closure_reuses += 1
                 protocol._bump_state_version()
     if not stale:
         return
-    # The step's one deliberate compaction: the bulk sweep then reads a
+    # The step's one deliberate compaction: the bulk sweeps then read a
     # clean CSR, and the query compile that follows a step finds it packed.
-    overlay.flush_edits()
+    protocol.overlay.flush_edits()
     store_closures(protocol, stale)
 
 
-def store_closures(protocol: "AceProtocol", peers: List[int]) -> ClosureBatch:
-    """Phase 2 at *peers* in one extraction, each writing its labels.
+def store_closures(
+    protocol: "AceProtocol", peers: Sequence[int]
+) -> Optional[Tuple[float, float]]:
+    """Phase 2 at *peers*, one :data:`_SWEEP` at a time, each writing its labels.
 
-    One label write (one version bump) per listed peer, in list order.
+    One label write (one version bump) per listed peer, in list order; a
+    sweep's batch is dropped before the next one is extracted.  Returns the
+    first listed peer's Phase-1 charges ``(probe, exchange)``
+    (:func:`~repro.core.turn.phase1_charges`), or ``None`` for no peers.
     """
+    charges = [
+        _store_sweep(protocol, peers[start : start + _SWEEP])
+        for start in range(0, len(peers), _SWEEP)
+    ]
+    return charges[0] if charges else None
+
+
+def _store_sweep(
+    protocol: "AceProtocol", peers: Sequence[int]
+) -> Tuple[float, float]:
+    """One :func:`store_closures` sweep; the Phase-1 charges of its first peer."""
     batch = extract_closures(protocol.overlay, peers, protocol.config.depth)
     counters.closure_batch_peers += len(peers)
-    for peer in peers:
-        protocol._write_labels(peer, batch.flooding[batch.index[peer]])
-    return batch
+    for peer, flooding in zip(peers, batch.flooding):
+        protocol._write_labels(peer, flooding)
+    return phase1_charges(batch.probe_sum[0], batch.closure_edges[0])
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +441,9 @@ def churn_refresh(
     links, isolation repairs).  This re-warms exactly the touched cost rows
     in one bulk call — every fill uses the canonical lower-peer-endpoint
     direction, so the cached floats do not depend on which endpoint faulted
-    first — then re-extracts the joiner plus all affected peers in one
-    sweep.
+    first — then re-extracts the joiner plus all affected peers, one
+    sweep at a time (:func:`store_closures`; the joiner is listed first, so
+    its Phase-1 facts come out of the first sweep).
 
     Returns the joiner's Phase-1 overhead (its new links must be probed);
     the affected peers merely rebuild trees from information they already
@@ -452,7 +454,5 @@ def churn_refresh(
     targets = [replacement] + [
         p for p in sorted(affected) if overlay.has_peer(p)
     ]
-    batch = store_closures(protocol, targets)
-    pos = batch.index[replacement]
-    probe, exchange = phase1_charges(batch.probe_sum[pos], batch.closure_edges[pos])
+    probe, exchange = store_closures(protocol, targets)
     return probe + exchange

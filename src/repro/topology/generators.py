@@ -42,6 +42,8 @@ __all__ = [
 
 _PLANE_SIZE = 1000.0
 _MIN_DELAY = 1.0
+#: Nodes whose attachments :func:`barabasi_albert` draws in one array call.
+_BA_CHUNK = 1024
 
 
 def _as_rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
@@ -154,16 +156,31 @@ def barabasi_albert(
         for v in range(u + 1, m + 1):
             edges.add((u, v))
             targets_pool.extend((u, v))
-    for new in range(m + 1, n):
-        chosen: Set[int] = set()
-        while len(chosen) < m:
-            # Draw from the degree-weighted pool (each edge endpoint appears
-            # once per incident edge — classic BA implementation trick).
-            pick = targets_pool[int(rng.integers(len(targets_pool)))]
-            chosen.add(pick)
-        for t in chosen:
-            edges.add((t, new) if t < new else (new, t))
-            targets_pool.extend((t, new))
+    # Node k draws m times from the first m(2k - m - 1) pool entries (each
+    # edge endpoint appears once per incident edge — classic BA trick), and
+    # more often only when a pick repeats.  One array call draws a chunk of
+    # nodes as that many scalar calls would; at a repeated pick the stream
+    # rewinds to the chunk, replays up to the node and draws on one by one.
+    new = m + 1
+    while new < n:
+        nodes = np.arange(new, min(n, new + _BA_CHUNK))
+        bounds = np.repeat(m * (2 * nodes - m - 1), m)
+        state = rng.bit_generator.state
+        draws = rng.integers(0, bounds).tolist()
+        for at in range(0, len(draws), m):
+            chosen = {targets_pool[d] for d in draws[at : at + m]}
+            repeated = len(chosen) < m
+            if repeated:
+                rng.bit_generator.state = state
+                rng.integers(0, bounds[: at + m])
+                while len(chosen) < m:
+                    chosen.add(targets_pool[int(rng.integers(len(targets_pool)))])
+            for t in chosen:
+                edges.add((t, new))
+                targets_pool.extend((t, new))
+            new += 1
+            if repeated:
+                break
     return _finalize(n, edges, coords, min_delay, cache_size)
 
 

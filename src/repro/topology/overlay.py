@@ -593,10 +593,18 @@ def small_world_overlay(
             guard += 1
             target: Optional[int] = None
             if last_target is not None and rng.random() < triad_probability:
-                # Triad formation: close a triangle through the last target.
-                nbrs = [x for x in adj[last_target] if x != new and x not in mine]
-                if nbrs:
-                    target = nbrs[int(rng.integers(len(nbrs)))]
+                # Triad formation: close a triangle through the last target,
+                # to its pick-th neighbor other than new and new's links.
+                nbrs = adj[last_target]
+                free = len(nbrs) - (new in nbrs) - len(mine & nbrs)
+                if free:
+                    pick = int(rng.integers(free))
+                    for x in nbrs:
+                        if x != new and x not in mine:
+                            if not pick:
+                                target = x
+                                break
+                            pick -= 1
             if target is None:
                 # Preferential attachment step.
                 cand = pool[int(rng.integers(len(pool)))]

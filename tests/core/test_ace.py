@@ -72,7 +72,7 @@ def tree_of(protocol, peer):
     return Tree(
         frozenset(v for v, label in labels.items() if label == FLOODING),
         frozenset(v for v, label in labels.items() if label == NON_FLOODING),
-        len(batch.members[0]),
+        len(batch.members),
         batch.closure_edges[0],
     )
 

@@ -15,6 +15,7 @@ Figure-level byte-identity (the experiment blobs) rides in
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -157,14 +158,20 @@ class TestKernelEquality:
         assert kern_state == ref_state
 
 
+def members_of(batch, i):
+    return batch.members[batch.offsets[i] : batch.offsets[i + 1]].tolist()
+
+
 def assert_batch_matches_reference(overlay, batch, sources, depth):
     """Every ``ClosureBatch`` field against ``neighbor_closure`` + heap Prim."""
     assert batch.sources == list(sources)
-    assert batch.index == {peer: i for i, peer in enumerate(sources)}
+    # One flat member array, cut per source by the offsets.
+    assert batch.members.dtype == batch.offsets.dtype == np.int64
+    assert len(batch.offsets) == len(sources) + 1
+    assert batch.offsets[0] == 0 and batch.offsets[-1] == len(batch.members)
     for i, peer in enumerate(sources):
         ref = neighbor_closure(overlay, peer, depth)
-        assert batch.members[i] == sorted(ref.members)
-        assert batch.member_sets[i] == frozenset(ref.members)
+        assert members_of(batch, i) == sorted(ref.members)
         assert batch.closure_edges[i] == ref.num_edges()
         assert batch.direct[i] == sorted(ref.edges[peer])
         assert batch.direct_costs[i] == [
@@ -213,8 +220,8 @@ class TestExtractClosures:
         batch = extract_closures(overlay, sources, depth)
         assert counters.soa_compactions == compactions + 1, "buffer was empty"
         assert_batch_matches_reference(overlay, batch, sources, depth)
-        i = batch.index[loner]
-        assert batch.members[i] == [loner] and batch.probe_sum[i] == 0.0
+        i = sources.index(loner)
+        assert members_of(batch, i) == [loner] and batch.probe_sum[i] == 0.0
         assert (batch.flooding[i], batch.direct[i], batch.closure_edges[i]) == (
             [], [], 0
         )
@@ -250,8 +257,7 @@ class TestExtractClosures:
         overlay.warm_edge_costs()
         peers = overlay.peers()[:8]
         batch = extract_closures(overlay, peers, depth=2)
-        for peer in peers:
-            i = batch.index[peer]
+        for i in range(len(peers)):
             total = 0.0
             for cost in batch.direct_costs[i]:
                 total += cost
@@ -262,7 +268,7 @@ class TestExtractClosures:
         overlay = sc.fresh_overlay()
         batch = extract_closures(overlay, [], depth=2)
         assert batch.sources == []
-        assert batch.index == {}
+        assert len(batch.members) == 0 and batch.offsets.tolist() == [0]
 
 
 def stale_world(seed):
@@ -328,10 +334,77 @@ def test_a_stale_turn_rederives_the_sweep_entry(seed, ops):
                     batch.direct[0],
                     batch.direct_costs[0],
                     batch.probe_sum[0],
-                    len(batch.members[0]),
+                    len(batch.members),
                     batch.closure_edges[0],
                 )
                 assert_batch_matches_reference(overlay, batch, [p], depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log=st.lists(st.integers(0, 24), max_size=40),
+    closures=st.lists(
+        st.lists(st.integers(0, 24), min_size=1, max_size=8, unique=True),
+        min_size=1,
+        max_size=6,
+    ),
+    at=st.integers(0, 40),
+)
+def test_the_stamp_rule_is_the_set_intersection_rule(log, closures, at):
+    """A member stamped above *since* is a member logged since *since*."""
+    since = min(at, len(log))
+    stamps = np.zeros(25, dtype=np.int64)
+    for length, peer in enumerate(log, 1):
+        stamps[peer] = length
+    want = [not set(log[since:]).isdisjoint(c) for c in closures]
+    members = np.array([m for c in closures for m in c], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(c) for c in closures])
+    # The rebuild's form, a block at once; the turn's form, one closure.
+    assert batch_ace._stale(stamps, members, offsets[:-1], since).tolist() == want
+    for closure, stale in zip(closures, want):
+        assert batch_ace._stale(stamps, np.array(closure), [0], since)[0] == stale
+
+
+class TestClosuresHeld:
+    """A step, its rebuild and ``store_closures`` hold one batch at a time."""
+
+    @pytest.fixture
+    def alive(self, monkeypatch):
+        """The number of live batches at each extraction's start."""
+        batches = weakref.WeakSet()
+        seen = []
+
+        class Counted(batch_ace.ClosureBatch):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self):
+                super().__init__()
+                batches.add(self)
+
+        def extract(*args):
+            seen.append(len(batches))
+            return extract_closures(*args)
+
+        monkeypatch.setattr(batch_ace, "ClosureBatch", Counted)
+        monkeypatch.setattr(batch_ace, "extract_closures", extract)
+        return seen
+
+    def test_one_block_batch_and_one_sweep_batch(self, alive):
+        world = config(peers=2000, nodes=4000, oracle="landmark:8")
+        protocol = protocol_for(build_scenario(world), depth=1)
+        counters.reset()
+        protocol.step()
+        assert max(alive) <= 1
+        # 32 blocks, then the rebuild's sweeps over the stale peers.
+        sweeps = -(-(counters.closure_batch_peers - 2000) // 256)
+        assert len(alive) == 32 + sweeps and sweeps > 1
+        for call in (
+            protocol.rebuild_all_trees,
+            lambda: batch_ace.store_closures(protocol, protocol.overlay.peers()[::-1]),
+        ):
+            alive.clear()
+            call()
+            assert max(alive) <= 1 and len(alive) == 8
 
 
 class TestPerfCounters:

@@ -2,7 +2,9 @@
 
 :func:`finalize` is the Python join-and-delay pass the underlay generators
 ran before they built on arrays: a union-find over the links, components
-joined largest first, one ``np.hypot`` per link.  :func:`physical_parts` is
+joined largest first, one ``np.hypot`` per link.  :func:`barabasi_albert`
+draws each attachment with its own scalar call, as the BA generator did
+before it drew a chunk of nodes per call.  :func:`physical_parts` is
 :class:`~repro.topology.physical.PhysicalTopology`'s per-link construction
 (validation, duplicate collapse, adjacency, CSR).  The three overlay
 generators build, link by link, the object :class:`Overlay` whose
@@ -131,6 +133,28 @@ def physical_parts(num_nodes: int, edges, delays):
         (data, (ends.ravel(), ends[:, ::-1].ravel())), shape=(num_nodes, num_nodes)
     )
     return edge_delays, [tuple(sorted(a)) for a in adjacency], matrix
+
+
+def barabasi_albert(
+    n: int, m: int = 2, rng: Optional[np.random.Generator] = None
+) -> PhysicalTopology:
+    """The BA underlay with one scalar draw per attachment (production's pass last)."""
+    rng = ensure_rng(rng)
+    coords = rng.uniform(0.0, 1000.0, size=(n, 2))
+    edges: Set[Tuple[int, int]] = set()
+    pool: List[int] = []
+    for u in range(m + 1):
+        for v in range(u + 1, m + 1):
+            edges.add((u, v))
+            pool.extend((u, v))
+    for new in range(m + 1, n):
+        chosen: Set[int] = set()
+        while len(chosen) < m:
+            chosen.add(pool[int(rng.integers(len(pool)))])
+        for t in chosen:
+            edges.add((t, new))
+            pool.extend((t, new))
+    return generators._finalize(n, edges, coords, 1.0, 128)
 
 
 def _pick_hosts(

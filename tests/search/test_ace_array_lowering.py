@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 
 from repro.core.ace import AceConfig, AceProtocol
 from repro.core.batch_ace import churn_refresh, store_closures
-from repro.core.turn import phase1_charges
 from repro.perf import counters
 from repro.search.batch import ace_graph_by_rows, compile_strategy, run_queries
 from repro.search.flooding import blind_flooding_strategy
@@ -364,8 +363,7 @@ def apply(world, op, a, b, next_id):
             _state, phase1 = protocol.refresh_peer(p)
             return phase1.probe_cost, phase1.exchange_cost
         overlay.warm_edge_costs()
-        batch = store_closures(protocol, [p])
-        return phase1_charges(batch.probe_sum[0], batch.closure_edges[0])
+        return store_closures(protocol, [p])
     elif op == "churn" and len(peers) > 4:
         bootstrap = [t for t in (q, peers[(b + 1) % len(peers)]) if t != p]
         return depart_and_replace(world, p, next_id, host, bootstrap)

@@ -30,6 +30,16 @@ from tests.reference import production_and_reference
 from tests.reference.ace import ReferenceAce, reference_drivers
 
 
+def traced_peak(call):
+    """``call()`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture(autouse=True)
 def _clean_counters():
     """Each test observes its own counter deltas from zero."""
@@ -387,6 +397,24 @@ class TestStepCompactsOnTheEditThreshold:
         assert counters.delta(before)["closure_batch_peers"] == 2000
 
 
+class TestStepHoldsOneBlock:
+    """An ACE step holds one block's closures at a time, not the step's."""
+
+    def test_one_step_peaks_at_a_few_mb(self):
+        config = ScenarioConfig(
+            physical_nodes=5000, peers=2000, avg_degree=6, seed=61,
+            oracle="landmark:16",
+        )
+        overlay = build_scenario(config).fresh_overlay()
+        overlay.warm_edge_costs()
+        protocol = AceProtocol(overlay, rng=np.random.default_rng(61))
+        report, peak = traced_peak(protocol.step)
+        assert report.peers_optimized == 2000
+        # Measured 3.4 MB; holding every 64-peer block's closures until the
+        # end-of-step rebuild, as the step once did, read 8.5 MB.
+        assert peak < 5_000_000
+
+
 class TestQueryKernelWorksInBlocks:
     """``run_queries`` holds a block of labels, never the ``(queries, peers)`` lot."""
 
@@ -409,28 +437,19 @@ class TestQueryKernelWorksInBlocks:
         draws = np.random.default_rng(5).integers(0, len(peers), size=self.QUERIES)
         return overlay, strategy, [peers[int(i)] for i in draws]
 
-    @staticmethod
-    def traced_peak(call):
-        tracemalloc.start()
-        try:
-            result = call()
-            return result, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     @pytest.mark.parametrize("ttl", [None, 3])
     def test_run_queries_peaks_below_one_label_array(self, world, ttl):
         overlay, strategy, sources = world
         one_array = self.QUERIES * overlay.num_peers * 8
         queries = [(s, ()) for s in sources]
-        stats, peak = self.traced_peak(
+        stats, peak = traced_peak(
             lambda: run_queries(overlay, strategy, queries, ttl=ttl)
         )
         assert len(stats) == self.QUERIES
         # The allowance is the block's own working set: a few (rows, edges)
         # temporaries, whatever the number of queries.
         assert peak < one_array + 4 * batch._BLOCK_BYTES
-        whole, whole_peak = self.traced_peak(
+        whole, whole_peak = traced_peak(
             lambda: propagate_many(overlay, sources, strategy, ttl=ttl)
         )
         for labels in (whole.dist, whole.parent, whole.hops):

@@ -17,6 +17,7 @@ from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
 from tests.reference.generators import (
     OVERLAYS,
+    barabasi_albert,
     finalize,
     physical_parts,
     reference_finalize,
@@ -78,6 +79,33 @@ class TestUnderlays:
             want = UNDERLAYS[kind](n, reference_rng)
         assert underlay_bits(got) == underlay_bits(want)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @given(n=st.integers(2, 2500), m=st.integers(1, 4), seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_ba_draws_as_one_scalar_call_per_attachment(self, n, m, seed):
+        if n <= m:
+            return
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = generators.barabasi_albert(n, m=m, rng=rng)
+        want = barabasi_albert(n, m=m, rng=reference_rng)
+        assert underlay_bits(got) == underlay_bits(want)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_an_array_of_bounds_draws_as_that_many_scalar_calls(self, seed):
+        # What the BA generator's chunked draw rests on, on this numpy:
+        # values and the stream's state after.  Bounds above 2**31 make
+        # Lemire's rejection frequent.
+        bounds = np.concatenate(
+            [
+                [3_000_000_000, 2_500_000_001, 1, 2],
+                np.random.default_rng(seed).integers(1, 80_000, size=5_000),
+            ]
+        )
+        array, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = array.integers(0, bounds).tolist()
+        assert drawn == [int(scalar.integers(int(b))) for b in bounds]
+        assert array.bit_generator.state == scalar.bit_generator.state
 
     @given(
         n=st.integers(2, 40),
