@@ -5,7 +5,10 @@ run (10 ACE steps) and one dynamic run with churn (600 queries) at the
 paper default: 160 peers on 1,200 underlay nodes, exact delays.  A second
 dynamic run, ``dynamic_landmark``, repeats the churned one under the
 ``landmark:8`` oracle, whose estimates put link costs on the 2^-11 grid the
-paper-scale benchmark workloads run on.
+paper-scale benchmark workloads run on.  Beside its figures each series
+holds ``ace_events``: per ACE step, its replacements, probes, redundant-link
+sheds and keep-both adds, so a change that keeps the figures but moves what
+a step did still shows.
 ``worlds.json`` holds sha256 digests of generated worlds: every underlay
 kind under every overlay kind at 600 nodes / 120 peers (seeds 1-3), a Waxman
 underlay sparse enough to need its components joined, and the ``static_8k``
@@ -26,11 +29,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Iterator, List
 
 import numpy as np
 
+from repro.core.ace import AceProtocol
 from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_experiment
 from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.experiments.static_env import run_static_experiment
@@ -70,16 +75,42 @@ def _hexed(series: object) -> Dict[str, object]:
     return out
 
 
+@contextmanager
+def _ace_events() -> Iterator[List[List[int]]]:
+    """Record ``[replacements, probes, sheds, keep-both adds]`` per ACE step."""
+    events: List[List[int]] = []
+    step = AceProtocol.step
+
+    def counted(self, peers=None):
+        report = step(self, peers)
+        events.append([
+            report.replacements, report.probes,
+            report.redundant_sheds, report.keep_both_adds,
+        ])
+        return report
+
+    AceProtocol.step = counted
+    try:
+        yield events
+    finally:
+        AceProtocol.step = step
+
+
 def figures() -> Dict[str, Dict[str, object]]:
     """Every golden figure, computed by the code as it stands."""
-    static = run_static_experiment(build_scenario(CONFIG), steps=10)
-    dynamic = run_dynamic_experiment(build_scenario(CONFIG), DYNAMIC)
-    landmark = run_dynamic_experiment(build_scenario(LANDMARK), DYNAMIC)
-    return {
-        "static": _hexed(static),
-        "dynamic": _hexed(dynamic),
-        "dynamic_landmark": _hexed(landmark),
+    runs = {
+        "static": lambda: run_static_experiment(build_scenario(CONFIG), steps=10),
+        "dynamic": lambda: run_dynamic_experiment(build_scenario(CONFIG), DYNAMIC),
+        "dynamic_landmark": lambda: run_dynamic_experiment(
+            build_scenario(LANDMARK), DYNAMIC
+        ),
     }
+    out: Dict[str, Dict[str, object]] = {}
+    for name, run in runs.items():
+        with _ace_events() as events:
+            out[name] = _hexed(run())
+        out[name]["ace_events"] = events
+    return out
 
 
 def _sha256(*parts: object) -> str:
