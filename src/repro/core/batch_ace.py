@@ -333,11 +333,10 @@ def batched_step(
     batched (and the rebuild reuses the optimize-phase state wherever no
     later mutation touched a closure).
 
-    Nothing is prefetched from the underlay: a Phase-3 probe reads the
-    host-pair cache, then the probe memo left by the ``warm_edge_costs``
-    pass that streamed its source, and otherwise faults that source's
-    vector through ``costs_from`` — one solve per peer that probes
-    outside its pool, instead of one per scheduled peer.
+    Nothing is prefetched from the underlay: a Phase-3 probe goes through
+    ``costs_from`` to the oracle's lookup rule (:mod:`repro.oracle.exact`)
+    — one solve per peer that probes outside every tier, instead of one
+    per scheduled peer.
     """
     overlay = protocol.overlay
     counters.ace_batched_steps += 1
@@ -439,9 +438,9 @@ def churn_refresh(
     The caller has already applied the whole join/leave mutation batch to
     the overlay's edit buffer (departure, replacement arrival, bootstrap
     links, isolation repairs).  This re-warms exactly the touched cost rows
-    in one bulk call — every fill uses the canonical lower-peer-endpoint
-    direction, so the cached floats do not depend on which endpoint faulted
-    first — then re-extracts the joiner plus all affected peers, one
+    in one bulk call — the oracle solves a cover of the missing host pairs,
+    and on the delay grid a pair's float does not depend on which end was
+    solved — then re-extracts the joiner plus all affected peers, one
     sweep at a time (:func:`store_closures`; the joiner is listed first, so
     its Phase-1 facts come out of the first sweep).
 

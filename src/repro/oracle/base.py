@@ -1,35 +1,44 @@
-"""The delay-oracle seam: one protocol, swappable backends.
+"""The delay-oracle seam: one protocol, swappable backends, one delay store.
 
 Every layer above the underlay consumes exactly one quantity — the
 shortest-path delay between two physical hosts — but the *right way to
 compute it* depends on scale.  The batched-Dijkstra engine answers exactly
 and amortizes well up to paper scale (20,000 nodes); beyond that, exact
-all-pairs warming stops being tractable and the landmark-embedding scheme
+all-pairs solving stops being tractable and the landmark-embedding scheme
 the paper criticizes in Section 2 (Xu et al. [21]) becomes the pragmatic
 trade: *k* Dijkstra runs up front, vector arithmetic per query, bounded
 error.
 
 :class:`DelayOracle` is the seam that makes the trade selectable instead of
-hard-coded: :class:`~repro.oracle.exact.ExactOracle` delegates to the
-:class:`~repro.topology.physical.PhysicalTopology` engine (byte-identical
-to calling it directly), :class:`~repro.oracle.landmark.LandmarkOracle`
-answers from a landmark embedding with triangle-inequality error bounds.
-:class:`~repro.topology.overlay.Overlay` routes every cost lookup through
-its oracle; ``tests/test_perf.py`` holds ``repro.core``/``repro.search`` to
-the seam (a landmark-oracle run solves nothing beyond its embedding).
+hard-coded: :class:`~repro.oracle.exact.ExactOracle` answers from the
+:class:`~repro.topology.physical.PhysicalTopology` engine,
+:class:`~repro.oracle.landmark.LandmarkOracle` from a landmark embedding
+with triangle-inequality error bounds.  ``tests/test_perf.py`` holds
+``repro.core``/``repro.search`` to the seam (a landmark-oracle run solves
+nothing beyond its embedding).
 
-The interface mirrors the underlay engine's access patterns on purpose —
-scalar :meth:`~DelayOracle.delay`, single-source
-:meth:`~DelayOracle.delays_from` (optionally restricted to a target list),
-batched :meth:`~DelayOracle.delays_from_many`, and
-:meth:`~DelayOracle.warm` prefetch — so swapping backends never changes
-call sites, only answers.
+The oracle is also the one object that remembers a host-pair delay.  A
+link's cost is a fact of its two hosts, so every pair a
+:meth:`~DelayOracle.delays_from` with targets or a
+:meth:`~DelayOracle.delay_pairs` answers goes into the oracle's store, and
+:meth:`~DelayOracle.known` reads it back without doing any work.  Overlays
+keep only their per-edge cost column: copies of an overlay share the store
+because they share the oracle, and a new oracle starts with an empty one.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -37,6 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
     from ..topology.physical import PhysicalTopology
 
 __all__ = ["DelayOracle"]
+
+#: ``keep(first)`` of :meth:`DelayOracle.delay_pairs`: ``first[i]`` says pair
+#: ``i`` is read off its source's row (else off its target's); the answer maps
+#: a host whose row is read to the sorted hosts worth keeping from that row.
+Keep = Callable[[np.ndarray], Dict[int, np.ndarray]]
 
 
 class DelayOracle(ABC):
@@ -48,25 +62,66 @@ class DelayOracle(ABC):
     :data:`repro.perf.counters` so experiments can budget it.
     """
 
+    def __init__(self, physical: "PhysicalTopology") -> None:
+        self._physical = physical
+        #: The host-pair store, ``(lower host, higher host) -> delay``.
+        self._store: Dict[Tuple[int, int], float] = {}
+
     @property
-    @abstractmethod
     def physical(self) -> "PhysicalTopology":
         """The underlay this oracle answers for."""
+        return self._physical
+
+    def known(self, u: int, v: int) -> Optional[float]:
+        """The delay of *u*-*v* if it costs no work, else ``None``.
+
+        0 for one host, otherwise the store's float; nothing is computed
+        and no counter moves.
+        """
+        if u == v:
+            return 0.0
+        return self._store.get((u, v) if u < v else (v, u))
+
+    def _remember(
+        self, sources: Iterable[int], targets: Iterable[int], delays: Iterable[float]
+    ) -> None:
+        """Put answered pairs into the store."""
+        store = self._store
+        for u, v, d in zip(sources, targets, delays):
+            store[(u, v) if u < v else (v, u)] = d
 
     @abstractmethod
     def delay(self, u: int, v: int) -> float:
         """Delay between hosts *u* and *v* (0 when ``u == v``)."""
 
-    @abstractmethod
     def delays_from(
         self, source: int, targets: Optional[Sequence[int]] = None
     ) -> np.ndarray:
         """Delays from *source* to every node, or just to *targets*.
 
         With ``targets=None`` returns the full length-``num_nodes`` vector
-        (indexable by host id); otherwise a 1-D array aligned with
-        *targets*.  The returned array must not be mutated by the caller.
+        (indexable by host id; the caller must not mutate it).  Otherwise a
+        1-D array aligned with *targets*: each pair the store holds is read
+        from it, and the rest are answered by one backend lookup and
+        remembered.
         """
+        if targets is None:
+            return self._row(source)
+        held = [self.known(source, t) for t in targets]
+        if None in held:
+            rest = [t for t, d in zip(targets, held) if d is None]
+            got = iter(self._lookup(source, rest).tolist())
+            held = [next(got) if d is None else d for d in held]
+        return np.array(held, dtype=np.float64)
+
+    @abstractmethod
+    def _row(self, source: int) -> np.ndarray:
+        """The full delay vector of *source*."""
+
+    @abstractmethod
+    def _lookup(self, source: int, targets: List[int]) -> np.ndarray:
+        """Delays from *source* to *targets*, none of them in the store;
+        remembered before they are returned."""
 
     @abstractmethod
     def delays_from_many(
@@ -79,44 +134,21 @@ class DelayOracle(ABC):
         """
 
     @abstractmethod
-    def warm(self, sources: Iterable[int]) -> int:
-        """Prefetch whatever makes later queries from *sources* cheap.
-
-        Returns the number of sources actually solved now (0 when the
-        backend has nothing to precompute — e.g. an embedding already
-        covers every node).
-        """
-
-    #: Whether :meth:`delay_pairs` is cheap enough that callers should
-    #: prefer it over vector prefetching.  ``False`` when answering one
-    #: pair costs a full single-source solve (the exact engine); ``True``
-    #: when a pair is O(landmarks) arithmetic (embedding backends).  The
-    #: struct-of-arrays overlay consults this to decide between streaming
-    #: whole vectors (and keeping a probe memo of them) and direct pairwise
-    #: fills.
-    pairwise_cheap: bool = False
-
     def delay_pairs(
-        self, sources: Sequence[int], targets: Sequence[int]
+        self,
+        sources: Sequence[int],
+        targets: Sequence[int],
+        keep: Optional[Keep] = None,
     ) -> np.ndarray:
         """Delays for aligned ``(sources[i], targets[i])`` host pairs.
 
-        Must return exactly the values the vector interface would:
-        ``delay_pairs(us, vs)[i] == delays_from(us[i])[vs[i]]`` bit for
-        bit, so callers may mix the two forms without perturbing the
-        one-seed-one-figure contract.  The default groups by source and
-        slices :meth:`delays_from` — one solve per distinct source;
-        backends with a cheap pairwise form override it.
+        The bulk fill: every pair is answered, none is looked up in the
+        store first (a caller asks :meth:`known` before it lists a pair),
+        and all are remembered.  Must return exactly the values the vector
+        interface would: ``delay_pairs(us, vs)[i] == delays_from(us[i])[vs[i]]``
+        bit for bit, so callers may mix the two forms without perturbing the
+        one-seed-one-figure contract.  A backend that streams whole rows
+        calls *keep* (see :data:`Keep`) with the end it reads each pair
+        off, and holds on to the parts of those rows it names; one that
+        answers pairs directly ignores it.
         """
-        us = np.asarray(sources, dtype=np.int64)
-        vs = np.asarray(targets, dtype=np.int64)
-        if us.shape != vs.shape:
-            raise ValueError("sources and targets must have equal length")
-        out = np.empty(len(us), dtype=np.float64)
-        by_source: Dict[int, List[int]] = {}
-        for i, s in enumerate(us.tolist()):
-            by_source.setdefault(int(s), []).append(i)
-        for s, idx in by_source.items():
-            got = self.delays_from(s, [int(vs[i]) for i in idx])
-            out[idx] = got
-        return out

@@ -1,56 +1,119 @@
-"""The exact delay oracle: a transparent front for the batched engine.
+"""The exact delay oracle: the batched engine, behind one lookup rule.
 
-:class:`ExactOracle` delegates every query verbatim to the
+:class:`ExactOracle` answers from the
 :class:`~repro.topology.physical.PhysicalTopology` batched-Dijkstra + LRU
-machinery — no extra caching, no value transformation, no additional
-counter traffic.  An :class:`~repro.topology.overlay.Overlay` routing its
-cost lookups through this oracle therefore behaves **byte-for-byte** like
-one calling the underlay directly (same answers, same Dijkstra workload,
-same perf-counter increments), which is what lets the oracle seam exist
-without perturbing any seeded experiment
-(``tests/experiments/test_reproducibility.py`` pins this).  Once an
-overlay's fill has named its hosts, the underlay solves on its
-series-reduced graph
+machinery without transforming a value: every answer is the float a fresh
+solve gives.  Besides the host-pair store every oracle keeps
+(:mod:`repro.oracle.base`), it holds *partial rows*: out of each row a bulk
+fill (:meth:`ExactOracle.delay_pairs`) streams, the delays to the hosts
+its caller asked to keep — for an overlay, the hosts Phase 3 can probe from
+there.  A single-source query is answered by one rule, which reads either
+end of a pair at every tier:
+
+1. the host-pair store;
+2. the partial rows — all of the pairs still open, or none;
+3. the resident LRU rows — the source's, else every target's
+   (:meth:`~repro.topology.physical.PhysicalTopology.delays_to`);
+4. a solve of the source.
+
+Link delays sit on a grid, so ``d(u, v) == d(v, u)`` bit for bit and the
+tier or end a float comes from never changes it; the tiers decide only
+how many sources are solved.  Once a fill has named the linked hosts, the
+underlay solves on its series-reduced graph
 (:meth:`~repro.topology.physical.PhysicalTopology.reduce_series`); the
 answers stay those of the full graph, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .base import DelayOracle
+from .base import DelayOracle, Keep
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
     from ..topology.physical import PhysicalTopology
 
 __all__ = ["ExactOracle"]
 
+#: Sources per batched solve of a bulk fill (bounds the transient
+#: ``(k, n)`` block scipy returns).
+_CHUNK = 256
+
+
+def _greedy_cover(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """A vertex cover of the links ``a[i] - b[i]``, as a mask over ``0..n-1``.
+
+    Greedy by degree, in rounds: a round takes every node whose count of
+    uncovered links beats that of each neighbour over an uncovered link
+    (ties go to the lower id) — the parallel form of "take the node that
+    covers the most links".  The best node always wins, so each round
+    covers at least one link.
+    """
+    chosen = np.zeros(n, dtype=bool)
+    uncovered = np.ones(len(a), dtype=bool)
+    while uncovered.any():
+        u, v = a[uncovered], b[uncovered]
+        degree = np.bincount(np.concatenate([u, v]), minlength=n)
+        rank = degree * n + (n - 1 - np.arange(n))
+        rival = np.zeros(n, dtype=np.int64)
+        np.maximum.at(rival, u, rank[v])
+        np.maximum.at(rival, v, rank[u])
+        won = (degree > 0) & (rank > rival)
+        chosen |= won
+        uncovered &= ~(won[a] | won[b])
+    return chosen
+
 
 class ExactOracle(DelayOracle):
     """Exact shortest-path delays via the underlay's Dijkstra engine."""
 
     def __init__(self, physical: "PhysicalTopology") -> None:
-        self._physical = physical
-
-    @property
-    def physical(self) -> "PhysicalTopology":
-        """The underlay this oracle answers for."""
-        return self._physical
+        super().__init__(physical)
+        #: Partial rows: source host -> (sorted hosts, their delays).
+        self._partial: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def delay(self, u: int, v: int) -> float:
         """Exact delay between *u* and *v* (LRU-served, Dijkstra on miss)."""
         return self._physical.delay(u, v)
 
-    def delays_from(
-        self, source: int, targets: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Exact delays from *source*: the vector, or at *targets* only."""
-        if targets is None:
-            return self._physical.delays_from(source)
-        return self._physical.delays_to(source, list(targets))
+    def _row(self, source: int) -> np.ndarray:
+        return self._physical.delays_from(source)
+
+    def _lookup(self, source: int, targets: List[int]) -> np.ndarray:
+        got = self._read_partial(source, targets)
+        if got is None:
+            got = self._physical.delays_to(source, targets)
+        self._remember([source] * len(targets), targets, got.tolist())
+        return got
+
+    def _read_partial(self, source: int, targets: List[int]) -> Optional[np.ndarray]:
+        """Delays from *source* to *targets* out of the partial rows.
+
+        A target is found in *source*'s row or, failing that, *source* in
+        the target's row: on the delay grid both hold the same float.
+        ``None`` unless every target is found.
+        """
+        partial = self._partial
+        out = np.empty(len(targets))
+        found = np.zeros(len(targets), dtype=bool)
+        entry = partial.get(source)
+        if entry is not None:
+            pool, values = entry
+            at = np.minimum(np.searchsorted(pool, targets), len(pool) - 1)
+            found = pool[at] == targets
+            out[found] = values[at[found]]
+        for i in np.flatnonzero(~found).tolist():
+            entry = partial.get(targets[i])
+            if entry is None:
+                return None
+            pool, values = entry
+            j = int(np.searchsorted(pool, source))
+            if j == len(pool) or pool[j] != source:
+                return None
+            out[i] = values[j]
+        return out
 
     def delays_from_many(
         self, sources: Iterable[int], cache: bool = True
@@ -58,9 +121,47 @@ class ExactOracle(DelayOracle):
         """Exact vectors for several sources via one batched solve."""
         return self._physical.delays_from_many(sources, cache=cache)
 
-    def warm(self, sources: Iterable[int]) -> int:
-        """Prefetch exact vectors for a working set (grows the LRU)."""
-        return self._physical.warm(sources)
+    def delay_pairs(
+        self,
+        sources: Sequence[int],
+        targets: Sequence[int],
+        keep: Optional[Keep] = None,
+    ) -> np.ndarray:
+        """Exact delays for aligned host pairs, solved from a vertex cover.
+
+        One row per host of a greedy cover of the pairs (fewer solves than
+        one fixed end of each pair), streamed in batches of
+        :data:`_CHUNK` sources and not retained in the LRU.  A pair is read
+        off its source's row when the source is in the cover, else off its
+        target's.  While it holds a row, the fill keeps the part *keep*
+        names as that host's partial row, replacing any older one.
+        """
+        us = np.asarray(sources, dtype=np.int64)
+        vs = np.asarray(targets, dtype=np.int64)
+        if us.shape != vs.shape:
+            raise ValueError("sources and targets must have equal length")
+        out = np.zeros(len(us), dtype=np.float64)
+        solve = np.flatnonzero(us != vs)
+        if not len(solve):
+            return out
+        self._physical.reduce_series(np.concatenate([us[solve], vs[solve]]))
+        first = _greedy_cover(us[solve], vs[solve], self._physical.num_nodes)[us]
+        read, other = np.where(first, us, vs), np.where(first, vs, us)
+        kept = keep(first) if keep is not None else {}
+        order = solve[np.argsort(read[solve], kind="stable")]
+        heads, starts = np.unique(read[order], return_index=True)
+        groups = np.split(order, starts[1:])
+        for start in range(0, len(heads), _CHUNK):
+            chunk = heads[start : start + _CHUNK].tolist()
+            rows = self.delays_from_many(chunk, cache=False)
+            for h, at in zip(chunk, groups[start : start + _CHUNK]):
+                row = rows[h]
+                pool = kept.get(h)
+                if pool is not None:
+                    self._partial[h] = (pool, row[pool])
+                out[at] = row[other[at]]
+        self._remember(us.tolist(), vs.tolist(), out.tolist())
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ExactOracle(num_nodes={self._physical.num_nodes})"

@@ -34,15 +34,14 @@ import numpy as np
 
 from ..perf import counters
 from ..rng import ensure_rng
-from .base import DelayOracle
+from .base import DelayOracle, Keep
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
     from ..topology.physical import PhysicalTopology
 
 __all__ = ["LandmarkOracle"]
 
-#: Initial LRU capacity for the estimate vectors :meth:`delays_from` serves;
-#: :meth:`LandmarkOracle.warm` grows it to hold a whole working set.
+#: LRU capacity for the estimate vectors :meth:`delays_from` serves.
 _VECTOR_CACHE_SIZE = 128
 
 
@@ -68,8 +67,7 @@ class LandmarkOracle(DelayOracle):
     ) -> None:
         if n_landmarks < 1:
             raise ValueError("need at least one landmark")
-        self._physical = physical
-        self._vector_capacity = _VECTOR_CACHE_SIZE
+        super().__init__(physical)
         self._vector_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self.landmarks, self._embedding = self._select_maxmin(
             n_landmarks, ensure_rng(rng)
@@ -112,11 +110,6 @@ class LandmarkOracle(DelayOracle):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def physical(self) -> "PhysicalTopology":
-        """The underlay this oracle answers for."""
-        return self._physical
 
     @property
     def n_landmarks(self) -> int:
@@ -172,30 +165,29 @@ class LandmarkOracle(DelayOracle):
     # DelayOracle batched interface
     # ------------------------------------------------------------------
 
-    def delays_from(
-        self, source: int, targets: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Estimate vector from *source* (LRU-cached), optionally sliced."""
+    def _row(self, source: int) -> np.ndarray:
+        """The estimate vector of *source*, LRU-cached."""
         if not (0 <= source < self._physical.num_nodes):
             raise ValueError(f"source {source} out of range")
         vec = self._vector_cache.get(source)
         if vec is None:
             vec = self._estimate_vector(source)
             self._vector_cache[source] = vec
-            while len(self._vector_cache) > self._vector_capacity:
+            while len(self._vector_cache) > _VECTOR_CACHE_SIZE:
                 self._vector_cache.popitem(last=False)
         else:
             self._vector_cache.move_to_end(source)
-        if targets is None:
-            return vec
-        return vec[np.asarray(list(targets), dtype=np.int64)]
+        return vec
 
-    #: Per-pair estimates are O(n_landmarks) arithmetic — callers should
-    #: ask for exactly the pairs they need instead of prefetching vectors.
-    pairwise_cheap = True
+    def _lookup(self, source: int, targets: List[int]) -> np.ndarray:
+        # A pair is O(n_landmarks) arithmetic: estimate just the pairs asked.
+        return self.delay_pairs([source] * len(targets), targets)
 
     def delay_pairs(
-        self, sources: Sequence[int], targets: Sequence[int]
+        self,
+        sources: Sequence[int],
+        targets: Sequence[int],
+        keep: Optional[Keep] = None,
     ) -> np.ndarray:
         """Pairwise embedding estimates, bit-identical to the vector path.
 
@@ -208,9 +200,12 @@ class LandmarkOracle(DelayOracle):
 
         Exactly one pair over a finite embedding — a Phase-3 probe — runs
         the same operations on Python floats instead (:meth:`_estimate_pair`).
+        Every answer is remembered; *keep* is not used, as no row is read.
         """
         if len(sources) == 1 and len(targets) == 1 and self._finite:
-            return np.array([self._estimate_pair(sources[0], targets[0])])
+            d = self._estimate_pair(sources[0], targets[0])
+            self._remember(sources, targets, [d])
+            return np.array([d])
         us = np.asarray(sources, dtype=np.int64)
         vs = np.asarray(targets, dtype=np.int64)
         if us.shape != vs.shape:
@@ -231,6 +226,7 @@ class LandmarkOracle(DelayOracle):
         est = np.where(np.isnan(est), np.inf, est)
         est[us == vs] = 0.0
         counters.oracle_estimates += len(us)
+        self._remember(us.tolist(), vs.tolist(), est.tolist())
         return est
 
     def _estimate_pair(self, u: int, v: int) -> float:
@@ -267,31 +263,6 @@ class LandmarkOracle(DelayOracle):
             cached = self._vector_cache.get(s)
             out[s] = cached if cached is not None else self._estimate_vector(s)
         return out
-
-    def warm(self, sources: Iterable[int]) -> int:
-        """Precompute (and pin) estimate vectors for a working set.
-
-        The embedding already covers every node, so this is pure vector
-        arithmetic — no underlay solves.  Grows the vector LRU to keep the
-        whole set resident; returns the number of vectors computed now.
-        """
-        wanted: List[int] = []
-        seen = set()
-        for raw in sources:
-            s = int(raw)
-            if not (0 <= s < self._physical.num_nodes):
-                raise ValueError(f"source {s} out of range")
-            if s not in seen:
-                seen.add(s)
-                wanted.append(s)
-        if len(wanted) > self._vector_capacity:
-            self._vector_capacity = len(wanted)
-        computed = 0
-        for s in wanted:
-            if s not in self._vector_cache:
-                self.delays_from(s)
-                computed += 1
-        return computed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -24,10 +24,11 @@ What it checks
   labels is recompiled row by row from
   :meth:`~repro.core.ace.AceProtocol.flooding_neighbors` — the reference —
   and must equal it field for field.
-* **Probe-memo costs.**  Every cost the array engine serves from the
-  directional probe memo (:meth:`ArrayOverlay.warm_edge_costs
-  <repro.topology.soa.ArrayOverlay.warm_edge_costs>` copies them out of the
-  vectors it streams) is compared with the oracle's vector for that source.
+* **Partial-row costs.**  Every cost an overlay's ``cost`` / ``costs_from``
+  is served from the exact oracle's partial rows
+  (:meth:`ExactOracle.delay_pairs <repro.oracle.exact.ExactOracle.delay_pairs>`
+  copies them out of the vectors it streams) is compared with the
+  underlay's vector for that source.
 * **RNG stream ledger** (the run-time side of replint's REP009, which
   checks spawn order statically).  Generators handed out by
   :func:`repro.rng.ensure_rng` / :func:`repro.rng.derive_rng` are wrapped
@@ -328,40 +329,59 @@ def _install_search_hooks() -> None:
 
 
 # ----------------------------------------------------------------------
-# Probe-memo costs vs. the vectors they were copied from
+# Partial-row costs vs. the vectors they were copied from
 # ----------------------------------------------------------------------
 
-def _install_probe_memo_hooks() -> None:
+def _install_partial_row_hooks() -> None:
+    from .oracle.exact import ExactOracle
     from .perf import counters
+    from .topology.overlay import Overlay
     from .topology.soa import ArrayOverlay
 
-    served = ArrayOverlay._memo_values
+    served: List[Tuple[Any, int, List[int], np.ndarray]] = []
+    read = ExactOracle._read_partial
 
-    @functools.wraps(served)
-    def checked(self, hu, hosts):
-        values = served(self, hu, hosts)
-        if values is None:
-            return None
-        # The reference is read off to the side — a resident vector in
-        # place, a missing one solved without being retained, its counter
-        # traffic rolled back — so neither the LRU nor --perf moves.
-        vector = self.physical._dist_cache.get(hu)
-        if vector is None:
-            before = counters.copy()
-            vector = self.oracle.delays_from_many([hu], cache=False)[hu]
-            counters.reset()
-            counters.merge(before.snapshot())
-        for ht, got, want in zip(hosts, values.tolist(), vector[hosts].tolist()):
-            if got != want:
-                peers = [p for p in self.peers() if self.host_of(p) == hu]
-                record(
-                    f"ArrayOverlay probe memo: peer(s) {peers} read "
-                    f"{got!r} for host pair ({hu}, {ht}), the oracle says "
-                    f"{want!r} (epoch {self.epoch})"
-                )
+    @functools.wraps(read)
+    def recorded(self, source, targets):
+        values = read(self, source, targets)
+        if values is not None:
+            served.append((self, source, list(targets), values))
         return values
 
-    ArrayOverlay._memo_values = checked
+    def checked(lookup):
+        # The overlay asking knows the peers and the epoch a report names.
+        @functools.wraps(lookup)
+        def boundary(self, *args):
+            served.clear()
+            result = lookup(self, *args)
+            for oracle, hu, hosts, values in served:
+                # The reference is read off to the side — a resident vector
+                # in place, a missing one solved without being retained, its
+                # counter traffic rolled back — so neither the LRU nor
+                # --perf moves.
+                vector = oracle.physical._dist_cache.get(hu)
+                if vector is None:
+                    before = counters.copy()
+                    vector = oracle.physical.delays_from_many([hu], cache=False)[hu]
+                    counters.reset()
+                    counters.merge(before.snapshot())
+                for ht, got, want in zip(hosts, values.tolist(), vector[hosts].tolist()):
+                    if got != want:
+                        peers = [p for p in self.peers() if self.host_of(p) == hu]
+                        record(
+                            f"ExactOracle partial row: peer(s) {peers} read "
+                            f"{got!r} for host pair ({hu}, {ht}), the oracle "
+                            f"says {want!r} (epoch {self.epoch})"
+                        )
+            served.clear()
+            return result
+
+        return boundary
+
+    ExactOracle._read_partial = recorded
+    for cls in (Overlay, ArrayOverlay):
+        for name in ("cost", "costs_from"):
+            setattr(cls, name, checked(vars(cls)[name]))
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +498,7 @@ def install() -> None:
     _install_soa_hooks()
     _install_ace_hooks()
     _install_search_hooks()
-    _install_probe_memo_hooks()
+    _install_partial_row_hooks()
     _install_rng_hooks()
     atexit.register(_atexit_report)
 

@@ -16,20 +16,18 @@ All underlay delay lookups go through the overlay's
 :class:`~repro.oracle.base.DelayOracle` (an
 :class:`~repro.oracle.exact.ExactOracle` unless configured otherwise), so
 the delay backend — exact batched Dijkstra or a landmark embedding — is a
-constructor choice, not a code change.  On top of the oracle sit two layers
-of memoization:
-
-* a **host-pair cache** (append-only; a backend's answers never change),
-  shared across :meth:`copy` clones, and
-* a **per-edge cost cache** keyed by peer pair, covering exactly the (small,
-  slowly-changing) logical edge set.  :meth:`warm_edge_costs` fills it in
-  bulk through the underlay's batched Dijkstra, and the mutation methods
-  keep it in sync: :meth:`disconnect` and :meth:`remove_peer` drop stale
-  entries (this covers every cut site — ACE Phase 3 replacement, LTM/AOTO
-  cuts, churn departures), :meth:`connect` fills the new edge from the
-  host-pair cache when possible.  On a warmed static overlay the query
-  engine's inner loop (:func:`repro.search.flooding.propagate`) therefore
-  never touches scipy at all.
+constructor choice, not a code change.  The oracle remembers every
+host-pair delay it answered (:mod:`repro.oracle.base`); the overlay keeps
+only a **per-edge cost cache** keyed by peer pair, covering exactly the
+(small, slowly-changing) logical edge set.  :meth:`warm_edge_costs` fills
+it in bulk through :meth:`~repro.oracle.base.DelayOracle.delay_pairs`, and
+the mutation methods keep it in sync: :meth:`disconnect` and
+:meth:`remove_peer` drop stale entries (this covers every cut site — ACE
+Phase 3 replacement, LTM/AOTO cuts, churn departures), :meth:`connect`
+fills the new edge when the oracle already knows its host pair.  On a
+warmed static overlay the query engine's inner loop
+(:func:`repro.search.flooding.propagate`) therefore never touches scipy at
+all.
 
 The generators at the bottom fill plain neighbor sets and pack the result
 straight into the array engine every run uses
@@ -78,7 +76,6 @@ class Overlay:
         )
         self._hosts: Dict[int, int] = {}
         self._adjacency: Dict[int, Set[int]] = {}
-        self._cost_cache: Dict[Tuple[int, int], float] = {}
         self._edge_costs: Dict[Tuple[int, int], float] = {}
         self._epoch = 0
         if hosts:
@@ -100,17 +97,14 @@ class Overlay:
         return self._oracle
 
     def use_oracle(self, oracle: DelayOracle) -> None:
-        """Swap the delay backend, dropping every cost memo.
+        """Swap the delay backend, dropping every per-edge cost.
 
-        Cached costs are answers from the *previous* backend, so both the
-        host-pair cache and the per-edge cost cache are invalidated (the
-        host-pair cache is replaced rather than cleared — it may be shared
-        with :meth:`copy` clones still on the old backend).
+        Cached costs are answers from the *previous* backend; the new one
+        brings its own host-pair store.
         """
         if oracle.physical is not self._physical:
             raise ValueError("oracle answers for a different underlay")
         self._oracle = oracle
-        self._cost_cache = {}
         self._edge_costs.clear()
         self._epoch += 1
 
@@ -219,15 +213,9 @@ class Overlay:
         # Seed the edge-cost cache without touching the underlay: the cost is
         # filled now if the host pair is already known, lazily (or by the
         # next warm_edge_costs sweep) otherwise.
-        key = (u, v) if u < v else (v, u)
-        hu, hv = self._hosts[u], self._hosts[v]
-        if hu == hv:
-            self._edge_costs[key] = 0.0
-        else:
-            hkey = (hu, hv) if hu < hv else (hv, hu)
-            cached = self._cost_cache.get(hkey)
-            if cached is not None:
-                self._edge_costs[key] = cached
+        known = self._oracle.known(self._hosts[u], self._hosts[v])
+        if known is not None:
+            self._edge_costs[(u, v) if u < v else (v, u)] = known
         return True
 
     def disconnect(self, u: int, v: int) -> bool:
@@ -257,23 +245,14 @@ class Overlay:
         """Cost of a (potential) logical link: underlay shortest-path delay.
 
         Existing logical edges are served from the per-edge cost cache (one
-        dict probe, no host lookups); other pairs fall back to the host-pair
-        cache and, last, the underlay's Dijkstra engine.
+        dict probe, no host lookups); other pairs are the oracle's.
         """
         pkey = (u, v) if u < v else (v, u)
         cached = self._edge_costs.get(pkey)
         if cached is not None:
             counters.edge_cost_hits += 1
             return cached
-        hu, hv = self._hosts[u], self._hosts[v]
-        if hu == hv:
-            d = 0.0
-        else:
-            hkey = (hu, hv) if hu < hv else (hv, hu)
-            d = self._cost_cache.get(hkey)
-            if d is None:
-                d = self._oracle.delay(hu, hv)
-                self._cost_cache[hkey] = d
+        d: float = self._oracle.delays_from(self._hosts[u], [self._hosts[v]]).item(0)
         if v in self._adjacency.get(u, ()):
             counters.edge_cost_misses += 1
             self._edge_costs[pkey] = d
@@ -292,27 +271,16 @@ class Overlay:
                 counters.edge_cost_hits += 1
                 out[t] = cached
                 continue
-            ht = self._hosts[t]
-            if ht == hu:
-                out[t] = 0.0
-                if t in nbrs:
-                    self._edge_costs[pkey] = 0.0
-                continue
-            key = (hu, ht) if hu < ht else (ht, hu)
-            cached = self._cost_cache.get(key)
-            if cached is None:
+            known = self._oracle.known(hu, self._hosts[t])
+            if known is None:
                 missing.append(t)
             else:
-                out[t] = cached
+                out[t] = known
                 if t in nbrs:
-                    self._edge_costs[pkey] = cached
+                    self._edge_costs[pkey] = known
         if missing:
-            vec = self._oracle.delays_from(hu)
-            for t in missing:
-                ht = self._hosts[t]
-                d = float(vec[ht])
-                key = (hu, ht) if hu < ht else (ht, hu)
-                self._cost_cache[key] = d
+            vals = self._oracle.delays_from(hu, [self._hosts[t] for t in missing])
+            for t, d in zip(missing, vals.tolist()):
                 out[t] = d
                 pkey = (u, t) if u < t else (t, u)
                 # A target listed twice fills (and counts) its edge once.
@@ -321,58 +289,46 @@ class Overlay:
                     self._edge_costs[pkey] = d
         return out
 
-    def warm_edge_costs(self, chunk_size: int = 256) -> int:
+    def warm_edge_costs(self) -> int:
         """Bulk-fill the per-edge cost cache for every current logical edge.
 
-        Edges whose cost is not yet known are grouped by source host and
-        solved through :meth:`PhysicalTopology.delays_from_many
-        <repro.topology.physical.PhysicalTopology.delays_from_many>` in
-        batches of at most *chunk_size* sources, extracting only the scalar
-        costs (the full delay vectors are not retained, so memory stays
-        bounded even at paper scale).  Idempotent and cheap when already
-        warm.  Returns the number of edge costs computed.
+        Edges whose host pair the oracle does not know yet are answered by
+        one :meth:`~repro.oracle.base.DelayOracle.delay_pairs` call, which
+        may keep, out of each row it reads, the delays to the hosts within
+        two logical hops of the peers there (the Phase-3 probe pools, as
+        :meth:`ArrayOverlay._probe_pools <repro.topology.soa.ArrayOverlay._probe_pools>`
+        computes them).  Idempotent and cheap when already warm.  Returns
+        the number of edge costs computed.
         """
-        pending: Dict[int, List[Tuple[Tuple[int, int], int, Tuple[int, int]]]] = {}
+        pending: List[Tuple[int, int]] = []
         for u, v in self.edges():
-            pkey = (u, v)
-            if pkey in self._edge_costs:
+            if (u, v) in self._edge_costs:
                 continue
-            hu, hv = self._hosts[u], self._hosts[v]
-            if hu == hv:
-                self._edge_costs[pkey] = 0.0
-                continue
-            hkey = (hu, hv) if hu < hv else (hv, hu)
-            cached = self._cost_cache.get(hkey)
-            if cached is not None:
-                self._edge_costs[pkey] = cached
-                continue
-            pending.setdefault(hu, []).append((pkey, hv, hkey))
+            known = self._oracle.known(self._hosts[u], self._hosts[v])
+            if known is None:
+                pending.append((u, v))
+            else:
+                self._edge_costs[(u, v)] = known
         if not pending:
             return 0
-        filled = 0
-        sources = sorted(pending)
-        for start in range(0, len(sources), chunk_size):
-            chunk = sources[start : start + chunk_size]
-            rows = self._oracle.delays_from_many(chunk, cache=False)
-            for h in chunk:
-                row = rows[h]
-                for pkey, hv, hkey in pending[h]:
-                    d = float(row[hv])
-                    self._cost_cache[hkey] = d
-                    self._edge_costs[pkey] = d
-                    counters.edge_cost_misses += 1
-                    filled += 1
-        return filled
 
-    def warm_sources(self, peers: Iterable[int]) -> int:
-        """Prefetch underlay delay vectors for the given peers' hosts.
+        def keep(first: np.ndarray) -> Dict[int, np.ndarray]:
+            near: Dict[int, Set[int]] = {}
+            for p in {u if f else v for (u, v), f in zip(pending, first.tolist())}:
+                pool = near.setdefault(self._hosts[p], set())
+                for n in self._adjacency[p]:
+                    pool.add(self._hosts[n])
+                    pool.update(self._hosts[m] for m in self._adjacency[n])
+            return {h: np.array(sorted(s), dtype=np.int64) for h, s in near.items()}
 
-        Makes every later ``cost``/``costs_from`` rooted at one of these
-        peers (including probes of *non*-edges, e.g. ACE Phase-3 candidate
-        probing) Dijkstra-free.  Returns the number of sources solved.
-        """
-        hosts = {self._hosts[p] for p in peers if p in self._hosts}
-        return self._oracle.warm(hosts)
+        costs = self._oracle.delay_pairs(
+            [self._hosts[u] for u, _ in pending],
+            [self._hosts[v] for _, v in pending],
+            keep=keep,
+        )
+        self._edge_costs.update(zip(pending, costs.tolist()))
+        counters.edge_cost_misses += len(pending)
+        return len(pending)
 
     @property
     def cached_edge_costs(self) -> int:
@@ -380,7 +336,7 @@ class Overlay:
         return len(self._edge_costs)
 
     def invalidate_edge_costs(self) -> None:
-        """Drop the whole per-edge cost cache (host-pair memos survive)."""
+        """Drop the whole per-edge cost cache (the oracle's store survives)."""
         self._edge_costs.clear()
         self._epoch += 1
 
@@ -428,7 +384,6 @@ class Overlay:
         clone = Overlay(self._physical, oracle=self._oracle)
         clone._hosts = dict(self._hosts)
         clone._adjacency = {p: set(nbrs) for p, nbrs in self._adjacency.items()}
-        clone._cost_cache = self._cost_cache  # shared, append-only cache
         clone._edge_costs = dict(self._edge_costs)  # private: edges diverge
         clone._epoch = self._epoch  # compiled-graph caches key on identity
         return clone

@@ -17,11 +17,13 @@ Two access patterns are supported:
 
 * **single source** (:meth:`delays_from` / :meth:`delay`) — one Dijkstra run
   per LRU miss, the original on-demand path;
-* **batched** (:meth:`delays_from_many` / :meth:`warm`) — all uncached
-  sources of a known working set are solved by *one* vectorized scipy call
-  (``indices=[...]``), amortizing the python/scipy dispatch overhead and
-  letting callers prefetch exactly the source set they are about to touch
-  instead of faulting one run at a time.
+* **batched** (:meth:`delays_from_many`) — all uncached sources of a known
+  working set are solved by *one* vectorized scipy call (``indices=[...]``),
+  amortizing the python/scipy dispatch overhead instead of faulting one run
+  at a time.
+
+Which pairs are worth remembering beyond the LRU is the delay oracle's
+business (:mod:`repro.oracle.exact`), not the underlay's.
 
 All paths update the shared :data:`repro.perf.counters` so experiments can
 assert cache behavior (e.g. "zero Dijkstra runs during query propagation on
@@ -341,14 +343,13 @@ class PhysicalTopology:
         All sources missing from the LRU are solved by **one** vectorized
         scipy Dijkstra call (``indices=[...]``) instead of one call per
         source.  Returns ``{source: delay_vector}`` for every distinct
-        source; vectors are cached (subject to the normal LRU capacity —
-        use :meth:`warm` to also grow the cache around a working set) and
-        must not be mutated by the caller.
+        source; vectors are cached (subject to the LRU capacity) and must
+        not be mutated by the caller.
 
         With ``cache=False`` the freshly solved vectors are returned but not
         retained, which bounds memory when streaming a large source set only
         to extract a few scalars per vector (see
-        :meth:`Overlay.warm_edge_costs <repro.topology.overlay.Overlay.warm_edge_costs>`).
+        :meth:`ExactOracle.delay_pairs <repro.oracle.exact.ExactOracle.delay_pairs>`).
         """
         out: Dict[int, np.ndarray] = {}
         missing: List[int] = []
@@ -378,44 +379,9 @@ class PhysicalTopology:
                 self._evict()
         return out
 
-    def warm(self, sources: Iterable[int], chunk_size: int = 512) -> int:
-        """Prefetch delay vectors for a working set of sources.
-
-        Grows the LRU capacity so the whole set stays resident, then solves
-        all uncached sources in batched Dijkstra calls of at most
-        *chunk_size* sources each (bounding the transient ``(k, n)`` scipy
-        output).  Returns the number of sources actually solved; warming an
-        already-resident set is free.
-        """
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        wanted: List[int] = []
-        seen = set()
-        for raw in sources:
-            s = int(raw)
-            if not (0 <= s < self._num_nodes):
-                raise ValueError(f"source {s} out of range")
-            if s not in seen:
-                seen.add(s)
-                wanted.append(s)
-        if len(wanted) > self._cache_size:
-            self._cache_size = len(wanted)
-        computed = 0
-        pending = [s for s in wanted if s not in self._dist_cache]
-        for start in range(0, len(pending), chunk_size):
-            chunk = pending[start : start + chunk_size]
-            computed += len(chunk)
-            self.delays_from_many(chunk, cache=True)
-        return computed
-
     def cached_sources(self) -> List[int]:
         """Sources whose delay vectors are currently resident (LRU order)."""
         return list(self._dist_cache)
-
-    @property
-    def dijkstra_cache_size(self) -> int:
-        """Current LRU capacity (grows when :meth:`warm` needs room)."""
-        return self._cache_size
 
     def delay(self, u: int, v: int) -> float:
         """Shortest-path delay between hosts *u* and *v* (0 when ``u == v``)."""

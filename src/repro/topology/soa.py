@@ -29,17 +29,14 @@ which the tests keep as the reference — holding the peer/edge state in flat nu
   :data:`repro.perf.counters` (``soa_compactions`` /
   ``soa_edit_buffer_flushes``).
 
-Semantics — epoch bumps, cost-cache layering (shared host-pair cache over a
-per-edge memo), counter accounting, and error behaviour — mirror the
+Semantics — epoch bumps, the per-edge cost column over the oracle's
+host-pair store, counter accounting, and error behaviour — mirror the
 reference exactly, so both produce byte-identical experiment figures from
 the same seed (pinned in ``tests/experiments/test_reproducibility.py``).
-One memo has no twin in the reference: under an exact oracle
-:meth:`warm_edge_costs` streams a vertex cover of the missing host pairs and
-keeps, per source host, the delays to the hosts Phase 3 can probe from
-there, so a step solves a source again only for a probe that neither end's
-pool, nor either end's resident LRU row, holds.  It sits *behind* the host-pair cache and holds the floats a
-vector fault would return, so it changes how many sources are solved and
-never a cost (``tests/topology/test_probe_memo.py``).
+The engine remembers no host-pair delay of its own: a missing cost is
+asked of the oracle, and its bulk fill hands the oracle the hosts Phase 3
+can probe from each end (:meth:`_probe_pools`), whose delays an exact
+oracle keeps out of the rows it streams (:mod:`repro.oracle.exact`).
 The payoff is bulk state:
 
 * :meth:`warm_edge_costs` is O(1) when the overlay is already warm (the
@@ -104,30 +101,6 @@ __all__ = ["ArrayOverlay", "UNLABELLED", "FLOODING", "NON_FLOODING"]
 UNLABELLED, FLOODING, NON_FLOODING = 0, 1, 2
 
 
-def _greedy_cover(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """A vertex cover of the links ``a[i] - b[i]``, as a mask over ``0..n-1``.
-
-    Greedy by degree, in rounds: a round takes every node whose count of
-    uncovered links beats that of each neighbour over an uncovered link
-    (ties go to the lower id) — the parallel form of "take the node that
-    covers the most links".  The best node always wins, so each round
-    covers at least one link.
-    """
-    chosen = np.zeros(n, dtype=bool)
-    uncovered = np.ones(len(a), dtype=bool)
-    while uncovered.any():
-        u, v = a[uncovered], b[uncovered]
-        degree = np.bincount(np.concatenate([u, v]), minlength=n)
-        rank = degree * n + (n - 1 - np.arange(n))
-        rival = np.zeros(n, dtype=np.int64)
-        np.maximum.at(rival, u, rank[v])
-        np.maximum.at(rival, v, rank[u])
-        won = (degree > 0) & (rank > rival)
-        chosen |= won
-        uncovered &= ~(won[a] | won[b])
-    return chosen
-
-
 class ArrayOverlay(Overlay):
     """Flat-array overlay engine (see module docstring)."""
 
@@ -146,12 +119,6 @@ class ArrayOverlay(Overlay):
         if oracle is not None and oracle.physical is not physical:
             raise ValueError("oracle answers for a different underlay")
         self._oracle = oracle if oracle is not None else ExactOracle(physical)
-        self._cost_cache: Dict[Tuple[int, int], float] = {}
-        #: Probe memo: source host -> (sorted target hosts, their delays),
-        #: filled by the streaming branch of :meth:`warm_edge_costs` and read
-        #: from either end of a pair.  Shared by :meth:`copy` like
-        #: ``_cost_cache``; entries are oracle facts, never stale.
-        self._probe_memo: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._epoch = 0
         self._compact_threshold = compact_threshold
 
@@ -198,28 +165,23 @@ class ArrayOverlay(Overlay):
     ) -> "ArrayOverlay":
         """Convert any overlay into a compact array engine.
 
-        Known per-edge costs and the host-pair memo are snapshotted (into
-        *private* copies — unlike :meth:`copy`, the conversion decouples the
-        cache state so the two engines evolve independently); the epoch
-        carries over.
+        Known per-edge costs and the epoch carry over, and the result shares
+        *source*'s oracle, so both read one host-pair store.
         """
         if isinstance(source, ArrayOverlay):
             clone = source.copy()
-            clone._cost_cache = dict(source._cost_cache)
-            clone._probe_memo = dict(source._probe_memo)
             clone._compact_threshold = compact_threshold
             return clone
         order = source.peers()
         slot = {p: i for i, p in enumerate(order)}
         links = list(source.edges())
-        # Costs, host-pair memo and epoch transfer together: a coherent copy.
+        # Costs and epoch transfer together: a coherent copy.
         out = cls._packed(
             source.physical, order, [source.host_of(p) for p in order],
             [slot[p] for link in links for p in link],
             [source._edge_costs.get(link, math.nan) for link in links],
             source.oracle, compact_threshold,
         )
-        out._cost_cache = dict(source._cost_cache)
         out._epoch = source.epoch
         return out
 
@@ -627,14 +589,8 @@ class ArrayOverlay(Overlay):
             raise KeyError(f"unknown peer in connect({u}, {v})")
         if self._edge_cost(su, sv) is not None:
             return False
-        hu = self._vhost[su]
-        hv = self._vhost[sv]
-        if hu == hv:
-            c = 0.0
-        else:
-            hkey = (hu, hv) if hu < hv else (hv, hu)
-            cached = self._cost_cache.get(hkey)
-            c = cached if cached is not None else math.nan
+        known = self._oracle.known(self._vhost[su], self._vhost[sv])
+        c = math.nan if known is None else known
         self._extra.setdefault(su, {})[sv] = c
         self._extra.setdefault(sv, {})[su] = c
         self._vdeg[su] += 1
@@ -772,12 +728,10 @@ class ArrayOverlay(Overlay):
     # ------------------------------------------------------------------
 
     def use_oracle(self, oracle: DelayOracle) -> None:
-        """Swap the delay backend, dropping every cost memo."""
+        """Swap the delay backend, dropping every per-edge cost."""
         if oracle.physical is not self._physical:
             raise ValueError("oracle answers for a different underlay")
         self._oracle = oracle
-        self._cost_cache = {}
-        self._probe_memo = {}
         if len(self._ncost):
             self._ncost[:] = math.nan
         for ex in self._extra.values():
@@ -794,63 +748,11 @@ class ArrayOverlay(Overlay):
         if c is not None and not math.isnan(c):
             counters.edge_cost_hits += 1
             return c
-        hu = self._vhost[su]
-        hv = self._vhost[sv]
-        if hu == hv:
-            d = 0.0
-        else:
-            hkey = (hu, hv) if hu < hv else (hv, hu)
-            got = self._cost_cache.get(hkey)
-            if got is None:
-                if self._oracle.pairwise_cheap:
-                    got = self._oracle.delay(hu, hv)
-                else:
-                    # Read like costs_from, the probe memo before a vector
-                    # fault.  Delays sit on the 2**-10 grid, so the float
-                    # does not depend on which endpoint is solved.
-                    got = self._source_delays(hu, [hv]).item(0)
-                self._cost_cache[hkey] = got
-            d = got
+        d: float = self._oracle.delays_from(self._vhost[su], [self._vhost[sv]]).item(0)
         if c is not None:
             counters.edge_cost_misses += 1
             self._fill_edge_cost(su, sv, d)
         return d
-
-    def _memo_values(self, hu: int, hosts: List[int]) -> Optional[np.ndarray]:
-        """Delays from host *hu* to *hosts* out of the probe memo.
-
-        A host is found in *hu*'s pool or, failing that, *hu* in the host's
-        own pool: on the delay grid both rows hold the same float.  ``None``
-        unless every host is found (the caller then faults the whole vector
-        once and reads all of them from it).
-        """
-        memo = self._probe_memo
-        out = np.empty(len(hosts))
-        found = np.zeros(len(hosts), dtype=bool)
-        entry = memo.get(hu)
-        if entry is not None:
-            pool, values = entry
-            at = np.minimum(np.searchsorted(pool, hosts), len(pool) - 1)
-            found = pool[at] == hosts
-            out[found] = values[at[found]]
-        for i in np.flatnonzero(~found).tolist():
-            entry = memo.get(hosts[i])
-            if entry is None:
-                return None
-            pool, values = entry
-            j = int(np.searchsorted(pool, hu))
-            if j == len(pool) or pool[j] != hu:
-                return None
-            out[i] = values[j]
-        return out
-
-    def _source_delays(self, hu: int, hosts: List[int]) -> np.ndarray:
-        """``dist[hu][h]`` per host: the probe memo, else the oracle (which
-        reads either end's resident row before it faults a vector)."""
-        vals = self._memo_values(hu, hosts)
-        if vals is None:
-            vals = self._oracle.delays_from(hu, hosts)
-        return vals
 
     def costs_from(self, u: int, targets: Iterable[int]) -> Dict[int, float]:
         """Costs from *u* to several peers with at most one underlay query."""
@@ -882,26 +784,16 @@ class ArrayOverlay(Overlay):
                 out[t] = c
                 continue
             ht = host[st]
-            if ht == hu:
-                cached: Optional[float] = 0.0
-            else:
-                cached = self._cost_cache.get((hu, ht) if hu < ht else (ht, hu))
-            if cached is None:
+            known = self._oracle.known(hu, ht)
+            if known is None:
                 missing.append((t, st, ht))
             else:
-                out[t] = cached
+                out[t] = known
                 if c is not None:
-                    self._fill_edge_cost(su, st, cached)
+                    self._fill_edge_cost(su, st, known)
         if missing:
-            hosts = [ht for _, _, ht in missing]
-            if self._oracle.pairwise_cheap:
-                # Embedding backend: resolve only the pairs actually asked
-                # for; delay_pairs matches the vector entries bit for bit.
-                vals = self._oracle.delay_pairs([hu] * len(missing), hosts)
-            else:
-                vals = self._source_delays(hu, hosts)
-            for (t, st, ht), d in zip(missing, vals.tolist()):
-                self._cost_cache[(hu, ht) if hu < ht else (ht, hu)] = d
+            vals = self._oracle.delays_from(hu, [ht for _, _, ht in missing])
+            for (t, st, _), d in zip(missing, vals.tolist()):
                 out[t] = d
                 # Looked up again, not remembered from the first pass: a
                 # target listed twice must fill (and count) its edge once.
@@ -1019,107 +911,40 @@ class ArrayOverlay(Overlay):
             h: pool.copy() for h, pool in zip(heads, np.split(target_host, cuts))
         }
 
-    def warm_edge_costs(self, chunk_size: int = 256) -> int:
+    def warm_edge_costs(self) -> int:
         """Bulk-fill the per-edge costs — O(1) when already warm.
 
         The object engine re-scans every edge per call; here a running
         missing-cost counter short-circuits the warm case, and the cold case
-        finds the NaN entries with one vectorized scan.
-
-        Under a vector-streaming (exact) oracle the pass solves from a
-        greedy vertex cover of the missing host pairs (fewer sources than
-        one fixed end of each pair, which the object engine solves from),
-        on the series-reduced underlay
-        (:meth:`~repro.topology.physical.PhysicalTopology.reduce_series`).
-        On the delay grid d(u, v) == d(v, u) bit for bit, so the choice of
-        end moves no cost.  While it holds the vector of a source host it
-        also copies the delays to every host within two logical hops of the
-        peers there into the probe memo (see :meth:`_probe_pools`), so the
-        Phase-3 probes from either end of those pairs need no second solve.
-        The memo is only ever read *after* the host-pair cache.
+        finds the NaN entries with one vectorized scan.  Pairs the oracle
+        does not know yet go to one
+        :meth:`~repro.oracle.base.DelayOracle.delay_pairs` call, which may
+        keep, out of each row it reads, the delays to the hosts within two
+        logical hops of the peers that row serves (:meth:`_probe_pools`):
+        the Phase-3 probes from either end of those pairs.
         """
         if self._missing == 0:
             return 0
-        pending: Dict[int, List[Tuple[int, int, int, Tuple[int, int]]]] = {}
+        pending: List[Tuple[int, int]] = []
         for su, sv in list(self._iter_unknown_edges()):
-            hu = self._vhost[su]
-            hv = self._vhost[sv]
-            if hu == hv:
-                self._fill_edge_cost(su, sv, 0.0)
-                continue
-            hkey = (hu, hv) if hu < hv else (hv, hu)
-            cached = self._cost_cache.get(hkey)
-            if cached is not None:
-                self._fill_edge_cost(su, sv, cached)
-                continue
-            pending.setdefault(hu, []).append((su, sv, hv, hkey))
+            known = self._oracle.known(self._vhost[su], self._vhost[sv])
+            if known is None:
+                pending.append((su, sv))
+            else:
+                self._fill_edge_cost(su, sv, known)
         if not pending:
             return 0
-        filled = 0
-        sources = sorted(pending)
-        if self._oracle.pairwise_cheap:
-            # Embedding backend: ask for exactly the missing pairs in the
-            # same (source-sorted) order the chunked path fills them —
-            # delay_pairs is bit-identical to the vector entries, so the
-            # resulting costs match the object engine's exactly.
-            flat = [(h, e) for h in sources for e in pending[h]]
-            ds = self._oracle.delay_pairs(
-                [h for h, _ in flat], [e[2] for _, e in flat]
-            )
-            for (h, (su, sv, hv, hkey)), d0 in zip(flat, ds.tolist()):
-                d = float(d0)
-                self._cost_cache[hkey] = d
-                self._fill_edge_cost(su, sv, d)
-                counters.edge_cost_misses += 1
-                filled += 1
-            return filled
-        # Exact oracle: one vector per host of a greedy cover of the missing
-        # host pairs.  Each pair is read off whichever end is a source; on
-        # the delay grid both ends hold the same float.
-        hosts = self._slot_host[: self._nslots]
-        self._physical.reduce_series(hosts[hosts >= 0])
-        edges = [e for h in sources for e in pending[h]]
-        ends = np.array([hkey for *_, hkey in edges], dtype=np.int64)
-        cover = _greedy_cover(ends[:, 0], ends[:, 1], self._physical.num_nodes)
-        # source host -> (its slot, the link's slots, the other host, pair)
-        by_source: Dict[int, List[Tuple[int, int, int, int, Tuple[int, int]]]] = {}
-        for su, sv, hv, hkey in edges:
-            hu = self._vhost[su]
-            if cover[hu]:
-                by_source.setdefault(hu, []).append((su, su, sv, hv, hkey))
-            else:
-                by_source.setdefault(hv, []).append((sv, su, sv, hu, hkey))
-        sources = sorted(by_source)
-        pools = self._probe_pools(
-            np.unique([slot for links in by_source.values() for slot, *_ in links])
-        )
-        for start in range(0, len(sources), chunk_size):
-            chunk = sources[start : start + chunk_size]
-            rows = self._oracle.delays_from_many(chunk, cache=False)
-            for h in chunk:
-                row = rows[h]
-                pool = pools[h]
-                self._probe_memo[h] = (pool, row[pool])
-                for _, su, sv, other, hkey in by_source[h]:
-                    d = float(row[other])
-                    self._cost_cache[hkey] = d
-                    self._fill_edge_cost(su, sv, d)
-                    counters.edge_cost_misses += 1
-                    filled += 1
-        return filled
+        ends = np.array(pending, dtype=np.int64)
 
-    def warm_sources(self, peers: Iterable[int]) -> int:
-        """Prefetch underlay delay vectors for the given peers' hosts.
+        def keep(first: np.ndarray) -> Dict[int, np.ndarray]:
+            return self._probe_pools(np.unique(np.where(first, ends[:, 0], ends[:, 1])))
 
-        A no-op for pairwise-cheap oracles: prefetching exists to batch
-        full single-source solves, and an embedding backend answers the
-        exact pairs later asked for directly — computing whole vectors
-        here would be strictly wasted arithmetic.
-        """
-        if self._oracle.pairwise_cheap:
-            return 0
-        hosts = {self._vhost[self._index[p]] for p in peers if p in self._index}
-        return self._oracle.warm(hosts)
+        hu, hv = self._slot_host[ends].T.tolist()
+        costs = self._oracle.delay_pairs(hu, hv, keep=keep)
+        for (su, sv), d in zip(pending, costs.tolist()):
+            self._fill_edge_cost(su, sv, d)
+        counters.edge_cost_misses += len(pending)
+        return len(pending)
 
     @property
     def cached_edge_costs(self) -> int:
@@ -1127,7 +952,7 @@ class ArrayOverlay(Overlay):
         return self._nedges - self._missing
 
     def invalidate_edge_costs(self) -> None:
-        """Drop the whole per-edge cost cache (host-pair memos survive)."""
+        """Drop the whole per-edge cost cache (the oracle's store survives)."""
         if len(self._ncost):
             self._ncost[:] = math.nan
         for ex in self._extra.values():
@@ -1234,11 +1059,11 @@ class ArrayOverlay(Overlay):
     def copy(self) -> "ArrayOverlay":
         """Deep copy of the logical layer (shares the underlay and oracle).
 
-        The host-pair cost cache and the probe memo are shared as well.
-        That is safe: link delays sit on the 2**-10 grid, so a cached delay
-        is a fact of its host pair, the same float whichever copy, arm or
-        direction solved it first, and arms run over copies of one scenario
-        read the same costs in either order
+        Sharing the oracle shares its host-pair store.  That is safe: link
+        delays sit on the 2**-10 grid, so a stored delay is a fact of its
+        host pair, the same float whichever copy, arm or direction solved it
+        first, and arms run over copies of one scenario read the same costs
+        in either order
         (``tests/topology/test_array_overlay.py::TestCopiesShareCosts``).
         """
         clone = ArrayOverlay(
@@ -1268,8 +1093,6 @@ class ArrayOverlay(Overlay):
             list(self._peers_cache) if self._peers_cache is not None else None
         )
         clone._slots_canonical = self._slots_canonical
-        clone._cost_cache = self._cost_cache  # shared, append-only cache
-        clone._probe_memo = self._probe_memo  # shared: oracle facts only
         clone._epoch = self._epoch  # compiled-graph caches key on identity
         clone._bind_views()
         return clone

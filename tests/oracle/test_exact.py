@@ -1,11 +1,19 @@
-"""ExactOracle: a transparent front for the batched underlay engine."""
+"""ExactOracle: the batched underlay engine behind one lookup rule, and the
+host-pair store every oracle owns."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.parallel import run_trials
+from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.oracle.exact import ExactOracle
 from repro.perf import counters, reset_counters
 from repro.topology.overlay import Overlay, small_world_overlay
+from repro.topology.physical import PhysicalTopology
+from repro.topology.soa import ArrayOverlay
+from tests.reference import object_twin
 
 
 class TestDelegation:
@@ -39,12 +47,6 @@ class TestDelegation:
         assert counters.dijkstra_runs == 1  # one batched solve
         assert counters.dijkstra_sources == len(hosts)
         assert sorted(rows) == sorted(hosts)
-
-    def test_warm_delegates(self, ba_physical):
-        oracle = ExactOracle(ba_physical)
-        hosts = ba_physical.largest_component_nodes()[:6]
-        assert oracle.warm(hosts) == 6
-        assert oracle.warm(hosts) == 0  # already resident
 
     def test_physical_property(self, ba_physical):
         assert ExactOracle(ba_physical).physical is ba_physical
@@ -87,10 +89,7 @@ class TestOverlaySeamIsTransparent:
 
 
 class TestDelayPairsDefault:
-    """The base-class pairwise fallback: grouped delays_from slices."""
-
-    def test_exact_is_not_pairwise_cheap(self, ba_physical):
-        assert not ExactOracle(ba_physical).pairwise_cheap
+    """The bulk fill, solved from a cover: the vector entries, bit for bit."""
 
     def test_matches_vector_entries_exactly(self, rng, ba_physical):
         oracle = ExactOracle(ba_physical)
@@ -101,3 +100,155 @@ class TestDelayPairsDefault:
         got = oracle.delay_pairs(us, vs)
         want = np.array([oracle.delays_from(u)[v] for u, v in zip(us, vs)])
         assert np.array_equal(got, want)
+
+
+def _world_store(config):
+    """A trial's view of its oracle: store and partial rows, before and after
+    the world's first fill (module-level, so a worker can run it)."""
+    overlay = build_scenario(config).overlay
+    oracle = overlay.oracle
+    before = (len(oracle._store), len(oracle._partial))
+    overlay.warm_edge_costs()
+    return before, len(oracle._store) > 0
+
+
+class TestStoreLifetime:
+    """The host-pair store lives and dies with its oracle."""
+
+    def world(self, ba_physical, rng):
+        overlay = small_world_overlay(ba_physical, 30, avg_degree=4, rng=rng)
+        overlay.warm_edge_costs()
+        u, v = next(iter(overlay.edges()))
+        return overlay, (overlay.host_of(u), overlay.host_of(v))
+
+    def test_copy_shares_the_store(self, ba_physical, rng):
+        overlay, (hu, hv) = self.world(ba_physical, rng)
+        clone = overlay.copy()
+        assert clone.oracle is overlay.oracle
+        assert clone.oracle.known(hu, hv) == overlay.oracle.known(hu, hv)
+        # A pair one copy asks is known to the other without a lookup.
+        peers = clone.peers()
+        far = max(peers, key=lambda p: clone.host_of(p))
+        got = clone.costs_from(peers[0], [far])[far]
+        pair = (clone.host_of(peers[0]), clone.host_of(far))
+        assert overlay.oracle.known(*pair) == got
+
+    def test_use_oracle_starts_empty(self, ba_physical, rng):
+        overlay, (hu, hv) = self.world(ba_physical, rng)
+        overlay.use_oracle(ExactOracle(ba_physical))
+        assert overlay.oracle._store == {} and overlay.oracle._partial == {}
+        assert overlay.oracle.known(hu, hv) is None
+        assert overlay.warm_edge_costs() == overlay.num_edges
+
+    def test_from_overlay_shares_its_sources_oracle(self, ba_physical, rng):
+        overlay, (hu, hv) = self.world(ba_physical, rng)
+        for source in (overlay, object_twin(overlay)):
+            converted = ArrayOverlay.from_overlay(source)
+            assert converted.oracle is source.oracle
+        assert ArrayOverlay.from_overlay(overlay).oracle.known(hu, hv) is not None
+
+    def test_a_workers_oracle_starts_empty(self):
+        # A parallel trial builds its own world, oracle included.
+        configs = [
+            ScenarioConfig(physical_nodes=200, peers=40, avg_degree=4, seed=s)
+            for s in (1, 2)
+        ]
+        assert run_trials(_world_store, configs, max_workers=2) == [
+            ((0, 0), True), ((0, 0), True)
+        ]
+
+
+def _grid_line(n, cache_size, delays):
+    """A path of *n* hosts with two chords, its LRU *cache_size* rows."""
+    links = [(i, i + 1) for i in range(n - 1)] + [(0, n // 2), (1, n - 1)]
+    return PhysicalTopology(n, links, delays[: len(links)], cache_size=cache_size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(4, 9),
+    cache_size=st.integers(1, 3),
+    delays=st.lists(st.integers(1, 4096), min_size=10, max_size=10),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("fill"),
+                st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=6),
+                st.integers(0, 2**32 - 1),
+            ),
+            st.tuples(
+                st.just("query"),
+                st.integers(0, 8),
+                st.lists(st.integers(0, 8), min_size=1, max_size=4),
+                st.booleans(),
+            ),
+        ),
+        max_size=25,
+    ),
+)
+def test_every_tier_answers_the_fresh_solve(n, cache_size, delays, ops):
+    """Cover fills with random keep-pools interleaved with single-source
+    queries: every answer is a fresh solve's float, and a query solves only
+    when no tier holds what it asks (store per pair; partial rows, or the
+    resident rows of the source or of every target, for all that is left)."""
+    physical = _grid_line(n, cache_size, [d / 1024 for d in delays])
+    fresh = PhysicalTopology(
+        n, [(u, v) for u, v, _ in physical.edges()],
+        [d for *_, d in physical.edges()],
+    )
+    oracle = ExactOracle(physical)
+
+    def truth(s, t):
+        return fresh.delays_from(s)[t].hex()
+
+    def partial(s, t):
+        for a, b in ((s, t), (t, s)):
+            pool = oracle._partial.get(a)
+            if pool is not None and b in pool[0].tolist():
+                return True
+        return False
+
+    for op in ops:
+        if op[0] == "fill":
+            pairs = [(u % n, v % n) for u, v in op[1]]
+            pick = np.random.default_rng(op[2])
+
+            pools = {}
+
+            def keep(first):
+                read = {u if f else v for (u, v), f in zip(pairs, first.tolist()) if u != v}
+                pools.update(
+                    (h, np.unique(pick.integers(0, n, size=1 + pick.integers(n))))
+                    for h in sorted(read)
+                )
+                return pools
+
+            got = oracle.delay_pairs([u for u, _ in pairs], [v for _, v in pairs], keep=keep)
+            assert [d.hex() for d in got.tolist()] == [truth(u, v) for u, v in pairs]
+            for h, pool in pools.items():  # each row read keeps what keep named
+                kept, values = oracle._partial[h]
+                assert kept.tolist() == pool.tolist()
+                assert [d.hex() for d in values.tolist()] == [truth(h, t) for t in pool.tolist()]
+            continue
+        _, s, targets, far = op
+        s, targets = s % n, [t % n for t in targets]
+        if far and oracle._partial:
+            # Ask from a host inside some row, for that row's host: only the
+            # far end holds the pair.
+            rows = sorted(oracle._partial)
+            h = rows[s % len(rows)]
+            near = oracle._partial[h][0].tolist()
+            s, targets = near[targets[0] % len(near)], [h] + targets[1:]
+        rest = [t for t in targets if oracle.known(s, t) is None]
+        resident = set(physical.cached_sources())
+        held = (
+            not rest
+            or all(partial(s, t) for t in rest)
+            or s in resident
+            or all(t in resident for t in rest)
+        )
+        before = counters.copy()
+        got = oracle.delays_from(s, targets)
+        solved = counters.delta(before)["dijkstra_sources"]
+        assert [d.hex() for d in got.tolist()] == [truth(s, t) for t in targets]
+        assert solved == (0 if held else 1)

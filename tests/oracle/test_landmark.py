@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.oracle.landmark import LandmarkOracle
-from repro.oracle import landmark as landmark_module
 from repro.perf import counters, reset_counters
 from repro.topology.generators import waxman
 from repro.topology.physical import PhysicalTopology
@@ -114,13 +113,6 @@ class TestVectorAndScalarAgree:
         assert counters.dijkstra_runs == 0
         assert counters.dijkstra_sources == 0
 
-    def test_warm_counts_and_pins(self, rng, ba_physical, monkeypatch):
-        monkeypatch.setattr(landmark_module, "_VECTOR_CACHE_SIZE", 2)
-        oracle = LandmarkOracle(ba_physical, n_landmarks=4, rng=rng)
-        hosts = ba_physical.largest_component_nodes()[:6]
-        assert oracle.warm(hosts) == 6  # cache grew to hold the working set
-        assert oracle.warm(hosts) == 0
-
 
 class TestCounters:
     def test_embed_sources_counted(self, rng, ba_physical):
@@ -143,9 +135,6 @@ class TestCounters:
 class TestDelayPairs:
     """The pairwise interface must match the vector path bit for bit —
     the struct-of-arrays engine mixes the two forms freely."""
-
-    def test_pairwise_cheap_advertised(self, rng, ba_physical):
-        assert LandmarkOracle(ba_physical, n_landmarks=4, rng=rng).pairwise_cheap
 
     def test_matches_vector_entries_exactly(self, rng, ba_physical):
         oracle = LandmarkOracle(ba_physical, n_landmarks=8, rng=rng)

@@ -17,27 +17,40 @@ comparison asserts the types of both sides —
 silently turn into array-vs-array.
 """
 
+import copy
 import dataclasses
 
 from repro.experiments.setup import Scenario, ScenarioConfig, build_scenario
+from repro.oracle.base import DelayOracle
 from repro.topology.overlay import Overlay
 from repro.topology.soa import ArrayOverlay
 
 
+def fresh_oracle(oracle: DelayOracle) -> DelayOracle:
+    """An oracle answering like *oracle*, over the same underlay, that
+    remembers no host pair: the oracle owns the host-pair store, so a twin
+    on the same oracle would read the pairs its original stored."""
+    clone = copy.deepcopy(oracle, {id(oracle.physical): oracle.physical})
+    clone._store.clear()
+    vars(clone).get("_partial", {}).clear()
+    return clone
+
+
 def twin(cls, overlay: Overlay) -> Overlay:
-    """A *cls* overlay with *overlay*'s peers, hosts, edges and oracle."""
+    """A *cls* overlay with *overlay*'s peers, hosts and edges, over a
+    fresh copy of its oracle."""
     peers = overlay.peers()
     twin = cls(overlay.physical, {p: overlay.host_of(p) for p in peers})
     for u in peers:
         for v in sorted(overlay.neighbors(u)):
             if u < v:
                 twin.connect(u, v)
-    twin.use_oracle(overlay.oracle)
+    twin.use_oracle(fresh_oracle(overlay.oracle))
     return twin
 
 
 def object_twin(overlay: Overlay) -> Overlay:
-    """An ``Overlay`` with *overlay*'s peers, hosts, edges and oracle."""
+    """An ``Overlay`` with *overlay*'s peers, hosts and edges (see :func:`twin`)."""
     return twin(Overlay, overlay)
 
 

@@ -19,6 +19,7 @@ from repro.core.ace import AceConfig, AceProtocol
 from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_experiment
 from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.experiments.static_env import run_static_experiment
+from repro.oracle.exact import ExactOracle
 from repro.perf import PerfCounters, counters, get_counters, reset_counters
 from repro.search import batch
 from repro.search.batch import propagate_many, run_queries
@@ -91,7 +92,7 @@ class TestBatchingCounters:
         assert counters.largest_batch == 4
 
     def test_warm_then_lookup_is_all_hits(self, line_physical):
-        line_physical.warm(range(5))
+        line_physical.delays_from_many(range(5))  # one batched solve, kept
         before = counters.copy()
         for u in range(5):
             for v in range(5):
@@ -270,7 +271,6 @@ class TestPerfSmoke:
             ov.connect(i, i + 1)
         solved = ov.warm_edge_costs()
         assert solved == ov.num_edges
-        ov.warm_sources(ov.peers())
         before = counters.copy()
         prop = propagate(ov, 0, blind_flooding_strategy(ov), ttl=None)
         delta = counters.delta(before)
@@ -282,15 +282,15 @@ class TestPerfSmoke:
 
 @pytest.mark.perf_smoke
 class TestExactOracleSolvesEachSourceOnce:
-    """Count gates for the array engine's call pattern under the exact oracle.
+    """Count gates for the engines' call pattern under the exact oracle.
 
-    ``warm_edge_costs`` streams a cover of the missing host pairs and copies
-    each source's two-hop probe pool out of the vector it already holds,
-    and the ACE step prefetches nothing: a source is solved during the step
-    only when a peer there probes a host that is in neither the host-pair
-    cache nor either end's pool, and neither end's row is resident in the
-    LRU.  The counts repeat
-    exactly per seed, so the gates need no timing and no tolerance.
+    ``warm_edge_costs`` has the oracle stream a cover of the missing host
+    pairs and keep each source's two-hop probe pool out of the vector it
+    already holds, and the ACE step prefetches nothing: a source is solved
+    during the step only when a peer there probes a host that is in neither
+    the oracle's host-pair store nor either end's partial row, and neither
+    end's row is resident in the LRU.  The counts repeat exactly per seed,
+    so the gates need no timing and no tolerance.
     """
 
     def test_step_solves_only_the_probes_that_missed_both_caches(
@@ -302,17 +302,17 @@ class TestExactOracleSolvesEachSourceOnce:
         overlay = build_scenario(config).fresh_overlay()
         protocol = AceProtocol(overlay, rng=np.random.default_rng(3))
         overlay.warm_edge_costs()
-        served = ArrayOverlay._memo_values
+        served = ExactOracle._read_partial
         missed = []
 
         def spy(self, hu, hosts):
-            # Reached only after the host-pair cache missed.
+            # Reached only after the host-pair store missed.
             values = served(self, hu, hosts)
             if values is None:
                 missed.append(hu)
             return values
 
-        monkeypatch.setattr(ArrayOverlay, "_memo_values", spy)
+        monkeypatch.setattr(ExactOracle, "_read_partial", spy)
         before = counters.copy()
         report = protocol.step()
         solved = counters.delta(before)["dijkstra_sources"]
@@ -351,12 +351,11 @@ class TestExactOracleSolvesEachSourceOnce:
             production, steps=3, query_samples=8
         )
         assert series["array"] == series["object"]
-        # Before step 1 the object engine fills the edge costs from 26
-        # sources (each link's lower peer), the array engine from 23 (a
-        # cover of the links).  The array engine then solves again only the
-        # hosts whose peers probe outside both ends' pools and rows resident
-        # in the LRU, the object engine every host whose peer probes at all.
-        assert per_step == [31, 2, 3, 12, 6, 2]
+        # Both engines fill the edge costs through the oracle, from 23
+        # sources (a cover of the links), and hand it the same probe pools,
+        # so each then solves again only the hosts whose peers probe
+        # outside both ends' pools and rows resident in the LRU.
+        assert per_step == [12, 6, 2, 12, 6, 2]
         assert counters.dijkstra_sources == 23 + 12 + 6 + 2
 
 

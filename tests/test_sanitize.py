@@ -367,8 +367,8 @@ overlay.warm_edge_costs()  # streams hosts 0 and 1, a cover of the links
 
     def test_wrong_memo_value_is_reported_with_peer_hosts_and_epoch(self):
         proc = run_snippet(self.WORLD + """
-pool, values = overlay._probe_memo[0]
-overlay._probe_memo[0] = (pool, values + 1.0)
+pool, values = overlay.oracle._partial[0]
+overlay.oracle._partial[0] = (pool, values + 1.0)
 overlay.costs_from(7, [9])
 assert sanitize.violation_count() == 1, sanitize.violations()
 message = sanitize.violations()[0]

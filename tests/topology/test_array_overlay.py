@@ -78,12 +78,14 @@ def physical():
 
 @pytest.fixture
 def pair(physical):
-    """An object overlay and its array conversion (aggressive compaction)."""
+    """An object overlay and an array conversion (aggressive compaction),
+    each over its own oracle: a conversion shares its source's, and the
+    tests below count each engine's oracle traffic apart."""
     obj = object_twin(
         random_overlay(physical, 36, avg_degree=5, rng=np.random.default_rng(9))
     )
     assert type(obj) is Overlay
-    arr = ArrayOverlay.from_overlay(obj, compact_threshold=3)
+    arr = ArrayOverlay.from_overlay(object_twin(obj), compact_threshold=3)
     return obj, arr
 
 

@@ -59,7 +59,7 @@ def overlay_bits(overlay):
     return (
         overlay._index, overlay._peers_cache, overlay._free, overlay._nslots,
         overlay._nbase, overlay._nedges, overlay._missing, overlay._edits,
-        overlay._extra, overlay._xlabel, overlay._cost_cache, overlay._probe_memo,
+        overlay._extra, overlay._xlabel, overlay.oracle._store,
         overlay._slots_canonical, overlay.epoch, type(overlay.oracle),
         arrays(
             overlay._slot_peer, overlay._slot_host, overlay._slot_degree,

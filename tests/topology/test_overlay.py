@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.oracle import exact as exact_module
+from repro.perf import counters, reset_counters
 from repro.topology.generators import grid
 from repro.topology.overlay import (
     Overlay,
@@ -252,9 +254,13 @@ class TestEdgeCostCache:
             hu, hv = triangle_overlay.host_of(u), triangle_overlay.host_of(v)
             assert triangle_overlay.cost(u, v) == pytest.approx(phys.delay(hu, hv))
 
-    def test_warm_edge_costs_chunked(self, ba_physical, rng):
+    def test_warm_edge_costs_chunked(self, ba_physical, rng, monkeypatch):
+        # The oracle streams the fill's rows four sources at a time.
+        monkeypatch.setattr(exact_module, "_CHUNK", 4)
         ov = small_world_overlay(ba_physical, 30, avg_degree=6, rng=rng)
-        assert ov.warm_edge_costs(chunk_size=4) == ov.num_edges
+        reset_counters()
+        assert ov.warm_edge_costs() == ov.num_edges
+        assert counters.largest_batch == 4
         for u, v in ov.edges():
             hu, hv = ov.host_of(u), ov.host_of(v)
             assert ov.cost(u, v) == pytest.approx(ba_physical.delay(hu, hv))
@@ -323,12 +329,6 @@ class TestEdgeCostCache:
         clone.disconnect(0, 1)
         assert clone.cached_edge_costs == 2
         assert triangle_overlay.cached_edge_costs == 3
-
-    def test_warm_sources_makes_peer_rooted_lookups_resident(self, triangle_overlay):
-        solved = triangle_overlay.warm_sources([0, 1, 2])
-        assert solved == 3
-        hosts = {triangle_overlay.host_of(p) for p in (0, 1, 2)}
-        assert hosts <= set(triangle_overlay.physical.cached_sources())
 
     def test_costs_from_populates_edge_cache_for_neighbors_only(
         self, triangle_overlay

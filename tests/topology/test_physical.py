@@ -247,30 +247,6 @@ class TestBatchedDijkstra:
         topo.delays_from_many([0, 1, 2], cache=False)
         assert topo.cached_sources() == []
 
-    def test_warm_returns_solved_count_and_is_idempotent(self):
-        topo = make_line()
-        assert topo.warm([0, 1, 2]) == 3
-        assert topo.warm([0, 1, 2]) == 0  # already resident
-
-    def test_warm_grows_capacity_beyond_initial_lru(self):
-        topo = PhysicalTopology(
-            6, [(i, i + 1) for i in range(5)], [1.0] * 5, cache_size=2
-        )
-        topo.warm(range(6))
-        assert topo.dijkstra_cache_size >= 6
-        assert sorted(topo.cached_sources()) == [0, 1, 2, 3, 4, 5]
-
-    def test_warm_chunking_covers_all_sources(self):
-        topo = PhysicalTopology(
-            8, [(i, i + 1) for i in range(7)], [1.0] * 7
-        )
-        assert topo.warm(range(8), chunk_size=3) == 8
-        assert sorted(topo.cached_sources()) == list(range(8))
-
-    def test_warm_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            make_line().warm([0], chunk_size=0)
-
     def test_batched_results_survive_path_queries(self):
         # A batched (distance-only) entry upgraded by a path() call must
         # stay consistent: path cost equals the batched delay.
@@ -339,7 +315,7 @@ class TestLruCoherence:
         # This test *is* the coherence contract:
         # it may inspect the private LRUs to prove they never drift.
         assert set(topo._pred_cache) <= set(topo._dist_cache)
-        assert len(topo._dist_cache) <= topo.dijkstra_cache_size
+        assert len(topo._dist_cache) <= topo._cache_size
 
 
 def undirected_reference(topo):

@@ -1,12 +1,13 @@
-"""The array engine's probe memo vs. the object engine, bit for bit.
+"""The exact oracle's partial rows (the probe memo) vs. the object engine.
 
-Under an exact oracle :meth:`ArrayOverlay.warm_edge_costs` copies, out of
-every vector it streams, the delays to the hosts within two logical hops of
-the pending peers on that source host; ``costs_from`` / ``cost`` read that
-memo after the unordered host-pair cache and before faulting a vector.  The
-memo may change how many sources are solved and never which float a lookup
-returns.  Link delays sit on the 2**-10 grid, so ``dist[u][v]`` and
-``dist[v][u]`` are one float; every case below still compares bits.
+:meth:`ArrayOverlay.warm_edge_costs` hands the oracle, with its missing
+host pairs, the hosts within two logical hops of the pending peers on each
+end; :meth:`ExactOracle.delay_pairs` keeps their delays out of every vector
+it streams, and a single-source query reads them after the host-pair store
+and before the LRU and a solve.  The partial rows may change how many
+sources are solved and never which float a lookup returns.  Link delays sit
+on the 2**-10 grid, so ``dist[u][v]`` and ``dist[v][u]`` are one float;
+every case below still compares bits.
 """
 
 import os
@@ -40,16 +41,22 @@ def line(cache_size=2):
 
 
 def pair(physical, hosts, edges):
-    """The same peers and links on both engines, over one exact oracle.
+    """The same peers and links on both engines, each over its own exact
+    oracle (a conversion shares its source's, so the array engine converts
+    a second object build).
 
     *edges* land in the array engine's packed CSR; links made afterwards
     sit in its edit buffer and cuts leave tombstones, so the named cases
     below read pools across all three.
     """
-    obj = Overlay(physical, hosts, oracle=ExactOracle(physical))
-    for u, v in edges:
-        obj.connect(u, v)
-    return obj, ArrayOverlay.from_overlay(obj)
+
+    def build():
+        obj = Overlay(physical, hosts, oracle=ExactOracle(physical))
+        for u, v in edges:
+            obj.connect(u, v)
+        return obj
+
+    return build(), ArrayOverlay.from_overlay(build())
 
 
 def solved_by(call):
@@ -72,10 +79,11 @@ HUB = [(1, 2), (2, 3), (1, 4)]
 class TestNamedCases:
     def test_the_fill_solves_from_a_cover_of_the_missing_pairs(self):
         obj, arr = pair(line(), ONE_PER_HOST, [(1, 0), (1, 2), (1, 3)])
-        # The object engine solves from each link's lower peer: 0 and 1.
-        assert solved_by(obj.warm_edge_costs) == (3, 2)
+        # Both fills ask the oracle, which solves from the cover {1} and
+        # keeps host 1's pool.
+        assert solved_by(obj.warm_edge_costs) == (3, 1)
         assert solved_by(arr.warm_edge_costs) == (3, 1)
-        assert sorted(arr._probe_memo) == [1]
+        assert sorted(obj.oracle._partial) == sorted(arr.oracle._partial) == [1]
         for u, v in obj.edges():
             assert arr.cost(u, v).hex() == obj.cost(u, v).hex()
 
@@ -89,7 +97,7 @@ class TestNamedCases:
     def test_probe_is_served_from_the_far_ends_row(self):
         obj, arr = pair(line(), ONE_PER_HOST, HUB)
         arr.warm_edge_costs()
-        assert 3 not in arr._probe_memo and 4 not in arr._probe_memo
+        assert 3 not in arr.oracle._partial and 4 not in arr.oracle._partial
         got, solved = solved_by(lambda: arr.costs_from(3, [1]))
         also, solved_also = solved_by(lambda: arr.costs_from(4, [2]))
         assert (solved, solved_also) == (0, 0)
@@ -110,10 +118,11 @@ class TestNamedCases:
         obj, arr = pair(line(), ONE_PER_HOST, HUB)
         arr.warm_edge_costs()
         # White-box: hosts 1 and 2 are both sources, each row holds the other.
-        one_to_two = arr._memo_values(1, [2]).item(0)
-        two_to_one = arr._memo_values(2, [1]).item(0)
+        read = arr.oracle._read_partial
+        one_to_two = read(1, [2]).item(0)
+        two_to_one = read(2, [1]).item(0)
         assert one_to_two.hex() == two_to_one.hex() == obj.cost(1, 2).hex()
-        assert arr._memo_values(1, [4]).item(0) == arr._memo_values(4, [1]).item(0)
+        assert read(1, [4]).item(0) == read(4, [1]).item(0)
 
     def test_probe_outside_the_pools_reads_the_far_ends_resident_row(self):
         physical = line(cache_size=4)
@@ -132,7 +141,7 @@ class TestNamedCases:
             overlay.connect(1, 0)
             overlay.connect(1, 5)
             overlay.warm_edge_costs()
-        assert arr._probe_memo[1][0].tolist() == [0, 1, 2, 4, 5]
+        assert arr.oracle._partial[1][0].tolist() == [0, 1, 2, 4, 5]
         # Host 3 left host 1's pool with the cut link (the first pool held
         # it), and host 3 was never a source: the read faults.
         got, solved = solved_by(lambda: arr.costs_from(1, [3]))
@@ -151,7 +160,7 @@ class TestNamedCases:
         physical = line(cache_size=1)
         first = ArrayOverlay(physical, ONE_PER_HOST).cost(0, 3)
         physical.delays_from(3)  # evicts host 0: only the far end is resident
-        # A fresh overlay has an empty host-pair cache, so this misses again.
+        # A fresh overlay has a fresh oracle, so this misses its store again.
         second = ArrayOverlay(physical, ONE_PER_HOST).cost(0, 3)
         assert first.hex() == second.hex() == FROM_0_TO_3.hex()
 
@@ -165,13 +174,19 @@ class TestNamedCases:
         assert solved_by(lambda: arr.costs_from(1, [3]))[1] == 1
 
     def test_pairwise_cheap_oracle_never_fills_the_memo(self):
+        # An embedding answers pairs directly: it reads no row, so it never
+        # asks the overlay which hosts to keep.
         physical = line()
         _, arr = pair(physical, ONE_PER_HOST, [(0, 1), (1, 2)])
         arr.use_oracle(
             LandmarkOracle(physical, n_landmarks=2, rng=np.random.default_rng(0))
         )
+        asked = []
+        pools = arr._probe_pools
+        arr._probe_pools = lambda slots: asked.append(slots) or pools(slots)
         assert arr.warm_edge_costs() == 2
-        assert arr._probe_memo == {}
+        assert asked == []
+        assert not hasattr(arr.oracle, "_partial")
 
 
 #: Reads and warms outnumber the rest; a new oracle empties every cache, so
@@ -184,7 +199,8 @@ OPS = (
 
 
 def drive(seed, compact, ops):
-    """Apply *ops* to both engines over one exact oracle, comparing bits."""
+    """Apply *ops* to both engines, each over its own exact oracle on one
+    underlay (so each fills its own store), comparing bits."""
     rng = np.random.default_rng(seed)
     # A ring of 12 hosts with two chords: ~10 peers revisit the same host
     # pairs from both ends.  The LRU holds three vectors, so sources are
@@ -194,10 +210,11 @@ def drive(seed, compact, ops):
     physical = PhysicalTopology(
         nodes, links, rng.uniform(0.1, 1.0, size=len(links)), cache_size=3
     )
-    oracle = ExactOracle(physical)
     hosts = {p: int(h) for p, h in enumerate(rng.integers(0, nodes, size=10))}
-    obj = Overlay(physical, hosts, oracle=oracle)
-    arr = ArrayOverlay(physical, hosts, oracle=oracle, compact_threshold=compact)
+    obj = Overlay(physical, hosts, oracle=ExactOracle(physical))
+    arr = ArrayOverlay(
+        physical, hosts, oracle=ExactOracle(physical), compact_threshold=compact
+    )
     next_id = len(hosts)
 
     def both(call):
@@ -232,15 +249,14 @@ def drive(seed, compact, ops):
             want, got = both(lambda o: o.costs_from(p, targets))
             assert bits(got) == bits(want)
         elif op == "cost":
-            # Overlay.cost() asks the exact engine's scalar delay(), which
-            # reads whichever endpoint is resident; both hold one float.
+            # Each oracle reads whichever end of the pair it holds; both
+            # ends hold one float.
             want, got = both(lambda o: o.cost(p, q))
             assert got.hex() == want.hex()
         elif op == "copy":
             obj, arr = obj.copy(), arr.copy()
         elif op == "use_oracle":
-            oracle = ExactOracle(physical)
-            both(lambda o: o.use_oracle(oracle))
+            both(lambda o: o.use_oracle(ExactOracle(physical)))
         assert arr.epoch == obj.epoch
 
     both(lambda o: o.warm_edge_costs())
