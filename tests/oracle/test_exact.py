@@ -158,10 +158,27 @@ class TestStoreLifetime:
         ]
 
 
-def _grid_line(n, cache_size, delays):
+def _path_with_chords(n, cache_size, delays):
     """A path of *n* hosts with two chords, its LRU *cache_size* rows."""
     links = [(i, i + 1) for i in range(n - 1)] + [(0, n // 2), (1, n - 1)]
     return PhysicalTopology(n, links, delays[: len(links)], cache_size=cache_size)
+
+
+def _random_keep(pairs, n, seed):
+    """A ``keep`` callback naming a random pool per host it is asked about,
+    and the dict of the pools it named."""
+    pick = np.random.default_rng(seed)
+    pools = {}
+
+    def keep(first):
+        read = {u if f else v for (u, v), f in zip(pairs, first.tolist()) if u != v}
+        pools.update(
+            (h, np.unique(pick.integers(0, n, size=1 + pick.integers(n))))
+            for h in sorted(read)
+        )
+        return pools
+
+    return keep, pools
 
 
 @settings(max_examples=80, deadline=None)
@@ -191,7 +208,7 @@ def test_every_tier_answers_the_fresh_solve(n, cache_size, delays, ops):
     queries: every answer is a fresh solve's float, and a query solves only
     when no tier holds what it asks (store per pair; partial rows, or the
     resident rows of the source or of every target, for all that is left)."""
-    physical = _grid_line(n, cache_size, [d / 1024 for d in delays])
+    physical = _path_with_chords(n, cache_size, [d / 1024 for d in delays])
     fresh = PhysicalTopology(
         n, [(u, v) for u, v, _ in physical.edges()],
         [d for *_, d in physical.edges()],
@@ -211,18 +228,7 @@ def test_every_tier_answers_the_fresh_solve(n, cache_size, delays, ops):
     for op in ops:
         if op[0] == "fill":
             pairs = [(u % n, v % n) for u, v in op[1]]
-            pick = np.random.default_rng(op[2])
-
-            pools = {}
-
-            def keep(first):
-                read = {u if f else v for (u, v), f in zip(pairs, first.tolist()) if u != v}
-                pools.update(
-                    (h, np.unique(pick.integers(0, n, size=1 + pick.integers(n))))
-                    for h in sorted(read)
-                )
-                return pools
-
+            keep, pools = _random_keep(pairs, n, op[2])
             got = oracle.delay_pairs([u for u, _ in pairs], [v for _, v in pairs], keep=keep)
             assert [d.hex() for d in got.tolist()] == [truth(u, v) for u, v in pairs]
             for h, pool in pools.items():  # each row read keeps what keep named
@@ -233,8 +239,8 @@ def test_every_tier_answers_the_fresh_solve(n, cache_size, delays, ops):
         _, s, targets, far = op
         s, targets = s % n, [t % n for t in targets]
         if far and oracle._partial:
-            # Ask from a host inside some row, for that row's host: only the
-            # far end holds the pair.
+            # Ask from a host inside some row for that row's host, so the
+            # far end's row holds the pair.
             rows = sorted(oracle._partial)
             h = rows[s % len(rows)]
             near = oracle._partial[h][0].tolist()
