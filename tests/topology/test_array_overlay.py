@@ -466,7 +466,7 @@ class TestCostEquivalence:
         u = peers[0]
         candidates = [p for p in peers[1:] if not obj.has_edge(u, p)]
         v = candidates[0]
-        obj.costs_from(u, [v])  # populate the host-pair cache in both
+        obj.costs_from(u, [v])  # put the pair in both oracles' stores
         arr.costs_from(u, [v])
         obj.connect(u, v)
         arr.connect(u, v)
@@ -508,8 +508,8 @@ class TestCopySemantics:
         _, arr = pair
         clone = arr.copy()
         clone.warm_edge_costs()
-        # The host-pair cache is shared (object-engine contract), so the
-        # original can fill its per-edge costs without new underlay solves.
+        # A copy shares the oracle and so its host-pair store: the original
+        # can fill its per-edge costs without new underlay solves.
         runs_before = counters.dijkstra_runs
         arr.warm_edge_costs()
         assert counters.dijkstra_runs == runs_before

@@ -320,7 +320,7 @@ class TestEdgeCostCache:
         triangle_overlay.warm_edge_costs()
         triangle_overlay.invalidate_edge_costs()
         assert triangle_overlay.cached_edge_costs == 0
-        # Costs still correct afterwards (recomputed through host-pair cache).
+        # Costs still correct afterwards (read from the oracle's store).
         assert triangle_overlay.cost(0, 1) == pytest.approx(30.0)
 
     def test_copy_gets_private_edge_cost_cache(self, triangle_overlay):
