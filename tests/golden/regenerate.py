@@ -11,10 +11,13 @@ sheds and keep-both adds, so a change that keeps the figures but moves what
 a step did still shows.
 ``worlds.json`` holds sha256 digests of generated worlds: every underlay
 kind under every overlay kind at 600 nodes / 120 peers (seeds 1-3), a Waxman
-underlay sparse enough to need its components joined, and the ``static_8k``
-benchmark world (20,000 nodes / 8,000 peers, seed 61).  An underlay's digest
-covers its ``(u, v, delay.hex())`` links in order and its coordinates; an
-overlay's covers its hosts and sorted adjacency.
+underlay sparse enough to need its components joined, the ``static_8k``
+benchmark world (20,000 nodes / 8,000 peers, seed 61), and the synthetic
+Gnutella crawl on every underlay kind (same sizes and seeds) and on the
+``topology_properties`` figure row's underlay (``figures.BASE``).  An
+underlay's digest covers its ``(u, v, delay.hex())`` links in order and its
+coordinates; an overlay's covers its hosts and sorted adjacency.  A crawl
+also records its epoch: one bump per peer and per link.
 ``tests/golden/test_golden.py`` recomputes both and compares the files bit
 for bit.  A change that moves a figure or a world on purpose rewrites them
 with::
@@ -37,6 +40,7 @@ import numpy as np
 
 from repro.core.ace import AceProtocol
 from repro.experiments.dynamic_env import DynamicConfig, run_dynamic_experiment
+from repro.experiments.figures import BASE
 from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.experiments.static_env import run_static_experiment
 from repro.topology.generators import waxman
@@ -46,6 +50,7 @@ from repro.topology.overlay import (
     random_overlay,
     small_world_overlay,
 )
+from repro.topology.trace import synthesize_gnutella_snapshot
 
 GOLDEN = Path(__file__).with_name("paper_default.json")
 WORLDS = Path(__file__).with_name("worlds.json")
@@ -136,9 +141,17 @@ def world_digest(overlay: Overlay) -> Dict[str, str]:
     }
 
 
-def worlds() -> Dict[str, Dict[str, str]]:
+def crawl_digest(physical, n_peers: int, seed: int) -> Dict[str, object]:
+    """The digest and epoch of a synthetic crawl on *physical*."""
+    crawl = synthesize_gnutella_snapshot(
+        physical, n_peers=n_peers, rng=np.random.default_rng(seed)
+    )
+    return {**world_digest(crawl), "epoch": crawl.epoch}
+
+
+def worlds() -> Dict[str, Dict[str, object]]:
     """The digest of every golden world, built by the code as it stands."""
-    out: Dict[str, Dict[str, str]] = {}
+    out: Dict[str, Dict[str, object]] = {}
     for underlay in UNDERLAY_KINDS:
         for kind in OVERLAYS:
             for seed in (1, 2, 3):
@@ -146,9 +159,12 @@ def worlds() -> Dict[str, Dict[str, str]]:
                     physical_nodes=600, peers=120, underlay=underlay,
                     overlay_kind=kind, seed=seed,
                 )
-                out[f"{underlay}/{kind}/{seed}"] = world_digest(
-                    build_scenario(config).overlay
-                )
+                scenario = build_scenario(config)
+                out[f"{underlay}/{kind}/{seed}"] = world_digest(scenario.overlay)
+                if kind == "random":
+                    out[f"{underlay}/crawl/{seed}"] = crawl_digest(
+                        scenario.physical, 120, seed
+                    )
     # At alpha 0.02 a 600-node Waxman draw falls into ~45 components, so
     # these worlds also pin the closest-pair joins.
     for kind, build in OVERLAYS.items():
@@ -158,6 +174,10 @@ def worlds() -> Dict[str, Dict[str, str]]:
             out[f"waxman_alpha_0.02/{kind}/{seed}"] = world_digest(overlay)
     static_8k = ScenarioConfig(physical_nodes=20000, peers=8000, avg_degree=6.0, seed=61)
     out["static_8k"] = world_digest(build_scenario(static_8k).overlay)
+    # The crawl the topology_properties figure row analyses.
+    out["topology_properties/crawl"] = crawl_digest(
+        build_scenario(BASE).physical, BASE.peers, BASE.seed
+    )
     return out
 
 
