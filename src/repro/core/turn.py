@@ -215,9 +215,10 @@ def phases12(view, peer: int, depth: int) -> tuple:
 
     The closure is a BFS over ``view.live_row(u)``; the induced rows are
     then lowered in peer-id order and handed to :func:`local_phases12`,
-    whose tuple this returns.  The view's costs must be known (an
-    ``ArrayOverlay`` warmed first); a view that has to ask for a reading
-    raises instead (:class:`~repro.net.snapshot.NeedProbes`).
+    whose tuple this returns.  The view's costs must be known: an
+    ``ArrayOverlay`` warmed first, or a
+    :class:`~repro.net.snapshot.SnapshotView`, whose rows read the gathered
+    tables.
     """
     rows: Dict[int, tuple] = {}
     seen = {peer}

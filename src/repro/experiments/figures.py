@@ -41,10 +41,9 @@ from ..search.random_walk import random_walk_query
 from ..search.tree_routing import ace_strategy
 from ..sim.churn import ChurnConfig
 from ..topology.autonomous_systems import as_traffic_report, transit_stub
-from ..topology.overlay import small_world_overlay
+from ..topology.overlay import small_world_overlay, synthesize_gnutella_snapshot
 from ..topology.properties import analyze, clustering_coefficient
 from ..topology.supernode import build_two_tier, two_tier_query
-from ..topology.trace import synthesize_gnutella_snapshot
 from .depth_sweep import DepthSweepConfig, run_depth_sweep
 from .dynamic_env import DynamicConfig, run_dynamic_experiment, run_dynamic_trials
 from .opt_rate import (

@@ -537,10 +537,10 @@ class LivePeer:
         """Execute one ACE phase: gather the reads, decide, send the mutations.
 
         The reads go out one concurrent round per closure level: the
-        neighbors' tables and probes first, then each next level's tables.
-        The decision runs synchronously on this loop.  When Phase 3 names
-        peers not yet probed, they are probed together and the turn re-runs
-        from the token, so its draws repeat exactly.
+        neighbors' tables (and, for Phase 1, probes) first, then each next
+        level's tables.  The decision runs synchronously on this loop.  When
+        Phase 3 names peers not yet probed, they are probed together and the
+        turn re-runs from the token, so its draws repeat exactly.
         """
         rng_state = None if turn.phase == "recompute" else turn.rng_state
         me, mine = self.peer_id, frozenset(self.neighbors)
@@ -548,7 +548,7 @@ class LivePeer:
         probed: Dict[int, float] = {}
         level, seen = sorted(mine), {me, *mine}
         # Phase 1 probes every neighbor; a recompute (Phase 2 only) probes
-        # just those its closure asks for, below.
+        # nobody, as its closure reads only tables.
         asks: List[Tuple[int, object]] = []
         if rng_state is not None:
             asks = [(p, CostProbe(sender=me, target=p)) for p in level]

@@ -73,8 +73,8 @@ class SnapshotView:
     floats.  A mutation edits the snapshot as a re-fetch would see it and
     is appended to :attr:`log` as ``("connect" | "disconnect", other)``.
     Costs from this peer to unprobed peers raise :class:`NeedProbes`
-    naming all of them.  :meth:`live_row` gives Phases 1-2 one reading per
-    link, the lower endpoint's.
+    naming all of them.  :meth:`live_row` reads only tables, so Phases 1-2
+    never need a probe.
     """
 
     def __init__(
@@ -119,29 +119,17 @@ class SnapshotView:
     def live_row(self, u: int) -> Tuple[List[int], List[float]]:
         """*u*'s neighbors, ascending, and each link's cost.
 
-        A link reads its lower endpoint's answer — a table, or this peer's
-        probe — so the two ends of a link agree even where their tables
-        differ in the last bit.  A link whose lower endpoint was not
-        gathered (it lies outside the closure) reads *u*'s own.  The
-        links this peer's probes answer raise one :class:`NeedProbes`
-        naming every unprobed peer among them.
+        Row *u* reads ``tables[u]``; this peer's own row reads each
+        neighbor's table entry for it (every neighbor's table is gathered
+        at the first level).  Both ends of a link hold the same float — the
+        delays sit on a grid and every cost row comes from one overlay — so
+        the end a link is read from never changes a bit.
         """
         nbrs = sorted(self._row(u))
-        costs: List[float] = []
-        missing: List[int] = []
-        for v in nbrs:
-            lo, hi = (u, v) if u < v else (v, u)
-            if lo != self.peer and lo not in self._tables:
-                lo, hi = u, v
-            if lo != self.peer:
-                costs.append(self._tables[lo][hi])
-            elif hi in self._probed:
-                costs.append(self._probed[hi])
-            else:
-                missing.append(hi)
-        if missing:
-            raise NeedProbes(missing)
-        return nbrs, costs
+        if u == self.peer:
+            return nbrs, [self._tables[v][u] for v in nbrs]
+        table = self._tables[u]
+        return nbrs, [table[v] for v in nbrs]
 
     def connect(self, u: int, v: int) -> bool:
         other = self._other(u, v)

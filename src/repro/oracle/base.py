@@ -17,10 +17,12 @@ with triangle-inequality error bounds.  ``tests/test_perf.py`` holds
 ``repro.core``/``repro.search`` to the seam (a landmark-oracle run solves
 nothing beyond its embedding).
 
-The oracle is also the one object that remembers a host-pair delay.  A
-link's cost is a fact of its two hosts, so every pair a
-:meth:`~DelayOracle.delays_from` with targets or a
-:meth:`~DelayOracle.delay_pairs` answers goes into the oracle's store, and
+The seam is three calls, the whole of what a run asks:
+:meth:`~DelayOracle.known`, :meth:`~DelayOracle.delays_from` (one source,
+listed targets) and :meth:`~DelayOracle.delay_pairs` (a bulk fill of
+aligned pairs).  The oracle is also the one object that remembers a
+host-pair delay.  A link's cost is a fact of its two hosts, so every pair
+the two lookups answer goes into the oracle's store, and
 :meth:`~DelayOracle.known` reads it back without doing any work.  Overlays
 keep only their per-edge cost column: copies of an overlay share the store
 because they share the oracle, and a new oracle starts with an empty one.
@@ -29,16 +31,7 @@ because they share the oracle, and a new oracle starts with an empty one.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,23 +83,30 @@ class DelayOracle(ABC):
         for u, v, d in zip(sources, targets, delays):
             store[(u, v) if u < v else (v, u)] = d
 
-    @abstractmethod
-    def delay(self, u: int, v: int) -> float:
-        """Delay between hosts *u* and *v* (0 when ``u == v``)."""
+    def _host_arrays(
+        self, sources: Sequence[int], targets: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """*sources* and *targets* as aligned int64 host arrays; a length
+        mismatch or an id outside the underlay raises ``ValueError``."""
+        us = np.asarray(sources, dtype=np.int64)
+        vs = np.asarray(targets, dtype=np.int64)
+        if us.shape != vs.shape:
+            raise ValueError("sources and targets must have equal length")
+        n = self._physical.num_nodes
+        if len(us) and (min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= n):
+            raise ValueError("host id out of range")
+        return us, vs
 
-    def delays_from(
-        self, source: int, targets: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Delays from *source* to every node, or just to *targets*.
+    def delays_from(self, source: int, targets: Sequence[int]) -> np.ndarray:
+        """Delays from *source* to *targets*, as an array aligned with them.
 
-        With ``targets=None`` returns the full length-``num_nodes`` vector
-        (indexable by host id; the caller must not mutate it).  Otherwise a
-        1-D array aligned with *targets*: each pair the store holds is read
-        from it, and the rest are answered by one backend lookup and
-        remembered.
+        Each pair the store holds is read from it, and the rest are answered
+        by one backend lookup and remembered.  The store holds only checked
+        ids, so checking *source* here and the rest in the lookup refuses
+        every id outside the underlay, a pair of one host included.
         """
-        if targets is None:
-            return self._row(source)
+        if not 0 <= source < self._physical.num_nodes:
+            raise ValueError(f"source {source} out of range")
         held = [self.known(source, t) for t in targets]
         if None in held:
             rest = [t for t, d in zip(targets, held) if d is None]
@@ -115,23 +115,10 @@ class DelayOracle(ABC):
         return np.array(held, dtype=np.float64)
 
     @abstractmethod
-    def _row(self, source: int) -> np.ndarray:
-        """The full delay vector of *source*."""
-
-    @abstractmethod
     def _lookup(self, source: int, targets: List[int]) -> np.ndarray:
         """Delays from *source* to *targets*, none of them in the store;
-        remembered before they are returned."""
-
-    @abstractmethod
-    def delays_from_many(
-        self, sources: Iterable[int], cache: bool = True
-    ) -> Dict[int, np.ndarray]:
-        """Full delay vectors for several sources: ``{source: vector}``.
-
-        ``cache=False`` asks the backend not to retain the vectors beyond
-        the call (bounded memory when streaming a large source set).
-        """
+        remembered before they are returned.  An id outside the underlay
+        raises ``ValueError``."""
 
     @abstractmethod
     def delay_pairs(
@@ -144,11 +131,13 @@ class DelayOracle(ABC):
 
         The bulk fill: every pair is answered, none is looked up in the
         store first (a caller asks :meth:`known` before it lists a pair),
-        and all are remembered.  Must return exactly the values the vector
-        interface would: ``delay_pairs(us, vs)[i] == delays_from(us[i])[vs[i]]``
-        bit for bit, so callers may mix the two forms without perturbing the
-        one-seed-one-figure contract.  A backend that streams whole rows
-        calls *keep* (see :data:`Keep`) with the end it reads each pair
-        off, and holds on to the parts of those rows it names; one that
-        answers pairs directly ignores it.
+        and all are remembered.  Must return exactly the values the
+        single-source form would: ``delay_pairs(us, vs)[i] ==
+        delays_from(us[i], [vs[i]])[0]`` bit for bit, so callers may mix the
+        two forms without perturbing the one-seed-one-figure contract.  An id
+        outside the underlay raises ``ValueError`` before any pair is
+        answered.  A backend that streams whole rows calls *keep* (see
+        :data:`Keep`) with the end it reads each pair off, and holds on to
+        the parts of those rows it names; one that answers pairs directly
+        ignores it.
         """

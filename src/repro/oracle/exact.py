@@ -74,13 +74,6 @@ class ExactOracle(DelayOracle):
         #: Partial rows: source host -> (sorted hosts, their delays).
         self._partial: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def delay(self, u: int, v: int) -> float:
-        """Exact delay between *u* and *v* (LRU-served, Dijkstra on miss)."""
-        return self._physical.delay(u, v)
-
-    def _row(self, source: int) -> np.ndarray:
-        return self._physical.delays_from(source)
-
     def _lookup(self, source: int, targets: List[int]) -> np.ndarray:
         got = self._read_partial(source, targets)
         if got is None:
@@ -115,11 +108,10 @@ class ExactOracle(DelayOracle):
             out[i] = values[j]
         return out
 
-    def delays_from_many(
-        self, sources: Iterable[int], cache: bool = True
-    ) -> Dict[int, np.ndarray]:
-        """Exact vectors for several sources via one batched solve."""
-        return self._physical.delays_from_many(sources, cache=cache)
+    def delays_from_many(self, sources: Iterable[int]) -> Dict[int, np.ndarray]:
+        """Exact rows for several sources via one batched solve, not kept:
+        the chunk solve of :meth:`delay_pairs`."""
+        return self._physical.delays_from_many(sources)
 
     def delay_pairs(
         self,
@@ -136,10 +128,7 @@ class ExactOracle(DelayOracle):
         target's.  While it holds a row, the fill keeps the part *keep*
         names as that host's partial row, replacing any older one.
         """
-        us = np.asarray(sources, dtype=np.int64)
-        vs = np.asarray(targets, dtype=np.int64)
-        if us.shape != vs.shape:
-            raise ValueError("sources and targets must have equal length")
+        us, vs = self._host_arrays(sources, targets)
         out = np.zeros(len(us), dtype=np.float64)
         solve = np.flatnonzero(us != vs)
         if not len(solve):
@@ -153,7 +142,7 @@ class ExactOracle(DelayOracle):
         groups = np.split(order, starts[1:])
         for start in range(0, len(heads), _CHUNK):
             chunk = heads[start : start + _CHUNK].tolist()
-            rows = self.delays_from_many(chunk, cache=False)
+            rows = self.delays_from_many(chunk)
             for h, at in zip(chunk, groups[start : start + _CHUNK]):
                 row = rows[h]
                 pool = kept.get(h)

@@ -26,9 +26,8 @@ underlay: the k solves cost a fraction of a second at 20,000 nodes.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from operator import add, sub
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,9 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
     from ..topology.physical import PhysicalTopology
 
 __all__ = ["LandmarkOracle"]
-
-#: LRU capacity for the estimate vectors :meth:`delays_from` serves.
-_VECTOR_CACHE_SIZE = 128
 
 
 class LandmarkOracle(DelayOracle):
@@ -68,7 +64,6 @@ class LandmarkOracle(DelayOracle):
         if n_landmarks < 1:
             raise ValueError("need at least one landmark")
         super().__init__(physical)
-        self._vector_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self.landmarks, self._embedding = self._select_maxmin(
             n_landmarks, ensure_rng(rng)
         )
@@ -105,7 +100,7 @@ class LandmarkOracle(DelayOracle):
     def _solve_row(self, landmark: int) -> np.ndarray:
         """One embedding row: exact delays from *landmark* to every node."""
         counters.landmark_embed_sources += 1
-        return self._physical.delays_from_many([landmark], cache=False)[landmark]
+        return self._physical.delays_from_many([landmark])[landmark]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -141,43 +136,9 @@ class LandmarkOracle(DelayOracle):
             upper = float(np.min(xu + xv))
         return lower, upper
 
-    def delay(self, u: int, v: int) -> float:
-        """Estimated delay: the one-pair case of :meth:`delay_pairs`."""
-        if self._finite:
-            return self._estimate_pair(u, v)
-        return float(self.delay_pairs([u], [v])[0])
-
-    def _estimate_vector(self, source: int) -> np.ndarray:
-        """Estimated delays from *source* to every node (vectorized)."""
-        x = self._embedding
-        xs = x[:, source : source + 1]
-        with np.errstate(invalid="ignore"):
-            lower = np.max(np.abs(x - xs), axis=0)
-            upper = np.min(x + xs, axis=0)
-            est = 0.5 * (lower + upper)
-        est = np.where(np.isnan(est), np.inf, est)
-        est[source] = 0.0
-        est.flags.writeable = False
-        counters.oracle_estimates += 1
-        return est
-
     # ------------------------------------------------------------------
-    # DelayOracle batched interface
+    # DelayOracle interface
     # ------------------------------------------------------------------
-
-    def _row(self, source: int) -> np.ndarray:
-        """The estimate vector of *source*, LRU-cached."""
-        if not (0 <= source < self._physical.num_nodes):
-            raise ValueError(f"source {source} out of range")
-        vec = self._vector_cache.get(source)
-        if vec is None:
-            vec = self._estimate_vector(source)
-            self._vector_cache[source] = vec
-            while len(self._vector_cache) > _VECTOR_CACHE_SIZE:
-                self._vector_cache.popitem(last=False)
-        else:
-            self._vector_cache.move_to_end(source)
-        return vec
 
     def _lookup(self, source: int, targets: List[int]) -> np.ndarray:
         # A pair is O(n_landmarks) arithmetic: estimate just the pairs asked.
@@ -189,14 +150,13 @@ class LandmarkOracle(DelayOracle):
         targets: Sequence[int],
         keep: Optional[Keep] = None,
     ) -> np.ndarray:
-        """Pairwise embedding estimates, bit-identical to the vector path.
+        """Pairwise embedding estimates, one column of the embedding per end.
 
-        The arithmetic mirrors :meth:`_estimate_vector` column for column —
-        the same elementwise ops and the same axis-0 reductions over the
-        landmark dimension — so ``delay_pairs(us, vs)[i]`` equals
-        ``delays_from(us[i])[vs[i]]`` exactly (max/min are order-exact).
-        NaN (both hosts outside the landmarks' component: the embedding
-        carries no information) is reported as unreachable, ``inf``.
+        The same elementwise ops and axis-0 reductions over the landmark
+        dimension at any number of pairs (max/min are order-exact), so a
+        pair's estimate does not depend on the pairs beside it.  NaN (both
+        hosts outside the landmarks' component: the embedding carries no
+        information) is reported as unreachable, ``inf``.
 
         Exactly one pair over a finite embedding — a Phase-3 probe — runs
         the same operations on Python floats instead (:meth:`_estimate_pair`).
@@ -206,16 +166,9 @@ class LandmarkOracle(DelayOracle):
             d = self._estimate_pair(sources[0], targets[0])
             self._remember(sources, targets, [d])
             return np.array([d])
-        us = np.asarray(sources, dtype=np.int64)
-        vs = np.asarray(targets, dtype=np.int64)
-        if us.shape != vs.shape:
-            raise ValueError("sources and targets must have equal length")
+        us, vs = self._host_arrays(sources, targets)
         if len(us) == 0:
             return np.empty(0, dtype=np.float64)
-        n = self._physical.num_nodes
-        for arr in (us, vs):
-            if int(arr.min()) < 0 or int(arr.max()) >= n:
-                raise ValueError("host id out of range")
         x = self._embedding
         xu = x[:, us]
         xv = x[:, vs]
@@ -247,22 +200,6 @@ class LandmarkOracle(DelayOracle):
         lower = max(map(abs, map(sub, xu, xv)))
         upper = min(map(add, xu, xv))
         return 0.5 * (lower + upper)
-
-    def delays_from_many(
-        self, sources: Iterable[int], cache: bool = True
-    ) -> Dict[int, np.ndarray]:
-        """Estimate vectors for several sources — no Dijkstra, ever."""
-        out: Dict[int, np.ndarray] = {}
-        for raw in sources:
-            s = int(raw)
-            if s in out:
-                continue
-            if cache:
-                out[s] = self.delays_from(s)
-                continue
-            cached = self._vector_cache.get(s)
-            out[s] = cached if cached is not None else self._estimate_vector(s)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -362,7 +362,7 @@ def _install_partial_row_hooks() -> None:
                 vector = oracle.physical._dist_cache.get(hu)
                 if vector is None:
                     before = counters.copy()
-                    vector = oracle.physical.delays_from_many([hu], cache=False)[hu]
+                    vector = oracle.physical.delays_from_many([hu])[hu]
                     counters.reset()
                     counters.merge(before.snapshot())
                 for ht, got, want in zip(hosts, values.tolist(), vector[hosts].tolist()):

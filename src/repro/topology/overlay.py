@@ -29,7 +29,8 @@ warmed static overlay the query engine's inner loop
 (:func:`repro.search.flooding.propagate`) therefore never touches scipy at
 all.
 
-The generators at the bottom fill plain neighbor sets and pack the result
+The generators at the bottom — three overlay shapes and the synthetic
+Gnutella crawl — fill plain neighbor sets or link lists and pack the result
 straight into the array engine every run uses
 (:class:`~repro.topology.soa.ArrayOverlay`).
 """
@@ -56,6 +57,7 @@ __all__ = [
     "random_overlay",
     "power_law_overlay",
     "small_world_overlay",
+    "synthesize_gnutella_snapshot",
 ]
 
 
@@ -572,3 +574,79 @@ def small_world_overlay(
             links += 1
             last_target = target
     return _installed(physical, hosts, pool)
+
+
+def _power_law_degrees(
+    n: int,
+    exponent: float,
+    d_min: int,
+    d_max: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Sample a graphical power-law degree sequence (even total)."""
+    ds = np.arange(d_min, d_max + 1, dtype=float)
+    probs = ds ** (-exponent)
+    probs /= probs.sum()
+    seq = rng.choice(np.arange(d_min, d_max + 1), size=n, p=probs)
+    if seq.sum() % 2 == 1:
+        seq[int(rng.integers(n))] += 1
+    return seq.astype(np.int64)
+
+
+def synthesize_gnutella_snapshot(
+    physical: PhysicalTopology,
+    n_peers: int = 1000,
+    exponent: float = 2.3,
+    d_min: int = 1,
+    d_max: Optional[int] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> "ArrayOverlay":
+    """A Gnutella-crawl-shaped overlay: the DSS Clip2 trace substitute.
+
+    Section 5 of the paper simulates ACE on "a real-world P2P topology
+    (based on DSS Clip2 trace)"; that crawl is no longer obtainable, so this
+    builds its closest synthetic equivalent.  Degrees are sampled from a
+    power law with exponent *exponent* (2.3, the Gnutella-crawl figure) and
+    capped at *d_max*, paired by the configuration model (self-loops and
+    repeated links dropped), and the components are stitched into one, as a
+    crawler only reaches the giant component.  With ``d_min = 1`` most peers
+    keep one or two links: the maximum-likelihood fit over degrees >= 2
+    reads alpha ~ 3.1 (EXPERIMENTS.md section 4.1), and the clustering
+    coefficient is ~ 0 — a near-tree, not a small world.
+    """
+    rng = ensure_rng(rng)
+    if d_max is None:
+        d_max = max(8, int(round(n_peers ** 0.5)))
+    degrees = _power_law_degrees(n_peers, exponent, d_min, d_max, rng)
+    hosts = _pick_hosts(physical, n_peers, rng)
+    stubs = np.repeat(np.arange(n_peers), degrees)
+    rng.shuffle(stubs)
+    adj: List[Set[int]] = [set() for _ in range(n_peers)]
+    ends: List[int] = []
+    paired = stubs.tolist()
+    for u, v in zip(paired[::2], paired[1::2]):
+        if u != v and v not in adj[u]:
+            adj[u].add(v)
+            adj[v].add(u)
+            ends += (u, v)
+    # Components by depth-first search, largest first.  Set iteration order
+    # picks each stitched component's end, so the walk and its sets stay as
+    # they are (tests/golden/worlds.json pins the crawl).
+    comps: List[Set[int]] = []
+    remaining = set(range(n_peers))
+    while remaining:
+        start = next(iter(remaining))
+        seen, stack = {start}, [start]
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        comps.append(seen)
+        remaining -= seen
+    comps.sort(key=len, reverse=True)
+    giant = sorted(comps[0])
+    for comp in comps[1:]:
+        ends += (next(iter(comp)), giant[int(rng.integers(len(giant)))])
+        giant.extend(sorted(comp))
+    return _installed(physical, hosts, ends)

@@ -9,18 +9,18 @@ substrate: an undirected weighted graph whose edge weights are link delays
 The quantity every other layer needs from the underlay is the *shortest-path
 delay* between two hosts: the cost of one logical-overlay transmission is the
 underlay shortest-path delay between the two endpoints (paper Section 3.3,
-Tables 1 and 2).  Shortest paths are computed with scipy's sparse Dijkstra and
-cached per source node with an LRU, which keeps 20,000-node underlays
-tractable on a laptop.
+Tables 1 and 2).  Shortest-path delays are computed with scipy's sparse
+Dijkstra, and rows are cached per source node with an LRU, which keeps
+20,000-node underlays tractable on a laptop.
 
 Two access patterns are supported:
 
-* **single source** (:meth:`delays_from` / :meth:`delay`) — one Dijkstra run
-  per LRU miss, the original on-demand path;
-* **batched** (:meth:`delays_from_many`) — all uncached sources of a known
-  working set are solved by *one* vectorized scipy call (``indices=[...]``),
-  amortizing the python/scipy dispatch overhead instead of faulting one run
-  at a time.
+* **single source** (:meth:`delays_from` / :meth:`delays_to` /
+  :meth:`delay`) — one Dijkstra run per LRU miss, kept in the LRU;
+* **batched** (:meth:`delays_from_many`) — every source of a known working
+  set the LRU does not hold is solved by *one* vectorized scipy call
+  (``indices=[...]``), and the rows are returned without being kept: a bulk
+  fill streams more rows than the LRU could hold.
 
 Which pairs are worth remembering beyond the LRU is the delay oracle's
 business (:mod:`repro.oracle.exact`), not the underlay's.
@@ -34,8 +34,8 @@ and a shorter graph gives the same floats.  Once an overlay names its hosts
 (:meth:`PhysicalTopology.reduce_series`), distance solves run on the
 *series-reduced* underlay: each degree-2 node that hosts no peer is folded
 into the link between the two ends of its chain, and a folded node's delay
-is read off the nearer end afterwards.  :meth:`PhysicalTopology.path` and
-a topology nobody reduced keep the full graph.
+is read off the nearer end afterwards.  A topology nobody reduced keeps the
+full graph.
 
 A topology never crosses a process boundary: a parallel trial rebuilds its
 underlay from the seeded config (see :mod:`repro.experiments.parallel`).
@@ -50,7 +50,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from ..metrics.collector import left_fold
 from ..perf import counters
 
 __all__ = ["DELAY_GRID", "PhysicalTopology"]
@@ -158,7 +157,6 @@ class PhysicalTopology:
         self._series: Optional[_SeriesReduction] = None
         self._cache_size = int(cache_size)
         self._dist_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._pred_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -248,18 +246,6 @@ class PhysicalTopology:
     # Shortest paths
     # ------------------------------------------------------------------
 
-    def _evict(self) -> None:
-        """Shrink both LRU caches to capacity, oldest sources first.
-
-        The predecessor cache holds a subset of the distance cache's keys
-        (only :meth:`path` asks for predecessors), so eviction is driven by
-        the distance cache and mirrored into the predecessor cache — the
-        single place both are trimmed, so the two can never drift.
-        """
-        while len(self._dist_cache) > self._cache_size:
-            old, _ = self._dist_cache.popitem(last=False)
-            self._pred_cache.pop(old, None)
-
     def reduce_series(self, keep: Iterable[int]) -> None:
         """Let later distance solves run on the series-reduced underlay.
 
@@ -292,19 +278,6 @@ class PhysicalTopology:
             rows.update((s, np.array(row, copy=True)) for s, row in zip(rest, block))
         return [rows[s] for s in sources]
 
-    def _run_dijkstra(self, source: int, predecessors: bool = False) -> None:
-        """Solve one source into the LRU; predecessors only for :meth:`path`,
-        which walks the full graph."""
-        counters.dijkstra_runs += 1
-        counters.dijkstra_sources += 1
-        if predecessors:
-            self._dist_cache[source], self._pred_cache[source] = dijkstra(
-                self._matrix, directed=True, indices=source, return_predecessors=True
-            )
-        else:
-            self._dist_cache[source] = self._solve([source])[0]
-        self._evict()
-
     def delays_from(self, source: int) -> np.ndarray:
         """Shortest-path delay from *source* to every node.
 
@@ -315,7 +288,11 @@ class PhysicalTopology:
             raise ValueError(f"source {source} out of range")
         if source not in self._dist_cache:
             counters.delay_cache_misses += 1
-            self._run_dijkstra(source)
+            counters.dijkstra_runs += 1
+            counters.dijkstra_sources += 1
+            self._dist_cache[source] = self._solve([source])[0]
+            while len(self._dist_cache) > self._cache_size:
+                self._dist_cache.popitem(last=False)  # the oldest row
         else:
             counters.delay_cache_hits += 1
             self._dist_cache.move_to_end(source)
@@ -324,9 +301,12 @@ class PhysicalTopology:
     def delays_to(self, source: int, targets: Sequence[int]) -> np.ndarray:
         """Delays from *source* to *targets*, read from the resident row of
         *source*, else from every target's (on the delay grid both hold the
-        same float), else from a fresh solve of *source*."""
+        same float), else from a fresh solve of *source*.  Any target outside
+        the underlay is refused before a row is read."""
         if not (0 <= source < self._num_nodes):
             raise ValueError(f"source {source} out of range")
+        if targets and (min(targets) < 0 or max(targets) >= self._num_nodes):
+            raise ValueError("host id out of range")
         cache = self._dist_cache
         if targets and source not in cache and all(t in cache for t in targets):
             counters.delay_cache_hits += len(targets)
@@ -335,20 +315,15 @@ class PhysicalTopology:
             return np.array([cache[t][source] for t in targets])
         return np.array(self.delays_from(source)[list(targets)])
 
-    def delays_from_many(
-        self, sources: Iterable[int], cache: bool = True
-    ) -> Dict[int, np.ndarray]:
+    def delays_from_many(self, sources: Iterable[int]) -> Dict[int, np.ndarray]:
         """Shortest-path delay vectors for several sources at once.
 
-        All sources missing from the LRU are solved by **one** vectorized
-        scipy Dijkstra call (``indices=[...]``) instead of one call per
-        source.  Returns ``{source: delay_vector}`` for every distinct
-        source; vectors are cached (subject to the LRU capacity) and must
-        not be mutated by the caller.
-
-        With ``cache=False`` the freshly solved vectors are returned but not
-        retained, which bounds memory when streaming a large source set only
-        to extract a few scalars per vector (see
+        Returns ``{source: delay_vector}`` for every distinct source, which
+        the caller must not mutate.  A row the LRU holds is read from it;
+        all the others are solved by **one** vectorized scipy Dijkstra call
+        (``indices=[...]``) and returned without being kept, which bounds
+        memory when streaming a large source set only to extract a few
+        scalars per row (see
         :meth:`ExactOracle.delay_pairs <repro.oracle.exact.ExactOracle.delay_pairs>`).
         """
         out: Dict[int, np.ndarray] = {}
@@ -371,12 +346,7 @@ class PhysicalTopology:
             counters.dijkstra_runs += 1
             counters.dijkstra_sources += len(missing)
             counters.largest_batch = max(counters.largest_batch, len(missing))
-            for s, vec in zip(missing, self._solve(missing)):
-                out[s] = vec
-                if cache:
-                    self._dist_cache[s] = vec
-            if cache:
-                self._evict()
+            out.update(zip(missing, self._solve(missing)))
         return out
 
     def cached_sources(self) -> List[int]:
@@ -390,30 +360,6 @@ class PhysicalTopology:
         if u == v:
             return 0.0
         return float(self.delays_to(u, [v])[0])
-
-    def path(self, u: int, v: int) -> List[int]:
-        """One shortest path from *u* to *v* as a node list (inclusive).
-
-        Raises ``ValueError`` if *v* is unreachable from *u*.
-        """
-        if u == v:
-            return [u]
-        if u not in self._pred_cache:
-            self._run_dijkstra(u, predecessors=True)
-        pred = self._pred_cache[u]
-        if pred[v] < 0:
-            raise ValueError(f"node {v} is unreachable from {u}")
-        out = [v]
-        node = v
-        while node != u:
-            node = int(pred[node])
-            out.append(node)
-        out.reverse()
-        return out
-
-    def path_delay(self, path: Sequence[int]) -> float:
-        """Total delay along an explicit node path."""
-        return left_fold(self.link_delay(a, b) for a, b in zip(path, path[1:]))
 
     # ------------------------------------------------------------------
     # Connectivity

@@ -49,8 +49,8 @@ from repro.topology.overlay import (
     power_law_overlay,
     random_overlay,
     small_world_overlay,
+    synthesize_gnutella_snapshot,
 )
-from repro.topology.trace import synthesize_gnutella_snapshot
 
 GOLDEN = Path(__file__).with_name("paper_default.json")
 WORLDS = Path(__file__).with_name("worlds.json")

@@ -17,7 +17,6 @@ from repro import (
 )
 from repro.search.batch import propagate_many
 from repro.sim.churn import ChurnModel
-from repro.topology.soa import ArrayOverlay
 
 
 class TestQuickstartFlow:
@@ -107,12 +106,10 @@ class TestFullPipeline:
 
     def test_ace_query_on_trace_snapshot(self, ba_physical):
         """The Clip2-style snapshot flows through the same pipeline."""
-        from repro.topology.trace import synthesize_gnutella_snapshot
+        from repro.topology.overlay import synthesize_gnutella_snapshot
 
         rng = np.random.default_rng(17)
-        overlay = ArrayOverlay.from_overlay(
-            synthesize_gnutella_snapshot(ba_physical, n_peers=60, rng=rng)
-        )
+        overlay = synthesize_gnutella_snapshot(ba_physical, n_peers=60, rng=rng)
         protocol = AceProtocol(overlay, rng=rng)
         protocol.run(3)
         peers = overlay.peers()

@@ -172,6 +172,28 @@ def test_recompute_tokens_go_out_together_and_failures_keep_sweep_order(
     assert all(error[2].startswith("recompute:") for error in live.turn_errors)
 
 
+def test_a_recompute_turn_probes_nobody(plan, monkeypatch):
+    # A recompute reads its own row off its neighbors' tables.  An optimize
+    # turn probes its neighbors (Phase 1) and the candidates Phase 3 names.
+    real_turn, real_rpc = LivePeer.run_turn, LivePeer.rpc
+    phase, probes = {}, {"optimize": 0, "recompute": 0}
+
+    async def run_turn(self, turn):
+        phase[self.peer_id] = turn.phase
+        return await real_turn(self, turn)
+
+    async def rpc(self, dst, message, *args, **kwargs):
+        if isinstance(message, CostProbe):
+            probes[phase[self.peer_id]] += 1
+        return await real_rpc(self, dst, message, *args, **kwargs)
+
+    monkeypatch.setattr(LivePeer, "run_turn", run_turn)
+    monkeypatch.setattr(LivePeer, "rpc", rpc)
+    live = run_live(build_scenario(CONFIG), ACE, steps=STEPS, plan=plan, net=NetConfig())
+    assert live.turn_errors == []
+    assert probes == {"optimize": 52, "recompute": 0}
+
+
 class TestDegradation:
     def test_peer_kill_completes_with_retries(self, plan):
         sources = {item.source for item in plan}

@@ -208,30 +208,14 @@ def test_snapshot_mutations_match_a_refetch():
         view.connect(1, 2)
 
 
-def test_live_row_reads_each_link_from_its_lower_endpoint():
-    # Peers 3 and 5 read their link one ulp apart (the direction an exact
-    # delay was solved in decides its last bit): every row takes 3's.
-    low, high = 0.30000000000000004, 0.3
-    assert low != high
-    tables = {3: {0: 1.0, 5: low}, 5: {0: 2.0, 3: high}}
-    view = SnapshotView(0, {3, 5}, tables, {3: 1.0, 5: 2.0})
-    assert view.live_row(3) == ([0, 5], [1.0, low])
-    assert view.live_row(5) == ([0, 3], [2.0, low])
-    # Links to this peer read its probes, the lower endpoint's answers.
-    assert view.live_row(0) == ([3, 5], [1.0, 2.0])
-
-
-def test_live_row_names_every_unprobed_neighbor_at_once():
-    tables = {1: {4: 1.0}, 6: {4: 2.0}, 9: {4: 3.0}}
-    view = SnapshotView(4, {1, 6, 9}, tables, {})
-    with pytest.raises(NeedProbes) as need:
-        view.live_row(4)
-    # Peer 1's link reads 1's own table; 6 and 9 read this peer's probes.
-    assert need.value.peers == {6, 9}
-    view = SnapshotView(4, {1, 6, 9}, tables, {6: 2.0})
-    with pytest.raises(NeedProbes) as need:
-        view.live_row(4)
-    assert need.value.peers == {9}
+def test_live_row_reads_tables_and_never_a_probe():
+    # Row u reads u's table; this peer's row reads each neighbor's entry
+    # for it.  No probe is asked for, and one that is held is not read.
+    tables = {1: {4: 1.0, 6: 5.0}, 6: {1: 5.0, 4: 2.0}, 9: {4: 3.0}}
+    for probed in ({}, {1: 7.0, 6: 7.0, 9: 7.0}):
+        view = SnapshotView(4, {1, 6, 9}, tables, probed)
+        assert view.live_row(4) == ([1, 6, 9], [1.0, 2.0, 3.0])
+        assert view.live_row(6) == ([1, 4], [5.0, 2.0])
 
 
 @pytest.mark.parametrize("name", ["seed", "default_rng"])

@@ -21,13 +21,14 @@ class TestDelegation:
         oracle = ExactOracle(ba_physical)
         hosts = ba_physical.largest_component_nodes()
         for u, v in [(hosts[0], hosts[1]), (hosts[2], hosts[7])]:
-            assert oracle.delay(u, v) == ba_physical.delay(u, v)
+            assert oracle.delays_from(u, [v])[0] == ba_physical.delay(u, v)
 
     def test_delays_from_full_vector(self, ba_physical):
         oracle = ExactOracle(ba_physical)
         src = ba_physical.largest_component_nodes()[0]
+        every = range(ba_physical.num_nodes)
         assert np.array_equal(
-            oracle.delays_from(src), ba_physical.delays_from(src)
+            oracle.delays_from(src, every), ba_physical.delays_from(src)
         )
 
     def test_delays_from_target_slice_aligns_with_targets(self, ba_physical):
@@ -43,7 +44,7 @@ class TestDelegation:
         oracle = ExactOracle(ba_physical)
         hosts = ba_physical.largest_component_nodes()[:4]
         reset_counters()
-        rows = oracle.delays_from_many(hosts, cache=False)
+        rows = oracle.delays_from_many(hosts)
         assert counters.dijkstra_runs == 1  # one batched solve
         assert counters.dijkstra_sources == len(hosts)
         assert sorted(rows) == sorted(hosts)
@@ -98,7 +99,7 @@ class TestDelayPairsDefault:
         us = [hosts[int(i)] for i, _ in idx]
         vs = [hosts[int(j)] for _, j in idx]
         got = oracle.delay_pairs(us, vs)
-        want = np.array([oracle.delays_from(u)[v] for u, v in zip(us, vs)])
+        want = np.array([ba_physical.delays_from(u)[v] for u, v in zip(us, vs)])
         assert np.array_equal(got, want)
 
 

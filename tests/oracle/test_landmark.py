@@ -9,6 +9,7 @@ from repro.oracle.landmark import LandmarkOracle
 from repro.perf import counters, reset_counters
 from repro.topology.generators import waxman
 from repro.topology.physical import PhysicalTopology
+from tests.reference.landmark import estimate_vector
 
 
 def sample_pairs(physical, rng, n):
@@ -36,7 +37,7 @@ class TestTriangleBounds:
         for u, v in sample_pairs(ba_physical, rng, 50):
             lower, upper = oracle.bounds(u, v)
             assert lower <= upper
-            assert oracle.delay(u, v) == 0.5 * (lower + upper)
+            assert oracle.delays_from(u, [v])[0] == 0.5 * (lower + upper)
 
 
 class TestAccuracyAtPaperishScale:
@@ -89,27 +90,26 @@ class TestVectorAndScalarAgree:
     def test_vector_matches_scalar_midpoint(self, rng, ba_physical):
         oracle = LandmarkOracle(ba_physical, n_landmarks=6, rng=rng)
         src = ba_physical.largest_component_nodes()[0]
-        vec = oracle.delays_from(src)
+        vec = estimate_vector(oracle, src)
         assert vec[src] == 0.0
         assert not np.isnan(vec).any()
         for v in ba_physical.largest_component_nodes()[1:20]:
-            assert vec[v] == oracle.delay(src, v)
+            assert vec[v] == oracle.delays_from(src, [v])[0]
 
     def test_targets_slice(self, rng, ba_physical):
         oracle = LandmarkOracle(ba_physical, n_landmarks=4, rng=rng)
         hosts = ba_physical.largest_component_nodes()
         sliced = oracle.delays_from(hosts[0], [hosts[3], hosts[1]])
-        full = oracle.delays_from(hosts[0])
+        full = estimate_vector(oracle, hosts[0])
         assert list(sliced) == [full[hosts[3]], full[hosts[1]]]
 
     def test_no_dijkstra_after_construction(self, rng, ba_physical):
         oracle = LandmarkOracle(ba_physical, n_landmarks=4, rng=rng)
         hosts = ba_physical.largest_component_nodes()[:10]
         reset_counters()
-        oracle.delays_from_many(hosts)
+        oracle.delay_pairs(hosts[:5], hosts[5:])
         for u in hosts[:3]:
-            for v in hosts[3:6]:
-                oracle.delay(u, v)
+            oracle.delays_from(u, hosts[3:6])
         assert counters.dijkstra_runs == 0
         assert counters.dijkstra_sources == 0
 
@@ -124,17 +124,17 @@ class TestCounters:
         oracle = LandmarkOracle(ba_physical, n_landmarks=4, rng=rng)
         hosts = ba_physical.largest_component_nodes()
         reset_counters()
-        oracle.delay(hosts[0], hosts[1])
-        oracle.delay(hosts[0], hosts[1])
-        assert counters.oracle_estimates == 2  # scalar answers both count
-        oracle.delays_from(hosts[2])
-        oracle.delays_from(hosts[2])  # cached re-serve: no new estimate
+        oracle.delay_pairs([hosts[0]], [hosts[1]])
+        oracle.delay_pairs([hosts[0]], [hosts[1]])
+        assert counters.oracle_estimates == 2  # a fill answers every pair
+        oracle.delays_from(hosts[2], [hosts[3]])
+        oracle.delays_from(hosts[2], [hosts[3]])  # the store re-serves it
         assert counters.oracle_estimates == 3
 
 
 class TestDelayPairs:
-    """The pairwise interface must match the vector path bit for bit —
-    the struct-of-arrays engine mixes the two forms freely."""
+    """The pairwise interface must match the estimate vector bit for bit —
+    at one pair, a few or many, so the callers may mix the forms freely."""
 
     def test_matches_vector_entries_exactly(self, rng, ba_physical):
         oracle = LandmarkOracle(ba_physical, n_landmarks=8, rng=rng)
@@ -146,7 +146,7 @@ class TestDelayPairs:
             us = [u for u, _ in pairs[:size]]
             vs = [v for _, v in pairs[:size]]
             got = oracle.delay_pairs(us, vs)
-            want = np.array([oracle.delays_from(u)[v] for u, v in zip(us, vs)])
+            want = np.array([estimate_vector(oracle, u)[v] for u, v in zip(us, vs)])
             assert np.array_equal(got, want)
 
     def test_one_pair_runs_on_floats_with_the_same_bits(self, rng, ba_physical):
@@ -163,7 +163,7 @@ class TestDelayPairs:
         for (u, v), got, want in zip(pairs + [(7, 7)], singles, vector + [0.0]):
             assert got.dtype == np.float64 and got.shape == (1,)
             assert got.tolist()[0].hex() == want.hex()
-            assert got[0] == oracle.delays_from(u)[v]
+            assert got[0] == estimate_vector(oracle, u)[v]
 
     def test_one_pair_over_an_unreachable_host_is_inf(self):
         # Hosts 4-5 are a component of their own: the embedding holds inf,
@@ -175,12 +175,12 @@ class TestDelayPairs:
         assert np.isinf(oracle.embedding).any()
         for u, v in [(0, 4), (4, 5), (4, 4), (1, 2)]:
             got = oracle.delay_pairs([u], [v])[0]
-            assert got == oracle.delays_from(u)[v]
+            assert got == estimate_vector(oracle, u)[v]
             assert got == oracle.delay_pairs([u, u], [v, v])[0]
         assert oracle.delay_pairs([0], [4])[0] == math.inf
         assert oracle.delay_pairs([4], [5])[0] == math.inf
         assert oracle.delay_pairs([4], [4])[0] == 0.0
-        assert oracle.delay(0, 4) == math.inf
+        assert oracle.delays_from(0, [4])[0] == math.inf
 
     @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (120, 0), (0, 10**9)])
     def test_one_pair_rejects_ids_instead_of_wrapping(

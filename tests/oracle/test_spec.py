@@ -1,4 +1,4 @@
-"""Oracle spec grammar: parse, build; the scalar delay contract of both backends."""
+"""Oracle spec grammar: parse, build; the range contract of both backends."""
 
 import numpy as np
 import pytest
@@ -69,11 +69,17 @@ class TestScalarDelay:
     @pytest.mark.parametrize("spec", ["exact", "landmark:4"])
     @pytest.mark.parametrize("bad", [-1, "N"])
     def test_rejects_ids_instead_of_wrapping(self, rng, ba_physical, spec, bad):
-        # -1 and N would index a cached row from the end; delays_from and
-        # delay_pairs already refuse them, so the scalar form must too.
+        # -1 and N would index a resident row from the end or past it; both
+        # forms refuse them, and a refused call stores nothing.
         oracle = make_oracle(spec, ba_physical, rng=rng)
         bad = ba_physical.num_nodes if bad == "N" else bad
-        oracle.delays_from(5)  # a resident row is what a wrapped read hits
-        for u, v in [(5, bad), (bad, 5)]:
+        ba_physical.delays_from(5)  # a resident row is what a wrapped read hits
+        oracle.delays_from(5, [6, 7])
+        store = dict(oracle._store)
+        for u, v in [(5, bad), (bad, 5), (bad, bad)]:
             with pytest.raises(ValueError, match="out of range"):
-                oracle.delay(u, v)
+                oracle.delays_from(u, [v])
+            assert oracle._store == store
+            with pytest.raises(ValueError, match="out of range"):
+                oracle.delay_pairs([u], [v])
+            assert oracle._store == store

@@ -92,7 +92,8 @@ class TestBatchingCounters:
         assert counters.largest_batch == 4
 
     def test_warm_then_lookup_is_all_hits(self, line_physical):
-        line_physical.delays_from_many(range(5))  # one batched solve, kept
+        for s in range(5):
+            line_physical.delays_from(s)  # each row kept in the LRU
         before = counters.copy()
         for u in range(5):
             for v in range(5):

@@ -24,6 +24,7 @@ from repro.topology.generators import barabasi_albert, grid
 from repro.topology.overlay import Overlay, random_overlay
 from repro.topology.soa import ArrayOverlay
 from tests.reference import object_twin
+from tests.reference.landmark import estimate_vector
 
 
 def assert_equivalent(obj: Overlay, arr: ArrayOverlay) -> None:
@@ -369,7 +370,7 @@ class TestBufferViews:
             arr.physical, n_landmarks=4, rng=np.random.default_rng(1)
         )
         arr.use_oracle(landmark)  # in place again
-        want = landmark.delay(arr.host_of(u), arr.host_of(v))
+        want = estimate_vector(landmark, arr.host_of(u))[arr.host_of(v)]
         assert _counted(lambda: arr.cost(u, v)) == (want, 0, 1)
         assert _counted(lambda: arr.costs_from(u, [v])) == ({v: want}, 1, 0)
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.oracle import exact as exact_module
 from repro.perf import counters, reset_counters
-from repro.topology.generators import grid
 from repro.topology.overlay import (
     Overlay,
     power_law_overlay,

@@ -140,24 +140,6 @@ class TestShortestPaths:
         topo = PhysicalTopology(4, [(0, 1), (2, 3)], [1.0, 1.0])
         assert np.isinf(topo.delay(0, 3))
 
-    def test_path_endpoints_and_cost(self):
-        topo = make_line()
-        path = topo.path(0, 3)
-        assert path[0] == 0 and path[-1] == 3
-        assert topo.path_delay(path) == pytest.approx(topo.delay(0, 3))
-
-    def test_path_to_self(self):
-        assert make_line().path(2, 2) == [2]
-
-    def test_path_unreachable_raises(self):
-        topo = PhysicalTopology(4, [(0, 1), (2, 3)], [1.0, 1.0])
-        with pytest.raises(ValueError, match="unreachable"):
-            topo.path(0, 2)
-
-    def test_path_takes_cheaper_route(self):
-        topo = PhysicalTopology(3, [(0, 1), (1, 2), (0, 2)], [1.0, 1.0, 5.0])
-        assert topo.path(0, 2) == [0, 1, 2]
-
     def test_cache_eviction_does_not_change_results(self):
         topo = PhysicalTopology(
             6,
@@ -237,23 +219,15 @@ class TestBatchedDijkstra:
         with pytest.raises(ValueError, match="out of range"):
             make_line().delays_from_many([0, 99])
 
-    def test_delays_from_many_caches_results(self):
+    def test_delays_from_many_keeps_no_row(self):
         topo = make_line()
-        topo.delays_from_many([0, 1, 2])
-        assert set(topo.cached_sources()) >= {0, 1, 2}
-
-    def test_delays_from_many_uncached_mode_leaves_lru_empty(self):
-        topo = make_line()
-        topo.delays_from_many([0, 1, 2], cache=False)
-        assert topo.cached_sources() == []
-
-    def test_batched_results_survive_path_queries(self):
-        # A batched (distance-only) entry upgraded by a path() call must
-        # stay consistent: path cost equals the batched delay.
-        topo = make_line()
-        vec = topo.delays_from_many([0])[0]
-        path = topo.path(0, 4)
-        assert topo.path_delay(path) == pytest.approx(float(vec[4]))
+        topo.delays_from(1)
+        before = counters.copy()
+        out = topo.delays_from_many([0, 1, 2])
+        delta = counters.delta(before)
+        assert (delta["dijkstra_sources"], delta["delay_cache_hits"]) == (2, 1)
+        assert out[1] is topo.delays_from(1)  # the resident row, read in place
+        assert topo.cached_sources() == [1]
 
 
 class TestLruCoherence:
@@ -283,7 +257,8 @@ class TestLruCoherence:
 
     def test_delays_to_reads_the_targets_resident_rows(self):
         topo = make_line()
-        topo.delays_from_many([1, 3, 4])  # cache: [1, 3, 4]
+        for s in (1, 3, 4):
+            topo.delays_from(s)  # cache: [1, 3, 4]
         before = counters.copy()
         got = topo.delays_to(0, [3, 1])
         delta = counters.delta(before)
@@ -301,21 +276,9 @@ class TestLruCoherence:
         assert topo.cached_sources() == [3, 0]
         with pytest.raises(ValueError, match="source -1 out of range"):
             topo.delays_to(-1, [3])
-
-    def test_eviction_keeps_pred_cache_subset_of_dist_cache(self):
-        topo = PhysicalTopology(
-            8, [(i, i + 1) for i in range(7)], [1.0] * 7, cache_size=3
-        )
-        # Mix predecessor-bearing runs (path) with batched distance-only
-        # solves, forcing evictions; the caches must never drift.
-        for s in range(6):
-            topo.path(s, 7)
-        topo.delays_from_many([6, 7])
-        topo.path(0, 7)
-        # This test *is* the coherence contract:
-        # it may inspect the private LRUs to prove they never drift.
-        assert set(topo._pred_cache) <= set(topo._dist_cache)
-        assert len(topo._dist_cache) <= topo._cache_size
+        for bad in (-1, 5):  # a wrapped or past-the-end read of a resident row
+            with pytest.raises(ValueError, match="host id out of range"):
+                topo.delays_to(3, [4, bad])
 
 
 def undirected_reference(topo):
@@ -352,38 +315,10 @@ class TestDirectedSolveOverSymmetricCsr:
         topo = UNDERLAYS[kind](np.random.default_rng(seed))
         want = undirected_reference(topo)
         nodes = list(topo.nodes())
-        batched = topo.delays_from_many(nodes, cache=False)
+        batched = topo.delays_from_many(nodes)
         for s in nodes:
             assert batched[s].tobytes() == want[s].tobytes()
             assert topo.delays_from(s).tobytes() == want[s].tobytes()
-
-    def test_distance_fault_skips_predecessors_and_path_solves_them(self):
-        topo = PhysicalTopology(
-            4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1.0, 1.0, 1.0, 5.0]
-        )
-        vec = topo.delays_from(0)
-        assert topo.delay(1, 3) == 2.0
-        # White-box: distance-only faults must not
-        # pay for predecessor arrays nobody reads
-        assert not topo._pred_cache
-        before = counters.copy()
-        assert topo.path(0, 3) == [0, 1, 2, 3]
-        assert counters.delta(before)["dijkstra_sources"] == 1
-        assert topo.delays_from(0).tobytes() == vec.tobytes()
-        before = counters.copy()
-        assert topo.path(0, 2) == [0, 1, 2]  # predecessors now resident
-        assert counters.delta(before)["dijkstra_sources"] == 0
-
-    def test_path_after_eviction_solves_again_and_caches_stay_coherent(self):
-        topo = PhysicalTopology(
-            6, [(i, i + 1) for i in range(5)], [1.0] * 5, cache_size=2
-        )
-        assert topo.path(0, 5) == [0, 1, 2, 3, 4, 5]
-        topo.delays_from(1)
-        topo.delays_from(2)  # evicts source 0, distances and predecessors
-        assert set(topo._pred_cache) <= set(topo._dist_cache) == {1, 2}
-        assert topo.path(0, 5) == [0, 1, 2, 3, 4, 5]
-        assert topo.path_delay(topo.path(2, 5)) == topo.delay(2, 5)
 
 
 class TestDirectionFreeDelays:
@@ -395,7 +330,7 @@ class TestDirectionFreeDelays:
         )
         overlay = scenario.overlay
         hosts = sorted({overlay.host_of(p) for p in overlay.peers()})
-        rows = scenario.physical.delays_from_many(hosts, cache=False)
+        rows = scenario.physical.delays_from_many(hosts)
         table = np.array([rows[h][hosts] for h in hosts])
         assert len(hosts) == 160
         assert table.tobytes() == table.T.copy().tobytes()
@@ -422,8 +357,8 @@ class TestSeriesReduction:
 
     @staticmethod
     def assert_same_rows(reduced, full, sources):
-        got = reduced.delays_from_many(sources, cache=False)
-        want = full.delays_from_many(sources, cache=False)
+        got = reduced.delays_from_many(sources)
+        want = full.delays_from_many(sources)
         for s in sources:
             assert got[s].tobytes() == want[s].tobytes(), s
 
@@ -451,18 +386,15 @@ class TestSeriesReduction:
         assert reduced._series.kept[4] and not reduced._series.kept[7]
         assert reduced.delays_from(11).tobytes() == full.delays_from(11).tobytes()
 
-    def test_only_the_first_keep_set_counts_and_path_keeps_the_full_graph(self):
+    def test_only_the_first_keep_set_counts(self):
         make = chains_world()
-        reduced = make()
+        reduced, full = make(), make()
         reduced.reduce_series([1])
         reduced.delays_from(0)
         reduced.reduce_series([2, 5])
         reduced.delays_from(5)
         assert np.flatnonzero(reduced._series.kept).tolist() == [0, 1, 6, 9, 10]
-        for u in range(10):
-            for v in range(10):
-                assert reduced.path_delay(reduced.path(u, v)) == reduced.delay(u, v)
-        assert reduced.path(0, 9) == [0, 4, 5, 6, 8, 9]
+        self.assert_same_rows(reduced, full, list(range(13)))
 
     @pytest.mark.parametrize("kind", sorted(UNDERLAYS))
     def test_generated_underlays_fold_exactly(self, kind):
@@ -475,5 +407,5 @@ class TestSeriesReduction:
 
     def test_unreduced_topology_never_builds_a_reduction(self):
         topo = chains_world()()
-        topo.delays_from_many(range(13), cache=False)
+        topo.delays_from_many(range(13))
         assert topo._series is None

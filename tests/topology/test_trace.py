@@ -1,15 +1,10 @@
-"""Unit tests for the synthetic Gnutella-crawl snapshot substitute."""
+"""Unit tests for the synthetic Gnutella crawl, the Clip2 trace substitute."""
 
 import numpy as np
 import pytest
 
+from repro.topology.overlay import synthesize_gnutella_snapshot
 from repro.topology.properties import power_law_exponent
-from repro.topology.trace import (
-    load_snapshot,
-    save_snapshot,
-    snapshot_from_adjacency,
-    synthesize_gnutella_snapshot,
-)
 
 
 @pytest.fixture
@@ -39,7 +34,7 @@ class TestSynthesize:
         assert len(set(hosts)) == len(hosts)
 
     def test_too_many_peers(self, grid_physical):
-        with pytest.raises(ValueError, match="physical hosts"):
+        with pytest.raises(ValueError, match="physical nodes"):
             synthesize_gnutella_snapshot(grid_physical, n_peers=50)
 
     def test_deterministic(self, ba_physical):
@@ -50,49 +45,3 @@ class TestSynthesize:
             ba_physical, n_peers=40, rng=np.random.default_rng(1)
         )
         assert sorted(a.edges()) == sorted(b.edges())
-
-
-class TestAdjacencyBuilder:
-    def test_builds_given_edges(self, grid_physical):
-        ov = snapshot_from_adjacency(
-            grid_physical, {0: [1, 2], 1: [2]}, rng=np.random.default_rng(0)
-        )
-        assert sorted(ov.edges()) == [(0, 1), (0, 2), (1, 2)]
-
-    def test_respects_explicit_hosts(self, grid_physical):
-        ov = snapshot_from_adjacency(
-            grid_physical, {0: [1]}, hosts={0: 5, 1: 9}
-        )
-        assert ov.host_of(0) == 5
-        assert ov.host_of(1) == 9
-
-    def test_ignores_self_loops(self, grid_physical):
-        ov = snapshot_from_adjacency(
-            grid_physical, {0: [0, 1]}, rng=np.random.default_rng(0)
-        )
-        assert sorted(ov.edges()) == [(0, 1)]
-
-
-class TestSaveLoad:
-    def test_roundtrip(self, snapshot, ba_physical, tmp_path):
-        path = tmp_path / "crawl.txt"
-        save_snapshot(snapshot, path)
-        loaded = load_snapshot(ba_physical, path)
-        assert loaded.peers() == snapshot.peers()
-        assert sorted(loaded.edges()) == sorted(snapshot.edges())
-        assert all(
-            loaded.host_of(p) == snapshot.host_of(p) for p in snapshot.peers()
-        )
-
-    def test_header_and_comments_ignored(self, grid_physical, tmp_path):
-        path = tmp_path / "crawl.txt"
-        path.write_text("# peers: 2\n\n0: 0 1\n1: 1 0\n")
-        ov = load_snapshot(grid_physical, path)
-        assert ov.num_peers == 2
-        assert ov.has_edge(0, 1)
-
-    def test_malformed_line_raises(self, grid_physical, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0:\n")
-        with pytest.raises(ValueError, match="malformed"):
-            load_snapshot(grid_physical, path)
