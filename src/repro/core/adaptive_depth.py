@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..metrics.optimization import OptimizationTradeoff
-from ..topology.overlay import Overlay
+from ..topology.soa import ArrayOverlay
 from .ace import AceConfig, AceProtocol, StepReport
 
 __all__ = ["DepthAdvisor", "FrequencyEstimator", "AdaptiveAceProtocol"]
@@ -130,7 +130,7 @@ class AdaptiveAceProtocol(AceProtocol):
 
     def __init__(
         self,
-        overlay: Overlay,
+        overlay: ArrayOverlay,
         advisor: DepthAdvisor,
         estimator: Optional[FrequencyEstimator] = None,
         config: Optional[AceConfig] = None,

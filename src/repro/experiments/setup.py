@@ -196,7 +196,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         physical, config.peers, avg_degree=config.avg_degree, rng=overlay_rng
     )
     if oracle_spec.kind != "exact":
-        # The default ExactOracle installed by the Overlay constructor is
+        # The default ExactOracle installed by the ArrayOverlay constructor is
         # already correct for "exact" (and swapping would needlessly drop
         # cost memos); only non-exact backends are built, from the seeded
         # oracle stream.

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.ace import AceConfig, AceProtocol
-from ..topology.overlay import Overlay
+from ..topology.soa import ArrayOverlay
 
 __all__ = ["aoto_config", "AotoProtocol"]
 
@@ -41,7 +41,7 @@ class AotoProtocol(AceProtocol):
 
     def __init__(
         self,
-        overlay: Overlay,
+        overlay: ArrayOverlay,
         config: Optional[AceConfig] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..rng import ensure_rng
-from ..topology.overlay import Overlay
+from ..topology.soa import ArrayOverlay
 
 __all__ = ["GiaReport", "GiaAdaptation", "assign_capacities"]
 
@@ -68,7 +68,7 @@ class GiaAdaptation:
 
     def __init__(
         self,
-        overlay: Overlay,
+        overlay: ArrayOverlay,
         capacities: Optional[Dict[int, float]] = None,
         rng: Optional[np.random.Generator] = None,
         degree_per_capacity: float = 2.0,

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ..search.flooding import ForwardingStrategy
-from ..topology.overlay import Overlay
+from ..topology.soa import ArrayOverlay
 
 __all__ = ["hpf_strategy", "HPF_WEIGHTINGS"]
 
@@ -28,7 +28,7 @@ HPF_WEIGHTINGS = ("random", "degree", "cost")
 
 
 def hpf_strategy(
-    overlay: Overlay,
+    overlay: ArrayOverlay,
     rng: np.random.Generator,
     fraction: float = 0.5,
     min_neighbors: int = 2,

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..metrics.collector import left_fold
 from ..rng import ensure_rng
-from ..topology.overlay import Overlay
+from ..topology.soa import ArrayOverlay
 
 __all__ = ["LtmReport", "LtmProtocol"]
 
@@ -54,7 +54,7 @@ class LtmProtocol:
 
     def __init__(
         self,
-        overlay: Overlay,
+        overlay: ArrayOverlay,
         rng: Optional[np.random.Generator] = None,
         min_degree: int = 2,
         round_trip_factor: float = 1.0,

@@ -105,7 +105,7 @@ class SnapshotView:
         return len(self._row(peer))
 
     def costs_from(self, u: int, targets: Iterable[int]) -> Dict[int, float]:
-        # Insertion order follows *targets*, matching Overlay.costs_from —
+        # Insertion order follows *targets*, matching ArrayOverlay.costs_from —
         # downstream float sums iterate these dicts in insertion order.
         targets = list(targets)
         if u != self.peer:

@@ -9,9 +9,9 @@ counters that the engine layers increment as they work:
   Dijkstra invocations (``dijkstra_runs``), how many single-source solves
   those invocations performed in total (``dijkstra_sources``, > runs when the
   batched path is used), and hits/misses of the per-source distance LRU.
-* :class:`Overlay <repro.topology.overlay.Overlay>` counts hits/misses of the
-  persistent logical edge-cost cache that strategy compilation and the heap
-  ``propagate()`` read.
+* :class:`ArrayOverlay <repro.topology.soa.ArrayOverlay>` counts
+  hits/misses of the persistent logical edge-cost cache that strategy
+  compilation and the heap ``propagate()`` read.
 * Both query engines — the compiled kernel
   (:func:`~repro.search.batch.propagate_many`, which every driver query
   goes through) and the heap :func:`~repro.search.flooding.propagate` —

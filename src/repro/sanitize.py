@@ -10,21 +10,18 @@ no wrapper exists anywhere.
 What it checks
 ==============
 
-* **Epoch monotonicity / mutate-implies-bump.**  Every
-  structural mutator of :class:`~repro.topology.overlay.Overlay` and
-  :class:`~repro.topology.soa.ArrayOverlay` must leave ``epoch`` no smaller
-  than it found it, and a mutation that reports a change must have bumped
-  it.  :class:`~repro.core.ace.AceProtocol` state writes owe the same to
-  ``state_version``.
-* **Cache coherence on invalidation.**  ``_edge_costs`` holds live logical
-  edges only, so ``disconnect``/``remove_peer`` must leave no stale entry
-  behind and ``invalidate_edge_costs`` must leave the cache empty.
+* **Epoch monotonicity / mutate-implies-bump.**  Every structural mutator
+  of :class:`~repro.topology.soa.ArrayOverlay` (``add_peer``,
+  ``remove_peer``, ``connect``, ``disconnect``) must leave ``epoch`` no
+  smaller than it found it, and a mutation that reports a change must have
+  bumped it.  :class:`~repro.core.ace.AceProtocol` state writes
+  (``_write_labels``, ``step``) owe the same to ``state_version``.
 * **Array-lowered ACE forwarding graphs.**  Every graph
   :mod:`repro.search.batch` lowers from the array engine's CSR and its link
   labels is recompiled row by row from
   :meth:`~repro.core.ace.AceProtocol.flooding_neighbors` — the reference —
   and must equal it field for field.
-* **Partial-row costs.**  Every cost an overlay's ``cost`` / ``costs_from``
+* **Partial-row costs.**  Every cost ``ArrayOverlay.cost`` / ``costs_from``
   is served from the exact oracle's partial rows
   (:meth:`ExactOracle.delay_pairs <repro.oracle.exact.ExactOracle.delay_pairs>`
   copies them out of the vectors it streams) is compared with the
@@ -149,7 +146,7 @@ def _atexit_report() -> None:
 
 
 # ----------------------------------------------------------------------
-# Epoch / state-version monotonicity and cache-coherence shadow checks
+# Epoch / state-version monotonicity
 # ----------------------------------------------------------------------
 
 def _wrap_versioned(
@@ -158,13 +155,11 @@ def _wrap_versioned(
     version_attr: str,
     *,
     changed: Optional[Callable[[Any, Any], bool]] = None,
-    shadow: Optional[Callable[[Any, tuple], None]] = None,
 ) -> None:
-    """Patch ``cls.name`` with monotonicity (+ optional bump/shadow) checks.
+    """Patch ``cls.name`` with monotonicity (+ optional bump) checks.
 
     *changed(result, self)* decides whether the call mutated structure and
-    therefore owes a version bump; *shadow(self, args)* runs extra
-    read-only coherence checks after a successful call.
+    therefore owes a version bump.
     """
     orig = cls.__dict__[name]
 
@@ -183,8 +178,6 @@ def _wrap_versioned(
                 f"{where}: structure changed but {version_attr} "
                 f"stayed at {before}"
             )
-        if shadow is not None:
-            shadow(self, args)
         return result
 
     setattr(cls, name, checked)
@@ -200,59 +193,8 @@ def _truthy_changed(result: Any, self: Any) -> bool:
     return bool(result)
 
 
-def _install_overlay_hooks() -> None:
-    from .topology.overlay import Overlay
-
-    def disconnect_shadow(self: Any, args: tuple) -> None:
-        u, v = args[0], args[1]
-        if ((u, v) if u < v else (v, u)) in self._edge_costs:
-            record(
-                f"Overlay.disconnect({u}, {v}): stale _edge_costs entry "
-                "survived the cut"
-            )
-
-    def remove_peer_shadow(self: Any, args: tuple) -> None:
-        peer = args[0]
-        stale = [key for key in self._edge_costs if peer in key]
-        if stale:
-            record(
-                f"Overlay.remove_peer({peer}): {len(stale)} stale "
-                f"_edge_costs entr{'y' if len(stale) == 1 else 'ies'} "
-                "survived removal"
-            )
-
-    def invalidate_shadow(self: Any, args: tuple) -> None:
-        if self._edge_costs:
-            record(
-                "Overlay.invalidate_edge_costs: cache non-empty after "
-                "invalidation"
-            )
-
-    _wrap_versioned(Overlay, "add_peer", "_epoch", changed=_always_changed)
-    _wrap_versioned(
-        Overlay, "remove_peer", "_epoch",
-        changed=_always_changed, shadow=remove_peer_shadow,
-    )
-    _wrap_versioned(Overlay, "connect", "_epoch", changed=_truthy_changed)
-    _wrap_versioned(
-        Overlay, "disconnect", "_epoch",
-        changed=_truthy_changed, shadow=disconnect_shadow,
-    )
-    _wrap_versioned(
-        Overlay, "invalidate_edge_costs", "_epoch", shadow=invalidate_shadow
-    )
-
-
 def _install_soa_hooks() -> None:
     from .topology.soa import ArrayOverlay
-
-    def invalidate_shadow(self: Any, args: tuple) -> None:
-        if self.cached_edge_costs != 0:
-            record(
-                "ArrayOverlay.invalidate_edge_costs: "
-                f"{self.cached_edge_costs} cached cost(s) survived "
-                "invalidation"
-            )
 
     _wrap_versioned(ArrayOverlay, "add_peer", "_epoch", changed=_always_changed)
     _wrap_versioned(
@@ -261,10 +203,6 @@ def _install_soa_hooks() -> None:
     _wrap_versioned(ArrayOverlay, "connect", "_epoch", changed=_truthy_changed)
     _wrap_versioned(
         ArrayOverlay, "disconnect", "_epoch", changed=_truthy_changed
-    )
-    _wrap_versioned(
-        ArrayOverlay, "invalidate_edge_costs", "_epoch",
-        shadow=invalidate_shadow,
     )
 
 
@@ -335,7 +273,6 @@ def _install_search_hooks() -> None:
 def _install_partial_row_hooks() -> None:
     from .oracle.exact import ExactOracle
     from .perf import counters
-    from .topology.overlay import Overlay
     from .topology.soa import ArrayOverlay
 
     served: List[Tuple[Any, int, List[int], np.ndarray]] = []
@@ -379,9 +316,8 @@ def _install_partial_row_hooks() -> None:
         return boundary
 
     ExactOracle._read_partial = recorded
-    for cls in (Overlay, ArrayOverlay):
-        for name in ("cost", "costs_from"):
-            setattr(cls, name, checked(vars(cls)[name]))
+    for name in ("cost", "costs_from"):
+        setattr(ArrayOverlay, name, checked(vars(ArrayOverlay)[name]))
 
 
 # ----------------------------------------------------------------------
@@ -494,7 +430,6 @@ def install() -> None:
     if _STATE.installed:
         return
     _STATE.installed = True
-    _install_overlay_hooks()
     _install_soa_hooks()
     _install_ace_hooks()
     _install_search_hooks()

@@ -9,8 +9,8 @@ against, and the engine of the one strategy that cannot compile (HPF).
    :data:`~repro.search.flooding.ForwardingStrategy` into a
    :class:`CompiledGraph`: a CSR adjacency over the live peers whose row
    order *is* the strategy's iteration order.  Blind flooding compiles the
-   overlay edge set once per :attr:`Overlay.epoch
-   <repro.topology.overlay.Overlay.epoch>`; ACE tree routing compiles the
+   overlay edge set once per :attr:`ArrayOverlay.epoch
+   <repro.topology.soa.ArrayOverlay.epoch>`; ACE tree routing compiles the
    edges every relay forwards on into a *directed* CSR keyed by
    ``(overlay.epoch, protocol.state_version)``.  Both kinds lower an
    :class:`~repro.topology.soa.ArrayOverlay` — what every scenario builds —
@@ -89,7 +89,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from ..core.turn import forwards
 from ..perf import counters
-from ..topology.overlay import Overlay
 from ..topology.soa import ArrayOverlay
 from .flooding import GNUTELLA_TTL, ForwardingStrategy, QueryPropagation
 
@@ -283,14 +282,14 @@ def _flooding_graph(overlay: ArrayOverlay) -> CompiledGraph:
     return graph
 
 
-def ace_graph_by_rows(overlay: Overlay, protocol: object) -> CompiledGraph:
+def ace_graph_by_rows(overlay: ArrayOverlay, protocol: object) -> CompiledGraph:
     """Compile *protocol*'s ACE forwarding graph row by row, uncached.
 
     The reference for the array lowering: each live peer's row is
     ``sorted(protocol.flooding_neighbors(peer))`` — ``ace_strategy`` sorts
-    at forward time, so the rows sort the same way.  Works on either
-    overlay class; counts one compile and probes the cost cache once per
-    edge.
+    at forward time, so the rows sort the same way.  Reads only the public
+    overlay surface, so the tests' dict-of-sets reference compiles here
+    too; counts one compile and probes the cost cache once per edge.
     """
     peers = overlay.peers()
     index = {p: i for i, p in enumerate(peers)}

@@ -29,7 +29,7 @@ from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..perf import counters
-from ..topology.overlay import Overlay
+from ..topology.soa import ArrayOverlay
 
 __all__ = [
     "ForwardingStrategy",
@@ -82,7 +82,7 @@ class QueryPropagation:
 
 
 def propagate(
-    overlay: Overlay,
+    overlay: ArrayOverlay,
     source: int,
     strategy: ForwardingStrategy,
     ttl: Optional[int] = GNUTELLA_TTL,
@@ -145,7 +145,7 @@ def propagate(
     return prop
 
 
-def blind_flooding_strategy(overlay: Overlay) -> ForwardingStrategy:
+def blind_flooding_strategy(overlay: ArrayOverlay) -> ForwardingStrategy:
     """The Gnutella baseline: forward to every neighbor except the sender."""
 
     def strategy(peer: int, came_from: Optional[int]) -> Iterable[int]:

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..topology.overlay import Overlay
+from ..topology.soa import ArrayOverlay
 
 __all__ = ["WalkResult", "random_walk_query"]
 
@@ -53,7 +53,7 @@ class WalkResult:
 
 
 def random_walk_query(
-    overlay: Overlay,
+    overlay: ArrayOverlay,
     source: int,
     holders: Iterable[int],
     rng: np.random.Generator,

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from ..topology.overlay import Overlay
+from ..topology.soa import ArrayOverlay
 from .peer import PeerRecord
 
 __all__ = ["BootstrapService"]
@@ -28,7 +28,7 @@ class BootstrapService:
 
     def __init__(
         self,
-        overlay: Overlay,
+        overlay: ArrayOverlay,
         records: Dict[int, PeerRecord],
         rng: np.random.Generator,
         target_degree: int = 6,

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..topology.overlay import Overlay
+from ..topology.soa import ArrayOverlay
 from .bootstrap import BootstrapService
 from .peer import PeerRecord
 
@@ -71,7 +71,7 @@ class ChurnModel:
 
     def __init__(
         self,
-        overlay: Overlay,
+        overlay: ArrayOverlay,
         offline_hosts: Dict[int, int],
         rng: np.random.Generator,
         config: Optional[ChurnConfig] = None,

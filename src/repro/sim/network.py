@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Protocol
 
 from ..rng import ensure_rng
-from ..topology.overlay import Overlay
+from ..topology.soa import ArrayOverlay
 from .engine import EventLoop
 from .messages import Message
 
@@ -63,7 +63,7 @@ class MessageNetwork:
 
     def __init__(
         self,
-        overlay: Overlay,
+        overlay: ArrayOverlay,
         loop: Optional[EventLoop] = None,
         loss_rate: float = 0.0,
         rng=None,

@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..rng import ensure_rng
-from .overlay import Overlay
 from .physical import PhysicalTopology
+from .soa import ArrayOverlay
 
 if TYPE_CHECKING:  # avoid a topology -> search -> core import cycle
     from ..search.flooding import QueryPropagation
@@ -105,7 +105,7 @@ def transit_stub(
     return topo, labels
 
 
-def as_of_hosts(labels: np.ndarray, overlay: Overlay) -> Dict[int, int]:
+def as_of_hosts(labels: np.ndarray, overlay: ArrayOverlay) -> Dict[int, int]:
     """Map each overlay peer to its autonomous-system id."""
     return {p: int(labels[overlay.host_of(p)]) for p in overlay.peers()}
 
@@ -143,7 +143,7 @@ class AsTrafficReport:
 
 def as_traffic_report(
     labels: np.ndarray,
-    overlay: Overlay,
+    overlay: ArrayOverlay,
     propagation: Optional["QueryPropagation"] = None,
 ) -> AsTrafficReport:
     """Classify an overlay's links (and optionally a query) by AS locality.

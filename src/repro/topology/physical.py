@@ -159,37 +159,6 @@ class PhysicalTopology:
         self._dist_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
 
     # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_networkx(cls, graph, weight: str = "delay", **kwargs) -> "PhysicalTopology":
-        """Build from a networkx graph whose nodes are ``0..n-1``.
-
-        Missing edge weights default to 1.0.
-        """
-        n = graph.number_of_nodes()
-        nodes = sorted(graph.nodes())
-        if nodes != list(range(n)):
-            raise ValueError("graph nodes must be exactly 0..n-1; relabel first")
-        edges = []
-        delays = []
-        for u, v, data in graph.edges(data=True):
-            edges.append((u, v))
-            delays.append(float(data.get(weight, 1.0)))
-        return cls(n, edges, delays, **kwargs)
-
-    def to_networkx(self):
-        """Export as a :class:`networkx.Graph` with ``delay`` edge attributes."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self._num_nodes))
-        for (u, v), d in self._edge_delays.items():
-            g.add_edge(u, v, delay=d)
-        return g
-
-    # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
 

@@ -21,8 +21,8 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from ..metrics.collector import left_fold
-from .overlay import Overlay
 from .physical import PhysicalTopology
+from .soa import ArrayOverlay
 
 __all__ = [
     "degree_histogram",
@@ -34,7 +34,7 @@ __all__ = [
     "analyze",
 ]
 
-GraphLike = Union[PhysicalTopology, Overlay]
+GraphLike = Union[PhysicalTopology, ArrayOverlay]
 
 
 def _adjacency(graph: GraphLike) -> Dict[int, Tuple[int, ...]]:
@@ -74,8 +74,8 @@ def clustering_coefficient(graph: GraphLike) -> float:
     """Average local clustering coefficient.
 
     For each node with degree >= 2, the fraction of neighbor pairs that are
-    themselves connected; averaged over all nodes (degree < 2 contributes 0,
-    the networkx convention).
+    themselves connected; averaged over all nodes, a node of degree < 2
+    contributing 0.
     """
     adj = _adjacency(graph)
     adj_sets = {n: set(nbrs) for n, nbrs in adj.items()}

@@ -1,15 +1,17 @@
 """Struct-of-arrays overlay: the engine every scenario runs on.
 
-:class:`ArrayOverlay` is the overlay
-:func:`~repro.experiments.setup.build_scenario` returns.  It is a drop-in
-replacement for the dict-of-sets :class:`~repro.topology.overlay.Overlay` —
-which the tests keep as the reference — holding the peer/edge state in flat numpy arrays instead:
+:class:`ArrayOverlay` is the overlay every generator
+(:mod:`repro.topology.overlay`) and
+:func:`~repro.experiments.setup.build_scenario` return: the Gnutella-like
+logical network the paper studies, peers (integer ids) on physical hosts,
+with symmetric logical links whose *cost* is the underlay shortest-path
+delay between the two hosts — the cost metric of ACE Phase 1.  It holds
+the peer/edge state in flat numpy arrays:
 
 * per-slot arrays — peer id, physical host, live logical degree — indexed by
   a dense *slot* number (``_index`` maps peer id -> slot);
 * a CSR adjacency over slots (``_indptr`` / ``_nbr``) with a parallel
-  ``float64`` per-edge cost array (``NaN`` = cost not yet known, the array
-  form of the reference's per-edge cost cache);
+  ``float64`` per-edge cost array (``NaN`` = cost not yet known);
 * ACE's routing state, kept the way a servent keeps it (paper §3.3): one
   ``int8`` label per *directed* entry beside its cost (``_label``:
   :data:`UNLABELLED`, :data:`FLOODING` or :data:`NON_FLOODING`, written by
@@ -29,19 +31,21 @@ which the tests keep as the reference — holding the peer/edge state in flat nu
   :data:`repro.perf.counters` (``soa_compactions`` /
   ``soa_edit_buffer_flushes``).
 
-Semantics — epoch bumps, the per-edge cost column over the oracle's
-host-pair store, counter accounting, and error behaviour — mirror the
-reference exactly, so both produce byte-identical experiment figures from
-the same seed (pinned in ``tests/experiments/test_reproducibility.py``).
-The engine remembers no host-pair delay of its own: a missing cost is
-asked of the oracle, and its bulk fill hands the oracle the hosts Phase 3
-can probe from each end (:meth:`_probe_pools`), whose delays an exact
-oracle keeps out of the rows it streams (:mod:`repro.oracle.exact`).
-The payoff is bulk state:
+The tests hold this engine to a dict-of-sets ``Overlay`` with the same
+public surface (``tests/reference/overlay.py``).  Epoch bumps, the per-edge
+cost column over the oracle's host-pair store, counter accounting and error
+behaviour match it exactly, so both produce byte-identical experiment
+figures from the same seed (``TestArrayEngineMatchesObject`` in
+``tests/experiments/test_reproducibility.py``; ``tests/golden`` pins the
+figures themselves).  The engine remembers no host-pair delay of its own:
+a missing cost is asked of the oracle, and its bulk fill hands the oracle
+the hosts Phase 3 can probe from each end (:meth:`_probe_pools`), whose
+delays an exact oracle keeps out of the rows it streams
+(:mod:`repro.oracle.exact`).  The payoff is bulk state:
 
 * :meth:`warm_edge_costs` is O(1) when the overlay is already warm (the
-  reference re-scans every edge per call — the dominant cost of large
-  ACE steps), and a vectorized NaN scan otherwise;
+  reference re-scans every edge per call), and a vectorized NaN scan
+  otherwise;
 * :meth:`flooding_csr` lowers the adjacency straight into the compiled
   query kernel's CSR form (:mod:`repro.search.batch`) without materializing
   per-peer neighbor sets.
@@ -64,7 +68,7 @@ unwrapping.
 There is no second copy of any state to keep in step: a view aliases its
 array, so a write on either side is the other side's next read.  A view can
 only go stale when an array *object* is replaced, and that happens in four
-places — construction, :meth:`_install_base` (compaction, conversion),
+places — construction, :meth:`_install_base` (compaction, packing),
 slot growth and :meth:`copy` — each of which ends in :meth:`_bind_views`
 (``tests/topology/test_array_overlay.py::TestBufferViews``).
 """
@@ -87,10 +91,10 @@ from typing import (
 
 import numpy as np
 
+from ..metrics.collector import left_fold
 from ..oracle.base import DelayOracle
 from ..oracle.exact import ExactOracle
 from ..perf import counters
-from .overlay import Overlay
 from .physical import PhysicalTopology
 
 __all__ = ["ArrayOverlay", "UNLABELLED", "FLOODING", "NON_FLOODING"]
@@ -101,7 +105,7 @@ __all__ = ["ArrayOverlay", "UNLABELLED", "FLOODING", "NON_FLOODING"]
 UNLABELLED, FLOODING, NON_FLOODING = 0, 1, 2
 
 
-class ArrayOverlay(Overlay):
+class ArrayOverlay:
     """Flat-array overlay engine (see module docstring)."""
 
     def __init__(
@@ -111,14 +115,12 @@ class ArrayOverlay(Overlay):
         oracle: Optional[DelayOracle] = None,
         compact_threshold: Optional[int] = None,
     ) -> None:
-        # Deliberately does NOT call Overlay.__init__: the dict structures
-        # (_hosts/_adjacency/_edge_costs) are never created, so any inherited
-        # method that was missed in the override sweep fails loudly instead
-        # of silently reading empty state.
         self._physical = physical
         if oracle is not None and oracle.physical is not physical:
             raise ValueError("oracle answers for a different underlay")
-        self._oracle = oracle if oracle is not None else ExactOracle(physical)
+        self._oracle: DelayOracle = (
+            oracle if oracle is not None else ExactOracle(physical)
+        )
         self._epoch = 0
         self._compact_threshold = compact_threshold
 
@@ -156,53 +158,26 @@ class ArrayOverlay(Overlay):
                 self.add_peer(peer, host)
 
     # ------------------------------------------------------------------
-    # Construction / conversion
+    # Construction
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_overlay(
-        cls, source: Overlay, compact_threshold: Optional[int] = None
-    ) -> "ArrayOverlay":
-        """Convert any overlay into a compact array engine.
-
-        Known per-edge costs and the epoch carry over, and the result shares
-        *source*'s oracle, so both read one host-pair store.
-        """
-        if isinstance(source, ArrayOverlay):
-            clone = source.copy()
-            clone._compact_threshold = compact_threshold
-            return clone
-        order = source.peers()
-        slot = {p: i for i, p in enumerate(order)}
-        links = list(source.edges())
-        # Costs and epoch transfer together: a coherent copy.
-        out = cls._packed(
-            source.physical, order, [source.host_of(p) for p in order],
-            [slot[p] for link in links for p in link],
-            [source._edge_costs.get(link, math.nan) for link in links],
-            source.oracle, compact_threshold,
-        )
-        out._epoch = source.epoch
-        return out
-
-    @classmethod
     def _packed(
-        cls, physical: PhysicalTopology, order: List[int], host: List[int], ends: List[int],
-        cost: List[float], oracle: Optional[DelayOracle] = None,
-        compact_threshold: Optional[int] = None,
+        cls, physical: PhysicalTopology, hosts: List[int], ends: List[int]
     ) -> "ArrayOverlay":
-        """Peers *order* (sorted) on *host*, packed as a repack leaves them, with
-        links *ends* (slot pairs ``u0, v0, u1, v1, ...``) costing *cost* (NaN: unknown)."""
-        n = len(order)
+        """Peer ``i`` on ``hosts[i]``, linked by *ends* (``u0, v0, u1, v1, ...``)
+        at unknown costs, packed as a repack leaves them."""
+        n = len(hosts)
+        order = list(range(n))
         pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
         rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
         entries = np.argsort(rows * n + cols)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        out = cls(physical, oracle=oracle, compact_threshold=compact_threshold)
+        out = cls(physical)
         out._install_base(
-            order, dict(zip(order, range(n))), np.array(host, dtype=np.int64),
-            indptr, cols[entries], np.tile(np.array(cost, dtype=np.float64), 2)[entries],
+            order, dict(zip(order, order)), np.array(hosts, dtype=np.int64),
+            indptr, cols[entries], np.full(len(cols), math.nan),
             np.zeros(len(cols), dtype=np.int8), np.zeros(n, dtype=bool),
         )
         return out
@@ -453,6 +428,29 @@ class ArrayOverlay(Overlay):
     # ------------------------------------------------------------------
 
     @property
+    def physical(self) -> PhysicalTopology:
+        """The underlay this overlay is built on."""
+        return self._physical
+
+    @property
+    def oracle(self) -> DelayOracle:
+        """The delay oracle answering this overlay's cost lookups."""
+        return self._oracle
+
+    @property
+    def epoch(self) -> int:
+        """Monotone structural version of the logical layer.
+
+        Bumped by every mutation that can change the forwarding graph or its
+        edge costs — :meth:`add_peer`, :meth:`remove_peer`, :meth:`connect`,
+        :meth:`disconnect` and :meth:`use_oracle` — so derived structures
+        (notably the compiled CSR forwarding graphs in
+        :mod:`repro.search.batch`) can be memoized per epoch and invalidated
+        for free.  Link labels and compaction leave it where it is.
+        """
+        return self._epoch
+
+    @property
     def num_peers(self) -> int:
         """Number of live peers."""
         return len(self._index)
@@ -580,7 +578,14 @@ class ArrayOverlay(Overlay):
         return self._edge_cost(su, sv) is not None
 
     def connect(self, u: int, v: int) -> bool:
-        """Establish the logical connection u-v (see object engine)."""
+        """Establish the logical connection u-v.
+
+        Returns ``True`` if a new connection was created, ``False`` if it
+        already existed.  Raises for unknown peers or self-connections.  The
+        new link's cost is filled now if the oracle already knows its host
+        pair, and left unknown (NaN) for a later lookup or bulk fill
+        otherwise: a connect never touches the underlay.
+        """
         if u == v:
             raise ValueError("a peer cannot connect to itself")
         su = self._index.get(u)
@@ -741,7 +746,12 @@ class ArrayOverlay(Overlay):
         self._epoch += 1
 
     def cost(self, u: int, v: int) -> float:
-        """Cost of a (potential) logical link — object-engine semantics."""
+        """Cost of a (potential) logical link: underlay shortest-path delay.
+
+        A live link's known cost is served from the cost column (counted as
+        a hit); any other pair is the oracle's, and a live link's missing
+        cost is filled with the answer (counted as a miss).
+        """
         su = self._index[u]
         sv = self._index[v]
         c = self._edge_cost(su, sv)
@@ -914,7 +924,7 @@ class ArrayOverlay(Overlay):
     def warm_edge_costs(self) -> int:
         """Bulk-fill the per-edge costs — O(1) when already warm.
 
-        The object engine re-scans every edge per call; here a running
+        The reference re-scans every edge per call; here a running
         missing-cost counter short-circuits the warm case, and the cold case
         finds the NaN entries with one vectorized scan.  Pairs the oracle
         does not know yet go to one
@@ -951,15 +961,9 @@ class ArrayOverlay(Overlay):
         """Number of logical edges with a resident cached cost."""
         return self._nedges - self._missing
 
-    def invalidate_edge_costs(self) -> None:
-        """Drop the whole per-edge cost cache (the oracle's store survives)."""
-        if len(self._ncost):
-            self._ncost[:] = math.nan
-        for ex in self._extra.values():
-            for sv in ex:
-                ex[sv] = math.nan
-        self._missing = self._nedges
-        self._epoch += 1
+    def total_edge_cost(self) -> float:
+        """Sum of logical-link costs over all overlay edges."""
+        return left_fold(self.cost(u, v) for u, v in self.edges())
 
     # ------------------------------------------------------------------
     # Bulk views
@@ -1037,17 +1041,6 @@ class ArrayOverlay(Overlay):
             frontier = np.unique(reached[~seen[reached]])
         return set(self._slot_peer[np.flatnonzero(seen)].tolist())
 
-    def components(self) -> List[Set[int]]:
-        """All connected components, largest first."""
-        remaining = set(self._index)
-        out: List[Set[int]] = []
-        while remaining:
-            comp = self.component_of(next(iter(remaining)))
-            out.append(comp)
-            remaining -= comp
-        out.sort(key=len, reverse=True)
-        return out
-
     def is_connected(self) -> bool:
         """Whether all live peers form a single component."""
         if not self._index:
@@ -1096,18 +1089,6 @@ class ArrayOverlay(Overlay):
         clone._epoch = self._epoch  # compiled-graph caches key on identity
         clone._bind_views()
         return clone
-
-    def to_networkx(self):  # type: ignore[no-untyped-def]
-        """Export the logical graph (``cost`` edge attribute included)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        for p in self.peers():
-            g.add_node(p, host=self.host_of(p))
-        self.warm_edge_costs()  # one batched solve; the loop below only probes
-        for u, v in self.edges():
-            g.add_edge(u, v, cost=self.cost(u, v))
-        return g
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -7,11 +7,12 @@ import pytest
 
 from repro.core.ace import AceProtocol
 from repro.topology.generators import barabasi_albert, grid
-from repro.topology.overlay import Overlay, small_world_overlay
+from repro.topology.overlay import small_world_overlay
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
 from tests.reference import object_twin
 from tests.reference.ace import ReferenceAce
+from tests.reference.overlay import Overlay
 
 
 @pytest.fixture

@@ -15,11 +15,12 @@ from repro.core.batch_ace import extract_closures
 from repro.core.turn import shed_floor_of, shed_redundant
 from repro.search.flooding import blind_flooding_strategy, propagate
 from repro.search.tree_routing import ace_strategy
-from repro.topology.overlay import Overlay, small_world_overlay
+from repro.topology.overlay import small_world_overlay
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import FLOODING, NON_FLOODING, UNLABELLED
 from tests.reference.ace import ReferenceAce
 from tests.reference.labels import LabelledOverlay, LabelledReferenceAce, labelled_twin
+from tests.reference.overlay import Overlay
 
 
 def line_underlay(n=32):

@@ -32,12 +32,12 @@ from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.experiments.static_env import run_static_experiment
 from repro.oracle.exact import ExactOracle
 from repro.perf import counters
-from repro.topology.overlay import Overlay
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import FLOODING, NON_FLOODING, ArrayOverlay
 from tests.reference import production_and_reference
 from tests.reference.ace import ReferenceAce, reference_drivers
 from tests.reference.closure import neighbor_closure
+from tests.reference.overlay import Overlay
 from tests.reference.spanning_tree import prim_mst_heap
 
 

@@ -88,7 +88,7 @@ class TestValidation:
             neighbor_closure(chain_overlay, 99, 1)
 
     def test_isolated_peer_closure(self, grid_physical):
-        from repro.topology.overlay import Overlay
+        from tests.reference.overlay import Overlay
 
         ov = Overlay(grid_physical, {0: 0})
         c = neighbor_closure(ov, 0, 1)

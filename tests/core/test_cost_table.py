@@ -40,7 +40,7 @@ class TestBuildCostTable:
             table.cost_to(4)
 
     def test_isolated_peer_empty_table(self, grid_physical):
-        from repro.topology.overlay import Overlay
+        from tests.reference.overlay import Overlay
 
         ov = Overlay(grid_physical, {0: 0})
         table = build_cost_table(ov, 0)
@@ -83,7 +83,7 @@ class TestExchangeOverhead:
         assert ENTRY_COST_FACTOR == 0.02
 
     def test_isolated_source_zero(self, grid_physical):
-        from repro.topology.overlay import Overlay
+        from tests.reference.overlay import Overlay
 
         ov = Overlay(grid_physical, {0: 0})
         closure = neighbor_closure(ov, 0, 1)

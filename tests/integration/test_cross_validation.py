@@ -11,6 +11,7 @@ from repro.topology.properties import (
     characteristic_path_length,
     clustering_coefficient,
 )
+from tests.reference.graphs import to_networkx
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ def world():
 class TestShortestPathsAgainstNetworkx:
     def test_underlay_delays(self, world):
         physical, _overlay = world
-        g = physical.to_networkx()
+        g = to_networkx(physical)
         sources = [0, 50, 150]
         for s in sources:
             expected = nx.single_source_dijkstra_path_length(g, s, weight="delay")
@@ -36,7 +37,7 @@ class TestShortestPathsAgainstNetworkx:
         """Blind flooding explores every path, so the first arrival at a
         peer equals the cost-weighted shortest path in the logical graph."""
         _physical, overlay = world
-        g = overlay.to_networkx()
+        g = to_networkx(overlay)
         source = overlay.peers()[0]
         prop = propagate(overlay, source, blind_flooding_strategy(overlay), ttl=None)
         expected = nx.single_source_dijkstra_path_length(g, source, weight="cost")
@@ -47,7 +48,7 @@ class TestShortestPathsAgainstNetworkx:
         """TTL semantics follow hop counts of the first delivery; every
         reached peer's hop count is at least its BFS level."""
         _physical, overlay = world
-        g = overlay.to_networkx()
+        g = to_networkx(overlay)
         source = overlay.peers()[0]
         prop = propagate(overlay, source, blind_flooding_strategy(overlay), ttl=None)
         levels = nx.single_source_shortest_path_length(g, source)
@@ -59,13 +60,13 @@ class TestGraphStatsAgainstNetworkx:
     def test_clustering_coefficient(self, world):
         _physical, overlay = world
         ours = clustering_coefficient(overlay)
-        theirs = nx.average_clustering(overlay.to_networkx())
+        theirs = nx.average_clustering(to_networkx(overlay))
         assert ours == pytest.approx(theirs)
 
     def test_exact_path_length(self, world):
         _physical, overlay = world
         ours = characteristic_path_length(overlay, samples=overlay.num_peers)
-        theirs = nx.average_shortest_path_length(overlay.to_networkx())
+        theirs = nx.average_shortest_path_length(to_networkx(overlay))
         assert ours == pytest.approx(theirs)
 
     def test_mst_weight_on_closures(self, world):

@@ -10,10 +10,9 @@ from repro.experiments.parallel import run_trials
 from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.oracle.exact import ExactOracle
 from repro.perf import counters, reset_counters
-from repro.topology.overlay import Overlay, small_world_overlay
+from repro.topology.overlay import small_world_overlay
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
-from tests.reference import object_twin
 
 
 class TestDelegation:
@@ -54,12 +53,12 @@ class TestDelegation:
 
 
 class TestOverlaySeamIsTransparent:
-    """Routing Overlay costs through ExactOracle must not change a bit —
+    """Routing overlay costs through ExactOracle must not change a bit —
     same answers AND the same counter traffic as the direct engine calls
     the overlay historically made."""
 
     def test_default_overlay_oracle_is_exact(self, ba_physical):
-        ov = Overlay(ba_physical, {0: 0, 1: 1})
+        ov = ArrayOverlay(ba_physical, {0: 0, 1: 1})
         assert isinstance(ov.oracle, ExactOracle)
         assert ov.oracle.physical is ba_physical
 
@@ -86,7 +85,7 @@ class TestOverlaySeamIsTransparent:
 
     def test_foreign_oracle_rejected(self, grid_physical, ba_physical):
         with pytest.raises(ValueError):
-            Overlay(ba_physical, oracle=ExactOracle(grid_physical))
+            ArrayOverlay(ba_physical, oracle=ExactOracle(grid_physical))
 
 
 class TestDelayPairsDefault:
@@ -140,13 +139,6 @@ class TestStoreLifetime:
         assert overlay.oracle._store == {} and overlay.oracle._partial == {}
         assert overlay.oracle.known(hu, hv) is None
         assert overlay.warm_edge_costs() == overlay.num_edges
-
-    def test_from_overlay_shares_its_sources_oracle(self, ba_physical, rng):
-        overlay, (hu, hv) = self.world(ba_physical, rng)
-        for source in (overlay, object_twin(overlay)):
-            converted = ArrayOverlay.from_overlay(source)
-            assert converted.oracle is source.oracle
-        assert ArrayOverlay.from_overlay(overlay).oracle.known(hu, hv) is not None
 
     def test_a_workers_oracle_starts_empty(self):
         # A parallel trial builds its own world, oracle included.

@@ -22,8 +22,8 @@ import dataclasses
 
 from repro.experiments.setup import Scenario, ScenarioConfig, build_scenario
 from repro.oracle.base import DelayOracle
-from repro.topology.overlay import Overlay
 from repro.topology.soa import ArrayOverlay
+from tests.reference.overlay import Overlay
 
 
 def fresh_oracle(oracle: DelayOracle) -> DelayOracle:
@@ -36,11 +36,11 @@ def fresh_oracle(oracle: DelayOracle) -> DelayOracle:
     return clone
 
 
-def twin(cls, overlay: Overlay) -> Overlay:
-    """A *cls* overlay with *overlay*'s peers, hosts and edges, over a
-    fresh copy of its oracle."""
+def twin(cls, overlay: Overlay, **kwargs) -> Overlay:
+    """A *cls* overlay (built with *kwargs*) with *overlay*'s peers, hosts
+    and edges, over a fresh copy of its oracle."""
     peers = overlay.peers()
-    twin = cls(overlay.physical, {p: overlay.host_of(p) for p in peers})
+    twin = cls(overlay.physical, {p: overlay.host_of(p) for p in peers}, **kwargs)
     for u in peers:
         for v in sorted(overlay.neighbors(u)):
             if u < v:

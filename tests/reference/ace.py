@@ -36,8 +36,8 @@ from repro.core.turn import Turn, fold, phase3, shed_floor_of
 from repro.experiments import dynamic_env, static_env
 from repro.perf import counters
 from repro.rng import ensure_rng
-from repro.topology.overlay import Overlay
 from repro.topology.soa import ArrayOverlay
+from tests.reference.overlay import Overlay
 
 from .closure import ClosureView, neighbor_closure
 from .cost_table import Phase1Report, run_phase1

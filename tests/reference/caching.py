@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional
 from repro.search.batch import QueryStats
 from repro.search.caching import IndexCacheStore
 from repro.search.flooding import ForwardingStrategy, propagate
-from repro.topology.overlay import Overlay
+from tests.reference.overlay import Overlay
 
 __all__ = ["cached_query", "stopping_at"]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Set
 
-from repro.topology.overlay import Overlay
+from tests.reference.overlay import Overlay
 
 __all__ = ["ClosureView", "neighbor_closure"]
 

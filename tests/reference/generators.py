@@ -7,9 +7,9 @@ draws each attachment with its own scalar call, as the BA generator did
 before it drew a chunk of nodes per call.  :func:`physical_parts` is
 :class:`~repro.topology.physical.PhysicalTopology`'s per-link construction
 (validation, duplicate collapse, adjacency, CSR).  The three overlay
-generators build, link by link, the object :class:`Overlay` whose
-``ArrayOverlay.from_overlay`` the production generators must equal, with
-the same draws from the same stream.  ``tests/topology/test_builders.py``
+generators build, link by link, the object :class:`Overlay` whose peers,
+hosts, links and epoch the production generators must equal, with the same
+draws from the same stream.  ``tests/topology/test_builders.py``
 holds production to them bit for bit.
 """
 
@@ -23,8 +23,8 @@ from scipy.sparse import csr_matrix
 
 from repro.rng import ensure_rng
 from repro.topology import generators
-from repro.topology.overlay import Overlay
 from repro.topology.physical import DELAY_GRID, PhysicalTopology
+from tests.reference.overlay import Overlay
 
 
 def _euclidean_delay(coords: np.ndarray, u: int, v: int, min_delay: float) -> float:

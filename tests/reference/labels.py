@@ -20,8 +20,8 @@ link until its next Phase 2.
 
 from typing import Dict, Set
 
-from repro.topology.overlay import Overlay
 from repro.topology.soa import FLOODING, NON_FLOODING
+from tests.reference.overlay import Overlay
 
 from . import twin
 from .ace import ReferenceAce, ReferenceState

@@ -26,7 +26,7 @@ from repro.search.flooding import (
     QueryPropagation,
     propagate,
 )
-from repro.topology.overlay import Overlay
+from tests.reference.overlay import Overlay
 
 from . import caching
 

@@ -3,4 +3,4 @@
 import repro.perf
 from repro.topology.physical import PhysicalTopology
 from . import generators
-from .overlay import Overlay
+from .soa import ArrayOverlay

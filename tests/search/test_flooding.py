@@ -8,11 +8,11 @@ from repro.search.flooding import (
     blind_flooding_strategy,
     propagate,
 )
-from repro.topology.overlay import Overlay
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
 from tests.reference import search as reference
 from tests.reference.caching import stopping_at
+from tests.reference.overlay import Overlay
 
 
 @pytest.fixture

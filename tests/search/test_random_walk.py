@@ -70,7 +70,7 @@ class TestWalkMechanics:
         assert greedy.messages == 1
 
     def test_isolated_source(self, grid_physical):
-        from repro.topology.overlay import Overlay
+        from tests.reference.overlay import Overlay
 
         ov = Overlay(grid_physical, {0: 0})
         result = random_walk_query(ov, 0, [], np.random.default_rng(0))

@@ -5,7 +5,7 @@ import pytest
 
 from repro.sim.bootstrap import BootstrapService
 from repro.sim.peer import PeerRecord
-from repro.topology.overlay import Overlay
+from tests.reference.overlay import Overlay
 
 
 @pytest.fixture

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sim.churn import ChurnConfig, ChurnModel, LifetimeDistribution
-from repro.topology.overlay import Overlay, random_overlay
+from repro.topology.overlay import random_overlay
+from tests.reference.overlay import Overlay
 
 
 @pytest.fixture

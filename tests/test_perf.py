@@ -24,11 +24,12 @@ from repro.perf import PerfCounters, counters, get_counters, reset_counters
 from repro.search import batch
 from repro.search.batch import propagate_many, run_queries
 from repro.search.flooding import blind_flooding_strategy, propagate
-from repro.topology.overlay import Overlay, small_world_overlay
+from repro.topology.overlay import small_world_overlay
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
 from tests.reference import production_and_reference
 from tests.reference.ace import ReferenceAce, reference_drivers
+from tests.reference.overlay import Overlay
 
 
 def traced_peak(call):

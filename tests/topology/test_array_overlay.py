@@ -21,18 +21,19 @@ from repro.experiments.setup import ScenarioConfig, build_scenario
 from repro.oracle.landmark import LandmarkOracle
 from repro.perf import counters
 from repro.topology.generators import barabasi_albert, grid
-from repro.topology.overlay import Overlay, random_overlay
+from repro.topology.overlay import random_overlay
 from repro.topology.soa import ArrayOverlay
-from tests.reference import object_twin
+from tests.reference import array_twin, object_twin, twin
 from tests.reference.landmark import estimate_vector
+from tests.reference.overlay import Overlay
 
 
-def assert_equivalent(obj: Overlay, arr: ArrayOverlay) -> None:
+def assert_equivalent(obj: Overlay, arr: ArrayOverlay, same_epoch: bool = True) -> None:
     """Full observable-state comparison between the two engines."""
     assert arr.num_peers == obj.num_peers
     assert arr.num_edges == obj.num_edges
     assert arr.peers() == obj.peers()
-    assert arr.epoch == obj.epoch
+    assert arr.epoch == obj.epoch or not same_epoch
     assert arr.average_degree() == pytest.approx(obj.average_degree())
     for p in obj.peers():
         assert arr.has_peer(p)
@@ -41,9 +42,8 @@ def assert_equivalent(obj: Overlay, arr: ArrayOverlay) -> None:
         assert arr.degree(p) == obj.degree(p)
     assert sorted(arr.edges()) == sorted(obj.edges())
     assert arr.is_connected() == obj.is_connected()
-    assert sorted(map(sorted, arr.components())) == sorted(
-        map(sorted, obj.components())
-    )
+    for p in obj.peers():
+        assert arr.component_of(p) == obj.component_of(p)
 
 
 #: Scalar-path buffer view -> the array it must alias.
@@ -79,40 +79,27 @@ def physical():
 
 @pytest.fixture
 def pair(physical):
-    """An object overlay and an array conversion (aggressive compaction),
-    each over its own oracle: a conversion shares its source's, and the
-    tests below count each engine's oracle traffic apart."""
+    """An object overlay and its array twin (aggressive compaction), each
+    over its own oracle: the tests below count each engine's oracle
+    traffic apart."""
     obj = object_twin(
         random_overlay(physical, 36, avg_degree=5, rng=np.random.default_rng(9))
     )
     assert type(obj) is Overlay
-    arr = ArrayOverlay.from_overlay(object_twin(obj), compact_threshold=3)
+    arr = twin(ArrayOverlay, obj, compact_threshold=3)
+    assert_equivalent(obj, arr)
     return obj, arr
 
 
 class TestConversion:
-    def test_from_overlay_matches(self, pair):
-        obj, arr = pair
-        assert_equivalent(obj, arr)
-
-    def test_from_overlay_carries_known_costs(self, physical):
-        obj = object_twin(
-            random_overlay(physical, 20, avg_degree=4, rng=np.random.default_rng(3))
-        )
-        assert type(obj) is Overlay
-        obj.warm_edge_costs()
-        arr = ArrayOverlay.from_overlay(obj)
-        assert arr.cached_edge_costs == obj.cached_edge_costs == obj.num_edges
-        for u, v in obj.edges():
-            assert arr.cost(u, v) == obj.cost(u, v)
-
     def test_from_array_roundtrip(self, pair):
         _, arr = pair
-        again = ArrayOverlay.from_overlay(arr)
+        again = array_twin(object_twin(arr))
+        assert type(again) is ArrayOverlay
         assert_equivalent(arr, again)
 
     def test_empty_overlay(self, physical):
-        arr = ArrayOverlay.from_overlay(Overlay(physical))
+        arr = array_twin(Overlay(physical))
         assert arr.num_peers == 0
         assert arr.num_edges == 0
         assert arr.peers() == []
@@ -128,7 +115,7 @@ _UNKNOWN = 10**6
 
 _OP = st.tuples(
     st.sampled_from(
-        ["remove", "add", "connect", "disconnect", "cost", "invalidate", "warm"]
+        ["remove", "add", "connect", "disconnect", "cost", "reset", "warm"]
     ),
     st.integers(0, 10**4),
     st.integers(0, 10**4),
@@ -213,9 +200,10 @@ class TestMutationEquivalence:
                 assert _counted(lambda: arr.cost(u, v)) == _counted(
                     lambda: obj.cost(u, v)
                 )
-            elif op == "invalidate":
-                obj.invalidate_edge_costs()
-                arr.invalidate_edge_costs()
+            elif op == "reset":
+                # Every per-edge cost dropped; each oracle's store kept.
+                obj.use_oracle(obj.oracle)
+                arr.use_oracle(arr.oracle)
             elif op == "warm":
                 assert _counted(arr.warm_edge_costs) == _counted(
                     obj.warm_edge_costs
@@ -303,7 +291,8 @@ class TestCompactionLayout:
                 arr.connect(u, v)
             elif op == "disconnect":
                 arr.disconnect(u, v)
-        want = ArrayOverlay.from_overlay(object_twin(arr))
+        want = array_twin(object_twin(arr))
+        want.flush_edits()
         arr._compact()
         peers = arr.peers()
         assert arr._slot_peer[: arr._nslots].tolist() == peers == sorted(peers)
@@ -339,10 +328,11 @@ class TestBufferViews:
         arr.adjacency_csr()  # compacts: every base array is replaced
         assert_views_alias(arr)
         assert not arr.has_edge(u, v)
-        for other in (arr.copy(), ArrayOverlay.from_overlay(arr)):
+        # A twin rebuilt link by link counts its own epoch.
+        for other, same_epoch in ((arr.copy(), True), (array_twin(object_twin(arr)), False)):
             assert_views_alias(other)
             assert other._vnbr.obj is not arr._nbr
-            assert_equivalent(arr, other)
+            assert_equivalent(arr, other, same_epoch)
 
     def test_scalar_writes_reach_the_bulk_kernels(self, pair):
         obj, arr = pair
@@ -364,7 +354,7 @@ class TestBufferViews:
         arr.warm_edge_costs()
         u, v = sorted(obj.edges())[0]
         exact = arr.cost(u, v)
-        arr.invalidate_edge_costs()  # in place: _ncost[:] = nan
+        arr.use_oracle(arr.oracle)  # in place: _ncost[:] = nan
         assert _counted(lambda: arr.cost(u, v)) == (exact, 0, 1)
         landmark = LandmarkOracle(
             arr.physical, n_landmarks=4, rng=np.random.default_rng(1)
@@ -400,7 +390,12 @@ class TestComponents:
             assert arr.component_of(p) == twin.component_of(p)
         assert arr.is_connected() == twin.is_connected()
         assert counters.soa_compactions == compactions
-        return len(twin.components())
+        seen, count = set(), 0
+        for p in twin.peers():
+            if p not in seen:
+                seen |= twin.component_of(p)
+                count += 1
+        return count
 
     def test_split_overlay_mid_edit_buffer_and_after_removal(self, physical):
         arr = ArrayOverlay(physical, {p: p for p in range(14)})
@@ -476,16 +471,6 @@ class TestCostEquivalence:
         d_arr = arr.cost(u, v)
         assert d_obj == d_arr
         assert counters.edge_cost_hits == hits_before + 2
-
-    def test_invalidate_edge_costs(self, pair):
-        obj, arr = pair
-        obj.warm_edge_costs()
-        arr.warm_edge_costs()
-        obj.invalidate_edge_costs()
-        arr.invalidate_edge_costs()
-        assert arr.cached_edge_costs == obj.cached_edge_costs == 0
-        assert arr.epoch == obj.epoch
-        assert arr.warm_edge_costs() == obj.warm_edge_costs()
 
     def test_same_host_edges_cost_zero(self, physical):
         arr = ArrayOverlay(physical)

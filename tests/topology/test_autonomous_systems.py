@@ -10,7 +10,8 @@ from repro.topology.autonomous_systems import (
     as_traffic_report,
     transit_stub,
 )
-from repro.topology.overlay import Overlay, random_overlay
+from repro.topology.overlay import random_overlay
+from tests.reference.overlay import Overlay
 
 
 @pytest.fixture(scope="module")

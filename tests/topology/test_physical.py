@@ -178,31 +178,6 @@ class TestConnectivity:
         assert topo.largest_component_nodes() == [0, 1, 2]
 
 
-class TestNetworkxInterop:
-    def test_roundtrip(self):
-        topo = make_line()
-        back = PhysicalTopology.from_networkx(topo.to_networkx())
-        assert back.num_nodes == topo.num_nodes
-        assert sorted(back.edges()) == sorted(topo.edges())
-
-    def test_from_networkx_requires_contiguous_labels(self):
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_edge(0, 5)
-        with pytest.raises(ValueError, match="0..n-1"):
-            PhysicalTopology.from_networkx(g)
-
-    def test_from_networkx_default_weight(self):
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(2))
-        g.add_edge(0, 1)
-        topo = PhysicalTopology.from_networkx(g)
-        assert topo.link_delay(0, 1) == 1.0
-
-
 class TestBatchedDijkstra:
     def test_delays_from_many_matches_single_source(self):
         topo = make_line()

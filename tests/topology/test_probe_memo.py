@@ -23,9 +23,9 @@ import repro.sanitize as sanitize
 from repro.oracle.exact import ExactOracle
 from repro.oracle.landmark import LandmarkOracle
 from repro.perf import counters
-from repro.topology.overlay import Overlay
 from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
+from tests.reference.overlay import Overlay
 
 #: Hosts 0-1-2-3-4-5 in a line, every link delay on the grid.
 LINE_DELAYS = [0.25, 0.5, 0.75, 1.0, 1.25]
@@ -42,21 +42,21 @@ def line(cache_size=2):
 
 def pair(physical, hosts, edges):
     """The same peers and links on both engines, each over its own exact
-    oracle (a conversion shares its source's, so the array engine converts
-    a second object build).
+    oracle.
 
     *edges* land in the array engine's packed CSR; links made afterwards
     sit in its edit buffer and cuts leave tombstones, so the named cases
     below read pools across all three.
     """
-
-    def build():
-        obj = Overlay(physical, hosts, oracle=ExactOracle(physical))
-        for u, v in edges:
-            obj.connect(u, v)
-        return obj
-
-    return build(), ArrayOverlay.from_overlay(build())
+    obj, arr = (
+        cls(physical, hosts, oracle=ExactOracle(physical))
+        for cls in (Overlay, ArrayOverlay)
+    )
+    for u, v in edges:
+        obj.connect(u, v)
+        arr.connect(u, v)
+    arr.flush_edits()
+    return obj, arr
 
 
 def solved_by(call):

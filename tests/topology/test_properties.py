@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.topology.generators import barabasi_albert, grid, watts_strogatz
-from repro.topology.overlay import Overlay
 from repro.topology.properties import (
     TopologyReport,
     analyze,
@@ -16,6 +15,7 @@ from repro.topology.properties import (
     power_law_exponent,
     small_world_sigma,
 )
+from tests.reference.overlay import Overlay
 
 
 def overlay_from_edges(physical, edges, n):
