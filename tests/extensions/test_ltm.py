@@ -1,7 +1,6 @@
 """Unit tests for the simplified LTM comparator."""
 
 import numpy as np
-import pytest
 
 from repro.extensions.ltm import LtmProtocol, LtmReport
 from repro.search.flooding import blind_flooding_strategy, propagate

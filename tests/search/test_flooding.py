@@ -8,7 +8,6 @@ from repro.search.flooding import (
     blind_flooding_strategy,
     propagate,
 )
-from repro.topology.physical import PhysicalTopology
 from repro.topology.soa import ArrayOverlay
 from tests.reference import search as reference
 from tests.reference.caching import stopping_at

@@ -5,7 +5,6 @@ import pytest
 
 from repro.sim.churn import ChurnConfig, ChurnModel, LifetimeDistribution
 from repro.topology.overlay import random_overlay
-from tests.reference.overlay import Overlay
 
 
 @pytest.fixture
