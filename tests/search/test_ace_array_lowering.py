@@ -39,7 +39,7 @@ from repro.topology.generators import barabasi_albert
 from repro.topology.overlay import small_world_overlay
 from repro.topology.soa import FLOODING, NON_FLOODING, UNLABELLED, ArrayOverlay
 from tests.reference import search as reference_search
-from tests.reference import twin
+from tests.reference import twin as twin_of
 from tests.reference.ace import ReferenceAce, reference_churn_refresh
 from tests.reference.labels import (
     LabelledOverlay,
@@ -54,7 +54,7 @@ def make_world(seed, peers=24, compact_threshold=None):
     """Array overlay + protocol, compacting past *compact_threshold* edits."""
     rng = np.random.default_rng(seed)
     physical = barabasi_albert(120, m=2, rng=rng)
-    overlay = twin(
+    overlay = twin_of(
         ArrayOverlay,
         small_world_overlay(physical, peers, avg_degree=6, rng=rng),
         compact_threshold=compact_threshold,

@@ -384,16 +384,16 @@ class TestComponents:
 
     @staticmethod
     def assert_components_match(arr):
-        twin = object_twin(arr)
+        reference = object_twin(arr)
         compactions = counters.soa_compactions
         for p in arr.peers():
-            assert arr.component_of(p) == twin.component_of(p)
-        assert arr.is_connected() == twin.is_connected()
+            assert arr.component_of(p) == reference.component_of(p)
+        assert arr.is_connected() == reference.is_connected()
         assert counters.soa_compactions == compactions
         seen, count = set(), 0
-        for p in twin.peers():
+        for p in reference.peers():
             if p not in seen:
-                seen |= twin.component_of(p)
+                seen |= reference.component_of(p)
                 count += 1
         return count
 
