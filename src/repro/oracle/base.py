@@ -40,10 +40,15 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
 
 __all__ = ["DelayOracle"]
 
-#: ``keep(first)`` of :meth:`DelayOracle.delay_pairs`: ``first[i]`` says pair
-#: ``i`` is read off its source's row (else off its target's); the answer maps
-#: a host whose row is read to the sorted hosts worth keeping from that row.
-Keep = Callable[[np.ndarray], Dict[int, np.ndarray]]
+#: ``keep(first, at)`` of :meth:`DelayOracle.delay_pairs`: ``first[i]`` says
+#: pair ``i`` is read off its source's row (else off its target's), and *at*
+#: lists the pairs whose rows are about to be read; the answer maps a host
+#: whose row is read to the sorted hosts worth keeping from that row.
+Keep = Callable[[np.ndarray, np.ndarray], Dict[int, np.ndarray]]
+
+#: ``keep()`` of :meth:`DelayOracle.delays_from`: the sorted hosts worth keeping
+#: from the source's row, asked only when that row is solved.
+Pool = Callable[[], np.ndarray]
 
 
 class DelayOracle(ABC):
@@ -97,25 +102,32 @@ class DelayOracle(ABC):
             raise ValueError("host id out of range")
         return us, vs
 
-    def delays_from(self, source: int, targets: Sequence[int]) -> np.ndarray:
+    def delays_from(
+        self, source: int, targets: Sequence[int], keep: Optional[Pool] = None
+    ) -> np.ndarray:
         """Delays from *source* to *targets*, as an array aligned with them.
 
         Each pair the store holds is read from it, and the rest are answered
-        by one backend lookup and remembered.  The store holds only checked
-        ids, so checking *source* here and the rest in the lookup refuses
-        every id outside the underlay, a pair of one host included.
+        by one backend lookup and remembered.  A backend that solves
+        *source*'s row for them calls *keep* (see :data:`Pool`) and holds on
+        to the part of the row it names; one that answers pairs directly
+        ignores it.  The store holds only checked ids, so checking *source*
+        here and the rest in the lookup refuses every id outside the
+        underlay, a pair of one host included.
         """
         if not 0 <= source < self._physical.num_nodes:
             raise ValueError(f"source {source} out of range")
         held = [self.known(source, t) for t in targets]
         if None in held:
             rest = [t for t, d in zip(targets, held) if d is None]
-            got = iter(self._lookup(source, rest).tolist())
+            got = iter(self._lookup(source, rest, keep).tolist())
             held = [next(got) if d is None else d for d in held]
         return np.array(held, dtype=np.float64)
 
     @abstractmethod
-    def _lookup(self, source: int, targets: List[int]) -> np.ndarray:
+    def _lookup(
+        self, source: int, targets: List[int], keep: Optional[Pool] = None
+    ) -> np.ndarray:
         """Delays from *source* to *targets*, none of them in the store;
         remembered before they are returned.  An id outside the underlay
         raises ``ValueError``."""

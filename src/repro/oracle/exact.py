@@ -1,27 +1,28 @@
 """The exact delay oracle: the batched engine, behind one lookup rule.
 
 :class:`ExactOracle` answers from the
-:class:`~repro.topology.physical.PhysicalTopology` batched-Dijkstra + LRU
-machinery without transforming a value: every answer is the float a fresh
-solve gives.  Besides the host-pair store every oracle keeps
-(:mod:`repro.oracle.base`), it holds *partial rows*: out of each row a bulk
-fill (:meth:`ExactOracle.delay_pairs`) streams, the delays to the hosts
-its caller asked to keep — for an overlay, the hosts Phase 3 can probe from
-there.  A single-source query is answered by one rule, which reads either
-end of a pair at every tier:
+:class:`~repro.topology.physical.PhysicalTopology` batched Dijkstra
+without transforming a value: every answer is the float a fresh solve
+gives.  Besides the host-pair store every oracle keeps
+(:mod:`repro.oracle.base`), it holds *partial rows*: out of each row it
+solves, the delays to the hosts its caller asked to keep — for an overlay,
+the hosts Phase 3 can probe from there.  A bulk fill
+(:meth:`ExactOracle.delay_pairs`) keeps them for every row it streams, and
+a single-source query that has to solve keeps them for its source.  No
+whole row is kept, and the underlay's LRU is never read.  A single-source
+query is answered by one rule, which reads either end of a pair:
 
 1. the host-pair store;
 2. the partial rows — all of the pairs still open, or none;
-3. the resident LRU rows — the source's, else every target's
-   (:meth:`~repro.topology.physical.PhysicalTopology.delays_to`);
-4. a solve of the source.
+3. a solve of the source.
 
 Link delays sit on a grid, so ``d(u, v) == d(v, u)`` bit for bit and the
 tier or end a float comes from never changes it; the tiers decide only
 how many sources are solved.  Once a fill has named the linked hosts, the
 underlay solves on its series-reduced graph
-(:meth:`~repro.topology.physical.PhysicalTopology.reduce_series`); the
-answers stay those of the full graph, bit for bit.
+(:meth:`~repro.topology.physical.PhysicalTopology.reduce_series`) and
+reads the asked hosts straight off the reduced rows; the answers stay
+those of the full graph, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,16 +31,19 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from .base import DelayOracle, Keep
+from .base import DelayOracle, Keep, Pool
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
     from ..topology.physical import PhysicalTopology
 
 __all__ = ["ExactOracle"]
 
-#: Sources per batched solve of a bulk fill (bounds the transient
-#: ``(k, n)`` block scipy returns).
-_CHUNK = 256
+_NOTHING = np.empty(0, dtype=np.int64)
+
+#: Sources per batched solve of a bulk fill.  scipy's time per source does
+#: not fall with the batch, and the transient ``(k, n)`` block it returns
+#: grows with it.
+_CHUNK = 32
 
 
 def _greedy_cover(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -73,13 +77,33 @@ class ExactOracle(DelayOracle):
         super().__init__(physical)
         #: Partial rows: source host -> (sorted hosts, their delays).
         self._partial: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: The narrowest integer type a partial row's hosts fit.
+        self._host_type = np.min_scalar_type(physical.num_nodes - 1)
 
-    def _lookup(self, source: int, targets: List[int]) -> np.ndarray:
+    def _lookup(
+        self, source: int, targets: List[int], keep: Optional[Pool] = None
+    ) -> np.ndarray:
         got = self._read_partial(source, targets)
         if got is None:
-            got = self._physical.delays_to(source, targets)
+            pool = keep() if keep is not None else _NOTHING
+            asked = np.concatenate([np.asarray(targets, dtype=np.int64), pool])
+            row = self._physical.delays_from_many([source], [asked])[source]
+            got = row[: len(targets)]
+            self._keep_row(source, pool, row[len(targets) :])
         self._remember([source] * len(targets), targets, got.tolist())
         return got
+
+    def _keep_row(self, host: int, pool: np.ndarray, values: np.ndarray) -> None:
+        """Add *pool* and its delays to *host*'s partial row.  A delay never
+        goes stale, so what an older row held stays; an empty pool adds
+        nothing, and a host no pool named has no row."""
+        if not len(pool):
+            return
+        held = self._partial.get(host)
+        if held is not None:
+            pool, first = np.unique(np.concatenate([pool, held[0]]), return_index=True)
+            values = np.concatenate([values, held[1]])[first]
+        self._partial[host] = (pool.astype(self._host_type), values)
 
     def _read_partial(self, source: int, targets: List[int]) -> Optional[np.ndarray]:
         """Delays from *source* to *targets* out of the partial rows.
@@ -108,10 +132,15 @@ class ExactOracle(DelayOracle):
             out[i] = values[j]
         return out
 
-    def delays_from_many(self, sources: Iterable[int]) -> Dict[int, np.ndarray]:
-        """Exact rows for several sources via one batched solve, not kept:
-        the chunk solve of :meth:`delay_pairs`."""
-        return self._physical.delays_from_many(sources)
+    def delays_from_many(
+        self,
+        sources: Iterable[int],
+        targets: Optional[Sequence[Sequence[int]]] = None,
+    ) -> Dict[int, np.ndarray]:
+        """Exact delays from several sources via one batched solve, not kept:
+        the chunk solve of :meth:`delay_pairs`
+        (:meth:`~repro.topology.physical.PhysicalTopology.delays_from_many`)."""
+        return self._physical.delays_from_many(sources, targets)
 
     def delay_pairs(
         self,
@@ -123,10 +152,10 @@ class ExactOracle(DelayOracle):
 
         One row per host of a greedy cover of the pairs (fewer solves than
         one fixed end of each pair), streamed in batches of
-        :data:`_CHUNK` sources and not retained in the LRU.  A pair is read
-        off its source's row when the source is in the cover, else off its
-        target's.  While it holds a row, the fill keeps the part *keep*
-        names as that host's partial row, replacing any older one.
+        :data:`_CHUNK` sources.  A pair is read off its source's row when
+        the source is in the cover, else off its target's.  Each row is read
+        only at its pairs' other ends and at the hosts *keep* names for it,
+        which join that host's partial row.
         """
         us, vs = self._host_arrays(sources, targets)
         out = np.zeros(len(us), dtype=np.float64)
@@ -136,19 +165,19 @@ class ExactOracle(DelayOracle):
         self._physical.reduce_series(np.concatenate([us[solve], vs[solve]]))
         first = _greedy_cover(us[solve], vs[solve], self._physical.num_nodes)[us]
         read, other = np.where(first, us, vs), np.where(first, vs, us)
-        kept = keep(first) if keep is not None else {}
         order = solve[np.argsort(read[solve], kind="stable")]
         heads, starts = np.unique(read[order], return_index=True)
         groups = np.split(order, starts[1:])
         for start in range(0, len(heads), _CHUNK):
             chunk = heads[start : start + _CHUNK].tolist()
-            rows = self.delays_from_many(chunk)
-            for h, at in zip(chunk, groups[start : start + _CHUNK]):
-                row = rows[h]
-                pool = kept.get(h)
-                if pool is not None:
-                    self._partial[h] = (pool, row[pool])
-                out[at] = row[other[at]]
+            at = groups[start : start + _CHUNK]
+            kept = keep(first, np.concatenate(at)) if keep is not None else {}
+            pools = [kept.get(h, _NOTHING) for h in chunk]
+            asked = [np.concatenate([other[g], pool]) for g, pool in zip(at, pools)]
+            rows = self.delays_from_many(chunk, asked)
+            for h, g, pool in zip(chunk, at, pools):
+                out[g] = rows[h][: len(g)]
+                self._keep_row(h, pool, rows[h][len(g) :])
         self._remember(us.tolist(), vs.tolist(), out.tolist())
         return out
 

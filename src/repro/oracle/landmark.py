@@ -33,7 +33,7 @@ import numpy as np
 
 from ..perf import counters
 from ..rng import ensure_rng
-from .base import DelayOracle, Keep
+from .base import DelayOracle, Keep, Pool
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
     from ..topology.physical import PhysicalTopology
@@ -140,8 +140,11 @@ class LandmarkOracle(DelayOracle):
     # DelayOracle interface
     # ------------------------------------------------------------------
 
-    def _lookup(self, source: int, targets: List[int]) -> np.ndarray:
-        # A pair is O(n_landmarks) arithmetic: estimate just the pairs asked.
+    def _lookup(
+        self, source: int, targets: List[int], keep: Optional[Pool] = None
+    ) -> np.ndarray:
+        # A pair is O(n_landmarks) arithmetic: estimate just the pairs asked;
+        # no row is read, so *keep* is not used.
         return self.delay_pairs([source] * len(targets), targets)
 
     def delay_pairs(

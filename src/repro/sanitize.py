@@ -292,16 +292,13 @@ def _install_partial_row_hooks() -> None:
             served.clear()
             result = lookup(self, *args)
             for oracle, hu, hosts, values in served:
-                # The reference is read off to the side — a resident vector
-                # in place, a missing one solved without being retained, its
-                # counter traffic rolled back — so neither the LRU nor
+                # The reference is solved off to the side — not retained,
+                # its counter traffic rolled back — so neither the LRU nor
                 # --perf moves.
-                vector = oracle.physical._dist_cache.get(hu)
-                if vector is None:
-                    before = counters.copy()
-                    vector = oracle.physical.delays_from_many([hu])[hu]
-                    counters.reset()
-                    counters.merge(before.snapshot())
+                before = counters.copy()
+                vector = oracle.physical.delays_from_many([hu])[hu]
+                counters.reset()
+                counters.merge(before.snapshot())
                 for ht, got, want in zip(hosts, values.tolist(), vector[hosts].tolist()):
                     if got != want:
                         peers = [p for p in self.peers() if self.host_of(p) == hu]

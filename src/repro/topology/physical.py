@@ -18,12 +18,14 @@ Two access patterns are supported:
 * **single source** (:meth:`delays_from` / :meth:`delays_to` /
   :meth:`delay`) — one Dijkstra run per LRU miss, kept in the LRU;
 * **batched** (:meth:`delays_from_many`) — every source of a known working
-  set the LRU does not hold is solved by *one* vectorized scipy call
-  (``indices=[...]``), and the rows are returned without being kept: a bulk
-  fill streams more rows than the LRU could hold.
+  set is solved by *one* vectorized scipy call (``indices=[...]``), and
+  the LRU is neither read nor written: a bulk fill streams more rows than
+  the LRU could hold.  Given the hosts each source is asked for, it reads
+  them off the solve without building a full row.
 
-Which pairs are worth remembering beyond the LRU is the delay oracle's
-business (:mod:`repro.oracle.exact`), not the underlay's.
+Which pairs are worth remembering is the delay oracle's business
+(:mod:`repro.oracle.exact`), not the underlay's: the oracle solves only
+through :meth:`delays_from_many`, so the LRU serves :meth:`delay` alone.
 
 All paths update the shared :data:`repro.perf.counters` so experiments can
 assert cache behavior (e.g. "zero Dijkstra runs during query propagation on
@@ -114,7 +116,8 @@ class PhysicalTopology:
         Optional ``(num_nodes, 2)`` array of plane coordinates (kept for
         inspection and for generators that derive delays from geometry).
     cache_size:
-        Maximum number of single-source Dijkstra results kept in the LRU.
+        Maximum number of single-source Dijkstra results kept in the LRU;
+        0 keeps none (every lookup solves), and a negative size is refused.
     """
 
     def __init__(
@@ -127,6 +130,8 @@ class PhysicalTopology:
     ) -> None:
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
+        if cache_size < 0:
+            raise ValueError(f"cache_size must be non-negative, got {cache_size}")
         self._num_nodes = int(num_nodes)
         lo, hi, link_delays = _links(num_nodes, edges, delays)
         # Both directions of every link, sorted by (row, column).
@@ -229,8 +234,9 @@ class PhysicalTopology:
         if self._series is None:
             self._series = _SeriesReduction(self, np.fromiter(keep, dtype=np.int64))
 
-    def _solve(self, sources: List[int]) -> List[np.ndarray]:
-        """A fresh distance row per source, solved on the smallest graph.
+    def _solve(self, sources: List[int], targets: List[np.ndarray]) -> List[np.ndarray]:
+        """Each source's delays to its hosts ``targets[i]``, solved on the
+        smallest graph.
 
         The CSR stores both directions of every link, so ``directed=True``
         walks the same graph as the undirected mode without scanning each
@@ -238,14 +244,20 @@ class PhysicalTopology:
         ``tests/topology/test_physical.py``).
         """
         series = self._series
-        kept = [s for s in sources if series is not None and series.kept[s]]
-        rest = [s for s in sources if series is None or not series.kept[s]]
-        rows = dict(zip(kept, series.solve(kept))) if kept and series else {}
+        kept = [i for i, s in enumerate(sources) if series is not None and series.kept[s]]
+        rest = [i for i, s in enumerate(sources) if series is None or not series.kept[s]]
+        out: List[np.ndarray] = [np.empty(0)] * len(sources)
+        if kept and series is not None:
+            solved = series.solve([sources[i] for i in kept], [targets[i] for i in kept])
+            for i, got in zip(kept, solved):
+                out[i] = got
         if rest:
-            # Copy each row out so the (k, n) solve block can be freed.
-            block = np.atleast_2d(dijkstra(self._matrix, directed=True, indices=rest))
-            rows.update((s, np.array(row, copy=True)) for s, row in zip(rest, block))
-        return [rows[s] for s in sources]
+            block = np.atleast_2d(
+                dijkstra(self._matrix, directed=True, indices=[sources[i] for i in rest])
+            )
+            for i, row in zip(rest, block):
+                out[i] = row[targets[i]]
+        return out
 
     def delays_from(self, source: int) -> np.ndarray:
         """Shortest-path delay from *source* to every node.
@@ -255,17 +267,19 @@ class PhysicalTopology:
         """
         if not (0 <= source < self._num_nodes):
             raise ValueError(f"source {source} out of range")
-        if source not in self._dist_cache:
+        cache = self._dist_cache
+        row = cache.get(source)
+        if row is None:
             counters.delay_cache_misses += 1
             counters.dijkstra_runs += 1
             counters.dijkstra_sources += 1
-            self._dist_cache[source] = self._solve([source])[0]
-            while len(self._dist_cache) > self._cache_size:
-                self._dist_cache.popitem(last=False)  # the oldest row
+            row = cache[source] = self._solve([source], [np.arange(self._num_nodes)])[0]
+            while len(cache) > self._cache_size:
+                cache.popitem(last=False)  # the oldest row, this one at size 0
         else:
             counters.delay_cache_hits += 1
-            self._dist_cache.move_to_end(source)
-        return self._dist_cache[source]
+            cache.move_to_end(source)
+        return row
 
     def delays_to(self, source: int, targets: Sequence[int]) -> np.ndarray:
         """Delays from *source* to *targets*, read from the resident row of
@@ -284,39 +298,44 @@ class PhysicalTopology:
             return np.array([cache[t][source] for t in targets])
         return np.array(self.delays_from(source)[list(targets)])
 
-    def delays_from_many(self, sources: Iterable[int]) -> Dict[int, np.ndarray]:
-        """Shortest-path delay vectors for several sources at once.
+    def delays_from_many(
+        self,
+        sources: Iterable[int],
+        targets: Optional[Sequence[Sequence[int]]] = None,
+    ) -> Dict[int, np.ndarray]:
+        """Shortest-path delays from several sources at once.
 
-        Returns ``{source: delay_vector}`` for every distinct source, which
-        the caller must not mutate.  A row the LRU holds is read from it;
-        all the others are solved by **one** vectorized scipy Dijkstra call
-        (``indices=[...]``) and returned without being kept, which bounds
-        memory when streaming a large source set only to extract a few
-        scalars per row (see
+        Every distinct source is solved by **one** vectorized scipy Dijkstra
+        call (``indices=[...]``); the LRU is neither read nor written, which
+        bounds memory when streaming a large source set only to extract a
+        few scalars per row (see
         :meth:`ExactOracle.delay_pairs <repro.oracle.exact.ExactOracle.delay_pairs>`).
+        Returns ``{source: delays}``, which the caller must not mutate: each
+        source's full row, or, given *targets* (one host list per source,
+        aligned with *sources*, which must then be distinct), its delays to
+        those hosts alone, read off the series-reduced solve without
+        building the full row.  Any id outside the underlay is refused
+        before anything is solved.
         """
-        out: Dict[int, np.ndarray] = {}
-        missing: List[int] = []
-        for raw in sources:
-            s = int(raw)
+        distinct = list(dict.fromkeys(int(s) for s in sources))
+        for s in distinct:
             if not (0 <= s < self._num_nodes):
                 raise ValueError(f"source {s} out of range")
-            if s in out or s in missing:
-                continue
-            vec = self._dist_cache.get(s)
-            if vec is not None:
-                counters.delay_cache_hits += 1
-                self._dist_cache.move_to_end(s)
-                out[s] = vec
-            else:
-                counters.delay_cache_misses += 1
-                missing.append(s)
-        if missing:
-            counters.dijkstra_runs += 1
-            counters.dijkstra_sources += len(missing)
-            counters.largest_batch = max(counters.largest_batch, len(missing))
-            out.update(zip(missing, self._solve(missing)))
-        return out
+        if targets is None:
+            reads = [np.arange(self._num_nodes)] * len(distinct)
+        else:
+            reads = [np.asarray(t, dtype=np.int64) for t in targets]
+            if len(reads) != len(distinct):
+                raise ValueError("targets must hold one host list per distinct source")
+            for at in reads:
+                if len(at) and (at.min() < 0 or at.max() >= self._num_nodes):
+                    raise ValueError("host id out of range")
+        if not distinct:
+            return {}
+        counters.dijkstra_runs += 1
+        counters.dijkstra_sources += len(distinct)
+        counters.largest_batch = max(counters.largest_batch, len(distinct))
+        return dict(zip(distinct, self._solve(distinct, reads)))
 
     def cached_sources(self) -> List[int]:
         """Sources whose delay vectors are currently resident (LRU order)."""
@@ -405,20 +424,22 @@ class _SeriesReduction:
 
         #: Which nodes of the full graph the reduced graph holds.
         self.kept = kept
-        self._nodes = np.flatnonzero(kept)
+        nodes = np.flatnonzero(kept)
         index = np.full(physical.num_nodes, -1, dtype=np.int64)
-        index[self._nodes] = np.arange(len(self._nodes))
+        index[nodes] = np.arange(len(nodes))
         self._index = index
 
-        # Per contracted node: its chain's two ends and its delay to each
-        # (a difference of two grid sums, so exact).
+        # Per contracted node: its chain's two ends, as columns of a reduced
+        # row, and its delay to each (a difference of two grid sums, so
+        # exact).
         chain_a, chain_b = (
             np.array([c[i] for c in chains], dtype=np.int64) for i in (0, 1)
         )
         length = np.array([c[2] for c in chains], dtype=float)
         on = np.array(member_chain, dtype=np.int64)
-        self._members = np.array(members, dtype=np.int64)
-        self._end_a, self._end_b = chain_a[on], chain_b[on]
+        self._member_of = np.full(physical.num_nodes, -1, dtype=np.int64)
+        self._member_of[np.array(members, dtype=np.int64)] = np.arange(len(members))
+        self._end_a, self._end_b = index[chain_a[on]], index[chain_b[on]]
         self._off_a = np.array(offsets, dtype=float)
         self._off_b = length[on] - self._off_a
 
@@ -432,26 +453,29 @@ class _SeriesReduction:
         rows, cols, weights = rows[order], cols[order], weights[order]
         cheapest = np.ones(len(rows), dtype=bool)
         cheapest[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        size = len(self._nodes)
+        size = len(nodes)
         self._matrix = csr_matrix(
             (weights[cheapest], (rows[cheapest], cols[cheapest])), shape=(size, size)
         )
 
-    def solve(self, sources: List[int]) -> List[np.ndarray]:
-        """A full-length distance row per kept source.
-
-        Each row is filled on its own: a contracted node reads the smaller
-        of (end's delay + offset to that end) over its two chain ends.
-        """
+    def solve(self, sources: List[int], targets: List[np.ndarray]) -> List[np.ndarray]:
+        """Each kept source's delays to its hosts ``targets[i]``, read off
+        its reduced row: a kept host directly, a contracted one as the
+        smaller of (end's delay + offset to that end) over its two chain
+        ends."""
         block = np.atleast_2d(
             dijkstra(self._matrix, directed=True, indices=self._index[sources])
         )
         rows = []
-        for reduced in block:
-            row = np.empty(len(self.kept))
-            row[self._nodes] = reduced
-            row[self._members] = np.minimum(
-                row[self._end_a] + self._off_a, row[self._end_b] + self._off_b
-            )
+        for reduced, hosts in zip(block, targets):
+            at = self._index[hosts]
+            row = reduced[at]
+            folded = np.flatnonzero(at < 0)
+            if len(folded):
+                m = self._member_of[hosts[folded]]
+                row[folded] = np.minimum(
+                    reduced[self._end_a[m]] + self._off_a[m],
+                    reduced[self._end_b[m]] + self._off_b[m],
+                )
             rows.append(row)
         return rows

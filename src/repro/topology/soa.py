@@ -104,6 +104,13 @@ __all__ = ["ArrayOverlay", "UNLABELLED", "FLOODING", "NON_FLOODING"]
 #: peer's last Phase 2, and a link that tree left out.
 UNLABELLED, FLOODING, NON_FLOODING = 0, 1, 2
 
+#: Logical hops out of which an exact oracle keeps a solved row's delays
+#: (:meth:`ArrayOverlay._probe_pools`).  Phase 3 probes two hops out; the
+#: third keeps those probes inside the row while the neighborhood rewires
+#: or a joined peer links in.
+_REACH = 3
+_NO_HOSTS = np.empty(0, dtype=np.int64)
+
 
 class ArrayOverlay:
     """Flat-array overlay engine (see module docstring)."""
@@ -802,7 +809,12 @@ class ArrayOverlay:
                 if c is not None:
                     self._fill_edge_cost(su, st, known)
         if missing:
-            vals = self._oracle.delays_from(hu, [ht for _, _, ht in missing])
+
+            def keep() -> np.ndarray:
+                pools = self._probe_pools(np.array([su], dtype=np.int64))
+                return pools.get(hu, _NO_HOSTS)
+
+            vals = self._oracle.delays_from(hu, [ht for _, _, ht in missing], keep)
             for (t, st, _), d in zip(missing, vals.tolist()):
                 out[t] = d
                 # Looked up again, not remembered from the first pass: a
@@ -900,25 +912,47 @@ class ArrayOverlay:
         return nbrs, costs
 
     def _probe_pools(self, slots: np.ndarray) -> Dict[int, np.ndarray]:
-        """Per host of *slots*: sorted hosts within two logical hops.
+        """Per host of *slots*: sorted hosts within :data:`_REACH` logical
+        hops of its peers among *slots*.
 
-        Two hops are exactly where Phase 3 looks: a replacement candidate
-        is a neighbor of a neighbor
-        (:meth:`repro.core.policies.CandidatePolicy.pool`).  Peers
-        sharing a host pool their neighborhoods.
+        A peer's Phase 3 probes a neighbor of a neighbor
+        (:meth:`repro.core.policies.CandidatePolicy.pool`), and is probed by
+        the peers two hops out.  Peers sharing a host pool their
+        neighborhoods; a peer with no link adds nothing.
         """
-        at1, hop1, _ = self.live_rows(slots)
-        at2, hop2, _ = self.live_rows(hop1)
-        stride = self._physical.num_nodes
-        source_host = self._slot_host[slots][np.concatenate([at1, at1[at2]])]
-        target_host = self._slot_host[np.concatenate([hop1, hop2])]
-        pairs = np.unique(source_host * stride + target_host)
-        source_host, target_host = np.divmod(pairs, stride)
-        cuts = np.flatnonzero(np.diff(source_host)) + 1
-        heads = source_host[np.concatenate([[0], cuts])].tolist()
-        # Copies, so that a pool replaced later frees its share of this pass.
+        heads, head = np.unique(self._slot_host[slots], return_inverse=True)
+        seen = np.zeros((len(heads), len(self._slot_host)), dtype=bool)
+        held = np.fromiter(self._extra, dtype=np.int64, count=len(self._extra))
+        origin, frontier = head, slots
+        for _ in range(_REACH):
+            # Every live link out of the frontier: packed rows, then buffered.
+            based = np.flatnonzero(frontier < self._nbase)
+            first = self._indptr[frontier[based]]
+            deg = self._indptr[frontier[based] + 1] - first
+            at = np.repeat(first - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
+            live = ~self._dead[at]
+            o, step = origin[np.repeat(based, deg)[live]], self._nbr[at[live]]
+            buffered = np.flatnonzero(np.isin(frontier, held)).tolist()
+            if buffered:
+                extra = self._extra
+                more = np.array(
+                    [(origin[i], t) for i in buffered for t in extra[int(frontier[i])]],
+                    dtype=np.int64,
+                )
+                o = np.concatenate([o, more[:, 0]])
+                step = np.concatenate([step, more[:, 1]])
+            was = seen.copy()
+            seen[o, step] = True
+            origin, frontier = np.nonzero(seen & ~was)
+        near = np.zeros((len(heads), self._physical.num_nodes), dtype=bool)
+        at_head, slot = np.nonzero(seen)
+        near[at_head, self._slot_host[slot]] = True
+        at_head, host = np.nonzero(near)
+        found, starts = np.unique(at_head, return_index=True)
+        # Copies: np.nonzero's columns are views of one (pairs, 2) block.
         return {
-            h: pool.copy() for h, pool in zip(heads, np.split(target_host, cuts))
+            int(heads[i]): pool.copy()
+            for i, pool in zip(found.tolist(), np.split(host, starts[1:]))
         }
 
     def warm_edge_costs(self) -> int:
@@ -929,9 +963,10 @@ class ArrayOverlay:
         finds the NaN entries with one vectorized scan.  Pairs the oracle
         does not know yet go to one
         :meth:`~repro.oracle.base.DelayOracle.delay_pairs` call, which may
-        keep, out of each row it reads, the delays to the hosts within two
-        logical hops of the peers that row serves (:meth:`_probe_pools`):
-        the Phase-3 probes from either end of those pairs.
+        keep, out of each row it reads, the delays to the hosts within
+        :data:`_REACH` logical hops of the peers that row serves
+        (:meth:`_probe_pools`): the Phase-3 probes from either end of those
+        pairs.
         """
         if self._missing == 0:
             return 0
@@ -946,8 +981,9 @@ class ArrayOverlay:
             return 0
         ends = np.array(pending, dtype=np.int64)
 
-        def keep(first: np.ndarray) -> Dict[int, np.ndarray]:
-            return self._probe_pools(np.unique(np.where(first, ends[:, 0], ends[:, 1])))
+        def keep(first: np.ndarray, at: np.ndarray) -> Dict[int, np.ndarray]:
+            read = np.where(first[at], ends[at, 0], ends[at, 1])
+            return self._probe_pools(np.unique(read))
 
         hu, hv = self._slot_host[ends].T.tolist()
         costs = self._oracle.delay_pairs(hu, hv, keep=keep)

@@ -151,10 +151,35 @@ class TestStoreLifetime:
         ]
 
 
+class TestEmptyPool:
+    """A keep that names no host leaves no partial row, so no read of the
+    rows ever meets an empty pool."""
+
+    NONE = np.empty(0, dtype=np.int64)
+
+    def test_a_probe_solve_with_an_empty_pool_keeps_no_row(self):
+        oracle = ExactOracle(_path_with_chords(6, 2, [1.0] * 8))
+        assert oracle.delays_from(0, [2], lambda: self.NONE).tolist() == [2.0]
+        assert oracle._partial == {}
+        assert oracle._read_partial(0, [4]) is None
+
+    def test_a_fill_with_an_empty_pool_keeps_no_row(self):
+        oracle = ExactOracle(_path_with_chords(6, 2, [1.0] * 8))
+        got = oracle.delay_pairs([0, 4], [2, 2], keep=lambda first, at: {2: self.NONE})
+        assert got.tolist() == [2.0, 2.0]
+        assert oracle._partial == {}
+        assert oracle._read_partial(2, [0]) is None
+
+
 def _path_with_chords(n, cache_size, delays):
     """A path of *n* hosts with two chords, its LRU *cache_size* rows."""
     links = [(i, i + 1) for i in range(n - 1)] + [(0, n // 2), (1, n - 1)]
     return PhysicalTopology(n, links, delays[: len(links)], cache_size=cache_size)
+
+
+def _random_pool(pick, n):
+    """A random sorted pool of hosts, empty at times."""
+    return np.unique(pick.integers(0, n, size=pick.integers(n)))
 
 
 def _random_keep(pairs, n, seed):
@@ -163,13 +188,11 @@ def _random_keep(pairs, n, seed):
     pick = np.random.default_rng(seed)
     pools = {}
 
-    def keep(first):
-        read = {u if f else v for (u, v), f in zip(pairs, first.tolist()) if u != v}
-        pools.update(
-            (h, np.unique(pick.integers(0, n, size=1 + pick.integers(n))))
-            for h in sorted(read)
-        )
-        return pools
+    def keep(first, at):
+        read = {pairs[i][0] if first[i] else pairs[i][1] for i in at.tolist()}
+        named = {h: _random_pool(pick, n) for h in sorted(read)}
+        pools.update(named)
+        return named
 
     return keep, pools
 
@@ -177,7 +200,7 @@ def _random_keep(pairs, n, seed):
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(4, 9),
-    cache_size=st.integers(1, 3),
+    cache_size=st.integers(0, 3),
     delays=st.lists(st.integers(1, 4096), min_size=10, max_size=10),
     ops=st.lists(
         st.one_of(
@@ -191,6 +214,7 @@ def _random_keep(pairs, n, seed):
                 st.integers(0, 8),
                 st.lists(st.integers(0, 8), min_size=1, max_size=4),
                 st.booleans(),
+                st.one_of(st.none(), st.integers(0, 2**32 - 1)),
             ),
         ),
         max_size=25,
@@ -198,15 +222,18 @@ def _random_keep(pairs, n, seed):
 )
 def test_every_tier_answers_the_fresh_solve(n, cache_size, delays, ops):
     """Cover fills with random keep-pools interleaved with single-source
-    queries: every answer is a fresh solve's float, and a query solves only
-    when no tier holds what it asks (store per pair; partial rows, or the
-    resident rows of the source or of every target, for all that is left)."""
+    queries, some with a keep-pool of their own: every answer is a fresh
+    solve's float, a query solves only when neither the store nor the
+    partial rows hold what it asks, and every partial row holds exactly the
+    hosts named for it so far, at a fresh solve's floats.  The underlay's
+    LRU plays no part."""
     physical = _path_with_chords(n, cache_size, [d / 1024 for d in delays])
     fresh = PhysicalTopology(
         n, [(u, v) for u, v, _ in physical.edges()],
         [d for *_, d in physical.edges()],
     )
     oracle = ExactOracle(physical)
+    named = {}  # host -> every host named for its row so far
 
     def truth(s, t):
         return fresh.delays_from(s)[t].hex()
@@ -224,30 +251,31 @@ def test_every_tier_answers_the_fresh_solve(n, cache_size, delays, ops):
             keep, pools = _random_keep(pairs, n, op[2])
             got = oracle.delay_pairs([u for u, _ in pairs], [v for _, v in pairs], keep=keep)
             assert [d.hex() for d in got.tolist()] == [truth(u, v) for u, v in pairs]
-            for h, pool in pools.items():  # each row read keeps what keep named
-                kept, values = oracle._partial[h]
-                assert kept.tolist() == pool.tolist()
-                assert [d.hex() for d in values.tolist()] == [truth(h, t) for t in pool.tolist()]
-            continue
-        _, s, targets, far = op
-        s, targets = s % n, [t % n for t in targets]
-        if far and oracle._partial:
-            # Ask from a host inside some row for that row's host, so the
-            # far end's row holds the pair.
-            rows = sorted(oracle._partial)
-            h = rows[s % len(rows)]
-            near = oracle._partial[h][0].tolist()
-            s, targets = near[targets[0] % len(near)], [h] + targets[1:]
-        rest = [t for t in targets if oracle.known(s, t) is None]
-        resident = set(physical.cached_sources())
-        held = (
-            not rest
-            or all(partial(s, t) for t in rest)
-            or s in resident
-            or all(t in resident for t in rest)
-        )
-        before = counters.copy()
-        got = oracle.delays_from(s, targets)
-        solved = counters.delta(before)["dijkstra_sources"]
-        assert [d.hex() for d in got.tolist()] == [truth(s, t) for t in targets]
-        assert solved == (0 if held else 1)
+            for h, pool in pools.items():
+                named.setdefault(h, set()).update(pool.tolist())
+        else:
+            _, s, targets, far, seed = op
+            s, targets = s % n, [t % n for t in targets]
+            if far and oracle._partial:
+                # Ask from a host inside some row for that row's host, so the
+                # far end's row holds the pair.
+                rows = sorted(oracle._partial)
+                h = rows[s % len(rows)]
+                near = oracle._partial[h][0].tolist()
+                s, targets = near[targets[0] % len(near)], [h] + targets[1:]
+            rest = [t for t in targets if oracle.known(s, t) is None]
+            held = not rest or all(partial(s, t) for t in rest)
+            pool = None if seed is None else _random_pool(np.random.default_rng(seed), n)
+            keep = None if pool is None else (lambda: pool)
+            before = counters.copy()
+            got = oracle.delays_from(s, targets, keep)
+            solved = counters.delta(before)["dijkstra_sources"]
+            assert [d.hex() for d in got.tolist()] == [truth(s, t) for t in targets]
+            assert solved == (0 if held else 1)
+            if solved and pool is not None:
+                named.setdefault(s, set()).update(pool.tolist())
+        assert sorted(oracle._partial) == sorted(h for h, hosts in named.items() if hosts)
+        for h, (kept, values) in oracle._partial.items():
+            assert kept.tolist() == sorted(named[h])
+            assert [d.hex() for d in values.tolist()] == [truth(h, t) for t in kept.tolist()]
+        assert physical.cached_sources() == []

@@ -263,7 +263,12 @@ class Overlay:
                 if t in nbrs:
                     self._edge_costs[pkey] = known
         if missing:
-            vals = self._oracle.delays_from(hu, [self._hosts[t] for t in missing])
+
+
+            def keep() -> np.ndarray:
+                return self._probe_pools([u]).get(hu, np.empty(0, dtype=np.int64))
+
+            vals = self._oracle.delays_from(hu, [self._hosts[t] for t in missing], keep)
             for t, d in zip(missing, vals.tolist()):
                 out[t] = d
                 pkey = (u, t) if u < t else (t, u)
@@ -279,10 +284,9 @@ class Overlay:
         Edges whose host pair the oracle does not know yet are answered by
         one :meth:`~repro.oracle.base.DelayOracle.delay_pairs` call, which
         may keep, out of each row it reads, the delays to the hosts within
-        two logical hops of the peers there (the Phase-3 probe pools, as
-        :meth:`ArrayOverlay._probe_pools <repro.topology.soa.ArrayOverlay._probe_pools>`
-        computes them).  Idempotent and cheap when already warm.  Returns
-        the number of edge costs computed.
+        three logical hops of the peers there (:meth:`_probe_pools`).
+        Idempotent and cheap when already warm.  Returns the number of edge
+        costs computed.
         """
         pending: List[Tuple[int, int]] = []
         for u, v in self.edges():
@@ -296,14 +300,10 @@ class Overlay:
         if not pending:
             return 0
 
-        def keep(first: np.ndarray) -> Dict[int, np.ndarray]:
-            near: Dict[int, Set[int]] = {}
-            for p in {u if f else v for (u, v), f in zip(pending, first.tolist())}:
-                pool = near.setdefault(self._hosts[p], set())
-                for n in self._adjacency[p]:
-                    pool.add(self._hosts[n])
-                    pool.update(self._hosts[m] for m in self._adjacency[n])
-            return {h: np.array(sorted(s), dtype=np.int64) for h, s in near.items()}
+        def keep(first: np.ndarray, at: np.ndarray) -> Dict[int, np.ndarray]:
+            return self._probe_pools(
+                {pending[i][0] if first[i] else pending[i][1] for i in at.tolist()}
+            )
 
         costs = self._oracle.delay_pairs(
             [self._hosts[u] for u, _ in pending],
@@ -313,6 +313,22 @@ class Overlay:
         self._edge_costs.update(zip(pending, costs.tolist()))
         counters.edge_cost_misses += len(pending)
         return len(pending)
+
+    def _probe_pools(self, peers: Iterable[int]) -> Dict[int, np.ndarray]:
+        """Per host of *peers*: the sorted hosts within three logical hops of
+        its peers among them, as
+        :meth:`ArrayOverlay._probe_pools <repro.topology.soa.ArrayOverlay._probe_pools>`
+        names them."""
+        near: Dict[int, Set[int]] = {}
+        for p in peers:
+            reached: Set[int] = set()
+            frontier = {p}
+            for _ in range(3):
+                frontier = {n for q in frontier for n in self._adjacency[q]} - reached
+                reached |= frontier
+            if reached:
+                near.setdefault(self._hosts[p], set()).update(self._hosts[q] for q in reached)
+        return {h: np.array(sorted(s), dtype=np.int64) for h, s in near.items()}
 
     @property
     def cached_edge_costs(self) -> int:

@@ -287,12 +287,12 @@ class TestExactOracleSolvesEachSourceOnce:
     """Count gates for the engines' call pattern under the exact oracle.
 
     ``warm_edge_costs`` has the oracle stream a cover of the missing host
-    pairs and keep each source's two-hop probe pool out of the vector it
+    pairs and keep each source's three-hop probe pool out of the vector it
     already holds, and the ACE step prefetches nothing: a source is solved
     during the step only when a peer there probes a host that is in neither
-    the oracle's host-pair store nor either end's partial row, and neither
-    end's row is resident in the LRU.  The counts repeat exactly per seed,
-    so the gates need no timing and no tolerance.
+    the oracle's host-pair store nor either end's partial row, and that
+    solve keeps the prober's pool, not the row.  The counts repeat exactly
+    per seed, so the gates need no timing and no tolerance.
     """
 
     def test_step_solves_only_the_probes_that_missed_both_caches(
@@ -356,9 +356,28 @@ class TestExactOracleSolvesEachSourceOnce:
         # Both engines fill the edge costs through the oracle, from 23
         # sources (a cover of the links), and hand it the same probe pools,
         # so each then solves again only the hosts whose peers probe
-        # outside both ends' pools and rows resident in the LRU.
-        assert per_step == [12, 6, 2, 12, 6, 2]
-        assert counters.dijkstra_sources == 23 + 12 + 6 + 2
+        # outside both ends' pools.
+        assert per_step == [8, 4, 1, 8, 4, 1]
+        assert counters.dijkstra_sources == 23 + 8 + 4 + 1
+
+    def test_step_keeps_partial_rows_and_no_underlay_row(self):
+        config = ScenarioConfig(
+            physical_nodes=1000, peers=300, avg_degree=6, seed=5
+        )
+        overlay = build_scenario(config).fresh_overlay()
+        protocol = AceProtocol(overlay, rng=np.random.default_rng(3))
+        overlay.warm_edge_costs()
+        before = counters.copy()
+        protocol.step()
+        assert counters.delta(before)["dijkstra_sources"] > 0
+        assert overlay.physical.cached_sources() == []
+        rows = overlay.oracle._partial
+        hosts = {overlay.host_of(p) for p in overlay.peers()}
+        assert set(rows) <= hosts
+        for kept, values in rows.values():
+            # One sorted run of distinct hosts per row, each with its delay.
+            assert np.all(np.diff(kept.astype(np.int64)) > 0)
+            assert len(values) == len(kept)
 
 
 @pytest.mark.perf_smoke

@@ -194,15 +194,56 @@ class TestBatchedDijkstra:
         with pytest.raises(ValueError, match="out of range"):
             make_line().delays_from_many([0, 99])
 
-    def test_delays_from_many_keeps_no_row(self):
+    def test_delays_from_many_neither_reads_nor_keeps_an_lru_row(self):
         topo = make_line()
-        topo.delays_from(1)
+        resident = topo.delays_from(1)
         before = counters.copy()
         out = topo.delays_from_many([0, 1, 2])
         delta = counters.delta(before)
-        assert (delta["dijkstra_sources"], delta["delay_cache_hits"]) == (2, 1)
-        assert out[1] is topo.delays_from(1)  # the resident row, read in place
+        assert (delta["dijkstra_sources"], delta["delay_cache_hits"]) == (3, 0)
+        assert delta["delay_cache_misses"] == 0
+        assert out[1] is not resident and out[1].tobytes() == resident.tobytes()
         assert topo.cached_sources() == [1]
+
+    def test_delays_from_many_reads_only_the_asked_hosts(self):
+        topo = make_line()
+        out = topo.delays_from_many([3, 0], [[4, 0, 3], []])
+        assert out[3].tolist() == [4.0, 6.0, 0.0]
+        assert out[0].tolist() == []
+        assert topo.cached_sources() == []
+
+    def test_delays_from_many_refuses_bad_targets_before_solving(self):
+        topo = make_line()
+        before = counters.copy()
+        with pytest.raises(ValueError, match="host id out of range"):
+            topo.delays_from_many([0, 1], [[2], [5]])
+        with pytest.raises(ValueError, match="one host list per distinct source"):
+            topo.delays_from_many([0, 1], [[2]])
+        assert counters.delta(before)["dijkstra_sources"] == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda size: PhysicalTopology(3, [(0, 1), (1, 2)], [1.0, 2.0], cache_size=size),
+        lambda size: generators.barabasi_albert(
+            40, m=2, rng=np.random.default_rng(1), cache_size=size
+        ),
+        lambda size: generators.grid(4, 5, cache_size=size),
+    ],
+    ids=["constructor", "barabasi_albert", "grid"],
+)
+class TestCacheSize:
+    def test_zero_cache_size_keeps_no_row_and_still_answers(self, make):
+        topo, full = make(0), make(4)
+        for s in (0, 2, 0):
+            assert topo.delays_from(s).tobytes() == full.delays_from(s).tobytes()
+            assert topo.cached_sources() == []
+        assert topo.delay(0, 2) == full.delay(0, 2)
+
+    def test_negative_cache_size_is_refused(self, make):
+        with pytest.raises(ValueError, match="cache_size must be non-negative"):
+            make(-1)
 
 
 class TestLruCoherence:
@@ -379,6 +420,23 @@ class TestSeriesReduction:
         n = reduced.num_nodes
         reduced.reduce_series(rng.choice(n, size=n // 3, replace=False))
         self.assert_same_rows(reduced, full, list(range(n)))
+
+    @pytest.mark.parametrize("kind", sorted(UNDERLAYS) + ["chains"])
+    def test_asked_hosts_read_off_the_reduced_rows_exactly(self, kind):
+        # Kept and contracted sources alike, each asked for its own hosts.
+        rng = np.random.default_rng(7)
+        if kind == "chains":
+            reduced, full = chains_world()(), chains_world()()
+        else:
+            reduced = UNDERLAYS[kind](np.random.default_rng(1))
+            full = UNDERLAYS[kind](np.random.default_rng(1))
+        n = reduced.num_nodes
+        reduced.reduce_series(rng.choice(n, size=n // 3, replace=False))
+        sources = list(range(0, n, 3))
+        asked = [rng.integers(0, n, size=int(rng.integers(0, 12))) for _ in sources]
+        got = reduced.delays_from_many(sources, asked)
+        for s, at in zip(sources, asked):
+            assert got[s].tobytes() == full.delays_from(s)[at].tobytes(), s
 
     def test_unreduced_topology_never_builds_a_reduction(self):
         topo = chains_world()()

@@ -1,13 +1,14 @@
 """The exact oracle's partial rows (the probe memo) vs. the object engine.
 
 :meth:`ArrayOverlay.warm_edge_costs` hands the oracle, with its missing
-host pairs, the hosts within two logical hops of the pending peers on each
-end; :meth:`ExactOracle.delay_pairs` keeps their delays out of every vector
-it streams, and a single-source query reads them after the host-pair store
-and before the LRU and a solve.  The partial rows may change how many
-sources are solved and never which float a lookup returns.  Link delays sit
-on the 2**-10 grid, so ``dist[u][v]`` and ``dist[v][u]`` are one float;
-every case below still compares bits.
+host pairs, the hosts within three logical hops of the pending peers on
+each end, and :meth:`ArrayOverlay.costs_from` hands it the same for its
+peer; :meth:`ExactOracle.delay_pairs` and a single-source query that has to
+solve keep their delays out of every row they solve, and a single-source
+query reads them after the host-pair store and before a solve.  The
+partial rows may change how many sources are solved and never which float
+a lookup returns.  Link delays sit on the 2**-10 grid, so ``dist[u][v]``
+and ``dist[v][u]`` are one float; every case below still compares bits.
 """
 
 import os
@@ -72,7 +73,7 @@ def bits(costs):
 ONE_PER_HOST = {p: p for p in range(6)}
 
 #: Links 1-2, 2-3, 1-4.  The greedy cover of their host pairs is {1, 2};
-#: host 1's pool (two hops from peer 1) and host 2's are both {1, 2, 3, 4}.
+#: host 1's pool (three hops from peer 1) and host 2's are both {1, 2, 3, 4}.
 HUB = [(1, 2), (2, 3), (1, 4)]
 
 
@@ -124,16 +125,45 @@ class TestNamedCases:
         assert one_to_two.hex() == two_to_one.hex() == obj.cost(1, 2).hex()
         assert read(1, [4]).item(0) == read(4, [1]).item(0)
 
-    def test_probe_outside_the_pools_reads_the_far_ends_resident_row(self):
+    def test_a_resident_lru_row_is_not_read(self):
         physical = line(cache_size=4)
         obj, arr = pair(physical, ONE_PER_HOST, HUB)
         arr.warm_edge_costs()
-        physical.delays_from(4)  # only the far end of the probe is resident
+        physical.delays_from(4)  # the far end of the probe is resident
         got, solved = solved_by(lambda: arr.costs_from(3, [4]))
-        assert solved == 0
+        assert solved == 1
         assert bits(got) == bits(obj.costs_from(3, [4]))
+        assert physical.cached_sources() == [4]
 
-    def test_restreamed_source_replaces_its_pool(self):
+    def test_a_probe_solve_keeps_its_peers_pool_not_the_row(self):
+        physical = line(cache_size=4)
+        obj, arr = pair(physical, ONE_PER_HOST, HUB)
+        arr.warm_edge_costs()
+        arr.costs_from(3, [4])  # no row holds host 3 or host 4
+        obj.costs_from(3, [4])
+        assert physical.cached_sources() == []
+        for overlay in (obj, arr):
+            kept, values = overlay.oracle._partial[3]
+            assert kept.tolist() == [1, 2, 3, 4]  # three hops from peer 3
+            assert values.tolist() == [FROM_1_TO_3, 0.75, 0.0, 1.0]
+        # Peer 4 probing host 3 now reads host 3's row from the far end.
+        got, solved = solved_by(lambda: arr.costs_from(4, [3]))
+        assert solved == 0
+        assert bits(got) == bits(obj.costs_from(4, [3]))
+
+    def test_a_probe_from_an_isolated_peer_keeps_no_row(self):
+        obj, arr = pair(line(), ONE_PER_HOST, HUB)
+        for overlay in (obj, arr):
+            overlay.warm_edge_costs()
+            # Peer 0 has no link: its pool is empty, so host 0 gets no row,
+            # and the next read from host 0 solves again instead of meeting
+            # an empty pool.
+            assert solved_by(lambda: overlay.costs_from(0, [3]))[1] == 1
+            assert 0 not in overlay.oracle._partial
+            assert solved_by(lambda: overlay.costs_from(0, [4]))[1] == 1
+        assert bits(arr.costs_from(0, [3, 4])) == bits(obj.costs_from(0, [3, 4]))
+
+    def test_restreamed_source_adds_to_its_pool(self):
         obj, arr = pair(line(), ONE_PER_HOST, HUB)
         for overlay in (obj, arr):
             overlay.warm_edge_costs()
@@ -141,11 +171,12 @@ class TestNamedCases:
             overlay.connect(1, 0)
             overlay.connect(1, 5)
             overlay.warm_edge_costs()
-        assert arr.oracle._partial[1][0].tolist() == [0, 1, 2, 4, 5]
-        # Host 3 left host 1's pool with the cut link (the first pool held
-        # it), and host 3 was never a source: the read faults.
+        # Host 3 left peer 1's reach with the cut link, but a delay never goes
+        # stale: the restreamed row keeps it beside the new hosts 0 and 5.
+        assert arr.oracle._partial[1][0].tolist() == [0, 1, 2, 3, 4, 5]
+        assert obj.oracle._partial[1][0].tolist() == [0, 1, 2, 3, 4, 5]
         got, solved = solved_by(lambda: arr.costs_from(1, [3]))
-        assert solved == 1
+        assert solved == 0
         assert bits(got) == bits(obj.costs_from(1, [3]))
 
     def test_peers_on_one_host_pool_their_neighborhoods(self):
@@ -203,13 +234,28 @@ def drive(seed, compact, ops):
     underlay (so each fills its own store), comparing bits."""
     rng = np.random.default_rng(seed)
     # A ring of 12 hosts with two chords: ~10 peers revisit the same host
-    # pairs from both ends.  The LRU holds three vectors, so sources are
-    # evicted all the time.
+    # pairs from both ends.  The LRU holds three vectors, which the oracle
+    # never reads.
     nodes = 12
     links = [(i, (i + 1) % nodes) for i in range(nodes)] + [(0, 5), (3, 9)]
     physical = PhysicalTopology(
         nodes, links, rng.uniform(0.1, 1.0, size=len(links)), cache_size=3
     )
+    fresh = PhysicalTopology(
+        nodes, [(u, v) for u, v, _ in physical.edges()],
+        [d for *_, d in physical.edges()],
+    )  # never series-reduced
+
+    def rows_match_fresh(oracle):
+        # Every partial row, kept by a fill or by a probe's solve, holds a
+        # fresh full-graph solve's floats, and reads them from either end.
+        for h, (kept, values) in oracle._partial.items():
+            want = fresh.delays_from(h)[kept]
+            assert values.tobytes() == want.tobytes()
+            for t, d in zip(kept.tolist(), want.tolist()):
+                assert oracle._read_partial(h, [t]).item(0).hex() == d.hex()
+                assert oracle._read_partial(t, [h]).item(0).hex() == d.hex()
+
     hosts = {p: int(h) for p, h in enumerate(rng.integers(0, nodes, size=10))}
     obj = Overlay(physical, hosts, oracle=ExactOracle(physical))
     arr = ArrayOverlay(
@@ -258,6 +304,8 @@ def drive(seed, compact, ops):
         elif op == "use_oracle":
             both(lambda o: o.use_oracle(ExactOracle(physical)))
         assert arr.epoch == obj.epoch
+        rows_match_fresh(obj.oracle)
+        rows_match_fresh(arr.oracle)
 
     both(lambda o: o.warm_edge_costs())
     for u, v in obj.edges():
