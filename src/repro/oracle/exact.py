@@ -94,16 +94,11 @@ class ExactOracle(DelayOracle):
         return got
 
     def _keep_row(self, host: int, pool: np.ndarray, values: np.ndarray) -> None:
-        """Add *pool* and its delays to *host*'s partial row.  A delay never
-        goes stale, so what an older row held stays; an empty pool adds
-        nothing, and a host no pool named has no row."""
-        if not len(pool):
-            return
-        held = self._partial.get(host)
-        if held is not None:
-            pool, first = np.unique(np.concatenate([pool, held[0]]), return_index=True)
-            values = np.concatenate([values, held[1]])[first]
-        self._partial[host] = (pool.astype(self._host_type), values)
+        """Make *pool* and its delays *host*'s partial row, in place of an
+        older one: a host keeps one pool, the one of its last solve.  An
+        empty pool keeps nothing, so a row is never empty."""
+        if len(pool):
+            self._partial[host] = (pool.astype(self._host_type), values)
 
     def _read_partial(self, source: int, targets: List[int]) -> Optional[np.ndarray]:
         """Delays from *source* to *targets* out of the partial rows.
@@ -155,7 +150,7 @@ class ExactOracle(DelayOracle):
         :data:`_CHUNK` sources.  A pair is read off its source's row when
         the source is in the cover, else off its target's.  Each row is read
         only at its pairs' other ends and at the hosts *keep* names for it,
-        which join that host's partial row.
+        which become that host's partial row.
         """
         us, vs = self._host_arrays(sources, targets)
         out = np.zeros(len(us), dtype=np.float64)

@@ -225,7 +225,8 @@ def test_every_tier_answers_the_fresh_solve(n, cache_size, delays, ops):
     queries, some with a keep-pool of their own: every answer is a fresh
     solve's float, a query solves only when neither the store nor the
     partial rows hold what it asks, and every partial row holds exactly the
-    hosts named for it so far, at a fresh solve's floats.  The underlay's
+    hosts last named for it by a non-empty pool, at a fresh solve's
+    floats.  The underlay's
     LRU plays no part."""
     physical = _path_with_chords(n, cache_size, [d / 1024 for d in delays])
     fresh = PhysicalTopology(
@@ -233,7 +234,7 @@ def test_every_tier_answers_the_fresh_solve(n, cache_size, delays, ops):
         [d for *_, d in physical.edges()],
     )
     oracle = ExactOracle(physical)
-    named = {}  # host -> every host named for its row so far
+    named = {}  # host -> the last non-empty pool named for its row
 
     def truth(s, t):
         return fresh.delays_from(s)[t].hex()
@@ -251,8 +252,7 @@ def test_every_tier_answers_the_fresh_solve(n, cache_size, delays, ops):
             keep, pools = _random_keep(pairs, n, op[2])
             got = oracle.delay_pairs([u for u, _ in pairs], [v for _, v in pairs], keep=keep)
             assert [d.hex() for d in got.tolist()] == [truth(u, v) for u, v in pairs]
-            for h, pool in pools.items():
-                named.setdefault(h, set()).update(pool.tolist())
+            named.update((h, pool.tolist()) for h, pool in pools.items() if len(pool))
         else:
             _, s, targets, far, seed = op
             s, targets = s % n, [t % n for t in targets]
@@ -272,10 +272,10 @@ def test_every_tier_answers_the_fresh_solve(n, cache_size, delays, ops):
             solved = counters.delta(before)["dijkstra_sources"]
             assert [d.hex() for d in got.tolist()] == [truth(s, t) for t in targets]
             assert solved == (0 if held else 1)
-            if solved and pool is not None:
-                named.setdefault(s, set()).update(pool.tolist())
-        assert sorted(oracle._partial) == sorted(h for h, hosts in named.items() if hosts)
+            if solved and pool is not None and len(pool):
+                named[s] = pool.tolist()
+        assert sorted(oracle._partial) == sorted(named)
         for h, (kept, values) in oracle._partial.items():
-            assert kept.tolist() == sorted(named[h])
+            assert kept.tolist() == named[h]
             assert [d.hex() for d in values.tolist()] == [truth(h, t) for t in kept.tolist()]
         assert physical.cached_sources() == []

@@ -62,6 +62,10 @@ class Overlay:
         self._adjacency: Dict[int, Set[int]] = {}
         self._edge_costs: Dict[Tuple[int, int], float] = {}
         self._epoch = 0
+        #: Departed peers' hosts, and per peer the departed peers it was
+        #: linked to when they left (:meth:`_probe_pools`).
+        self._departed: Dict[int, int] = {}
+        self._lost: Dict[int, Set[int]] = {}
         if hosts:
             for peer, host in hosts.items():
                 self.add_peer(peer, host)
@@ -135,6 +139,7 @@ class Overlay:
             raise ValueError(f"host {host} out of range")
         self._hosts[peer] = host
         self._adjacency[peer] = set()
+        self._departed.pop(peer, None)
         self._epoch += 1
 
     def remove_peer(self, peer: int) -> None:
@@ -143,6 +148,10 @@ class Overlay:
         Edge-cost cache entries of the removed connections are invalidated
         so a later re-join of the same peer id cannot observe stale costs.
         """
+        for other in self._adjacency[peer]:
+            self._lost.setdefault(other, set()).add(peer)
+        self._lost.pop(peer, None)
+        self._departed[peer] = self._hosts[peer]
         for other in list(self._adjacency[peer]):
             self._adjacency[other].discard(peer)
             self._edge_costs.pop((peer, other) if peer < other else (other, peer), None)
@@ -316,18 +325,26 @@ class Overlay:
 
     def _probe_pools(self, peers: Iterable[int]) -> Dict[int, np.ndarray]:
         """Per host of *peers*: the sorted hosts within three logical hops of
-        its peers among them, as
+        its peers among them, a departed peer counted as still linked to the
+        peers it left until it rejoins, as
         :meth:`ArrayOverlay._probe_pools <repro.topology.soa.ArrayOverlay._probe_pools>`
         names them."""
         near: Dict[int, Set[int]] = {}
         for p in peers:
             reached: Set[int] = set()
+            gone: Set[int] = set()
             frontier = {p}
             for _ in range(3):
+                gone |= {
+                    g for q in frontier for g in self._lost.get(q, ())
+                    if g in self._departed
+                }
                 frontier = {n for q in frontier for n in self._adjacency[q]} - reached
                 reached |= frontier
-            if reached:
-                near.setdefault(self._hosts[p], set()).update(self._hosts[q] for q in reached)
+            hosts = {self._hosts[q] for q in reached}
+            hosts |= {self._departed[g] for g in gone}
+            if hosts:
+                near.setdefault(self._hosts[p], set()).update(hosts)
         return {h: np.array(sorted(s), dtype=np.int64) for h, s in near.items()}
 
     @property
@@ -369,6 +386,8 @@ class Overlay:
         clone._hosts = dict(self._hosts)
         clone._adjacency = {p: set(nbrs) for p, nbrs in self._adjacency.items()}
         clone._edge_costs = dict(self._edge_costs)  # private: edges diverge
+        clone._departed = dict(self._departed)
+        clone._lost = {p: set(gone) for p, gone in self._lost.items()}
         clone._epoch = self._epoch  # compiled-graph caches key on identity
         return clone
 

@@ -163,7 +163,7 @@ class TestNamedCases:
             assert solved_by(lambda: overlay.costs_from(0, [4]))[1] == 1
         assert bits(arr.costs_from(0, [3, 4])) == bits(obj.costs_from(0, [3, 4]))
 
-    def test_restreamed_source_adds_to_its_pool(self):
+    def test_restreamed_source_replaces_its_pool(self):
         obj, arr = pair(line(), ONE_PER_HOST, HUB)
         for overlay in (obj, arr):
             overlay.warm_edge_costs()
@@ -171,13 +171,36 @@ class TestNamedCases:
             overlay.connect(1, 0)
             overlay.connect(1, 5)
             overlay.warm_edge_costs()
-        # Host 3 left peer 1's reach with the cut link, but a delay never goes
-        # stale: the restreamed row keeps it beside the new hosts 0 and 5.
-        assert arr.oracle._partial[1][0].tolist() == [0, 1, 2, 3, 4, 5]
-        assert obj.oracle._partial[1][0].tolist() == [0, 1, 2, 3, 4, 5]
+            assert overlay.oracle._partial[1][0].tolist() == [0, 1, 2, 4, 5]
+        # Host 3 left host 1's pool with the cut link (the first pool held
+        # it), and host 3 was never a source: the read faults.
         got, solved = solved_by(lambda: arr.costs_from(1, [3]))
-        assert solved == 0
+        assert solved == 1
         assert bits(got) == bits(obj.costs_from(1, [3]))
+
+    def test_a_departed_peer_stays_in_the_pools_until_it_rejoins(self):
+        obj, arr = pair(line(), ONE_PER_HOST, [(1, 2), (1, 4)])
+        for overlay in (obj, arr):
+            overlay.warm_edge_costs()
+            overlay.remove_peer(4)
+            overlay.connect(2, 3)
+            overlay.warm_edge_costs()
+            # Peer 4 left peer 1, one hop from peer 2: host 2's pool, kept
+            # for the new link 2-3, names host 4 though no link reaches it.
+            assert overlay.oracle._partial[2][0].tolist() == [1, 2, 3, 4]
+        for overlay in (obj, arr):
+            # Back at its cached address, peer 4 links to peer 1 again (the
+            # pair is known: no fill), and peer 2's probe of it is answered
+            # by host 2's row.
+            overlay.add_peer(4, 4)
+            overlay.connect(4, 1)
+            assert solved_by(lambda: overlay.costs_from(2, [4]))[1] == 0
+        assert bits(arr.costs_from(2, [4])) == bits(obj.costs_from(2, [4]))
+        # Rejoined, peer 4 counts only by its links.
+        for overlay in (obj, arr):
+            overlay.disconnect(4, 1)
+        assert obj._probe_pools([2])[2].tolist() == [1, 2, 3]
+        assert arr._probe_pools(np.array([arr._index[2]]))[2].tolist() == [1, 2, 3]
 
     def test_peers_on_one_host_pool_their_neighborhoods(self):
         hosts = {0: 0, 1: 1, 6: 0, 7: 4, 8: 5}
